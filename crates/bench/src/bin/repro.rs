@@ -3,10 +3,10 @@
 //! ```text
 //! repro [--scale paper|small] [--out DIR] [--telemetry PATH]
 //!       [--partition-engine multilevel|modularity] <artifact>...
-//!
-//! artifacts: table1 table2 fig3a fig3b fig4a fig4b fig4c
-//!            fig5a fig5b fig5c scaling replay all
 //! ```
+//!
+//! `<artifact>` is a name from [`ARTIFACTS`] or `all`; `repro` with no
+//! arguments prints the list.
 //!
 //! `--scale paper` runs the full 1088-rank configuration of §V (64 nodes
 //! × 16 application ranks + 64 FTI encoder ranks); `--scale small`
@@ -46,38 +46,45 @@ use std::sync::Arc;
 
 use hcft_bench::figures;
 use hcft_bench::harness::{Artifact, Scale};
+use hcft_cluster::PartitionEngine;
 
-const ALL: &[&str] = &[
-    "table1",
-    "table2",
-    "fig3a",
-    "fig3b",
-    "fig4a",
-    "fig4b",
-    "fig4c",
-    "fig5a",
-    "fig5b",
-    "fig5c",
-    "scaling",
-    "efficiency",
-    "alltoall",
-    "ablation",
-    "campaign",
-    "campaign-grid",
-    "heat3d",
-    "logmem",
-    "simtime",
-    "replay",
+/// Builds one artifact; figures that ignore an argument are wrapped.
+type Build = fn(Scale, PartitionEngine) -> Artifact;
+
+/// Every artifact `repro` can regenerate, in `all` order: the one list
+/// behind argument parsing, dispatch and [`usage`].
+const ARTIFACTS: &[(&str, Build)] = &[
+    ("table1", |_, _| figures::table1()),
+    ("table2", figures::table2),
+    ("fig3a", |s, _| figures::fig3a(s)),
+    ("fig3b", |s, _| figures::fig3b(s)),
+    ("fig4a", |_, _| figures::fig4a()),
+    ("fig4b", |s, _| figures::fig4b(s)),
+    ("fig4c", |_, _| figures::fig4c()),
+    ("fig5a", |s, _| figures::fig5a(s)),
+    ("fig5b", |s, _| figures::fig5b(s)),
+    ("fig5c", figures::fig5c),
+    ("scaling", figures::scaling),
+    ("efficiency", |s, _| figures::efficiency(s)),
+    ("alltoall", |s, _| figures::alltoall(s)),
+    ("ablation", |s, _| figures::ablation(s)),
+    ("campaign", |s, _| figures::campaign(s)),
+    ("campaign-grid", |s, _| figures::campaign_grid(s)),
+    ("heat3d", |s, _| figures::heat3d(s)),
+    ("logmem", |s, _| figures::logmem(s)),
+    ("simtime", |s, _| figures::simtime(s)),
+    ("replay", |s, _| figures::replay(s)),
 ];
 
 fn usage() -> ExitCode {
+    let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
         "usage: repro [--scale paper|small] [--out DIR] [--telemetry PATH]\n\
          \x20            [--partition-engine multilevel|modularity] <artifact>...\n\
          \x20      repro serve [--addr HOST:PORT] [--http-threads N]\n\
          \x20            [--trace-cap N] [--memo-cap N]\n\
          artifacts: {} all",
-        ALL.join(" ")
+        names.join(" ")
     );
     ExitCode::FAILURE
 }
@@ -127,9 +134,9 @@ fn serve_main(mut args: impl Iterator<Item = String>) -> ExitCode {
 fn main() -> ExitCode {
     let mut scale = Scale::Small;
     let mut out = PathBuf::from("results");
-    let mut engine = hcft_cluster::PartitionEngine::Multilevel;
+    let mut engine = PartitionEngine::Multilevel;
     let mut telemetry_out: Option<PathBuf> = None;
-    let mut wanted: Vec<String> = Vec::new();
+    let mut wanted = Vec::new();
     let mut args = std::env::args().skip(1);
     if std::env::args().nth(1).as_deref() == Some("serve") {
         return serve_main(std::env::args().skip(2));
@@ -155,46 +162,23 @@ fn main() -> ExitCode {
                 telemetry_out = Some(PathBuf::from(v));
             }
             "--partition-engine" => {
-                let Some(v) = args
-                    .next()
-                    .and_then(|v| hcft_cluster::PartitionEngine::parse(&v))
-                else {
+                let Some(v) = args.next().and_then(|v| PartitionEngine::parse(&v)) else {
                     return usage();
                 };
                 engine = v;
             }
-            "all" => wanted.extend(ALL.iter().map(|s| s.to_string())),
-            a if ALL.contains(&a) => wanted.push(a.to_string()),
-            _ => return usage(),
+            "all" => wanted.extend(ARTIFACTS.iter().map(|(_, build)| *build)),
+            name => match ARTIFACTS.iter().find(|(n, _)| *n == name) {
+                Some((_, build)) => wanted.push(*build),
+                None => return usage(),
+            },
         }
     }
     if wanted.is_empty() {
         return usage();
     }
-    for id in &wanted {
-        let artifact: Artifact = match id.as_str() {
-            "table1" => figures::table1(),
-            "table2" => figures::table2(scale, engine),
-            "fig3a" => figures::fig3a(scale),
-            "fig3b" => figures::fig3b(scale),
-            "fig4a" => figures::fig4a(),
-            "fig4b" => figures::fig4b(scale),
-            "fig4c" => figures::fig4c(),
-            "fig5a" => figures::fig5a(scale),
-            "fig5b" => figures::fig5b(scale),
-            "fig5c" => figures::fig5c(scale, engine),
-            "scaling" => figures::scaling(scale, engine),
-            "efficiency" => figures::efficiency(scale),
-            "alltoall" => figures::alltoall(scale),
-            "ablation" => figures::ablation(scale),
-            "campaign" => figures::campaign(scale),
-            "campaign-grid" => figures::campaign_grid(scale),
-            "heat3d" => figures::heat3d(scale),
-            "logmem" => figures::logmem(scale),
-            "simtime" => figures::simtime(scale),
-            "replay" => figures::replay(scale),
-            _ => unreachable!("validated above"),
-        };
+    for build in wanted {
+        let artifact = build(scale, engine);
         println!("\n================= {} =================\n", artifact.id);
         println!("{}", artifact.report);
         match artifact.persist(&out) {

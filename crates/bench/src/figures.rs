@@ -397,7 +397,7 @@ fn schemes_and_scores_with(
     // Iterates the ClusteringStrategy registry and publishes the
     // `table2.*` metrics into the global telemetry registry as a side
     // effect (picked up by `repro --telemetry`).
-    let ev = hcft_core::experiment::evaluate_schemes(t, nv, sg, ds, &hier_cfg);
+    let ev = hcft_core::experiment::evaluate_schemes(&t, nv, sg, ds, &hier_cfg);
     (ev.schemes, ev.scores)
 }
 

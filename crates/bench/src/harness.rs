@@ -2,9 +2,10 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
-use hcft_core::experiment::{run_traced_job, TraceResult, TracedJobConfig};
+use hcft_core::experiment::{TraceResult, TracedJobConfig};
+use hcft_core::trace_cache::TraceCache;
 
 /// Experiment scale: the paper's full §V configuration or a laptop-quick
 /// reduction with identical structure.
@@ -61,26 +62,15 @@ impl Scale {
     }
 }
 
-/// Trace cache: the 1088-rank run is reused by every figure that needs
-/// it within one `repro all` invocation.
-pub fn traced(scale: Scale) -> &'static TraceResult {
-    static CACHE: OnceLock<Mutex<Vec<(Scale, &'static TraceResult)>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
-    let mut guard = cache.lock().expect("trace cache");
-    if let Some(&(_, t)) = guard.iter().find(|(s, _)| *s == scale) {
-        return t;
-    }
-    eprintln!("[repro] tracing workload at {scale:?} scale…");
-    let start = std::time::Instant::now();
-    let trace = Box::leak(Box::new(run_traced_job(&scale.job())));
-    eprintln!(
-        "[repro] traced {} ranks, {} bytes, in {:.1?}",
-        trace.full.n(),
-        trace.full.total_bytes(),
-        start.elapsed()
-    );
-    guard.push((scale, trace));
-    trace
+/// The traced run at `scale`, shared by every figure that needs it
+/// within one `repro` invocation (and with anything else in the process
+/// that traces the same job, by content key).
+pub fn traced(scale: Scale) -> Arc<TraceResult> {
+    static TRACES: OnceLock<TraceCache> = OnceLock::new();
+    // One entry per scale.
+    TRACES
+        .get_or_init(|| TraceCache::new(2))
+        .get_or_trace(&scale.job())
 }
 
 /// A CSV artefact to be written under the results directory.

@@ -1,10 +1,9 @@
 //! Benchmark & reproduction harness.
 //!
 //! The `repro` binary (this crate's `src/bin/repro.rs`) regenerates every
-//! table and figure of the paper's evaluation; the Criterion benches
-//! measure the real implementations (Reed–Solomon throughput, partitioner
-//! speed, collective algorithms, reliability estimators) next to the
-//! calibrated models.
+//! table and figure of the paper's evaluation; the `ledger` binary
+//! (`src/bin/ledger/`, see its README) is the repo's benchmark and
+//! measures the real implementations, end to end and layer by layer.
 //!
 //! [`figures`] holds one function per paper artefact, each returning a
 //! printable report plus CSV series; [`harness`] holds the shared

@@ -7,14 +7,19 @@
 //! pre-heap quadratic engines; the heap CNM and the incremental-seeding
 //! multilevel partitioner are required to be drop-in equal, so any drift
 //! here means a semantic change to the clustering, not an optimisation.
-//! (The paper-scale guard lives in `bench_partition`'s fixture stage —
-//! the traced paper run is too slow for a debug-profile test.) Same
-//! spawn-the-real-binary pattern as `parallel_determinism.rs`: the
+//! Same spawn-the-real-binary pattern as `parallel_determinism.rs`: the
 //! compat rayon pool latches `RAYON_NUM_THREADS` once per process, so
 //! each configuration is a separate `repro` process.
+//!
+//! The node-level L1 partitions behind Table II are pinned separately,
+//! at small and paper scale, by `results/partition_fixtures.txt`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use hcft_bench::harness::{traced, Scale};
+use hcft_graph::WeightedGraph;
+use hcft_partition::{modularity_clusters, MultilevelConfig, MultilevelPartitioner, SizeBounds};
 
 fn run_repro(out_dir: &Path, threads: &str, engine: &str) {
     let exe = env!("CARGO_BIN_EXE_repro");
@@ -66,4 +71,36 @@ fn multilevel_engine_reproduces_snapshot() {
 #[test]
 fn modularity_engine_reproduces_snapshot() {
     check_engine("modularity");
+}
+
+#[test]
+fn table2_node_partitions_match_committed_fixture() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/partition_fixtures.txt");
+    let committed =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let mut fresh = String::new();
+    for (name, scale) in [("small", Scale::Small), ("paper", Scale::Paper)] {
+        let t = traced(scale);
+        let placement = t.layout.app_placement();
+        let g = WeightedGraph::from_comm_matrix(&t.app.aggregate_by_node(&placement));
+        // Table II's L1 configurations: exact 4-node clusters from the
+        // multilevel engine, 4..=8-node clusters from CNM.
+        let exact4 = MultilevelConfig::new(g.n() / 4, SizeBounds::new(4, 4));
+        let multilevel = MultilevelPartitioner::new(exact4).partition(&g);
+        let modularity = modularity_clusters(&g, SizeBounds::new(4, 8));
+        for (kind, part) in [
+            ("multilevel_4_4", multilevel),
+            ("modularity_4_8", modularity),
+        ] {
+            let ids: Vec<String> = part.iter().map(usize::to_string).collect();
+            fresh.push_str(&format!("{name} {kind}: {}\n", ids.join(" ")));
+        }
+    }
+    // After an intentional, reviewed change to partition semantics the
+    // four lines printed here are the new file.
+    assert!(
+        fresh == committed,
+        "Table II node partitions drifted from {}; fresh partitions:\n{fresh}",
+        path.display()
+    );
 }

@@ -123,8 +123,7 @@ pub fn simulate_campaign(
 
 /// The pre-engine scalar implementation, retained as the correctness
 /// reference: per-event `Vec` materialisation, [`FaultScenario`]
-/// construction and the O(nprocs) `defeated_by` scan. `bench_campaign`
-/// measures the engine's speedup against this.
+/// construction and the O(nprocs) `defeated_by` scan.
 pub fn simulate_campaign_reference(
     scheme: &ClusteringScheme,
     placement: &Placement,

@@ -59,12 +59,12 @@ pub struct TracedJobConfig {
     /// message).
     pub record_events: bool,
     /// Mailbox shards per simulated rank (0 = runtime default). The
-    /// pipeline bench pins this to compare the sharded runtime against
-    /// the single-shard baseline within one process.
+    /// determinism suite pins this to compare the sharded runtime
+    /// against the single-shard one within one process.
     pub mailbox_shards: usize,
     /// Worker threads for the simmpi task engine (0 = runtime default:
-    /// `HCFT_SIMMPI_WORKERS`, else the core count). The scheduler smoke
-    /// job pins this to exercise multi-worker interleavings.
+    /// `HCFT_SIMMPI_WORKERS`, else the core count). The determinism
+    /// suite pins this to exercise multi-worker interleavings.
     pub workers: usize,
     /// Execution engine for the rank bodies. [`Engine::Auto`] (the
     /// default) picks the task scheduler where supported; the
@@ -73,8 +73,8 @@ pub struct TracedJobConfig {
     pub engine: Engine,
     /// Work stealing between task-engine workers (`None` = runtime
     /// default: `HCFT_SIMMPI_STEAL`, else off). The determinism suite
-    /// and `bench_pipeline`'s `sched_mixed` row pin both settings in one
-    /// process, which an env knob alone cannot do.
+    /// pins both settings in one process, which an env knob alone
+    /// cannot do.
     pub steal: Option<bool>,
     /// Cooperative preemption budget for the task engine (`None` =
     /// runtime default: `HCFT_SIMMPI_YIELD_BUDGET`, else 0 = never).

@@ -1,8 +1,9 @@
 //! The traced-matrix cache behind the always-on evaluation service.
 //!
-//! Tracing the communication matrix is by far the most expensive input
-//! to a scheme comparison (~2.3 s at paper scale even on the M:N
-//! scheduler, vs ~0.1 s for the whole scoring sweep), and it is a pure
+//! Tracing the communication matrix is the most expensive input to a
+//! scheme comparison (the ledger's `core.trace_job_share_pct`: ≈ 72 % of
+//! a 347 ms cold paper-machine evaluate, against ≈ 32 % for the family
+//! sweep, of which `p_catastrophic` alone is ≈ 28 %), and it is a pure
 //! function of the trace-affecting [`TracedJobConfig`] fields — the
 //! scheduler-determinism suite proves the bytes identical across
 //! engines, worker counts, stealing and preemption. So the service
@@ -14,7 +15,8 @@
 //! * a **miss** runs the trace exactly once even under a concurrent
 //!   stampede of identical requests (single-flight: the first caller
 //!   computes, later callers park on the in-flight entry and share the
-//!   result);
+//!   result; if the first caller unwinds, the entry is withdrawn and the
+//!   parked callers retry);
 //! * entries are bounded by a strict **LRU** policy over completed
 //!   entries — eviction order is a deterministic function of the access
 //!   sequence, never of timing;
@@ -30,32 +32,66 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::experiment::{run_traced_job, TraceKey, TraceResult, TracedJobConfig};
 
+enum FlightState {
+    Pending,
+    Done(Arc<TraceResult>),
+    /// The builder unwound without a result; joiners must retry.
+    Abandoned,
+}
+
 /// A single-flight slot: the first missing caller publishes the result
 /// here; stampeding callers wait on the condvar.
 struct Flight {
-    done: Mutex<Option<Arc<TraceResult>>>,
+    state: Mutex<FlightState>,
     cv: Condvar,
 }
 
 impl Flight {
     fn new() -> Self {
         Flight {
-            done: Mutex::new(None),
+            state: Mutex::new(FlightState::Pending),
             cv: Condvar::new(),
         }
     }
 
-    fn publish(&self, result: Arc<TraceResult>) {
-        *self.done.lock() = Some(result);
+    fn settle(&self, state: FlightState) {
+        *self.state.lock() = state;
         self.cv.notify_all();
     }
 
-    fn wait(&self) -> Arc<TraceResult> {
-        let mut done = self.done.lock();
-        while done.is_none() {
-            self.cv.wait(&mut done);
+    /// The builder's result, or `None` if the builder abandoned the
+    /// flight.
+    fn wait(&self) -> Option<Arc<TraceResult>> {
+        let mut state = self.state.lock();
+        loop {
+            match &*state {
+                FlightState::Pending => self.cv.wait(&mut state),
+                FlightState::Done(t) => return Some(Arc::clone(t)),
+                FlightState::Abandoned => return None,
+            }
         }
-        Arc::clone(done.as_ref().expect("published above"))
+    }
+}
+
+/// Held by the builder while [`run_traced_job`] runs outside the cache
+/// lock. If that call unwinds (a rank panic or a watchdog trip inside
+/// the simulated world), dropping the guard removes the `Building`
+/// entry and wakes the joiners, so they — and every later request for
+/// the key — retry as builders instead of waiting forever.
+struct BuildGuard<'a> {
+    cache: &'a TraceCache,
+    key: TraceKey,
+    flight: &'a Flight,
+}
+
+impl Drop for BuildGuard<'_> {
+    fn drop(&mut self) {
+        self.cache
+            .inner
+            .lock()
+            .entries
+            .retain(|e| !(e.key == self.key && matches!(e.slot, Slot::Building(_))));
+        self.flight.settle(FlightState::Abandoned);
     }
 }
 
@@ -172,40 +208,46 @@ impl TraceCache {
     /// [`run_traced_job`].
     pub fn get_or_trace(&self, cfg: &TracedJobConfig) -> Arc<TraceResult> {
         let key = cfg.content_hash();
-        let flight;
-        {
+        let flight = loop {
             let mut inner = self.inner.lock();
             inner.tick += 1;
             let tick = inner.tick;
-            if let Some(e) = inner.entries.iter_mut().find(|e| e.key == key) {
-                e.last_used = tick;
-                match &e.slot {
-                    Slot::Ready(t) => {
-                        self.record_hit();
-                        return Arc::clone(t);
-                    }
-                    Slot::Building(f) => {
-                        // Single-flight join: someone is tracing this very
-                        // config right now. Counted as a hit — the trace
-                        // runs once either way.
-                        self.record_hit();
-                        let f = Arc::clone(f);
-                        drop(inner);
-                        return f.wait();
-                    }
+            let Some(e) = inner.entries.iter_mut().find(|e| e.key == key) else {
+                self.record_miss();
+                let flight = Arc::new(Flight::new());
+                inner.entries.push(Entry {
+                    key,
+                    slot: Slot::Building(Arc::clone(&flight)),
+                    last_used: tick,
+                });
+                break flight;
+            };
+            e.last_used = tick;
+            let joined = match &e.slot {
+                Slot::Ready(t) => Some(Arc::clone(t)),
+                Slot::Building(f) => {
+                    // Single-flight join: someone is tracing this very
+                    // config right now. Counted as a hit — the trace
+                    // runs once either way.
+                    let f = Arc::clone(f);
+                    drop(inner);
+                    f.wait()
                 }
+            };
+            if let Some(t) = joined {
+                self.record_hit();
+                return t;
             }
-            self.record_miss();
-            flight = Arc::new(Flight::new());
-            inner.entries.push(Entry {
-                key,
-                slot: Slot::Building(Arc::clone(&flight)),
-                last_used: tick,
-            });
-        }
+        };
         // Trace outside the lock: concurrent requests for *other* keys
         // proceed, identical ones join the flight above.
+        let guard = BuildGuard {
+            cache: self,
+            key,
+            flight: &flight,
+        };
         let result = Arc::new(run_traced_job(cfg));
+        std::mem::forget(guard);
         {
             let mut inner = self.inner.lock();
             let e = inner
@@ -217,7 +259,7 @@ impl TraceCache {
             self.evict_over_bound(&mut inner);
             self.publish_gauges(&inner);
         }
-        flight.publish(Arc::clone(&result));
+        flight.settle(FlightState::Done(Arc::clone(&result)));
         result
     }
 

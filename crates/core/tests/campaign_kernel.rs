@@ -84,11 +84,13 @@ proptest! {
 
 #[test]
 fn kernel_matches_reference_on_default_cell() {
-    // The exact cell bench_campaign gates on.
-    let placement = Placement::block(64, 16);
-    let scheme = naive(1024, 32);
+    // The paper machine, then the full TSUBAME2 machine the ledger's
+    // `campaign` workload runs (22 528 ranks), where the reference pays
+    // its O(nprocs) per-event scan and the kernel's counting path must
+    // still agree.
     let cfg = CampaignConfig::default();
-    assert_kernel_matches_reference(&scheme, &placement, &cfg, 64);
+    assert_kernel_matches_reference(&naive(1024, 32), &Placement::block(64, 16), &cfg, 64);
+    assert_kernel_matches_reference(&naive(22_528, 32), &Placement::block(1408, 16), &cfg, 32);
 }
 
 #[test]

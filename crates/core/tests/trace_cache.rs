@@ -10,7 +10,9 @@
 //!   change a traced byte, so they must share a cache entry;
 //! * the canonical wire form round-trips through the validating parser;
 //! * a concurrent stampede of identical requests runs the trace exactly
-//!   once (single-flight) and every caller shares the same result.
+//!   once (single-flight) and every caller shares the same result;
+//! * a builder that panics withdraws its in-flight entry, so later
+//!   callers for the key become builders instead of waiting forever.
 
 use std::sync::Arc;
 use std::thread;
@@ -251,4 +253,41 @@ fn concurrent_distinct_requests_all_complete() {
         cache.get_or_trace(cfg);
     }
     assert_eq!(cache.stats().0, 3);
+}
+
+#[test]
+fn panicked_builder_does_not_poison_the_key() {
+    // Every rank of this job panics in the solver's decomposition (two
+    // ranks cannot tile a 1x1 grid), so `run_traced_job` unwinds out of
+    // the first builder while its in-flight entry is published.
+    let bad = TracedJobConfig {
+        with_encoders: false,
+        grid: (1, 1),
+        ..TracedJobConfig::small(2, 1)
+    };
+    let cache = Arc::new(TraceCache::new(2));
+    let attempt = |cache: &TraceCache, cfg: &TracedJobConfig| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.get_or_trace(cfg))).is_ok()
+    };
+    assert!(!attempt(&cache, &bad), "the bad config must panic");
+
+    // Later callers for the same key must come back (here: by panicking
+    // as builders themselves), not park on the dead flight. Detached
+    // threads, because a regression leaves them blocked forever.
+    let (tx, rx) = std::sync::mpsc::channel();
+    for _ in 0..3 {
+        let (cache, bad, tx) = (Arc::clone(&cache), bad.clone(), tx.clone());
+        thread::spawn(move || tx.send(attempt(&cache, &bad)));
+    }
+    for _ in 0..3 {
+        let traced = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("caller blocked on a panicked builder's in-flight entry");
+        assert!(!traced);
+    }
+    assert_eq!(cache.len(), 0);
+    assert_eq!(cache.stats().0, 0, "an abandoned flight is not a hit");
+    // The cache still serves other keys.
+    cache.get_or_trace(&TracedJobConfig::small(2, 1));
+    assert_eq!(cache.len(), 1);
 }

@@ -8,8 +8,8 @@
 //! multiply-accumulate work per checkpoint byte grows with s (and the
 //! distributed implementation serialises partial parities around the
 //! cluster). [`EncodingModel`] captures the law; the calibration constant
-//! reproduces the paper's numbers, and the Criterion benches report our
-//! own measured slope next to it.
+//! reproduces the paper's numbers, and Fig. 3b's measured column reports
+//! our own slope next to it.
 
 /// Paper-calibrated slope: seconds per gigabyte of checkpoint data per
 /// encoding-cluster member (TSUBAME2, FTI Reed–Solomon; Table II).

@@ -14,8 +14,7 @@
 //! merged row only. Amortised cost is O(m log n) over the whole
 //! agglomeration — the straight O(n² · merges) rescan this replaced is
 //! retained as [`modularity_clusters_reference`] and the two engines
-//! produce identical partitions (property-tested, and enforced as a
-//! benchmark gate by `bench_partition`).
+//! produce identical partitions (property-tested).
 //!
 //! Community adjacency is kept as sorted `(community, weight)` rows
 //! seeded from the graph's [`CsrGraph`] form and merged by merge-join.
@@ -125,7 +124,7 @@ pub fn modularity_clusters(g: &WeightedGraph, bounds: SizeBounds) -> Vec<usize> 
 /// The retained quadratic reference: rescans every candidate pair per
 /// merge, exactly as the original O(n² · merges) implementation did.
 /// Produces partitions identical to [`modularity_clusters`]; kept for
-/// the equivalence proptests and the `bench_partition` speedup gate.
+/// the equivalence proptests.
 pub fn modularity_clusters_reference(g: &WeightedGraph, bounds: SizeBounds) -> Vec<usize> {
     let mut st = CnmState::new(g);
     agglomerate_scan(&mut st, bounds);

@@ -3,8 +3,7 @@
 //! The scalable engines ([`modularity_clusters`](crate::modularity_clusters)'s
 //! lazy-deletion heap, [`multilevel`](crate::multilevel)'s incremental
 //! corner heap) are proven against these originals: the property tests
-//! assert bit-identical output on small graphs and `bench_partition`
-//! gates the speedup at scale. They are deliberately kept verbatim — a
+//! assert bit-identical output. They are deliberately kept verbatim — a
 //! slow-but-obvious oracle is only useful while it stays obvious.
 //!
 //! The CNM reference lives next to the heap engine as

@@ -176,3 +176,19 @@ fn incremental_seeding_matches_scan_at_512_nodes() {
         );
     }
 }
+
+/// Machine scale: a 4096-leaf fat tree through the whole multilevel
+/// pipeline (coarsening, incremental seeding, refinement, rebalance)
+/// must come out complete and inside the size bounds.
+#[test]
+fn multilevel_partition_of_a_4096_node_fat_tree_is_valid() {
+    let tree = hcft_topology::synthetic::fat_tree(16, 16, 16, 6);
+    let mut g = WeightedGraph::new(tree.nodes);
+    for &(u, v, w) in &tree.edges {
+        g.add_edge(u as usize, v as usize, w);
+    }
+    let bounds = SizeBounds::new(16, 256);
+    let cfg = MultilevelConfig::new(g.n() / 64, bounds);
+    let part = MultilevelPartitioner::new(cfg).partition(&g);
+    check_partition(&g, &part, Some(bounds)).expect("valid large partition");
+}

@@ -21,8 +21,7 @@
 //! pushes) do not serialize on one mutex. A message's channel
 //! (ctx, src, tag) always maps to exactly one shard, so FIFO per channel
 //! is preserved by construction. `HCFT_SIMMPI_SHARDS=1` collapses to the
-//! pre-sharding design (one mutex + condvar per rank) — the baseline the
-//! `bench_pipeline` harness compares against.
+//! pre-sharding design (one mutex + condvar per rank).
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};

@@ -117,6 +117,7 @@ fn cascade_mid_recovery_restarts_and_stays_bit_identical() {
         out.wasted_catchup_steps > 0,
         "attempt 1's work was discarded"
     );
+    assert!(out.messages_replayed > 0 && out.report.feasible());
     assert!(out.matches(&reference));
 }
 
@@ -138,6 +139,7 @@ fn corrupted_checkpoint_is_quarantined_and_rebuilt() {
         out.corruption_retries >= 1,
         "the corrupted node must be quarantined at least once"
     );
+    assert!(out.messages_replayed > 0 && out.report.feasible());
     assert!(out.matches(&reference));
 }
 

@@ -13,12 +13,12 @@
 //!   byte-identical across the same axis, because the collective
 //!   algorithms fix the combining order independently of scheduling.
 //!
-//! The axis now also sweeps the preemption/stealing knobs: work
-//! stealing moves only *where* a rank runs, and the yield budget only
-//! *when* it cedes the worker — neither may perturb a single traced
-//! byte.
+//! The axis also sweeps the preemption/stealing knobs and the mailbox
+//! shard count: work stealing moves only *where* a rank runs, the yield
+//! budget only *when* it cedes the worker, and sharding only which lock
+//! a send takes — none may perturb a single traced byte.
 
-use hcft::core::experiment::{run_traced_job, TraceResult, TracedJobConfig};
+use hcft::core::experiment::{run_traced_job, run_traced_world, TraceResult, TracedJobConfig};
 use hcft::simmpi::{Engine, World, WorldConfig};
 
 /// Worker counts under test: 1, 2 and the core count, deduplicated.
@@ -48,34 +48,63 @@ fn trace_csv(t: &TraceResult) -> String {
 
 #[test]
 fn traced_csvs_identical_across_workers_and_engines() {
-    let job = |workers: usize, engine: Engine, steal: bool, budget: u32| {
+    let job = |workers: usize, engine: Engine, steal: bool, budget: u32, shards: usize| {
         let mut cfg = TracedJobConfig::small(4, 2);
         cfg.workers = workers;
         cfg.engine = engine;
         cfg.steal = Some(steal);
         cfg.yield_budget = Some(budget);
+        cfg.mailbox_shards = shards;
         run_traced_job(&cfg)
     };
-    let reference = trace_csv(&job(1, Engine::Tasks, false, 0));
+    let reference = trace_csv(&job(1, Engine::Tasks, false, 0, 0));
     assert!(reference.lines().count() > 2, "reference trace is empty");
     for workers in worker_counts() {
         for steal in [false, true] {
             // Budget 0 disables preemption; 7 forces frequent mid-tile
             // yields (the stencil calls `maybe_yield` once per tile).
             for budget in [0u32, 7] {
-                let csv = trace_csv(&job(workers, Engine::Tasks, steal, budget));
-                assert_eq!(
-                    csv, reference,
-                    "traced CSV diverged at {workers} worker(s), \
-                     steal={steal}, yield_budget={budget}"
-                );
+                // One mailbox shard per rank vs the runtime default.
+                for shards in [1usize, 0] {
+                    let csv = trace_csv(&job(workers, Engine::Tasks, steal, budget, shards));
+                    assert_eq!(
+                        csv, reference,
+                        "traced CSV diverged at {workers} worker(s), steal={steal}, \
+                         yield_budget={budget}, mailbox_shards={shards}"
+                    );
+                }
             }
         }
     }
     // The thread engine (one OS thread per rank, no cooperative
     // scheduling at all) must reproduce the same bytes.
-    let threads = trace_csv(&job(0, Engine::Threads, false, 0));
+    let threads = trace_csv(&job(0, Engine::Threads, false, 0, 0));
     assert_eq!(threads, reference, "thread engine diverged from tasks");
+}
+
+/// Full-TSUBAME2 scale: 1408 nodes × 16 app ranks + one encoder per node
+/// = 23 936 simulated ranks, past `pid_max` for thread-per-rank — it
+/// completes only on the M:N task scheduler with the sparse trace
+/// recorder, and must show the full traffic structure. About a minute
+/// and several GB in release: `cargo test --release -- --ignored ranks_22k`.
+#[test]
+#[ignore = "23 936-rank traced run; run explicitly in release"]
+fn ranks_22k_traced_run_completes_on_the_task_scheduler() {
+    let job = TracedJobConfig::builder(1408, 16)
+        .iterations(10)
+        .checkpoint_every(5)
+        .grid(22528, 4096)
+        .process_grid(11264, 2)
+        .encoder_group_nodes(4)
+        .build()
+        .expect("tsubame2 config is valid");
+    let world = run_traced_world(&job);
+    assert_eq!(world.layout.total_ranks(), 23_936);
+    assert_eq!(world.trace.n(), 23_936);
+    // 22 528 app ranks × 10 iterations × ≥2 halo messages bounds the
+    // stencil traffic alone from below; the allgathers add more.
+    let msgs = world.trace.total_messages();
+    assert!(msgs > 450_000, "22k-rank run traced only {msgs} messages");
 }
 
 #[test]

@@ -126,6 +126,8 @@ fn stealing_rebalances_without_changing_results() {
 fn yield_budget_breaks_cooperative_starvation() {
     let flag = Arc::new(AtomicBool::new(false));
     let flag_for_world = Arc::clone(&flag);
+    let preemptions = Registry::global().counter("simmpi.sched.preemptions");
+    let preemptions_before = preemptions.get();
     let cfg = WorldConfig {
         workers: 1,
         engine: Engine::Tasks,
@@ -152,4 +154,8 @@ fn yield_budget_breaks_cooperative_starvation() {
     });
     assert!(flag.load(Ordering::Acquire));
     assert!(result.outputs[0] > 0);
+    assert!(
+        preemptions.get() > preemptions_before,
+        "simmpi.sched.preemptions never moved"
+    );
 }
