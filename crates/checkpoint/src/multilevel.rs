@@ -94,7 +94,7 @@ impl MultilevelCheckpointer {
     }
 
     /// Like [`MultilevelCheckpointer::new`], reporting to a dedicated
-    /// registry (scoped measurements: one drill, one test).
+    /// registry (scoped measurements: one replay engine, one test).
     ///
     /// # Panics
     /// Panics if the clustering and placement disagree on the rank count.

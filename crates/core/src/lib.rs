@@ -10,22 +10,18 @@
 //!   transfers and encoder↔encoder parity exchange), producing the
 //!   communication matrices behind Fig. 5a/5b, plus the strategy
 //!   evaluation behind Fig. 3/4 and Table II;
-//! * [`drill`] — the end-to-end failure drill: a lockstep execution of
-//!   the same solver kernel with hybrid logging + multi-level encoded
-//!   checkpoints, where a node is actually killed (its on-disk
-//!   checkpoints deleted), its L1 cluster rolls back, lost shards are
-//!   Reed–Solomon-rebuilt, cross-cluster halos are replayed from sender
-//!   logs — and the recovered global field is bit-identical to an
-//!   uninterrupted run;
-//! * [`replay`] — the live replay engine: kill an entire L1 cluster (or
-//!   PSU group) of a *running* `simmpi` world, restore its ranks from
-//!   L2-encoded checkpoints, and re-feed logged inter-cluster messages
-//!   until the restored ranks catch up — with cascading failures,
-//!   corrupted checkpoints and failures-during-encoding injectable via
-//!   the unified [`scenario::FaultScenario`] API.
+//! * [`replay`] — the live replay engine, the one recovery executor:
+//!   kill a node, an entire L1 cluster or a PSU group of a *running*
+//!   `simmpi` world (its on-disk checkpoints deleted), restore the
+//!   restart set from L2-encoded checkpoints (lost shards
+//!   Reed–Solomon-rebuilt), and re-feed logged inter-cluster messages
+//!   until the restored ranks catch up — bit-identical to an
+//!   uninterrupted run, over one failure or a sequence of them, with
+//!   cascading failures, corrupted checkpoints and
+//!   failures-during-encoding injectable via the unified
+//!   [`scenario::FaultScenario`] API.
 
 pub mod campaign;
-pub mod drill;
 pub mod experiment;
 pub mod replay;
 pub mod scenario;
@@ -36,7 +32,6 @@ pub use campaign::{
     CampaignGrid, CampaignKernel, CampaignOutcome, CampaignStats, CiTarget, GridCell, GridStrategy,
     StopRule, TrialTotals, Welford,
 };
-pub use drill::{DrillConfig, LockstepDrill};
 pub use experiment::{
     evaluate_family_sweep, run_traced_job, EvaluatedSchemes, FamilyScore, SchemeFamilySpec,
     TraceKey, TraceResult, TracedJobConfig, TracedJobConfigBuilder,

@@ -1,11 +1,9 @@
-//! The live cluster-loss replay engine.
+//! The live cluster-loss replay engine — the repo's one recovery executor.
 //!
-//! [`LockstepDrill`](crate::drill::LockstepDrill) proves the protocol in
-//! a single-threaded, hand-scheduled world. This module is the real
-//! thing: the workload runs as a live `simmpi` world (every rank a
-//! scheduled task, real blocking receives), a [`FaultScenario`] kills an
-//! entire L1 cluster mid-run, and recovery happens against the same
-//! machinery a production run would use —
+//! The workload runs as a live `simmpi` world (every rank a scheduled
+//! task, real blocking receives), a [`FaultScenario`] kills a node, an
+//! entire L1 cluster or a PSU group mid-run, and recovery happens
+//! against the same machinery a production run would use —
 //!
 //! 1. the failed nodes' on-disk checkpoints are destroyed and their
 //!    ranks' in-memory state is lost;
@@ -22,16 +20,23 @@
 //!
 //! Send determinism makes the catch-up **bit-for-bit** identical to an
 //! uninterrupted run — the engine's tests assert exactly that, for both
-//! the 2-D tsunami and the 3-D heat workload.
+//! the 2-D tsunami and the 3-D heat workload, against
+//! [`ReplayEngine::reference`] and (tsunami) against the independent
+//! single-domain solver `hcft_tsunami::sequential::SequentialSim`.
 //!
-//! The fault model is richer than a single clean kill: scenarios can
-//! inject *cascading failures* mid-recovery (the recovery enlarges the
-//! failed set and starts over), *silent checkpoint corruption*
-//! (detected only when [`ReplayWorkload::restore`] rejects the payload
-//! via [`HcftError::Recovery`]; the shard is quarantined and rebuilt
-//! from group parity), and *failure during encoding* (locals written,
-//! parity never completes, recovery falls back to the previous epoch
-//! with correspondingly longer log replay).
+//! A run survives more than one failure: [`ReplayEngine::run_sequence`]
+//! strikes a list of scenarios at strictly increasing phases of one
+//! run, so a later loss can be served from the logs an earlier
+//! catch-up re-recorded; [`ReplayEngine::run`] is its one-element case.
+//!
+//! The fault model is richer than a clean kill: scenarios can inject
+//! *cascading failures* mid-recovery (the recovery enlarges the failed
+//! set and starts over), *silent checkpoint corruption* (detected only
+//! when [`ReplayWorkload::restore`] rejects the payload via
+//! [`HcftError::Recovery`]; the shard is quarantined and rebuilt from
+//! group parity), and *failure during encoding* (locals written, parity
+//! never completes, recovery falls back to the previous epoch with
+//! correspondingly longer log replay).
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -99,6 +104,26 @@ impl TsunamiWorkload {
     /// Wrap a parameter set (see [`TsunamiParams::stable`]).
     pub fn new(params: TsunamiParams) -> Self {
         TsunamiWorkload { params }
+    }
+
+    /// Reassemble the global η field from per-rank payloads (an
+    /// outcome's `final_state`, or [`ReplayEngine::reference`]) by the
+    /// domain decomposition — the form the sequential oracle
+    /// (`hcft_tsunami::sequential::SequentialSim`) produces.
+    pub fn global_eta(&self, payloads: &[Vec<u8>]) -> Result<Vec<f64>, HcftError> {
+        let nx = self.params.nx;
+        let mut global = vec![0.0f64; nx * self.params.ny];
+        for (rank, bytes) in payloads.iter().enumerate() {
+            let mut st = RankState::new(&self.params, payloads.len(), rank);
+            st.restore_state(bytes)?;
+            let d = st.decomp();
+            let local = st.local_eta();
+            for j in 0..d.lny {
+                let row = (d.y0 + j) * nx + d.x0;
+                global[row..row + d.lnx].copy_from_slice(&local[j * d.lnx..(j + 1) * d.lnx]);
+            }
+        }
+        Ok(global)
     }
 }
 
@@ -243,16 +268,18 @@ struct CkptBook {
     /// `(epoch, phase)` of complete checkpoints, oldest first. The last
     /// two are retained so an encoding failure always leaves a fallback.
     complete: Vec<(u64, u64)>,
-    failed_encodes: u64,
 }
 
 /// Everything the ranks of a fault-tolerant world share: protocol,
-/// sender logs, checkpoint machinery and its bookkeeping.
+/// sender logs, checkpoint machinery and its bookkeeping, and the
+/// slots their states park in between worlds.
 struct Fabric<W: ReplayWorkload> {
     workload: Arc<W>,
     protocol: HybridProtocol,
     level: Level,
     every: u64,
+    /// `None` before the first world and while a rank is dead.
+    states: Vec<Mutex<Option<W::State>>>,
     logs: Vec<Mutex<SenderLog>>,
     /// Per-rank checkpoint payload staging, written by each rank before
     /// the checkpoint barrier, consumed by rank 0.
@@ -270,15 +297,8 @@ impl<W: ReplayWorkload> Fabric<W> {
     /// Advance `st` until `target` iterations. When `ckpt_from` is set,
     /// take a coordinated checkpoint at every cadence phase `>= it`;
     /// the check runs before the break so a cadence-aligned `target`
-    /// still checkpoints. `log` retains cross-cluster sends.
-    fn drive(
-        &self,
-        comm: &Comm,
-        st: &mut W::State,
-        target: u64,
-        ckpt_from: Option<u64>,
-        log: bool,
-    ) {
+    /// still checkpoints. Cross-cluster sends are logged throughout.
+    fn drive(&self, comm: &Comm, st: &mut W::State, target: u64, ckpt_from: Option<u64>) {
         loop {
             let it = self.workload.iteration(st);
             if let Some(from) = ckpt_from {
@@ -292,7 +312,7 @@ impl<W: ReplayWorkload> Fabric<W> {
             comm.set_phase(it);
             let mut link = LoggedLink {
                 comm,
-                logging: log.then_some((&self.protocol, self.logs.as_slice())),
+                logging: Some((&self.protocol, self.logs.as_slice())),
             };
             self.workload.step(st, &mut link);
         }
@@ -369,7 +389,6 @@ impl<W: ReplayWorkload> Fabric<W> {
                 );
             }
             Err(e) => {
-                book.failed_encodes += 1;
                 self.telemetry.event(
                     EventKind::CheckpointComplete,
                     phase,
@@ -436,10 +455,8 @@ impl ReplayConfig {
     }
 }
 
-/// What a scenario run did, in numbers — the unified report the
-/// drill's pre-`FaultScenario` entry points (manual kill + `recover` +
-/// ad-hoc counters) never produced.
-#[derive(Debug)]
+/// What one scenario of a run did, in numbers.
+#[derive(Debug, Default)]
 pub struct ReplayOutcome {
     /// Iteration at which the primary failure struck.
     pub scenario_phase: u64,
@@ -462,6 +479,9 @@ pub struct ReplayOutcome {
     /// Did recovery fall back past the newest cadence point (because
     /// that epoch never completed)?
     pub used_fallback_epoch: bool,
+    /// Payload bytes all sender logs held when the failure struck — the
+    /// logging overhead made concrete (0 right after a checkpoint).
+    pub log_memory_bytes: u64,
     /// Logged messages re-fed to the restart set, all attempts.
     pub messages_replayed: u64,
     /// Payload bytes re-fed.
@@ -476,7 +496,9 @@ pub struct ReplayOutcome {
     pub wasted_catchup_steps: u64,
     /// The protocol feasibility analysis of the pre-failure traffic.
     pub report: ReplayReport,
-    /// Per-rank serialised final state of the completed run.
+    /// Per-rank serialised state when this scenario's share of the run
+    /// ended: the completed run for the last (or only) scenario, the
+    /// recovered failure frontier for earlier ones of a sequence.
     pub final_state: Vec<Vec<u8>>,
 }
 
@@ -490,8 +512,8 @@ impl ReplayOutcome {
 }
 
 /// The engine: one workload, one placement + clustering scheme, one
-/// checkpoint configuration; each [`ReplayEngine::run`] executes one
-/// [`FaultScenario`] end to end.
+/// checkpoint configuration; each [`ReplayEngine::run`] /
+/// [`ReplayEngine::run_sequence`] executes one run end to end.
 pub struct ReplayEngine<W: ReplayWorkload> {
     workload: Arc<W>,
     placement: Placement,
@@ -499,6 +521,13 @@ pub struct ReplayEngine<W: ReplayWorkload> {
     machine: Option<MachineSpec>,
     cfg: ReplayConfig,
     telemetry: Arc<Registry>,
+}
+
+/// One scenario of a sequence, resolved against the engine's placement.
+struct Strike<'s> {
+    scenario: &'s FaultScenario,
+    nodes: Vec<NodeId>,
+    ranks: Vec<Rank>,
 }
 
 impl<W: ReplayWorkload> ReplayEngine<W> {
@@ -514,6 +543,8 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
     }
 
     /// Build an engine with a dedicated registry (scoped measurement).
+    /// A scheme that does not cover the placement is reported by
+    /// [`ReplayEngine::run`] as [`HcftError::Config`].
     pub fn with_telemetry(
         workload: W,
         placement: Placement,
@@ -521,11 +552,6 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
         cfg: ReplayConfig,
         telemetry: Arc<Registry>,
     ) -> Self {
-        assert_eq!(
-            scheme.l1.nprocs(),
-            placement.nprocs(),
-            "scheme covers all ranks"
-        );
         ReplayEngine {
             workload: Arc::new(workload),
             placement,
@@ -585,7 +611,8 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
     /// Execute `scenario` against a `total_steps` run: run to the
     /// failure phase with live FT machinery, kill the targets, recover
     /// through checkpoint restore + log replay (riding out every
-    /// injected complication), and finish the run.
+    /// injected complication), and finish the run. The one-element
+    /// case of [`ReplayEngine::run_sequence`].
     ///
     /// Errors: [`HcftError::Config`] for invalid scenarios,
     /// [`HcftError::Erasure`] when the (possibly cascaded) loss defeats
@@ -597,65 +624,353 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
         scenario: &FaultScenario,
         total_steps: u64,
     ) -> Result<ReplayOutcome, HcftError> {
-        let n = self.placement.nprocs();
-        let frontier = scenario.at_phase();
-        let primary_nodes =
-            scenario.failed_nodes(&self.placement, &self.scheme, self.machine.as_ref())?;
-        let primary_ranks =
-            scenario.failed_ranks(&self.placement, &self.scheme, self.machine.as_ref())?;
-        self.validate(scenario, total_steps, &primary_nodes, &primary_ranks)?;
+        let mut outcomes = self.run_sequence(std::slice::from_ref(scenario), total_steps)?;
+        Ok(outcomes.pop().expect("one scenario, one outcome"))
+    }
 
+    /// Execute `scenarios` one after another against a single
+    /// `total_steps` run: advance to each failure phase, kill, recover,
+    /// carry on — checkpoint epochs, sender logs and rank states live
+    /// across the strikes, so a later recovery is fed from whatever an
+    /// earlier catch-up re-logged. Phases must be strictly increasing
+    /// inside `(0, total_steps)`; one outcome per scenario, in order.
+    ///
+    /// Errors as [`ReplayEngine::run`]; the first failing scenario
+    /// ends the run.
+    pub fn run_sequence(
+        &self,
+        scenarios: &[FaultScenario],
+        total_steps: u64,
+    ) -> Result<Vec<ReplayOutcome>, HcftError> {
+        let strikes = self.validate(scenarios, total_steps)?;
+        let mut run = LiveRun::start(self)?;
+        let mut outcomes = Vec::with_capacity(strikes.len());
+        let mut ckpt_from = 0;
+        for (i, strike) in strikes.iter().enumerate() {
+            let frontier = strike.scenario.at_phase();
+            *run.fab.sabotage.lock().expect("sabotage") = strike
+                .scenario
+                .fails_during_encoding()
+                .then(|| (frontier, strike.nodes.clone()));
+            // Only pre-failure segments are traced: the feasibility
+            // report never looks past the last failure.
+            run.advance(frontier, ckpt_from, true);
+            let mut outcome = run.strike(strike)?;
+            // The frontier's cadence point (if any) was handled before
+            // the kill; checkpointing resumes strictly after it.
+            ckpt_from = frontier + 1;
+            if i + 1 == strikes.len() {
+                run.advance(total_steps, ckpt_from, false);
+            }
+            outcome.final_state = run.snapshot();
+            outcomes.push(outcome);
+        }
+        Ok(outcomes)
+    }
+
+    /// Everything that can be rejected before a world is launched: the
+    /// engine's own configuration, each scenario's targets, timing and
+    /// injection preconditions (including the corruption/erasure
+    /// interaction that would otherwise poison a Reed–Solomon rebuild),
+    /// and the order of the sequence. Returns the resolved strikes.
+    fn validate<'s>(
+        &self,
+        scenarios: &'s [FaultScenario],
+        total_steps: u64,
+    ) -> Result<Vec<Strike<'s>>, HcftError> {
+        let cfg_err = |msg: String| Err(HcftError::Config(msg));
+        if self.cfg.checkpoint_every == 0 {
+            return cfg_err("checkpoint cadence must be positive".to_string());
+        }
+        let n = self.placement.nprocs();
+        if self.scheme.l1.nprocs() != n || self.scheme.l2.nprocs() != n {
+            return cfg_err(format!(
+                "clustering scheme covers {} (L1) / {} (L2) ranks, the placement has {n}",
+                self.scheme.l1.nprocs(),
+                self.scheme.l2.nprocs()
+            ));
+        }
+        if scenarios.is_empty() {
+            return cfg_err("a run needs at least one fault scenario".to_string());
+        }
+        let protocol = HybridProtocol::new(self.scheme.l1.clone());
+        let mut strikes = Vec::with_capacity(scenarios.len());
+        let mut after = 0;
+        for scenario in scenarios {
+            let machine = self.machine.as_ref();
+            let nodes = scenario.failed_nodes(&self.placement, &self.scheme, machine)?;
+            let ranks = scenario.failed_ranks(&self.placement, &self.scheme, machine)?;
+            let fp = scenario.at_phase();
+            if fp <= after || fp >= total_steps {
+                return cfg_err(format!(
+                    "failure phase {fp} must fall strictly inside ({after}, {total_steps}): \
+                     inside the run and after the previous scenario"
+                ));
+            }
+            after = fp;
+            let restart = protocol.restart_set(&ranks);
+            for inj in scenario.injections() {
+                match inj {
+                    Injection::FailDuringEncoding => {
+                        if !matches!(self.cfg.level, Level::Encoded) {
+                            return cfg_err(
+                                "failure-during-encoding needs Level::Encoded checkpoints"
+                                    .to_string(),
+                            );
+                        }
+                        if !fp.is_multiple_of(self.cfg.checkpoint_every) {
+                            return cfg_err(format!(
+                                "failure-during-encoding needs the failure phase ({fp}) on the \
+                                 checkpoint cadence ({})",
+                                self.cfg.checkpoint_every
+                            ));
+                        }
+                    }
+                    Injection::CascadeAfter { node, .. } => {
+                        if node.idx() >= self.placement.nodes() {
+                            return cfg_err(format!("cascade node {node} outside the placement"));
+                        }
+                        if nodes.contains(node) {
+                            return cfg_err(format!("cascade node {node} already fails primarily"));
+                        }
+                    }
+                    Injection::CorruptCheckpoint { node } => {
+                        if node.idx() >= self.placement.nodes() {
+                            return cfg_err(format!("corrupt node {node} outside the placement"));
+                        }
+                        if nodes.contains(node) {
+                            return cfg_err(format!(
+                                "corrupt node {node} dies with the primary failure — corrupt a \
+                                 surviving node of the restart set instead"
+                            ));
+                        }
+                        let node_ranks = self.placement.ranks_on(*node);
+                        if !node_ranks.iter().any(|r| restart.contains(r)) {
+                            return cfg_err(format!(
+                                "corrupt node {node} hosts no restart-set rank: recovery would \
+                                 never read the corrupted shards"
+                            ));
+                        }
+                        for &r in node_ranks {
+                            let g = self.scheme.l2.cluster_of(r);
+                            if self
+                                .scheme
+                                .l2
+                                .members(g)
+                                .iter()
+                                .any(|&m| nodes.contains(&self.placement.node_of(m)))
+                            {
+                                return cfg_err(format!(
+                                    "corrupt node {node} shares an L2 erasure group with a \
+                                     failed node: its corrupted-but-readable shards would \
+                                     poison the Reed–Solomon rebuild of the lost ones"
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+            strikes.push(Strike {
+                scenario,
+                nodes,
+                ranks,
+            });
+        }
+        Ok(strikes)
+    }
+}
+
+/// A fault-tolerant run in flight: the fabric its worlds share and the
+/// failure-free halo traffic traced so far (the feasibility report's
+/// input).
+struct LiveRun<'e, W: ReplayWorkload> {
+    eng: &'e ReplayEngine<W>,
+    fab: Arc<Fabric<W>>,
+    events: Vec<Vec<MsgEvent>>,
+}
+
+impl<'e, W: ReplayWorkload> LiveRun<'e, W> {
+    /// Open the checkpoint store and the per-rank logs; no rank has
+    /// state yet — the first [`LiveRun::advance`] initialises them.
+    fn start(eng: &'e ReplayEngine<W>) -> Result<Self, HcftError> {
+        let n = eng.placement.nprocs();
         let fab = Arc::new(Fabric {
-            workload: Arc::clone(&self.workload),
-            protocol: HybridProtocol::new(self.scheme.l1.clone()),
-            level: self.cfg.level,
-            every: self.cfg.checkpoint_every,
+            workload: Arc::clone(&eng.workload),
+            protocol: HybridProtocol::new(eng.scheme.l1.clone()),
+            level: eng.cfg.level,
+            every: eng.cfg.checkpoint_every,
+            states: (0..n).map(|_| Mutex::new(None)).collect(),
             logs: (0..n)
-                .map(|_| Mutex::new(SenderLog::with_telemetry(&self.telemetry)))
+                .map(|_| Mutex::new(SenderLog::with_telemetry(&eng.telemetry)))
                 .collect(),
             slots: Mutex::new(vec![Vec::new(); n]),
             ckpt: MultilevelCheckpointer::with_telemetry(
-                CheckpointStore::create(&self.cfg.store_root, self.placement.nodes())?,
-                self.scheme.l2.clone(),
-                self.placement.clone(),
-                Arc::clone(&self.telemetry),
+                CheckpointStore::create(&eng.cfg.store_root, eng.placement.nodes())?,
+                eng.scheme.l2.clone(),
+                eng.placement.clone(),
+                Arc::clone(&eng.telemetry),
             ),
             book: Mutex::new(CkptBook {
                 next_epoch: 1,
                 complete: Vec::new(),
-                failed_encodes: 0,
             }),
-            sabotage: Mutex::new(
-                scenario
-                    .fails_during_encoding()
-                    .then(|| (frontier, primary_nodes.clone())),
-            ),
-            telemetry: Arc::clone(&self.telemetry),
+            sabotage: Mutex::new(None),
+            telemetry: Arc::clone(&eng.telemetry),
         });
-        let states: Arc<Vec<Mutex<Option<W::State>>>> =
-            Arc::new((0..n).map(|_| Mutex::new(None)).collect());
+        Ok(LiveRun {
+            eng,
+            fab,
+            events: vec![Vec::new(); n],
+        })
+    }
 
-        // ---- Segment A: run with live FT machinery to the failure. ----
-        let trace_a = self.full_segment(&fab, &states, frontier, 0, true);
-
-        // ---- The kill. ----
-        for &node in &primary_nodes {
-            fab.ckpt.store().fail_node(node).map_err(HcftError::Io)?;
-            if !scenario.fails_during_encoding() {
-                self.telemetry
-                    .event(EventKind::NodeFailure, frontier, format!("node={node}"));
+    /// Run a full-world segment: every rank takes (or initialises) its
+    /// state, drives to `target` with checkpoints from `ckpt_from` and
+    /// logging on, and parks the state again. A traced segment adds
+    /// its halo sends to the run's event history.
+    fn advance(&mut self, target: u64, ckpt_from: u64, trace_events: bool) {
+        let fab = Arc::clone(&self.fab);
+        let n = fab.states.len();
+        let wr = World::run_with(n, self.eng.world_config(trace_events), move |c| {
+            let c: &Comm = c;
+            let r = c.rank();
+            let parked = fab.states[r].lock().expect("state").take();
+            let mut st = parked.unwrap_or_else(|| fab.workload.init(n, r));
+            fab.drive(c, &mut st, target, Some(ckpt_from));
+            *fab.states[r].lock().expect("state") = Some(st);
+        });
+        if trace_events {
+            for (history, evs) in self.events.iter_mut().zip(wr.trace.take_events()) {
+                history.extend(
+                    evs.into_iter()
+                        .filter(|e| self.eng.workload.is_halo_tag(e.tag))
+                        .map(|e| MsgEvent {
+                            src: e.src,
+                            dst: e.dst,
+                            bytes: e.bytes,
+                            phase: e.phase,
+                        }),
+                );
             }
         }
-        for &r in &primary_ranks {
-            *states[r.idx()].lock().expect("state") = None;
-            // The crashed nodes' in-memory sender logs are gone too.
-            *fab.logs[r.idx()].lock().expect("sender log") =
-                SenderLog::with_telemetry(&self.telemetry);
+    }
+
+    /// Per-rank serialised state of the (fully alive) world.
+    fn snapshot(&self) -> Vec<Vec<u8>> {
+        self.fab
+            .states
+            .iter()
+            .map(|slot| {
+                let guard = slot.lock().expect("state");
+                let mut out = Vec::new();
+                let st = guard.as_ref().expect("alive between strikes");
+                self.eng.workload.save_into(st, &mut out);
+                out
+            })
+            .collect()
+    }
+
+    /// Kill `node` at `phase`: its on-disk checkpoints, its ranks'
+    /// in-memory state and their in-memory sender logs are gone.
+    /// `journal` is the `NodeFailure` detail (`None` when the failure
+    /// was already journaled, as by the encoding sabotage).
+    fn kill_node(
+        &self,
+        node: NodeId,
+        phase: u64,
+        journal: Option<String>,
+    ) -> Result<(), HcftError> {
+        let (eng, fab) = (self.eng, &self.fab);
+        fab.ckpt.store().fail_node(node).map_err(HcftError::Io)?;
+        if let Some(detail) = journal {
+            eng.telemetry.event(EventKind::NodeFailure, phase, detail);
         }
-        self.telemetry.event(
+        for &r in eng.placement.ranks_on(node) {
+            *fab.states[r.idx()].lock().expect("state") = None;
+            *fab.logs[r.idx()].lock().expect("sender log") =
+                SenderLog::with_telemetry(&eng.telemetry);
+        }
+        Ok(())
+    }
+
+    /// Restore the restart set's payloads from `epoch`, quarantining
+    /// any shard whose payload the workload rejects (silent corruption)
+    /// and rebuilding it from group parity. Journals one
+    /// `RebuildComplete` for the restore that validates.
+    fn restore(
+        &self,
+        out: &mut ReplayOutcome,
+        restart: &[Rank],
+    ) -> Result<Vec<Vec<u8>>, HcftError> {
+        let (epoch, ckpt_phase, frontier) =
+            (out.recovered_epoch, out.recovered_phase, out.scenario_phase);
+        let (eng, ckpt) = (self.eng, &self.fab.ckpt);
+        let n = self.fab.states.len();
+        let mut quarantine_budget = eng.placement.nodes() as u64 + 1;
+        loop {
+            let payloads = ckpt.recover(epoch)?;
+            let bad = restart.iter().copied().find(|r| {
+                let mut st = eng.workload.init(n, r.idx());
+                eng.workload.restore(&mut st, &payloads[r.idx()]).is_err()
+                    || eng.workload.iteration(&st) != ckpt_phase
+            });
+            let Some(r) = bad else {
+                eng.telemetry.event(
+                    EventKind::RebuildComplete,
+                    frontier,
+                    format!("epoch={epoch} restored={}", restart.len()),
+                );
+                return Ok(payloads);
+            };
+            if quarantine_budget == 0 {
+                return Err(HcftError::Recovery(format!(
+                    "checkpoint corruption persisted past the quarantine budget \
+                     (epoch {epoch}, rank {})",
+                    r.idx()
+                )));
+            }
+            quarantine_budget -= 1;
+            out.corruption_retries += 1;
+            // The whole node's storage is suspect: quarantine all
+            // its shards so the parity rebuild never consumes a
+            // corrupted-but-readable sibling.
+            let node = eng.placement.node_of(r);
+            for &nr in eng.placement.ranks_on(node) {
+                let _ = ckpt.store().quarantine_local(node, nr.idx(), epoch);
+            }
+            eng.telemetry.event(
+                EventKind::RebuildComplete,
+                frontier,
+                format!("quarantined node={node} epoch={epoch} (corrupt shard, rank {r:?})"),
+            );
+        }
+    }
+
+    /// The failure and its recovery, with every rank standing at the
+    /// scenario's phase before and after: kill the targets, then —
+    /// possibly over several cascaded attempts — restore the restart
+    /// set and let it catch up on re-fed logs.
+    fn strike(&mut self, strike: &Strike<'_>) -> Result<ReplayOutcome, HcftError> {
+        let eng = self.eng;
+        let fab = &self.fab;
+        let n = fab.states.len();
+        let scenario = strike.scenario;
+        let frontier = scenario.at_phase();
+        let log_memory_bytes = fab
+            .logs
+            .iter()
+            .map(|l| l.lock().expect("sender log").memory_bytes())
+            .sum();
+
+        // ---- The kill. ----
+        for &node in &strike.nodes {
+            let journal = (!scenario.fails_during_encoding()).then(|| format!("node={node}"));
+            self.kill_node(node, frontier, journal)?;
+        }
+        eng.telemetry.event(
             EventKind::DeadRanks,
             frontier,
-            format!("count={} ranks={primary_ranks:?}", primary_ranks.len()),
+            format!("count={} ranks={:?}", strike.ranks.len(), strike.ranks),
         );
 
         // ---- Recovery, possibly over several cascaded attempts. ----
@@ -669,73 +984,38 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
             .ok_or_else(|| {
                 HcftError::Recovery("no complete checkpoint epoch to recover from".to_string())
             })?;
+        let mut pending_cascades = VecDeque::new();
         for inj in scenario.injections() {
-            if let Injection::CorruptCheckpoint { node } = inj {
-                self.corrupt_node_shards(&fab, *node, epoch)?;
+            match inj {
+                Injection::CorruptCheckpoint { node } => {
+                    self.corrupt_node_shards(*node, epoch)?;
+                }
+                Injection::CascadeAfter { node, after_steps } => {
+                    pending_cascades.push_back((*node, *after_steps));
+                }
+                Injection::FailDuringEncoding => {}
             }
         }
-        let mut pending_cascades: VecDeque<(NodeId, u64)> = scenario
-            .injections()
-            .iter()
-            .filter_map(|i| match i {
-                Injection::CascadeAfter { node, after_steps } => Some((*node, *after_steps)),
-                _ => None,
-            })
-            .collect();
-        let mut failed_nodes = primary_nodes;
-        let mut failed_ranks = primary_ranks;
-        let (mut attempts, mut cascades_fired, mut corruption_retries) = (0u64, 0u64, 0u64);
-        let (mut messages_replayed, mut bytes_replayed, mut suppressed) = (0u64, 0u64, 0u64);
-        let (mut bytes_restored, mut wasted) = (0u64, 0u64);
-        let restart_final: Vec<Rank>;
-        loop {
-            attempts += 1;
-            let restart = fab.protocol.restart_set(&failed_ranks);
+        let aligned = (frontier / eng.cfg.checkpoint_every) * eng.cfg.checkpoint_every;
+        let mut out = ReplayOutcome {
+            scenario_phase: frontier,
+            failed_nodes: strike.nodes.clone(),
+            failed_ranks: strike.ranks.clone(),
+            recovered_epoch: epoch,
+            recovered_phase: ckpt_phase,
+            used_fallback_epoch: ckpt_phase < aligned,
+            log_memory_bytes,
+            ..ReplayOutcome::default()
+        };
+        out.restart_set = loop {
+            out.recovery_attempts += 1;
+            let restart = fab.protocol.restart_set(&out.failed_ranks);
             let mut live = vec![false; n];
             for &r in &restart {
                 live[r.idx()] = true;
             }
-
-            // Restore the restart set, quarantining any shard whose
-            // payload the workload rejects (silent corruption) and
-            // rebuilding it from group parity.
-            let mut quarantine_budget = self.placement.nodes() as u64 + 1;
-            let payloads: Vec<Vec<u8>> = loop {
-                let payloads = fab.ckpt.recover(epoch)?;
-                let mut bad: Option<Rank> = None;
-                for &r in &restart {
-                    let mut st = self.workload.init(n, r.idx());
-                    let ok = self.workload.restore(&mut st, &payloads[r.idx()]).is_ok()
-                        && self.workload.iteration(&st) == ckpt_phase;
-                    if !ok {
-                        bad = Some(r);
-                        break;
-                    }
-                }
-                let Some(r) = bad else { break payloads };
-                if quarantine_budget == 0 {
-                    return Err(HcftError::Recovery(format!(
-                        "checkpoint corruption persisted past the quarantine budget \
-                         (epoch {epoch}, rank {})",
-                        r.idx()
-                    )));
-                }
-                quarantine_budget -= 1;
-                corruption_retries += 1;
-                // The whole node's storage is suspect: quarantine all
-                // its shards so the parity rebuild never consumes a
-                // corrupted-but-readable sibling.
-                let node = self.placement.node_of(r);
-                for &nr in self.placement.ranks_on(node) {
-                    let _ = fab.ckpt.store().quarantine_local(node, nr.idx(), epoch);
-                }
-                self.telemetry.event(
-                    EventKind::RebuildComplete,
-                    frontier,
-                    format!("quarantined node={node} epoch={epoch} (corrupt shard, rank {r:?})"),
-                );
-            };
-            bytes_restored += restart
+            let payloads = self.restore(&mut out, &restart)?;
+            out.bytes_restored += restart
                 .iter()
                 .map(|r| payloads[r.idx()].len() as u64)
                 .sum::<u64>();
@@ -774,23 +1054,20 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
                 }
             }
 
-            let w = Arc::clone(&self.workload);
-            let fab2 = Arc::clone(&fab);
-            let st2 = Arc::clone(&states);
-            let pay = Arc::new(payloads);
-            let pay2 = Arc::clone(&pay);
+            let fab2 = Arc::clone(fab);
             let wr = World::run_replay(
                 n,
-                self.world_config(false),
+                eng.world_config(false),
                 ReplayPlan { live, feed },
                 move |c| {
                     let c: &Comm = c;
                     let r = c.rank();
-                    let mut st = w.init(st2.len(), r);
-                    w.restore(&mut st, &pay2[r])
+                    let mut st = fab2.workload.init(n, r);
+                    fab2.workload
+                        .restore(&mut st, &payloads[r])
                         .expect("payload validated before replay");
-                    fab2.drive(c, &mut st, catchup_target, None, true);
-                    *st2[r].lock().expect("state") = Some(st);
+                    fab2.drive(c, &mut st, catchup_target, None);
+                    *fab2.states[r].lock().expect("state") = Some(st);
                 },
             );
             if wr.leftover_messages > 0 {
@@ -800,57 +1077,55 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
                     wr.leftover_messages
                 )));
             }
-            messages_replayed += wr.fed_messages;
-            bytes_replayed += wr.fed_bytes;
-            suppressed += wr.suppressed_sends;
+            out.messages_replayed += wr.fed_messages;
+            out.bytes_replayed += wr.fed_bytes;
+            out.suppressed_duplicates += wr.suppressed_sends;
 
-            if catchup_target < frontier {
-                // The cascade strikes: the partial catch-up is wasted,
-                // the failed set grows, recovery starts over.
-                let (cnode, _) = pending_cascades.pop_front().expect("cascade pending");
-                cascades_fired += 1;
-                wasted += (catchup_target - ckpt_phase) * restart.len() as u64;
-                fab.ckpt.store().fail_node(cnode).map_err(HcftError::Io)?;
-                self.telemetry.event(
-                    EventKind::NodeFailure,
-                    catchup_target,
-                    format!("node={cnode} (cascade during recovery)"),
+            if catchup_target == frontier {
+                eng.telemetry.event(
+                    EventKind::ReplayComplete,
+                    frontier,
+                    format!(
+                        "from={ckpt_phase} to={frontier} restarted={}",
+                        restart.len()
+                    ),
                 );
-                if !failed_nodes.contains(&cnode) {
-                    failed_nodes.push(cnode);
-                }
-                for &r in self.placement.ranks_on(cnode) {
-                    if !failed_ranks.contains(&r) {
-                        failed_ranks.push(r);
-                    }
-                    *states[r.idx()].lock().expect("state") = None;
-                    *fab.logs[r.idx()].lock().expect("sender log") =
-                        SenderLog::with_telemetry(&self.telemetry);
-                }
-                failed_ranks.sort_unstable_by_key(|r| r.idx());
-                self.telemetry.event(
-                    EventKind::DeadRanks,
-                    catchup_target,
-                    format!("count={} ranks={failed_ranks:?}", failed_ranks.len()),
-                );
-                continue;
+                break restart;
             }
-            self.telemetry.event(
-                EventKind::ReplayComplete,
-                frontier,
+            // The cascade strikes: the partial catch-up is wasted, the
+            // failed set grows, recovery starts over.
+            let (cnode, _) = pending_cascades.pop_front().expect("cascade pending");
+            out.cascades += 1;
+            out.wasted_catchup_steps += (catchup_target - ckpt_phase) * restart.len() as u64;
+            self.kill_node(
+                cnode,
+                catchup_target,
+                Some(format!("node={cnode} (cascade during recovery)")),
+            )?;
+            if !out.failed_nodes.contains(&cnode) {
+                out.failed_nodes.push(cnode);
+            }
+            for &r in eng.placement.ranks_on(cnode) {
+                if !out.failed_ranks.contains(&r) {
+                    out.failed_ranks.push(r);
+                }
+            }
+            out.failed_ranks.sort_unstable_by_key(|r| r.idx());
+            eng.telemetry.event(
+                EventKind::DeadRanks,
+                catchup_target,
                 format!(
-                    "from={ckpt_phase} to={frontier} restarted={}",
-                    restart.len()
+                    "count={} ranks={:?}",
+                    out.failed_ranks.len(),
+                    out.failed_ranks
                 ),
             );
-            restart_final = restart;
-            break;
-        }
+        };
 
         // Every rank must now stand at the frontier.
-        for (r, slot) in states.iter().enumerate() {
+        for (r, slot) in fab.states.iter().enumerate() {
             let guard = slot.lock().expect("state");
-            let at = guard.as_ref().map(|st| self.workload.iteration(st));
+            let at = guard.as_ref().map(|st| eng.workload.iteration(st));
             if at != Some(frontier) {
                 return Err(HcftError::Recovery(format!(
                     "rank {r} is at {at:?} after recovery, expected iteration {frontier}"
@@ -858,213 +1133,50 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
             }
         }
 
-        // ---- Segment C: the full world resumes to the end. ----
-        self.full_segment(&fab, &states, total_steps, frontier + 1, false);
-
-        let final_state: Vec<Vec<u8>> = states
-            .iter()
-            .map(|slot| {
-                let guard = slot.lock().expect("state");
-                let mut out = Vec::new();
-                self.workload
-                    .save_into(guard.as_ref().expect("alive after run"), &mut out);
-                out
-            })
-            .collect();
-
         // Protocol feasibility analysis over the pre-failure traffic.
-        let events: Vec<Vec<MsgEvent>> = trace_a
-            .take_events()
-            .into_iter()
-            .map(|evs| {
-                evs.into_iter()
-                    .filter(|e| self.workload.is_halo_tag(e.tag))
-                    .map(|e| MsgEvent {
-                        src: e.src,
-                        dst: e.dst,
-                        bytes: e.bytes,
-                        phase: e.phase,
-                    })
-                    .collect()
-            })
-            .collect();
-        let report = check_replay(
-            &self.scheme.l1,
-            &events,
-            &vec![ckpt_phase; self.scheme.l1.len()],
-            &failed_ranks,
+        out.report = check_replay(
+            &eng.scheme.l1,
+            &self.events,
+            &vec![ckpt_phase; eng.scheme.l1.len()],
+            &out.failed_ranks,
         );
+        out.catchup_steps = (frontier - ckpt_phase) * out.restart_set.len() as u64;
 
-        let catchup_steps = (frontier - ckpt_phase) * restart_final.len() as u64;
-        let aligned = (frontier / self.cfg.checkpoint_every) * self.cfg.checkpoint_every;
-        let t = &self.telemetry;
-        t.counter("replay.messages_replayed").add(messages_replayed);
-        t.counter("replay.bytes_replayed").add(bytes_replayed);
-        t.counter("replay.bytes_restored").add(bytes_restored);
-        t.counter("replay.catchup_steps").add(catchup_steps);
-        t.counter("replay.wasted_catchup_steps").add(wasted);
+        let t = &eng.telemetry;
+        t.counter("replay.messages_replayed")
+            .add(out.messages_replayed);
+        t.counter("replay.bytes_replayed").add(out.bytes_replayed);
+        t.counter("replay.bytes_restored").add(out.bytes_restored);
+        t.counter("replay.catchup_steps").add(out.catchup_steps);
+        t.counter("replay.wasted_catchup_steps")
+            .add(out.wasted_catchup_steps);
         t.counter("replay.corruption_retries")
-            .add(corruption_retries);
-        t.counter("replay.cascades").add(cascades_fired);
-        t.counter("replay.recovery_attempts").add(attempts);
-        t.counter("replay.suppressed_duplicates").add(suppressed);
+            .add(out.corruption_retries);
+        t.counter("replay.cascades").add(out.cascades);
+        t.counter("replay.recovery_attempts")
+            .add(out.recovery_attempts);
+        t.counter("replay.suppressed_duplicates")
+            .add(out.suppressed_duplicates);
         t.event(
             EventKind::RecoveryComplete,
             frontier,
             format!(
-                "workload={} restarted={} attempts={attempts}",
-                self.workload.name(),
-                restart_final.len()
+                "workload={} restarted={} attempts={}",
+                eng.workload.name(),
+                out.restart_set.len(),
+                out.recovery_attempts
             ),
         );
-
-        Ok(ReplayOutcome {
-            scenario_phase: frontier,
-            failed_nodes,
-            failed_ranks,
-            restart_set: restart_final,
-            recovery_attempts: attempts,
-            cascades: cascades_fired,
-            corruption_retries,
-            recovered_epoch: epoch,
-            recovered_phase: ckpt_phase,
-            used_fallback_epoch: ckpt_phase < aligned,
-            messages_replayed,
-            bytes_replayed,
-            suppressed_duplicates: suppressed,
-            bytes_restored,
-            catchup_steps,
-            wasted_catchup_steps: wasted,
-            report,
-            final_state,
-        })
-    }
-
-    /// Run a full-world segment: every rank takes (or initialises) its
-    /// state, drives to `target` with checkpoints from `ckpt_from` and
-    /// logging on, and parks the state again.
-    fn full_segment(
-        &self,
-        fab: &Arc<Fabric<W>>,
-        states: &Arc<Vec<Mutex<Option<W::State>>>>,
-        target: u64,
-        ckpt_from: u64,
-        trace_events: bool,
-    ) -> Arc<hcft_simmpi::TraceRecorder> {
-        let n = self.placement.nprocs();
-        let fab2 = Arc::clone(fab);
-        let st2 = Arc::clone(states);
-        World::run_with(n, self.world_config(trace_events), move |c| {
-            let c: &Comm = c;
-            let r = c.rank();
-            let mut st = st2[r]
-                .lock()
-                .expect("state")
-                .take()
-                .unwrap_or_else(|| fab2.workload.init(st2.len(), r));
-            fab2.drive(c, &mut st, target, Some(ckpt_from), true);
-            *st2[r].lock().expect("state") = Some(st);
-        })
-        .trace
-    }
-
-    /// Scenario validation beyond target resolution: timing, injection
-    /// preconditions, and the corruption/erasure interaction that would
-    /// otherwise poison a Reed–Solomon rebuild.
-    fn validate(
-        &self,
-        scenario: &FaultScenario,
-        total_steps: u64,
-        primary_nodes: &[NodeId],
-        primary_ranks: &[Rank],
-    ) -> Result<(), HcftError> {
-        let cfg_err = |msg: String| Err(HcftError::Config(msg));
-        if self.cfg.checkpoint_every == 0 {
-            return cfg_err("checkpoint cadence must be positive".to_string());
-        }
-        let fp = scenario.at_phase();
-        if fp == 0 || fp >= total_steps {
-            return cfg_err(format!(
-                "failure phase {fp} must fall strictly inside the run (0, {total_steps})"
-            ));
-        }
-        let protocol = HybridProtocol::new(self.scheme.l1.clone());
-        let restart = protocol.restart_set(primary_ranks);
-        for inj in scenario.injections() {
-            match inj {
-                Injection::FailDuringEncoding => {
-                    if !matches!(self.cfg.level, Level::Encoded) {
-                        return cfg_err(
-                            "failure-during-encoding needs Level::Encoded checkpoints".to_string(),
-                        );
-                    }
-                    if !fp.is_multiple_of(self.cfg.checkpoint_every) {
-                        return cfg_err(format!(
-                            "failure-during-encoding needs the failure phase ({fp}) on the \
-                             checkpoint cadence ({})",
-                            self.cfg.checkpoint_every
-                        ));
-                    }
-                }
-                Injection::CascadeAfter { node, .. } => {
-                    if node.idx() >= self.placement.nodes() {
-                        return cfg_err(format!("cascade node {node} outside the placement"));
-                    }
-                    if primary_nodes.contains(node) {
-                        return cfg_err(format!("cascade node {node} already fails primarily"));
-                    }
-                }
-                Injection::CorruptCheckpoint { node } => {
-                    if node.idx() >= self.placement.nodes() {
-                        return cfg_err(format!("corrupt node {node} outside the placement"));
-                    }
-                    if primary_nodes.contains(node) {
-                        return cfg_err(format!(
-                            "corrupt node {node} dies with the primary failure — corrupt a \
-                             surviving node of the restart set instead"
-                        ));
-                    }
-                    let node_ranks = self.placement.ranks_on(*node);
-                    if !node_ranks.iter().any(|r| restart.contains(r)) {
-                        return cfg_err(format!(
-                            "corrupt node {node} hosts no restart-set rank: recovery would \
-                             never read the corrupted shards"
-                        ));
-                    }
-                    for &r in node_ranks {
-                        let g = self.scheme.l2.cluster_of(r);
-                        if self
-                            .scheme
-                            .l2
-                            .members(g)
-                            .iter()
-                            .any(|&m| primary_nodes.contains(&self.placement.node_of(m)))
-                        {
-                            return cfg_err(format!(
-                                "corrupt node {node} shares an L2 erasure group with a failed \
-                                 node: its corrupted-but-readable shards would poison the \
-                                 Reed–Solomon rebuild of the lost ones"
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        Ok(out)
     }
 
     /// Silently corrupt every local shard on `node` at `epoch`: shrink
     /// the frame's declared payload length so the shard still reads and
     /// unframes cleanly but restores to a truncated payload — only the
     /// workload's own validation can notice.
-    fn corrupt_node_shards(
-        &self,
-        fab: &Fabric<W>,
-        node: NodeId,
-        epoch: u64,
-    ) -> Result<(), HcftError> {
-        let store = fab.ckpt.store();
-        for &r in self.placement.ranks_on(node) {
+    fn corrupt_node_shards(&self, node: NodeId, epoch: u64) -> Result<(), HcftError> {
+        let store = self.fab.ckpt.store();
+        for &r in self.eng.placement.ranks_on(node) {
             let mut bytes = store
                 .read_local(node, r.idx(), epoch)
                 .map_err(HcftError::Io)?;
@@ -1084,7 +1196,6 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::FaultScenario;
     use hcft_cluster::naive;
 
     struct TempDir(PathBuf);
@@ -1226,6 +1337,27 @@ mod tests {
                 "expected Config error for {scenario:?}"
             );
         }
+        // A sequence must be non-empty and strictly increasing in phase.
+        let at = |phase| FaultScenario::node_loss(NodeId(0), phase);
+        for sequence in [vec![], vec![at(6), at(6)], vec![at(7), at(4)]] {
+            assert!(
+                matches!(eng.run_sequence(&sequence, 12), Err(HcftError::Config(_))),
+                "expected Config error for {sequence:?}"
+            );
+        }
+        // A scheme that does not cover the placement is an error from
+        // `run`, not a panic in the constructor.
+        let mismatched = ReplayEngine::with_telemetry(
+            TsunamiWorkload::new(TsunamiParams::stable(32, 32)),
+            Placement::block(8, 4),
+            naive(16, 8),
+            ReplayConfig::new(dir.0.clone()),
+            Registry::new(),
+        );
+        assert!(matches!(
+            mismatched.run(&at(6), 12),
+            Err(HcftError::Config(_))
+        ));
     }
 
     #[test]

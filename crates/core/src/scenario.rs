@@ -1,14 +1,14 @@
 //! `FaultScenario` — one description of "what fails, when, and how it is
 //! correlated", consumed by every fault-injection entry point.
 //!
-//! Before this type existed, each layer had its own ad-hoc surface: the
-//! lockstep drill took a bare `NodeId`, the Monte-Carlo campaign sampled
-//! `Vec<NodeId>` internally, and the replay engine did not exist. A
-//! scenario unifies them: build one with [`FaultScenario::at`], aim it at
-//! a node, a whole L1 cluster, or a PSU group ([`FaultTarget`]), attach
-//! mid-recovery injections ([`Injection`]), and hand the same value to
-//! [`crate::drill::LockstepDrill::inject`], the
-//! [`crate::replay::ReplayEngine`], or campaign-style analysis.
+//! Build one with [`FaultScenario::at`], aim it at a node, a whole L1
+//! cluster, or a PSU group ([`FaultTarget`]), attach mid-recovery
+//! injections ([`Injection`]), and hand the value to the
+//! [`crate::replay::ReplayEngine`] — alone
+//! ([`run`](crate::replay::ReplayEngine::run)) or as one of several
+//! strikes on the same run
+//! ([`run_sequence`](crate::replay::ReplayEngine::run_sequence)) — or to
+//! campaign-style analysis ([`FaultScenario::is_catastrophic`]).
 //!
 //! Targets are *symbolic* until [`FaultScenario::failed_nodes`] resolves
 //! them against a concrete placement + clustering (+ machine, for PSU

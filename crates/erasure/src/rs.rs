@@ -12,7 +12,7 @@
 //! mirroring how FTI overlaps encoding across dedicated per-node
 //! processes. Decode matrices (the inverse of the surviving generator
 //! rows) are cached per erasure pattern, so repeated recoveries of the
-//! same failure shape — the common case in a drill or campaign loop —
+//! same failure shape — the common case in a replay or campaign loop —
 //! skip the Gauss–Jordan inversion entirely.
 
 use std::collections::HashMap;

@@ -17,7 +17,7 @@ use crate::protocol::HybridProtocol;
 use crate::MsgEvent;
 
 /// Outcome of a replay-feasibility walk.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplayReport {
     /// Ranks that roll back.
     pub restart_set: Vec<Rank>,

@@ -66,7 +66,7 @@ impl SenderLog {
     }
 
     /// An empty log reporting to a dedicated registry (scoped
-    /// measurements: one drill, one test).
+    /// measurements: one replay engine, one test).
     pub fn with_telemetry(reg: &Registry) -> Self {
         SenderLog {
             telemetry: Some(LogCounters::in_registry(reg)),
@@ -130,11 +130,6 @@ impl SenderLog {
     pub fn truncate_from(&mut self, phase: u64) {
         self.entries.retain(|e| e.phase < phase);
         self.bytes = self.entries.iter().map(|e| e.payload.len() as u64).sum();
-    }
-
-    /// All entries (for inspection/tests).
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
     }
 }
 

@@ -152,33 +152,6 @@ impl Comm {
         decode(&flat)
     }
 
-    /// Ring allgather (the MPICH2 long-message algorithm). Exposed for the
-    /// ablation benches; produces nearest-neighbour traffic instead of
-    /// power-of-two diagonals.
-    pub fn allgather_ring<T: Datum>(&self, mine: &[T]) -> Vec<T> {
-        tally("allgather_ring", payload_bytes(mine));
-        let n = self.size();
-        let rank = self.rank();
-        let mut have: Vec<Option<bytes::Bytes>> = vec![None; n];
-        have[rank] = Some(self.encode_pooled(mine));
-        let next = (rank + 1) % n;
-        let prev = (rank + n - 1) % n;
-        let mut cursor = rank;
-        for step in 0..(n - 1) as u32 {
-            // Forwarding a held block is a refcount bump, not a copy.
-            let payload = have[cursor].clone().expect("held block");
-            self.send_raw(next, TAG_ALLGATHER | 0x8000 | step, payload);
-            let recv = self.recv_raw(prev, TAG_ALLGATHER | 0x8000 | step);
-            cursor = (cursor + n - 1) % n;
-            have[cursor] = Some(recv);
-        }
-        let mut out = Vec::new();
-        for b in have {
-            out.extend(decode::<T>(&b.expect("ring complete")));
-        }
-        out
-    }
-
     /// Allreduce with an element-wise operation (recursive doubling, with
     /// the MPICH2 pre/post phase folding non-power-of-two stragglers into
     /// the nearest power of two).
@@ -567,17 +540,6 @@ mod tests {
     #[test]
     fn allgather_single_rank() {
         run_allgather(1);
-    }
-
-    #[test]
-    fn allgather_ring_matches() {
-        let r = World::run(5, |c| {
-            let me = c.rank() as u64 * 10;
-            c.allgather_ring(&[me, me + 1])
-        });
-        for out in r.outputs {
-            assert_eq!(out, expected_allgather(5));
-        }
     }
 
     #[test]

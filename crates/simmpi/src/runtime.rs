@@ -55,22 +55,10 @@ const DEFAULT_STACK_SIZE: usize = 512 * 1024;
 const MIN_STACK_KB: usize = 64;
 const MAX_STACK_KB: usize = 1 << 20;
 
-/// Default yield slices a receiver burns before parking on the shard
-/// condvar when neither `WorldConfig::yield_spins` nor
-/// `HCFT_SIMMPI_YIELD_SPINS` says otherwise.
-const DEFAULT_YIELD_SPINS: u32 = 4;
-
-/// `HCFT_SIMMPI_YIELD_SPINS` (cached): yield slices before a thread-engine
-/// receiver parks; 0 disables the yield phase. (Distinct from
-/// `HCFT_SIMMPI_YIELD_BUDGET`, the task-engine preemption budget.)
-fn env_yield_spins() -> Option<u32> {
-    static SPINS: OnceLock<Option<u32>> = OnceLock::new();
-    *SPINS.get_or_init(|| {
-        std::env::var("HCFT_SIMMPI_YIELD_SPINS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-}
+/// Yield slices a thread-engine receiver burns before parking on the
+/// shard condvar. (Distinct from `HCFT_SIMMPI_YIELD_BUDGET`, the
+/// task-engine preemption budget.)
+const YIELD_SPINS: u32 = 4;
 
 /// `HCFT_SIMMPI_SHARDS` (cached — the per-world resolve must not re-read
 /// the environment).
@@ -453,9 +441,6 @@ pub(crate) struct Shared {
     pub(crate) trace: Arc<TraceRecorder>,
     pub(crate) phases: Vec<AtomicU64>,
     pub(crate) recv_timeout: Duration,
-    /// Resolved yield-spin budget for thread-engine receivers (explicit
-    /// [`WorldConfig::yield_spins`] wins over the cached env lookup).
-    pub(crate) yield_spins: u32,
     pub(crate) metrics: MailboxMetrics,
     pub(crate) pool: BufferPool,
     /// The task scheduler, when this world runs on the task engine. Set
@@ -484,7 +469,6 @@ impl Shared {
         // times lets it run and deliver, avoiding a futex park + wake
         // round trip per halo message. Only after the yield budget is
         // spent do we register as a waiter and park on the shard condvar.
-        let yield_budget = self.yield_spins;
         let shard = self.mailboxes[rank].shard(&key);
         let deadline = Instant::now() + self.recv_timeout;
         let mut yields = 0u32;
@@ -497,7 +481,7 @@ impl Shared {
             if let Some(msg) = queues.get_mut(&key).and_then(|c| c.q.pop_front()) {
                 return msg;
             }
-            if yields < yield_budget {
+            if yields < YIELD_SPINS {
                 yields += 1;
                 self.metrics.yields.inc();
                 drop(queues);
@@ -639,10 +623,6 @@ pub struct WorldConfig {
     /// auto (`HCFT_SIMMPI_YIELD_BUDGET` env override, default 0 = never
     /// preempt).
     pub yield_budget: Option<u32>,
-    /// Yield slices a thread-engine receiver burns before parking on the
-    /// shard condvar; 0 disables the yield phase. `None` = auto
-    /// (`HCFT_SIMMPI_YIELD_SPINS` env override, default 4).
-    pub yield_spins: Option<u32>,
 }
 
 impl Default for WorldConfig {
@@ -656,7 +636,6 @@ impl Default for WorldConfig {
             engine: Engine::Auto,
             steal: None,
             yield_budget: None,
-            yield_spins: None,
         }
     }
 }
@@ -690,8 +669,6 @@ pub struct ResolvedWorldConfig {
     pub steal: bool,
     /// Task-engine cooperative preemption budget (0 = never preempt).
     pub yield_budget: u32,
-    /// Thread-engine yield slices before a receiver parks.
-    pub yield_spins: u32,
 }
 
 impl WorldConfig {
@@ -717,7 +694,6 @@ impl WorldConfig {
             engine: resolve_engine(self),
             steal: resolve_steal(self),
             yield_budget: resolve_yield_budget(self),
-            yield_spins: resolve_yield_spins(self),
         })
     }
 }
@@ -788,14 +764,6 @@ fn resolve_steal(cfg: &WorldConfig) -> bool {
 /// override, then 0 (never preempt).
 fn resolve_yield_budget(cfg: &WorldConfig) -> u32 {
     cfg.yield_budget.or_else(env_yield_budget).unwrap_or(0)
-}
-
-/// Thread-engine yield spins for this run: explicit config wins, then
-/// the env override, then [`DEFAULT_YIELD_SPINS`].
-fn resolve_yield_spins(cfg: &WorldConfig) -> u32 {
-    cfg.yield_spins
-        .or_else(env_yield_spins)
-        .unwrap_or(DEFAULT_YIELD_SPINS)
 }
 
 /// Cooperative preemption hook for long-computing rank bodies.
@@ -926,7 +894,6 @@ impl World {
             trace: Arc::clone(&trace),
             phases: (0..n).map(|_| AtomicU64::new(0)).collect(),
             recv_timeout: cfg.recv_timeout,
-            yield_spins: resolved.yield_spins,
             metrics: MailboxMetrics::from_registry(reg),
             pool: BufferPool::new(reg),
             sched: OnceLock::new(),

@@ -1,6 +1,6 @@
 //! Env-override precedence for long-running processes.
 //!
-//! The `HCFT_SIMMPI_{WORKERS,STEAL,YIELD_BUDGET,SHARDS,YIELD_SPINS}`
+//! The `HCFT_SIMMPI_{WORKERS,STEAL,YIELD_BUDGET,SHARDS,ENGINE}`
 //! lookups are `OnceLock`-cached: the first resolution snapshots the
 //! environment for the life of the process. For a one-shot CLI that is
 //! invisible; for an always-on service it means the environment seen at
@@ -23,7 +23,6 @@ fn explicit_config_beats_cached_env_lookups() {
     std::env::set_var("HCFT_SIMMPI_SHARDS", "5");
     std::env::set_var("HCFT_SIMMPI_STEAL", "1");
     std::env::set_var("HCFT_SIMMPI_YIELD_BUDGET", "7");
-    std::env::set_var("HCFT_SIMMPI_YIELD_SPINS", "9");
     std::env::set_var("HCFT_SIMMPI_ENGINE", "threads");
 
     let defaults = WorldConfig::default()
@@ -33,7 +32,6 @@ fn explicit_config_beats_cached_env_lookups() {
     assert_eq!(defaults.mailbox_shards, 5, "env shards apply");
     assert!(defaults.steal, "env steal applies");
     assert_eq!(defaults.yield_budget, 7, "env yield budget applies");
-    assert_eq!(defaults.yield_spins, 9, "env yield spins apply");
     assert_eq!(defaults.engine, Engine::Threads, "env engine applies");
 
     // Phase 2: mutate the environment after the first resolution. The
@@ -43,7 +41,6 @@ fn explicit_config_beats_cached_env_lookups() {
     std::env::set_var("HCFT_SIMMPI_SHARDS", "13");
     std::env::set_var("HCFT_SIMMPI_STEAL", "0");
     std::env::set_var("HCFT_SIMMPI_YIELD_BUDGET", "17");
-    std::env::set_var("HCFT_SIMMPI_YIELD_SPINS", "19");
     std::env::set_var("HCFT_SIMMPI_ENGINE", "tasks");
 
     let pinned = WorldConfig::default()
@@ -62,7 +59,6 @@ fn explicit_config_beats_cached_env_lookups() {
         mailbox_shards: 4,
         steal: Some(false),
         yield_budget: Some(1),
-        yield_spins: Some(0),
         engine: Engine::Threads,
         stack_size: 256 * 1024,
         ..WorldConfig::default()
@@ -78,7 +74,6 @@ fn explicit_config_beats_cached_env_lookups() {
         "explicit steal=false beats cached env STEAL=1"
     );
     assert_eq!(resolved.yield_budget, 1, "explicit budget beats cached env");
-    assert_eq!(resolved.yield_spins, 0, "explicit spins beat cached env");
     assert_eq!(resolved.engine, Engine::Threads, "explicit engine wins");
     assert_eq!(resolved.stack_size, 256 * 1024, "explicit stack wins");
 
@@ -93,7 +88,6 @@ fn explicit_config_beats_cached_env_lookups() {
     let ring = WorldConfig {
         engine: Engine::Threads,
         mailbox_shards: 4,
-        yield_spins: Some(0),
         ..WorldConfig::default()
     };
     let r = hcft_simmpi::World::run_with(4, ring, |c| {

@@ -1,11 +1,12 @@
 //! Structured event journal for failure/recovery narratives.
 //!
-//! The drill's story — inject → dead-ranks → rebuild → replay →
-//! verified — is a sequence of discrete events, not a counter. Each
+//! A recovery's story — inject → dead-ranks → rebuild → replay →
+//! recovered, as the replay engine journals it — is a sequence of
+//! discrete events, not a counter. Each
 //! [`Event`] carries two timestamps: the *virtual* time of the simulated
 //! application (phase / checkpoint epoch) and the monotonic wall offset
 //! since the owning registry was created. Wall-clock dates are never
-//! recorded; replays of the same drill produce comparable journals.
+//! recorded; reruns of the same scenario produce comparable journals.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +16,7 @@ use std::sync::Mutex;
 /// sequences; free-form context goes in [`Event::detail`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
-    /// A node was killed (drill injection or campaign draw).
+    /// A node was killed (scenario injection or campaign draw).
     NodeFailure,
     /// The set of dead ranks was determined after a failure.
     DeadRanks,
@@ -25,10 +26,8 @@ pub enum EventKind {
     RebuildComplete,
     /// Sender-log replay finished for the restarted cluster(s).
     ReplayComplete,
-    /// Full recovery finished: restarted ranks rejoined lockstep.
+    /// Full recovery finished: every rank stands at the failure frontier.
     RecoveryComplete,
-    /// A post-recovery consistency check passed.
-    Verified,
 }
 
 impl EventKind {
@@ -41,7 +40,6 @@ impl EventKind {
             EventKind::RebuildComplete => "rebuild_complete",
             EventKind::ReplayComplete => "replay_complete",
             EventKind::RecoveryComplete => "recovery_complete",
-            EventKind::Verified => "verified",
         }
     }
 }
@@ -58,7 +56,7 @@ pub struct Event {
     pub detail: String,
 }
 
-/// Default ring capacity: enough for any drill or campaign narrative
+/// Default ring capacity: enough for any replay or campaign narrative
 /// while bounding memory for long-running processes.
 const DEFAULT_CAPACITY: usize = 4096;
 

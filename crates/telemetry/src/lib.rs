@@ -3,7 +3,7 @@
 //! The paper's argument is quantitative — logged bytes, restart
 //! fractions, encode seconds, P(catastrophe) — but until this crate the
 //! runtime computed those numbers as one-shot outputs with no visibility
-//! into *where* time and bytes go during a drill or campaign. This crate
+//! into *where* time and bytes go during a recovery or campaign. This crate
 //! provides the measurement substrate every subsystem reports through:
 //!
 //! * [`Counter`] — a monotonically increasing relaxed atomic, cheap
@@ -18,7 +18,7 @@
 //!   checkpoint epoch) next to the monotonic wall offset;
 //! * [`Registry`] — a named collection of all of the above with a
 //!   process-wide default ([`Registry::global`]) and dedicated instances
-//!   for scoped measurements (one drill, one test), snapshotted to JSON
+//!   for scoped measurements (one replay engine, one test), snapshotted to JSON
 //!   with no external dependencies.
 //!
 //! The crate is also the home of [`HcftError`], the workspace-level
@@ -33,9 +33,9 @@
 //! Counters are relaxed atomics; the journal is bounded (old events are
 //! dropped, never reallocated without bound); name→handle resolution is
 //! a locked map lookup that callers amortise by caching the returned
-//! `Arc` handle. Instrumented hot loops (the erasure kernels, the drill
-//! step, sender-log appends) budget ≤ 2 % overhead on the `ft_stack`
-//! bench.
+//! `Arc` handle. The ledger's `telemetry.counter_inc_ns` /
+//! `telemetry.histogram_observe_ns` rows price one observation in the
+//! instrumented hot loops (erasure kernels, sender-log appends).
 
 pub mod error;
 pub mod journal;

@@ -2,7 +2,7 @@
 //!
 //! Everything here is lock-free and uses `Ordering::Relaxed` — metrics
 //! observe totals, they never synchronise program state, and the hot
-//! paths (erasure kernels, drill steps, sender-log appends) cannot
+//! paths (erasure kernels, sender-log appends, mailbox sends) cannot
 //! afford anything stronger.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,12 +33,6 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raise the counter to `n` if `n` is larger (high-water mark).
-    #[inline]
-    pub fn max(&self, n: u64) {
-        self.value.fetch_max(n, Ordering::Relaxed);
     }
 
     /// Overwrite the value (mirroring an externally maintained total).
@@ -186,15 +180,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_inc_add_max_store() {
+    fn counter_inc_add_store() {
         let c = Counter::new();
         c.inc();
         c.add(9);
         assert_eq!(c.get(), 10);
-        c.max(7); // below current value: no-op
-        assert_eq!(c.get(), 10);
-        c.max(42);
-        assert_eq!(c.get(), 42);
         c.store(5);
         assert_eq!(c.get(), 5);
     }

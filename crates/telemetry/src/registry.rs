@@ -2,7 +2,7 @@
 //!
 //! A [`Registry`] owns every counter, gauge, histogram and the event
 //! journal for one measurement scope. Most production code reports to
-//! the process-wide [`Registry::global`]; drills and tests that need
+//! the process-wide [`Registry::global`]; replay engines and tests that need
 //! isolation (parallel `cargo test` shares one process!) create their
 //! own instance and thread it through `with_telemetry` constructors.
 //!
@@ -44,7 +44,7 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// A fresh registry for a scoped measurement (one drill, one test).
+    /// A fresh registry for a scoped measurement (one engine, one test).
     pub fn new() -> Arc<Registry> {
         Arc::new(Registry::default())
     }
@@ -331,7 +331,7 @@ mod tests {
         r.counter("a.b").add(1);
         r.gauge("g").set(0.5);
         r.histogram("h").observe(2);
-        r.event(EventKind::Verified, 1, "say \"hi\"\n");
+        r.event(EventKind::RecoveryComplete, 1, "say \"hi\"\n");
         let json = r.snapshot().to_json();
         assert!(json.contains("\"a.b\": 1"));
         assert!(json.contains("\"g\": 0.5"));
@@ -370,7 +370,7 @@ mod tests {
         let c = r.counter("n");
         c.add(9);
         r.gauge("g").set(1.0);
-        r.event(EventKind::Verified, 0, "");
+        r.event(EventKind::RecoveryComplete, 0, "");
         r.reset();
         assert_eq!(c.get(), 0);
         assert_eq!(r.gauge("g").get(), 0.0);

@@ -5,7 +5,7 @@
 //! workloads at 4k–131k nodes. These generators model the dominant
 //! patterns on the two dominant interconnects of the era:
 //!
-//! * [`torus2d`] / [`torus3d`] — nearest-neighbour halo exchange on a
+//! * [`torus2d`] — nearest-neighbour halo exchange on a
 //!   wrap-around grid (stencil codes on Blue Gene / Cray class machines);
 //! * [`fat_tree`] — dense collectives inside each leaf switch with
 //!   progressively lighter inter-switch and inter-pod traffic (TSUBAME2's
@@ -110,28 +110,6 @@ pub fn torus2d(x: usize, y: usize, seed: u64) -> SyntheticGraph {
     sink.finish(x * y)
 }
 
-/// 3-D torus halo exchange: `x·y·z` nodes, six wrap-around neighbours
-/// each. Node ids are row-major (`x` fastest), matching
-/// [`NetworkTopology::Torus3D`](crate::NetworkTopology::Torus3D).
-pub fn torus3d(x: usize, y: usize, z: usize, seed: u64) -> SyntheticGraph {
-    assert!(x >= 2 && y >= 2 && z >= 2, "torus extent must be >= 2");
-    let mut sink = EdgeSink {
-        seed,
-        edges: Vec::with_capacity(3 * x * y * z),
-    };
-    for k in 0..z {
-        for j in 0..y {
-            for i in 0..x {
-                let u = (k * y + j) * x + i;
-                sink.push(u, (k * y + j) * x + (i + 1) % x, HALO_BYTES);
-                sink.push(u, (k * y + (j + 1) % y) * x + i, HALO_BYTES);
-                sink.push(u, (((k + 1) % z) * y + j) * x + i, HALO_BYTES);
-            }
-        }
-    }
-    sink.finish(x * y * z)
-}
-
 /// Fat-tree collective traffic over
 /// `nodes_per_switch · switches_per_pod · pods` nodes: a dense clique
 /// inside every leaf switch (heavy — 2-hop paths), a ring of switch
@@ -216,14 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn torus3d_shape() {
-        let g = torus3d(4, 4, 4, 7);
-        assert_eq!(g.nodes, 64);
-        assert_eq!(g.edges.len(), 3 * 64);
-        check_invariants(&g);
-    }
-
-    #[test]
     fn extent_two_rings_merge_wraparound() {
         // On an extent-2 ring, +1 and wrap hit the same neighbour; the
         // duplicate must merge, not repeat.
@@ -261,10 +231,10 @@ mod tests {
 
     #[test]
     fn deterministic_and_seed_sensitive() {
-        let a = torus3d(4, 2, 2, 42);
-        let b = torus3d(4, 2, 2, 42);
+        let a = torus2d(4, 4, 42);
+        let b = torus2d(4, 4, 42);
         assert_eq!(a.edges, b.edges);
-        let c = torus3d(4, 2, 2, 43);
+        let c = torus2d(4, 4, 43);
         assert_ne!(a.edges, c.edges, "seed must change the jitter");
         // Topology is seed-independent; only the weights move.
         let strip = |g: &SyntheticGraph| -> Vec<(u32, u32)> {

@@ -278,8 +278,8 @@ impl RankState {
     /// free: field updates have no intra-field dependencies and the
     /// per-element arithmetic and operand order are fixed, so element
     /// order cannot change a single bit —
-    /// `parallel_matches_sequential_bitwise` and the drill's
-    /// recovered-equals-uninterrupted tests assert bit identity across
+    /// `parallel_matches_sequential_bitwise` and the replay engine's
+    /// recovered-equals-sequential tests assert bit identity across
     /// drivers. Domain-boundary faces (closed walls) are assigned 0.0
     /// after the bulk sweep, keeping the hot loops branch-free.
     pub fn update(&mut self, p: &TsunamiParams) {

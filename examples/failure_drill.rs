@@ -1,7 +1,8 @@
-//! Failure drill: run the tsunami workload with the full FT stack live,
-//! kill a node mid-run, and watch the hierarchical clustering recover —
-//! Reed–Solomon rebuild, single-L1-cluster rollback, log-served replay —
-//! ending with a field bit-identical to an uninterrupted run.
+//! Failure drill: run the tsunami workload as a live `simmpi` world with
+//! the full FT stack, kill a node mid-run, and watch the hierarchical
+//! clustering recover — Reed–Solomon rebuild, single-L1-cluster
+//! rollback, log-fed catch-up — ending with a field bit-identical to
+//! the sequential solver's.
 //!
 //! ```text
 //! cargo run --release --example failure_drill
@@ -14,7 +15,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let nodes = 16;
     let ppn = 4;
     let placement = Placement::block(nodes, ppn);
-    let grid = (64, 64);
+    let params = TsunamiParams::stable(64, 64);
+    let (kill_at, total) = (25, 40);
 
     // Hierarchical clustering over a synthetic chain node-graph (in a
     // real deployment this comes from a traced run — see `quickstart`).
@@ -41,47 +43,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let store = std::env::temp_dir().join(format!("hcft-drill-example-{}", std::process::id()));
-    let mut drill = LockstepDrill::new(
-        placement,
-        scheme,
-        DrillConfig {
-            grid,
-            checkpoint_every: 10,
-            level: Level::Encoded,
-            store_root: store.clone(),
-        },
-    )?;
+    let mut cfg = ReplayConfig::new(&store);
+    cfg.checkpoint_every = 10;
+    let engine = ReplayEngine::new(TsunamiWorkload::new(params.clone()), placement, scheme, cfg);
 
-    println!("running 25 iterations with encoded checkpoints every 10…");
-    drill.run_to(25)?;
     println!(
-        "  sender logs hold {} bytes of inter-cluster halos",
-        drill.log_memory_bytes()
+        "running {total} iterations with encoded checkpoints every 10, \
+         killing node 7 (in-memory state + on-disk checkpoints) at {kill_at}…"
     );
-
-    println!("killing node 7 (in-memory state + on-disk checkpoints)…");
-    let scenario = FaultScenario::node_loss(NodeId(7), 25);
-    let dead = drill.inject(&scenario)?;
-    println!("  dead ranks: {dead:?}");
-
-    let restarted = drill.recover()?;
+    let outcome = engine.run(&FaultScenario::node_loss(NodeId(7), kill_at), total);
+    let _ = std::fs::remove_dir_all(&store);
+    let outcome = outcome?;
     println!(
-        "recovered: {} ranks rolled back (one L1 cluster of 4 nodes), replayed to iteration {}",
-        restarted.len(),
-        drill.phase()
+        "  sender logs held {} bytes of inter-cluster halos at the kill",
+        outcome.log_memory_bytes
+    );
+    println!("  dead ranks: {:?}", outcome.failed_ranks);
+    println!(
+        "recovered: {} of {} ranks rolled back to iteration {} (one L1 cluster of 4 nodes), \
+         {} checkpoint bytes restored",
+        outcome.restart_set.len(),
+        nodes * ppn,
+        outcome.recovered_phase,
+        outcome.bytes_restored
+    );
+    println!(
+        "  catch-up: {} rank-iterations re-executed, {} logged messages ({} bytes) re-fed, \
+         {} duplicate sends suppressed",
+        outcome.catchup_steps,
+        outcome.messages_replayed,
+        outcome.bytes_replayed,
+        outcome.suppressed_duplicates
     );
 
     // Verify against an uninterrupted sequential reference — bit for bit.
-    let mut reference = SequentialSim::new(TsunamiParams::stable(grid.0, grid.1));
-    reference.run(25);
-    assert_eq!(drill.global_eta(), reference.eta);
-    println!("verification: recovered field is BIT-IDENTICAL to an uninterrupted run");
-
-    drill.run_to(40)?;
-    reference.run(15);
-    assert_eq!(drill.global_eta(), reference.eta);
-    println!("continued to iteration 40 — still identical. Drill complete.");
-
-    let _ = std::fs::remove_dir_all(&store);
+    let recovered = TsunamiWorkload::new(params.clone()).global_eta(&outcome.final_state)?;
+    let mut reference = SequentialSim::new(params);
+    reference.run(total);
+    assert_eq!(recovered, reference.eta);
+    println!(
+        "verification: the field after {total} iterations is BIT-IDENTICAL to an \
+         uninterrupted sequential run. Drill complete."
+    );
     Ok(())
 }

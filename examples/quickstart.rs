@@ -61,9 +61,9 @@ fn main() {
     );
 
     // 4. Describe failures once, reuse everywhere: the same FaultScenario
-    //    drives the lockstep drill, the live replay engine and campaign
-    //    analysis. Here, just ask each scheme whether losing node 0's
-    //    whole L1 cluster defeats its L2 redundancy.
+    //    drives the live replay engine and campaign analysis. Here, just
+    //    ask each scheme whether losing node 0's whole L1 cluster defeats
+    //    its L2 redundancy.
     let placement = trace.layout.app_placement();
     let scenario = FaultScenario::at(100).l1_cluster_of(Rank(0)).build();
     println!("\nscenario: lose the L1 cluster of rank 0 at iteration 100");

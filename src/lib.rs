@@ -18,7 +18,7 @@
 //! | [`cluster`] | **the paper's contribution**: naïve / size-guided / distributed / hierarchical clustering + the 4-D evaluator and §III baseline |
 //! | [`reliability`] | failure-event distributions and the catastrophic-failure probability model of \[3\] |
 //! | [`telemetry`] | zero-dependency observability: counters, histograms, failure/recovery event journal, JSON export, [`HcftError`](telemetry::HcftError) |
-//! | [`core`] | the wired-together framework: §V traced experiment and the end-to-end failure drill |
+//! | [`core`] | the wired-together framework: §V traced experiment, Monte-Carlo campaign and the live kill-and-replay engine |
 //! | [`service`] | always-on HTTP evaluation service: traced-matrix cache + concurrent strategy-family fan-out (`repro serve`) |
 //!
 //! ## Quickstart
@@ -59,9 +59,8 @@ pub use hcft_tsunami as tsunami;
 ///
 /// Covers the full fault-injection surface: describe a failure once with
 /// [`FaultScenario`](hcft_core::scenario::FaultScenario), then hand it to
-/// the lockstep [`LockstepDrill`](hcft_core::drill::LockstepDrill), the
-/// live [`ReplayEngine`](hcft_core::replay::ReplayEngine), or campaign
-/// analysis.
+/// the live [`ReplayEngine`](hcft_core::replay::ReplayEngine) — alone or
+/// as one of a sequence — or to campaign analysis.
 pub mod prelude {
     pub use hcft_checkpoint::Level as CheckpointLevel;
     pub use hcft_checkpoint::{CheckpointStore, Level, MultilevelCheckpointer};
@@ -74,7 +73,6 @@ pub mod prelude {
         simulate_campaign, simulate_campaign_stats, CampaignConfig, CampaignGrid, CampaignOutcome,
         CampaignStats, CiTarget, GridStrategy, StopRule,
     };
-    pub use hcft_core::drill::{DrillConfig, LockstepDrill};
     pub use hcft_core::experiment::{run_traced_job, TraceResult, TracedJobConfig};
     pub use hcft_core::replay::{
         Heat3dWorkload, ReplayConfig, ReplayEngine, ReplayOutcome, ReplayWorkload, TsunamiWorkload,

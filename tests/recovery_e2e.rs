@@ -1,6 +1,9 @@
 //! End-to-end recovery scenarios across the whole stack: checkpointing,
 //! erasure coding, message logging, rollback and replay, under different
-//! clustering schemes and failure patterns.
+//! clustering schemes and failure patterns — one failure or several in
+//! one run, always through the live [`ReplayEngine`] and always judged
+//! by an oracle that shares nothing with it: the single-domain
+//! [`SequentialSim`].
 
 use hcft::prelude::*;
 use hcft::tsunami::sequential::SequentialSim;
@@ -34,6 +37,7 @@ fn chain_graph(nodes: usize) -> WeightedGraph {
     WeightedGraph::from_comm_matrix(&m)
 }
 
+/// L1 clusters of four consecutive nodes, L2 groups inside them.
 fn hier_scheme(placement: &Placement) -> ClusteringScheme {
     hierarchical(
         placement,
@@ -47,70 +51,200 @@ fn hier_scheme(placement: &Placement) -> ClusteringScheme {
     )
 }
 
-fn reference(grid: (usize, usize), iters: u64) -> Vec<f64> {
-    let mut seq = SequentialSim::new(TsunamiParams::stable(grid.0, grid.1));
+/// Every world here solves the same 32 × 32 basin.
+fn params() -> TsunamiParams {
+    TsunamiParams::stable(32, 32)
+}
+
+/// A tsunami engine on a scoped registry, encoded checkpoints every
+/// `cadence` iterations. One `run`/`run_sequence` per engine: the
+/// checkpoint store under `dir` is stateful.
+fn engine(
+    dir: &TempDir,
+    placement: Placement,
+    scheme: ClusteringScheme,
+    cadence: u64,
+) -> ReplayEngine<TsunamiWorkload> {
+    let mut cfg = ReplayConfig::new(dir.0.clone());
+    cfg.checkpoint_every = cadence;
+    ReplayEngine::with_telemetry(
+        TsunamiWorkload::new(params()),
+        placement,
+        scheme,
+        cfg,
+        Registry::new(),
+    )
+}
+
+/// 16 nodes × 4 ranks under [`hier_scheme`].
+fn hier_engine(dir: &TempDir, cadence: u64) -> ReplayEngine<TsunamiWorkload> {
+    let placement = Placement::block(16, 4);
+    let scheme = hier_scheme(&placement);
+    engine(dir, placement, scheme, cadence)
+}
+
+/// The oracle: the global η field of the sequential solver.
+fn oracle(iters: u64) -> Vec<f64> {
+    let mut seq = SequentialSim::new(params());
     seq.run(iters);
     seq.eta
+}
+
+/// Per-rank payloads reassembled into the global η field.
+fn eta(payloads: &[Vec<u8>]) -> Vec<f64> {
+    TsunamiWorkload::new(params())
+        .global_eta(payloads)
+        .expect("well-formed payloads")
+}
+
+#[test]
+fn replay_engine_and_sequential_oracle_agree_bit_for_bit() {
+    // The engine's own `reference()` shares runtime and workload code
+    // with the recovered run; the sequential solver shares neither.
+    let dir = TempDir::new();
+    let eng = hier_engine(&dir, 5);
+    for k in [1, 12, 20] {
+        assert_eq!(
+            eta(&eng.reference(k)),
+            oracle(k),
+            "uninterrupted run diverges from the sequential solver after {k} steps"
+        );
+    }
+    let out = eng
+        .run(&FaultScenario::node_loss(NodeId(5), 13), 20)
+        .expect("recover");
+    assert_eq!(out.restart_set.len(), 16, "one L1 cluster of 4 nodes");
+    assert_eq!(eta(&out.final_state), oracle(20));
 }
 
 #[test]
 fn repeated_failures_across_epochs() {
     let dir = TempDir::new();
-    let placement = Placement::block(16, 4);
-    let grid = (48, 48);
-    let mut drill = LockstepDrill::new(
-        placement,
-        hier_scheme(&Placement::block(16, 4)),
-        DrillConfig {
-            grid,
-            checkpoint_every: 6,
-            level: Level::Encoded,
-            store_root: dir.0.clone(),
-        },
-    )
-    .expect("drill");
+    let eng = hier_engine(&dir, 6);
     // Failure in epoch 1, recover, run on; failure in epoch 3; etc.
-    let mut kill_nodes = [3u32, 9, 14].iter();
-    for target in [8u64, 20, 29] {
-        let node = *kill_nodes.next().expect("plan");
-        drill
-            .inject(&FaultScenario::node_loss(NodeId(node), target))
-            .expect("kill");
-        drill.recover().expect("recover");
+    let plan = [(3u32, 8u64), (9, 20), (14, 29)];
+    let scenarios: Vec<FaultScenario> = plan
+        .iter()
+        .map(|&(node, at)| FaultScenario::node_loss(NodeId(node), at))
+        .collect();
+    let outs = eng.run_sequence(&scenarios, 40).expect("recover thrice");
+    assert_eq!(outs.len(), 3);
+    for (i, (out, &(node, at))) in outs.iter().zip(&plan).enumerate() {
+        assert_eq!(out.scenario_phase, at);
+        assert_eq!(out.failed_nodes, vec![NodeId(node)]);
+        assert_eq!(out.restart_set.len(), 16);
+        assert_eq!(out.recovered_phase, at / 6 * 6);
+        // Earlier outcomes hold the world at their recovered frontier.
+        let shown = if i + 1 == plan.len() { 40 } else { at };
         assert_eq!(
-            drill.global_eta(),
-            reference(grid, target),
-            "divergence after failure of node {node} at iteration {target}"
+            eta(&out.final_state),
+            oracle(shown),
+            "divergence after failure of node {node} at iteration {at}"
         );
     }
-    drill.run_to(40).expect("finish");
-    assert_eq!(drill.global_eta(), reference(grid, 40));
+}
+
+#[test]
+fn second_failure_in_one_interval_is_fed_from_rerecorded_logs() {
+    // Nodes 2 and 5 sit in adjacent L1 clusters (ranks 0..16 and
+    // 16..32 share a halo boundary) and both die between the
+    // checkpoints at 6 and 12. Cluster 0's catch-up from 6 to 8 cleared
+    // and re-recorded its cross-boundary sends of phases 6 and 7; when
+    // cluster 1 rolls back to 6 two steps later, those re-recorded
+    // entries are what it is fed.
+    let dir = TempDir::new();
+    let eng = hier_engine(&dir, 6);
+    let reference = eng.reference(16);
+    let outs = eng
+        .run_sequence(
+            &[
+                FaultScenario::node_loss(NodeId(2), 8),
+                FaultScenario::node_loss(NodeId(5), 10),
+            ],
+            16,
+        )
+        .expect("recover twice");
+    let [first, second] = &outs[..] else {
+        panic!("two scenarios, two outcomes");
+    };
+    assert_eq!((first.recovered_phase, second.recovered_phase), (6, 6));
+    assert_eq!(first.restart_set, (0..16).map(Rank).collect::<Vec<_>>());
+    assert_eq!(second.restart_set, (16..32).map(Rank).collect::<Vec<_>>());
+    assert!(second.messages_replayed > 0, "second strike fed from logs");
+    assert!(second.report.feasible());
+    assert_eq!(eta(&first.final_state), oracle(8));
+    assert!(second.matches(&reference));
+    assert_eq!(eta(&second.final_state), oracle(16));
+}
+
+#[test]
+fn failure_before_the_first_cadence_point_recovers_from_phase_0() {
+    // Once a proptest regression seed (cadence 6, node 0 killed at 5):
+    // the only complete epoch is the one protecting the initial state.
+    let dir = TempDir::new();
+    let placement = Placement::block(16, 2);
+    let scheme = hier_scheme(&placement);
+    let eng = engine(&dir, placement, scheme, 6);
+    let out = eng
+        .run(&FaultScenario::node_loss(NodeId(0), 5), 35)
+        .expect("recover");
+    assert_eq!(out.recovered_phase, 0, "the phase-0 epoch");
+    assert_eq!(out.catchup_steps, 5 * 8);
+    assert_eq!(eta(&out.final_state), oracle(35));
 }
 
 #[test]
 fn simultaneous_failures_in_different_l1_clusters() {
     let dir = TempDir::new();
-    let placement = Placement::block(16, 4);
-    let grid = (32, 32);
-    let mut drill = LockstepDrill::new(
-        placement,
-        hier_scheme(&Placement::block(16, 4)),
-        DrillConfig {
-            grid,
-            checkpoint_every: 5,
-            level: Level::Encoded,
-            store_root: dir.0.clone(),
-        },
-    )
-    .expect("drill");
+    let eng = hier_engine(&dir, 5);
     // Nodes 1 and 13 live in different L1 clusters (chain partition into
     // consecutive quads): both clusters roll back, everything else stays.
-    drill
-        .inject(&FaultScenario::at(9).nodes(&[NodeId(1), NodeId(13)]).build())
-        .expect("kill");
-    let restarted = drill.recover().expect("recover");
-    assert_eq!(restarted.len(), 32, "two L1 clusters of 16 ranks each");
-    assert_eq!(drill.global_eta(), reference(grid, 9));
+    let out = eng
+        .run(&FaultScenario::nodes_loss(&[NodeId(1), NodeId(13)], 9), 12)
+        .expect("recover");
+    assert_eq!(
+        out.restart_set.len(),
+        32,
+        "two L1 clusters of 16 ranks each"
+    );
+    assert_eq!(eta(&out.final_state), oracle(12));
+}
+
+#[test]
+fn restart_set_sizes_follow_the_l1_clustering() {
+    // Nodes 4 and 5 share an L1 cluster and its L2 groups — RS(4,4)
+    // tolerates two lost nodes, and only that cluster restarts.
+    let dir = TempDir::new();
+    let out = hier_engine(&dir, 5)
+        .run(&FaultScenario::nodes_loss(&[NodeId(4), NodeId(5)], 8), 10)
+        .expect("recover");
+    assert_eq!(out.restart_set.len(), 16, "one L1 cluster restarts");
+    assert_eq!(eta(&out.final_state), oracle(10));
+
+    // Node 3's 2 ranks belong to 2 different distributed clusters of 4,
+    // which together span 8 ranks of 16 — the paper's restart
+    // amplification, live.
+    let dir = TempDir::new();
+    let placement = Placement::block(8, 2);
+    let scheme = distributed(&placement, 4);
+    let out = engine(&dir, placement, scheme, 4)
+        .run(&FaultScenario::node_loss(NodeId(3), 6), 8)
+        .expect("recover");
+    assert_eq!(out.restart_set.len(), 8);
+    assert_eq!(eta(&out.final_state), oracle(8));
+}
+
+#[test]
+fn sender_logs_grow_until_a_checkpoint_truncates_them() {
+    let log_memory_at = |phase| {
+        let dir = TempDir::new();
+        hier_engine(&dir, 5)
+            .run(&FaultScenario::node_loss(NodeId(0), phase), 7)
+            .expect("recover")
+            .log_memory_bytes
+    };
+    assert!(log_memory_at(4) > 0, "cross-cluster halos must be logged");
+    assert_eq!(log_memory_at(5), 0, "log GC after the checkpoint at 5");
 }
 
 #[test]
@@ -120,26 +254,14 @@ fn same_node_encoding_clusters_hit_the_catastrophic_path() {
     let dir = TempDir::new();
     let placement = Placement::block(8, 4);
     let scheme = size_guided(32, 4); // 4 consecutive ranks = exactly one node
-    let mut drill = LockstepDrill::new(
-        placement,
-        scheme,
-        DrillConfig {
-            grid: (32, 32),
-            checkpoint_every: 4,
-            level: Level::Encoded,
-            store_root: dir.0.clone(),
-        },
-    )
-    .expect("drill");
     let scenario = FaultScenario::node_loss(NodeId(2), 6);
     assert!(
         scenario
-            .is_catastrophic(&Placement::block(8, 4), drill.scheme(), None)
+            .is_catastrophic(&placement, &scheme, None)
             .expect("in range"),
         "same-node encoding clusters are defeated by one node loss"
     );
-    drill.inject(&scenario).expect("kill");
-    match drill.recover() {
+    match engine(&dir, placement, scheme, 4).run(&scenario, 8) {
         Err(HcftError::Erasure { needed, available }) => {
             assert!(
                 available < needed,
@@ -154,48 +276,45 @@ fn same_node_encoding_clusters_hit_the_catastrophic_path() {
 #[test]
 fn telemetry_journal_narrates_a_kill_rebuild_drill() {
     // The observability cross-checks: one injected failure must produce
-    // exactly one node_failure and one recovery_complete event, the
-    // rebuilt checkpoint bytes must equal the bytes the dead node lost,
-    // and the decode-matrix cache must not miss more often than there
-    // are distinct erasure patterns.
+    // exactly one failure → dead ranks → rebuild → replay → recovery
+    // narrative, the rebuilt checkpoint bytes must equal the bytes the
+    // dead node lost, and the decode-matrix cache must not miss more
+    // often than there are distinct erasure patterns.
     let dir = TempDir::new();
-    let placement = Placement::block(16, 4);
-    let grid = (32, 32);
-    let reg = Registry::new();
-    let mut drill = LockstepDrill::with_telemetry(
-        placement,
-        hier_scheme(&Placement::block(16, 4)),
-        DrillConfig {
-            grid,
-            checkpoint_every: 5,
-            level: Level::Encoded,
-            store_root: dir.0.clone(),
-        },
-        reg.clone(),
-    )
-    .expect("drill");
-    drill
-        .inject(&FaultScenario::node_loss(NodeId(5), 13))
-        .expect("kill");
-    drill.recover().expect("recover");
-    assert_eq!(drill.global_eta(), reference(grid, 13));
-    drill.mark_verified("bit-identical to uninterrupted reference");
+    let eng = hier_engine(&dir, 5);
+    let out = eng
+        .run(&FaultScenario::node_loss(NodeId(5), 13), 15)
+        .expect("recover");
+    assert_eq!(eta(&out.final_state), oracle(15));
 
-    // Exactly one failure/recovery narrative, in causal order.
+    let reg = eng.telemetry();
     let journal = reg.journal();
-    let failures = journal.events_of(EventKind::NodeFailure);
-    let recoveries = journal.events_of(EventKind::RecoveryComplete);
-    assert_eq!(failures.len(), 1, "one injected failure");
-    assert_eq!(recoveries.len(), 1, "one completed recovery");
-    assert_eq!(journal.events_of(EventKind::DeadRanks).len(), 1);
-    assert_eq!(journal.events_of(EventKind::RebuildComplete).len(), 1);
-    assert_eq!(journal.events_of(EventKind::ReplayComplete).len(), 1);
-    assert_eq!(journal.events_of(EventKind::Verified).len(), 1);
-    assert!(failures[0].wall_ns <= recoveries[0].wall_ns);
-    assert_eq!(failures[0].virt, 13, "failure injected at phase 13");
+    let narrative: Vec<_> = [
+        EventKind::NodeFailure,
+        EventKind::DeadRanks,
+        EventKind::RebuildComplete,
+        EventKind::ReplayComplete,
+        EventKind::RecoveryComplete,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let events = journal.events_of(kind);
+        assert_eq!(events.len(), 1, "exactly one {kind:?} event");
+        events[0].clone()
+    })
+    .collect();
+    assert!(
+        narrative.windows(2).all(|w| w[0].wall_ns <= w[1].wall_ns),
+        "journal out of causal order: {narrative:?}"
+    );
+    assert_eq!(narrative[0].virt, 13, "failure injected at phase 13");
 
     // The rebuilt checkpoint payloads equal what the dead node lost.
-    let lost = reg.counter("drill.lost_checkpoint_bytes").get();
+    let lost: u64 = out
+        .failed_ranks
+        .iter()
+        .map(|r| out.final_state[r.idx()].len() as u64)
+        .sum();
     let rebuilt = reg.counter("checkpoint.rebuilt_payload_bytes").get();
     assert!(lost > 0, "the dead node held checkpointed state");
     assert_eq!(rebuilt, lost, "rebuilt bytes == lost checkpoint bytes");
@@ -204,11 +323,9 @@ fn telemetry_journal_narrates_a_kill_rebuild_drill() {
     // is one pattern per L2 group, and every group in the failed L1
     // cluster shares the same member-index pattern.
     let misses = reg.counter("checkpoint.decode_cache.misses").get();
-    assert!(misses >= 1, "at least one decode matrix was built");
-    assert!(
-        misses <= 1,
-        "one erasure pattern must build at most one decode matrix \
-         per distinct (pattern, code) pair, got {misses} misses"
+    assert_eq!(
+        misses, 1,
+        "one erasure pattern builds exactly one decode matrix"
     );
 }
 
@@ -228,37 +345,6 @@ fn pfs_level_checkpoint_rescues_the_catastrophic_case() {
     assert_eq!(recovered, payloads);
 }
 
-#[test]
-fn drill_and_mpi_solver_agree_bit_for_bit() {
-    // The lockstep drill and the threaded message-passing solver share
-    // the kernel; a run without failures must produce identical fields.
-    let dir = TempDir::new();
-    let placement = Placement::block(4, 4);
-    let grid = (32, 32);
-    let mut drill = LockstepDrill::new(
-        placement,
-        naive(16, 4),
-        DrillConfig {
-            grid,
-            checkpoint_every: 0,
-            level: Level::Encoded,
-            store_root: dir.0.clone(),
-        },
-    )
-    .expect("drill");
-    drill.run_to(20).expect("run");
-    let lockstep_eta = drill.global_eta();
-    let mpi_eta = World::run(16, move |c| {
-        let mut sim = TsunamiSim::new(c, TsunamiParams::stable(32, 32));
-        sim.run(20);
-        sim.gather_global_eta()
-    })
-    .outputs
-    .remove(0)
-    .expect("rank 0 gathers");
-    assert_eq!(lockstep_eta, mpi_eta);
-}
-
 mod drill_fuzz {
     use super::*;
     use proptest::prelude::*;
@@ -266,46 +352,36 @@ mod drill_fuzz {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// Random failure scenarios: arbitrary checkpoint cadence, kill
-        /// times and victim nodes — the recovered field must always equal
-        /// the uninterrupted reference, bit for bit.
+        /// Random failure sequences: arbitrary checkpoint cadence, kill
+        /// times and victim nodes — the world at every recovered frontier
+        /// and at the end must equal the sequential solver, bit for bit.
         #[test]
         fn random_failure_scenarios_recover_exactly(
             cadence in 3u64..8,
             kills in proptest::collection::vec((5u64..30, 0u32..16), 1..4),
         ) {
             let dir = TempDir::new();
-            let placement = Placement::block(16, 2);
-            let grid = (32, 32);
-            let mut drill = LockstepDrill::new(
-                placement,
-                hier_scheme(&Placement::block(16, 2)),
-                DrillConfig {
-                    grid,
-                    checkpoint_every: cadence,
-                    level: Level::Encoded,
-                    store_root: dir.0.clone(),
-                },
-            )
-            .expect("drill");
+                    let placement = Placement::block(16, 2);
+            let scheme = hier_scheme(&placement);
+            let eng = engine(&dir, placement, scheme, cadence);
             let mut kills = kills;
             kills.sort();
-            for (at, node) in kills {
-                let at = at.max(drill.phase());
-                drill
-                    .inject(&FaultScenario::node_loss(NodeId(node), at))
-                    .expect("kill");
-                drill.recover().expect("recover");
+            kills.dedup_by_key(|&mut (at, _)| at);
+            let scenarios: Vec<FaultScenario> = kills
+                .iter()
+                .map(|&(at, node)| FaultScenario::node_loss(NodeId(node), at))
+                .collect();
+            let outs = eng.run_sequence(&scenarios, 35).expect("recover");
+            for (i, (out, &(at, node))) in outs.iter().zip(&kills).enumerate() {
+                let shown = if i + 1 == outs.len() { 35 } else { at };
                 prop_assert_eq!(
-                    drill.global_eta(),
-                    reference(grid, drill.phase()),
+                    eta(&out.final_state),
+                    oracle(shown),
                     "divergence after killing node {} at {}",
                     node,
                     at
                 );
             }
-            drill.run_to(35).expect("finish");
-            prop_assert_eq!(drill.global_eta(), reference(grid, 35));
         }
     }
 }
