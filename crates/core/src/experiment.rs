@@ -12,6 +12,12 @@
 //!   to their node's encoder,
 //! * isolated encoder↔encoder points from the ring-structured parity
 //!   accumulation inside each encoding group of nodes.
+//!
+//! [`run_traced_job`] traces a two-step prefix of that job and scales it
+//! whenever the prefix proves periodic (DESIGN.md §19, "Composed
+//! traces"); [`run_traced_world`] always runs the whole job.
+
+mod compose;
 
 use std::sync::Arc;
 
@@ -21,7 +27,7 @@ use hcft_cluster::{
 };
 use hcft_graph::{CommMatrix, WeightedGraph};
 use hcft_simmpi::{Engine, World, WorldConfig};
-use hcft_telemetry::HcftError;
+use hcft_telemetry::{HcftError, Registry};
 use hcft_topology::{JobLayout, Role};
 use hcft_tsunami::{TsunamiParams, TsunamiSim};
 use rayon::prelude::*;
@@ -498,51 +504,96 @@ pub fn run_traced_world(cfg: &TracedJobConfig) -> TracedWorld {
 }
 
 /// Run the instrumented job and return its communication matrices.
+///
+/// Without an event log and past two iterations, this traces one short
+/// prefix world (two steps, two checkpoint rounds) and composes the
+/// full matrix from it — byte-identical to the whole run, about a third
+/// of its cost. A prefix that is not periodic, an event-logged job or a
+/// job of at most two steps runs the whole world. The global
+/// `core.trace.composed` and `core.trace.full_runs` counters record
+/// which path built each trace.
 pub fn run_traced_job(cfg: &TracedJobConfig) -> TraceResult {
-    let TracedWorld {
-        layout,
-        process_grid,
-        trace,
-    } = run_traced_world(cfg);
-    let full = trace.byte_matrix();
-    let app_ranks = layout.application_ranks();
-    let app = full.project(&app_ranks);
-    // Translate the raw event streams (global ranks) into application
-    // rank space, dropping traffic that touches encoder ranks.
-    let app_events = if cfg.record_events {
-        trace
-            .take_events()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(src, stream)| {
-                layout
-                    .global_to_app(hcft_topology::Rank::from(src))
-                    .map(|app_src| {
-                        stream
-                            .into_iter()
-                            .filter_map(|e| {
-                                let dst = layout.global_to_app(hcft_topology::Rank(e.dst))?;
-                                Some(hcft_msglog::MsgEvent {
-                                    src: app_src as u32,
-                                    dst: dst as u32,
-                                    bytes: e.bytes,
-                                    phase: e.phase,
-                                })
-                            })
-                            .collect::<Vec<_>>()
-                    })
-            })
-            .collect()
-    } else {
-        Vec::new()
+    let reg = Registry::global();
+    let composed = reg.counter("core.trace.composed");
+    let full_runs = reg.counter("core.trace.full_runs");
+    let layout = cfg.layout();
+    let prefix = (!cfg.record_events && cfg.iterations > 2)
+        .then(|| compose_from_prefix(cfg))
+        .flatten();
+    let (full, app_events) = match prefix {
+        Some(full) => {
+            composed.inc();
+            (full, Vec::new())
+        }
+        None => {
+            full_runs.inc();
+            // Without `record_events` the recorder keeps no log and
+            // `take_events` is empty.
+            let trace = run_traced_world(cfg).trace;
+            (
+                trace.byte_matrix(),
+                app_events(&layout, trace.take_events()),
+            )
+        }
     };
+    let app = full.project(&layout.application_ranks());
     TraceResult {
         layout,
-        process_grid,
+        process_grid: cfg.process_grid(),
         full,
         app,
         app_events,
     }
+}
+
+/// The byte matrix of `cfg`'s job composed from a prefix world of two
+/// steps and — when the job checkpoints at all — two rounds, or `None`
+/// when the prefix is not periodic.
+fn compose_from_prefix(cfg: &TracedJobConfig) -> Option<CommMatrix> {
+    let rounds = if cfg.with_encoders && cfg.checkpoint_every > 0 {
+        cfg.iterations / cfg.checkpoint_every
+    } else {
+        0
+    };
+    let prefix = TracedJobConfig {
+        iterations: 2,
+        checkpoint_every: u64::from(rounds > 0),
+        record_events: true,
+        ..cfg.clone()
+    };
+    let events = run_traced_world(&prefix).trace.take_events();
+    let ring_steps = cfg.encoder_group_nodes.saturating_sub(1);
+    compose::compose(&events, cfg.iterations, rounds, ring_steps).ok()
+}
+
+/// Translate raw event streams (global ranks) into application rank
+/// space, dropping traffic that touches encoder ranks.
+fn app_events(
+    layout: &JobLayout,
+    events: Vec<Vec<hcft_simmpi::MessageEvent>>,
+) -> Vec<Vec<hcft_msglog::MsgEvent>> {
+    events
+        .into_iter()
+        .enumerate()
+        .filter_map(|(src, stream)| {
+            layout
+                .global_to_app(hcft_topology::Rank::from(src))
+                .map(|app_src| {
+                    stream
+                        .into_iter()
+                        .filter_map(|e| {
+                            let dst = layout.global_to_app(hcft_topology::Rank(e.dst))?;
+                            Some(hcft_msglog::MsgEvent {
+                                src: app_src as u32,
+                                dst: dst as u32,
+                                bytes: e.bytes,
+                                phase: e.phase,
+                            })
+                        })
+                        .collect()
+                })
+        })
+        .collect()
 }
 
 fn run_app_rank(
@@ -630,8 +681,11 @@ fn run_encoder_rank(
             // the fast half of mixed workloads, and yielding here keeps
             // them from starving co-located app ranks (and vice versa).
             hcft_simmpi::maybe_yield();
-            // Accumulate with a non-trivial coefficient, as RS would.
-            hcft_erasure::gf256::mul_acc(&mut parity, &got, (step + 2) as u8);
+            // Accumulate with a non-trivial coefficient, as RS would. An
+            // uneven decomposition gives the group's nodes different
+            // checkpoint sizes, hence blocks: accumulate the overlap.
+            let n = parity.len().min(got.len());
+            hcft_erasure::gf256::mul_acc(&mut parity[..n], &got[..n], (step + 2) as u8);
             travelling = Some(got);
         }
         if let Some(b) = travelling {

@@ -1,9 +1,9 @@
 //! The traced-matrix cache behind the always-on evaluation service.
 //!
-//! Tracing the communication matrix is the most expensive input to a
-//! scheme comparison (the ledger's `core.trace_job_share_pct`: ≈ 72 % of
-//! a 347 ms cold paper-machine evaluate, against ≈ 32 % for the family
-//! sweep, of which `p_catastrophic` alone is ≈ 28 %), and it is a pure
+//! Tracing the communication matrix is an expensive input to a scheme
+//! comparison (≈ 40 % of a cold paper-machine evaluate on the ledger
+//! even though [`run_traced_job`] composes it from a two-step prefix
+//! world; the family sweep is the rest), and it is a pure
 //! function of the trace-affecting [`TracedJobConfig`] fields — the
 //! scheduler-determinism suite proves the bytes identical across
 //! engines, worker counts, stealing and preemption. So the service

@@ -9,7 +9,12 @@
 //! * `GET /healthz` — liveness probe, `200 ok`;
 //! * `GET /evaluate?nodes=..&ppn=..[&iters=..&ck=..&families=table2|full]`
 //!   — the ranked scheme comparison (deterministic JSON; `400` on a
-//!   malformed query, so a typo never silently returns a default);
+//!   malformed query, so a typo never silently returns a default, and on
+//!   a job past [`MAX_RANKS`](crate::request::MAX_RANKS) = 4 096 ranks
+//!   counting encoders, `nodes × (ppn+1)`, or past
+//!   [`MAX_ITERATIONS`](crate::request::MAX_ITERATIONS) = 10⁶
+//!   iterations, so one request can neither exhaust memory nor hold a
+//!   worker for weeks);
 //! * `GET /cache` — trace-cache + response-memo counters as JSON;
 //! * `GET /metrics` — the full process-global telemetry snapshot.
 //!
@@ -269,9 +274,20 @@ mod tests {
         let (head, metrics) = get(addr, "/metrics");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(metrics.contains("service.memo.hits"), "{metrics}");
+        assert!(metrics.contains("core.trace.composed"), "{metrics}");
 
         let (head, _) = get(addr, "/evaluate?nodes=2&ppn=2&bogus=1");
         assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+
+        // Oversized jobs are refused before anything is allocated or
+        // traced, and the server keeps serving.
+        for query in ["nodes=100000&ppn=16", "nodes=2&ppn=2&iters=4000000000"] {
+            let (head, body) = get(addr, &format!("/evaluate?{query}"));
+            assert!(head.starts_with("HTTP/1.1 400"), "{query}: {head}");
+            assert!(body.contains("more than"), "{query}: {body}");
+        }
+        let (head, _) = get(addr, "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
 
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");

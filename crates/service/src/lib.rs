@@ -14,8 +14,8 @@
 //! deterministic JSON. Three layers make it fast and repeatable:
 //!
 //! * the **trace cache** ([`hcft_core::trace_cache::TraceCache`]):
-//!   tracing the communication matrix dominates a cold request by ~20×;
-//!   results are cached behind `Arc` keyed by the stable
+//!   tracing the communication matrix is about 40 % of a cold
+//!   request; results are cached behind `Arc` keyed by the stable
 //!   [`TracedJobConfig::content_hash`](hcft_core::TracedJobConfig::content_hash),
 //!   with single-flight coalescing and deterministic LRU eviction;
 //! * the **family fan-out**

@@ -4,6 +4,16 @@
 use hcft_core::{SchemeFamilySpec, TracedJobConfig};
 use hcft_telemetry::HcftError;
 
+/// Most ranks a request may trace, encoders included
+/// (`nodes × (ppn + 1)`): the trace recorder's dense threshold. Every
+/// traced job holds dense `n²` matrices, so a larger machine would ask
+/// the allocator for gigabytes and abort the server when refused.
+pub const MAX_RANKS: usize = 4096;
+
+/// Most solver iterations a request may trace: a bound on how long one
+/// cold request can hold a worker and its single-flight cache entry.
+pub const MAX_ITERATIONS: u64 = 1_000_000;
+
 /// Which strategy-family grid a request sweeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FamilySelect {
@@ -95,6 +105,19 @@ impl EvalRequest {
         let nodes =
             nodes.ok_or_else(|| HcftError::Config("missing required parameter nodes".into()))?;
         let ppn = ppn.ok_or_else(|| HcftError::Config("missing required parameter ppn".into()))?;
+        let ranks = ppn
+            .checked_add(1)
+            .and_then(|per_node| nodes.checked_mul(per_node));
+        if ranks.is_none_or(|r| r > MAX_RANKS) {
+            return Err(HcftError::Config(format!(
+                "nodes={nodes}&ppn={ppn} is more than {MAX_RANKS} ranks with encoders"
+            )));
+        }
+        if let Some(it) = iterations.filter(|&it| it > MAX_ITERATIONS) {
+            return Err(HcftError::Config(format!(
+                "iters={it} is more than {MAX_ITERATIONS}"
+            )));
+        }
         Ok(EvalRequest {
             nodes,
             ppn,
@@ -165,6 +188,20 @@ mod tests {
         assert!(EvalRequest::from_query("ppn=2").is_err());
         assert!(EvalRequest::from_query("nodes=four&ppn=2").is_err());
         assert!(EvalRequest::from_query("nodes=4&ppn=2&families=best").is_err());
+    }
+
+    #[test]
+    fn bounds_the_machine_size_and_iteration_count() {
+        // 256 × (15 + 1) = 4096 ranks is the largest machine accepted.
+        assert!(EvalRequest::from_query("nodes=256&ppn=15").is_ok());
+        assert!(EvalRequest::from_query("nodes=257&ppn=15").is_err());
+        assert!(EvalRequest::from_query("nodes=100000&ppn=16").is_err());
+        // nodes × (ppn + 1) overflowing usize is too large, not a panic.
+        let huge = format!("nodes={}&ppn={}", usize::MAX, usize::MAX);
+        assert!(EvalRequest::from_query(&huge).is_err());
+        assert!(EvalRequest::from_query("nodes=4&ppn=2&iters=1000000").is_ok());
+        let err = EvalRequest::from_query("nodes=4&ppn=2&iters=4000000000").unwrap_err();
+        assert!(matches!(err, HcftError::Config(_)), "{err}");
     }
 
     #[test]

@@ -26,12 +26,13 @@ struct MemoInner {
 /// cache plus an LRU memo of fully rendered responses.
 ///
 /// Two tiers because they save different work: a trace-cache hit skips
-/// the traced run (≈ 72 % of a cold paper-machine request on the ledger)
-/// but still recomputes the strategy sweep (≈ 32 %, `p_catastrophic`
-/// alone ≈ 28 %); a memo hit returns the stored bytes outright. Both
-/// tiers are deterministic, so a response is byte-identical whether it
-/// came cold, trace-warm or memo-warm — the sweep itself is an
-/// order-preserving rayon fold, identical at any thread count.
+/// the traced job (≈ 40 % of a cold paper-machine request on the
+/// ledger, composed from a two-step prefix world) but still recomputes
+/// the strategy sweep (≈ 60 %, most of it `p_catastrophic`); a memo hit
+/// returns the stored bytes outright. Both tiers are deterministic, so a
+/// response is byte-identical whether it came cold, trace-warm or
+/// memo-warm — the sweep itself is an order-preserving rayon fold,
+/// identical at any thread count.
 pub struct EvalService {
     traces: TraceCache,
     memo: Mutex<MemoInner>,
@@ -243,6 +244,7 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcft_core::TracedJobConfig;
 
     fn req(q: &str) -> EvalRequest {
         EvalRequest::from_query(q).unwrap()
@@ -277,6 +279,30 @@ mod tests {
         assert_eq!(trace_hits, 1, "family switch reuses the trace");
         assert_ne!(&*t2, &*full, "different sweeps, different bodies");
         assert_eq!(svc.memo_stats(), (0, 2));
+    }
+
+    #[test]
+    fn cold_paper_evaluate_composes_and_event_logged_jobs_run_whole() {
+        let reg = Registry::global();
+        let composed = reg.counter("core.trace.composed");
+        let full_runs = reg.counter("core.trace.full_runs");
+        let (c0, f0) = (composed.get(), full_runs.get());
+        let svc = EvalService::new(1, 1);
+        svc.evaluate(&req("nodes=64&ppn=16&iters=100")).unwrap();
+        assert!(composed.get() > c0, "the paper-shape trace was composed");
+        // No other test in this crate traces a job the composition
+        // refuses, so the whole-run count moves only here.
+        assert_eq!(full_runs.get(), f0, "the paper shape ran no whole world");
+        let logged = TracedJobConfig {
+            record_events: true,
+            ..TracedJobConfig::small(2, 2)
+        };
+        assert!(!svc
+            .trace_cache()
+            .get_or_trace(&logged)
+            .app_events
+            .is_empty());
+        assert_eq!(full_runs.get(), f0 + 1, "an event log needs the whole run");
     }
 
     #[test]

@@ -46,6 +46,21 @@ fn trace_csv(t: &TraceResult) -> String {
     out
 }
 
+/// The whole 50-step traced world, never the composed prefix of
+/// `run_traced_job`: the axis below must see every step's interleaving.
+fn full_world(cfg: &TracedJobConfig) -> TraceResult {
+    let world = run_traced_world(cfg);
+    let full = world.trace.byte_matrix();
+    let app = full.project(&world.layout.application_ranks());
+    TraceResult {
+        layout: world.layout,
+        process_grid: world.process_grid,
+        full,
+        app,
+        app_events: Vec::new(),
+    }
+}
+
 #[test]
 fn traced_csvs_identical_across_workers_and_engines() {
     let job = |workers: usize, engine: Engine, steal: bool, budget: u32, shards: usize| {
@@ -55,10 +70,15 @@ fn traced_csvs_identical_across_workers_and_engines() {
         cfg.steal = Some(steal);
         cfg.yield_budget = Some(budget);
         cfg.mailbox_shards = shards;
-        run_traced_job(&cfg)
+        full_world(&cfg)
     };
     let reference = trace_csv(&job(1, Engine::Tasks, false, 0, 0));
     assert!(reference.lines().count() > 2, "reference trace is empty");
+    assert_eq!(
+        trace_csv(&run_traced_job(&TracedJobConfig::small(4, 2))),
+        reference,
+        "the composed trace differs from the whole run"
+    );
     for workers in worker_counts() {
         for steal in [false, true] {
             // Budget 0 disables preemption; 7 forces frequent mid-tile
