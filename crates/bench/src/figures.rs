@@ -950,7 +950,7 @@ pub fn campaign_grid(scale: Scale) -> Artifact {
 /// stencil) and check the same verdicts hold.
 pub fn heat3d(scale: Scale) -> Artifact {
     use hcft_simmpi::{World, WorldConfig};
-    use hcft_tsunami::heat3d::{run_heat3d, Heat3dParams};
+    use hcft_tsunami::heat3d::{Heat3dParams, Heat3dState};
     // Match the scale's node/rank shape.
     let job = scale.job();
     let (nodes, ppn) = (job.nodes, job.app_per_node);
@@ -966,7 +966,10 @@ pub fn heat3d(scale: Scale) -> Artifact {
     };
     eprintln!("[repro] tracing 3-D heat workload ({nprocs} ranks)…");
     let result = World::run_with(nprocs, world_cfg, move |c| {
-        run_heat3d(c, &params, 50);
+        let mut st = Heat3dState::new(&params, c.size(), c.rank());
+        for _ in 0..50 {
+            st.step(c);
+        }
     });
     let matrix = result.trace.byte_matrix();
     let placement = Placement::block(nodes, ppn);

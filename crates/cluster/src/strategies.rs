@@ -232,6 +232,20 @@ impl Default for HierarchicalConfig {
     }
 }
 
+impl HierarchicalConfig {
+    /// How many L1 clusters `nodes` nodes split into: the largest `k`
+    /// with `k·min ≤ nodes ≤ k·max`, or `None` when no `k` fits (five
+    /// nodes in clusters of exactly four, say). This is the part count
+    /// the multilevel engine partitions into.
+    pub fn l1_parts(&self, nodes: usize) -> Option<usize> {
+        let k = nodes / self.min_nodes_per_l1.max(1);
+        let fits = k
+            .checked_mul(self.max_nodes_per_l1)
+            .is_none_or(|most| most >= nodes);
+        (k >= 1 && fits).then_some(k)
+    }
+}
+
 /// §IV-B — the hierarchical clustering.
 ///
 /// 1. Build the node partition minimising cut traffic on `node_graph`
@@ -261,12 +275,9 @@ pub fn hierarchical(
     let bounds = SizeBounds::new(cfg.min_nodes_per_l1 as u64, cfg.max_nodes_per_l1 as u64);
     let node_part = match cfg.engine {
         PartitionEngine::Multilevel => {
-            let k = (nodes / cfg.min_nodes_per_l1).max(1);
-            // Feasibility: relax k until k·min ≤ nodes ≤ k·max.
-            let mut k = k.min(nodes / cfg.min_nodes_per_l1.max(1)).max(1);
-            while k > 1 && (k * cfg.min_nodes_per_l1 > nodes || nodes > k * cfg.max_nodes_per_l1) {
-                k -= 1;
-            }
+            // Infeasible bounds fall through to k = 1 and the
+            // partitioner's panic; `strategy::Hierarchical` refuses them.
+            let k = cfg.l1_parts(nodes).unwrap_or(1);
             MultilevelPartitioner::new(MultilevelConfig::new(k, bounds)).partition(node_graph)
         }
         PartitionEngine::Modularity => modularity_clusters(node_graph, bounds),

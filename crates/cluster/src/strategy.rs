@@ -146,10 +146,10 @@ impl ClusteringStrategy for Hierarchical {
                 self.cfg.max_nodes_per_l1, self.cfg.min_nodes_per_l1
             )));
         }
-        if nodes < self.cfg.min_nodes_per_l1 {
+        if self.cfg.l1_parts(nodes).is_none() {
             return Err(HcftError::Partition(format!(
-                "{nodes} nodes cannot form an L1 cluster of >= {}",
-                self.cfg.min_nodes_per_l1
+                "{nodes} nodes do not split into L1 clusters of {}..={} nodes",
+                self.cfg.min_nodes_per_l1, self.cfg.max_nodes_per_l1
             )));
         }
         Ok(strategies::hierarchical(
@@ -343,5 +343,29 @@ mod tests {
             Hierarchical::default().build(&ctx),
             Err(HcftError::Partition(_))
         ));
+    }
+
+    #[test]
+    fn bounds_no_part_count_fits_are_a_partition_error() {
+        // 5 nodes: one cluster of 4 leaves one over, two need 8.
+        let placement = Placement::block(5, 2);
+        let graph = chain_graph(5);
+        let ctx = StrategyContext {
+            placement: &placement,
+            node_graph: &graph,
+        };
+        let exactly_four = Hierarchical {
+            cfg: HierarchicalConfig {
+                min_nodes_per_l1: 4,
+                max_nodes_per_l1: 4,
+                ..HierarchicalConfig::default()
+            },
+        };
+        assert!(matches!(
+            exactly_four.build(&ctx),
+            Err(HcftError::Partition(_))
+        ));
+        // The default 4..=8 bounds take all five nodes as one cluster.
+        assert!(Hierarchical::default().build(&ctx).is_ok());
     }
 }

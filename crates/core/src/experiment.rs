@@ -29,7 +29,7 @@ use hcft_graph::{CommMatrix, WeightedGraph};
 use hcft_simmpi::{Engine, World, WorldConfig};
 use hcft_telemetry::{HcftError, Registry};
 use hcft_topology::{JobLayout, Role};
-use hcft_tsunami::{TsunamiParams, TsunamiSim};
+use hcft_tsunami::{RankState, TsunamiParams};
 use rayon::prelude::*;
 
 /// Tag for application→encoder checkpoint pushes (world communicator).
@@ -266,7 +266,8 @@ pub struct TracedJobConfigBuilder {
 impl TracedJobConfigBuilder {
     fn new(nodes: usize, app_per_node: usize) -> Self {
         let nprocs = nodes * app_per_node;
-        let (px, py) = if nprocs >= 4 {
+        // Two rows only when they tile the ranks; an odd count is one row.
+        let (px, py) = if nprocs >= 4 && nprocs.is_multiple_of(2) {
             (nprocs / 2, 2)
         } else {
             (nprocs.max(1), 1)
@@ -602,11 +603,12 @@ fn run_app_rank(
     layout: &JobLayout,
     cfg: &TracedJobConfig,
 ) {
-    let mut sim = TsunamiSim::new(app_comm, cfg.tsunami_params());
+    let params = cfg.tsunami_params();
+    let mut st = RankState::new(&params, app_comm.size(), app_comm.rank());
     let my_node = layout.node_of(hcft_topology::Rank::from(world.rank()));
     let encoder_world = my_node.idx() * layout.ranks_per_node();
     for it in 1..=cfg.iterations {
-        sim.step();
+        st.step(&params, app_comm);
         if cfg.with_encoders && cfg.checkpoint_every > 0 && it % cfg.checkpoint_every == 0 {
             // FTI writes the checkpoint itself to node-local storage; the
             // MPI traffic to the node's encoder process is only the
@@ -614,7 +616,7 @@ fn run_app_rank(
             // horizontal rows of Fig. 5b). `state_len` knows the payload
             // size without serialising anything.
             let mut note = [0u8; 16];
-            note[..8].copy_from_slice(&(sim.state_len() as u64).to_le_bytes());
+            note[..8].copy_from_slice(&(st.state_len() as u64).to_le_bytes());
             note[8..].copy_from_slice(&it.to_le_bytes());
             world.send_bytes(encoder_world, TAG_CKPT_PUSH, &note);
         }
@@ -833,13 +835,13 @@ impl SchemeFamilySpec {
         let hierarchical: Vec<HierarchicalConfig> =
             [(4usize, 8usize, 4usize), (4, 8, 2), (4, 4, 4), (8, 16, 4)]
                 .into_iter()
-                .filter(|&(min, _, l2g)| nodes >= min && min >= l2g)
                 .map(|(min, max, l2g)| HierarchicalConfig {
                     min_nodes_per_l1: min,
                     max_nodes_per_l1: max,
                     l2_group_nodes: l2g,
                     ..HierarchicalConfig::default()
                 })
+                .filter(|cfg| cfg.l1_parts(nodes).is_some())
                 .collect();
         SchemeFamilySpec {
             naive_sizes,
@@ -1103,5 +1105,29 @@ mod event_tests {
     fn events_are_empty_unless_requested() {
         let t = run_traced_job(&TracedJobConfig::small(4, 2));
         assert!(t.app_events.is_empty());
+    }
+
+    #[test]
+    fn full_family_grids_build_on_every_small_machine() {
+        for nodes in 1..=17 {
+            let mut chain = CommMatrix::new(nodes);
+            for n in 1..nodes {
+                chain.add(n - 1, n, 1);
+                chain.add(n, n - 1, 1);
+            }
+            let node_graph = WeightedGraph::from_comm_matrix(&chain);
+            for ppn in 1..=3 {
+                let placement = hcft_topology::Placement::block(nodes, ppn);
+                let ctx = StrategyContext {
+                    placement: &placement,
+                    node_graph: &node_graph,
+                };
+                for (family, s) in SchemeFamilySpec::for_layout(nodes, ppn).strategies() {
+                    if let Err(e) = s.build(&ctx) {
+                        panic!("{nodes}x{ppn} {family}: {e}");
+                    }
+                }
+            }
+        }
     }
 }

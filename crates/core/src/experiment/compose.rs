@@ -16,8 +16,7 @@
 use hcft_graph::CommMatrix;
 use hcft_simmpi::comm::MAX_USER_TAG;
 use hcft_simmpi::MessageEvent;
-use hcft_tsunami::solver::halo_tag;
-use hcft_tsunami::Dir;
+use hcft_tsunami::solver::is_halo_tag;
 
 use super::{TAG_CKPT_PUSH, TAG_PARITY};
 
@@ -49,7 +48,7 @@ enum Part {
 fn part(tag: u32, ring_steps: usize) -> Option<Part> {
     if tag > MAX_USER_TAG {
         Some(Part::Init)
-    } else if Dir::ALL.into_iter().any(|d| halo_tag(d) == tag) {
+    } else if is_halo_tag(tag) {
         Some(Part::Step)
     } else if tag == TAG_CKPT_PUSH || (TAG_PARITY..TAG_PARITY + ring_steps as u32).contains(&tag) {
         Some(Part::Round)
@@ -114,6 +113,8 @@ pub(super) fn compose(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcft_tsunami::solver::halo_tag;
+    use hcft_tsunami::Dir;
 
     const COLLECTIVE: u32 = MAX_USER_TAG + 1;
 

@@ -47,26 +47,14 @@ use bytes::Bytes;
 use hcft_checkpoint::{CheckpointStore, Level, MultilevelCheckpointer};
 use hcft_cluster::ClusteringScheme;
 use hcft_msglog::{check_replay, HybridProtocol, MsgEvent, ReplayReport, SenderLog};
-use hcft_simmpi::datatype::encode;
 use hcft_simmpi::{Comm, Engine, ReplayFeed, ReplayPlan, World, WorldConfig};
 use hcft_telemetry::{EventKind, HcftError, Registry};
 use hcft_topology::{MachineSpec, NodeId, Placement, Rank};
-use hcft_tsunami::heat3d::{face_tag, Face, Heat3dParams, Heat3dState};
-use hcft_tsunami::solver::halo_tag;
-use hcft_tsunami::{Dir, RankState, TsunamiParams};
+use hcft_tsunami::heat3d::{is_face_tag, Heat3dParams, Heat3dState};
+use hcft_tsunami::solver::is_halo_tag;
+use hcft_tsunami::{HaloLink, RankState, TsunamiParams};
 
 use crate::scenario::{FaultScenario, Injection};
-
-/// The communication surface a [`ReplayWorkload`] step sees: plain
-/// sends and receives of `f64` planes. The engine supplies an
-/// implementation that transparently retains cross-cluster sends in
-/// sender logs, so workloads stay protocol-oblivious.
-pub trait HaloLink {
-    /// Send a halo plane to `dst` on `tag` (buffered, non-blocking).
-    fn send_f64(&mut self, dst: usize, tag: u32, vals: &[f64]);
-    /// Receive a halo plane from `src` on `tag` into `out` (cleared).
-    fn recv_f64(&mut self, src: usize, tag: u32, out: &mut Vec<f64>);
-}
 
 /// A solver the replay engine can run, checkpoint, kill and replay.
 ///
@@ -84,8 +72,10 @@ pub trait ReplayWorkload: Send + Sync + 'static {
     fn init(&self, nprocs: usize, rank: usize) -> Self::State;
     /// Completed iterations of a state.
     fn iteration(&self, st: &Self::State) -> u64;
-    /// Advance one iteration: exchange halos over `link`, update.
-    fn step(&self, st: &mut Self::State, link: &mut dyn HaloLink);
+    /// Advance one iteration: exchange halos over `link`, update. The
+    /// engine hands in a link that keeps the sender logs, so a workload
+    /// stays protocol-oblivious.
+    fn step(&self, st: &mut Self::State, link: &dyn HaloLink);
     /// Serialise the full state (the checkpoint payload) into `out`.
     fn save_into(&self, st: &Self::State, out: &mut Vec<u8>);
     /// Restore a payload written by [`ReplayWorkload::save_into`].
@@ -142,23 +132,8 @@ impl ReplayWorkload for TsunamiWorkload {
         st.iteration()
     }
 
-    fn step(&self, st: &mut RankState, link: &mut dyn HaloLink) {
-        let mut buf = Vec::new();
-        for dir in Dir::ALL {
-            if let Some(nbr) = st.neighbor(dir) {
-                st.edge_out_into(dir, &mut buf);
-                link.send_f64(nbr, halo_tag(dir), &buf);
-            }
-        }
-        for dir in Dir::ALL {
-            if let Some(nbr) = st.neighbor(dir) {
-                // The halo landing on our `dir` side travelled in
-                // direction `dir.opposite()` from the neighbour.
-                link.recv_f64(nbr, halo_tag(dir.opposite()), &mut buf);
-                st.set_halo(dir, &buf);
-            }
-        }
-        st.update(&self.params);
+    fn step(&self, st: &mut RankState, link: &dyn HaloLink) {
+        st.step(&self.params, link);
     }
 
     fn save_into(&self, st: &RankState, out: &mut Vec<u8>) {
@@ -170,7 +145,7 @@ impl ReplayWorkload for TsunamiWorkload {
     }
 
     fn is_halo_tag(&self, tag: u32) -> bool {
-        Dir::ALL.into_iter().any(|d| halo_tag(d) == tag)
+        is_halo_tag(tag)
     }
 }
 
@@ -201,21 +176,8 @@ impl ReplayWorkload for Heat3dWorkload {
         st.iteration()
     }
 
-    fn step(&self, st: &mut Heat3dState, link: &mut dyn HaloLink) {
-        let mut buf = Vec::new();
-        for f in Face::ALL {
-            if let Some(nbr) = st.neighbor(f) {
-                st.face_out_into(f, &mut buf);
-                link.send_f64(nbr, face_tag(f), &buf);
-            }
-        }
-        for f in Face::ALL {
-            if let Some(nbr) = st.neighbor(f) {
-                link.recv_f64(nbr, face_tag(f.opposite()), &mut buf);
-                st.set_halo(f, &buf);
-            }
-        }
-        st.update();
+    fn step(&self, st: &mut Heat3dState, link: &dyn HaloLink) {
+        st.step(link);
     }
 
     fn save_into(&self, st: &Heat3dState, out: &mut Vec<u8>) {
@@ -227,37 +189,46 @@ impl ReplayWorkload for Heat3dWorkload {
     }
 
     fn is_halo_tag(&self, tag: u32) -> bool {
-        Face::ALL.into_iter().any(|f| face_tag(f) == tag)
+        is_face_tag(tag)
     }
 }
 
-/// The engine's [`HaloLink`]: a communicator plus (optionally) the
-/// hybrid-protocol sender logs. Logging happens *before* the send, so
+/// The engine's [`HaloLink`]: a communicator plus the hybrid-protocol
+/// sender logs. A logged payload is recorded *before* the send, so
 /// during replay a restored rank's suppressed cross-boundary sends are
 /// still re-logged — rebuilding the log its crashed node lost.
 struct LoggedLink<'a> {
     comm: &'a Comm,
-    logging: Option<(&'a HybridProtocol, &'a [Mutex<SenderLog>])>,
+    protocol: &'a HybridProtocol,
+    logs: &'a [Mutex<SenderLog>],
 }
 
 impl HaloLink for LoggedLink<'_> {
-    fn send_f64(&mut self, dst: usize, tag: u32, vals: &[f64]) {
-        if let Some((protocol, logs)) = self.logging {
-            let me = self.comm.rank();
-            if protocol.must_log(Rank::from(me), Rank::from(dst)) {
-                logs[me].lock().expect("sender log").record(
+    fn set_phase(&self, phase: u64) {
+        self.comm.set_phase(phase);
+    }
+
+    fn send_with(&self, dst: usize, tag: u32, len: usize, fill: &mut dyn FnMut(&mut Vec<u8>)) {
+        let me = self.comm.rank();
+        let logged = self.protocol.must_log(Rank::from(me), Rank::from(dst));
+        self.comm.send_with(dst, tag, len, |buf| {
+            fill(buf);
+            if logged {
+                // The log keeps its own exact-size copy: the wire buffer
+                // is pooled, and a pooled buffer can be far larger than
+                // the halo it carries this time.
+                self.logs[me].lock().expect("sender log").record(
                     dst as u32,
                     tag,
                     self.comm.phase(),
-                    Bytes::from(encode(vals)),
+                    Bytes::copy_from_slice(buf),
                 );
             }
-        }
-        self.comm.send_from(dst, tag, vals);
+        });
     }
 
-    fn recv_f64(&mut self, src: usize, tag: u32, out: &mut Vec<f64>) {
-        self.comm.recv_into(src, tag, out);
+    fn recv_with(&self, src: usize, tag: u32, install: &mut dyn FnMut(&[u8])) {
+        HaloLink::recv_with(self.comm, src, tag, install);
     }
 }
 
@@ -299,6 +270,11 @@ impl<W: ReplayWorkload> Fabric<W> {
     /// the check runs before the break so a cadence-aligned `target`
     /// still checkpoints. Cross-cluster sends are logged throughout.
     fn drive(&self, comm: &Comm, st: &mut W::State, target: u64, ckpt_from: Option<u64>) {
+        let link = LoggedLink {
+            comm,
+            protocol: &self.protocol,
+            logs: &self.logs,
+        };
         loop {
             let it = self.workload.iteration(st);
             if let Some(from) = ckpt_from {
@@ -309,12 +285,7 @@ impl<W: ReplayWorkload> Fabric<W> {
             if it >= target {
                 break;
             }
-            comm.set_phase(it);
-            let mut link = LoggedLink {
-                comm,
-                logging: Some((&self.protocol, self.logs.as_slice())),
-            };
-            self.workload.step(st, &mut link);
+            self.workload.step(st, &link);
         }
     }
 
@@ -593,13 +564,8 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
         World::run_with(n, self.world_config(false), move |c| {
             let c: &Comm = c;
             let mut st = w.init(n, c.rank());
-            let mut link = LoggedLink {
-                comm: c,
-                logging: None,
-            };
             while w.iteration(&st) < total_steps {
-                c.set_phase(w.iteration(&st));
-                w.step(&mut st, &mut link);
+                w.step(&mut st, c);
             }
             let mut out = Vec::new();
             w.save_into(&st, &mut out);
@@ -1358,6 +1324,36 @@ mod tests {
             mismatched.run(&at(6), 12),
             Err(HcftError::Config(_))
         ));
+    }
+
+    #[test]
+    fn logged_payloads_are_exact_size_copies_of_the_wire_bytes() {
+        let r = World::run(2, |c| {
+            if c.rank() == 1 {
+                // Leave a 16 KiB buffer in rank 0's pool, then take the
+                // logged halo.
+                c.send_bytes(0, 1, &[0u8; 16 << 10]);
+                return c.recv_bytes(0, 2).to_vec();
+            }
+            let big = c.recv_bytes(1, 1);
+            c.recycle(big);
+            // One rank per L1 cluster: every send is logged.
+            let protocol = HybridProtocol::new(naive(2, 1).l1);
+            let logs = [Mutex::new(SenderLog::new()), Mutex::new(SenderLog::new())];
+            let link = LoggedLink {
+                comm: c,
+                protocol: &protocol,
+                logs: &logs,
+            };
+            link.send_with(1, 2, 16, &mut |buf| buf.extend_from_slice(&[7u8; 16]));
+            let log = logs[0].lock().unwrap();
+            let entry = log.replay_for(1, 0).next().expect("the send is logged");
+            let backing = entry.payload.clone().into_shared().expect("whole view");
+            assert_eq!(backing.capacity(), 16, "the log pins a pooled wire buffer");
+            backing.to_vec()
+        });
+        assert_eq!(r.outputs[0], [7u8; 16], "logged bytes");
+        assert_eq!(r.outputs[1], [7u8; 16], "delivered bytes");
     }
 
     #[test]

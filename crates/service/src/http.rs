@@ -312,6 +312,28 @@ mod tests {
     }
 
     #[test]
+    fn full_family_sweeps_answer_on_uneven_node_counts() {
+        let svc = Arc::new(EvalService::new(4, 4));
+        let server = serve("127.0.0.1:0", svc, 2).unwrap();
+        let addr = server.local_addr();
+        // Node counts no exactly-4-node L1 clustering can tile.
+        for nodes in [5, 6, 9] {
+            let (head, body) = get(
+                addr,
+                &format!("/evaluate?nodes={nodes}&ppn=2&families=full"),
+            );
+            assert!(head.starts_with("HTTP/1.1 200"), "nodes={nodes}: {head}");
+            assert!(body.contains("\"ranking\": ["), "nodes={nodes}: {body}");
+        }
+        // Every worker is still alive.
+        for target in ["/healthz", "/evaluate?nodes=4&ppn=2", "/healthz"] {
+            let (head, _) = get(addr, target);
+            assert!(head.starts_with("HTTP/1.1 200"), "{target}: {head}");
+        }
+        server.shutdown();
+    }
+
+    #[test]
     fn rejects_non_get_methods() {
         let svc = Arc::new(EvalService::new(2, 2));
         let server = serve("127.0.0.1:0", svc, 1).unwrap();

@@ -205,6 +205,18 @@ mod tests {
     }
 
     #[test]
+    fn odd_rank_counts_get_a_one_row_process_grid() {
+        for (nodes, ppn) in [(1, 5), (3, 3), (3, 5), (5, 1)] {
+            let r = EvalRequest::from_query(&format!("nodes={nodes}&ppn={ppn}")).unwrap();
+            let cfg = r.job_config().expect("an odd rank count builds");
+            assert_eq!(cfg.process_grid(), (nodes * ppn, 1), "{nodes}x{ppn}");
+        }
+        // Even counts keep their two-row grid.
+        let even = EvalRequest::from_query("nodes=4&ppn=2").unwrap();
+        assert_eq!(even.job_config().unwrap().process_grid(), (4, 2));
+    }
+
+    #[test]
     fn memo_key_separates_family_selection() {
         let t2 = EvalRequest::from_query("nodes=4&ppn=2").unwrap();
         let full = EvalRequest::from_query("nodes=4&ppn=2&families=full").unwrap();

@@ -306,6 +306,15 @@ mod tests {
     }
 
     #[test]
+    fn odd_rank_counts_are_evaluated() {
+        let svc = EvalService::new(4, 4);
+        for q in ["nodes=1&ppn=5", "nodes=3&ppn=3", "nodes=5&ppn=1"] {
+            let body = svc.evaluate(&req(q)).unwrap_or_else(|e| panic!("{q}: {e}"));
+            assert!(body.contains("\"ranking\": ["), "{q}: {body}");
+        }
+    }
+
+    #[test]
     fn memo_eviction_is_lru() {
         let svc = EvalService::new(4, 1);
         let a = req("nodes=2&ppn=2");

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::datatype::{decode, decode_into, encode_into, Datum};
+use crate::datatype::{decode, encode_into, Datum};
 use crate::runtime::Shared;
 use crate::trace::MessageEvent;
 
@@ -130,16 +130,10 @@ impl Comm {
         self.recv_raw(src, tag)
     }
 
-    /// Typed send: encodes `data` into a pooled buffer and ships it.
+    /// Typed send: encodes `data` into a pooled buffer and ships it, so
+    /// the caller's slice is never retained and steady-state sends do
+    /// not allocate.
     pub fn send_slice<T: Datum>(&self, dst: usize, tag: u32, data: &[T]) {
-        self.send_from(dst, tag, data);
-    }
-
-    /// Typed send from caller-owned storage (alias of [`Comm::send_slice`]
-    /// with the scratch-API name): encodes into a pooled buffer, so the
-    /// caller's slice is never retained and steady-state sends do not
-    /// allocate.
-    pub fn send_from<T: Datum>(&self, dst: usize, tag: u32, data: &[T]) {
         assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
         self.send_raw(dst, tag, self.encode_pooled(data));
     }
@@ -168,17 +162,6 @@ impl Comm {
         let out = decode(&raw);
         self.shared.pool.recycle(raw);
         out
-    }
-
-    /// Typed receive into caller-owned scratch: `out` is cleared and
-    /// refilled, so a loop reusing the same vector performs no heap
-    /// allocation once its capacity has converged. The transport buffer
-    /// is recycled into the pool.
-    pub fn recv_into<T: Datum>(&self, src: usize, tag: u32, out: &mut Vec<T>) {
-        assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
-        let raw = self.recv_raw(src, tag);
-        decode_into(&raw, out);
-        self.shared.pool.recycle(raw);
     }
 
     /// Copy raw bytes into a pooled buffer (for collective-internal

@@ -73,26 +73,13 @@ pub fn encode_to_slice<T: Datum>(xs: &[T], dst: &mut [u8]) {
 /// # Panics
 /// Panics if the buffer length is not a multiple of the datum width.
 pub fn decode<T: Datum>(bytes: &[u8]) -> Vec<T> {
-    let mut out = Vec::with_capacity(bytes.len() / T::WIDTH);
-    decode_into(bytes, &mut out);
-    out
-}
-
-/// Decode into caller-owned scratch: `out` is cleared and refilled, so a
-/// receive loop reusing one vector stops allocating once its capacity has
-/// converged.
-///
-/// # Panics
-/// Panics if the buffer length is not a multiple of the datum width.
-pub fn decode_into<T: Datum>(bytes: &[u8], out: &mut Vec<T>) {
     assert!(
         bytes.len().is_multiple_of(T::WIDTH),
         "buffer length {} not a multiple of datum width {}",
         bytes.len(),
         T::WIDTH
     );
-    out.clear();
-    out.extend(bytes.chunks_exact(T::WIDTH).map(T::unpack));
+    bytes.chunks_exact(T::WIDTH).map(T::unpack).collect()
 }
 
 #[cfg(test)]

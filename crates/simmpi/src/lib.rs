@@ -26,7 +26,6 @@
 pub mod collectives;
 pub mod comm;
 pub mod datatype;
-pub mod nonblocking;
 pub mod replay;
 pub mod runtime;
 mod sched;
@@ -34,7 +33,6 @@ pub mod trace;
 
 pub use comm::Comm;
 pub use datatype::Datum;
-pub use nonblocking::{wait_all, RecvRequest};
 pub use replay::{ReplayFeed, ReplayPlan, ReplayWorldResult};
 pub use runtime::{maybe_yield, Engine, ResolvedWorldConfig, World, WorldConfig};
 pub use trace::{MessageEvent, TraceRecorder};

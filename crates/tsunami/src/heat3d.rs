@@ -8,8 +8,11 @@
 //! stencil class. The parallel solver is bit-identical to its sequential
 //! reference, like the 2-D one.
 
-use hcft_simmpi::Comm;
+use std::ops::Range;
+
 use hcft_telemetry::HcftError;
+
+use crate::link::HaloLink;
 
 /// Parameters of a 3-D diffusion run.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,6 +50,32 @@ impl Heat3dParams {
 /// Per-rank block bounds in one dimension.
 fn block(n: usize, parts: usize, idx: usize) -> (usize, usize) {
     crate::decomp::block_range(n, parts, idx)
+}
+
+/// The field-index ranges of the plane `layer` cells in from face `f`
+/// (0 = the halo, 1 = the outermost interior cells) of a block with
+/// owned extents `ln`, in wire order: whole x-rows, or single cells on
+/// the strided x faces.
+fn plane(ln: (usize, usize, usize), f: Face, layer: usize) -> impl Iterator<Item = Range<usize>> {
+    let (lnx, lny, lnz) = ln;
+    let sx = lnx + 2;
+    let sxy = sx * (lny + 2);
+    let at = |n: usize| match f {
+        Face::West | Face::North | Face::Down => layer,
+        Face::East | Face::South | Face::Up => n + 1 - layer,
+    };
+    // (first index, rows, row stride, runs per row, run stride, run length)
+    let (base, rows, row_stride, runs, run_stride, len) = match f {
+        Face::West | Face::East => (at(lnx), lnz, sxy, lny, sx, 1),
+        Face::North | Face::South => (at(lny) * sx + 1, lnz, sxy, 1, 0, lnx),
+        Face::Down | Face::Up => (at(lnz) * sxy + 1, lny, sx, 1, 0, lnx),
+    };
+    (1..=rows).flat_map(move |row| {
+        (1..=runs).map(move |run| {
+            let start = base + row * row_stride + run * run_stride;
+            start..start + len
+        })
+    })
 }
 
 /// One rank's state: temperature with a one-cell halo on all six faces.
@@ -208,125 +237,74 @@ impl Heat3dState {
         }
     }
 
-    /// Extract the outgoing face plane.
-    pub fn face_out(&self, f: Face) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.face_out_into(f, &mut out);
-        out
-    }
-
-    /// Extract the outgoing face plane into caller-owned scratch
-    /// (cleared first) — the allocation-free exchange path. The four
-    /// faces whose rows are x-contiguous copy whole slices; West/East
-    /// stay strided.
-    pub fn face_out_into(&self, f: Face, out: &mut Vec<f64>) {
+    /// Cells in the plane across face `f`.
+    fn face_len(&self, f: Face) -> usize {
         let (lnx, lny, lnz) = self.ln;
-        let sx = lnx + 2;
-        let sxy = sx * (lny + 2);
-        out.clear();
         match f {
-            Face::West | Face::East => {
-                let i = if f == Face::West { 1 } else { lnx };
-                out.reserve(lny * lnz);
-                for k in 1..=lnz {
-                    for j in 1..=lny {
-                        out.push(self.t[k * sxy + j * sx + i]);
-                    }
-                }
-            }
-            Face::North | Face::South => {
-                let j = if f == Face::North { 1 } else { lny };
-                out.reserve(lnx * lnz);
-                for k in 1..=lnz {
-                    let row = k * sxy + j * sx + 1;
-                    out.extend_from_slice(&self.t[row..row + lnx]);
-                }
-            }
-            Face::Down | Face::Up => {
-                let k = if f == Face::Down { 1 } else { lnz };
-                out.reserve(lnx * lny);
-                for j in 1..=lny {
-                    let row = k * sxy + j * sx + 1;
-                    out.extend_from_slice(&self.t[row..row + lnx]);
-                }
-            }
-        }
-    }
-
-    /// Read back the halo plane currently installed on face `f`, in the
-    /// same order [`Heat3dState::set_halo`] consumes. Test/diagnostic
-    /// inverse of the exchange.
-    pub fn halo_in(&self, f: Face) -> Vec<f64> {
-        let (lnx, lny, lnz) = self.ln;
-        let sx = lnx + 2;
-        let sxy = sx * (lny + 2);
-        let mut out = Vec::new();
-        match f {
-            Face::West | Face::East => {
-                let i = if f == Face::West { 0 } else { lnx + 1 };
-                for k in 1..=lnz {
-                    for j in 1..=lny {
-                        out.push(self.t[k * sxy + j * sx + i]);
-                    }
-                }
-            }
-            Face::North | Face::South => {
-                let j = if f == Face::North { 0 } else { lny + 1 };
-                for k in 1..=lnz {
-                    let row = k * sxy + j * sx + 1;
-                    out.extend_from_slice(&self.t[row..row + lnx]);
-                }
-            }
-            Face::Down | Face::Up => {
-                let k = if f == Face::Down { 0 } else { lnz + 1 };
-                for j in 1..=lny {
-                    let row = k * sxy + j * sx + 1;
-                    out.extend_from_slice(&self.t[row..row + lnx]);
-                }
-            }
-        }
-        out
-    }
-
-    /// Install a received halo plane on face `f`.
-    ///
-    /// # Panics
-    /// Panics on a wrong plane size.
-    pub fn set_halo(&mut self, f: Face, vals: &[f64]) {
-        let (lnx, lny, lnz) = self.ln;
-        let expect = match f {
             Face::West | Face::East => lny * lnz,
             Face::North | Face::South => lnx * lnz,
             Face::Down | Face::Up => lnx * lny,
-        };
-        assert_eq!(vals.len(), expect, "halo plane size");
-        let sx = lnx + 2;
-        let sxy = sx * (lny + 2);
-        match f {
-            Face::West | Face::East => {
-                let i = if f == Face::West { 0 } else { lnx + 1 };
-                let mut it = vals.iter();
-                for k in 1..=lnz {
-                    for j in 1..=lny {
-                        self.t[k * sxy + j * sx + i] = *it.next().expect("sized above");
-                    }
-                }
-            }
-            Face::North | Face::South => {
-                let j = if f == Face::North { 0 } else { lny + 1 };
-                for (k, chunk) in (1..=lnz).zip(vals.chunks_exact(lnx)) {
-                    let row = k * sxy + j * sx + 1;
-                    self.t[row..row + lnx].copy_from_slice(chunk);
-                }
-            }
-            Face::Down | Face::Up => {
-                let k = if f == Face::Down { 0 } else { lnz + 1 };
-                for (j, chunk) in (1..=lny).zip(vals.chunks_exact(lnx)) {
-                    let row = k * sxy + j * sx + 1;
-                    self.t[row..row + lnx].copy_from_slice(chunk);
-                }
+        }
+    }
+
+    /// Serialise the outgoing face plane straight to its wire form
+    /// (little-endian f64, x fastest, then y, then z, the face's own axis
+    /// held fixed): what [`Heat3dState::step`] fills the pooled message
+    /// buffer with.
+    pub fn face_out_bytes(&self, f: Face, out: &mut Vec<u8>) {
+        out.clear();
+        for r in plane(self.ln, f, 1) {
+            for x in &self.t[r] {
+                out.extend_from_slice(&x.to_le_bytes());
             }
         }
+    }
+
+    /// Read back the halo plane currently installed on face `f`, in wire
+    /// order. Test/diagnostic inverse of [`Heat3dState::set_halo_bytes`].
+    pub fn halo_in(&self, f: Face) -> Vec<f64> {
+        plane(self.ln, f, 0)
+            .flat_map(|r| &self.t[r])
+            .copied()
+            .collect()
+    }
+
+    /// Install a halo plane received in wire form — the inverse of
+    /// [`Heat3dState::face_out_bytes`], with no f64 staging vector.
+    ///
+    /// # Panics
+    /// Panics on a wrong plane size.
+    pub fn set_halo_bytes(&mut self, f: Face, bytes: &[u8]) {
+        assert_eq!(bytes.len(), 8 * self.face_len(f), "halo plane size");
+        let mut cells = bytes.chunks_exact(8);
+        for r in plane(self.ln, f, 0) {
+            for (x, c) in self.t[r].iter_mut().zip(&mut cells) {
+                *x = f64::from_le_bytes(c.try_into().expect("f64 cell"));
+            }
+        }
+    }
+
+    /// Advance one step over `link`: stamp the iteration as the phase,
+    /// send every face plane (in [`Face::ALL`] order), receive every
+    /// halo plane, update. Planes go straight between the field and
+    /// pooled message buffers, so a steady-state step allocates nothing.
+    pub fn step(&mut self, link: &(impl HaloLink + ?Sized)) {
+        link.set_phase(self.iter);
+        for f in Face::ALL {
+            if let Some(nbr) = self.neighbor(f) {
+                link.send_with(nbr, face_tag(f), 8 * self.face_len(f), &mut |buf| {
+                    self.face_out_bytes(f, buf)
+                });
+            }
+        }
+        for f in Face::ALL {
+            if let Some(nbr) = self.neighbor(f) {
+                link.recv_with(nbr, face_tag(f.opposite()), &mut |raw| {
+                    self.set_halo_bytes(f, raw)
+                });
+            }
+        }
+        self.update();
     }
 
     /// One explicit diffusion step (halos must be installed). Domain
@@ -391,8 +369,8 @@ impl Heat3dState {
         // loop is bounds-check-free and auto-vectorizes; the operand
         // order matches the original scalar loop bit-for-bit. Halo cells
         // of `scratch` go stale across the swap, but every cell the
-        // stencil reads (the six face planes) is rewritten by
-        // `set_halo`/the mirrors before the next sweep, and corner/edge
+        // stencil reads (the six face planes) is rewritten by the halo
+        // exchange or the mirrors before the next sweep, and corner/edge
         // halo lines are never read by a seven-point stencil.
         let r = self.p.r;
         let t = &self.t;
@@ -514,8 +492,8 @@ impl Heat3dState {
 
 const TAG_FACE_BASE: u32 = 40;
 
-/// Wire tag of a halo message crossing face `f` — public for the replay
-/// engine, mirroring [`crate::solver::halo_tag`].
+/// Wire tag of a halo message crossing face `f` (the 3-D counterpart
+/// of [`crate::solver::halo_tag`]).
 pub fn face_tag(f: Face) -> u32 {
     TAG_FACE_BASE
         + match f {
@@ -528,35 +506,9 @@ pub fn face_tag(f: Face) -> u32 {
         }
 }
 
-/// Run `iters` steps of the 3-D solver on a communicator, returning the
-/// final local field.
-pub fn run_heat3d(comm: &Comm, p: &Heat3dParams, iters: u64) -> Heat3dState {
-    let mut st = Heat3dState::new(p, comm.size(), comm.rank());
-    // Persistent exchange scratch: after the first iteration sizes them,
-    // the loop body performs no heap allocation.
-    let mut face = Vec::new();
-    let mut halo = Vec::new();
-    for _ in 0..iters {
-        comm.set_phase(st.iteration());
-        let mut pending: [Option<(Face, hcft_simmpi::RecvRequest<'_>)>; 6] = Default::default();
-        for (slot, f) in pending.iter_mut().zip(Face::ALL) {
-            if let Some(nbr) = st.neighbor(f) {
-                *slot = Some((f, comm.irecv(nbr, face_tag(f.opposite()))));
-            }
-        }
-        for f in Face::ALL {
-            if let Some(nbr) = st.neighbor(f) {
-                st.face_out_into(f, &mut face);
-                comm.send_from(nbr, face_tag(f), &face);
-            }
-        }
-        for (f, req) in pending.into_iter().flatten() {
-            req.wait_into(&mut halo);
-            st.set_halo(f, &halo);
-        }
-        st.update();
-    }
-    st
+/// Is `tag` one of the six [`face_tag`]s?
+pub fn is_face_tag(tag: u32) -> bool {
+    Face::ALL.into_iter().any(|f| face_tag(f) == tag)
 }
 
 /// Sequential reference: the same arithmetic on one rank.
@@ -572,7 +524,16 @@ pub fn solve_heat3d_sequential(dims: (usize, usize, usize), iters: u64) -> Vec<f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcft_simmpi::World;
+    use hcft_simmpi::{Comm, World};
+
+    /// Rank `c`'s state after `iters` steps of a heat3d world.
+    fn run(c: &Comm, p: &Heat3dParams, iters: u64) -> Heat3dState {
+        let mut st = Heat3dState::new(p, c.size(), c.rank());
+        for _ in 0..iters {
+            st.step(c);
+        }
+        st
+    }
 
     fn gather_global(states: &[Heat3dState], dims: (usize, usize, usize)) -> Vec<f64> {
         let mut global = vec![0.0; dims.0 * dims.1 * dims.2];
@@ -599,7 +560,7 @@ mod tests {
         for grid in [(2usize, 1usize, 1usize), (2, 2, 1), (2, 2, 2), (3, 2, 1)] {
             let nprocs = grid.0 * grid.1 * grid.2;
             let p = Heat3dParams::stable(dims, grid);
-            let r = World::run(nprocs, move |c| run_heat3d(c, &p, 10));
+            let r = World::run(nprocs, move |c| run(c, &p, 10));
             let global = gather_global(&r.outputs, dims);
             assert_eq!(global, reference, "grid {grid:?} diverged");
         }
@@ -624,7 +585,7 @@ mod tests {
     fn traffic_uses_three_neighbour_distances() {
         let p = Heat3dParams::stable((8, 8, 8), (2, 2, 2));
         let r = World::run(8, move |c| {
-            run_heat3d(c, &p, 2);
+            run(c, &p, 2);
         });
         let m = r.trace.byte_matrix();
         for (s, d, _) in m.entries() {
@@ -682,30 +643,41 @@ mod tests {
     }
 
     #[test]
-    fn face_out_into_reuses_capacity() {
-        let p = Heat3dParams::stable((8, 6, 4), (1, 1, 1));
-        let st = Heat3dState::new(&p, 1, 0);
-        let mut buf = Vec::new();
-        st.face_out_into(Face::Up, &mut buf);
-        assert_eq!(buf, st.face_out(Face::Up));
-        let ptr = buf.as_ptr();
-        for f in Face::ALL {
-            st.face_out_into(f, &mut buf);
-            assert_eq!(buf, st.face_out(f), "{f:?}");
-        }
-        assert_eq!(buf.as_ptr(), ptr, "scratch must not reallocate");
-    }
-
-    #[test]
-    fn halo_in_reads_back_installed_planes() {
-        let p = Heat3dParams::stable((9, 7, 5), (1, 1, 1));
+    fn face_planes_follow_the_wire_order() {
+        let (lnx, lny, lnz) = (4, 3, 2);
+        let p = Heat3dParams::stable((lnx, lny, lnz), (1, 1, 1));
         let mut st = Heat3dState::new(&p, 1, 0);
-        for (n, f) in Face::ALL.into_iter().enumerate() {
-            let plane: Vec<f64> = (0..st.face_out(f).len())
-                .map(|i| (n * 1000 + i) as f64)
+        // Number every interior cell by its x-fastest position.
+        let mut payload = st.save_state();
+        for (n, c) in payload[16..].chunks_exact_mut(8).enumerate() {
+            c.copy_from_slice(&(n as f64).to_le_bytes());
+        }
+        st.restore_state(&payload).expect("restore");
+        for f in Face::ALL {
+            // The face's cells in x-fastest order, numbered as above.
+            let want: Vec<f64> = (0..lnx * lny * lnz)
+                .filter(|&n| {
+                    let (i, j, k) = (n % lnx, n / lnx % lny, n / (lnx * lny));
+                    match f {
+                        Face::West => i == 0,
+                        Face::East => i == lnx - 1,
+                        Face::North => j == 0,
+                        Face::South => j == lny - 1,
+                        Face::Down => k == 0,
+                        Face::Up => k == lnz - 1,
+                    }
+                })
+                .map(|n| n as f64)
                 .collect();
-            st.set_halo(f, &plane);
-            assert_eq!(st.halo_in(f), plane, "{f:?}");
+            let mut wire = Vec::new();
+            st.face_out_bytes(f, &mut wire);
+            let decoded: Vec<f64> = wire
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            assert_eq!(decoded, want, "{f:?} wire");
+            st.set_halo_bytes(f, &wire);
+            assert_eq!(st.halo_in(f), want, "{f:?} installed from wire");
         }
     }
 

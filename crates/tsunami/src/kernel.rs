@@ -2,11 +2,10 @@
 //!
 //! [`RankState`] owns one rank's fields and exposes exactly three
 //! operations: extract an outgoing boundary edge, install a received halo
-//! edge, and advance one step. Both the message-passing solver
-//! ([`crate::TsunamiSim`]) and the lockstep failure-injection driver in
-//! `hcft-core` are thin loops around this kernel, which is what makes
-//! "recovered state equals uninterrupted state **bit-for-bit**" a
-//! meaningful assertion across drivers.
+//! edge, and advance one step. [`RankState::step`] wraps them in the one
+//! halo exchange that the traced world, the replay engine in `hcft-core`
+//! and the tests all run, which is what makes "recovered state equals
+//! uninterrupted state **bit-for-bit**" a meaningful assertion.
 
 use hcft_telemetry::HcftError;
 
@@ -120,36 +119,9 @@ impl RankState {
         }
     }
 
-    /// The interior edge to ship towards `dir`.
-    pub fn edge_out(&self, dir: Dir) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.edge_out_into(dir, &mut out);
-        out
-    }
-
-    /// Extract the edge towards `dir` into caller-owned scratch (cleared
-    /// first): the allocation-free form the solver loop uses. West/east
-    /// edges — the hot ones in the paper's quasi-1D decomposition — are
-    /// whole contiguous columns and copy as slices; north/south gather
-    /// one cell per column.
-    pub fn edge_out_into(&self, dir: Dir, out: &mut Vec<f64>) {
-        let (lnx, lny) = (self.d.lnx, self.d.lny);
-        let se = lny + 2;
-        out.clear();
-        match dir {
-            Dir::West => out.extend_from_slice(&self.eta[1..1 + lny]),
-            Dir::East => {
-                let base = (lnx - 1) * se + 1;
-                out.extend_from_slice(&self.eta[base..base + lny]);
-            }
-            Dir::North => out.extend(self.eta.chunks_exact(se).map(|col| col[1])),
-            Dir::South => out.extend(self.eta.chunks_exact(se).map(|col| col[lny])),
-        }
-    }
-
     /// The currently installed halo values on the `dir` side — the
-    /// inverse probe of [`RankState::set_halo`], used by the halo
-    /// roundtrip property tests and recovery verification.
+    /// inverse probe of [`RankState::set_halo_bytes`], used by the halo
+    /// roundtrip tests.
     pub fn halo_in(&self, dir: Dir) -> Vec<f64> {
         let lny = self.d.lny;
         let se = lny + 2;
@@ -161,41 +133,10 @@ impl RankState {
         }
     }
 
-    /// Install the halo received from `dir`.
-    ///
-    /// # Panics
-    /// Panics on a wrong edge length.
-    pub fn set_halo(&mut self, dir: Dir, vals: &[f64]) {
-        let (lnx, lny) = (self.d.lnx, self.d.lny);
-        let se = lny + 2;
-        match dir {
-            Dir::West => {
-                assert_eq!(vals.len(), lny, "west halo length");
-                self.halo_w.copy_from_slice(vals);
-            }
-            Dir::East => {
-                assert_eq!(vals.len(), lny, "east halo length");
-                self.halo_e.copy_from_slice(vals);
-            }
-            Dir::North => {
-                assert_eq!(vals.len(), lnx, "north halo length");
-                for (col, &x) in self.eta.chunks_exact_mut(se).zip(vals) {
-                    col[0] = x;
-                }
-            }
-            Dir::South => {
-                assert_eq!(vals.len(), lnx, "south halo length");
-                for (col, &x) in self.eta.chunks_exact_mut(se).zip(vals) {
-                    col[lny + 1] = x;
-                }
-            }
-        }
-    }
-
     /// Serialise the edge towards `dir` straight to its wire form
-    /// (little-endian f64), skipping the f64 staging hop: the solver
-    /// fills the pooled message buffer with this, so an outgoing edge is
-    /// copied exactly once, η → message.
+    /// (little-endian f64), skipping the f64 staging hop:
+    /// [`RankState::step`] fills the pooled message buffer with this, so
+    /// an outgoing edge is copied exactly once, η → message.
     pub fn edge_out_bytes(&self, dir: Dir, out: &mut Vec<u8>) {
         let (lnx, lny) = (self.d.lnx, self.d.lny);
         let se = lny + 2;
@@ -472,19 +413,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn edge_out_set_halo_roundtrip_between_neighbours() {
-        let p = TsunamiParams::stable(8, 4);
-        // 2 ranks side by side.
-        let a = RankState::new(&p, 2, 0);
-        let mut b = RankState::new(&p, 2, 1);
-        let edge = a.edge_out(Dir::East);
-        assert_eq!(edge.len(), a.decomp().lny);
-        b.set_halo(Dir::West, &edge);
-        // b's west halo column now equals a's east interior column.
-        assert_eq!(b.halo_w[0], edge[0]);
-    }
-
-    #[test]
     fn opposite_directions() {
         assert_eq!(Dir::West.opposite(), Dir::East);
         assert_eq!(Dir::North.opposite(), Dir::South);
@@ -532,70 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn edge_out_into_reuses_capacity() {
-        let p = TsunamiParams::stable(8, 4);
-        let s = RankState::new(&p, 2, 0);
-        let mut scratch = Vec::new();
-        s.edge_out_into(Dir::East, &mut scratch);
-        assert_eq!(scratch, s.edge_out(Dir::East));
-        let ptr = scratch.as_ptr();
-        s.edge_out_into(Dir::West, &mut scratch);
-        assert_eq!(
-            scratch.as_ptr(),
-            ptr,
-            "same-size refill must not reallocate"
-        );
-        assert_eq!(scratch, s.edge_out(Dir::West));
-    }
-
-    #[test]
-    fn byte_edges_match_typed_edges() {
-        let p = TsunamiParams::stable(8, 6);
-        let mut s = RankState::new(&p, 4, 1);
-        s.update(&p);
-        let mut bytes = Vec::new();
-        for dir in Dir::ALL {
-            s.edge_out_bytes(dir, &mut bytes);
-            let decoded: Vec<f64> = bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            assert_eq!(decoded, s.edge_out(dir), "{dir:?}");
-        }
-    }
-
-    #[test]
-    fn set_halo_bytes_matches_set_halo() {
-        let p = TsunamiParams::stable(8, 6);
-        let mut a = RankState::new(&p, 4, 1);
-        let mut b = a.clone();
-        for dir in Dir::ALL {
-            let n = match dir {
-                Dir::West | Dir::East => a.decomp().lny,
-                Dir::North | Dir::South => a.decomp().lnx,
-            };
-            let vals: Vec<f64> = (0..n).map(|i| i as f64 * 1.25 - 3.0).collect();
-            let bytes: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
-            a.set_halo(dir, &vals);
-            b.set_halo_bytes(dir, &bytes);
-        }
-        assert_eq!(a, b, "byte and typed halo installs must agree");
-    }
-
-    #[test]
-    fn halo_in_reads_back_installed_halos() {
-        let p = TsunamiParams::stable(8, 4);
-        let mut s = RankState::new(&p, 2, 1);
-        let vals: Vec<f64> = (0..s.decomp().lny).map(|j| j as f64 + 0.5).collect();
-        s.set_halo(Dir::West, &vals);
-        assert_eq!(s.halo_in(Dir::West), vals);
-    }
-
-    #[test]
     #[should_panic(expected = "halo length")]
     fn wrong_halo_length_panics() {
         let p = TsunamiParams::stable(8, 8);
         let mut s = RankState::new(&p, 4, 0);
-        s.set_halo(Dir::East, &[1.0]);
+        s.set_halo_bytes(Dir::East, &[0; 8]);
     }
 }

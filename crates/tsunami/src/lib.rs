@@ -9,6 +9,10 @@
 //! for trans-oceanic tsunami propagation — with block 2-D decomposition
 //! and halo exchange over [`hcft_simmpi`].
 //!
+//! Each stencil has exactly one halo exchange: [`RankState::step`] and
+//! [`Heat3dState::step`], run over a [`HaloLink`] (a plain
+//! [`hcft_simmpi::Comm`], or the replay engine's logging link).
+//!
 //! A sequential reference solver ([`sequential::solve_sequential`])
 //! verifies that the parallel code computes the *identical* field
 //! (bit-for-bit: the per-cell arithmetic is order-identical, only the
@@ -19,6 +23,7 @@
 pub mod decomp;
 pub mod heat3d;
 pub mod kernel;
+pub mod link;
 pub mod params;
 pub mod sequential;
 pub mod solver;
@@ -26,5 +31,5 @@ pub mod solver;
 pub use decomp::CartDecomp;
 pub use heat3d::{Heat3dParams, Heat3dState};
 pub use kernel::{Dir, RankState};
+pub use link::HaloLink;
 pub use params::TsunamiParams;
-pub use solver::TsunamiSim;

@@ -1,11 +1,11 @@
 //! Sequential reference solver.
 //!
-//! Identical arithmetic to [`crate::solver::TsunamiSim`], on the global
-//! grid, with no communication. Because the parallel solver's per-cell
-//! updates use exactly the same expressions (halos only *transport*
-//! values), the parallel field must match this reference bit-for-bit —
-//! the strongest possible correctness oracle for both the solver and the
-//! recovery paths built on top of it.
+//! Identical arithmetic to [`RankState::step`](crate::RankState::step),
+//! on the global grid, with no communication. Because the parallel
+//! step's per-cell updates use exactly the same expressions (halos only
+//! *transport* values), the parallel field must match this reference
+//! bit-for-bit — the strongest possible correctness oracle for both the
+//! solver and the recovery paths built on top of it.
 
 use crate::params::{TsunamiParams, GRAVITY};
 
@@ -90,7 +90,7 @@ pub fn solve_sequential(p: TsunamiParams, iters: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::TsunamiSim;
+    use crate::RankState;
     use hcft_simmpi::World;
 
     #[test]
@@ -100,13 +100,21 @@ mod tests {
             let reference = solve_sequential(p.clone(), 25);
             let pclone = p.clone();
             let r = World::run(nprocs, move |c| {
-                let mut sim = TsunamiSim::new(c, pclone.clone());
-                sim.run(25);
-                sim.gather_global_eta()
+                let mut st = RankState::new(&pclone, c.size(), c.rank());
+                for _ in 0..25 {
+                    st.step(&pclone, c);
+                }
+                (st.decomp().clone(), st.local_eta())
             });
-            let parallel = r.outputs[0].as_ref().expect("rank 0 gathers");
+            let mut parallel = vec![0.0; p.nx * p.ny];
+            for (d, local) in &r.outputs {
+                for j in 0..d.lny {
+                    let row = (d.y0 + j) * p.nx + d.x0;
+                    parallel[row..row + d.lnx].copy_from_slice(&local[j * d.lnx..(j + 1) * d.lnx]);
+                }
+            }
             assert_eq!(
-                parallel, &reference,
+                parallel, reference,
                 "parallel ({nprocs} ranks) diverged from sequential"
             );
         }

@@ -1,25 +1,20 @@
-//! The parallel shallow-water solver.
+//! The parallel shallow-water solver: one time step of [`RankState`]
+//! over a [`HaloLink`].
 //!
-//! A thin message-passing loop around [`RankState`]: per step, ship the
-//! four boundary edges to the Cartesian neighbours (buffered sends, so no
-//! ordering hazards), install the received halos, and run the kernel
-//! update. η is the only field needing a halo, so each iteration costs
-//! one message per neighbour — the double-diagonal pattern of Fig. 5b.
+//! Per step, ship the four boundary edges to the Cartesian neighbours
+//! (buffered sends, so no ordering hazards), install the received halos,
+//! and run the kernel update. η is the only field needing a halo, so each
+//! iteration costs one message per neighbour — the double-diagonal
+//! pattern of Fig. 5b. The traced world, the replay engine and the tests
+//! all drive this one step.
 
-use hcft_telemetry::HcftError;
-
-use hcft_simmpi::Comm;
-
-use crate::decomp::CartDecomp;
 use crate::kernel::{Dir, RankState};
+use crate::link::HaloLink;
 use crate::params::TsunamiParams;
 
 const TAG_HALO_BASE: u32 = 20;
-const TAG_GATHER: u32 = 29;
 
-/// Wire tag of a halo message travelling in direction `dir` — public so
-/// the replay engine (`hcft-core`) logs and re-feeds halo traffic on
-/// exactly the channels the solver uses.
+/// Wire tag of a halo message travelling in direction `dir`.
 pub fn halo_tag(dir: Dir) -> u32 {
     // Tag identifies the direction of travel.
     TAG_HALO_BASE
@@ -31,142 +26,43 @@ pub fn halo_tag(dir: Dir) -> u32 {
         }
 }
 
-/// Per-rank solver bound to a communicator.
-pub struct TsunamiSim<'a> {
-    comm: &'a Comm,
-    params: TsunamiParams,
-    state: RankState,
+/// Is `tag` one of the four [`halo_tag`]s?
+pub fn is_halo_tag(tag: u32) -> bool {
+    Dir::ALL.into_iter().any(|d| halo_tag(d) == tag)
 }
 
-impl<'a> TsunamiSim<'a> {
-    /// Initialise this rank's segment with the earthquake initial
-    /// condition; the process grid is derived from `comm.size()`.
-    pub fn new(comm: &'a Comm, params: TsunamiParams) -> Self {
-        let state = RankState::new(&params, comm.size(), comm.rank());
-        TsunamiSim {
-            comm,
-            params,
-            state,
-        }
-    }
-
-    /// Completed iterations.
-    pub fn iteration(&self) -> u64 {
-        self.state.iteration()
-    }
-
-    /// This rank's decomposition.
-    pub fn decomp(&self) -> &CartDecomp {
-        self.state.decomp()
-    }
-
-    /// Advance one time step (halo exchange + kernel update). The
-    /// exchange uses the canonical nonblocking MPI pattern: post all
-    /// receives, send all edges, wait on everything. Edges are serialised
-    /// straight into pooled message buffers and halos installed straight
-    /// from the received payloads — each η edge is copied exactly once in
-    /// each direction, with no staging vector and no steady-state heap
-    /// allocation (`runtime.alloc.msg_buffers` stays flat).
-    pub fn step(&mut self) {
-        self.comm.set_phase(self.state.iteration());
-        // Post receives first (a message travelling `dir.opposite()`
-        // lands on our `dir` side).
-        let mut pending: [Option<(Dir, hcft_simmpi::RecvRequest<'_>)>; 4] = Default::default();
-        for (slot, dir) in pending.iter_mut().zip(Dir::ALL) {
-            if let Some(nbr) = self.state.neighbor(dir) {
-                *slot = Some((dir, self.comm.irecv(nbr, halo_tag(dir.opposite()))));
-            }
-        }
-        let d = self.state.decomp();
-        let (lnx, lny) = (d.lnx, d.lny);
+impl RankState {
+    /// Advance one time step over `link`: stamp the iteration as the
+    /// phase, send every edge (in [`Dir::ALL`] order), receive every
+    /// halo, update. Edges are serialised straight into pooled message
+    /// buffers and halos installed straight from the received payloads,
+    /// so each η edge is copied exactly once in each direction and a
+    /// steady-state step allocates nothing (`runtime.alloc.msg_buffers`
+    /// stays flat).
+    pub fn step(&mut self, p: &TsunamiParams, link: &(impl HaloLink + ?Sized)) {
+        link.set_phase(self.iteration());
+        let (lnx, lny) = (self.decomp().lnx, self.decomp().lny);
         for dir in Dir::ALL {
-            if let Some(nbr) = self.state.neighbor(dir) {
-                let edge_bytes = 8 * match dir {
+            if let Some(nbr) = self.neighbor(dir) {
+                let cells = match dir {
                     Dir::West | Dir::East => lny,
                     Dir::North | Dir::South => lnx,
                 };
-                let state = &self.state;
-                self.comm.send_with(nbr, halo_tag(dir), edge_bytes, |buf| {
-                    state.edge_out_bytes(dir, buf)
+                link.send_with(nbr, halo_tag(dir), 8 * cells, &mut |buf| {
+                    self.edge_out_bytes(dir, buf)
                 });
             }
         }
-        for (dir, req) in pending.into_iter().flatten() {
-            let raw = req.wait_bytes();
-            self.state.set_halo_bytes(dir, &raw);
-            self.comm.recycle(raw);
-        }
-        self.state.update(&self.params);
-    }
-
-    /// Advance `n` steps.
-    pub fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// Interior η field, row-major `lnx × lny`.
-    pub fn local_eta(&self) -> Vec<f64> {
-        self.state.local_eta()
-    }
-
-    /// Local wave-energy proxy Ση² over the interior.
-    pub fn local_energy(&self) -> f64 {
-        self.local_eta().iter().map(|e| e * e).sum()
-    }
-
-    /// Global wave-energy proxy (allreduce).
-    pub fn global_energy(&self) -> f64 {
-        self.comm.allreduce_sum(&[self.local_energy()])[0]
-    }
-
-    /// Assemble the full η field on rank 0 (others get `None`).
-    pub fn gather_global_eta(&self) -> Option<Vec<f64>> {
-        let p = &self.params;
-        let local = self.local_eta();
-        if self.comm.rank() == 0 {
-            let mut global = vec![0.0f64; p.nx * p.ny];
-            let place = |g: &mut Vec<f64>, d: &CartDecomp, data: &[f64]| {
-                for j in 0..d.lny {
-                    for i in 0..d.lnx {
-                        g[(d.y0 + j) * p.nx + d.x0 + i] = data[j * d.lnx + i];
-                    }
-                }
-            };
-            place(&mut global, self.state.decomp(), &local);
-            for src in 1..self.comm.size() {
-                let data = self.comm.recv_vec::<f64>(src, TAG_GATHER);
-                let d = RankState::new(p, self.comm.size(), src).decomp().clone();
-                place(&mut global, &d, &data);
+        for dir in Dir::ALL {
+            if let Some(nbr) = self.neighbor(dir) {
+                // The halo landing on our `dir` side travelled in
+                // direction `dir.opposite()` from the neighbour.
+                link.recv_with(nbr, halo_tag(dir.opposite()), &mut |raw| {
+                    self.set_halo_bytes(dir, raw)
+                });
             }
-            Some(global)
-        } else {
-            self.comm.send_slice(0, TAG_GATHER, &local);
-            None
         }
-    }
-
-    /// Exact checkpoint payload size, without serialising anything.
-    pub fn state_len(&self) -> usize {
-        self.state.state_len()
-    }
-
-    /// Serialise the full solver state (the checkpoint payload).
-    pub fn save_state(&self) -> Vec<u8> {
-        self.state.save_state()
-    }
-
-    /// Serialise the solver state into caller-owned scratch (cleared
-    /// first) — the allocation-free checkpoint path.
-    pub fn save_state_into(&self, out: &mut Vec<u8>) {
-        self.state.save_state_into(out);
-    }
-
-    /// Restore state saved by [`TsunamiSim::save_state`]. Corrupt or
-    /// truncated bytes are reported, not fatal.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), HcftError> {
-        self.state.restore_state(bytes)
+        self.update(p);
     }
 }
 
@@ -178,11 +74,17 @@ mod tests {
     #[test]
     fn energy_stays_bounded() {
         let r = World::run(4, |c| {
-            let mut sim = TsunamiSim::new(c, TsunamiParams::stable(32, 32));
-            let e0 = sim.global_energy();
-            sim.run(50);
-            let e1 = sim.global_energy();
-            (e0, e1)
+            let p = TsunamiParams::stable(32, 32);
+            let mut st = RankState::new(&p, c.size(), c.rank());
+            let energy = |st: &RankState| {
+                let local: f64 = st.local_eta().iter().map(|e| e * e).sum();
+                c.allreduce_sum(&[local])[0]
+            };
+            let e0 = energy(&st);
+            for _ in 0..50 {
+                st.step(&p, c);
+            }
+            (e0, energy(&st))
         });
         let (e0, e1) = r.outputs[0];
         assert!(e0 > 0.0);
@@ -193,11 +95,13 @@ mod tests {
     #[test]
     fn wave_propagates_outward() {
         let r = World::run(1, |c| {
-            let mut sim = TsunamiSim::new(c, TsunamiParams::stable(64, 64));
-            let before = sim.gather_global_eta().unwrap();
-            sim.run(60);
-            let after = sim.gather_global_eta().unwrap();
-            (before, after)
+            let p = TsunamiParams::stable(64, 64);
+            let mut st = RankState::new(&p, 1, 0);
+            let before = st.local_eta();
+            for _ in 0..60 {
+                st.step(&p, c);
+            }
+            (before, st.local_eta())
         });
         let (before, after) = &r.outputs[0];
         let corner = 5 * 64 + 5;
@@ -211,15 +115,20 @@ mod tests {
     fn save_restore_roundtrip_preserves_trajectory() {
         let r = World::run(4, |c| {
             let p = TsunamiParams::stable(24, 24);
-            let mut sim = TsunamiSim::new(c, p.clone());
-            sim.run(10);
-            let snap = sim.save_state();
-            sim.run(10);
-            let straight = sim.local_eta();
-            sim.restore_state(&snap).expect("restore");
-            assert_eq!(sim.iteration(), 10);
-            sim.run(10);
-            (straight, sim.local_eta())
+            let mut st = RankState::new(&p, c.size(), c.rank());
+            let run = |st: &mut RankState| {
+                for _ in 0..10 {
+                    st.step(&p, c);
+                }
+            };
+            run(&mut st);
+            let snap = st.save_state();
+            run(&mut st);
+            let straight = st.local_eta();
+            st.restore_state(&snap).expect("restore");
+            assert_eq!(st.iteration(), 10);
+            run(&mut st);
+            (straight, st.local_eta())
         });
         for (straight, replayed) in r.outputs {
             assert_eq!(straight, replayed, "replay must be bit-identical");
@@ -229,8 +138,11 @@ mod tests {
     #[test]
     fn halo_traffic_is_neighbour_only() {
         let r = World::run(16, |c| {
-            let mut sim = TsunamiSim::new(c, TsunamiParams::stable(32, 32));
-            sim.run(3);
+            let p = TsunamiParams::stable(32, 32);
+            let mut st = RankState::new(&p, c.size(), c.rank());
+            for _ in 0..3 {
+                st.step(&p, c);
+            }
         });
         let m = r.trace.byte_matrix();
         for (s, d, _) in m.entries() {
@@ -240,5 +152,14 @@ mod tests {
                 "non-neighbour stencil traffic {s}->{d}"
             );
         }
+    }
+
+    #[test]
+    fn halo_tags_are_recognised() {
+        for dir in Dir::ALL {
+            assert!(is_halo_tag(halo_tag(dir)));
+        }
+        assert!(!is_halo_tag(TAG_HALO_BASE + 4));
+        assert!(!is_halo_tag(TAG_HALO_BASE - 1));
     }
 }

@@ -1,48 +1,75 @@
-//! The zero-copy contract, enforced: once pools are warm, a traced
-//! solver run performs **zero** heap allocations on the message path.
+//! The zero-copy contract, enforced: once pools are warm, both stencils'
+//! shared steps perform **zero** heap allocations on the message path.
 //!
 //! This is the regression test behind `runtime.alloc.msg_buffers` — the
 //! counter only moves when a message buffer comes from the real
 //! allocator instead of the buffer pool. The test lives alone in this
-//! file because the counter is process-global: a sibling test running
-//! concurrently would add its own warm-up allocations to the window.
+//! file, and runs the two stencils one after the other inside a single
+//! `#[test]`, because the counter is process-global: a concurrently
+//! running sibling would add its own warm-up allocations to the window.
 
-use hcft_simmpi::World;
-use hcft_tsunami::{TsunamiParams, TsunamiSim};
+use hcft_simmpi::{Comm, World};
+use hcft_tsunami::{Heat3dParams, Heat3dState, RankState, TsunamiParams};
 
-#[test]
-fn solver_steady_state_allocates_no_message_buffers() {
-    let reg = hcft_telemetry::Registry::global();
-    let allocs = reg.counter("runtime.alloc.msg_buffers");
-    let r = World::run(4, move |c| {
-        let reg = hcft_telemetry::Registry::global();
-        let allocs = reg.counter("runtime.alloc.msg_buffers");
-        let mut sim = TsunamiSim::new(c, TsunamiParams::stable(48, 48));
-        // Warm-up: converge pool capacities and mailbox queue storage.
-        sim.run(20);
+/// Per rank, the message-buffer allocations of 50 steps taken after 20
+/// warm-up steps have converged pool capacities and mailbox storage.
+fn steady_state_allocs<S: 'static>(
+    nprocs: usize,
+    init: impl Fn(&Comm) -> S + Send + Sync + 'static,
+    step: impl Fn(&mut S, &Comm) + Send + Sync + 'static,
+) -> Vec<u64> {
+    World::run(nprocs, move |c| {
+        let allocs = hcft_telemetry::Registry::global().counter("runtime.alloc.msg_buffers");
+        let mut st = init(c);
+        for _ in 0..20 {
+            step(&mut st, c);
+        }
         c.barrier();
         let before = allocs.get();
         // Second barrier so no rank starts the measured window until
         // every rank has taken its snapshot.
         c.barrier();
-        sim.run(50);
-        // All measured iterations (on every rank) complete before any
-        // rank reads the post-window counter.
+        for _ in 0..50 {
+            step(&mut st, c);
+        }
+        // All measured steps (on every rank) complete before any rank
+        // reads the post-window counter.
         c.barrier();
-        let after = allocs.get();
-        (before, after, sim.local_energy())
-    });
-    for (rank, (before, after, energy)) in r.outputs.iter().enumerate() {
-        assert!(energy.is_finite());
-        assert_eq!(
-            before,
-            after,
-            "rank {rank} observed {} message-buffer allocations during 50 \
-             steady-state iterations (expected 0)",
-            after - before
-        );
+        allocs.get() - before
+    })
+    .outputs
+}
+
+#[test]
+fn shared_steps_allocate_no_message_buffers() {
+    let allocs = hcft_telemetry::Registry::global().counter("runtime.alloc.msg_buffers");
+
+    let p = TsunamiParams::stable(48, 48);
+    let q = p.clone();
+    let tsunami = steady_state_allocs(
+        4,
+        move |c| RankState::new(&p, c.size(), c.rank()),
+        move |st, c| st.step(&q, c),
+    );
+    // 8×4×4-cell blocks: x planes of 16 cells, y planes of 32, so the
+    // pool serves buffers of two sizes.
+    let p = Heat3dParams::stable((16, 8, 4), (2, 2, 1));
+    let heat3d = steady_state_allocs(
+        4,
+        move |c| Heat3dState::new(&p, c.size(), c.rank()),
+        |st, c| st.step(c),
+    );
+
+    for (stencil, per_rank) in [("tsunami", tsunami), ("heat3d", heat3d)] {
+        for (rank, grew) in per_rank.into_iter().enumerate() {
+            assert_eq!(
+                grew, 0,
+                "{stencil} rank {rank} observed {grew} message-buffer allocations \
+                 during 50 steady-state steps (expected 0)"
+            );
+        }
     }
-    // Sanity: the run did exercise the allocator during warm-up, so a
+    // Sanity: the runs did exercise the allocator during warm-up, so a
     // silently dead counter cannot fake a pass.
     assert!(allocs.get() > 0, "warm-up should hit the allocator");
 }

@@ -87,5 +87,5 @@ pub mod prelude {
     pub use hcft_simmpi::{Comm, World, WorldConfig};
     pub use hcft_telemetry::{EventKind, HcftError, Registry};
     pub use hcft_topology::{JobLayout, MachineSpec, NetworkTopology, NodeId, Placement, Rank};
-    pub use hcft_tsunami::{Heat3dParams, TsunamiParams, TsunamiSim};
+    pub use hcft_tsunami::{HaloLink, Heat3dParams, RankState, TsunamiParams};
 }

@@ -99,9 +99,13 @@ fn traced_tsunami_is_send_deterministic_across_runs() {
             ..Default::default()
         };
         let r = World::run_with(9, cfg, |c| {
-            let mut sim = TsunamiSim::new(c, TsunamiParams::stable(24, 24));
-            sim.run(8);
-            let _ = c.allreduce_sum(&[sim.local_energy()]);
+            let p = TsunamiParams::stable(24, 24);
+            let mut st = RankState::new(&p, c.size(), c.rank());
+            for _ in 0..8 {
+                st.step(&p, c);
+            }
+            let energy: f64 = st.local_eta().iter().map(|e| e * e).sum();
+            let _ = c.allreduce_sum(&[energy]);
         });
         let events: Vec<Vec<MsgEvent>> = r
             .trace
