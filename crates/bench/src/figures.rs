@@ -1,8 +1,8 @@
 //! One function per paper artefact (tables I & II, figures 3–5).
 
 use hcft_cluster::{
-    distributed, hierarchical, naive, BaselineRequirements, Evaluator, HierarchicalConfig,
-    PartitionEngine,
+    distributed, hierarchical, naive, BaselineRequirements, Evaluator, FamilyScore,
+    HierarchicalConfig, PartitionEngine, SchemeFamilySpec,
 };
 use hcft_erasure::{EncodingModel, ReedSolomon};
 use hcft_graph::WeightedGraph;
@@ -365,28 +365,9 @@ pub fn fig5b(scale: Scale) -> Artifact {
     }
 }
 
-/// Build the four paper schemes and their scores for a scale, with the
-/// default (multilevel) L1 partition engine.
-fn schemes_and_scores(
-    scale: Scale,
-) -> (
-    Vec<hcft_cluster::ClusteringScheme>,
-    Vec<hcft_cluster::FourDScore>,
-) {
-    schemes_and_scores_with(scale, hcft_cluster::PartitionEngine::Multilevel)
-}
-
-/// [`schemes_and_scores`] with an explicit L1 partition engine (the
-/// `repro --partition-engine` plumbing, so engine sweeps reuse the same
-/// scoring path as the paper artifacts).
-fn schemes_and_scores_with(
-    scale: Scale,
-    engine: hcft_cluster::PartitionEngine,
-) -> (
-    Vec<hcft_cluster::ClusteringScheme>,
-    Vec<hcft_cluster::FourDScore>,
-) {
-    let t = traced(scale);
+/// The four paper schemes at `scale`'s Table II sizes, hierarchical with
+/// exactly 4-node L1 clusters and 4-node L2 groups.
+fn paper_spec(scale: Scale, engine: PartitionEngine) -> SchemeFamilySpec {
     let (nv, sg, ds) = scale.table2_sizes();
     let hier_cfg = HierarchicalConfig {
         min_nodes_per_l1: 4,
@@ -394,22 +375,34 @@ fn schemes_and_scores_with(
         l2_group_nodes: 4,
         engine,
     };
-    // Iterates the ClusteringStrategy registry and publishes the
-    // `table2.*` metrics into the global telemetry registry as a side
-    // effect (picked up by `repro --telemetry`).
-    let ev = hcft_core::experiment::evaluate_schemes(&t, nv, sg, ds, &hier_cfg);
-    (ev.schemes, ev.scores)
+    SchemeFamilySpec::paper(nv, sg, ds, hier_cfg)
+}
+
+/// The four paper schemes built and scored on the traced run at
+/// `scale`, with the default (multilevel) L1 partition engine.
+fn schemes_and_scores(scale: Scale) -> Vec<FamilyScore> {
+    schemes_and_scores_with(scale, PartitionEngine::Multilevel)
+}
+
+/// [`schemes_and_scores`] with an explicit L1 partition engine (the
+/// `repro --partition-engine` plumbing, so engine sweeps reuse the same
+/// scoring path as the paper artifacts).
+fn schemes_and_scores_with(scale: Scale, engine: PartitionEngine) -> Vec<FamilyScore> {
+    // Scoring publishes the `table2.*` metrics into the global telemetry
+    // registry as a side effect (picked up by `repro --telemetry`).
+    hcft_core::evaluate_family_sweep(&traced(scale), &paper_spec(scale, engine))
+        .expect("the paper schemes fit the traced machine")
 }
 
 /// Table II: the four-dimension comparison of all clustering strategies.
 pub fn table2(scale: Scale, engine: hcft_cluster::PartitionEngine) -> Artifact {
-    let (_, scores) = schemes_and_scores_with(scale, engine);
+    let scored = schemes_and_scores_with(scale, engine);
     let mut report = String::from(
         "TABLE II — clustering comparison\n\n\
          method                   log.ovh  recovery  enc.(1GB)  P(cat.failure)\n",
     );
     let mut rows = Vec::new();
-    for s in &scores {
+    for s in scored.iter().map(|row| &row.score) {
         report.push_str(&format!(
             "{:<24} {:>6.1}%  {:>7.2}%  {:>7.0} s  {:>12}\n",
             s.name,
@@ -444,7 +437,7 @@ pub fn table2(scale: Scale, engine: hcft_cluster::PartitionEngine) -> Artifact {
 
 /// Fig. 5c: all strategies normalised against the §III baseline.
 pub fn fig5c(scale: Scale, engine: hcft_cluster::PartitionEngine) -> Artifact {
-    let (_, scores) = schemes_and_scores_with(scale, engine);
+    let scored = schemes_and_scores_with(scale, engine);
     let baseline = BaselineRequirements::default();
     let labels = BaselineRequirements::axis_labels();
     let mut report = format!(
@@ -454,7 +447,7 @@ pub fn fig5c(scale: Scale, engine: hcft_cluster::PartitionEngine) -> Artifact {
         labels[0], labels[1], labels[2], labels[3]
     );
     let mut rows = Vec::new();
-    for s in &scores {
+    for s in scored.iter().map(|row| &row.score) {
         let norm = baseline.normalize(s);
         let all = baseline.meets_all(s);
         report.push_str(&format!(
@@ -574,7 +567,7 @@ pub fn scaling(scale: Scale, engine: hcft_cluster::PartitionEngine) -> Artifact 
 /// measured restart fraction and encoding-derived checkpoint cost.
 pub fn efficiency(scale: Scale) -> Artifact {
     use hcft_reliability::EfficiencyModel;
-    let (_, scores) = schemes_and_scores(scale);
+    let scored = schemes_and_scores(scale);
     // 1 GB checkpoints; recovery latency = decode ≈ encode time; MTBF
     // sweep around the exascale-projection regime.
     let mut rows = Vec::new();
@@ -582,7 +575,7 @@ pub fn efficiency(scale: Scale) -> Artifact {
         "EFFICIENCY (extension) — Young/Daly with containment, 1 GB checkpoints\n\n\
          method                    MTBF 1h   MTBF 4h   MTBF 24h   tau*(4h)\n",
     );
-    for s in &scores {
+    for s in scored.iter().map(|row| &row.score) {
         let mut cells = vec![s.name.clone()];
         let mut line = format!("{:<24}", s.name);
         // A catastrophic failure falls back to an (hourly) PFS
@@ -632,28 +625,17 @@ pub fn alltoall(scale: Scale) -> Artifact {
     let placement = Placement::block(nodes, ppn);
     let matrix = hcft_graph::patterns::all_to_all(n, 1_000);
     let node_graph = WeightedGraph::from_comm_matrix(&matrix.aggregate_by_node(&placement));
-    let (nv, sg, ds) = scale.table2_sizes();
-    let hier_cfg = HierarchicalConfig {
-        min_nodes_per_l1: 4,
-        max_nodes_per_l1: 4,
-        l2_group_nodes: 4,
-        ..Default::default()
-    };
-    let schemes = [
-        naive(n, nv),
-        hcft_cluster::size_guided(n, sg),
-        distributed(&placement, ds),
-        hierarchical(&placement, &node_graph, &hier_cfg),
-    ];
-    let evaluator = Evaluator::new(matrix, placement);
+    let alltoall_scores = paper_spec(scale, PartitionEngine::Multilevel)
+        .score(&Evaluator::new(matrix, placement), &node_graph)
+        .expect("the paper schemes fit the machine");
     let mut rows = Vec::new();
     let mut report = String::from(
         "ALL-TO-ALL CAVEAT (extension) — §V last paragraph, quantified\n\n\
          method                    logged%   (stencil traced run for contrast)\n",
     );
-    let traced_scores = schemes_and_scores(scale).1;
-    for (scheme, stencil) in schemes.iter().zip(&traced_scores) {
-        let s = evaluator.evaluate(scheme);
+    let traced_scores = schemes_and_scores(scale);
+    for (row, stencil) in alltoall_scores.iter().zip(&traced_scores) {
+        let (s, stencil) = (&row.score, &stencil.score);
         report.push_str(&format!(
             "{:<24} {:>8.1}   (stencil: {:.1}%)\n",
             s.name,
@@ -772,7 +754,7 @@ pub fn ablation(scale: Scale) -> Artifact {
 /// useful-work availability.
 pub fn campaign(scale: Scale) -> Artifact {
     use hcft_core::campaign::{simulate_campaign, CampaignConfig};
-    let (schemes, scores) = schemes_and_scores(scale);
+    let scored = schemes_and_scores(scale);
     let t = traced(scale);
     let placement = t.layout.app_placement();
     let mut rows = Vec::new();
@@ -780,7 +762,7 @@ pub fn campaign(scale: Scale) -> Artifact {
         "CAMPAIGN (extension) — 30 days, MTBF 6 h, checkpoint every 10 min\n\n\
          method                    failures  catastrophic  availability\n",
     );
-    for (scheme, score) in schemes.iter().zip(&scores) {
+    for FamilyScore { scheme, score, .. } in &scored {
         let cfg = CampaignConfig {
             checkpoint_cost_s: score.encode_s_per_gb,
             recovery_latency_s: score.encode_s_per_gb,
@@ -974,28 +956,16 @@ pub fn heat3d(scale: Scale) -> Artifact {
     let matrix = result.trace.byte_matrix();
     let placement = Placement::block(nodes, ppn);
     let node_graph = WeightedGraph::from_comm_matrix(&matrix.aggregate_by_node(&placement));
-    let (nv, sg, ds) = scale.table2_sizes();
-    let hier_cfg = HierarchicalConfig {
-        min_nodes_per_l1: 4,
-        max_nodes_per_l1: 4,
-        l2_group_nodes: 4,
-        ..Default::default()
-    };
-    let schemes = vec![
-        naive(nprocs, nv),
-        hcft_cluster::size_guided(nprocs, sg),
-        distributed(&placement, ds),
-        hierarchical(&placement, &node_graph, &hier_cfg),
-    ];
-    let evaluator = Evaluator::new(matrix, placement);
+    let scored = paper_spec(scale, PartitionEngine::Multilevel)
+        .score(&Evaluator::new(matrix, placement), &node_graph)
+        .expect("the paper schemes fit the machine");
     let baseline = BaselineRequirements::default();
     let mut rows = Vec::new();
     let mut report = String::from(
         "HEAT-3D (extension) — the four clusterings on a 7-point 3-D stencil\n\n\
          method                    logged%   restart%  enc(1GB)   P(cat)   meets-all\n",
     );
-    for scheme in &schemes {
-        let s = evaluator.evaluate(scheme);
+    for s in scored.iter().map(|row| &row.score) {
         report.push_str(&format!(
             "{:<24} {:>8.1}  {:>8.2}  {:>7.0} s  {:>8.1e}  {}\n",
             s.name,
@@ -1003,7 +973,7 @@ pub fn heat3d(scale: Scale) -> Artifact {
             s.restart_fraction * 100.0,
             s.encode_s_per_gb,
             s.p_catastrophic,
-            if baseline.meets_all(&s) { "YES" } else { "no" }
+            if baseline.meets_all(s) { "YES" } else { "no" }
         ));
         rows.push(vec![
             s.name.clone(),
@@ -1011,7 +981,7 @@ pub fn heat3d(scale: Scale) -> Artifact {
             format!("{:.4}", s.restart_fraction),
             format!("{:.1}", s.encode_s_per_gb),
             format!("{:e}", s.p_catastrophic),
-            baseline.meets_all(&s).to_string(),
+            baseline.meets_all(s).to_string(),
         ]);
     }
     report.push_str(

@@ -6,13 +6,15 @@
 //! baseline, and rank the survivors by a scalarised cost (normalised
 //! worst-axis by default — minimise the largest baseline ratio, i.e. the
 //! Chebyshev objective that matches Fig. 5c's "stay inside the polygon").
+//! The sweep itself is the [`SchemeFamilySpec::autotune`] preset.
 
 use hcft_graph::WeightedGraph;
-use hcft_topology::Placement;
+use hcft_telemetry::HcftError;
 
 use crate::baseline::BaselineRequirements;
 use crate::evaluator::{Evaluator, FourDScore};
-use crate::strategies::{distributed, hierarchical, naive, ClusteringScheme, HierarchicalConfig};
+use crate::strategies::ClusteringScheme;
+use crate::strategy::SchemeFamilySpec;
 
 /// One evaluated candidate.
 #[derive(Clone, Debug)]
@@ -25,77 +27,48 @@ pub struct Candidate {
     pub chebyshev: f64,
 }
 
-/// Sweep all candidate schemes for a traced workload.
-///
-/// Candidates: naïve/consecutive sizes (powers of two), distributed sizes
-/// (powers of two up to the node count) and hierarchical L1 widths
-/// (4 and 8 nodes).
+/// Score the [`SchemeFamilySpec::autotune`] sweep for a traced workload,
+/// in sweep order. Fails with `Config` when no candidate fits the
+/// machine, or when a hierarchical candidate's `node_graph` does not
+/// cover its nodes.
 pub fn candidates(
     evaluator: &Evaluator,
     node_graph: &WeightedGraph,
     baseline: &BaselineRequirements,
-) -> Vec<Candidate> {
-    let placement: &Placement = evaluator.placement();
-    let n = placement.nprocs();
-    let nodes = placement.nodes();
-    let mut schemes: Vec<ClusteringScheme> = Vec::new();
-    let mut size = 2;
-    while size <= n / 2 {
-        schemes.push(naive(n, size));
-        size *= 2;
-    }
-    let mut size = 2;
-    while size <= nodes {
-        schemes.push(distributed(placement, size));
-        size *= 2;
-    }
-    for l1 in [4usize, 8] {
-        if nodes >= 2 * l1 {
-            schemes.push(hierarchical(
-                placement,
-                node_graph,
-                &HierarchicalConfig {
-                    min_nodes_per_l1: l1,
-                    max_nodes_per_l1: l1,
-                    l2_group_nodes: 4.min(l1),
-                    ..Default::default()
-                },
-            ));
-        }
-    }
-    schemes
+) -> Result<Vec<Candidate>, HcftError> {
+    let rows = SchemeFamilySpec::autotune(evaluator.placement()).score(evaluator, node_graph)?;
+    Ok(rows
         .into_iter()
-        .map(|scheme| {
-            let score = evaluator.evaluate(&scheme);
-            let chebyshev = baseline
-                .normalize(&score)
+        .map(|row| Candidate {
+            chebyshev: baseline
+                .normalize(&row.score)
                 .into_iter()
-                .fold(0.0f64, f64::max);
-            Candidate {
-                scheme,
-                score,
-                chebyshev,
-            }
+                .fold(0.0f64, f64::max),
+            scheme: row.scheme,
+            score: row.score,
         })
-        .collect()
+        .collect())
 }
 
-/// Pick the best admissible candidate (smallest Chebyshev ratio), or the
-/// least-bad one when nothing is admissible.
+/// Pick the best admissible candidate (smallest Chebyshev ratio, the
+/// first in sweep order on a tie), or the least-bad one when nothing is
+/// admissible.
 pub fn autotune(
     evaluator: &Evaluator,
     node_graph: &WeightedGraph,
     baseline: &BaselineRequirements,
-) -> Candidate {
-    let mut all = candidates(evaluator, node_graph, baseline);
-    all.sort_by(|a, b| a.chebyshev.partial_cmp(&b.chebyshev).expect("finite"));
-    all.into_iter().next().expect("candidate set is non-empty")
+) -> Result<Candidate, HcftError> {
+    Ok(candidates(evaluator, node_graph, baseline)?
+        .into_iter()
+        .min_by(|a, b| a.chebyshev.partial_cmp(&b.chebyshev).expect("finite"))
+        .expect("scoring refuses an empty sweep"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hcft_graph::patterns;
+    use hcft_topology::Placement;
 
     /// Anisotropic stencil over 32 nodes × 8 ranks — paper-shaped.
     fn setup() -> (Evaluator, WeightedGraph) {
@@ -110,20 +83,44 @@ mod tests {
     fn autotune_selects_a_hierarchical_scheme() {
         let (evaluator, node_graph) = setup();
         let baseline = BaselineRequirements::default();
-        let best = autotune(&evaluator, &node_graph, &baseline);
-        assert!(
-            best.scheme.name.starts_with("hierarchical"),
-            "picked {}",
-            best.scheme.name
-        );
-        assert!(best.chebyshev < 1.0, "winner inside the polygon");
+        let best = autotune(&evaluator, &node_graph, &baseline).unwrap();
+        // Pinned: the sweep's answer on this machine must not drift.
+        assert_eq!(best.scheme.name, "hierarchical (32-4 pr.)");
+        assert_eq!(best.chebyshev, 0.625);
         assert!(baseline.meets_all(&best.score));
+    }
+
+    #[test]
+    fn autotune_answers_every_small_machine_without_panicking() {
+        let baseline = BaselineRequirements::default();
+        for nodes in 1..=17 {
+            for ppn in [1, 2, 4] {
+                let placement = Placement::block(nodes, ppn);
+                let m = patterns::stencil_2d(nodes * ppn, 1, 2048, 16);
+                let node_graph = WeightedGraph::from_comm_matrix(&m.aggregate_by_node(&placement));
+                let evaluator = Evaluator::new(m, placement);
+                let shape = format!("{nodes}x{ppn}");
+                // Nothing fits one node of fewer than four ranks: no
+                // naive size reaches half the ranks, no stripe two nodes.
+                if nodes == 1 && ppn < 4 {
+                    let err = autotune(&evaluator, &node_graph, &baseline).unwrap_err();
+                    assert!(matches!(err, HcftError::Config(_)), "{shape}: {err}");
+                    let words = format!("no strategy family fits a {shape} layout");
+                    assert!(err.to_string().contains(&words), "{shape}: {err}");
+                    continue;
+                }
+                // Scoring builds every candidate of the sweep first, so
+                // an answer means each one built.
+                autotune(&evaluator, &node_graph, &baseline)
+                    .unwrap_or_else(|e| panic!("{shape}: {e}"));
+            }
+        }
     }
 
     #[test]
     fn candidate_sweep_covers_all_families() {
         let (evaluator, node_graph) = setup();
-        let cands = candidates(&evaluator, &node_graph, &BaselineRequirements::default());
+        let cands = candidates(&evaluator, &node_graph, &BaselineRequirements::default()).unwrap();
         let names: Vec<&str> = cands.iter().map(|c| c.score.name.as_str()).collect();
         assert!(names.iter().any(|n| n.starts_with("naive")));
         assert!(names.iter().any(|n| n.starts_with("distributed")));
@@ -135,7 +132,7 @@ mod tests {
     #[test]
     fn chebyshev_flags_inadmissible_candidates() {
         let (evaluator, node_graph) = setup();
-        let cands = candidates(&evaluator, &node_graph, &BaselineRequirements::default());
+        let cands = candidates(&evaluator, &node_graph, &BaselineRequirements::default()).unwrap();
         for c in &cands {
             let meets = BaselineRequirements::default().meets_all(&c.score);
             assert_eq!(meets, c.chebyshev <= 1.0, "{}", c.score.name);
@@ -153,7 +150,7 @@ mod tests {
             max_encode_s_per_gb: 1e-9,
             max_p_catastrophic: 1e-30,
         };
-        let best = autotune(&evaluator, &node_graph, &impossible);
+        let best = autotune(&evaluator, &node_graph, &impossible).unwrap();
         assert!(best.chebyshev > 1.0);
     }
 
@@ -165,7 +162,7 @@ mod tests {
         let node_graph = WeightedGraph::from_comm_matrix(&m.aggregate_by_node(&placement));
         let evaluator = Evaluator::new(m, placement);
         let baseline = BaselineRequirements::default();
-        let best = autotune(&evaluator, &node_graph, &baseline);
+        let best = autotune(&evaluator, &node_graph, &baseline).unwrap();
         assert!(!baseline.meets(&best.score)[0], "logging must fail");
     }
 }

@@ -13,6 +13,10 @@
 //!   partition (≥ 4 nodes each, every node wholly inside one cluster)
 //!   for containment, and distributed L2 clusters of one-rank-per-node
 //!   inside each L1 cluster for encoding (§IV-B, Fig. 6);
+//! * the [`ClusteringStrategy`] trait giving each family one feasibility
+//!   rule, and [`SchemeFamilySpec`], the one ordered list of sized
+//!   strategies (Table II, the `/evaluate` grids, the autotuner's sweep)
+//!   with the one path that builds and scores it;
 //! * the [`FourDScore`] evaluator wiring the message-logging accounting,
 //!   restart model, encoding model and catastrophic-failure model
 //!   together (Table II);
@@ -35,6 +39,6 @@ pub use strategies::{
     PartitionEngine,
 };
 pub use strategy::{
-    registry, registry_with, ClusteringStrategy, Distributed, Hierarchical, Naive, SizeGuided,
-    StrategyContext, Striped,
+    ClusteringStrategy, Distributed, FamilyScore, Hierarchical, Naive, SchemeFamilySpec,
+    SizeGuided, StrategyContext, Striped,
 };

@@ -1,10 +1,25 @@
-//! The four clustering strategies of §III–§IV.
+//! The scheme constructors behind the strategies of §III–§IV.
+//!
+//! These free functions build a [`ClusteringScheme`] and panic on input
+//! their family cannot cluster; the feasibility rules themselves live in
+//! the [`crate::strategy::ClusteringStrategy`] impls, whose `build`
+//! returns the same refusal as an [`HcftError`] instead.
 
 use std::sync::Arc;
 
 use hcft_graph::{Clustering, WeightedGraph};
 use hcft_partition::{modularity_clusters, MultilevelConfig, MultilevelPartitioner, SizeBounds};
+use hcft_telemetry::HcftError;
 use hcft_topology::{NodeId, Placement, Rank};
+
+use crate::strategy::{ClusteringStrategy, Distributed, Hierarchical, Striped};
+
+/// Panic with the refusal of a strategy's feasibility rule.
+fn must(rule: Result<(), HcftError>) {
+    if let Err(e) = rule {
+        panic!("{e}");
+    }
+}
 
 /// A named clustering scheme: the L1 (failure-containment) clusters drive
 /// message logging and restart; the L2 (encoding) clusters drive encoding
@@ -74,10 +89,6 @@ impl ClusteringScheme {
 
 /// §III-A — naïve clustering: consecutive ranks in clusters of `size`
 /// (the paper settles on 32 as the logging/restart sweet spot).
-///
-/// Prefer [`crate::strategy::Naive`] for validated, non-panicking
-/// construction via the unified [`crate::strategy::ClusteringStrategy`]
-/// API.
 pub fn naive(nprocs: usize, size: usize) -> ClusteringScheme {
     ClusteringScheme::flat(
         format!("naive ({size} pr.)"),
@@ -87,9 +98,6 @@ pub fn naive(nprocs: usize, size: usize) -> ClusteringScheme {
 
 /// §III-B — size-guided clustering: mechanically identical to naïve but
 /// the size is chosen to balance encoding time too (the paper picks 8).
-///
-/// Prefer [`crate::strategy::SizeGuided`] for validated, non-panicking
-/// construction.
 pub fn size_guided(nprocs: usize, size: usize) -> ClusteringScheme {
     ClusteringScheme::flat(
         format!("size-guided ({size} pr.)"),
@@ -107,20 +115,12 @@ pub fn size_guided(nprocs: usize, size: usize) -> ClusteringScheme {
 /// the paper measures ~100 % of messages logged under this scheme.
 ///
 /// # Panics
-/// Panics if any node hosts fewer ranks than another (slots must align)
-/// or if `size` exceeds the node count. Prefer
-/// [`crate::strategy::Distributed`] to get an error instead.
+/// Panics where [`Distributed::validate`] refuses `placement` (a size
+/// outside `2..=nodes`, or nodes hosting different rank counts).
 pub fn distributed(placement: &Placement, size: usize) -> ClusteringScheme {
+    must(Distributed { size }.validate(placement));
     let nodes = placement.nodes();
-    assert!(
-        size >= 2 && size <= nodes,
-        "cluster size {size} vs {nodes} nodes"
-    );
     let ppn = placement.ranks_on(NodeId(0)).len();
-    assert!(
-        (0..nodes).all(|n| placement.ranks_on(NodeId::from(n)).len() == ppn),
-        "distributed clustering needs a uniform ranks-per-node layout"
-    );
     let mut clusters: Vec<Vec<Rank>> = Vec::new();
     let mut group_start = 0;
     while group_start < nodes {
@@ -153,19 +153,10 @@ pub fn distributed(placement: &Placement, size: usize) -> ClusteringScheme {
 /// assume.
 ///
 /// # Panics
-/// Panics if `nprocs` is not divisible by `l2_size`, if the node count is
-/// not divisible by `l1_nodes`, or if the layout is not uniform.
+/// Panics where [`Striped::validate`] refuses `placement`.
 pub fn striped(placement: &Placement, l1_nodes: usize, l2_size: usize) -> ClusteringScheme {
+    must(Striped { l1_nodes, l2_size }.validate(placement));
     let nprocs = placement.nprocs();
-    let nodes = placement.nodes();
-    assert!(
-        l1_nodes >= 1 && nodes.is_multiple_of(l1_nodes),
-        "{nodes} nodes vs L1 blocks of {l1_nodes}"
-    );
-    assert!(
-        l2_size >= 2 && nprocs.is_multiple_of(l2_size),
-        "{nprocs} ranks vs L2 groups of {l2_size}"
-    );
     let groups = nprocs / l2_size;
     let l1_assign: Vec<usize> = (0..nprocs)
         .map(|r| placement.node_of(Rank::from(r)).idx() / l1_nodes)
@@ -258,9 +249,8 @@ impl HierarchicalConfig {
 ///    distributed encoding clusters.
 ///
 /// # Panics
-/// Panics if the node graph and placement disagree, or if an L1 cluster
-/// cannot hold a full L2 group. Prefer [`crate::strategy::Hierarchical`]
-/// to get an error for the size preconditions instead.
+/// Panics if the node graph and placement disagree, or where
+/// [`Hierarchical::validate`] refuses `placement`.
 pub fn hierarchical(
     placement: &Placement,
     node_graph: &WeightedGraph,
@@ -268,16 +258,14 @@ pub fn hierarchical(
 ) -> ClusteringScheme {
     let nodes = placement.nodes();
     assert_eq!(node_graph.n(), nodes, "node graph must cover the placement");
-    assert!(cfg.min_nodes_per_l1 >= cfg.l2_group_nodes);
+    must(Hierarchical { cfg: cfg.clone() }.validate(placement));
     // Vertex weights: ranks per node, so partition balance is in ranks…
     // except the paper's constraint is in *nodes*, so weight each vertex
     // 1 and bound by node counts.
     let bounds = SizeBounds::new(cfg.min_nodes_per_l1 as u64, cfg.max_nodes_per_l1 as u64);
     let node_part = match cfg.engine {
         PartitionEngine::Multilevel => {
-            // Infeasible bounds fall through to k = 1 and the
-            // partitioner's panic; `strategy::Hierarchical` refuses them.
-            let k = cfg.l1_parts(nodes).unwrap_or(1);
+            let k = cfg.l1_parts(nodes).expect("validated bounds fit");
             MultilevelPartitioner::new(MultilevelConfig::new(k, bounds)).partition(node_graph)
         }
         PartitionEngine::Modularity => modularity_clusters(node_graph, bounds),

@@ -1,17 +1,23 @@
 //! The unified strategy API.
 //!
-//! The four §III–§IV strategies used to be four unrelated free functions
-//! with different signatures and panic-on-misuse semantics. The
-//! [`ClusteringStrategy`] trait gives them one shape — validate the
-//! context, then build — so callers (the evaluator, the repro binary,
-//! future autotuners) iterate [`registry`] instead of hand-listing four
-//! calls, and misconfiguration surfaces as [`HcftError`] instead of a
-//! panic.
+//! Every §III–§IV strategy (and the striped extension) implements
+//! [`ClusteringStrategy`]: a family name, the family's one feasibility
+//! rule ([`ClusteringStrategy::validate`]), and a `build` that checks that
+//! rule before constructing, so misconfiguration surfaces as
+//! [`HcftError`] instead of a panic.
+//!
+//! A [`SchemeFamilySpec`] is the one way to name a set of sized
+//! strategies: the Table II comparison, the `/evaluate` family grid, the
+//! paper's four schemes at chosen sizes and the autotuner's sweep are all
+//! presets of it, and [`SchemeFamilySpec::score`] is the one path that
+//! builds and scores such a set.
 
 use hcft_graph::WeightedGraph;
 use hcft_telemetry::HcftError;
 use hcft_topology::{NodeId, Placement};
+use rayon::prelude::*;
 
+use crate::evaluator::{Evaluator, FourDScore};
 use crate::strategies::{self, ClusteringScheme, HierarchicalConfig};
 
 /// Everything a strategy may consult when building a scheme: the
@@ -27,8 +33,14 @@ pub struct StrategyContext<'a> {
 
 /// A named, validated producer of [`ClusteringScheme`]s.
 pub trait ClusteringStrategy {
-    /// Stable strategy name (Table II row family, without the size).
-    fn name(&self) -> &str;
+    /// Stable strategy family name (Table II row family, without the
+    /// size).
+    fn name(&self) -> &'static str;
+
+    /// The family's feasibility rule: can this strategy, at its sizes,
+    /// cluster `placement`? `Config` for sizes that are wrong on any
+    /// machine, `Partition` for sizes this machine cannot host.
+    fn validate(&self, placement: &Placement) -> Result<(), HcftError>;
 
     /// Build the scheme for `ctx`, validating applicability first.
     fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError>;
@@ -76,64 +88,78 @@ fn check_flat_size(size: usize, nprocs: usize) -> Result<(), HcftError> {
     Ok(())
 }
 
+/// The layout rule of the families that stripe one rank slot across
+/// nodes: every node hosts the same number of ranks.
+fn check_uniform(placement: &Placement, family: &str) -> Result<(), HcftError> {
+    let ppn = placement.ranks_on(NodeId(0)).len();
+    if (0..placement.nodes()).all(|n| placement.ranks_on(NodeId::from(n)).len() == ppn) {
+        Ok(())
+    } else {
+        Err(HcftError::Partition(format!(
+            "{family} clustering needs a uniform ranks-per-node layout"
+        )))
+    }
+}
+
 impl ClusteringStrategy for Naive {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "naive"
     }
 
+    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
+        check_flat_size(self.size, placement.nprocs())
+    }
+
     fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        check_flat_size(self.size, ctx.placement.nprocs())?;
+        self.validate(ctx.placement)?;
         Ok(strategies::naive(ctx.placement.nprocs(), self.size))
     }
 }
 
 impl ClusteringStrategy for SizeGuided {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "size-guided"
     }
 
+    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
+        check_flat_size(self.size, placement.nprocs())
+    }
+
     fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        check_flat_size(self.size, ctx.placement.nprocs())?;
+        self.validate(ctx.placement)?;
         Ok(strategies::size_guided(ctx.placement.nprocs(), self.size))
     }
 }
 
 impl ClusteringStrategy for Distributed {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "distributed"
     }
 
-    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        let nodes = ctx.placement.nodes();
+    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
+        let nodes = placement.nodes();
         if self.size < 2 || self.size > nodes {
             return Err(HcftError::Partition(format!(
                 "distributed stripe size {} needs 2..={nodes} nodes",
                 self.size
             )));
         }
-        let ppn = ctx.placement.ranks_on(NodeId(0)).len();
-        if !(0..nodes).all(|n| ctx.placement.ranks_on(NodeId::from(n)).len() == ppn) {
-            return Err(HcftError::Partition(
-                "distributed clustering needs a uniform ranks-per-node layout".into(),
-            ));
-        }
+        check_uniform(placement, "distributed")
+    }
+
+    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
+        self.validate(ctx.placement)?;
         Ok(strategies::distributed(ctx.placement, self.size))
     }
 }
 
 impl ClusteringStrategy for Hierarchical {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "hierarchical"
     }
 
-    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        let nodes = ctx.placement.nodes();
-        if ctx.node_graph.n() != nodes {
-            return Err(HcftError::Config(format!(
-                "node graph has {} vertices for {nodes} nodes",
-                ctx.node_graph.n()
-            )));
-        }
+    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
+        let nodes = placement.nodes();
         if self.cfg.l2_group_nodes == 0 || self.cfg.min_nodes_per_l1 < self.cfg.l2_group_nodes {
             return Err(HcftError::Config(format!(
                 "min_nodes_per_l1 ({}) must be >= l2_group_nodes ({}) >= 1",
@@ -152,6 +178,18 @@ impl ClusteringStrategy for Hierarchical {
                 self.cfg.min_nodes_per_l1, self.cfg.max_nodes_per_l1
             )));
         }
+        Ok(())
+    }
+
+    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
+        let nodes = ctx.placement.nodes();
+        if ctx.node_graph.n() != nodes {
+            return Err(HcftError::Config(format!(
+                "node graph has {} vertices for {nodes} nodes",
+                ctx.node_graph.n()
+            )));
+        }
+        self.validate(ctx.placement)?;
         Ok(strategies::hierarchical(
             ctx.placement,
             ctx.node_graph,
@@ -171,14 +209,14 @@ pub struct Striped {
 }
 
 impl ClusteringStrategy for Striped {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "striped"
     }
 
-    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        let nodes = ctx.placement.nodes();
-        let nprocs = ctx.placement.nprocs();
-        if self.l1_nodes == 0 || !nodes.is_multiple_of(self.l1_nodes) {
+    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
+        let nodes = placement.nodes();
+        let nprocs = placement.nprocs();
+        if self.l1_nodes == 0 || self.l1_nodes > nodes || !nodes.is_multiple_of(self.l1_nodes) {
             return Err(HcftError::Partition(format!(
                 "striped L1 block of {} nodes must divide {nodes} nodes",
                 self.l1_nodes
@@ -190,12 +228,11 @@ impl ClusteringStrategy for Striped {
                 self.l2_size
             )));
         }
-        let ppn = ctx.placement.ranks_on(NodeId(0)).len();
-        if !(0..nodes).all(|n| ctx.placement.ranks_on(NodeId::from(n)).len() == ppn) {
-            return Err(HcftError::Partition(
-                "striped clustering needs a uniform ranks-per-node layout".into(),
-            ));
-        }
+        check_uniform(placement, "striped")
+    }
+
+    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
+        self.validate(ctx.placement)?;
         Ok(strategies::striped(
             ctx.placement,
             self.l1_nodes,
@@ -204,30 +241,224 @@ impl ClusteringStrategy for Striped {
     }
 }
 
-/// The paper's four strategies at their Table II configurations:
-/// naive 32, size-guided 8, distributed 16, hierarchical with the
-/// default §IV-B sizing.
-pub fn registry() -> Vec<Box<dyn ClusteringStrategy>> {
-    registry_with(32, 8, 16, HierarchicalConfig::default())
+/// One entry of a [`SchemeFamilySpec`].
+type Entry = Box<dyn ClusteringStrategy + Send + Sync>;
+
+/// An ordered list of sized strategies: every entry builds one
+/// [`ClusteringScheme`] and scores one row. Construction order is the
+/// evaluation (and response) order, so a spec is deterministic by value,
+/// independent of thread count.
+///
+/// The generated presets ([`table2`](Self::table2),
+/// [`for_layout`](Self::for_layout), [`autotune`](Self::autotune)) keep
+/// only the entries whose [`ClusteringStrategy::validate`] accepts the
+/// machine; [`paper`](Self::paper) keeps the sizes it is given, so an
+/// infeasible one fails the build with the strategy's error.
+#[derive(Default)]
+pub struct SchemeFamilySpec {
+    entries: Vec<Entry>,
 }
 
-/// The four strategies at custom sizes (smaller runs, ablations).
-pub fn registry_with(
-    naive_size: usize,
-    size_guided_size: usize,
-    distributed_size: usize,
-    hier_cfg: HierarchicalConfig,
-) -> Vec<Box<dyn ClusteringStrategy>> {
-    vec![
-        Box::new(Naive { size: naive_size }),
-        Box::new(SizeGuided {
-            size: size_guided_size,
-        }),
-        Box::new(Distributed {
-            size: distributed_size,
-        }),
-        Box::new(Hierarchical { cfg: hier_cfg }),
-    ]
+impl SchemeFamilySpec {
+    /// The paper's four schemes in Table II order (naïve, size-guided,
+    /// distributed, hierarchical) at the given sizes.
+    pub fn paper(
+        naive: usize,
+        size_guided: usize,
+        distributed: usize,
+        hierarchical: HierarchicalConfig,
+    ) -> Self {
+        SchemeFamilySpec {
+            entries: vec![
+                Box::new(Naive { size: naive }),
+                Box::new(SizeGuided { size: size_guided }),
+                Box::new(Distributed { size: distributed }),
+                Box::new(Hierarchical { cfg: hierarchical }),
+            ],
+        }
+    }
+
+    /// The Table II comparison: the four paper schemes at their classic
+    /// sizes (clamped to the machine) plus one striped entrant where the
+    /// layout divides evenly.
+    pub fn table2(nodes: usize, ppn: usize) -> Self {
+        let nprocs = nodes * ppn;
+        // The paper's §IV-B sizing, clamped so the partitioner stays
+        // valid on machines smaller than one default L1 cluster.
+        let min_l1 = 4.min(nodes).max(1);
+        let hier = HierarchicalConfig {
+            min_nodes_per_l1: min_l1,
+            max_nodes_per_l1: 8.min(nodes).max(min_l1),
+            l2_group_nodes: 4.min(min_l1),
+            ..HierarchicalConfig::default()
+        };
+        let entries: Vec<Entry> = vec![
+            Box::new(Naive {
+                size: 32.min(nprocs),
+            }),
+            Box::new(SizeGuided {
+                size: 8.min(nprocs),
+            }),
+            Box::new(Distributed {
+                size: 16.min(nodes),
+            }),
+            Box::new(Striped {
+                l1_nodes: 4,
+                l2_size: ppn,
+            }),
+            Box::new(Hierarchical { cfg: hier }),
+        ];
+        SchemeFamilySpec { entries }.feasible_on_block(nodes, ppn)
+    }
+
+    /// The full family grid for a `nodes × ppn` machine: cluster-size
+    /// sweeps per flat family, striped L1×L2 combinations and
+    /// hierarchical L1-bound / L2-group grids — every combination valid
+    /// for the layout, in a fixed deterministic order.
+    pub fn for_layout(nodes: usize, ppn: usize) -> Self {
+        let mut entries: Vec<Entry> = Vec::new();
+        for size in [ppn, 2 * ppn, 4 * ppn] {
+            entries.push(Box::new(Naive { size }));
+        }
+        let mut size_guided = vec![ppn.div_ceil(2), ppn, 2 * ppn];
+        size_guided.dedup();
+        for size in size_guided {
+            entries.push(Box::new(SizeGuided { size }));
+        }
+        for size in [4, 8, 16] {
+            entries.push(Box::new(Distributed { size }));
+        }
+        for l1_nodes in [2, 4] {
+            for l2_size in [ppn, 2 * ppn] {
+                entries.push(Box::new(Striped { l1_nodes, l2_size }));
+            }
+        }
+        for (min, max, l2g) in [(4, 8, 4), (4, 8, 2), (4, 4, 4), (8, 16, 4)] {
+            entries.push(Box::new(Hierarchical {
+                cfg: HierarchicalConfig {
+                    min_nodes_per_l1: min,
+                    max_nodes_per_l1: max,
+                    l2_group_nodes: l2g,
+                    ..HierarchicalConfig::default()
+                },
+            }));
+        }
+        SchemeFamilySpec { entries }.feasible_on_block(nodes, ppn)
+    }
+
+    /// The autotuner's sweep over `placement`: naïve cluster sizes
+    /// (powers of two up to half the ranks), distributed stripe sizes
+    /// (powers of two up to the node count) and hierarchical L1 widths of
+    /// exactly 4 and 8 nodes where at least two such clusters fit — of
+    /// these, the entries `placement` can host.
+    pub fn autotune(placement: &Placement) -> Self {
+        let nodes = placement.nodes();
+        let powers_of_two = |max: usize| {
+            std::iter::successors(Some(2usize), |s| s.checked_mul(2)).take_while(move |&s| s <= max)
+        };
+        let mut entries: Vec<Entry> = Vec::new();
+        for size in powers_of_two(placement.nprocs() / 2) {
+            entries.push(Box::new(Naive { size }));
+        }
+        for size in powers_of_two(nodes) {
+            entries.push(Box::new(Distributed { size }));
+        }
+        for l1 in [4, 8] {
+            if nodes >= 2 * l1 {
+                entries.push(Box::new(Hierarchical {
+                    cfg: HierarchicalConfig {
+                        min_nodes_per_l1: l1,
+                        max_nodes_per_l1: l1,
+                        l2_group_nodes: 4,
+                        ..HierarchicalConfig::default()
+                    },
+                }));
+            }
+        }
+        entries.retain(|s| s.validate(placement).is_ok());
+        SchemeFamilySpec { entries }
+    }
+
+    /// Keep the entries a `nodes × ppn` block placement can host; an
+    /// empty machine hosts none (and has no block placement).
+    fn feasible_on_block(mut self, nodes: usize, ppn: usize) -> Self {
+        if nodes == 0 || ppn == 0 {
+            self.entries.clear();
+        } else {
+            let placement = Placement::block(nodes, ppn);
+            self.entries.retain(|s| s.validate(&placement).is_ok());
+        }
+        self
+    }
+
+    /// The `(family, strategy)` pairs in spec order.
+    pub fn strategies(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, &(dyn ClusteringStrategy + Send + Sync))> {
+        self.entries.iter().map(|s| (s.name(), &**s))
+    }
+
+    /// Is the spec empty?
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Build every strategy on the evaluator's placement and `node_graph`
+    /// and score it, in spec order. Building is sequential (the
+    /// hierarchical partitioner is milliseconds at paper scale); scoring
+    /// dominates and fans out over rayon with an order-preserving
+    /// collect, so the rows are byte-identical at any thread count.
+    ///
+    /// An empty spec is a `Config` error. An entry the machine cannot
+    /// host fails the whole call with its strategy's validation error;
+    /// the generated presets drop those, so only [`paper`](Self::paper)
+    /// sizes (or a node graph that does not cover the machine) can fail.
+    pub fn score(
+        &self,
+        evaluator: &Evaluator,
+        node_graph: &WeightedGraph,
+    ) -> Result<Vec<FamilyScore>, HcftError> {
+        let placement = evaluator.placement();
+        if self.is_empty() {
+            return Err(HcftError::Config(format!(
+                "no strategy family fits a {}x{} layout",
+                placement.nodes(),
+                placement.nprocs() / placement.nodes().max(1)
+            )));
+        }
+        let ctx = StrategyContext {
+            placement,
+            node_graph,
+        };
+        let built = self
+            .strategies()
+            .map(|(family, s)| Ok((family, s.build(&ctx)?)))
+            .collect::<Result<Vec<_>, HcftError>>()?;
+        let scores: Vec<FourDScore> = built
+            .par_iter()
+            .map(|(_, scheme)| evaluator.evaluate(scheme))
+            .collect();
+        Ok(built
+            .into_iter()
+            .zip(scores)
+            .map(|((family, scheme), score)| FamilyScore {
+                family,
+                scheme,
+                score,
+            })
+            .collect())
+    }
+}
+
+/// One scored row of a [`SchemeFamilySpec`].
+#[derive(Clone, Debug)]
+pub struct FamilyScore {
+    /// Strategy family the row came from (`naive`, `striped`, …).
+    pub family: &'static str,
+    /// The scheme the strategy built.
+    pub scheme: ClusteringScheme,
+    /// The four-dimension score (carries the sized scheme name).
+    pub score: FourDScore,
 }
 
 #[cfg(test)]
@@ -245,24 +476,23 @@ mod tests {
     }
 
     #[test]
-    fn registry_builds_all_four_on_the_paper_layout() {
+    fn paper_preset_builds_all_four_on_the_paper_layout() {
         let placement = Placement::block(64, 16);
         let graph = chain_graph(64);
         let ctx = StrategyContext {
             placement: &placement,
             node_graph: &graph,
         };
-        let schemes: Vec<ClusteringScheme> = registry()
-            .iter()
-            .map(|s| s.build(&ctx).expect("paper layout is valid"))
-            .collect();
-        assert_eq!(schemes.len(), 4);
-        let regs = registry();
-        let names: Vec<&str> = regs.iter().map(|s| s.name()).collect();
+        let spec = SchemeFamilySpec::paper(32, 8, 16, HierarchicalConfig::default());
+        let names: Vec<&str> = spec.strategies().map(|(family, _)| family).collect();
         assert_eq!(
             names,
             vec!["naive", "size-guided", "distributed", "hierarchical"]
         );
+        let schemes: Vec<ClusteringScheme> = spec
+            .strategies()
+            .map(|(_, s)| s.build(&ctx).expect("paper layout is valid"))
+            .collect();
         // Trait output matches the free functions it wraps.
         assert_eq!(
             schemes[0].l1,
@@ -274,6 +504,56 @@ mod tests {
             strategies::distributed(&placement, 16).l2,
             "distributed parity"
         );
+    }
+
+    #[test]
+    fn generated_presets_build_on_every_small_machine() {
+        for nodes in 1..=17 {
+            let mut chain = CommMatrix::new(nodes);
+            for n in 1..nodes {
+                chain.add(n - 1, n, 1);
+                chain.add(n, n - 1, 1);
+            }
+            let node_graph = WeightedGraph::from_comm_matrix(&chain);
+            for ppn in 1..=3 {
+                let placement = Placement::block(nodes, ppn);
+                let ctx = StrategyContext {
+                    placement: &placement,
+                    node_graph: &node_graph,
+                };
+                for spec in [
+                    SchemeFamilySpec::table2(nodes, ppn),
+                    SchemeFamilySpec::for_layout(nodes, ppn),
+                    SchemeFamilySpec::autotune(&placement),
+                ] {
+                    for (family, s) in spec.strategies() {
+                        if let Err(e) = s.build(&ctx) {
+                            panic!("{nodes}x{ppn} {family}: {e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_machines_get_empty_generated_presets() {
+        assert!(SchemeFamilySpec::table2(0, 4).is_empty());
+        assert!(SchemeFamilySpec::for_layout(4, 0).is_empty());
+    }
+
+    #[test]
+    fn an_infeasible_paper_size_fails_the_score_with_the_strategys_error() {
+        let placement = Placement::block(4, 2);
+        let evaluator = Evaluator::new(CommMatrix::new(8), placement);
+        let spec = SchemeFamilySpec::paper(4, 2, 16, HierarchicalConfig::default());
+        let err = spec.score(&evaluator, &chain_graph(4)).unwrap_err();
+        assert!(matches!(err, HcftError::Partition(_)), "{err}");
+        let err = SchemeFamilySpec::default()
+            .score(&evaluator, &chain_graph(4))
+            .unwrap_err();
+        assert!(matches!(err, HcftError::Config(_)), "{err}");
+        assert!(err.to_string().contains("fits a 4x2 layout"), "{err}");
     }
 
     #[test]
@@ -313,6 +593,14 @@ mod tests {
         };
         assert!(matches!(
             Distributed { size: 2 }.build(&ctx),
+            Err(HcftError::Partition(_))
+        ));
+        assert!(matches!(
+            Striped {
+                l1_nodes: 1,
+                l2_size: 2
+            }
+            .build(&ctx),
             Err(HcftError::Partition(_))
         ));
     }

@@ -9,7 +9,10 @@
 //! cells statistically independent yet reproducible when the grid's axes
 //! are extended.
 
-use hcft_cluster::{distributed, naive, striped, ClusteringScheme};
+use hcft_cluster::{
+    ClusteringScheme, ClusteringStrategy, Distributed, Naive, StrategyContext, Striped,
+};
+use hcft_graph::WeightedGraph;
 use hcft_telemetry::HcftError;
 use hcft_topology::Placement;
 
@@ -44,46 +47,27 @@ impl GridStrategy {
         }
     }
 
-    /// Build the scheme for one cell, validating the cell's geometry
-    /// instead of panicking deep inside the constructors.
+    /// Build the scheme for one cell. The cell's geometry is checked by
+    /// the strategy's own feasibility rule, so an invalid cell fails with
+    /// the error `/evaluate` would report for it.
     pub fn build(
         &self,
         placement: &Placement,
         cluster_size: usize,
     ) -> Result<ClusteringScheme, HcftError> {
-        let nodes = placement.nodes();
-        let nprocs = placement.nprocs();
-        match self {
-            GridStrategy::Naive => {
-                if cluster_size == 0 || cluster_size > nprocs {
-                    return Err(HcftError::Config(format!(
-                        "naive cluster size {cluster_size} vs {nprocs} ranks"
-                    )));
-                }
-                Ok(naive(nprocs, cluster_size))
-            }
-            GridStrategy::Distributed => {
-                if cluster_size < 2 || cluster_size > nodes {
-                    return Err(HcftError::Config(format!(
-                        "distributed cluster size {cluster_size} vs {nodes} nodes"
-                    )));
-                }
-                Ok(distributed(placement, cluster_size))
-            }
-            GridStrategy::Striped => {
-                if !nodes.is_multiple_of(STRIPED_L1_NODES) {
-                    return Err(HcftError::Config(format!(
-                        "striped needs nodes divisible by {STRIPED_L1_NODES}, got {nodes}"
-                    )));
-                }
-                if cluster_size < 2 || !nprocs.is_multiple_of(cluster_size) {
-                    return Err(HcftError::Config(format!(
-                        "striped L2 size {cluster_size} vs {nprocs} ranks"
-                    )));
-                }
-                Ok(striped(placement, STRIPED_L1_NODES, cluster_size))
-            }
-        }
+        let strategy: &dyn ClusteringStrategy = match self {
+            GridStrategy::Naive => &Naive { size: cluster_size },
+            GridStrategy::Distributed => &Distributed { size: cluster_size },
+            GridStrategy::Striped => &Striped {
+                l1_nodes: STRIPED_L1_NODES,
+                l2_size: cluster_size,
+            },
+        };
+        // None of the three reads the node graph.
+        strategy.build(&StrategyContext {
+            placement,
+            node_graph: &WeightedGraph::new(placement.nodes()),
+        })
     }
 }
 
@@ -233,12 +217,20 @@ mod tests {
     }
 
     #[test]
-    fn invalid_geometry_is_a_config_error() {
+    fn invalid_geometry_is_the_strategys_error() {
         let mut grid = tiny_grid();
         grid.strategies = vec![GridStrategy::Distributed];
         grid.cluster_sizes = vec![100]; // > nodes
         let err = grid.run().unwrap_err();
+        assert!(matches!(err, HcftError::Partition(_)), "{err:?}");
+        grid.strategies = vec![GridStrategy::Naive];
+        grid.cluster_sizes = vec![0];
+        let err = grid.run().unwrap_err();
         assert!(matches!(err, HcftError::Config(_)), "{err:?}");
+        grid.strategies = vec![GridStrategy::Striped];
+        grid.cluster_sizes = vec![3]; // does not divide 32 ranks
+        let err = grid.run().unwrap_err();
+        assert!(matches!(err, HcftError::Partition(_)), "{err:?}");
     }
 
     #[test]

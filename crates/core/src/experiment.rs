@@ -21,16 +21,12 @@ mod compose;
 
 use std::sync::Arc;
 
-use hcft_cluster::{
-    registry_with, ClusteringScheme, ClusteringStrategy, Distributed, Evaluator, FourDScore,
-    Hierarchical, HierarchicalConfig, Naive, SizeGuided, StrategyContext, Striped,
-};
+use hcft_cluster::{Evaluator, FamilyScore, SchemeFamilySpec};
 use hcft_graph::{CommMatrix, WeightedGraph};
 use hcft_simmpi::{Engine, World, WorldConfig};
 use hcft_telemetry::{HcftError, Registry};
 use hcft_topology::{JobLayout, Role};
 use hcft_tsunami::{RankState, TsunamiParams};
-use rayon::prelude::*;
 
 /// Tag for application→encoder checkpoint pushes (world communicator).
 const TAG_CKPT_PUSH: u32 = 0x000C_0001;
@@ -697,238 +693,20 @@ fn run_encoder_rank(
     }
 }
 
-/// The four §III/§IV schemes evaluated on one trace.
-pub struct EvaluatedSchemes {
-    /// The schemes in paper order (naïve, size-guided, distributed,
-    /// hierarchical).
-    pub schemes: Vec<ClusteringScheme>,
-    /// Their Table-II rows, same order.
-    pub scores: Vec<FourDScore>,
-}
-
-/// Build the four paper schemes for a trace and score them.
-///
-/// Sizes follow Table II: naïve 32, size-guided 8, distributed 16,
-/// hierarchical (min 4 nodes per L1, L2 groups of 4 nodes).
-pub fn evaluate_paper_schemes(trace: &TraceResult) -> EvaluatedSchemes {
-    evaluate_schemes(trace, 32, 8, 16, &HierarchicalConfig::default())
-}
-
-/// Build and score the paper schemes with explicit sizes, iterating the
-/// [`hcft_cluster::ClusteringStrategy`] registry.
-pub fn evaluate_schemes(
-    trace: &TraceResult,
-    naive_size: usize,
-    size_guided_size: usize,
-    distributed_size: usize,
-    hier_cfg: &HierarchicalConfig,
-) -> EvaluatedSchemes {
-    let placement = trace.layout.app_placement();
-    let node_matrix = trace.app.aggregate_by_node(&placement);
-    let node_graph = WeightedGraph::from_comm_matrix(&node_matrix);
-    let ctx = StrategyContext {
-        placement: &placement,
-        node_graph: &node_graph,
-    };
-    let schemes: Vec<ClusteringScheme> = registry_with(
-        naive_size,
-        size_guided_size,
-        distributed_size,
-        hier_cfg.clone(),
-    )
-    .iter()
-    .map(|s| {
-        s.build(&ctx)
-            .unwrap_or_else(|e| panic!("strategy {} rejected this trace: {e}", s.name()))
-    })
-    .collect();
-    let evaluator = Evaluator::new(trace.app.clone(), placement);
-    // The four-dimension scoring (p_catastrophic in particular) dominates
-    // the sweep cost; schemes are independent, so score them in parallel.
-    // The ordered collect keeps scores in paper order.
-    let scores = schemes.par_iter().map(|s| evaluator.evaluate(s)).collect();
-    EvaluatedSchemes { schemes, scores }
-}
-
-/// A grid of strategy-family configurations for one comparison request:
-/// every entry expands to one [`ClusteringStrategy`] and one scored row.
-/// Construction order is the evaluation (and response) order, so a spec
-/// is deterministic by value, independent of thread count.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SchemeFamilySpec {
-    /// §III-A naïve cluster sizes (ranks).
-    pub naive_sizes: Vec<usize>,
-    /// §III-B size-guided cluster sizes (ranks).
-    pub size_guided_sizes: Vec<usize>,
-    /// §III-C distributed stripe sizes (nodes).
-    pub distributed_sizes: Vec<usize>,
-    /// Striped (L1 node-block, L2 group-size-in-ranks) combinations.
-    pub striped: Vec<(usize, usize)>,
-    /// §IV-B hierarchical L1/L2 bound grids.
-    pub hierarchical: Vec<HierarchicalConfig>,
-}
-
-impl SchemeFamilySpec {
-    /// The Table II comparison: the four paper schemes at their classic
-    /// sizes (clamped to the machine) plus one striped entrant where the
-    /// layout divides evenly.
-    pub fn table2(nodes: usize, ppn: usize) -> Self {
-        let nprocs = nodes * ppn;
-        // The paper's §IV-B sizing, clamped so the partitioner stays
-        // valid on machines smaller than one default L1 cluster.
-        let min_l1 = 4.min(nodes).max(1);
-        let hier = HierarchicalConfig {
-            min_nodes_per_l1: min_l1,
-            max_nodes_per_l1: 8.min(nodes).max(min_l1),
-            l2_group_nodes: 4.min(min_l1),
-            ..HierarchicalConfig::default()
-        };
-        let mut spec = SchemeFamilySpec {
-            naive_sizes: vec![32.min(nprocs)],
-            size_guided_sizes: vec![8.min(nprocs)],
-            distributed_sizes: if nodes >= 2 {
-                vec![16.clamp(2, nodes)]
-            } else {
-                Vec::new()
-            },
-            striped: Vec::new(),
-            hierarchical: vec![hier],
-        };
-        if nodes.is_multiple_of(4) && ppn >= 2 {
-            spec.striped.push((4, ppn));
-        }
-        spec
-    }
-
-    /// The full family grid for a `nodes × ppn` machine: cluster-size
-    /// sweeps per flat family, striped L1×L2 combinations and
-    /// hierarchical L1-bound / L2-group grids — every combination valid
-    /// for the layout, in a fixed deterministic order.
-    pub fn for_layout(nodes: usize, ppn: usize) -> Self {
-        let nprocs = nodes * ppn;
-        let mut naive_sizes: Vec<usize> = [ppn, 2 * ppn, 4 * ppn]
-            .into_iter()
-            .filter(|&s| s >= 1 && s <= nprocs)
-            .collect();
-        naive_sizes.dedup();
-        let mut size_guided_sizes: Vec<usize> = [ppn.div_ceil(2), ppn, 2 * ppn]
-            .into_iter()
-            .filter(|&s| s >= 1 && s <= nprocs)
-            .collect();
-        size_guided_sizes.dedup();
-        let distributed_sizes: Vec<usize> = [4usize, 8, 16]
-            .into_iter()
-            .filter(|&s| s >= 2 && s <= nodes)
-            .collect();
-        let mut striped = Vec::new();
-        for l1 in [2usize, 4] {
-            if l1 > nodes || !nodes.is_multiple_of(l1) {
-                continue;
-            }
-            for l2 in [ppn, 2 * ppn] {
-                if l2 >= 2 && l2 <= nprocs && nprocs.is_multiple_of(l2) {
-                    striped.push((l1, l2));
-                }
-            }
-        }
-        striped.dedup();
-        let hierarchical: Vec<HierarchicalConfig> =
-            [(4usize, 8usize, 4usize), (4, 8, 2), (4, 4, 4), (8, 16, 4)]
-                .into_iter()
-                .map(|(min, max, l2g)| HierarchicalConfig {
-                    min_nodes_per_l1: min,
-                    max_nodes_per_l1: max,
-                    l2_group_nodes: l2g,
-                    ..HierarchicalConfig::default()
-                })
-                .filter(|cfg| cfg.l1_parts(nodes).is_some())
-                .collect();
-        SchemeFamilySpec {
-            naive_sizes,
-            size_guided_sizes,
-            distributed_sizes,
-            striped,
-            hierarchical,
-        }
-    }
-
-    /// Expand into `(family, strategy)` pairs in spec order.
-    pub fn strategies(&self) -> Vec<(&'static str, Box<dyn ClusteringStrategy + Send + Sync>)> {
-        let mut out: Vec<(&'static str, Box<dyn ClusteringStrategy + Send + Sync>)> = Vec::new();
-        for &size in &self.naive_sizes {
-            out.push(("naive", Box::new(Naive { size })));
-        }
-        for &size in &self.size_guided_sizes {
-            out.push(("size-guided", Box::new(SizeGuided { size })));
-        }
-        for &size in &self.distributed_sizes {
-            out.push(("distributed", Box::new(Distributed { size })));
-        }
-        for &(l1_nodes, l2_size) in &self.striped {
-            out.push(("striped", Box::new(Striped { l1_nodes, l2_size })));
-        }
-        for cfg in &self.hierarchical {
-            out.push(("hierarchical", Box::new(Hierarchical { cfg: cfg.clone() })));
-        }
-        out
-    }
-
-    /// Total strategy count of the expanded spec.
-    pub fn len(&self) -> usize {
-        self.naive_sizes.len()
-            + self.size_guided_sizes.len()
-            + self.distributed_sizes.len()
-            + self.striped.len()
-            + self.hierarchical.len()
-    }
-
-    /// Is the spec empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// One scored row of a family sweep.
-#[derive(Clone, Debug)]
-pub struct FamilyScore {
-    /// Strategy family the row came from (`naive`, `striped`, …).
-    pub family: &'static str,
-    /// The four-dimension score (carries the sized scheme name).
-    pub score: FourDScore,
-}
-
-/// Score every strategy of `spec` on one trace, fanning the evaluation
-/// over rayon with an order-preserving fold: the result order is the
-/// spec's construction order and the rows are byte-identical at any
-/// thread count. An invalid entry (a size the layout cannot host) fails
-/// the whole sweep with the strategy's validation error — specs built
-/// by [`SchemeFamilySpec::for_layout`] are valid by construction.
+/// Score every strategy of `spec` on one trace: the trace-shaped entry
+/// point of [`SchemeFamilySpec::score`], which builds on the trace's
+/// application placement and node graph and keeps the spec's order at
+/// any thread count. An entry the layout cannot host fails the whole
+/// sweep with the strategy's validation error — the generated presets
+/// ([`SchemeFamilySpec::table2`], [`SchemeFamilySpec::for_layout`]) hold
+/// only entries that fit.
 pub fn evaluate_family_sweep(
     trace: &TraceResult,
     spec: &SchemeFamilySpec,
 ) -> Result<Vec<FamilyScore>, HcftError> {
     let placement = trace.layout.app_placement();
-    let node_matrix = trace.app.aggregate_by_node(&placement);
-    let node_graph = WeightedGraph::from_comm_matrix(&node_matrix);
-    let ctx = StrategyContext {
-        placement: &placement,
-        node_graph: &node_graph,
-    };
-    // Building is cheap and sequential (the hierarchical partitioner is
-    // milliseconds at paper scale); scoring dominates and parallelises.
-    let mut families = Vec::with_capacity(spec.len());
-    let mut schemes = Vec::with_capacity(spec.len());
-    for (family, strategy) in spec.strategies() {
-        families.push(family);
-        schemes.push(strategy.build(&ctx)?);
-    }
-    let evaluator = Evaluator::new(trace.app.clone(), placement);
-    let scores: Vec<FourDScore> = schemes.par_iter().map(|s| evaluator.evaluate(s)).collect();
-    Ok(families
-        .into_iter()
-        .zip(scores)
-        .map(|(family, score)| FamilyScore { family, score })
-        .collect())
+    let node_graph = WeightedGraph::from_comm_matrix(&trace.app.aggregate_by_node(&placement));
+    spec.score(&Evaluator::new(trace.app.clone(), placement), &node_graph)
 }
 
 #[cfg(test)]
@@ -992,15 +770,15 @@ mod tests {
             steal: None,
             yield_budget: None,
         });
-        let hier_cfg = HierarchicalConfig {
+        let hier_cfg = hcft_cluster::HierarchicalConfig {
             min_nodes_per_l1: 4,
             max_nodes_per_l1: 4,
             l2_group_nodes: 4,
             ..Default::default()
         };
-        let ev = evaluate_schemes(&t, 8, 4, 16, &hier_cfg);
-        let [nv, sg, ds, hi]: &[FourDScore; 4] =
-            ev.scores.as_slice().try_into().expect("four schemes");
+        let rows = evaluate_family_sweep(&t, &SchemeFamilySpec::paper(8, 4, 16, hier_cfg))
+            .expect("the paper schemes fit 16 nodes");
+        let [nv, sg, ds, hi] = [0, 1, 2, 3].map(|i| &rows[i].score);
         // Paper shape (Table II orderings; absolutes differ at this toy
         // scale where the init allgather is a visible byte fraction):
         // hierarchical logs the least of all schemes.
@@ -1105,29 +883,5 @@ mod event_tests {
     fn events_are_empty_unless_requested() {
         let t = run_traced_job(&TracedJobConfig::small(4, 2));
         assert!(t.app_events.is_empty());
-    }
-
-    #[test]
-    fn full_family_grids_build_on_every_small_machine() {
-        for nodes in 1..=17 {
-            let mut chain = CommMatrix::new(nodes);
-            for n in 1..nodes {
-                chain.add(n - 1, n, 1);
-                chain.add(n, n - 1, 1);
-            }
-            let node_graph = WeightedGraph::from_comm_matrix(&chain);
-            for ppn in 1..=3 {
-                let placement = hcft_topology::Placement::block(nodes, ppn);
-                let ctx = StrategyContext {
-                    placement: &placement,
-                    node_graph: &node_graph,
-                };
-                for (family, s) in SchemeFamilySpec::for_layout(nodes, ppn).strategies() {
-                    if let Err(e) = s.build(&ctx) {
-                        panic!("{nodes}x{ppn} {family}: {e}");
-                    }
-                }
-            }
-        }
     }
 }

@@ -8,8 +8,10 @@
 //!   one FTI encoder rank per node under the traced runtime (FTI-style
 //!   init allgather, application stencil, per-checkpoint app→encoder
 //!   transfers and encoder↔encoder parity exchange), producing the
-//!   communication matrices behind Fig. 5a/5b, plus the strategy
-//!   evaluation behind Fig. 3/4 and Table II;
+//!   communication matrices behind Fig. 5a/5b, plus
+//!   [`evaluate_family_sweep`], which scores a [`SchemeFamilySpec`]
+//!   (re-exported from `hcft-cluster`) on a trace — Table II and the
+//!   `/evaluate` rankings;
 //! * [`replay`] — the live replay engine, the one recovery executor:
 //!   kill a node, an entire L1 cluster or a PSU group of a *running*
 //!   `simmpi` world (its on-disk checkpoints deleted), restore the
@@ -33,9 +35,10 @@ pub use campaign::{
     StopRule, TrialTotals, Welford,
 };
 pub use experiment::{
-    evaluate_family_sweep, run_traced_job, EvaluatedSchemes, FamilyScore, SchemeFamilySpec,
-    TraceKey, TraceResult, TracedJobConfig, TracedJobConfigBuilder,
+    evaluate_family_sweep, run_traced_job, TraceKey, TraceResult, TracedJobConfig,
+    TracedJobConfigBuilder,
 };
+pub use hcft_cluster::{FamilyScore, SchemeFamilySpec};
 pub use hcft_telemetry::{Event, EventKind, HcftError, Registry, Snapshot};
 pub use replay::{
     Heat3dWorkload, ReplayConfig, ReplayEngine, ReplayOutcome, ReplayWorkload, TsunamiWorkload,

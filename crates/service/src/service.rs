@@ -103,14 +103,7 @@ impl EvalService {
 
         let cfg = req.job_config()?;
         let trace = self.traces.get_or_trace(&cfg);
-        let spec = req.family_spec();
-        if spec.is_empty() {
-            return Err(HcftError::Config(format!(
-                "no strategy family fits a {}x{} layout",
-                req.nodes, req.ppn
-            )));
-        }
-        let scores = evaluate_family_sweep(&trace, &spec)?;
+        let scores = evaluate_family_sweep(&trace, &req.family_spec())?;
         let body = Arc::new(render_response(
             req,
             &cfg.content_hash().to_string(),

@@ -1,6 +1,7 @@
-//! Clustering explorer: sweep cluster sizes and placement strategies over
-//! a traced workload and print the full 4-D trade-off surface — the
-//! interactive version of the paper's §III study.
+//! Clustering explorer: score the autotuner's sweep of cluster sizes and
+//! placement strategies over a traced workload and print the full 4-D
+//! trade-off surface — the interactive version of the paper's §III
+//! study.
 //!
 //! ```text
 //! cargo run --release --example clustering_explorer [nodes] [ranks_per_node]
@@ -8,7 +9,7 @@
 
 use hcft::prelude::*;
 
-fn main() {
+fn main() -> Result<(), HcftError> {
     let mut args = std::env::args().skip(1);
     let nodes: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(16);
     let ppn: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
@@ -20,69 +21,26 @@ fn main() {
     );
     let trace = run_traced_job(&cfg);
     let placement = trace.layout.app_placement();
-    let n = placement.nprocs();
-    let evaluator = Evaluator::new(trace.app.clone(), placement.clone());
+    let node_graph = WeightedGraph::from_comm_matrix(&trace.app.aggregate_by_node(&placement));
+    let evaluator = Evaluator::new(trace.app.clone(), placement);
     let baseline = BaselineRequirements::default();
 
-    println!("— consecutive (naive/size-guided) clusters —");
-    println!("size      logging   restart  enc(1GB)    P(cat)");
-    let mut size = 2;
-    while size <= n / 2 {
-        let s = evaluator.evaluate(&naive(n, size));
+    // The §III sweet-spot search, automated: every candidate that fits
+    // this machine, scored, then the one with the smallest worst ratio.
+    println!("scheme                     logging   restart  enc(1GB)     P(cat) worst ratio");
+    for c in candidates(&evaluator, &node_graph, &baseline)? {
+        let s = &c.score;
         println!(
-            "{size:<8} {:>7.1}%  {:>7.2}%  {:>6.0} s  {:>9.1e}",
-            s.logging_fraction * 100.0,
-            s.restart_fraction * 100.0,
-            s.encode_s_per_gb,
-            s.p_catastrophic
-        );
-        size *= 2;
-    }
-
-    println!("\n— distributed (diagonal-striped) clusters —");
-    println!("size      logging   restart  enc(1GB)    P(cat)");
-    let mut size = 2;
-    while size <= nodes {
-        let s = evaluator.evaluate(&distributed(&placement, size));
-        println!(
-            "{size:<8} {:>7.1}%  {:>7.2}%  {:>6.0} s  {:>9.1e}",
-            s.logging_fraction * 100.0,
-            s.restart_fraction * 100.0,
-            s.encode_s_per_gb,
-            s.p_catastrophic
-        );
-        size *= 2;
-    }
-
-    println!("\n— hierarchical (L1 containment / L2 encoding) —");
-    println!("L1-nodes  logging   restart  enc(1GB)    P(cat)   baseline");
-    let node_graph = WeightedGraph::from_comm_matrix(&trace.app.aggregate_by_node(&placement));
-    for l1 in [4usize, 8] {
-        if l1 > nodes {
-            continue;
-        }
-        let cfg = HierarchicalConfig {
-            min_nodes_per_l1: l1,
-            max_nodes_per_l1: l1,
-            l2_group_nodes: 4,
-            ..Default::default()
-        };
-        let s = evaluator.evaluate(&hierarchical(&placement, &node_graph, &cfg));
-        println!(
-            "{l1:<8} {:>8.1}%  {:>7.2}%  {:>6.0} s  {:>9.1e}   {}",
+            "{:<24} {:>8.1}%  {:>7.2}%  {:>6.0} s  {:>9.1e}  {:>10.3}",
+            s.name,
             s.logging_fraction * 100.0,
             s.restart_fraction * 100.0,
             s.encode_s_per_gb,
             s.p_catastrophic,
-            if baseline.meets_all(&s) {
-                "PASS"
-            } else {
-                "fail"
-            }
+            c.chebyshev
         );
     }
-    // The §III sweet-spot search, automated.
-    let best = autotune(&evaluator, &node_graph, &baseline);
+    let best = autotune(&evaluator, &node_graph, &baseline)?;
     println!(
         "\nautotune winner: {} (worst baseline ratio {:.3}, {})",
         best.scheme.name,
@@ -98,4 +56,5 @@ fn main() {
          their node (P(cat)); distributed clusters are reliable but log everything\n\
          and amplify restarts; hierarchical separates the two concerns (§IV)."
     );
+    Ok(())
 }

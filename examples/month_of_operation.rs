@@ -13,22 +13,17 @@ fn main() {
     // Machine + traced workload (32 nodes × 8 ranks, anisotropic stencil).
     let trace = run_traced_job(&TracedJobConfig::small(32, 8));
     let placement = trace.layout.app_placement();
-    let n = placement.nprocs();
     let node_graph = WeightedGraph::from_comm_matrix(&trace.app.aggregate_by_node(&placement));
     let evaluator = Evaluator::new(trace.app.clone(), placement.clone());
-    let schemes = vec![
-        naive(n, 32),
-        size_guided(n, 8),
-        distributed(&placement, 16),
-        hierarchical(&placement, &node_graph, &HierarchicalConfig::default()),
-    ];
+    let rows = SchemeFamilySpec::paper(32, 8, 16, HierarchicalConfig::default())
+        .score(&evaluator, &node_graph)
+        .expect("the paper schemes fit 32 nodes x 8 ranks");
 
     println!("30-day campaign, checkpoints every 10 minutes, 100 trials\n");
     for mtbf_h in [24.0, 6.0, 2.0] {
         println!("=== system MTBF {mtbf_h} h ===");
         println!("method                    failures  catastrophic  availability");
-        for scheme in &schemes {
-            let score = evaluator.evaluate(scheme);
+        for FamilyScore { scheme, score, .. } in &rows {
             let cfg = CampaignConfig {
                 arrivals: FailureArrivals::exponential(mtbf_h),
                 checkpoint_cost_s: score.encode_s_per_gb,

@@ -24,23 +24,19 @@ fn main() {
         trace.full.edge_count()
     );
 
-    // 2. Build the four §III/§IV clustering strategies.
+    // 2. Build the four §III/§IV clustering strategies at the paper's
+    //    sizes and score every scheme on the four dimensions.
     let placement = trace.layout.app_placement();
-    let n = placement.nprocs();
     let node_graph = WeightedGraph::from_comm_matrix(&trace.app.aggregate_by_node(&placement));
-    let schemes = vec![
-        naive(n, 32),
-        size_guided(n, 8),
-        distributed(&placement, 16),
-        hierarchical(&placement, &node_graph, &HierarchicalConfig::default()),
-    ];
+    let evaluator = Evaluator::new(trace.app.clone(), placement.clone());
+    let rows = SchemeFamilySpec::paper(32, 8, 16, HierarchicalConfig::default())
+        .score(&evaluator, &node_graph)
+        .expect("the paper schemes fit 32 nodes x 8 ranks");
 
-    // 3. Score every scheme on the paper's four dimensions.
-    let evaluator = Evaluator::new(trace.app.clone(), placement);
+    // 3. Compare them against the §III baseline.
     let baseline = BaselineRequirements::default();
     println!("method                    logging   restart  enc(1GB)   P(cat)   baseline");
-    for scheme in &schemes {
-        let s = evaluator.evaluate(scheme);
+    for s in rows.iter().map(|row| &row.score) {
         println!(
             "{:<24} {:>7.1}%  {:>7.2}%  {:>6.0} s  {:>8.1e}   {}",
             s.name,
@@ -48,7 +44,7 @@ fn main() {
             s.restart_fraction * 100.0,
             s.encode_s_per_gb,
             s.p_catastrophic,
-            if baseline.meets_all(&s) {
+            if baseline.meets_all(s) {
                 "PASS"
             } else {
                 "fail"
@@ -64,10 +60,9 @@ fn main() {
     //    drives the live replay engine and campaign analysis. Here, just
     //    ask each scheme whether losing node 0's whole L1 cluster defeats
     //    its L2 redundancy.
-    let placement = trace.layout.app_placement();
     let scenario = FaultScenario::at(100).l1_cluster_of(Rank(0)).build();
     println!("\nscenario: lose the L1 cluster of rank 0 at iteration 100");
-    for scheme in &schemes {
+    for scheme in rows.iter().map(|row| &row.scheme) {
         let nodes = scenario
             .failed_nodes(&placement, scheme, None)
             .expect("resolvable");

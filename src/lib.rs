@@ -15,7 +15,7 @@
 //! | [`checkpoint`] | FTI-style multi-level checkpoint store (local / RS-encoded / PFS) over real files |
 //! | [`msglog`] | HydEE-style hybrid protocol: partial sender-based logging, restart sets, replay checks |
 //! | [`partition`] | multilevel k-way graph partitioner, CNM modularity clustering, the \[24\] cost function |
-//! | [`cluster`] | **the paper's contribution**: naïve / size-guided / distributed / hierarchical clustering + the 4-D evaluator and §III baseline |
+//! | [`cluster`] | **the paper's contribution**: naïve / size-guided / distributed / hierarchical clustering, the `SchemeFamilySpec` list of sized strategies, the 4-D evaluator and §III baseline |
 //! | [`reliability`] | failure-event distributions and the catastrophic-failure probability model of \[3\] |
 //! | [`telemetry`] | zero-dependency observability: counters, histograms, failure/recovery event journal, JSON export, [`HcftError`](telemetry::HcftError) |
 //! | [`core`] | the wired-together framework: §V traced experiment, Monte-Carlo campaign and the live kill-and-replay engine |
@@ -65,9 +65,9 @@ pub mod prelude {
     pub use hcft_checkpoint::Level as CheckpointLevel;
     pub use hcft_checkpoint::{CheckpointStore, Level, MultilevelCheckpointer};
     pub use hcft_cluster::{
-        autotune, distributed, hierarchical, naive, size_guided, striped, BaselineRequirements,
-        ClusteringScheme, ClusteringStrategy, Evaluator, FourDScore, HierarchicalConfig,
-        StrategyContext,
+        autotune, candidates, distributed, hierarchical, naive, size_guided, striped,
+        BaselineRequirements, ClusteringScheme, ClusteringStrategy, Evaluator, FamilyScore,
+        FourDScore, HierarchicalConfig, SchemeFamilySpec, StrategyContext,
     };
     pub use hcft_core::campaign::{
         simulate_campaign, simulate_campaign_stats, CampaignConfig, CampaignGrid, CampaignOutcome,
