@@ -40,8 +40,15 @@ impl FourDScore {
 }
 
 /// Evaluator bound to one traced application run and machine model.
+///
+/// Work that depends only on the run is done once and shared by every
+/// scheme scored: the matrix's non-zero cells are listed at construction,
+/// and the reliability model keeps its Monte-Carlo failure sets.
 pub struct Evaluator {
     matrix: CommMatrix,
+    /// `matrix.entries()`, collected once: each scheme's logging stats
+    /// walk this list instead of the dense n² matrix.
+    entries: Vec<(usize, usize, u64)>,
     placement: Placement,
     encoding: EncodingModel,
     reliability: ReliabilityModel,
@@ -55,6 +62,7 @@ impl Evaluator {
         assert_eq!(matrix.n(), placement.nprocs(), "matrix/placement size");
         let nodes = placement.nodes();
         Evaluator {
+            entries: matrix.entries().collect(),
             matrix,
             placement,
             encoding: EncodingModel::tsubame2(),
@@ -93,7 +101,7 @@ impl Evaluator {
     /// carries the same numbers as the rendered table.
     pub fn evaluate(&self, scheme: &ClusteringScheme) -> FourDScore {
         let protocol = HybridProtocol::new(scheme.l1.clone());
-        let stats = protocol.stats_from_matrix(&self.matrix);
+        let stats = protocol.stats_from_entries(self.entries.iter().copied());
         let restart = protocol.expected_restart_fraction(&self.placement);
         // The encoding time is governed by the largest L2 cluster (all
         // clusters encode in parallel; the slowest gates the checkpoint).

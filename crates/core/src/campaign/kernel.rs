@@ -2,9 +2,9 @@
 //!
 //! [`CampaignKernel`] runs one Monte-Carlo trial per call with zero
 //! steady-state allocations: arrival times and sampled node indices live
-//! in reusable scratch buffers, the partial Fisher–Yates pool is a
-//! persistent identity permutation restored by undoing its own swaps,
-//! and the catastrophe/restart judgements go through the counting
+//! in reusable scratch buffers, failed nodes come from the workspace's one
+//! [`NodeSampler`] (a persistent identity pool restored by undoing its own
+//! swaps), and the catastrophe/restart judgements go through the counting
 //! fast path ([`SchemeIndex`]) instead of materialising `Vec<NodeId>` /
 //! `Vec<Rank>` per event.
 //!
@@ -17,9 +17,9 @@
 //! trial-for-trial.
 
 use hcft_cluster::{SchemeIndex, SchemeScratch};
-use hcft_reliability::ClassSampler;
+use hcft_reliability::{ClassSampler, NodeSampler};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use super::CampaignConfig;
 
@@ -56,11 +56,8 @@ pub struct CampaignKernel<'a> {
     times: Vec<f64>,
     /// Sampled node indices for the current event.
     failed: Vec<u32>,
-    /// Persistent identity permutation for partial Fisher–Yates; always
-    /// restored to identity after each event by undoing the swaps.
-    pool: Vec<u32>,
-    /// Swap targets of the current event, for the undo pass.
-    swaps: Vec<u32>,
+    /// Draws `failed` exactly like `rand::seq::index::sample`.
+    node_sampler: NodeSampler,
     scratch: SchemeScratch,
     /// Quotient bound under which [`fast_fmod`] is exact for
     /// `checkpoint_interval_s`; 0 disables the fast path.
@@ -131,8 +128,7 @@ impl<'a> CampaignKernel<'a> {
             nprocs_f: nprocs as f64,
             times: Vec::new(),
             failed: Vec::with_capacity(nodes),
-            pool: (0..nodes as u32).collect(),
-            swaps: Vec::with_capacity(nodes),
+            node_sampler: NodeSampler::new(nodes),
             scratch: index.scratch(),
             fmod_limit: exact_quotient_limit(cfg.checkpoint_interval_s),
         }
@@ -158,7 +154,8 @@ impl<'a> CampaignKernel<'a> {
                 continue;
             };
             let j = j.min(self.nodes);
-            self.sample_nodes(&mut rng, j);
+            self.failed.clear();
+            self.node_sampler.sample_into(&mut rng, j, &mut self.failed);
             if self.index.defeated_by(&self.failed, &mut self.scratch) {
                 acc.catastrophic += 1;
                 acc.waste_s += self.cfg.catastrophic_penalty_s;
@@ -175,44 +172,11 @@ impl<'a> CampaignKernel<'a> {
         self.times = times;
         acc
     }
-
-    /// Sample `amount` distinct node indices into `self.failed`,
-    /// consuming the RNG exactly like `rand::seq::index::sample` (partial
-    /// Fisher–Yates over a dense pool) — but against the persistent
-    /// identity pool, undoing the swaps afterwards instead of
-    /// re-allocating `0..nodes` per event.
-    #[inline]
-    fn sample_nodes<R: RngCore + ?Sized>(&mut self, rng: &mut R, amount: usize) {
-        debug_assert!(amount <= self.nodes);
-        let length = self.nodes;
-        if amount == 1 {
-            // The dominant event class. The pool is the identity
-            // permutation, so the one sampled index IS the drawn value —
-            // no swap, no undo.
-            let k = (rng.next_u64() % length.max(1) as u64) as u32;
-            self.failed.clear();
-            self.failed.push(k);
-            return;
-        }
-        self.swaps.clear();
-        for i in 0..amount {
-            let j = i + (rng.next_u64() % (length - i).max(1) as u64) as usize;
-            self.pool.swap(i, j);
-            self.swaps.push(j as u32);
-        }
-        self.failed.clear();
-        self.failed.extend_from_slice(&self.pool[..amount]);
-        // Undo in reverse: the pool is the identity permutation again.
-        for i in (0..amount).rev() {
-            self.pool.swap(i, self.swaps[i] as usize);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::seq::index::sample;
 
     #[test]
     fn fast_fmod_is_bit_identical_to_fmod() {
@@ -253,34 +217,6 @@ mod tests {
             let got = fast_fmod(123.456, y, limit);
             let want = 123.456 % y;
             assert!(got == want || (got.is_nan() && want.is_nan()), "y={y}");
-        }
-    }
-
-    #[test]
-    fn sample_nodes_matches_rand_sample_and_restores_pool() {
-        let index = {
-            let p = hcft_topology::Placement::block(12, 2);
-            let s = hcft_cluster::naive(24, 4);
-            SchemeIndex::new(&s, &p)
-        };
-        let cfg = CampaignConfig::default();
-        let sampler = cfg.events.sampler();
-        let mut kernel = CampaignKernel::new(&index, &sampler, &cfg, 24);
-        for seed in 0..50u64 {
-            for amount in [0usize, 1, 3, 12] {
-                let mut a = StdRng::seed_from_u64(seed);
-                let mut b = StdRng::seed_from_u64(seed);
-                let want: Vec<u32> = sample(&mut a, 12, amount)
-                    .into_iter()
-                    .map(|i| i as u32)
-                    .collect();
-                kernel.sample_nodes(&mut b, amount);
-                assert_eq!(kernel.failed, want, "seed {seed} amount {amount}");
-                assert!(
-                    kernel.pool.iter().enumerate().all(|(i, &v)| v == i as u32),
-                    "pool not restored to identity"
-                );
-            }
         }
     }
 }

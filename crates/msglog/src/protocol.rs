@@ -72,14 +72,25 @@ impl HybridProtocol {
     /// Accounting from a byte matrix (no per-message phases needed).
     pub fn stats_from_matrix(&self, m: &CommMatrix) -> LogStats {
         assert_eq!(m.n(), self.clustering.nprocs(), "matrix/clustering size");
+        self.stats_from_entries(m.entries())
+    }
+
+    /// Accounting from a byte matrix's non-zero `(src, dst, bytes)`
+    /// cells ([`CommMatrix::entries`]), in any order. A sweep over many
+    /// clusterings collects the list once and walks it per clustering
+    /// instead of rescanning the dense n² matrix.
+    pub fn stats_from_entries(
+        &self,
+        entries: impl IntoIterator<Item = (usize, usize, u64)>,
+    ) -> LogStats {
         let mut s = LogStats {
             total_bytes: 0,
             logged_bytes: 0,
             total_msgs: 0,
             logged_msgs: 0,
-            per_sender_logged: vec![0; m.n()],
+            per_sender_logged: vec![0; self.clustering.nprocs()],
         };
-        for (src, dst, bytes) in m.entries() {
+        for (src, dst, bytes) in entries {
             s.total_bytes += bytes;
             if self.must_log(Rank::from(src), Rank::from(dst)) {
                 s.logged_bytes += bytes;

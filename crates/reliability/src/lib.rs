@@ -13,7 +13,10 @@
 //! * [`combinatorics`] — exact hypergeometric machinery;
 //! * [`model`] — P(catastrophic) per clustering: exact enumeration for
 //!   1- and 2-node events, per-cluster knapsack DP + union bound for
-//!   deeper correlated events, cross-validated by Monte Carlo;
+//!   deeper correlated events, Monte Carlo over failure sets a model
+//!   draws once per event size and shares across clusterings;
+//! * [`sampler`] — the one node sampler, shared by the model's draws and
+//!   the campaign kernel;
 //! * [`arrivals`] — failure arrival processes (exponential and Weibull)
 //!   for end-to-end failure injection.
 
@@ -22,8 +25,10 @@ pub mod combinatorics;
 pub mod efficiency;
 pub mod events;
 pub mod model;
+pub mod sampler;
 
 pub use arrivals::FailureArrivals;
 pub use efficiency::EfficiencyModel;
 pub use events::{ClassSampler, EventDistribution};
 pub use model::ReliabilityModel;
+pub use sampler::NodeSampler;

@@ -13,16 +13,75 @@
 //!   cluster's occupied nodes combined with hypergeometric weights, then
 //!   a union bound across clusters (tight for the small probabilities
 //!   where it is used; replaced by Monte Carlo when the bound is loose).
+//!
+//! # Shared Monte-Carlo draws
+//!
+//! The Monte-Carlo branch counts how many of 16 000 uniformly random
+//! `j`-node failure sets kill some cluster. The sets are drawn in 8 RNG
+//! streams, stream `c` seeded `seed + c`, so they depend only on the node
+//! count and `j`, never on the clustering. A [`ReliabilityModel`]
+//! therefore draws them once per `j` — on the first clustering that
+//! reaches the branch at that `j` — into a table of node indices, and
+//! keeps the table until the model is dropped; every later clustering only
+//! counts its losses over the stored sets. The count is an integer, so the
+//! estimate is bit-identical whichever clustering drew the table and in
+//! whatever order clusterings arrive. A table holds `16 000 × j` `u32`s;
+//! under the FTI distribution (`j ≤ 12`) a model keeps at most ≈ 5 MB
+//! (`j = 3..=12`), and only for the `j` that reach the branch. An
+//! `Evaluator` owns one model, so a request or figure draws each table
+//! once.
+//!
+//! Every failure set comes from [`NodeSampler`], the workspace's one node
+//! sampler (the campaign kernel draws with it too): it reproduces
+//! `rand::seq::index::sample` draw for draw without allocating.
+//!
+//! Each `q(j)` evaluation bumps one global counter for its branch,
+//! `reliability.q.{single,pair,exact,monte_carlo,mixed}`, and
+//! `reliability.mc_tables_built` counts the shared tables drawn.
+
+use std::sync::{Arc, OnceLock};
 
 use hcft_graph::Clustering;
+use hcft_telemetry::{Counter, Registry};
 use hcft_topology::Placement;
 use rand::rngs::StdRng;
-use rand::seq::index::sample;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::combinatorics::choose;
 use crate::events::EventDistribution;
+use crate::sampler::NodeSampler;
+
+/// Failure sets per Monte-Carlo estimate inside [`ReliabilityModel`].
+const MC_SAMPLES: usize = 16_000;
+/// Seed of those sets; stream `c` is seeded `MC_SEED + c`.
+const MC_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+/// RNG streams a sample table is drawn in.
+const MC_CHUNKS: usize = 8;
+
+/// Global handles for the branch and table counters (see module docs).
+struct QCounters {
+    single: Arc<Counter>,
+    pair: Arc<Counter>,
+    exact: Arc<Counter>,
+    monte_carlo: Arc<Counter>,
+    mixed: Arc<Counter>,
+    tables_built: Arc<Counter>,
+}
+
+fn counters() -> &'static QCounters {
+    static GLOBAL: OnceLock<QCounters> = OnceLock::new();
+    GLOBAL.get_or_init(|| {
+        let reg = Registry::global();
+        QCounters {
+            single: reg.counter("reliability.q.single"),
+            pair: reg.counter("reliability.q.pair"),
+            exact: reg.counter("reliability.q.exact"),
+            monte_carlo: reg.counter("reliability.q.monte_carlo"),
+            mixed: reg.counter("reliability.q.mixed"),
+            tables_built: reg.counter("reliability.mc_tables_built"),
+        }
+    })
+}
 
 /// FTI's Reed–Solomon tolerance for an encoding cluster of `s` members:
 /// half the cluster (rounded up) may vanish.
@@ -38,17 +97,128 @@ struct ClusterNodes {
     tolerance: u32,
 }
 
+/// The failure sets of one Monte-Carlo estimate: row `s` of `failed`
+/// holds the `j` distinct nodes sample `s` fails.
+struct SampleTable {
+    j: usize,
+    failed: Vec<u32>,
+}
+
+impl SampleTable {
+    /// Draw `samples` `j`-node failure sets (`j ≥ 1`) over `nodes` nodes,
+    /// in [`MC_CHUNKS`] streams seeded `seed + c`. Stream `c` draws
+    /// `samples / MC_CHUNKS` sets, plus one for the first
+    /// `samples % MC_CHUNKS` streams.
+    fn draw(nodes: usize, j: usize, samples: usize, seed: u64) -> Self {
+        let mut sampler = NodeSampler::new(nodes);
+        let mut failed = Vec::with_capacity(samples * j);
+        for c in 0..MC_CHUNKS {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
+            let draws = samples / MC_CHUNKS + usize::from(c < samples % MC_CHUNKS);
+            for _ in 0..draws {
+                sampler.sample_into(&mut rng, j, &mut failed);
+            }
+        }
+        SampleTable { j, failed }
+    }
+
+    /// Share of the failure sets that kill some cluster of `digests`
+    /// (whose node indices are below `nodes`); 0.0 for an empty table.
+    fn catastrophic_share(&self, nodes: usize, digests: &[&ClusterNodes]) -> f64 {
+        let samples = self.failed.len() / self.j;
+        if samples == 0 {
+            return 0.0;
+        }
+        // Per node, the clusters with members there: `at[start[n]..
+        // start[n + 1]]` holds (cluster, members on n).
+        let mut start = vec![0usize; nodes + 1];
+        for d in digests {
+            for &(node, _) in &d.counts {
+                start[node + 1] += 1;
+            }
+        }
+        for n in 0..nodes {
+            start[n + 1] += start[n];
+        }
+        let mut at = vec![(0u32, 0u32); start[nodes]];
+        let mut fill = start.clone();
+        for (c, d) in digests.iter().enumerate() {
+            for &(node, members) in &d.counts {
+                at[fill[node]] = (c as u32, members);
+                fill[node] += 1;
+            }
+        }
+        // One extra cluster that loses nothing and tolerates everything
+        // stands in for "no cluster" below.
+        let none = (digests.len() as u32, 0);
+        let tolerance: Vec<u32> = digests
+            .iter()
+            .map(|d| d.tolerance)
+            .chain([u32::MAX])
+            .collect();
+        let hits = if start.windows(2).all(|w| w[1] - w[0] <= 1) {
+            // The common shape (every node in at most one cluster, e.g.
+            // after signature dedup): one direct lookup per failed node,
+            // with no per-node range to walk.
+            let owner: Vec<(u32, u32)> = (0..nodes)
+                .map(|n| at[start[n]..start[n + 1]].first().copied().unwrap_or(none))
+                .collect();
+            self.count_catastrophic(&tolerance, |n| std::slice::from_ref(&owner[n as usize]))
+        } else {
+            self.count_catastrophic(&tolerance, |n| {
+                &at[start[n as usize]..start[n as usize + 1]]
+            })
+        };
+        hits as f64 / samples as f64
+    }
+
+    /// Failure sets in which some cluster loses more than its tolerance;
+    /// `on(node)` lists the (cluster, members) a node's failure costs.
+    #[inline]
+    fn count_catastrophic<'a>(
+        &self,
+        tolerance: &[u32],
+        on: impl Fn(u32) -> &'a [(u32, u32)],
+    ) -> usize {
+        let mut lost = vec![0u32; tolerance.len()];
+        let mut hits = 0;
+        for set in self.failed.chunks_exact(self.j) {
+            let mut dead = false;
+            for &node in set {
+                for &(c, members) in on(node) {
+                    lost[c as usize] += members;
+                    dead |= lost[c as usize] > tolerance[c as usize];
+                }
+            }
+            for &node in set {
+                for &(c, _) in on(node) {
+                    lost[c as usize] = 0;
+                }
+            }
+            hits += usize::from(dead);
+        }
+        hits
+    }
+}
+
 /// Reliability model for one machine size and event distribution.
 pub struct ReliabilityModel {
     nodes: usize,
     dist: EventDistribution,
+    /// `tables[j]`: the shared Monte-Carlo failure sets of `j`-node
+    /// events, drawn on first use (see module docs).
+    tables: Box<[OnceLock<SampleTable>]>,
 }
 
 impl ReliabilityModel {
     /// A model over `nodes` physical nodes.
     pub fn new(nodes: usize, dist: EventDistribution) -> Self {
         assert!(nodes > 0);
-        ReliabilityModel { nodes, dist }
+        ReliabilityModel {
+            nodes,
+            dist,
+            tables: (0..=nodes).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// Number of nodes modelled.
@@ -107,12 +277,15 @@ impl ReliabilityModel {
         if j == 0 || j > n {
             return 0.0;
         }
+        let counters = counters();
         match j {
             1 => {
+                counters.single.inc();
                 let bad = self.singly_bad_nodes(digests);
                 bad.iter().filter(|&&b| b).count() as f64 / n as f64
             }
             2 => {
+                counters.pair.inc();
                 let bad = self.singly_bad_nodes(digests);
                 let b = bad.iter().filter(|&&x| x).count();
                 // Pairs touching a singly-bad node are bad outright.
@@ -153,23 +326,17 @@ impl ReliabilityModel {
                     .collect();
                 let union: f64 = residual.iter().map(|d| self.q_cluster_exact(j, d)).sum();
                 if union <= 0.1 {
+                    counters.exact.inc();
                     (p_hit_bad + (1.0 - p_hit_bad) * union).min(1.0)
                 } else if b == 0 {
-                    // Large multi-node-driven probability: sample.
-                    self.monte_carlo_q(j, digests, 16_000, 0x9e3779b97f4a7c15)
-                        .min(1.0)
+                    // Large multi-node-driven probability: sample. With no
+                    // singly-bad node the residual is every digest.
+                    counters.monte_carlo.inc();
+                    self.monte_carlo_q(j, &residual).min(1.0)
                 } else {
                     // Mixed case: sample only the residual structure.
-                    let residual_owned: Vec<ClusterNodes> = residual
-                        .iter()
-                        .map(|d| ClusterNodes {
-                            counts: d.counts.clone(),
-                            tolerance: d.tolerance,
-                        })
-                        .collect();
-                    let q_rest = self
-                        .monte_carlo_q(j, &residual_owned, 16_000, 0x9e3779b97f4a7c15)
-                        .min(1.0);
+                    counters.mixed.inc();
+                    let q_rest = self.monte_carlo_q(j, &residual).min(1.0);
                     (p_hit_bad + (1.0 - p_hit_bad) * q_rest).min(1.0)
                 }
             }
@@ -224,43 +391,26 @@ impl ReliabilityModel {
         q
     }
 
-    /// Monte-Carlo estimate of q(j) (parallel, deterministic per seed).
-    fn monte_carlo_q(&self, j: usize, digests: &[ClusterNodes], samples: usize, seed: u64) -> f64 {
-        let n = self.nodes;
-        let chunks = 8usize;
-        let per = samples / chunks;
-        let hits: usize = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
-                let mut local = 0usize;
-                for _ in 0..per {
-                    let failed = sample(&mut rng, n, j);
-                    let mut failed_mask = vec![false; n];
-                    for f in failed.iter() {
-                        failed_mask[f] = true;
-                    }
-                    let dead = digests.iter().any(|d| {
-                        let lost: u32 = d
-                            .counts
-                            .iter()
-                            .filter(|&&(node, _)| failed_mask[node])
-                            .map(|&(_, c)| c)
-                            .sum();
-                        lost > d.tolerance
-                    });
-                    if dead {
-                        local += 1;
-                    }
-                }
-                local
-            })
-            .sum();
-        hits as f64 / (per * chunks) as f64
+    /// Monte-Carlo estimate of q(j) (`1 ≤ j ≤ nodes`) over the model's
+    /// shared failure sets for `j`, drawing them on first use.
+    fn monte_carlo_q(&self, j: usize, digests: &[&ClusterNodes]) -> f64 {
+        let table = self.tables[j].get_or_init(|| {
+            counters().tables_built.inc();
+            SampleTable::draw(self.nodes, j, MC_SAMPLES, MC_SEED)
+        });
+        table.catastrophic_share(self.nodes, digests)
     }
 
     /// Public Monte-Carlo estimator (for cross-validating the analytic
-    /// path in tests and benches).
+    /// path in tests and benches): the share of `samples` uniformly
+    /// random `j`-node failure sets that are catastrophic. Draws a one-off
+    /// table from its own `samples` and `seed` and counts it exactly like
+    /// the model's shared tables, so `(16_000, 0x9e37_79b9_7f4a_7c15)`
+    /// reproduces what [`p_catastrophic`](Self::p_catastrophic) samples
+    /// for a clustering with no singly-bad node.
+    ///
+    /// Returns 0.0 when `samples == 0` or no `j`-node event exists
+    /// (`j == 0` or `j > nodes`).
     pub fn q_given_j_monte_carlo(
         &self,
         j: usize,
@@ -270,8 +420,12 @@ impl ReliabilityModel {
         samples: usize,
         seed: u64,
     ) -> f64 {
+        if j == 0 || j > self.nodes {
+            return 0.0;
+        }
         let digests = self.digest(clustering, placement, tolerance);
-        self.monte_carlo_q(j, &digests, samples, seed)
+        let digests: Vec<&ClusterNodes> = digests.iter().collect();
+        SampleTable::draw(self.nodes, j, samples, seed).catastrophic_share(self.nodes, &digests)
     }
 
     /// Probability that a random failure event (drawn from the event
@@ -314,7 +468,135 @@ pub fn p_catastrophic_fti(nodes: usize, clustering: &Clustering, placement: &Pla
 mod tests {
     use super::*;
     use hcft_graph::Clustering;
-    use hcft_topology::Placement;
+    use hcft_topology::{NodeId, Placement};
+    use proptest::prelude::*;
+    use rand::seq::index::sample;
+
+    /// The allocating estimator `p_catastrophic` ran before the shared
+    /// tables, kept as the oracle: fresh `rand::seq::index::sample` and
+    /// failure mask per sample, `samples / 8` per stream.
+    fn monte_carlo_q_reference(
+        nodes: usize,
+        j: usize,
+        digests: &[&ClusterNodes],
+        samples: usize,
+        seed: u64,
+    ) -> f64 {
+        let chunks = 8usize;
+        let per = samples / chunks;
+        let hits: usize = (0..chunks)
+            .map(|c| {
+                let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
+                let mut local = 0usize;
+                for _ in 0..per {
+                    let failed = sample(&mut rng, nodes, j);
+                    let mut failed_mask = vec![false; nodes];
+                    for f in failed.iter() {
+                        failed_mask[f] = true;
+                    }
+                    let dead = digests.iter().any(|d| {
+                        let lost: u32 = d
+                            .counts
+                            .iter()
+                            .filter(|&&(node, _)| failed_mask[node])
+                            .map(|&(_, c)| c)
+                            .sum();
+                        lost > d.tolerance
+                    });
+                    if dead {
+                        local += 1;
+                    }
+                }
+                local
+            })
+            .sum();
+        hits as f64 / (per * chunks) as f64
+    }
+
+    /// The clusters free of singly-bad nodes: what the mixed branch samples.
+    fn residual<'a>(m: &ReliabilityModel, digests: &'a [ClusterNodes]) -> Vec<&'a ClusterNodes> {
+        let bad = m.singly_bad_nodes(digests);
+        digests
+            .iter()
+            .filter(|d| d.counts.iter().all(|&(node, _)| !bad[node]))
+            .collect()
+    }
+
+    /// q(j ≥ 3) exactly as computed before the shared tables, on the
+    /// reference estimator.
+    fn q_reference(m: &ReliabilityModel, j: usize, digests: &[ClusterNodes]) -> f64 {
+        let n = m.nodes;
+        if j > n {
+            return 0.0;
+        }
+        let b = m.singly_bad_nodes(digests).iter().filter(|&&x| x).count();
+        let p_hit_bad = 1.0 - choose(n - b, j) / choose(n, j);
+        let residual = residual(m, digests);
+        let union: f64 = residual.iter().map(|d| m.q_cluster_exact(j, d)).sum();
+        if union <= 0.1 {
+            (p_hit_bad + (1.0 - p_hit_bad) * union).min(1.0)
+        } else if b == 0 {
+            let all: Vec<&ClusterNodes> = digests.iter().collect();
+            monte_carlo_q_reference(n, j, &all, MC_SAMPLES, MC_SEED).min(1.0)
+        } else {
+            let q_rest = monte_carlo_q_reference(n, j, &residual, MC_SAMPLES, MC_SEED).min(1.0);
+            (p_hit_bad + (1.0 - p_hit_bad) * q_rest).min(1.0)
+        }
+    }
+
+    /// The tolerance rules the oracle tests draw from.
+    const TOLERANCES: [fn(usize) -> usize; 3] = [fti_tolerance, |s| s / 2, |s| s / 3];
+
+    /// Ranks placed in node order, `per_node[n]` of them on node `n`.
+    fn ragged(per_node: &[usize]) -> Placement {
+        let node_of: Vec<NodeId> = per_node
+            .iter()
+            .enumerate()
+            .flat_map(|(n, &k)| std::iter::repeat_n(NodeId::from(n), k))
+            .collect();
+        Placement::from_assignment(node_of, per_node.len())
+    }
+
+    /// Random, consecutive-block or strided clustering of `n` ranks.
+    fn arb_clustering(n: usize) -> impl Strategy<Value = Clustering> {
+        (
+            0usize..3,
+            1usize..=n,
+            proptest::collection::vec(0usize..n, n),
+        )
+            .prop_map(move |(kind, k, random)| {
+                let assignment: Vec<usize> = match kind {
+                    0 => random.iter().map(|&c| c % k).collect(),
+                    1 => (0..n).map(|r| r / k).collect(),
+                    _ => (0..n).map(|r| r % k).collect(),
+                };
+                Clustering::from_assignment(&assignment)
+            })
+    }
+
+    /// A machine with uniform or ragged ranks per node, two clusterings
+    /// of its ranks and a tolerance rule.
+    fn arb_scored_pair() -> impl Strategy<Value = (Placement, Clustering, Clustering, usize)> {
+        (
+            proptest::collection::vec(1usize..=4, 6..=14),
+            any::<bool>(),
+            0..TOLERANCES.len(),
+        )
+            .prop_flat_map(|(per_node, uniform, tol)| {
+                let per_node = if uniform {
+                    vec![per_node[0]; per_node.len()]
+                } else {
+                    per_node
+                };
+                let nprocs = per_node.iter().sum();
+                (
+                    Just(ragged(&per_node)),
+                    arb_clustering(nprocs),
+                    arb_clustering(nprocs),
+                    Just(tol),
+                )
+            })
+    }
 
     /// Distributed clustering over a block placement: cluster (g, slot)
     /// takes the slot-th rank of each node in node-group g.
@@ -426,6 +708,140 @@ mod tests {
             let q = m.q_given_j(j, &c, &p, &fti_tolerance);
             assert!(q + 1e-12 >= prev, "q({j}) = {q} < q({}) = {prev}", j - 1);
             prev = q;
+        }
+    }
+
+    #[test]
+    fn shared_tables_reproduce_both_sampled_branches() {
+        // 16 nodes × 4: two-node clusters of 8 ranks (tolerance 4) only
+        // die when both their nodes fail, so no node is singly bad and
+        // the union bound is loose from j = 3 on — the Monte-Carlo branch.
+        // Splitting node 0 into clusters of 2 (tolerance 1) adds a
+        // singly-bad node — the mixed branch.
+        let p = Placement::block(16, 4);
+        let pure = Clustering::consecutive(64, 8);
+        let mixed: Vec<usize> = (0..64)
+            .map(|r| if r < 4 { r / 2 } else { 2 + (r - 4) / 8 })
+            .collect();
+        let mixed = Clustering::from_assignment(&mixed);
+        let m = ReliabilityModel::new(16, EventDistribution::fti_calibrated());
+        for (c, want_bad) in [(&pure, false), (&mixed, true)] {
+            let digests = m.digest(c, &p, &fti_tolerance);
+            assert_eq!(m.singly_bad_nodes(&digests).contains(&true), want_bad);
+            for j in 3..=12 {
+                let union: f64 = residual(&m, &digests)
+                    .iter()
+                    .map(|d| m.q_cluster_exact(j, d))
+                    .sum();
+                assert!(union > 0.1, "j={j}: exact branch, union {union}");
+                let got = m.q_given_j(j, c, &p, &fti_tolerance);
+                let want = q_reference(&m, j, &digests);
+                assert_eq!(got.to_bits(), want.to_bits(), "j={j}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn public_estimator_counts_every_sample() {
+        let p = Placement::block(16, 4);
+        let c = Clustering::consecutive(64, 8);
+        let m = ReliabilityModel::new(16, EventDistribution::single_node_only());
+        let q = |samples| m.q_given_j_monte_carlo(3, &c, &p, &fti_tolerance, samples, 7);
+        // The hit count behind an estimate, checked to be a whole number
+        // of `samples`ths (no sample silently dropped from the divisor).
+        let hits = |samples: usize| {
+            let est: f64 = q(samples);
+            let hits = (est * samples as f64).round();
+            assert_eq!(
+                (hits / samples as f64).to_bits(),
+                est.to_bits(),
+                "{samples} samples: {est}"
+            );
+            hits as usize
+        };
+        assert_eq!(q(0), 0.0);
+        assert!(hits(5) <= 5);
+        // Streams draw 2,2,2,2,2,2,2,1 sets for 15 samples: the 8-sample
+        // sets (one per stream) plus seven more.
+        let (h8, h15, h16) = (hits(8), hits(15), hits(16));
+        assert!(h8 <= h15 && h15 <= h8 + 7 && h15 <= h16, "{h8} {h15} {h16}");
+        // Multiples of 8 are unchanged.
+        let digests = m.digest(&c, &p, &fti_tolerance);
+        let all: Vec<&ClusterNodes> = digests.iter().collect();
+        for samples in [8, 16, 16_000] {
+            assert_eq!(
+                q(samples).to_bits(),
+                monte_carlo_q_reference(16, 3, &all, samples, 7).to_bits(),
+                "{samples} samples"
+            );
+        }
+        // No j-node event exists outside 1..=nodes.
+        assert_eq!(
+            m.q_given_j_monte_carlo(0, &c, &p, &fti_tolerance, 800, 7),
+            0.0
+        );
+        assert_eq!(
+            m.q_given_j_monte_carlo(17, &c, &p, &fti_tolerance, 800, 7),
+            0.0
+        );
+    }
+
+    proptest! {
+        // Each case runs the allocating reference ~60 times (debug ≈ 0.5 s).
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Every `q(j)`, j ∈ 3..=12, and every raw Monte-Carlo estimate
+        /// (over all clusters and over the clusters free of singly-bad
+        /// nodes) read from a model's shared tables equals the allocating
+        /// reference bit for bit, whichever of two clusterings drew the
+        /// tables.
+        #[test]
+        fn shared_tables_match_the_allocating_reference(
+            (placement, first, second, tol) in arb_scored_pair(),
+        ) {
+            let nodes = placement.nodes();
+            let tolerance = TOLERANCES[tol];
+            let forward = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
+            let backward = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
+            let clusterings = [&first, &second];
+            let digests = clusterings.map(|c| forward.digest(c, &placement, &tolerance));
+            // The cluster sets the two sampled branches count: all of
+            // them, and the residual when some node is singly bad.
+            let sampled: Vec<Vec<Vec<&ClusterNodes>>> = digests
+                .iter()
+                .map(|d| {
+                    let all: Vec<&ClusterNodes> = d.iter().collect();
+                    let residual = residual(&forward, d);
+                    if residual.len() < all.len() { vec![all, residual] } else { vec![all] }
+                })
+                .collect();
+            // The references depend on no model: compute them once.
+            let want: Vec<Vec<(f64, Vec<f64>)>> = (0..2)
+                .map(|i| {
+                    (3..=12)
+                        .map(|j| {
+                            let mc = sampled[i]
+                                .iter()
+                                .filter(|_| j <= nodes)
+                                .map(|set| monte_carlo_q_reference(nodes, j, set, MC_SAMPLES, MC_SEED))
+                                .collect();
+                            (q_reference(&forward, j, &digests[i]), mc)
+                        })
+                        .collect()
+                })
+                .collect();
+            for (m, order) in [(&forward, [0, 1]), (&backward, [1, 0])] {
+                for i in order {
+                    for (j, (want_q, want_mc)) in (3..=12).zip(&want[i]) {
+                        let got = m.q_given_j(j, clusterings[i], &placement, &tolerance);
+                        prop_assert_eq!(got.to_bits(), want_q.to_bits(), "q({}): {} vs {}", j, got, want_q);
+                        for (set, want) in sampled[i].iter().zip(want_mc) {
+                            let got = m.monte_carlo_q(j, set);
+                            prop_assert_eq!(got.to_bits(), want.to_bits(), "mc({}): {} vs {}", j, got, want);
+                        }
+                    }
+                }
+            }
         }
     }
 }
