@@ -1,4 +1,5 @@
-//! The multi-level checkpointer: local write, group encode, recovery.
+//! The multi-level checkpointer: per-node bundle writes, group encode,
+//! recovery.
 //!
 //! Encoding follows FTI's layout: within an encoding cluster of `s`
 //! members, the `s` local checkpoints are the data shards of an RS(s, s)
@@ -7,6 +8,15 @@
 //! so the group survives the loss of up to `⌊s/2⌋` of its *nodes* when
 //! fully distributed — and survives nothing if all members share one node
 //! (the paper's size-guided pathology).
+//!
+//! A checkpoint builds each node's bundles once, in parallel over nodes
+//! (the layout is in [`crate::store`]): its `.local` bundle and, by
+//! level, its `.partner`, `.xor` or `.parity` bundle. Data shard `i` is
+//! member `i`'s payload framed as `[len u64 LE][payload]` and
+//! zero-padded to the group's longest frame. Parity rows are computed
+//! straight from the caller's payloads, one hosted member at a time, so
+//! an epoch is never read back and no second copy of the payloads is
+//! held.
 
 use std::collections::HashMap;
 use std::io;
@@ -15,48 +25,89 @@ use std::time::Instant;
 
 use hcft_graph::Clustering;
 use hcft_telemetry::{HcftError, Registry};
-use hcft_topology::Placement;
+use hcft_topology::{NodeId, Placement, Rank};
 use rayon::prelude::*;
 
+use hcft_erasure::kernel::xor_acc;
 use hcft_erasure::rs::DecodeCacheStats;
-use hcft_erasure::{ReedSolomon, XorCode};
+use hcft_erasure::ReedSolomon;
 
-use crate::store::CheckpointStore;
+use crate::store::{Artefact, Bundle, BundleWriter, CheckpointStore};
 use crate::Level;
 
-/// Frame a checkpoint payload for shard storage: `[len u64 LE][data]`.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    frame_into(payload, &mut out);
-    out
+/// Length of the `[len u64 LE]` header that frames a local payload.
+const HEADER: usize = 8;
+
+/// The frame header of `payload`.
+fn header(payload: &[u8]) -> [u8; HEADER] {
+    (payload.len() as u64).to_le_bytes()
 }
 
-/// Frame into caller-owned scratch (cleared first) — the allocation-free
-/// checkpoint path.
-fn frame_into(payload: &[u8], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Strip the frame, tolerating zero padding after the payload. `None`
+/// when the declared length does not fit the shard: that shard is lost,
+/// and recovery rebuilds it like a quarantined one.
+fn unframe(shard: &[u8]) -> Option<&[u8]> {
+    let head: [u8; HEADER] = shard.get(..HEADER)?.try_into().ok()?;
+    let len = usize::try_from(u64::from_le_bytes(head)).ok()?;
+    shard[HEADER..].get(..len)
 }
 
-/// Strip the frame, tolerating zero padding after the payload.
-fn unframe(shard: &[u8]) -> io::Result<Vec<u8>> {
-    if shard.len() < 8 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "short shard"));
+/// A payload's frame as a data shard of `padded` bytes, or `None` when
+/// the frame does not fit.
+fn data_shard(payload: &[u8], padded: usize) -> Option<Vec<u8>> {
+    (HEADER + payload.len() <= padded).then(|| {
+        let mut shard = Vec::with_capacity(padded);
+        shard.extend_from_slice(&header(payload));
+        shard.extend_from_slice(payload);
+        shard.resize(padded, 0);
+        shard
+    })
+}
+
+/// Parity row `p` of the group `members` into `row`, straight from the
+/// payloads: data shard `j` is member `j`'s frame, zero-padded to
+/// `row.len()`.
+fn parity_row(rs: &ReedSolomon, p: usize, members: &[Rank], payloads: &[Vec<u8>], row: &mut [u8]) {
+    let headers: Vec<[u8; HEADER]> = members.iter().map(|r| header(&payloads[r.idx()])).collect();
+    let shards: Vec<[&[u8]; 2]> = members
+        .iter()
+        .zip(&headers)
+        .map(|(r, head)| [&head[..], &payloads[r.idx()][..]])
+        .collect();
+    let data: Vec<&[&[u8]]> = shards.iter().map(|s| &s[..]).collect();
+    rs.encode_row_into(p, &data, row);
+}
+
+/// XOR the frames of `payloads`, each zero-padded to `acc.len()`, into
+/// `acc`: a group's XOR parity when `acc` starts zeroed, its one missing
+/// frame when `acc` starts as that parity. Every frame must fit.
+fn xor_frames<'a>(payloads: impl Iterator<Item = &'a [u8]>, acc: &mut [u8]) {
+    for payload in payloads {
+        xor_acc(&mut acc[..HEADER], &header(payload));
+        xor_acc(&mut acc[HEADER..HEADER + payload.len()], payload);
     }
-    let len = u64::from_le_bytes(shard[..8].try_into().expect("8 bytes")) as usize;
-    if shard.len() < 8 + len {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "truncated shard",
-        ));
-    }
-    Ok(shard[8..8 + len].to_vec())
 }
 
-/// A rebuilt `(rank, payload)` pair produced by a recovery stage.
-type RebuiltPayload = (usize, Vec<u8>);
+/// The bundles one recovery has read, each read at most once (a failed
+/// read is remembered as `None`).
+struct Bundles<'s> {
+    store: &'s CheckpointStore,
+    epoch: u64,
+    read: HashMap<Artefact, Option<Bundle>>,
+}
+
+impl Bundles<'_> {
+    /// Entry `id` of the bundle at `at`, copied out.
+    fn entry(&mut self, at: Artefact, id: usize) -> Option<Vec<u8>> {
+        let (store, epoch) = (self.store, self.epoch);
+        self.read
+            .entry(at)
+            .or_insert_with(|| store.read_bundle(at, epoch).ok())
+            .as_ref()?
+            .get(id as u64)
+            .map(<[u8]>::to_vec)
+    }
+}
 
 /// FTI-style multi-level checkpointer over an encoding clustering.
 pub struct MultilevelCheckpointer {
@@ -67,14 +118,11 @@ pub struct MultilevelCheckpointer {
     /// decode-matrix cache warm, so repeated recoveries of the same
     /// failure pattern skip the matrix inversion.
     codes: Mutex<HashMap<usize, ReedSolomon>>,
-    /// Pool of parity buffer sets handed to [`ReedSolomon::encode_into`],
-    /// so steady-state checkpoint rounds stop allocating parity.
-    parity_scratch: Mutex<Vec<Vec<Vec<u8>>>>,
-    /// Pool of frame buffers for local-shard writes, so steady-state
-    /// checkpoint rounds stop allocating the `[len][data]` frame too.
-    frame_scratch: Mutex<Vec<Vec<u8>>>,
-    /// Metrics sink: bytes written per level, scratch-pool hit rate,
-    /// per-group encode/verify wall time, rebuilt payload bytes.
+    /// Pool of bundle buffers, so steady-state checkpoint rounds stop
+    /// allocating.
+    scratch: Mutex<Vec<Vec<u8>>>,
+    /// Metrics sink: bytes and files written per kind, scratch-pool hit
+    /// rate, per-node write time, rebuilt payload bytes.
     telemetry: Arc<Registry>,
 }
 
@@ -94,12 +142,13 @@ impl MultilevelCheckpointer {
     }
 
     /// Like [`MultilevelCheckpointer::new`], reporting to a dedicated
-    /// registry (scoped measurements: one replay engine, one test).
+    /// registry (scoped measurements: one replay engine, one test) — the
+    /// store's `checkpoint.files.*` counters included.
     ///
     /// # Panics
     /// Panics if the clustering and placement disagree on the rank count.
     pub fn with_telemetry(
-        store: CheckpointStore,
+        mut store: CheckpointStore,
         groups: impl Into<Arc<Clustering>>,
         placement: Placement,
         telemetry: Arc<Registry>,
@@ -110,13 +159,13 @@ impl MultilevelCheckpointer {
             placement.nprocs(),
             "clustering/placement rank count"
         );
+        store.telemetry = Arc::clone(&telemetry);
         MultilevelCheckpointer {
             store,
             groups,
             placement,
             codes: Mutex::new(HashMap::new()),
-            parity_scratch: Mutex::new(Vec::new()),
-            frame_scratch: Mutex::new(Vec::new()),
+            scratch: Mutex::new(Vec::new()),
             telemetry,
         }
     }
@@ -149,10 +198,10 @@ impl MultilevelCheckpointer {
             .clone()
     }
 
-    /// Borrow a set of `count` parity buffers of `len` bytes from the
-    /// pool (allocating only on first use or growth).
-    fn take_scratch(&self, count: usize, len: usize) -> Vec<Vec<u8>> {
-        let pooled = self.parity_scratch.lock().expect("scratch lock").pop();
+    /// Borrow a bundle buffer from the pool (allocating only on first
+    /// use or growth).
+    fn take_scratch(&self) -> Vec<u8> {
+        let pooled = self.scratch.lock().expect("scratch lock").pop();
         if pooled.is_some() {
             self.telemetry.counter("checkpoint.scratch_pool.hits").inc();
         } else {
@@ -160,37 +209,12 @@ impl MultilevelCheckpointer {
                 .counter("checkpoint.scratch_pool.misses")
                 .inc();
         }
-        let mut set = pooled.unwrap_or_default();
-        set.resize_with(count, Vec::new);
-        for buf in &mut set {
-            buf.resize(len, 0);
-        }
-        set
+        pooled.unwrap_or_default()
     }
 
-    /// Return a buffer set to the pool.
-    fn return_scratch(&self, set: Vec<Vec<u8>>) {
-        self.parity_scratch.lock().expect("scratch lock").push(set);
-    }
-
-    /// Borrow a frame buffer from the pool (allocating only on first use
-    /// or payload growth).
-    fn take_frame(&self) -> Vec<u8> {
-        match self.frame_scratch.lock().expect("frame lock").pop() {
-            Some(buf) => {
-                self.telemetry.counter("checkpoint.frame_pool.hits").inc();
-                buf
-            }
-            None => {
-                self.telemetry.counter("checkpoint.frame_pool.misses").inc();
-                Vec::new()
-            }
-        }
-    }
-
-    /// Return a frame buffer to the pool.
-    fn return_frame(&self, buf: Vec<u8>) {
-        self.frame_scratch.lock().expect("frame lock").push(buf);
+    /// Return a buffer to the pool.
+    fn return_scratch(&self, buf: Vec<u8>) {
+        self.scratch.lock().expect("scratch lock").push(buf);
     }
 
     /// The encoding clustering.
@@ -215,300 +239,294 @@ impl MultilevelCheckpointer {
         payloads: &[Vec<u8>],
     ) -> Result<(), HcftError> {
         assert_eq!(payloads.len(), self.groups.nprocs(), "one payload per rank");
-        let mut local_bytes = 0u64;
-        let mut framed = self.take_frame();
-        for (rank, payload) in payloads.iter().enumerate() {
-            let node = self.placement.node_of(rank.into());
-            frame_into(payload, &mut framed);
-            local_bytes += framed.len() as u64;
-            if let Err(e) = self.store.write_local(node, rank, epoch, &framed) {
-                self.return_frame(framed);
-                return Err(e.into());
-            }
-        }
-        self.return_frame(framed);
-        self.telemetry
-            .counter("checkpoint.bytes_written.local")
-            .add(local_bytes);
-        match level {
-            Level::Local => {}
-            Level::Partner => {
-                let mut partner_bytes = 0u64;
-                for (_, members) in self.groups.iter() {
-                    for (i, &r) in members.iter().enumerate() {
-                        let partner = self.partner_node(members, i);
-                        partner_bytes += payloads[r.idx()].len() as u64;
-                        self.store
-                            .write_partner(partner, r.idx(), epoch, &payloads[r.idx()])?;
-                    }
-                }
-                self.telemetry
-                    .counter("checkpoint.bytes_written.partner")
-                    .add(partner_bytes);
-            }
-            Level::Xor => {
-                for (g, members) in self.groups.iter() {
-                    self.xor_encode_group(g, members, epoch)?;
-                }
-            }
-            Level::Encoded => self.encode_epoch(epoch)?,
-            Level::Pfs => {
-                let mut pfs_bytes = 0u64;
-                for (rank, payload) in payloads.iter().enumerate() {
-                    pfs_bytes += payload.len() as u64;
-                    self.store.write_pfs(rank, epoch, payload)?;
-                }
-                self.telemetry
-                    .counter("checkpoint.bytes_written.pfs")
-                    .add(pfs_bytes);
-            }
+        let protection: Option<fn(NodeId) -> Artefact> = match level {
+            Level::Local | Level::Pfs => None,
+            Level::Partner => Some(Artefact::Partner),
+            Level::Xor => Some(Artefact::Xor),
+            Level::Encoded => Some(Artefact::Parity),
+        };
+        self.write_nodes(epoch, payloads, true, protection, &[])?;
+        if level == Level::Pfs {
+            // A buffer of its own: every payload, too large to pool.
+            self.write_bundle(Artefact::Pfs, epoch, payloads, &[], &[], &mut Vec::new())?;
         }
         Ok(())
+    }
+
+    /// Compute and store Reed–Solomon parity for every encoding group at
+    /// `epoch`, whose locals were written from `payloads`: the
+    /// [`Level::Encoded`] path of [`MultilevelCheckpointer::checkpoint`]
+    /// without the locals. A group with a member whose node has lost its
+    /// `.local` bundle since (a failure during encoding) gets no parity
+    /// and fails the call — encoding from the in-memory payloads would
+    /// otherwise hide the loss.
+    pub fn encode_epoch(&self, epoch: u64, payloads: &[Vec<u8>]) -> Result<(), HcftError> {
+        assert_eq!(payloads.len(), self.groups.nprocs(), "one payload per rank");
+        let lost: Vec<bool> = (0..self.placement.nodes())
+            .map(|n| {
+                !self
+                    .store
+                    .has_bundle(Artefact::Local(NodeId::from(n)), epoch)
+            })
+            .collect();
+        let broken: Vec<bool> = self
+            .groups
+            .iter()
+            .map(|(_, members)| {
+                members.len() >= 2
+                    && members
+                        .iter()
+                        .any(|&r| lost[self.placement.node_of(r).idx()])
+            })
+            .collect();
+        self.write_nodes(epoch, payloads, false, Some(Artefact::Parity), &broken)?;
+        match broken.iter().position(|&b| b) {
+            None => Ok(()),
+            Some(g) => Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!(
+                    "encoding group {g} lost a member's local checkpoint of epoch {epoch} \
+                     before its parity was written"
+                ),
+            )
+            .into()),
+        }
+    }
+
+    /// Write every node's share of `epoch`, in parallel over nodes: its
+    /// `.local` bundle when `local`, then its `protection` bundle. Groups
+    /// flagged in `broken` get no parity.
+    fn write_nodes(
+        &self,
+        epoch: u64,
+        payloads: &[Vec<u8>],
+        local: bool,
+        protection: Option<fn(NodeId) -> Artefact>,
+        broken: &[bool],
+    ) -> Result<(), HcftError> {
+        let padded = self.padded_lens(payloads);
+        let kinds: Vec<fn(NodeId) -> Artefact> = local
+            .then_some(Artefact::Local as fn(NodeId) -> Artefact)
+            .into_iter()
+            .chain(protection)
+            .collect();
+        let results: Vec<io::Result<()>> = (0..self.placement.nodes())
+            .into_par_iter()
+            .map(|n| {
+                let started = Instant::now();
+                let mut buf = self.take_scratch();
+                let result = kinds.iter().try_for_each(|kind| {
+                    let at = kind(NodeId::from(n));
+                    self.write_bundle(at, epoch, payloads, &padded, broken, &mut buf)
+                });
+                self.return_scratch(buf);
+                self.telemetry
+                    .histogram("checkpoint.write_node_ns")
+                    .observe_duration(started.elapsed());
+                result
+            })
+            .collect();
+        for result in results {
+            result?;
+        }
+        Ok(())
+    }
+
+    /// Serialise the bundle at `at` from the payloads into `buf` and
+    /// write it for `epoch`; an empty bundle is not written. `padded`
+    /// holds each group's padded shard length, and groups flagged in
+    /// `broken` get no parity row.
+    fn write_bundle(
+        &self,
+        at: Artefact,
+        epoch: u64,
+        payloads: &[Vec<u8>],
+        padded: &[usize],
+        broken: &[bool],
+        buf: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        let mut bundle = BundleWriter::new(buf);
+        match at {
+            Artefact::Local(node) => {
+                for r in self.placement.ranks_on(node) {
+                    let payload = &payloads[r.idx()][..];
+                    bundle.push(r.idx() as u64, &[&header(payload)[..], payload]);
+                }
+            }
+            Artefact::Parity(node) => {
+                for &r in self.placement.ranks_on(node) {
+                    let g = self.groups.cluster_of(r);
+                    let members = self.groups.members(g);
+                    // Nothing to protect a singleton against.
+                    if members.len() < 2 || broken.get(g) == Some(&true) {
+                        continue;
+                    }
+                    let p = members
+                        .iter()
+                        .position(|&m| m == r)
+                        .expect("a rank is a member of its own group");
+                    let rs = self.code_for(members.len());
+                    bundle.push_with(r.idx() as u64, padded[g], |row| {
+                        parity_row(&rs, p, members, payloads, row)
+                    });
+                }
+            }
+            Artefact::Partner(node) => {
+                for (_, members) in self.groups.iter() {
+                    for (i, r) in members.iter().enumerate() {
+                        if self.partner_node(members, i) == node {
+                            bundle.push(r.idx() as u64, &[&payloads[r.idx()][..]]);
+                        }
+                    }
+                }
+            }
+            Artefact::Xor(node) => {
+                for (g, members) in self.groups.iter() {
+                    if members.len() >= 2 && self.xor_holders(members).contains(&node) {
+                        let frames = members.iter().map(|r| &payloads[r.idx()][..]);
+                        bundle.push_with(g as u64, padded[g], |acc| xor_frames(frames, acc));
+                    }
+                }
+            }
+            Artefact::Pfs => {
+                for (r, payload) in payloads.iter().enumerate() {
+                    bundle.push(r as u64, &[&payload[..]]);
+                }
+            }
+        }
+        if bundle.is_empty() {
+            return Ok(());
+        }
+        self.store.write_bundle(at, epoch, buf)?;
+        self.telemetry
+            .counter(&format!("checkpoint.bytes_written.{}", at.extension()))
+            .add(buf.len() as u64);
+        Ok(())
+    }
+
+    /// Each group's padded shard length: its longest member's frame.
+    fn padded_lens(&self, payloads: &[Vec<u8>]) -> Vec<usize> {
+        self.groups
+            .iter()
+            .map(|(_, members)| {
+                HEADER
+                    + members
+                        .iter()
+                        .map(|r| payloads[r.idx()].len())
+                        .max()
+                        .unwrap_or(0)
+            })
+            .collect()
     }
 
     /// The node holding member `i`'s partner copy: the next member's node
     /// (ring order within the encoding cluster).
-    fn partner_node(&self, members: &[hcft_topology::Rank], i: usize) -> hcft_topology::NodeId {
+    fn partner_node(&self, members: &[Rank], i: usize) -> NodeId {
         let partner = members[(i + 1) % members.len()];
         self.placement.node_of(partner)
     }
 
-    /// Compute one XOR parity over the group's (framed, padded) local
-    /// checkpoints and replicate it on two member nodes.
-    fn xor_encode_group(
-        &self,
-        group: usize,
-        members: &[hcft_topology::Rank],
-        epoch: u64,
-    ) -> io::Result<()> {
-        if members.len() < 2 {
-            return Ok(());
-        }
-        let started = Instant::now();
-        let mut shards: Vec<Vec<u8>> = Vec::with_capacity(members.len());
-        for &r in members {
-            let node = self.placement.node_of(r);
-            shards.push(self.store.read_local(node, r.idx(), epoch)?);
-        }
-        let padded = shards.iter().map(Vec::len).max().expect("non-empty");
-        for s in &mut shards {
-            s.resize(padded, 0);
-        }
-        let refs: Vec<&[u8]> = shards.iter().map(|s| &s[..]).collect();
-        let parity = XorCode::new(members.len()).encode(&refs);
-        // Two replicas on distinct member nodes (when the cluster spans
-        // distinct nodes): losing either replica leaves the other.
-        let holders = [0, members.len() / 2];
-        for &h in &holders {
-            let node = self.placement.node_of(members[h]);
-            self.store.write_xor(node, group, epoch, &parity)?;
-            self.store.write_meta(node, group, epoch, padded as u64)?;
-        }
-        self.telemetry
-            .counter("checkpoint.bytes_written.xor")
-            .add(holders.len() as u64 * parity.len() as u64);
-        self.telemetry
-            .histogram("checkpoint.xor_encode_group_ns")
-            .observe_duration(started.elapsed());
-        Ok(())
-    }
-
-    /// Compute and store parity for every encoding group at `epoch`.
-    /// Groups encode independently — in parallel, like FTI's per-node
-    /// encoder processes.
-    pub fn encode_epoch(&self, epoch: u64) -> Result<(), HcftError> {
-        let results: Vec<io::Result<()>> = self
-            .groups
-            .iter()
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|&(g, members)| self.encode_group(g, members, epoch))
-            .collect();
-        for r in results {
-            r?;
-        }
-        Ok(())
-    }
-
-    /// Check that every group's stored parity is consistent with its
-    /// stored data shards at `epoch`. Groups verify in parallel; per-group
-    /// wall time lands in the `checkpoint.verify_group_ns` histogram.
-    /// Returns the ids of groups that fail verification (missing
-    /// artefacts count as failing).
-    pub fn verify_epoch(&self, epoch: u64) -> Result<Vec<usize>, HcftError> {
-        let bad: Vec<Option<usize>> = self
-            .groups
-            .iter()
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|&(g, members)| (!self.verify_group(g, members, epoch)).then_some(g))
-            .collect();
-        Ok(bad.into_iter().flatten().collect())
-    }
-
-    fn verify_group(&self, group: usize, members: &[hcft_topology::Rank], epoch: u64) -> bool {
-        if members.len() < 2 {
-            return true;
-        }
-        let started = Instant::now();
-        let mut shards: Vec<Vec<u8>> = Vec::with_capacity(2 * members.len());
-        for &r in members {
-            let node = self.placement.node_of(r);
-            match self.store.read_local(node, r.idx(), epoch) {
-                Ok(d) => shards.push(d),
-                Err(_) => return false,
-            }
-        }
-        let padded = shards.iter().map(Vec::len).max().expect("non-empty");
-        for s in &mut shards {
-            s.resize(padded, 0);
-        }
-        for &r in members {
-            let node = self.placement.node_of(r);
-            match self.store.read_parity(node, r.idx(), group, epoch) {
-                Ok(p) => shards.push(p),
-                Err(_) => return false,
-            }
-        }
-        let rs = self.code_for(members.len());
-        let refs: Vec<&[u8]> = shards.iter().map(|s| &s[..]).collect();
-        let ok = rs.verify(&refs);
-        self.telemetry
-            .histogram("checkpoint.verify_group_ns")
-            .observe_duration(started.elapsed());
-        ok
-    }
-
-    fn encode_group(
-        &self,
-        group: usize,
-        members: &[hcft_topology::Rank],
-        epoch: u64,
-    ) -> io::Result<()> {
-        if members.len() < 2 {
-            return Ok(()); // nothing to protect a singleton against
-        }
-        let started = Instant::now();
-        let mut shards: Vec<Vec<u8>> = Vec::with_capacity(members.len());
-        for &r in members {
-            let node = self.placement.node_of(r);
-            shards.push(self.store.read_local(node, r.idx(), epoch)?);
-        }
-        let padded = shards.iter().map(Vec::len).max().expect("non-empty");
-        for s in &mut shards {
-            s.resize(padded, 0);
-        }
-        let rs = self.code_for(members.len());
-        let mut parity = self.take_scratch(members.len(), padded);
-        {
-            let refs: Vec<&[u8]> = shards.iter().map(|s| &s[..]).collect();
-            let outs: Vec<&mut [u8]> = parity.iter_mut().map(|p| &mut p[..]).collect();
-            rs.encode_into(&refs, outs);
-        }
-        let mut result = Ok(());
-        let mut parity_bytes = 0u64;
-        for (i, &r) in members.iter().enumerate() {
-            let node = self.placement.node_of(r);
-            parity_bytes += parity[i].len() as u64;
-            result = result
-                .and_then(|()| {
-                    self.store
-                        .write_parity(node, r.idx(), group, epoch, &parity[i])
-                })
-                .and_then(|()| self.store.write_meta(node, group, epoch, padded as u64));
-        }
-        self.return_scratch(parity);
-        self.telemetry
-            .counter("checkpoint.bytes_written.parity")
-            .add(parity_bytes);
-        self.telemetry
-            .histogram("checkpoint.encode_group_ns")
-            .observe_duration(started.elapsed());
-        result
+    /// The nodes holding a group's XOR parity: member 0's and member
+    /// `s/2`'s — distinct whenever the cluster spans distinct nodes, so
+    /// losing either replica leaves the other.
+    fn xor_holders(&self, members: &[Rank]) -> [NodeId; 2] {
+        [0, members.len() / 2].map(|i| self.placement.node_of(members[i]))
     }
 
     /// Recover every rank's payload at `epoch`, rebuilding lost local
-    /// checkpoints from parity where needed, falling back to the PFS
-    /// copy, and reporting a catastrophic failure
-    /// ([`HcftError::Erasure`]) otherwise.
+    /// checkpoints from partner copies, XOR or Reed–Solomon parity,
+    /// falling back to the PFS copy, and reporting a catastrophic failure
+    /// ([`HcftError::Erasure`]) otherwise. What XOR or Reed–Solomon
+    /// rebuilt is written back to the nodes that lost it.
     pub fn recover(&self, epoch: u64) -> Result<Vec<Vec<u8>>, HcftError> {
         let n = self.groups.nprocs();
+        let nodes = self.placement.nodes();
         let mut out: Vec<Option<Vec<u8>>> = vec![None; n];
-        // Fast path: intact local checkpoints.
-        for (rank, slot) in out.iter_mut().enumerate() {
-            let node = self.placement.node_of(rank.into());
-            if let Ok(bytes) = self.store.read_local(node, rank, epoch) {
-                *slot = Some(unframe(&bytes)?);
+        // Fast path: one `.local` bundle per node. A missing or
+        // unparsable bundle loses the node's shards, a frame that does
+        // not fit its shard loses that one.
+        for node in (0..nodes).map(NodeId::from) {
+            if let Ok(bundle) = self.store.read_bundle(Artefact::Local(node), epoch) {
+                for r in self.placement.ranks_on(node) {
+                    out[r.idx()] = bundle
+                        .get(r.idx() as u64)
+                        .and_then(unframe)
+                        .map(<[u8]>::to_vec);
+                }
             }
         }
         // Ranks that missed the fast path: whatever comes back for them
         // was *rebuilt* (partner / parity / PFS), which the registry
         // reports as `checkpoint.rebuilt_payload_bytes`.
         let lost: Vec<usize> = (0..n).filter(|&r| out[r].is_none()).collect();
+        let mut bundles = Bundles {
+            store: &self.store,
+            epoch,
+            read: HashMap::new(),
+        };
+        // Nodes whose `.local` (and, after a Reed–Solomon rebuild,
+        // `.parity`) bundle recovery writes back.
+        let mut relocal = vec![false; nodes];
+        let mut reparity = vec![false; nodes];
+        let missing = |members: &[Rank], out: &[Option<Vec<u8>>]| {
+            members.iter().filter(|r| out[r.idx()].is_none()).count()
+        };
         // Cascade per group: partner copies → XOR parity → Reed–Solomon
         // → PFS. Each stage only runs for ranks still missing.
         for (g, members) in self.groups.iter() {
+            if missing(members, &out) == 0 {
+                continue;
+            }
             // Stage 1: partner copies (stored on the next member's node).
-            for (i, &r) in members.iter().enumerate() {
+            for (i, r) in members.iter().enumerate() {
                 if out[r.idx()].is_none() {
                     let partner = self.partner_node(members, i);
-                    if let Ok(bytes) = self.store.read_partner(partner, r.idx(), epoch) {
-                        out[r.idx()] = Some(bytes);
-                    }
+                    out[r.idx()] = bundles.entry(Artefact::Partner(partner), r.idx());
                 }
             }
-            if members.iter().all(|&r| out[r.idx()].is_some()) {
+            if missing(members, &out) == 0 {
                 continue;
             }
             // Stage 2: XOR parity (rebuilds exactly one missing member).
-            if let Some(rebuilt) = self.xor_rebuild_group(g, members, epoch, &out)? {
-                for (r, payload) in rebuilt {
-                    out[r] = Some(payload);
-                }
-            }
-            if members.iter().all(|&r| out[r.idx()].is_some()) {
+            if let Some((r, payload)) = self.xor_rebuild(g, members, &out, &mut bundles) {
+                relocal[self.placement.node_of(r).idx()] = true;
+                out[r.idx()] = Some(payload);
                 continue;
             }
             // Stage 3: Reed–Solomon.
-            match self.rebuild_group(g, members, epoch)? {
-                Some(rebuilt) => {
-                    for (i, &r) in members.iter().enumerate() {
-                        if out[r.idx()].is_none() {
-                            out[r.idx()] = Some(unframe(&rebuilt[i])?);
-                        }
-                    }
+            if let Some(rebuilt) = self.rs_rebuild(members, &mut out, &mut bundles) {
+                for r in rebuilt {
+                    let node = self.placement.node_of(r).idx();
+                    relocal[node] = true;
+                    reparity[node] = true;
                 }
-                None => {
-                    // Erasure level beaten — try the PFS copies.
-                    for &r in members {
-                        if out[r.idx()].is_none() {
-                            match self.store.read_pfs(r.idx(), epoch) {
-                                Ok(bytes) => out[r.idx()] = Some(bytes),
-                                Err(_) => {
-                                    // A group of s members is an RS(s, s)
-                                    // code: any s of its 2s shards decode.
-                                    // Members still missing here lost both
-                                    // their data and parity shard.
-                                    let missing =
-                                        members.iter().filter(|&&m| out[m.idx()].is_none()).count();
-                                    return Err(HcftError::Erasure {
-                                        needed: members.len(),
-                                        available: 2 * (members.len() - missing),
-                                    });
-                                }
-                            }
-                        }
-                    }
+                continue;
+            }
+            // Erasure level beaten — try the PFS copies.
+            for r in members {
+                if out[r.idx()].is_none() {
+                    out[r.idx()] = bundles.entry(Artefact::Pfs, r.idx());
                 }
             }
+            let still = missing(members, &out);
+            if still > 0 {
+                // A group of s members is an RS(s, s) code: any s of its
+                // 2s shards decode. Members still missing here lost both
+                // their data and parity shard.
+                return Err(HcftError::Erasure {
+                    needed: members.len(),
+                    available: 2 * (members.len() - still),
+                });
+            }
         }
+        let payloads: Vec<Vec<u8>> = out
+            .into_iter()
+            .map(|p| p.expect("all ranks recovered"))
+            .collect();
+        self.reprotect(epoch, &payloads, &relocal, &reparity)?;
         self.telemetry
             .counter("checkpoint.rebuilt_payload_bytes")
-            .add(
-                lost.iter()
-                    .map(|&r| out[r].as_ref().expect("recovered").len() as u64)
-                    .sum(),
-            );
+            .add(lost.iter().map(|&r| payloads[r].len() as u64).sum());
         // Absolute per-store decode-cache totals (the `erasure.*` mirror
         // is process-global; this one follows the scoped registry).
         let cache = self.decode_cache_stats();
@@ -518,146 +536,126 @@ impl MultilevelCheckpointer {
         self.telemetry
             .counter("checkpoint.decode_cache.misses")
             .store(cache.misses);
-        Ok(out
-            .into_iter()
-            .map(|p| p.expect("all ranks recovered"))
-            .collect())
+        Ok(payloads)
     }
 
-    /// Attempt an XOR rebuild: succeeds when exactly one member is
-    /// missing, some replica of the group parity survives, and every
-    /// other member's local checkpoint is readable. Returns the rebuilt
-    /// `(rank, payload)` pairs (at most one).
-    fn xor_rebuild_group(
+    /// Write what recovery rebuilt back to the nodes that lost it: the
+    /// `.local` bundle of every node flagged in `local`, and the
+    /// `.parity` bundle of every node flagged in `parity` that has none.
+    fn reprotect(
+        &self,
+        epoch: u64,
+        payloads: &[Vec<u8>],
+        local: &[bool],
+        parity: &[bool],
+    ) -> io::Result<()> {
+        let padded = self.padded_lens(payloads);
+        let mut buf = self.take_scratch();
+        let result = (0..local.len())
+            .filter(|&n| local[n])
+            .map(NodeId::from)
+            .try_for_each(|node| -> io::Result<()> {
+                self.write_bundle(
+                    Artefact::Local(node),
+                    epoch,
+                    payloads,
+                    &padded,
+                    &[],
+                    &mut buf,
+                )?;
+                let at = Artefact::Parity(node);
+                if parity[node.idx()] && !self.store.has_bundle(at, epoch) {
+                    self.write_bundle(at, epoch, payloads, &padded, &[], &mut buf)?;
+                }
+                Ok(())
+            });
+        self.return_scratch(buf);
+        result
+    }
+
+    /// XOR rebuild of a group's one missing member: needs a surviving
+    /// replica of the group parity and every other member's frame to fit
+    /// it. Returns the rebuilt rank and payload.
+    fn xor_rebuild(
         &self,
         group: usize,
-        members: &[hcft_topology::Rank],
-        epoch: u64,
+        members: &[Rank],
         out: &[Option<Vec<u8>>],
-    ) -> Result<Option<Vec<RebuiltPayload>>, HcftError> {
-        if members.len() < 2 {
-            return Ok(None);
-        }
-        let missing: Vec<usize> = members
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| out[r.idx()].is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if missing.len() != 1 {
-            return Ok(None);
-        }
-        let lost = missing[0];
-        // Any surviving parity replica + its padded length.
-        let holders = [0, members.len() / 2];
-        let Some((parity, padded)) = holders.iter().find_map(|&h| {
-            let node = self.placement.node_of(members[h]);
-            let parity = self.store.read_xor(node, group, epoch).ok()?;
-            let padded = self.store.read_meta(node, group, epoch).ok()? as usize;
-            Some((parity, padded))
-        }) else {
-            return Ok(None);
+        bundles: &mut Bundles,
+    ) -> Option<(Rank, Vec<u8>)> {
+        let mut missing = members.iter().filter(|r| out[r.idx()].is_none());
+        let (Some(&lost), None) = (missing.next(), missing.next()) else {
+            return None;
         };
-        // XOR the parity with every surviving (framed, padded) shard.
-        let mut acc = parity;
-        if acc.len() != padded {
-            return Ok(None); // inconsistent artefacts: defer to RS/PFS
+        let mut acc = self
+            .xor_holders(members)
+            .into_iter()
+            .find_map(|node| bundles.entry(Artefact::Xor(node), group))?;
+        let others: Vec<&[u8]> = members
+            .iter()
+            .filter(|&&r| r != lost)
+            .map(|r| out[r.idx()].as_deref().expect("only one member is missing"))
+            .collect();
+        if others.iter().any(|p| HEADER + p.len() > acc.len()) {
+            return None; // inconsistent artefacts: defer to RS/PFS
         }
-        for (i, &r) in members.iter().enumerate() {
-            if i == lost {
-                continue;
-            }
-            let node = self.placement.node_of(r);
-            let Ok(mut shard) = self.store.read_local(node, r.idx(), epoch) else {
-                return Ok(None);
-            };
-            shard.resize(padded, 0);
-            hcft_erasure::kernel::xor_acc(&mut acc, &shard);
-        }
-        let payload = unframe(&acc)?;
-        // Re-protect the rebuilt local copy.
-        let node = self.placement.node_of(members[lost]);
-        self.store
-            .write_local(node, members[lost].idx(), epoch, &frame(&payload))?;
-        Ok(Some(vec![(members[lost].idx(), payload)]))
+        xor_frames(others.into_iter(), &mut acc);
+        Some((lost, unframe(&acc)?.to_vec()))
     }
 
-    /// Attempt RS reconstruction of a group's framed data shards.
-    /// `Ok(None)` means the group is beyond its erasure tolerance.
-    fn rebuild_group(
+    /// Reed–Solomon rebuild of a group's missing payloads, in place. The
+    /// data shards are the frames of the payloads already recovered; the
+    /// parity shards read are those of the lowest-indexed surviving
+    /// members, only as many as payloads are missing — the rows a full
+    /// reconstruct would pick, so one erasure pattern still builds one
+    /// decode matrix. Returns the rebuilt ranks, or `None` when the group
+    /// is beyond its tolerance or was never encoded.
+    fn rs_rebuild(
         &self,
-        group: usize,
-        members: &[hcft_topology::Rank],
-        epoch: u64,
-    ) -> Result<Option<Vec<Vec<u8>>>, HcftError> {
-        if members.len() < 2 {
-            return Ok(None);
-        }
+        members: &[Rank],
+        out: &mut [Option<Vec<u8>>],
+        bundles: &mut Bundles,
+    ) -> Option<Vec<Rank>> {
         let s = members.len();
-        // Padded length from any surviving member's meta.
-        let padded = members
+        if s < 2 {
+            return None;
+        }
+        let mut parity = members.iter().enumerate().filter_map(|(i, &r)| {
+            let node = self.placement.node_of(r);
+            Some((i, bundles.entry(Artefact::Parity(node), r.idx())?))
+        });
+        // The first surviving parity shard is as long as the group's
+        // padded shard; there is none if the group was never encoded.
+        let (first, first_shard) = parity.next()?;
+        let padded = first_shard.len();
+        let mut shards: Vec<Option<Vec<u8>>> = members
             .iter()
-            .find_map(|&r| {
-                self.store
-                    .read_meta(self.placement.node_of(r), group, epoch)
-                    .ok()
-            })
-            .map(|l| l as usize);
-        let Some(padded) = padded else {
-            return Ok(None); // no meta anywhere: encoding never happened
-        };
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; 2 * s];
-        for (i, &r) in members.iter().enumerate() {
-            let node = self.placement.node_of(r);
-            if let Ok(mut d) = self.store.read_local(node, r.idx(), epoch) {
-                d.resize(padded, 0);
-                shards[i] = Some(d);
-            }
-            if let Ok(p) = self.store.read_parity(node, r.idx(), group, epoch) {
-                shards[s + i] = Some(p);
-            }
+            .map(|r| out[r.idx()].as_deref().and_then(|p| data_shard(p, padded)))
+            .collect();
+        let lost: Vec<usize> = (0..s).filter(|&i| shards[i].is_none()).collect();
+        shards.resize(2 * s, None);
+        shards[s + first] = Some(first_shard);
+        for (i, shard) in parity
+            .filter(|(_, shard)| shard.len() == padded)
+            .take(lost.len().saturating_sub(1))
+        {
+            shards[s + i] = Some(shard);
         }
-        let missing = shards.iter().filter(|x| x.is_none()).count();
-        if missing > s {
-            return Ok(None);
+        self.code_for(s).reconstruct_data(&mut shards).ok()?;
+        let rebuilt: Vec<Vec<u8>> = lost
+            .iter()
+            .map(|&i| unframe(shards[i].as_deref()?).map(<[u8]>::to_vec))
+            .collect::<Option<_>>()?;
+        for (&i, payload) in lost.iter().zip(rebuilt) {
+            out[members[i].idx()] = Some(payload);
         }
-        let rs = self.code_for(s);
-        if rs.reconstruct(&mut shards).is_err() {
-            return Ok(None);
-        }
-        // Re-protect: write the rebuilt shards back to their nodes.
-        for (i, &r) in members.iter().enumerate() {
-            let node = self.placement.node_of(r);
-            if !self.store.has_local(node, r.idx(), epoch) {
-                self.store.write_local(
-                    node,
-                    r.idx(),
-                    epoch,
-                    shards[i].as_ref().expect("rebuilt"),
-                )?;
-                self.store.write_parity(
-                    node,
-                    r.idx(),
-                    group,
-                    epoch,
-                    shards[s + i].as_ref().expect("rebuilt"),
-                )?;
-                self.store.write_meta(node, group, epoch, padded as u64)?;
-            }
-        }
-        Ok(Some(
-            shards[..s]
-                .iter()
-                .map(|x| x.clone().expect("rebuilt"))
-                .collect(),
-        ))
+        Some(lost.iter().map(|&i| members[i]).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcft_topology::{NodeId, Rank};
 
     struct TempDir(std::path::PathBuf);
     impl TempDir {
@@ -696,9 +694,26 @@ mod tests {
         let assignment: Vec<usize> = (0..8).map(|r| r % 2).collect();
         let groups = Clustering::from_assignment(&assignment);
         let store = CheckpointStore::create(&dir.0, 4).expect("store");
-        let ml = MultilevelCheckpointer::new(store, groups, placement);
+        let ml = MultilevelCheckpointer::with_telemetry(store, groups, placement, Registry::new());
         let data = payloads(8);
         (ml, data)
+    }
+
+    /// Does `rank`'s local shard exist on `node` at `epoch`?
+    fn has_shard(ml: &MultilevelCheckpointer, node: u32, rank: u64, epoch: u64) -> bool {
+        ml.store()
+            .read_bundle(Artefact::Local(NodeId(node)), epoch)
+            .is_ok_and(|b| b.get(rank).is_some())
+    }
+
+    /// Overwrite the frame header of `rank`'s local shard on `node`.
+    fn set_frame_len(ml: &MultilevelCheckpointer, node: u32, rank: u64, epoch: u64, len: u64) {
+        let at = Artefact::Local(NodeId(node));
+        let mut bundle = ml.store().read_bundle(at, epoch).expect("local bundle");
+        bundle.get_mut(rank).expect("shard")[..HEADER].copy_from_slice(&len.to_le_bytes());
+        ml.store()
+            .write_bundle(at, epoch, bundle.as_bytes())
+            .expect("rewrite");
     }
 
     #[test]
@@ -778,10 +793,10 @@ mod tests {
         ml.store().fail_node(NodeId(2)).expect("kill");
         ml.recover(6).expect("rebuild");
         // The failed node's artefacts exist again: recovery re-protected.
-        let node2_ranks: Vec<Rank> = vec![Rank(4), Rank(5)];
-        for r in node2_ranks {
-            assert!(ml.store().has_local(NodeId(2), r.idx(), 6));
+        for r in [4, 5] {
+            assert!(has_shard(&ml, 2, r, 6));
         }
+        assert!(ml.store().has_bundle(Artefact::Parity(NodeId(2)), 6));
         // And a second loss of a *different* node is still recoverable.
         ml.store().fail_node(NodeId(0)).expect("kill");
         assert_eq!(ml.recover(6).expect("second rebuild"), data);
@@ -802,12 +817,132 @@ mod tests {
         ml.store().fail_node(NodeId(3)).expect("kill");
         assert_eq!(ml.recover(7).expect("rebuild"), data);
     }
+
+    #[test]
+    fn parity_rows_equal_the_assembled_encode() {
+        // The per-member rows written from the payloads are exactly the
+        // parity a full encode of the framed, padded shards produces.
+        let dir = TempDir::new();
+        let (ml, data) = distributed_setup(&dir);
+        ml.checkpoint(1, Level::Encoded, &data).expect("ckpt");
+        for (_, members) in ml.groups().iter() {
+            let padded = HEADER + members.iter().map(|r| data[r.idx()].len()).max().unwrap();
+            let shards: Vec<Vec<u8>> = members
+                .iter()
+                .map(|r| data_shard(&data[r.idx()], padded).expect("fits"))
+                .collect();
+            let refs: Vec<&[u8]> = shards.iter().map(|s| &s[..]).collect();
+            let parity = ReedSolomon::new(members.len(), members.len()).encode(&refs);
+            for (i, r) in members.iter().enumerate() {
+                let node = ml.placement.node_of(*r);
+                let bundle = ml
+                    .store()
+                    .read_bundle(Artefact::Parity(node), 1)
+                    .expect("parity bundle");
+                assert_eq!(bundle.get(r.idx() as u64), Some(&parity[i][..]));
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_that_does_not_fit_is_rebuilt_from_parity() {
+        // A declared length of 2^64 - 4 must neither overflow `8 + len`
+        // nor slice past the shard: the shard is lost, and parity
+        // rebuilds it when the group can...
+        let dir = TempDir::new();
+        let (ml, data) = distributed_setup(&dir);
+        ml.checkpoint(1, Level::Encoded, &data).expect("ckpt");
+        set_frame_len(&ml, 1, 2, 1, u64::MAX - 3);
+        assert_eq!(ml.recover(1).expect("rebuilt from parity"), data);
+        assert_eq!(
+            ml.telemetry()
+                .counter("checkpoint.rebuilt_payload_bytes")
+                .get(),
+            data[2].len() as u64
+        );
+        // ...and the re-protected shard reads cleanly.
+        assert_eq!(ml.recover(1).expect("clean"), data);
+        // Without parity it is a typed erasure error, not a panic.
+        ml.checkpoint(2, Level::Local, &data).expect("ckpt");
+        set_frame_len(&ml, 1, 2, 2, u64::MAX - 3);
+        assert!(matches!(ml.recover(2), Err(HcftError::Erasure { .. })));
+    }
+
+    #[test]
+    fn an_unparsable_local_bundle_loses_its_node_only() {
+        let dir = TempDir::new();
+        let (ml, data) = distributed_setup(&dir);
+        ml.checkpoint(1, Level::Encoded, &data).expect("ckpt");
+        let at = Artefact::Local(NodeId(3));
+        let bytes = ml.store().read_bundle(at, 1).expect("bundle");
+        let truncated = &bytes.as_bytes()[..bytes.as_bytes().len() - 1];
+        ml.store().write_bundle(at, 1, truncated).expect("truncate");
+        assert_eq!(ml.recover(1).expect("rebuilt from parity"), data);
+    }
+
+    #[test]
+    fn an_encoded_epoch_is_two_files_per_node() {
+        let dir = TempDir::new();
+        let (ml, data) = distributed_setup(&dir);
+        let count = |op: &str| {
+            ml.telemetry()
+                .counter(&format!("checkpoint.files.{op}"))
+                .get()
+        };
+        for epoch in 1..=4 {
+            ml.checkpoint(epoch, Level::Encoded, &data).expect("ckpt");
+            assert_eq!(count("written"), 2 * 4 * epoch, "epoch {epoch}");
+            // Keep two epochs, as the replay engine does.
+            ml.store()
+                .prune_before(epoch.saturating_sub(1))
+                .expect("prune");
+            let files: usize = (0..4)
+                .map(|n| {
+                    std::fs::read_dir(dir.0.join(format!("nodes/node_{n}")))
+                        .expect("node dir")
+                        .count()
+                })
+                .sum();
+            assert!(files <= 2 * 4 * 2, "{files} files after epoch {epoch}");
+            assert_eq!(files as u64, count("written") - count("removed"));
+        }
+        ml.store().fail_node(NodeId(1)).expect("kill");
+        assert_eq!(ml.recover(4).expect("rebuild"), data);
+        // One `.local` per surviving node and one `.parity` per lost
+        // member's group (both groups draw on node 0's bundle).
+        assert_eq!(count("read"), 3 + 1);
+        assert_eq!(count("written"), 2 * 4 * 4 + 2, "the lost node rewritten");
+    }
+
+    #[test]
+    fn encode_epoch_fails_the_groups_that_lost_a_member() {
+        // Groups {0..3} on nodes 0–1 and {4..7} on nodes 2–3: losing
+        // node 0 between the locals and the parity breaks group 0 only.
+        let dir = TempDir::new();
+        let placement = Placement::block(4, 2);
+        let store = CheckpointStore::create(&dir.0, 4).expect("store");
+        let ml = MultilevelCheckpointer::new(store, Clustering::consecutive(8, 4), placement);
+        let data = payloads(8);
+        ml.checkpoint(1, Level::Local, &data).expect("locals");
+        ml.store().fail_node(NodeId(0)).expect("kill");
+        assert!(matches!(ml.encode_epoch(1, &data), Err(HcftError::Io(_))));
+        for n in [0, 1] {
+            assert!(!ml.store().has_bundle(Artefact::Parity(NodeId(n)), 1));
+        }
+        for n in [2, 3] {
+            assert!(ml.store().has_bundle(Artefact::Parity(NodeId(n)), 1));
+        }
+        // With every local in place the same call encodes every group.
+        ml.checkpoint(2, Level::Local, &data).expect("locals");
+        ml.encode_epoch(2, &data).expect("encode");
+        ml.store().fail_node(NodeId(3)).expect("kill");
+        assert_eq!(ml.recover(2).expect("rebuild"), data);
+    }
 }
 
 #[cfg(test)]
 mod partner_xor_level_tests {
     use super::*;
-    use hcft_topology::NodeId;
 
     struct TempDir(std::path::PathBuf);
     impl TempDir {
@@ -872,6 +1007,23 @@ mod partner_xor_level_tests {
     }
 
     #[test]
+    fn partner_copies_are_one_bundle_per_holding_node() {
+        // Each node holds the copies of its ring predecessors' ranks, in
+        // one `.partner` bundle per epoch, beside its own `.local` one.
+        let dir = TempDir::new();
+        let (ml, data) = setup(&dir);
+        ml.checkpoint(1, Level::Partner, &data).expect("ckpt");
+        let held = ml
+            .store()
+            .read_bundle(Artefact::Partner(NodeId(1)), 1)
+            .expect("partner bundle");
+        // Node 1 hosts ranks 2 and 3; their predecessors are 0 and 1.
+        assert_eq!(held.get(0), Some(&data[0][..]));
+        assert_eq!(held.get(1), Some(&data[1][..]));
+        assert_eq!(held.len(), 2);
+    }
+
+    #[test]
     fn xor_level_survives_one_node_loss() {
         let dir = TempDir::new();
         let (ml, data) = setup(&dir);
@@ -880,6 +1032,22 @@ mod partner_xor_level_tests {
         // second replica on node 2.
         ml.store().fail_node(NodeId(0)).expect("kill");
         assert_eq!(ml.recover(2).expect("xor rebuild"), data);
+    }
+
+    #[test]
+    fn xor_replicas_live_on_two_member_nodes() {
+        let dir = TempDir::new();
+        let (ml, data) = setup(&dir);
+        ml.checkpoint(2, Level::Xor, &data).expect("ckpt");
+        for (node, held) in [(0, true), (1, false), (2, true), (3, false)] {
+            let at = Artefact::Xor(NodeId(node));
+            assert_eq!(ml.store().has_bundle(at, 2), held, "node {node}");
+        }
+        let replica = |n| {
+            let b = ml.store().read_bundle(Artefact::Xor(NodeId(n)), 2);
+            b.expect("replica").get(1).map(<[u8]>::to_vec)
+        };
+        assert_eq!(replica(0), replica(2), "the two replicas agree");
     }
 
     #[test]
@@ -900,8 +1068,11 @@ mod partner_xor_level_tests {
         ml.store().fail_node(NodeId(3)).expect("kill");
         ml.recover(4).expect("rebuild");
         // Node 3's ranks (6, 7) have local copies again.
-        assert!(ml.store().has_local(NodeId(3), 6, 4));
-        assert!(ml.store().has_local(NodeId(3), 7, 4));
+        let local = ml
+            .store()
+            .read_bundle(Artefact::Local(NodeId(3)), 4)
+            .expect("rewritten");
+        assert!(local.get(6).is_some() && local.get(7).is_some());
     }
 
     #[test]

@@ -41,9 +41,10 @@
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use hcft_checkpoint::store::Artefact;
 use hcft_checkpoint::{CheckpointStore, Level, MultilevelCheckpointer};
 use hcft_cluster::ClusteringScheme;
 use hcft_msglog::{check_replay, HybridProtocol, MsgEvent, ReplayReport, SenderLog};
@@ -320,8 +321,10 @@ impl<W: ReplayWorkload> Fabric<W> {
     /// Rank 0's half of the coordinated checkpoint. An encoding failure
     /// (including the injected one) is not fatal: the epoch is simply
     /// never marked complete, so recovery falls back to the previous
-    /// one and the logs are not truncated.
+    /// one and the logs are not truncated. The time the world stands
+    /// still for it, prune included, lands in `replay.checkpoint_ns`.
     fn rank0_checkpoint(&self, phase: u64) {
+        let started = Instant::now();
         let epoch = {
             let mut book = self.book.lock().expect("checkpoint book");
             if book.complete.last().is_some_and(|&(_, p)| p == phase) {
@@ -367,6 +370,9 @@ impl<W: ReplayWorkload> Fabric<W> {
                 );
             }
         }
+        self.telemetry
+            .histogram("replay.checkpoint_ns")
+            .observe_duration(started.elapsed());
     }
 
     /// The injected failure-during-encoding: locals land, then the
@@ -389,7 +395,7 @@ impl<W: ReplayWorkload> Fabric<W> {
                 format!("node={v} (during encoding of epoch {epoch})"),
             );
         }
-        self.ckpt.encode_epoch(epoch)
+        self.ckpt.encode_epoch(epoch, slots)
     }
 }
 
@@ -1137,24 +1143,25 @@ impl<'e, W: ReplayWorkload> LiveRun<'e, W> {
     }
 
     /// Silently corrupt every local shard on `node` at `epoch`: shrink
-    /// the frame's declared payload length so the shard still reads and
-    /// unframes cleanly but restores to a truncated payload — only the
-    /// workload's own validation can notice.
+    /// each frame's declared payload length in the node's `.local`
+    /// bundle so the shard still reads and unframes cleanly but restores
+    /// to a truncated payload — only the workload's own validation can
+    /// notice.
     fn corrupt_node_shards(&self, node: NodeId, epoch: u64) -> Result<(), HcftError> {
         let store = self.fab.ckpt.store();
+        let at = Artefact::Local(node);
+        let mut bundle = store.read_bundle(at, epoch)?;
         for &r in self.eng.placement.ranks_on(node) {
-            let mut bytes = store
-                .read_local(node, r.idx(), epoch)
-                .map_err(HcftError::Io)?;
-            if bytes.len() < 8 {
+            let Some(head) = bundle
+                .get_mut(r.idx() as u64)
+                .and_then(|frame| frame.get_mut(..8))
+            else {
                 continue;
-            }
-            let len = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-            bytes[..8].copy_from_slice(&(len / 2).to_le_bytes());
-            store
-                .write_local(node, r.idx(), epoch, &bytes)
-                .map_err(HcftError::Io)?;
+            };
+            let len = u64::from_le_bytes((&*head).try_into().expect("8 bytes"));
+            head.copy_from_slice(&(len / 2).to_le_bytes());
         }
+        store.write_bundle(at, epoch, bundle.as_bytes())?;
         Ok(())
     }
 }
@@ -1248,6 +1255,14 @@ mod tests {
                 "missing or zero counter {key}"
             );
         }
+        // Checkpoints at phases 0 and 5, each one world stop.
+        assert_eq!(
+            eng.telemetry()
+                .histogram("replay.checkpoint_ns")
+                .snapshot()
+                .count,
+            2
+        );
     }
 
     #[test]

@@ -106,7 +106,9 @@ pub struct ReedSolomon {
 /// Chunk size for parallel encoding/reconstruction (bytes per task).
 const PAR_CHUNK: usize = 64 * 1024;
 
-/// Stack-buffer size for the allocation-free verify path.
+/// Window of the chunk-wise paths: the stack buffer of allocation-free
+/// `verify`, and the slice of a row `encode_row_into` keeps in cache
+/// while every data shard passes over it.
 const VERIFY_CHUNK: usize = 4096;
 
 /// Split each output shard into `PAR_CHUNK`-sized sub-slices and run
@@ -244,6 +246,42 @@ impl ReedSolomon {
         accumulate_products(data, parity, |p, j| self.parity_rows.get(p, j));
     }
 
+    /// Compute parity shard `p` alone into `out` (overwritten). Data
+    /// shard `j` is `data[j]`'s pieces laid end to end and zero-padded to
+    /// `out.len()`, so a caller holding each shard as a header plus a
+    /// payload never assembles it. Serial, a window of `out` at a time so
+    /// the row stays in cache while every source passes over it; callers
+    /// parallelise over rows.
+    ///
+    /// # Panics
+    /// Panics when `p` is not a parity row, `data` is not `k` shards, or
+    /// a shard's pieces are longer than `out`.
+    pub fn encode_row_into(&self, p: usize, data: &[&[&[u8]]], out: &mut [u8]) {
+        crate::kernel::count_dispatch();
+        assert!(p < self.m, "parity row {p} of {}", self.m);
+        assert_eq!(data.len(), self.k, "expected {} data shards", self.k);
+        assert!(
+            data.iter()
+                .all(|pieces| pieces.iter().map(|piece| piece.len()).sum::<usize>() <= out.len()),
+            "a data shard overruns the parity row"
+        );
+        out.fill(0);
+        for lo in (0..out.len()).step_by(VERIFY_CHUNK) {
+            let hi = (lo + VERIFY_CHUNK).min(out.len());
+            for (j, pieces) in data.iter().enumerate() {
+                let coeff = self.parity_rows.get(p, j);
+                let mut at = 0;
+                for piece in pieces.iter() {
+                    let (from, to) = (at.max(lo), (at + piece.len()).min(hi));
+                    if from < to {
+                        gf256::mul_acc(&mut out[from..to], &piece[from - at..to - at], coeff);
+                    }
+                    at += piece.len();
+                }
+            }
+        }
+    }
+
     /// Verify that `shards` (k data followed by m parity, all present and
     /// equal-length) are consistent.
     ///
@@ -318,6 +356,44 @@ impl ReedSolomon {
     /// if shard `i` survives (`i < k`: data, `i >= k`: parity).
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), RsError> {
         crate::kernel::count_dispatch();
+        self.rebuild_data(shards)?;
+        // Recompute just the missing parity rows from the complete data.
+        let missing_parity: Vec<usize> = (self.k..shards.len())
+            .filter(|&i| shards[i].is_none())
+            .collect();
+        if !missing_parity.is_empty() {
+            let len = shards[0].as_ref().expect("data complete").len();
+            let mut rebuilt = vec![vec![0u8; len]; missing_parity.len()];
+            {
+                let sources: Vec<&[u8]> = shards[..self.k]
+                    .iter()
+                    .map(|s| s.as_deref().expect("data complete"))
+                    .collect();
+                let outs: Vec<&mut [u8]> = rebuilt.iter_mut().map(|v| &mut v[..]).collect();
+                accumulate_products(&sources, outs, |r, j| {
+                    self.parity_rows.get(missing_parity[r] - self.k, j)
+                });
+            }
+            for (&p, buf) in missing_parity.iter().zip(rebuilt) {
+                shards[p] = Some(buf);
+            }
+        }
+        Ok(())
+    }
+
+    /// Rebuild only the missing *data* shards in place; missing parity
+    /// shards stay `None`. For a caller that wants its data back and
+    /// would discard recomputed parity — it may leave every parity shard
+    /// it does not need for decoding unread.
+    pub fn reconstruct_data(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), RsError> {
+        crate::kernel::count_dispatch();
+        self.rebuild_data(shards)
+    }
+
+    /// Check the shard set and decode the missing data shards from the
+    /// first `k` survivors — the half [`ReedSolomon::reconstruct`] and
+    /// [`ReedSolomon::reconstruct_data`] share.
+    fn rebuild_data(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), RsError> {
         if shards.len() != self.total_shards() {
             return Err(RsError::WrongShardCount);
         }
@@ -340,7 +416,6 @@ impl ReedSolomon {
             return Err(RsError::ShardSizeMismatch);
         }
         let missing_data: Vec<usize> = missing.iter().copied().filter(|&i| i < self.k).collect();
-        let missing_parity: Vec<usize> = missing.iter().copied().filter(|&i| i >= self.k).collect();
         // data[j] = Σ_i inv[j][i] · shard[use_rows[i]], for the missing j.
         if !missing_data.is_empty() {
             let use_rows = &present[..self.k];
@@ -356,23 +431,6 @@ impl ReedSolomon {
             }
             for (&j, buf) in missing_data.iter().zip(rebuilt) {
                 shards[j] = Some(buf);
-            }
-        }
-        // Recompute just the missing parity rows from the complete data.
-        if !missing_parity.is_empty() {
-            let mut rebuilt = vec![vec![0u8; len]; missing_parity.len()];
-            {
-                let sources: Vec<&[u8]> = shards[..self.k]
-                    .iter()
-                    .map(|s| s.as_deref().expect("data complete"))
-                    .collect();
-                let outs: Vec<&mut [u8]> = rebuilt.iter_mut().map(|v| &mut v[..]).collect();
-                accumulate_products(&sources, outs, |r, j| {
-                    self.parity_rows.get(missing_parity[r] - self.k, j)
-                });
-            }
-            for (&p, buf) in missing_parity.iter().zip(rebuilt) {
-                shards[p] = Some(buf);
             }
         }
         Ok(())
@@ -422,6 +480,58 @@ mod tests {
             rs.encode_into(&refs, outs);
             assert_eq!(rs.encode(&refs), scratch, "round {round}");
         }
+    }
+
+    #[test]
+    fn encode_row_into_matches_encode_on_pieced_padded_shards() {
+        // Shards given as a short head plus a body, zero-padded past the
+        // end of a chunk window: every row equals the assembled encode.
+        let rs = ReedSolomon::new(3, 2);
+        let len = VERIFY_CHUNK + 100;
+        let bodies = [len - 9, len - 40, VERIFY_CHUNK - 3];
+        let data: Vec<Vec<u8>> = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                let mut shard = shards(3, 8 + b).swap_remove(i);
+                shard.resize(len, 0);
+                shard
+            })
+            .collect();
+        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
+        let parity = rs.encode(&refs);
+        let pieces: Vec<[&[u8]; 2]> = data
+            .iter()
+            .zip(bodies)
+            .map(|(d, b)| [&d[..8], &d[8..8 + b]])
+            .collect();
+        let pieced: Vec<&[&[u8]]> = pieces.iter().map(|p| &p[..]).collect();
+        for (p, want) in parity.iter().enumerate() {
+            let mut row = vec![0xAA; len];
+            rs.encode_row_into(p, &pieced, &mut row);
+            assert_eq!(&row, want, "row {p}");
+        }
+    }
+
+    #[test]
+    fn reconstruct_data_leaves_unneeded_parity_alone() {
+        let rs = ReedSolomon::new(4, 4);
+        let data = shards(4, 300);
+        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
+        let parity = rs.encode(&refs);
+        // Data shard 1 lost; only the one parity shard decoding needs.
+        let mut work: Vec<Option<Vec<u8>>> = vec![None; 8];
+        for i in [0, 2, 3] {
+            work[i] = Some(data[i].clone());
+        }
+        work[5] = Some(parity[1].clone());
+        rs.reconstruct_data(&mut work)
+            .expect("four of eight survive");
+        assert_eq!(work[1].as_ref().expect("rebuilt"), &data[1]);
+        assert!(
+            [4, 6, 7].iter().all(|&i| work[i].is_none()),
+            "parity is not recomputed"
+        );
     }
 
     #[test]

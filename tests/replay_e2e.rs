@@ -210,6 +210,59 @@ fn losing_most_clusters_defeats_the_erasure_code() {
     ));
 }
 
+/// The ledger's `replay_kill` shape: 64 nodes × 16 ranks, L1 clusters
+/// of 4 nodes, L2 groups of 16, a 1024 × 512 grid, one L1 cluster killed
+/// at step 13 of 22 — twice, on two clusters. Beyond bit-identity, the
+/// store's file budget: every encoded epoch (phases 0, 5, 10, 15, 20)
+/// writes two files per node, recovery reads about one per node and
+/// rewrites the failed nodes' two, and the store never holds more than
+/// two epochs. Release-only scale: `cargo test --release --test
+/// replay_e2e -- --ignored ledger_replay_shape`.
+#[test]
+#[ignore = "release-mode scale run; CI's ledger-smoke job runs it"]
+fn ledger_replay_shape() {
+    let (nodes, steps, epochs) = (64u64, 22, 5);
+    let placement = Placement::block(nodes as usize, 16);
+    let scheme = striped(&placement, 4, 16);
+    for cluster in [3, 10] {
+        let dir = TempDir::new();
+        let eng = ReplayEngine::with_telemetry(
+            TsunamiWorkload::new(TsunamiParams::stable(1024, 512)),
+            placement.clone(),
+            scheme.clone(),
+            ReplayConfig::new(dir.0.clone()),
+            Registry::new(),
+        );
+        let reference = eng.reference(steps);
+        let out = eng
+            .run(&FaultScenario::at(13).l1_cluster(cluster).build(), steps)
+            .expect("recover the cluster");
+        assert!(out.matches(&reference), "cluster {cluster}");
+        assert!(out.messages_replayed > 0, "cluster {cluster}");
+        let files = |op: &str| {
+            eng.telemetry()
+                .counter(&format!("checkpoint.files.{op}"))
+                .get()
+        };
+        let failed = out.failed_nodes.len() as u64;
+        assert_eq!(failed, 4);
+        assert_eq!(files("written"), 2 * nodes * epochs + 2 * failed);
+        assert!(files("read") <= 2 * nodes, "{} reads", files("read"));
+        let held = files("written") - files("removed");
+        assert_eq!(held, 2 * nodes * 2, "two epochs of two files per node");
+        let on_disk: usize = (0..nodes)
+            .map(|n| {
+                std::fs::read_dir(dir.0.join(format!("nodes/node_{n}")))
+                    .expect("node dir")
+                    .count()
+            })
+            .sum();
+        assert_eq!(on_disk as u64, held);
+        let stops = eng.telemetry().histogram("replay.checkpoint_ns").snapshot();
+        assert_eq!(stops.count, epochs, "one stop per coordinated checkpoint");
+    }
+}
+
 mod determinism {
     use super::*;
     use proptest::prelude::*;
