@@ -43,11 +43,8 @@ impl Scale {
                 process_grid: Some((64, 2)),
                 encoder_group_nodes: 4,
                 record_events: false,
-                mailbox_shards: 0,
                 workers: 0,
                 engine: hcft_simmpi::Engine::Auto,
-                steal: None,
-                yield_budget: None,
             },
         }
     }

@@ -60,10 +60,6 @@ pub struct TracedJobConfig {
     /// log-memory timeline and determinism analyses; costs memory per
     /// message).
     pub record_events: bool,
-    /// Mailbox shards per simulated rank (0 = runtime default). The
-    /// determinism suite pins this to compare the sharded runtime
-    /// against the single-shard one within one process.
-    pub mailbox_shards: usize,
     /// Worker threads for the simmpi task engine (0 = runtime default:
     /// `HCFT_SIMMPI_WORKERS`, else the core count). The determinism
     /// suite pins this to exercise multi-worker interleavings.
@@ -73,14 +69,6 @@ pub struct TracedJobConfig {
     /// determinism suite pins [`Engine::Threads`] to prove both engines
     /// trace identical bytes.
     pub engine: Engine,
-    /// Work stealing between task-engine workers (`None` = runtime
-    /// default: `HCFT_SIMMPI_STEAL`, else off). The determinism suite
-    /// pins both settings in one process, which an env knob alone
-    /// cannot do.
-    pub steal: Option<bool>,
-    /// Cooperative preemption budget for the task engine (`None` =
-    /// runtime default: `HCFT_SIMMPI_YIELD_BUDGET`, else 0 = never).
-    pub yield_budget: Option<u32>,
 }
 
 impl TracedJobConfig {
@@ -141,11 +129,10 @@ impl TracedJobConfig {
     ///
     /// Exactly the fields that change a single traced byte are included:
     /// machine shape, iteration/checkpoint cadence, solver and process
-    /// grids, encoder grouping, event recording. Runtime knobs (mailbox
-    /// shards, workers, engine, steal, yield budget) are deliberately
-    /// **excluded**: the scheduler-determinism suite proves traces are
-    /// byte-identical across all of them, so two configs differing only
-    /// in runtime knobs share one cache entry. The `process_grid` is
+    /// grids, encoder grouping, event recording. Runtime knobs (workers,
+    /// engine) are deliberately **excluded**: the scheduler-determinism
+    /// suite proves traces are byte-identical across both, so two configs
+    /// differing only in runtime knobs share one cache entry. The `process_grid` is
     /// emitted in resolved form, so `None` and an explicit grid that
     /// happens to match resolve to the same key.
     ///
@@ -279,11 +266,8 @@ impl TracedJobConfigBuilder {
                 process_grid: Some((px, py)),
                 encoder_group_nodes: 4.min(nodes.max(1)),
                 record_events: false,
-                mailbox_shards: 0,
                 workers: 0,
                 engine: Engine::Auto,
-                steal: None,
-                yield_budget: None,
             },
             explicit_grid: false,
         }
@@ -342,12 +326,6 @@ impl TracedJobConfigBuilder {
         self
     }
 
-    /// Pin the runtime's mailbox shard count (0 = runtime default).
-    pub fn mailbox_shards(mut self, shards: usize) -> Self {
-        self.cfg.mailbox_shards = shards;
-        self
-    }
-
     /// Pin the task-engine worker count (0 = runtime default).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
@@ -357,18 +335,6 @@ impl TracedJobConfigBuilder {
     /// Pin the execution engine (default [`Engine::Auto`]).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.cfg.engine = engine;
-        self
-    }
-
-    /// Pin task-engine work stealing on or off (default: runtime env).
-    pub fn steal(mut self, steal: bool) -> Self {
-        self.cfg.steal = Some(steal);
-        self
-    }
-
-    /// Pin the task-engine yield budget (default: runtime env).
-    pub fn yield_budget(mut self, budget: u32) -> Self {
-        self.cfg.yield_budget = Some(budget);
         self
     }
 
@@ -465,11 +431,8 @@ pub fn run_traced_world(cfg: &TracedJobConfig) -> TracedWorld {
     let world_cfg = WorldConfig {
         recv_timeout: std::time::Duration::from_secs(300),
         trace_events: cfg.record_events,
-        mailbox_shards: cfg.mailbox_shards,
         workers: cfg.workers,
         engine: cfg.engine,
-        steal: cfg.steal,
-        yield_budget: cfg.yield_budget,
         ..WorldConfig::default()
     };
     let cfg2 = Arc::clone(&cfg);
@@ -675,10 +638,6 @@ fn run_encoder_rank(
                 Some(b) => enc_comm.send_shared(next, tag, b),
             }
             let got = enc_comm.recv_bytes(prev, tag);
-            // One preemption point per erasure stripe: encoder ranks are
-            // the fast half of mixed workloads, and yielding here keeps
-            // them from starving co-located app ranks (and vice versa).
-            hcft_simmpi::maybe_yield();
             // Accumulate with a non-trivial coefficient, as RS would. An
             // uneven decomposition gives the group's nodes different
             // checkpoint sizes, hence blocks: accumulate the overlap.
@@ -764,11 +723,8 @@ mod tests {
             process_grid: None,
             encoder_group_nodes: 4,
             record_events: false,
-            mailbox_shards: 0,
             workers: 0,
             engine: Engine::Auto,
-            steal: None,
-            yield_budget: None,
         });
         let hier_cfg = hcft_cluster::HierarchicalConfig {
             min_nodes_per_l1: 4,

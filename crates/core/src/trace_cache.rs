@@ -6,7 +6,7 @@
 //! world; the family sweep is the rest), and it is a pure
 //! function of the trace-affecting [`TracedJobConfig`] fields — the
 //! scheduler-determinism suite proves the bytes identical across
-//! engines, worker counts, stealing and preemption. So the service
+//! engines and worker counts. So the service
 //! caches [`TraceResult`]s behind `Arc`, keyed by the stable
 //! [`TracedJobConfig::content_hash`]:
 //!

@@ -5,8 +5,7 @@
 //!   `hcft-trace-v1` version instead when the traced protocol changes);
 //! * distinct configurations (notably the scaled-down test shapes vs the
 //!   paper shape) never collide on a key;
-//! * runtime knobs (shards, workers, engine, steal, preemption) do NOT
-//!   enter the key — the scheduler-determinism suite proves they cannot
+//! * runtime knobs (workers, engine) do NOT enter the key — the scheduler-determinism suite proves they cannot
 //!   change a traced byte, so they must share a cache entry;
 //! * the canonical wire form round-trips through the validating parser;
 //! * a concurrent stampede of identical requests runs the trace exactly
@@ -107,23 +106,14 @@ fn keys_do_not_collide_across_config_family() {
 
 #[test]
 fn runtime_knobs_do_not_change_the_key() {
-    // Shards/workers/engine/steal/preemption cannot change a traced byte
-    // (proved by the scheduler-determinism suite), so they are excluded
-    // from the key: all these configs share one cache entry.
+    // Workers and engine cannot change a traced byte (proved by the
+    // scheduler-determinism suite), so they are excluded from the key:
+    // all these configs share one cache entry.
     let base = TracedJobConfig::small(4, 2);
     let variants = [
-        TracedJobConfig::builder(4, 2)
-            .mailbox_shards(8)
-            .build()
-            .unwrap(),
         TracedJobConfig::builder(4, 2).workers(3).build().unwrap(),
         TracedJobConfig::builder(4, 2)
             .engine(Engine::Threads)
-            .build()
-            .unwrap(),
-        TracedJobConfig::builder(4, 2).steal(true).build().unwrap(),
-        TracedJobConfig::builder(4, 2)
-            .yield_budget(5)
             .build()
             .unwrap(),
     ];

@@ -34,5 +34,5 @@ pub mod trace;
 pub use comm::Comm;
 pub use datatype::Datum;
 pub use replay::{ReplayFeed, ReplayPlan, ReplayWorldResult};
-pub use runtime::{maybe_yield, Engine, ResolvedWorldConfig, World, WorldConfig};
+pub use runtime::{Engine, ResolvedWorldConfig, World, WorldConfig};
 pub use trace::{MessageEvent, TraceRecorder};

@@ -11,21 +11,25 @@
 //!   pushing a task id, not a futex syscall.
 //! * **Threads**: one OS thread per rank, receivers parked on shard
 //!   condvars after a yield-spin budget. 1088 ranks (the paper's largest
-//!   job) is comfortably within this engine; it remains the portable
-//!   fallback and the apples-to-apples baseline
-//!   (`HCFT_SIMMPI_ENGINE=threads`).
+//!   job) is comfortably within this engine; it is the only engine on
+//!   other targets, and x86_64 tests reach it through
+//!   [`WorldConfig::engine`].
 //!
-//! Each rank's mailbox is split into shards indexed by *sender* world
-//! rank, so concurrent senders to the same destination (the all-to-one
-//! patterns of gather/reduce, and the encoder ranks absorbing checkpoint
-//! pushes) do not serialize on one mutex. A message's channel
-//! (ctx, src, tag) always maps to exactly one shard, so FIFO per channel
-//! is preserved by construction. `HCFT_SIMMPI_SHARDS=1` collapses to the
-//! pre-sharding design (one mutex + condvar per rank).
+//! Each rank's mailbox is split into `MAILBOX_SHARDS` (8) shards indexed by
+//! *sender* world rank, so concurrent senders to the same destination
+//! (the all-to-one patterns of gather/reduce, and the encoder ranks
+//! absorbing checkpoint pushes) do not serialize on one mutex. A
+//! message's channel (ctx, src, tag) always maps to exactly one shard, so
+//! FIFO per channel is preserved by construction.
+//!
+//! Runtime settings come from one place: [`WorldConfig::resolve`] takes
+//! an explicit field first, then the process-wide snapshot of the two
+//! `HCFT_SIMMPI_*` variables, then the built-in default.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -42,102 +46,77 @@ use crate::trace::TraceRecorder;
 /// Message-queue key: (communicator context, sender comm-rank, tag).
 pub(crate) type MsgKey = (u64, u32, u32);
 
-/// Default shard count per mailbox (capped at the world size).
-const DEFAULT_SHARDS: usize = 8;
+/// Shards per mailbox, capped at the world size.
+const MAILBOX_SHARDS: usize = 8;
 
-/// Default coroutine/thread stack size when neither `WorldConfig` nor
+/// Per-rank stack size when neither `WorldConfig` nor
 /// `HCFT_SIMMPI_STACK_KB` says otherwise.
 const DEFAULT_STACK_SIZE: usize = 512 * 1024;
-/// Accepted `HCFT_SIMMPI_STACK_KB` range. The floor keeps headroom for
-/// the panic machinery the deadlock watchdog relies on; the ceiling (1
-/// GiB in KiB) catches byte-vs-KiB confusion before the slab allocator
-/// tries to honour it times the rank count.
-const MIN_STACK_KB: usize = 64;
-const MAX_STACK_KB: usize = 1 << 20;
+/// Accepted per-rank stack sizes in bytes, explicit or from the
+/// environment. The floor keeps headroom for the panic machinery the
+/// deadlock watchdog relies on; the ceiling (1 GiB) catches byte-vs-KiB
+/// confusion before the slab allocator tries to honour it times the rank
+/// count.
+const STACK_SIZES: RangeInclusive<usize> = 64 * 1024..=1 << 30;
+/// Accepted `HCFT_SIMMPI_WORKERS` values. The ceiling catches typos; the
+/// pool is capped at the rank count anyway.
+const ENV_WORKERS: RangeInclusive<usize> = 1..=1 << 16;
 
 /// Yield slices a thread-engine receiver burns before parking on the
-/// shard condvar. (Distinct from `HCFT_SIMMPI_YIELD_BUDGET`, the
-/// task-engine preemption budget.)
+/// shard condvar.
 const YIELD_SPINS: u32 = 4;
 
-/// `HCFT_SIMMPI_SHARDS` (cached — the per-world resolve must not re-read
-/// the environment).
-fn env_shards() -> Option<usize> {
-    static SHARDS: OnceLock<Option<usize>> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::env::var("HCFT_SIMMPI_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&s| s > 0)
-    })
+/// The runtime's environment overrides, parsed together.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct EnvConfig {
+    /// `HCFT_SIMMPI_WORKERS`: task-engine worker threads.
+    workers: Option<usize>,
+    /// `HCFT_SIMMPI_STACK_KB`, in bytes.
+    stack_size: Option<usize>,
 }
 
-/// `HCFT_SIMMPI_WORKERS` (cached).
-fn env_workers() -> Option<usize> {
-    static WORKERS: OnceLock<Option<usize>> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("HCFT_SIMMPI_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w > 0)
-    })
-}
-
-/// `HCFT_SIMMPI_ENGINE` (cached): `tasks` or `threads`.
-fn env_engine() -> Option<Engine> {
-    static ENGINE: OnceLock<Option<Engine>> = OnceLock::new();
-    *ENGINE.get_or_init(|| match std::env::var("HCFT_SIMMPI_ENGINE").as_deref() {
-        Ok("tasks") => Some(Engine::Tasks),
-        Ok("threads") => Some(Engine::Threads),
-        _ => None,
-    })
-}
-
-/// `HCFT_SIMMPI_STEAL` (cached): work stealing between task-engine
-/// workers.
-fn env_steal() -> Option<bool> {
-    static STEAL: OnceLock<Option<bool>> = OnceLock::new();
-    *STEAL.get_or_init(|| match std::env::var("HCFT_SIMMPI_STEAL").as_deref() {
-        Ok("1") | Ok("true") => Some(true),
-        Ok("0") | Ok("false") => Some(false),
-        _ => None,
-    })
-}
-
-/// `HCFT_SIMMPI_YIELD_BUDGET` (cached): `maybe_yield` calls between
-/// cooperative preemptions; 0 disables preemption.
-fn env_yield_budget() -> Option<u32> {
-    static BUDGET: OnceLock<Option<u32>> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        std::env::var("HCFT_SIMMPI_YIELD_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-}
-
-/// `HCFT_SIMMPI_STACK_KB` (cached): per-rank stack size in KiB,
-/// validated once. The error (if any) is reported per world through
-/// [`WorldConfig::validate`] / `World::run_with`.
-fn env_stack_kb() -> &'static Result<Option<usize>, String> {
-    static STACK: OnceLock<Result<Option<usize>, String>> = OnceLock::new();
-    STACK.get_or_init(|| match std::env::var("HCFT_SIMMPI_STACK_KB") {
-        Ok(raw) => validate_stack_kb(&raw).map(Some),
-        Err(_) => Ok(None),
-    })
-}
-
-/// Parse + range-check a `HCFT_SIMMPI_STACK_KB` value; returns bytes.
-fn validate_stack_kb(raw: &str) -> Result<usize, String> {
-    let kb: usize = raw
-        .trim()
-        .parse()
-        .map_err(|_| format!("HCFT_SIMMPI_STACK_KB must be an integer KiB count, got {raw:?}"))?;
-    if !(MIN_STACK_KB..=MAX_STACK_KB).contains(&kb) {
-        return Err(format!(
-            "HCFT_SIMMPI_STACK_KB must be between {MIN_STACK_KB} and {MAX_STACK_KB} KiB, got {kb}"
-        ));
+impl EnvConfig {
+    /// Read both variables through `lookup` (`None` = unset). A set but
+    /// malformed value — not an integer, or outside its range — is an
+    /// error naming the variable.
+    fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let read = |name: &str, range: RangeInclusive<usize>| {
+            lookup(name)
+                .map(|raw| {
+                    raw.trim()
+                        .parse::<usize>()
+                        .ok()
+                        .filter(|v| range.contains(v))
+                        .ok_or_else(|| {
+                            format!(
+                                "{name} must be an integer in {}..={}, got {raw:?}",
+                                range.start(),
+                                range.end()
+                            )
+                        })
+                })
+                .transpose()
+        };
+        let stack_kb = STACK_SIZES.start() / 1024..=STACK_SIZES.end() / 1024;
+        Ok(EnvConfig {
+            workers: read("HCFT_SIMMPI_WORKERS", ENV_WORKERS)?,
+            stack_size: read("HCFT_SIMMPI_STACK_KB", stack_kb)?.map(|kb| kb * 1024),
+        })
     }
-    Ok(kb * 1024)
+
+    /// The process-wide snapshot, taken at the first world (or
+    /// [`WorldConfig::resolve`]) and never re-read: a long-running
+    /// service sees one environment for its whole lifetime.
+    fn snapshot() -> Result<&'static Self, HcftError> {
+        static ENV: OnceLock<Result<EnvConfig, String>> = OnceLock::new();
+        ENV.get_or_init(|| {
+            EnvConfig::parse(|name| {
+                std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+            })
+        })
+        .as_ref()
+        .map_err(|msg| HcftError::Config(msg.clone()))
+    }
 }
 
 /// FNV-1a over the key words. The default SipHash hasher is a measurable
@@ -242,9 +221,11 @@ pub(crate) struct Mailbox {
 }
 
 impl Mailbox {
-    fn new(num_shards: usize) -> Self {
+    /// A mailbox in a world of `n` ranks: [`MAILBOX_SHARDS`] shards, or
+    /// one per rank in smaller worlds.
+    fn new(n: usize) -> Self {
         Mailbox {
-            shards: (0..num_shards.max(1)).map(|_| Shard::new()).collect(),
+            shards: (0..MAILBOX_SHARDS.min(n)).map(|_| Shard::new()).collect(),
         }
     }
 
@@ -581,8 +562,8 @@ impl Shared {
 /// Which execution engine carries the rank bodies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// `HCFT_SIMMPI_ENGINE` env override, else [`Engine::Tasks`] where
-    /// supported (x86_64 Linux) and [`Engine::Threads`] elsewhere.
+    /// [`Engine::Tasks`] where supported (x86_64 Linux), else
+    /// [`Engine::Threads`].
     Auto,
     /// One OS thread per rank (portable baseline).
     Threads,
@@ -593,36 +574,21 @@ pub enum Engine {
 /// Tunables for a world run.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
-    /// Per-rank stack size in bytes (thread stack or coroutine stack);
-    /// 0 = auto (`HCFT_SIMMPI_STACK_KB` env override, else 512 KiB).
+    /// Per-rank stack size in bytes (thread stack or coroutine stack),
+    /// 64 KiB to 1 GiB; 0 = auto (`HCFT_SIMMPI_STACK_KB` env override,
+    /// else 512 KiB).
     pub stack_size: usize,
     /// How long a blocking receive may wait before declaring deadlock.
     pub recv_timeout: Duration,
     /// Also keep the ordered per-sender event log (needed by the
     /// message-logging analyses; costs memory per message).
     pub trace_events: bool,
-    /// Mailbox shards per rank; 0 = auto (`HCFT_SIMMPI_SHARDS` env
-    /// override, else 8, capped at the world size). 1 reproduces the
-    /// unsharded single-mutex-per-rank design.
-    pub mailbox_shards: usize,
     /// Worker threads for the task engine; 0 = auto
     /// (`HCFT_SIMMPI_WORKERS` env override, else the core count), always
     /// capped at the rank count.
     pub workers: usize,
     /// Execution engine selection.
     pub engine: Engine,
-    /// Work stealing between task-engine workers: idle workers take
-    /// runnable ranks from saturated ones. Changes only *where* a rank
-    /// runs, never message order — traces stay byte-identical. `None` =
-    /// auto (`HCFT_SIMMPI_STEAL` env override, default off).
-    pub steal: Option<bool>,
-    /// Cooperative preemption budget for the task engine: a rank body
-    /// switches out after this many [`maybe_yield`] calls, so
-    /// long-computing kernels cannot starve their worker's other ranks.
-    /// Deterministic (call-count based, never timer based). `None` =
-    /// auto (`HCFT_SIMMPI_YIELD_BUDGET` env override, default 0 = never
-    /// preempt).
-    pub yield_budget: Option<u32>,
 }
 
 impl Default for WorldConfig {
@@ -631,155 +597,84 @@ impl Default for WorldConfig {
             stack_size: 0,
             recv_timeout: Duration::from_secs(60),
             trace_events: false,
-            mailbox_shards: 0,
             workers: 0,
             engine: Engine::Auto,
-            steal: None,
-            yield_budget: None,
         }
     }
 }
 
-/// The concrete runtime settings a world of `n` ranks will run with,
-/// after the documented precedence is applied to every knob:
+/// The concrete runtime settings a world of `n` ranks will run with.
+/// Every setting follows one precedence:
 ///
 /// 1. an explicit [`WorldConfig`] value always wins;
 /// 2. otherwise the `HCFT_SIMMPI_*` environment override applies —
-///    **snapshotted once per process** (`OnceLock`-cached) at first use,
-///    so a long-running service sees one consistent environment for its
-///    whole lifetime rather than whatever the variable mutates to later;
+///    **snapshotted once per process** at first use, so a long-running
+///    service sees one consistent environment for its whole lifetime
+///    rather than whatever the variable mutates to later;
 /// 3. otherwise the built-in default.
 ///
 /// Long-running processes that need per-request settings must therefore
-/// pass them explicitly (as [`WorldConfig`] / `TracedJobConfig` fields,
-/// which always win) instead of mutating the environment — the cached
-/// env lookups silently pin the first-seen values.
+/// pass them explicitly (as [`WorldConfig`] / `TracedJobConfig` fields)
+/// instead of mutating the environment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResolvedWorldConfig {
     /// Per-rank stack size in bytes.
     pub stack_size: usize,
-    /// Mailbox shards per rank (capped at the world size).
-    pub mailbox_shards: usize,
     /// Task-engine worker-pool size (capped at the rank count).
     pub workers: usize,
     /// The engine that will actually carry the rank bodies ([`Engine::Auto`]
     /// and unsupported-target requests are resolved away).
     pub engine: Engine,
-    /// Work stealing between task-engine workers.
-    pub steal: bool,
-    /// Task-engine cooperative preemption budget (0 = never preempt).
-    pub yield_budget: u32,
 }
 
 impl WorldConfig {
-    /// Validate the configuration, including environment overrides
-    /// (currently `HCFT_SIMMPI_STACK_KB`). `World::run_with` performs
+    /// Validate the configuration and the environment overrides: a
+    /// malformed `HCFT_SIMMPI_*` value or an out-of-range explicit
+    /// `stack_size` is [`HcftError::Config`]. `World::run_with` performs
     /// the same checks and panics on failure; call this first to reject
     /// invalid configuration gracefully.
     pub fn validate(&self) -> Result<(), HcftError> {
-        resolve_stack_size(self).map(|_| ())
+        self.resolve(1).map(|_| ())
     }
 
-    /// Resolve every knob to the concrete value a world of `n` ranks
+    /// Resolve every setting to the concrete value a world of `n` ranks
     /// would run with. This is the single precedence point the runtime
     /// itself uses (see [`ResolvedWorldConfig`] for the rules), exposed
     /// so callers — and the env-precedence regression tests — can
     /// observe the outcome without running a world.
     pub fn resolve(&self, n: usize) -> Result<ResolvedWorldConfig, HcftError> {
-        let n = n.max(1);
+        let env = EnvConfig::snapshot()?;
+        let explicit = |v: usize| (v > 0).then_some(v);
+        let stack_size = match explicit(self.stack_size) {
+            Some(bytes) if !STACK_SIZES.contains(&bytes) => {
+                return Err(HcftError::Config(format!(
+                    "WorldConfig::stack_size must be in {}..={} bytes, got {bytes}",
+                    STACK_SIZES.start(),
+                    STACK_SIZES.end()
+                )))
+            }
+            bytes => bytes.or(env.stack_size).unwrap_or(DEFAULT_STACK_SIZE),
+        };
+        let workers = explicit(self.workers)
+            .or(env.workers)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|p| p.get())
+                    .unwrap_or(1)
+            })
+            .clamp(1, n.max(1));
+        // A task request on an unsupported target degrades to threads
+        // (same semantics, just slower at scale) rather than failing.
+        let engine = match self.engine {
+            Engine::Tasks | Engine::Auto if sched::SUPPORTED => Engine::Tasks,
+            _ => Engine::Threads,
+        };
         Ok(ResolvedWorldConfig {
-            stack_size: resolve_stack_size(self)?,
-            mailbox_shards: resolve_shards(self, n),
-            workers: resolve_workers(self, n),
-            engine: resolve_engine(self),
-            steal: resolve_steal(self),
-            yield_budget: resolve_yield_budget(self),
+            stack_size,
+            workers,
+            engine,
         })
     }
-}
-
-/// Shards per mailbox for a world of `n` ranks under `cfg`.
-fn resolve_shards(cfg: &WorldConfig, n: usize) -> usize {
-    let requested = if cfg.mailbox_shards > 0 {
-        cfg.mailbox_shards
-    } else {
-        env_shards().unwrap_or(DEFAULT_SHARDS)
-    };
-    requested.min(n).max(1)
-}
-
-/// Concrete engine for this run: explicit config wins, then the env
-/// override, then tasks-where-supported. A task request on an
-/// unsupported target degrades to threads (same semantics, just slower
-/// at scale) rather than failing.
-fn resolve_engine(cfg: &WorldConfig) -> Engine {
-    let wanted = match cfg.engine {
-        Engine::Auto => env_engine().unwrap_or(if sched::SUPPORTED {
-            Engine::Tasks
-        } else {
-            Engine::Threads
-        }),
-        explicit => explicit,
-    };
-    if wanted == Engine::Tasks && !sched::SUPPORTED {
-        return Engine::Threads;
-    }
-    wanted
-}
-
-/// Worker-pool size for a task-engine world of `n` ranks.
-fn resolve_workers(cfg: &WorldConfig, n: usize) -> usize {
-    let requested = if cfg.workers > 0 {
-        cfg.workers
-    } else {
-        env_workers().unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-    };
-    requested.clamp(1, n)
-}
-
-/// Per-rank stack size in bytes: explicit config wins, then the
-/// (validated) `HCFT_SIMMPI_STACK_KB` override, then 512 KiB.
-fn resolve_stack_size(cfg: &WorldConfig) -> Result<usize, HcftError> {
-    if cfg.stack_size > 0 {
-        return Ok(cfg.stack_size);
-    }
-    match env_stack_kb() {
-        Ok(Some(bytes)) => Ok(*bytes),
-        Ok(None) => Ok(DEFAULT_STACK_SIZE),
-        Err(msg) => Err(HcftError::Config(msg.clone())),
-    }
-}
-
-/// Work stealing for this run: explicit config wins, then the env
-/// override, then off.
-fn resolve_steal(cfg: &WorldConfig) -> bool {
-    cfg.steal.or_else(env_steal).unwrap_or(false)
-}
-
-/// Yield budget for this run: explicit config wins, then the env
-/// override, then 0 (never preempt).
-fn resolve_yield_budget(cfg: &WorldConfig) -> u32 {
-    cfg.yield_budget.or_else(env_yield_budget).unwrap_or(0)
-}
-
-/// Cooperative preemption hook for long-computing rank bodies.
-///
-/// Compute kernels call this once per natural unit of work — a stencil
-/// tile, an erasure stripe. Under the task engine with a yield budget
-/// configured ([`WorldConfig::yield_budget`] /
-/// `HCFT_SIMMPI_YIELD_BUDGET`), every budget-th call switches to the
-/// next runnable rank, bounding how long one rank can monopolise a
-/// scheduler worker. Everywhere else — thread engine, non-rank threads,
-/// budget 0 — it is a couple of branches. Yield points are counted, not
-/// timed, so preemption never perturbs message contents or order:
-/// traces stay byte-identical at any budget.
-#[inline]
-pub fn maybe_yield() {
-    sched::maybe_yield_task();
 }
 
 /// A finished world run: per-rank outputs (rank-ordered) plus the trace.
@@ -883,14 +778,10 @@ impl World {
         };
         let reg = Registry::global();
         reg.counter("simmpi.worlds").inc();
-        reg.gauge("simmpi.mailbox.shards")
-            .set(resolved.mailbox_shards as f64);
         let trace = Arc::new(TraceRecorder::new(n, cfg.trace_events));
         let shared = Arc::new(Shared {
             n,
-            mailboxes: (0..n)
-                .map(|_| Mailbox::new(resolved.mailbox_shards))
-                .collect(),
+            mailboxes: (0..n).map(|_| Mailbox::new(n)).collect(),
             trace: Arc::clone(&trace),
             phases: (0..n).map(|_| AtomicU64::new(0)).collect(),
             recv_timeout: cfg.recv_timeout,
@@ -975,14 +866,9 @@ impl World {
         F: Fn(&mut Comm) -> T + Send + Sync + 'static,
     {
         let workers = resolved.workers;
-        let steal = resolved.steal;
-        let yield_budget = resolved.yield_budget;
-        let stack_size = resolved.stack_size;
-        let reg = Registry::global();
-        reg.gauge("simmpi.sched.workers").set(workers as f64);
-        reg.gauge("simmpi.sched.steal").set(u64::from(steal) as f64);
-        reg.gauge("simmpi.sched.yield_budget")
-            .set(yield_budget as f64);
+        Registry::global()
+            .gauge("simmpi.sched.workers")
+            .set(workers as f64);
         // Idle workers double as the deadline watchdog for their own
         // blocked tasks; scanning at a fraction of the receive timeout
         // keeps detection latency proportional to the configured limit.
@@ -1004,7 +890,7 @@ impl World {
                 }) as Box<dyn FnOnce() + Send>
             })
             .collect();
-        let sched = TaskSched::new(workers, stack_size, watchdog, steal, yield_budget, bodies);
+        let sched = TaskSched::new(workers, resolved.stack_size, watchdog, bodies);
         // Senders need the scheduler to wake receivers; install it before
         // the first task can possibly run.
         if shared.sched.set(Arc::clone(&sched)).is_err() {
@@ -1037,89 +923,63 @@ mod tests {
         assert_eq!(r.outputs, vec![1]);
     }
 
-    #[test]
-    fn stack_kb_validation_rejects_garbage_and_extremes() {
-        assert!(validate_stack_kb("512").is_ok_and(|b| b == 512 * 1024));
-        assert!(validate_stack_kb(" 1024 ").is_ok_and(|b| b == 1024 * 1024));
-        for bad in ["", "abc", "-1", "0", "63", "12.5", "1048577"] {
-            let err = validate_stack_kb(bad).expect_err(bad);
-            assert!(err.contains("HCFT_SIMMPI_STACK_KB"), "{err}");
-        }
-        // The world-construction surface wraps the same check in
-        // HcftError::Config (via the cached env read, which is absent or
-        // valid in the test environment — so this validates clean).
-        assert!(WorldConfig::default().validate().is_ok());
-        let cfg = WorldConfig {
-            stack_size: 256 * 1024,
-            ..WorldConfig::default()
-        };
-        assert!(cfg.validate().is_ok());
+    /// Parse a fake environment; never touches the process's own.
+    fn parse_env(vars: &[(&str, &str)]) -> Result<EnvConfig, String> {
+        EnvConfig::parse(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+        })
     }
 
     #[test]
-    fn explicit_steal_and_yield_budget_override_env() {
-        let cfg = WorldConfig {
-            steal: Some(true),
-            yield_budget: Some(9),
-            ..WorldConfig::default()
-        };
-        assert!(resolve_steal(&cfg));
-        assert_eq!(resolve_yield_budget(&cfg), 9);
-        let auto = WorldConfig::default();
-        // With no env override the defaults are off/0; with one set the
-        // cached value applies — either way Some(..) wins above.
-        let _ = resolve_steal(&auto);
-        let _ = resolve_yield_budget(&auto);
-    }
-
-    #[test]
-    fn maybe_yield_is_safe_everywhere() {
-        // Off-world (no task context): a no-op.
-        maybe_yield();
-        // Thread engine: also a no-op, any number of times.
-        let cfg = WorldConfig {
-            engine: Engine::Threads,
-            yield_budget: Some(2),
-            ..WorldConfig::default()
-        };
-        let r = World::run_with(2, cfg, |c| {
-            for _ in 0..10 {
-                maybe_yield();
+    fn env_values_share_one_parse_rule() {
+        assert_eq!(parse_env(&[]), Ok(EnvConfig::default()));
+        for name in ["HCFT_SIMMPI_WORKERS", "HCFT_SIMMPI_STACK_KB"] {
+            for bad in ["", "abc", "0", "-2", "12.5"] {
+                let err = parse_env(&[(name, bad)]).expect_err(bad);
+                assert!(err.contains(name), "{err}");
             }
-            c.barrier();
-            c.rank()
-        });
-        assert_eq!(r.outputs, vec![0, 1]);
+        }
+        let env = parse_env(&[("HCFT_SIMMPI_WORKERS", " 3 ")]).unwrap();
+        assert_eq!(env.workers, Some(3));
+        // Stack bounds: 64 KiB and 1 GiB inclusive, returned in bytes.
+        for (kb, ok) in [
+            ("63", false),
+            ("64", true),
+            ("1048576", true),
+            ("1048577", false),
+        ] {
+            let env = parse_env(&[("HCFT_SIMMPI_STACK_KB", kb)]);
+            assert_eq!(env.is_ok(), ok, "STACK_KB={kb}");
+            if let Ok(env) = env {
+                assert_eq!(env.stack_size, Some(kb.parse::<usize>().unwrap() * 1024));
+            }
+        }
     }
 
     #[test]
-    fn worlds_run_with_stealing_and_yield_budget() {
-        // Smoke the full knob surface on both steal settings: results
-        // and traffic must be identical.
-        let run = |steal: bool| {
+    fn explicit_stack_size_is_range_checked() {
+        for (bytes, ok) in [
+            (4096usize, false),
+            (64 * 1024, true),
+            (1 << 30, true),
+            (2 << 30, false),
+        ] {
             let cfg = WorldConfig {
-                steal: Some(steal),
-                yield_budget: Some(3),
-                workers: 2,
-                engine: Engine::Tasks,
+                stack_size: bytes,
                 ..WorldConfig::default()
             };
-            World::run_with(8, cfg, |c| {
-                let mut acc = 0u64;
-                for step in 0..20u64 {
-                    maybe_yield();
-                    let peer = (c.rank() + 1) % c.size();
-                    let from = (c.rank() + c.size() - 1) % c.size();
-                    c.send_slice(peer, 5, &[c.rank() as u64 * 1000 + step]);
-                    acc += c.recv_vec::<u64>(from, 5)[0];
+            match cfg.validate() {
+                Ok(()) => assert!(ok, "{bytes} B accepted"),
+                Err(HcftError::Config(msg)) => {
+                    assert!(!ok, "{bytes} B rejected: {msg}");
+                    assert!(msg.contains("stack_size"), "{msg}");
                 }
-                acc
-            })
-        };
-        let off = run(false);
-        let on = run(true);
-        assert_eq!(off.outputs, on.outputs);
-        assert_eq!(off.trace.byte_matrix(), on.trace.byte_matrix());
+                Err(e) => panic!("{bytes} B: not a config error: {e}"),
+            }
+        }
+        assert!(WorldConfig::default().validate().is_ok());
     }
 
     #[test]
@@ -1201,37 +1061,6 @@ mod tests {
             }
         });
         assert_eq!(r.outputs[0], (1..64).sum::<u64>());
-    }
-
-    /// Same workload under every shard count that exercises a distinct
-    /// code path: 1 (the unsharded baseline), 3 (ranks share shards
-    /// unevenly), and more shards than ranks (capped).
-    #[test]
-    fn shard_counts_do_not_change_results() {
-        for shards in [1usize, 3, 64] {
-            let cfg = WorldConfig {
-                mailbox_shards: shards,
-                ..WorldConfig::default()
-            };
-            let r = World::run_with(8, cfg, |c| {
-                let mut got = Vec::new();
-                for src in 0..c.size() {
-                    if src != c.rank() {
-                        c.send_slice(src, 2, &[(c.rank() * 100) as u64]);
-                    }
-                }
-                for src in 0..c.size() {
-                    if src != c.rank() {
-                        got.push(c.recv_vec::<u64>(src, 2)[0]);
-                    }
-                }
-                got.iter().sum::<u64>()
-            });
-            let total: u64 = (0..8u64).map(|r| r * 100).sum();
-            for (rank, &sum) in r.outputs.iter().enumerate() {
-                assert_eq!(sum, total - rank as u64 * 100, "shards={shards}");
-            }
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! M:N scheduler: rank bodies as stackful coroutines, with optional
-//! work stealing and cooperative preemption.
+//! M:N scheduler: rank bodies as stackful coroutines on a fixed worker
+//! pool.
 //!
 //! Thread-per-rank tops out well below full-machine scale: the kernel
 //! caps task counts (`pid_max` is 32768 here) long before the paper's
@@ -10,6 +10,9 @@
 //! blocking receive *switches* to the next runnable rank (~tens of ns)
 //! rather than parking an OS thread.
 //!
+//! Every rank runs on its *home* worker, `rank / chunk`: placement is
+//! static, so which worker runs a rank never depends on timing.
+//!
 //! Design invariants, in order of importance:
 //!
 //! * **Single-owner hand-off.** Exactly one thread "holds" a task at any
@@ -18,16 +21,20 @@
 //!   pops it from a run queue. Every hand-off goes through a
 //!   release/acquire edge (a state CAS or a queue push/pop), so the saved
 //!   stack pointer and the task-private cells are always visible to the
-//!   next holder even when that is a *different* worker (work stealing).
+//!   next holder.
 //! * **Two-phase block.** A task cannot be woken between "announced it
 //!   will block" and "finished saving its context": `prepare_block`
 //!   stores `BLOCKING` (under the mailbox shard lock), and only after the
 //!   switch back does the worker CAS `BLOCKING → BLOCKED`, publishing the
 //!   saved context. A sender that races in between CASes
 //!   `BLOCKING → WOKEN` instead; the switching worker sees its CAS fail
-//!   and finishes the wake itself, *after* the save. Without stealing the
-//!   home worker both saves and resumes, hiding this race; with stealing
-//!   any worker may resume, so the protocol is load-bearing.
+//!   and finishes the wake itself, *after* the save. With static
+//!   placement the home worker both saves and resumes, so a remote wake
+//!   cannot be acted on before the save completes and the protocol is
+//!   stricter than this scheduler needs. It stays because it costs one
+//!   CAS per block and keeps the hand-off correct whoever resumes the
+//!   task; a simpler protocol should wait for an exhaustive-interleaving
+//!   model test of this one to check it against.
 //! * **Wake ownership by CAS.** A blocked task is woken by exactly one
 //!   party: a sender that finds the task's id registered on the message
 //!   channel, or the deadline watchdog. All wakers race through one
@@ -36,16 +43,14 @@
 //!   declare timeouts only when the global runnable count is zero. Every
 //!   sender is itself a running task, so `runnable == 0` means no message
 //!   can be in flight — true deadlock. A legitimately long-computing rank
-//!   (no yield budget) keeps `runnable > 0` and can never trip a false
-//!   positive, no matter how many receive deadlines lapse meanwhile.
+//!   keeps `runnable > 0` and can never trip a false positive, no matter
+//!   how many receive deadlines lapse meanwhile.
 //!
-//! Work stealing (`HCFT_SIMMPI_STEAL=1` / `WorldConfig::steal`) moves
-//! only *where* a rank body executes, never *what* it does: per-channel
-//! FIFO is a property of the mailbox fabric and collective combining
-//! orders are fixed by the algorithms, so traces stay byte-identical with
-//! stealing on or off (pinned by `tests/scheduler_determinism.rs`).
-//! Yield budgets (`HCFT_SIMMPI_YIELD_BUDGET`) preempt at *call counts*,
-//! never timers, for the same reason.
+//! Scheduling is cooperative: a rank cedes its worker only when it
+//! blocks or returns. Per-channel FIFO is a property of the mailbox
+//! fabric and collective combining orders are fixed by the algorithms,
+//! so traces are byte-identical at any worker count and on either engine
+//! (pinned by `tests/scheduler_determinism.rs`).
 //!
 //! The context switch is ~20 instructions of inline assembly (x86_64
 //! SysV: save/restore the six callee-saved GPRs plus `rsp`; the FP/SSE
@@ -152,9 +157,6 @@ mod imp {
     pub(crate) enum Reason {
         Blocked,
         Done,
-        /// Cooperative preemption: the task exhausted its yield budget
-        /// and goes back on the run queue, still `READY`.
-        Yielded,
     }
 
     /// One rank task. The non-atomic fields are only touched by the
@@ -175,13 +177,11 @@ mod imp {
         deadline_ns: AtomicU64,
         /// Set by the watchdog before a timeout wake.
         timed_out: Cell<bool>,
-        /// Remaining `maybe_yield` calls before the task switches out.
-        yield_left: Cell<u32>,
         /// The rank body; taken on first entry.
         body: UnsafeCell<Option<Box<dyn FnOnce() + Send>>>,
     }
 
-    // SAFETY: `sp`/`timed_out`/`yield_left`/`body` are only accessed by
+    // SAFETY: `sp`/`timed_out`/`body` are only accessed by
     // the thread currently holding the task, and every hand-off between
     // holders goes through a release/acquire edge (state CAS, run-queue
     // push/pop, or injector mutex). `state` and `deadline_ns` are
@@ -211,10 +211,11 @@ mod imp {
     // ----- run queues ----------------------------------------------------
 
     /// Fixed-capacity FIFO run queue: single producer (the owning
-    /// worker), multiple consumers (the owner and any thief). FIFO at
-    /// the *head* for everyone — unlike a classic Chase–Lev deque, the
-    /// owner does not LIFO-pop its own tail, because a task that yielded
-    /// must go behind its siblings or the yield budget would not be fair.
+    /// worker); the pop side is safe for any number of consumers, though
+    /// only the owner pops. FIFO at the *head* — unlike a classic
+    /// Chase–Lev deque, the owner does not LIFO-pop its own tail, so a
+    /// woken task goes behind its siblings and the ranks sharing a worker
+    /// run round-robin in wake order.
     ///
     /// Capacity is a power of two strictly greater than the task count,
     /// so `tail - head <= mask` always holds and a push can never lap an
@@ -252,9 +253,8 @@ mod imp {
             self.tail.store(t.wrapping_add(1), Ordering::Release);
         }
 
-        /// Pop at the head; owner and thieves share this path. The head
-        /// CAS both claims the slot and (on the thief side) acquires the
-        /// pusher's release edge. A slot cannot be overwritten between
+        /// Pop at the head. The head CAS both claims the slot and acquires
+        /// the pusher's release edge. A slot cannot be overwritten between
         /// the value read and a *successful* CAS: overwriting slot
         /// `h & mask` requires `tail - head == capacity`, which the
         /// capacity invariant rules out.
@@ -306,9 +306,6 @@ mod imp {
         wakes_local: Arc<Counter>,
         wakes_remote: Arc<Counter>,
         timeouts: Arc<Counter>,
-        steal_attempts: Arc<Counter>,
-        steal_hits: Arc<Counter>,
-        preemptions: Arc<Counter>,
         busy_nanos: Arc<Counter>,
         idle_nanos: Arc<Counter>,
         runq_depth: Arc<Histogram>,
@@ -324,13 +321,9 @@ mod imp {
         workers: Vec<WorkerShared>,
         /// One run queue per worker; worker `w` owns (pushes) `runqs[w]`.
         runqs: Vec<RunQueue>,
-        /// Ranks per worker: rank r's *home* worker is r / chunk. With
-        /// stealing off this is also where it always runs.
+        /// Ranks per worker: rank r's *home* worker, where it always
+        /// runs, is r / chunk.
         chunk: usize,
-        /// Work stealing between workers (resolved per world).
-        steal: bool,
-        /// `maybe_yield` calls between preemptions; 0 = never preempt.
-        yield_budget: u32,
         /// How often an *idle* worker rescans its blocked tasks for
         /// expired receive deadlines.
         watchdog_period: Duration,
@@ -340,9 +333,6 @@ mod imp {
         /// The watchdog may declare timeouts only at zero — see module
         /// docs (quiescence-gated watchdog).
         runnable: AtomicUsize,
-        /// Workers currently parked; wakers only hunt for a sleeper to
-        /// notify (steal mode) when this is nonzero.
-        idle_workers: AtomicUsize,
         metrics: SchedMetrics,
         /// Keeps the stacks alive; dropped (deallocated) with the sched.
         _slabs: Vec<StackSlab>,
@@ -358,14 +348,10 @@ mod imp {
         index: usize,
         /// Copy of the scheduler epoch (deadline encoding).
         epoch: Instant,
-        /// Copy of the scheduler yield budget (`maybe_yield` fast path).
-        yield_budget: u32,
         /// The worker loop's saved context while a task runs.
         sched_sp: Cell<*mut u8>,
         /// Why the last task switch returned to the worker.
         reason: Cell<Reason>,
-        /// xorshift state for randomized victim selection.
-        rng: Cell<u64>,
     }
 
     thread_local! {
@@ -434,41 +420,11 @@ mod imp {
         debug_assert!(!ctl.is_null() && !task.is_null());
         // SAFETY: both pointers are installed by this thread's worker
         // loop and outlive the task; the switch returns here only when
-        // a worker (possibly a different one, under stealing) resumes
-        // this exact saved context.
+        // the task's worker resumes this exact saved context.
         unsafe {
             (*ctl).reason.set(reason);
             hcft_simmpi_ctx_switch((*task).sp.as_ptr(), (*ctl).sched_sp.get());
         }
-    }
-
-    /// Cooperative preemption check; the body of
-    /// [`crate::runtime::maybe_yield`]. Kept branch-cheap: one TLS read
-    /// when no budget is configured.
-    #[inline]
-    pub(crate) fn maybe_yield_task() {
-        let ctl = WORKER.with(|w| w.get());
-        if ctl.is_null() {
-            return;
-        }
-        // SAFETY: installed by this thread's worker loop.
-        let budget = unsafe { (*ctl).yield_budget };
-        if budget == 0 {
-            return;
-        }
-        let task = CURRENT.with(|c| c.get());
-        if task.is_null() {
-            return;
-        }
-        // SAFETY: set by the worker for the duration of this task's run.
-        let t = unsafe { &*task };
-        let left = t.yield_left.get();
-        if left > 1 {
-            t.yield_left.set(left - 1);
-            return;
-        }
-        t.yield_left.set(budget);
-        switch_to_worker(Reason::Yielded);
     }
 
     /// First-run entry for every task, reached from the trampoline with
@@ -500,19 +456,18 @@ mod imp {
             workers: usize,
             stack_size: usize,
             watchdog_period: Duration,
-            steal: bool,
-            yield_budget: u32,
             bodies: Vec<Box<dyn FnOnce() + Send>>,
         ) -> Arc<Self> {
             static NEXT_ID: AtomicU64 = AtomicU64::new(1);
             let n = bodies.len();
             assert!(n > 0 && workers > 0);
             let workers = workers.min(n);
-            // Align the stack span so every stack top is 16-aligned, and
-            // keep enough headroom below the deepest frame for the panic
-            // machinery the deadlock watchdog relies on. (The runtime
-            // validates the configured size; this clamp is the backstop.)
-            let stack_size = stack_size.clamp(64 * 1024, 1 << 30) & !4095;
+            // The runtime has range-checked the size (64 KiB to 1 GiB);
+            // the floor is what keeps the initial frame and the panic
+            // machinery inside each stack. Page-align the stack span so
+            // every stack top is 16-aligned.
+            assert!(stack_size >= 64 * 1024, "task stack below 64 KiB");
+            let stack_size = stack_size & !4095;
             let reg = Registry::global();
             let mut tasks: Vec<Task> = Vec::with_capacity(n);
             let mut slabs = Vec::new();
@@ -539,7 +494,6 @@ mod imp {
                         stack_lo: lo,
                         deadline_ns: AtomicU64::new(0),
                         timed_out: Cell::new(false),
-                        yield_left: Cell::new(yield_budget),
                         body: UnsafeCell::new(None),
                     });
                 }
@@ -583,20 +537,14 @@ mod imp {
                 // task lands on one queue (see RunQueue docs).
                 runqs: (0..workers).map(|_| RunQueue::new(n + 1)).collect(),
                 chunk,
-                steal,
-                yield_budget,
                 watchdog_period,
                 live: AtomicUsize::new(n),
                 runnable: AtomicUsize::new(n),
-                idle_workers: AtomicUsize::new(0),
                 metrics: SchedMetrics {
                     resumes: reg.counter("simmpi.sched.resumes"),
                     wakes_local: reg.counter("simmpi.sched.wakes_local"),
                     wakes_remote: reg.counter("simmpi.sched.wakes_remote"),
                     timeouts: reg.counter("simmpi.sched.timeouts"),
-                    steal_attempts: reg.counter("simmpi.sched.steal_attempts"),
-                    steal_hits: reg.counter("simmpi.sched.steal_hits"),
-                    preemptions: reg.counter("simmpi.sched.preemptions"),
                     busy_nanos: reg.counter("simmpi.sched.busy_nanos"),
                     idle_nanos: reg.counter("simmpi.sched.idle_nanos"),
                     runq_depth: reg.histogram("simmpi.sched.runq_depth"),
@@ -646,12 +594,9 @@ mod imp {
             }
             self.runnable.fetch_add(1, Ordering::AcqRel);
             let home = tid as usize / self.chunk;
-            // Same-worker fast path: a task waking a sibling pushes
-            // straight onto this worker's own run queue — no lock, no
-            // condvar. With stealing on, *any* worker of this scheduler
-            // may do so (the task can run anywhere); with stealing off,
-            // only the home worker may (placement is part of the
-            // execution model there).
+            // Same-worker fast path: a task waking a sibling on its home
+            // worker pushes straight onto that worker's own run queue —
+            // no lock, no condvar.
             let pushed_local = WORKER.with(|w| {
                 let ctl = w.get();
                 if ctl.is_null() {
@@ -662,7 +607,7 @@ mod imp {
                 if ctl.sched_id != self.id {
                     return false;
                 }
-                if self.steal || ctl.index == home {
+                if ctl.index == home {
                     self.runqs[ctl.index].push(tid);
                     return true;
                 }
@@ -670,10 +615,6 @@ mod imp {
             });
             if pushed_local {
                 self.metrics.wakes_local.inc();
-                if self.steal {
-                    // An idle worker can steal the task we just queued.
-                    self.notify_sleeper();
-                }
                 return;
             }
             self.metrics.wakes_remote.inc();
@@ -684,25 +625,6 @@ mod imp {
             drop(inj);
             if sleeping {
                 ws.cv.notify_one();
-            } else if self.steal {
-                self.notify_sleeper();
-            }
-        }
-
-        /// Wake one parked worker, if any (steal mode: new work can be
-        /// taken by anyone, so a busy home worker must not strand it).
-        fn notify_sleeper(&self) {
-            if self.idle_workers.load(Ordering::Relaxed) == 0 {
-                return;
-            }
-            for ws in &self.workers {
-                let inj = ws.injector.lock();
-                let sleeping = ws.sleeping.get();
-                drop(inj);
-                if sleeping {
-                    ws.cv.notify_one();
-                    return;
-                }
             }
         }
 
@@ -744,15 +666,8 @@ mod imp {
                 sched_id: self.id,
                 index,
                 epoch: self.epoch,
-                yield_budget: self.yield_budget,
                 sched_sp: Cell::new(std::ptr::null_mut()),
                 reason: Cell::new(Reason::Blocked),
-                // Deterministic per-worker seed: victim order must not
-                // depend on wall clock (and does not affect results
-                // anyway, only steal locality).
-                rng: Cell::new(
-                    (self.id << 32) ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ),
             };
             WORKER.with(|w| w.set(&ctl as *const WorkerCtl));
             let runq = &self.runqs[index];
@@ -762,14 +677,7 @@ mod imp {
             let started = Instant::now();
             let mut idle = Duration::ZERO;
             while self.live.load(Ordering::Acquire) > 0 {
-                let mut tid = runq.pop();
-                if tid.is_none() {
-                    tid = self.drain_injector(index);
-                }
-                if tid.is_none() && self.steal {
-                    tid = self.steal_task(&ctl);
-                }
-                match tid {
+                match runq.pop().or_else(|| self.drain_injector(index)) {
                     Some(tid) => self.run_one(&ctl, tid),
                     None => idle += self.idle_wait(index, lo, hi),
                 }
@@ -830,16 +738,7 @@ mod imp {
                         // the task never counted out of `runnable`.
                         t.state.store(READY, Ordering::Release);
                         self.runqs[ctl.index].push(tid);
-                        if self.steal {
-                            self.notify_sleeper();
-                        }
                     }
-                }
-                Reason::Yielded => {
-                    // Still READY; goes behind its queue siblings, which
-                    // is the whole point of the yield budget.
-                    self.metrics.preemptions.inc();
-                    self.runqs[ctl.index].push(tid);
                 }
             }
         }
@@ -863,47 +762,6 @@ mod imp {
             first
         }
 
-        /// Take one runnable task from another worker: run queues first
-        /// (lock-free), then parked injector wakes whose home worker is
-        /// too busy to drain them. Victim order is randomized per attempt
-        /// so a hot worker is not mobbed from the same side every time.
-        fn steal_task(&self, ctl: &WorkerCtl) -> Option<u32> {
-            let n = self.workers.len();
-            if n <= 1 {
-                return None;
-            }
-            self.metrics.steal_attempts.inc();
-            let mut s = ctl.rng.get();
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            ctl.rng.set(s);
-            let start = (s % n as u64) as usize;
-            for i in 0..n {
-                let v = (start + i) % n;
-                if v == ctl.index {
-                    continue;
-                }
-                if let Some(tid) = self.runqs[v].pop() {
-                    self.metrics.steal_hits.inc();
-                    self.metrics.runq_depth.observe(self.runqs[v].len());
-                    return Some(tid);
-                }
-            }
-            for i in 0..n {
-                let v = (start + i) % n;
-                if v == ctl.index {
-                    continue;
-                }
-                let mut inj = self.workers[v].injector.lock();
-                if let Some(tid) = inj.pop() {
-                    self.metrics.steal_hits.inc();
-                    return Some(tid);
-                }
-            }
-            None
-        }
-
         /// Nothing runnable here: scan for expired deadlines, then park
         /// on the injector condvar for up to one watchdog period. Returns
         /// the time spent (idle-nanos accounting).
@@ -920,11 +778,9 @@ mod imp {
             // `> 0` read here guarantees its notify is still to come.
             if inj.is_empty() && self.live.load(Ordering::Acquire) > 0 {
                 ws.sleeping.set(true);
-                self.idle_workers.fetch_add(1, Ordering::SeqCst);
                 let _ = ws
                     .cv
                     .wait_until(&mut inj, Instant::now() + self.watchdog_period);
-                self.idle_workers.fetch_sub(1, Ordering::SeqCst);
                 ws.sleeping.set(false);
             }
             start.elapsed()
@@ -996,9 +852,6 @@ mod stub {
         None
     }
 
-    #[inline]
-    pub(crate) fn maybe_yield_task() {}
-
     impl CurrentTask {
         pub(crate) fn prepare_block(&self) {}
         pub(crate) fn block(&self, _deadline: Instant) {}
@@ -1012,8 +865,6 @@ mod stub {
             _workers: usize,
             _stack_size: usize,
             _watchdog_period: Duration,
-            _steal: bool,
-            _yield_budget: u32,
             _bodies: Vec<Box<dyn FnOnce() + Send>>,
         ) -> Arc<Self> {
             unreachable!("task engine unsupported on this target")

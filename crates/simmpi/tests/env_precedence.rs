@@ -1,17 +1,17 @@
 //! Env-override precedence for long-running processes.
 //!
-//! The `HCFT_SIMMPI_{WORKERS,STEAL,YIELD_BUDGET,SHARDS,ENGINE}`
-//! lookups are `OnceLock`-cached: the first resolution snapshots the
-//! environment for the life of the process. For a one-shot CLI that is
-//! invisible; for an always-on service it means the environment seen at
-//! the *first* request silently pins every later one. The contract is
+//! `HCFT_SIMMPI_WORKERS` and `HCFT_SIMMPI_STACK_KB` are parsed once, into
+//! one process-wide snapshot, at the first resolution. For a one-shot CLI
+//! that is invisible; for an always-on service it means the environment
+//! seen at the *first* request pins every later one. The contract is
 //! therefore: explicit `WorldConfig` / `TracedJobConfig` values always
-//! win over the cached env lookups, and only the env *defaults* are
-//! pinned. This test locks in both halves.
+//! win over the snapshot, and only the env *defaults* are pinned. This
+//! test locks in both halves.
 //!
 //! Everything lives in ONE `#[test]` so the env mutations cannot race
 //! another test thread in this process (integration tests get their own
-//! process, so other binaries are unaffected).
+//! process, so other binaries are unaffected). The parse rule itself is
+//! unit-tested in `runtime.rs` without touching the environment.
 
 use hcft_simmpi::{Engine, WorldConfig};
 
@@ -20,74 +20,51 @@ fn explicit_config_beats_cached_env_lookups() {
     // Phase 1: set the environment BEFORE any resolution has happened in
     // this process, then resolve a default config — the env must apply.
     std::env::set_var("HCFT_SIMMPI_WORKERS", "3");
-    std::env::set_var("HCFT_SIMMPI_SHARDS", "5");
-    std::env::set_var("HCFT_SIMMPI_STEAL", "1");
-    std::env::set_var("HCFT_SIMMPI_YIELD_BUDGET", "7");
-    std::env::set_var("HCFT_SIMMPI_ENGINE", "threads");
+    std::env::set_var("HCFT_SIMMPI_STACK_KB", "256");
 
     let defaults = WorldConfig::default()
         .resolve(1024)
         .expect("default config resolves");
     assert_eq!(defaults.workers, 3, "env workers apply to default config");
-    assert_eq!(defaults.mailbox_shards, 5, "env shards apply");
-    assert!(defaults.steal, "env steal applies");
-    assert_eq!(defaults.yield_budget, 7, "env yield budget applies");
-    assert_eq!(defaults.engine, Engine::Threads, "env engine applies");
+    assert_eq!(defaults.stack_size, 256 * 1024, "env stack size applies");
 
-    // Phase 2: mutate the environment after the first resolution. The
-    // OnceLock snapshot must hold — a long-running process sees ONE
-    // environment, not a time-varying one.
+    // Phase 2: mutate the environment after the first resolution, even
+    // to values that would not parse. The snapshot must hold — a
+    // long-running process sees ONE environment, not a time-varying one.
     std::env::set_var("HCFT_SIMMPI_WORKERS", "11");
-    std::env::set_var("HCFT_SIMMPI_SHARDS", "13");
-    std::env::set_var("HCFT_SIMMPI_STEAL", "0");
-    std::env::set_var("HCFT_SIMMPI_YIELD_BUDGET", "17");
-    std::env::set_var("HCFT_SIMMPI_ENGINE", "tasks");
+    std::env::set_var("HCFT_SIMMPI_STACK_KB", "abc");
 
     let pinned = WorldConfig::default()
         .resolve(1024)
-        .expect("default config resolves");
+        .expect("the snapshot, not the new garbage, is resolved");
     assert_eq!(
         pinned, defaults,
-        "cached env lookups are a process-lifetime snapshot"
+        "env lookups are a process-lifetime snapshot"
     );
 
-    // Phase 3: explicit config values always win over the cached env —
+    // Phase 3: explicit config values always win over the snapshot —
     // this is what lets an always-on service honour per-request
-    // settings. Every overridable knob is exercised.
+    // settings. Every overridable setting is exercised.
     let explicit = WorldConfig {
         workers: 2,
-        mailbox_shards: 4,
-        steal: Some(false),
-        yield_budget: Some(1),
         engine: Engine::Threads,
-        stack_size: 256 * 1024,
+        stack_size: 128 * 1024,
         ..WorldConfig::default()
     };
     let resolved = explicit.resolve(1024).expect("explicit config resolves");
     assert_eq!(resolved.workers, 2, "explicit workers beat cached env");
-    assert_eq!(
-        resolved.mailbox_shards, 4,
-        "explicit shards beat cached env"
-    );
-    assert!(
-        !resolved.steal,
-        "explicit steal=false beats cached env STEAL=1"
-    );
-    assert_eq!(resolved.yield_budget, 1, "explicit budget beats cached env");
     assert_eq!(resolved.engine, Engine::Threads, "explicit engine wins");
-    assert_eq!(resolved.stack_size, 256 * 1024, "explicit stack wins");
+    assert_eq!(resolved.stack_size, 128 * 1024, "explicit stack wins");
 
-    // The workers/shards caps still apply on top of explicit values.
-    let capped = explicit.resolve(2).expect("tiny world resolves");
-    assert_eq!(capped.workers, 2, "workers capped at world size");
-    assert_eq!(capped.mailbox_shards, 2, "shards capped at world size");
+    // The workers cap still applies, to explicit and env values alike.
+    assert_eq!(explicit.resolve(1).unwrap().workers, 1);
+    assert_eq!(WorldConfig::default().resolve(2).unwrap().workers, 2);
 
     // Phase 4: the resolved settings drive a real world — a 4-rank
-    // thread-engine ring with the explicit (env-contradicting) knobs
-    // must run and produce rank-ordered outputs.
+    // thread-engine ring on the env-set stack size must run and produce
+    // rank-ordered outputs.
     let ring = WorldConfig {
         engine: Engine::Threads,
-        mailbox_shards: 4,
         ..WorldConfig::default()
     };
     let r = hcft_simmpi::World::run_with(4, ring, |c| {

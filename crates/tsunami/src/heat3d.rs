@@ -311,8 +311,6 @@ impl Heat3dState {
     /// boundaries are insulated (zero-flux): the halo on a physical
     /// boundary mirrors the interior cell.
     pub fn update(&mut self) {
-        // Deterministic preemption point per tile; see RankState::update.
-        hcft_simmpi::maybe_yield();
         let (lnx, lny, lnz) = self.ln;
         let sx = lnx + 2;
         let sxy = sx * (lny + 2);

@@ -224,10 +224,6 @@ impl RankState {
     /// drivers. Domain-boundary faces (closed walls) are assigned 0.0
     /// after the bulk sweep, keeping the hot loops branch-free.
     pub fn update(&mut self, p: &TsunamiParams) {
-        // One deterministic preemption point per stencil tile: under the
-        // task engine with a yield budget, a rank grinding through many
-        // updates hands the worker over at tile boundaries.
-        hcft_simmpi::maybe_yield();
         let (lnx, lny) = (self.d.lnx, self.d.lny);
         let se = lny + 2; // η column stride
         let sv = lny + 1; // v column stride

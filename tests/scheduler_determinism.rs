@@ -12,11 +12,6 @@
 //!   f64 sums, whose bit pattern depends on reduction order) are
 //!   byte-identical across the same axis, because the collective
 //!   algorithms fix the combining order independently of scheduling.
-//!
-//! The axis also sweeps the preemption/stealing knobs and the mailbox
-//! shard count: work stealing moves only *where* a rank runs, the yield
-//! budget only *when* it cedes the worker, and sharding only which lock
-//! a send takes — none may perturb a single traced byte.
 
 use hcft::core::experiment::{run_traced_job, run_traced_world, TraceResult, TracedJobConfig};
 use hcft::simmpi::{Engine, World, WorldConfig};
@@ -63,16 +58,13 @@ fn full_world(cfg: &TracedJobConfig) -> TraceResult {
 
 #[test]
 fn traced_csvs_identical_across_workers_and_engines() {
-    let job = |workers: usize, engine: Engine, steal: bool, budget: u32, shards: usize| {
+    let job = |workers: usize, engine: Engine| {
         let mut cfg = TracedJobConfig::small(4, 2);
         cfg.workers = workers;
         cfg.engine = engine;
-        cfg.steal = Some(steal);
-        cfg.yield_budget = Some(budget);
-        cfg.mailbox_shards = shards;
         full_world(&cfg)
     };
-    let reference = trace_csv(&job(1, Engine::Tasks, false, 0, 0));
+    let reference = trace_csv(&job(1, Engine::Tasks));
     assert!(reference.lines().count() > 2, "reference trace is empty");
     assert_eq!(
         trace_csv(&run_traced_job(&TracedJobConfig::small(4, 2))),
@@ -80,25 +72,15 @@ fn traced_csvs_identical_across_workers_and_engines() {
         "the composed trace differs from the whole run"
     );
     for workers in worker_counts() {
-        for steal in [false, true] {
-            // Budget 0 disables preemption; 7 forces frequent mid-tile
-            // yields (the stencil calls `maybe_yield` once per tile).
-            for budget in [0u32, 7] {
-                // One mailbox shard per rank vs the runtime default.
-                for shards in [1usize, 0] {
-                    let csv = trace_csv(&job(workers, Engine::Tasks, steal, budget, shards));
-                    assert_eq!(
-                        csv, reference,
-                        "traced CSV diverged at {workers} worker(s), steal={steal}, \
-                         yield_budget={budget}, mailbox_shards={shards}"
-                    );
-                }
-            }
-        }
+        assert_eq!(
+            trace_csv(&job(workers, Engine::Tasks)),
+            reference,
+            "traced CSV diverged at {workers} worker(s)"
+        );
     }
     // The thread engine (one OS thread per rank, no cooperative
     // scheduling at all) must reproduce the same bytes.
-    let threads = trace_csv(&job(0, Engine::Threads, false, 0, 0));
+    let threads = trace_csv(&job(0, Engine::Threads));
     assert_eq!(threads, reference, "thread engine diverged from tasks");
 }
 
@@ -106,7 +88,8 @@ fn traced_csvs_identical_across_workers_and_engines() {
 /// = 23 936 simulated ranks, past `pid_max` for thread-per-rank — it
 /// completes only on the M:N task scheduler with the sparse trace
 /// recorder, and must show the full traffic structure. About a minute
-/// and several GB in release: `cargo test --release -- --ignored ranks_22k`.
+/// and several GB in release: `cargo test --release -- --ignored ranks_22k`
+/// (add `--nocapture` to see the process's peak RSS).
 #[test]
 #[ignore = "23 936-rank traced run; run explicitly in release"]
 fn ranks_22k_traced_run_completes_on_the_task_scheduler() {
@@ -125,6 +108,12 @@ fn ranks_22k_traced_run_completes_on_the_task_scheduler() {
     // stencil traffic alone from below; the allgathers add more.
     let msgs = world.trace.total_messages();
     assert!(msgs > 450_000, "22k-rank run traced only {msgs} messages");
+    // Record the peak, do not gate it: no bound has been measured yet.
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    match status.lines().find(|l| l.starts_with("VmHWM:")) {
+        Some(line) => println!("ranks_22k peak RSS: {}", line["VmHWM:".len()..].trim()),
+        None => println!("ranks_22k peak RSS: unavailable (no /proc/self/status)"),
+    }
 }
 
 #[test]

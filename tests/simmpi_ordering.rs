@@ -1,25 +1,23 @@
 //! Property test for the sharded-mailbox runtime: per-channel FIFO.
 //!
-//! The sharding refactor splits each rank's mailbox into per-sender lock
-//! domains. The invariant it must preserve is exactly MPI's
+//! Each rank's mailbox is split into 8 per-sender lock domains (sender
+//! rank mod 8). The invariant the split must preserve is exactly MPI's
 //! non-overtaking rule: messages on one (sender, receiver, tag) channel
-//! are received in the order they were sent, regardless of how many
-//! shards the mailbox uses or how sends on *other* channels interleave.
+//! are received in the order they were sent, however sends on *other*
+//! channels interleave.
 //!
 //! Strategy: draw a random world size and a random multiset of channels
 //! with random message counts, stamp every payload with its per-channel
 //! sequence number, blast everything through a `World`, and assert each
-//! receiver drains every channel in stamped order. The same schedule runs
-//! at shard counts 1 (the pre-sharding baseline), 2 (channels forced to
-//! share locks) and 8 (the default), so a FIFO break introduced by the
-//! shard routing itself cannot hide — and, orthogonally, at task-engine
-//! worker counts 1 (pure cooperative round-robin), 2 (cross-worker wakes
-//! on every remote channel) and the core count (the default), so a FIFO
-//! break introduced by the M:N scheduler's wake path cannot hide either.
-//! A third sweep repeats the worker axis with work stealing on, where a
-//! blocked rank may resume on a different worker than it blocked on.
+//! receiver drains every channel in stamped order. Worlds reach 17 ranks,
+//! so senders 0/8/16 and 1/9 share a shard and a FIFO break in the shard
+//! routing cannot hide; the schedule runs on both engines. Orthogonally
+//! it runs at task-engine worker counts 1 (pure cooperative round-robin),
+//! 2 (cross-worker wakes on every remote channel) and the core count (the
+//! default), so a FIFO break introduced by the M:N scheduler's wake path
+//! cannot hide either.
 
-use hcft::simmpi::{World, WorldConfig};
+use hcft::simmpi::{Engine, World, WorldConfig};
 use proptest::prelude::*;
 
 /// A randomly drawn traffic schedule: `channels[i]` = (src, dst, tag,
@@ -32,7 +30,7 @@ struct Schedule {
 }
 
 fn arb_schedule() -> impl Strategy<Value = Schedule> {
-    (2usize..=9).prop_flat_map(|ranks| {
+    (2usize..=17).prop_flat_map(|ranks| {
         proptest::collection::vec((0..ranks, 0..ranks, 0u32..4, 1usize..6), 1..12)
             // Self-sends stay in: sends are buffered, so a rank receiving
             // from itself after its send phase is legal and exercises the
@@ -53,14 +51,13 @@ fn worker_counts() -> Vec<usize> {
     counts
 }
 
-/// Run one schedule at a given shard, worker and steal setting and
-/// assert per-channel FIFO.
-fn run_schedule(s: &Schedule, shards: usize, workers: usize, steal: bool) {
+/// Run one schedule on an engine at a worker count and assert
+/// per-channel FIFO.
+fn run_schedule(s: &Schedule, engine: Engine, workers: usize) {
     let channels = s.channels.clone();
     let cfg = WorldConfig {
-        mailbox_shards: shards,
         workers,
-        steal: Some(steal),
+        engine,
         ..WorldConfig::default()
     };
     let result = World::run_with(s.ranks, cfg, move |comm| {
@@ -90,8 +87,8 @@ fn run_schedule(s: &Schedule, shards: usize, workers: usize, steal: bool) {
                 assert_eq!(
                     got,
                     vec![want],
-                    "channel ({src}->{dst}, tag {tag}) out of order with \
-                     {shards} shard(s), {workers} worker(s)"
+                    "channel ({src}->{dst}, tag {tag}) out of order on \
+                     {engine:?} with {workers} worker(s)"
                 );
             }
         }
@@ -121,56 +118,39 @@ proptest! {
 
     #[test]
     fn fifo_per_channel_survives_sharding(s in arb_schedule()) {
-        for shards in [1usize, 2, 8] {
-            run_schedule(&s, shards, 0, false);
+        for engine in [Engine::Tasks, Engine::Threads] {
+            run_schedule(&s, engine, 0);
         }
     }
 
     #[test]
     fn fifo_per_channel_survives_worker_counts(s in arb_schedule()) {
         for workers in worker_counts() {
-            run_schedule(&s, 0, workers, false);
-        }
-    }
-
-    /// Work stealing migrates blocked ranks between workers mid-run; the
-    /// non-overtaking rule must hold anyway, at 1 worker (stealing is a
-    /// no-op), 2 (one potential thief) and 8 (every wake can race a
-    /// steal).
-    #[test]
-    fn fifo_per_channel_survives_work_stealing(s in arb_schedule()) {
-        for workers in [1usize, 2, 8] {
-            for steal in [false, true] {
-                run_schedule(&s, 0, workers, steal);
-            }
+            run_schedule(&s, Engine::Tasks, workers);
         }
     }
 }
 
 /// Deterministic worst case: every rank floods rank 0 on two tags at
-/// once, so all senders hammer one mailbox concurrently and (at 2 shards)
-/// several channels share each lock domain. At 2 workers the receiving
-/// task and half the senders live on different workers, so every message
-/// can race a cross-worker wake.
+/// once, so all senders hammer one mailbox concurrently and, with 16
+/// senders over 8 shards, four channels share each lock domain. At 2 and
+/// more workers the receiving task and most senders live on different
+/// workers, so every message can race a cross-worker wake.
 #[test]
 fn all_to_one_flood_is_fifo() {
-    const N: usize = 8;
+    const N: usize = 17;
     const MSGS: u64 = 50;
-    for (shards, workers, steal) in [
-        (1usize, 0usize, false),
-        (2, 0, false),
-        (8, 0, false),
-        (0, 1, false),
-        (0, 2, false),
-        (0, 2, true),
-        (0, 8, true),
+    for (engine, workers) in [
+        (Engine::Threads, 0usize),
+        (Engine::Tasks, 1),
+        (Engine::Tasks, 2),
+        (Engine::Tasks, 8),
     ] {
         let result = World::run_with(
             N,
             WorldConfig {
-                mailbox_shards: shards,
                 workers,
-                steal: Some(steal),
+                engine,
                 ..WorldConfig::default()
             },
             |comm| {
