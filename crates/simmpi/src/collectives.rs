@@ -1,24 +1,95 @@
-//! Collective operations, implemented with the algorithms MPICH2 uses.
+//! Collective operations.
 //!
-//! The choice of algorithm matters here beyond performance: the paper's
-//! Fig. 5b identifies "diagonals … starting from processes with a
-//! power-of-two rank" as the MPICH2 `MPI_Allgather` signature. Those
-//! diagonals come from the power-of-two partner distances of recursive
-//! doubling (power-of-two communicators) and Bruck's algorithm (everything
-//! else), so that is what we implement. All collective-internal traffic
-//! flows through the ordinary traced point-to-point layer.
+//! The paper's Fig. 5b identifies "diagonals … starting from processes
+//! with a power-of-two rank" as the MPICH2 `MPI_Allgather` signature.
+//! Those diagonals are the power-of-two partner distances of recursive
+//! doubling (power-of-two communicators) and Bruck's algorithm
+//! (everything else), so the trace must carry exactly those messages.
+//!
+//! `barrier`, `allgather` and `split` — the collectives the traced FTI
+//! job and the replay engine call — trace those messages without sending
+//! them. Each call is one rendezvous (`rendezvous.rs`): every member
+//! deposits its block in the meeting keyed by (communicator context,
+//! collective sequence number), the last to arrive assembles the result
+//! once and releases the others with one mailbox delivery each, and
+//! every member copies out its own typed result. Before it meets, each
+//! member records into the [`crate::TraceRecorder`] exactly the messages
+//! the MPICH2 schedule sends from it, in schedule order, at its current
+//! phase:
+//!
+//! | schedule | step k goes to | bytes | tag |
+//! |---|---|---|---|
+//! | Bruck | `rank − 2^k` | `min(2^k, n − 2^k)·blk` | `TAG_ALLGATHER\|k` |
+//! | recursive doubling | `rank ^ 2^k` | `2^k·blk` | `TAG_ALLGATHER\|k` |
+//! | dissemination barrier | `rank + 2^k` | 1 | `TAG_BARRIER\|k` |
+//!
+//! So the byte and count matrices and the per-sender event logs are
+//! those of the point-to-point algorithms, which survive as the test
+//! oracle (`oracle` below) that a property test holds the rendezvous to.
+//!
+//! The other collectives (`allreduce`, `bcast`, `gather`, `reduce`,
+//! `alltoall`, `allgatherv`, `scatter`, `scan`) run their algorithms as
+//! point-to-point messages through the ordinary traced layer.
+
+use std::sync::{Arc, OnceLock};
+
+use bytes::Bytes;
+use hcft_telemetry::{Counter, Registry};
 
 use crate::comm::Comm;
 use crate::datatype::{decode, encode, Datum};
+use crate::rendezvous::{Deposit, Outcome};
+use crate::trace::MessageEvent;
+
+/// The collectives counted in telemetry, indexing [`OP_NAMES`].
+#[derive(Clone, Copy)]
+enum Op {
+    Barrier,
+    Allgather,
+    Allreduce,
+    Bcast,
+    Gather,
+    Reduce,
+    Alltoall,
+    Allgatherv,
+    Scatter,
+    Scan,
+}
+
+const OP_NAMES: [&str; 10] = [
+    "barrier",
+    "allgather",
+    "allreduce",
+    "bcast",
+    "gather",
+    "reduce",
+    "alltoall",
+    "allgatherv",
+    "scatter",
+    "scan",
+];
 
 /// Tally one collective invocation in the global telemetry registry:
 /// `simmpi.<op>.calls` and `simmpi.<op>.bytes` (the caller's contributed
 /// payload, not the algorithm's internal traffic — the trace matrices
-/// already capture wire bytes).
-fn tally(op: &str, bytes: u64) {
-    let reg = hcft_telemetry::Registry::global();
-    reg.counter(&format!("simmpi.{op}.calls")).inc();
-    reg.counter(&format!("simmpi.{op}.bytes")).add(bytes);
+/// already capture wire bytes). The counters are looked up once per
+/// process; a call is two relaxed atomic adds.
+fn tally(op: Op, bytes: u64) {
+    static COUNTERS: OnceLock<Vec<[Arc<Counter>; 2]>> = OnceLock::new();
+    let [calls, total] = &COUNTERS.get_or_init(|| {
+        let reg = Registry::global();
+        OP_NAMES
+            .iter()
+            .map(|op| {
+                [
+                    reg.counter(&format!("simmpi.{op}.calls")),
+                    reg.counter(&format!("simmpi.{op}.bytes")),
+                ]
+            })
+            .collect()
+    })[op as usize];
+    calls.inc();
+    total.add(bytes);
 }
 
 /// Contributed payload size of a typed slice.
@@ -34,122 +105,169 @@ const TAG_BCAST: u32 = 0xC400_0000;
 const TAG_GATHER: u32 = 0xC500_0000;
 const TAG_ALLTOALL: u32 = 0xC600_0000;
 const TAG_REDUCE: u32 = 0xC700_0000;
+/// Rendezvous release: one empty delivery per waiting member.
+const TAG_RELEASE: u32 = 0xCB00_0000;
+
+/// Encoded `(colour, key, world rank)` block `split` traces per rank:
+/// the allgather MPICH2's `MPI_Comm_split` runs.
+const SPLIT_BLOCK: usize = 3 * 8;
+
+/// The partner distances 1, 2, 4, … below `n`, one per schedule step.
+fn distances(n: usize) -> impl Iterator<Item = usize> {
+    (0..usize::BITS)
+        .map(|k| 1usize << k)
+        .take_while(move |&d| d < n)
+}
+
+/// `(destination, bytes)` of each message MPICH2's allgather sends from
+/// `rank`: recursive doubling when `n` is a power of two, Bruck's
+/// algorithm otherwise.
+fn allgather_schedule(n: usize, rank: usize, blk: usize) -> impl Iterator<Item = (usize, u64)> {
+    let doubling = n.is_power_of_two();
+    distances(n).map(move |d| {
+        if doubling {
+            (rank ^ d, (d * blk) as u64)
+        } else {
+            ((rank + n - d) % n, (d.min(n - d) * blk) as u64)
+        }
+    })
+}
 
 impl Comm {
-    /// Dissemination barrier: ⌈log₂ n⌉ rounds, rank r signals r+2ᵏ and
-    /// waits for r−2ᵏ.
+    /// Dissemination barrier. Traced as ⌈log₂ n⌉ rounds in which rank r
+    /// signals r + 2ᵏ with one byte; run as one rendezvous.
     pub fn barrier(&self) {
-        tally("barrier", 0);
-        let n = self.size();
-        let mut k = 0u32;
-        let mut dist = 1usize;
-        while dist < n {
-            let to = (self.rank() + dist) % n;
-            let from = (self.rank() + n - dist) % n;
-            self.send_raw(to, TAG_BARRIER | k, self.pooled_from(&[0]));
-            let token = self.recv_raw(from, TAG_BARRIER | k);
-            self.recycle(token);
-            dist <<= 1;
-            k += 1;
-        }
+        tally(Op::Barrier, 0);
+        let (n, rank) = (self.size(), self.rank());
+        let schedule = distances(n).map(|d| ((rank + d) % n, 1));
+        self.meet(Deposit::Barrier, TAG_BARRIER, schedule, |_, _| ());
     }
 
     /// Allgather: every rank contributes `mine` (same length everywhere)
-    /// and receives the concatenation in rank order. Uses recursive
-    /// doubling when `size` is a power of two, Bruck's algorithm
-    /// otherwise — the MPICH2 short-message strategy.
+    /// and receives the concatenation in rank order. Traced as the
+    /// MPICH2 short-message strategy — recursive doubling when `size` is
+    /// a power of two, Bruck's algorithm otherwise; run as one
+    /// rendezvous.
+    ///
+    /// # Panics
+    /// Every member panics, naming two ranks and their lengths, when the
+    /// contributions differ in length.
     pub fn allgather<T: Datum>(&self, mine: &[T]) -> Vec<T> {
-        tally("allgather", payload_bytes(mine));
-        let n = self.size();
-        if n == 1 {
-            return mine.to_vec();
-        }
-        if n.is_power_of_two() {
-            self.allgather_recursive_doubling(mine)
-        } else {
-            self.allgather_bruck(mine)
-        }
+        tally(Op::Allgather, payload_bytes(mine));
+        let block = encode(mine);
+        let schedule = allgather_schedule(self.size(), self.rank(), block.len());
+        let deposit = Deposit::Allgather {
+            bytes: &block,
+            width: T::WIDTH,
+        };
+        self.meet(
+            deposit,
+            TAG_ALLGATHER,
+            schedule,
+            |outcome, _| match outcome {
+                Outcome::Allgather(flat) => decode(flat),
+                _ => unreachable!("a meeting's members called one collective"),
+            },
+        )
     }
 
-    /// Recursive doubling (power-of-two sizes): at step k exchange all
-    /// currently held blocks with partner `rank XOR 2^k`.
+    /// `MPI_Comm_split`: collective over this communicator. Ranks passing
+    /// the same `color` end up in the same new communicator, ordered by
+    /// `(key, old rank)`. Returns `None` for ranks passing `color: None`.
     ///
-    /// All n blocks live in one flat byte buffer (every rank contributes
-    /// the same encoded width, so block i sits at `i * blk`), and each
-    /// step ships a single contiguous slice of it with no framing — the
-    /// wire carries exactly the payload bytes. At 22k+ ranks this is the
-    /// difference between one buffer per call and hundreds of millions
-    /// of per-block `Vec`s across the init allgathers.
-    fn allgather_recursive_doubling<T: Datum>(&self, mine: &[T]) -> Vec<T> {
-        let n = self.size();
-        let rank = self.rank();
-        let blk = mine.len() * T::WIDTH;
-        let mut flat = vec![0u8; n * blk];
-        crate::datatype::encode_to_slice(mine, &mut flat[rank * blk..(rank + 1) * blk]);
-        let mut dist = 1usize;
-        let mut step = 0u32;
-        while dist < n {
-            let partner = rank ^ dist;
-            // My "corner" of the butterfly owns the contiguous block
-            // range base..base+2*dist; I hold the half my dist-bit
-            // selects, the partner holds — and sends — the other half.
-            let base = rank & !(2 * dist - 1);
-            let (my_lo, their_lo) = if rank & dist == 0 {
-                (base, base + dist)
-            } else {
-                (base + dist, base)
+    /// Traced — and counted in telemetry — as the allgather of
+    /// `(colour, key, world rank)` that MPICH2 runs. The colour groups
+    /// are built once at the rendezvous, and every member of a colour
+    /// shares one member list.
+    pub fn split(&self, color: Option<u32>, key: i64) -> Option<Comm> {
+        tally(Op::Allgather, SPLIT_BLOCK as u64);
+        let schedule = allgather_schedule(self.size(), self.rank(), SPLIT_BLOCK);
+        let deposit = Deposit::Split { color, key };
+        self.meet(deposit, TAG_ALLGATHER, schedule, |outcome, seq| {
+            let Outcome::Split(groups) = outcome else {
+                unreachable!("a meeting's members called one collective")
             };
-            self.send_raw(
-                partner,
-                TAG_ALLGATHER | step,
-                self.pooled_from(&flat[my_lo * blk..(my_lo + dist) * blk]),
-            );
-            let recv = self.recv_raw(partner, TAG_ALLGATHER | step);
-            flat[their_lo * blk..(their_lo + dist) * blk].copy_from_slice(&recv);
-            self.recycle(recv);
-            dist <<= 1;
-            step += 1;
-        }
-        decode(&flat)
+            let (members, rank) = groups[self.rank()].clone()?;
+            Some(self.sub(self.split_ctx(seq, color?), rank as usize, members))
+        })
     }
 
-    /// Bruck's allgather (any size): step k sends the first
-    /// `min(2^k, n − 2^k)` held blocks to `rank − 2^k` and receives from
-    /// `rank + 2^k`; a final rotation restores rank order.
+    /// One rendezvous: check every member is alive, record this rank's
+    /// `schedule` (`(destination, bytes)` of step k, tagged `tag | k`),
+    /// deposit, then either complete the meeting and release the others
+    /// or wait to be released. `read` gets the outcome and the
+    /// collective's sequence number.
     ///
-    /// Same flat-buffer discipline as recursive doubling: block j of the
-    /// buffer is the contribution of rank `(rank + j) mod n`, the blocks
-    /// held so far are always a prefix, and each step ships that prefix
-    /// (or the part of it still needed) unframed. The closing rotation
-    /// is a single `rotate_right` on the byte buffer.
-    fn allgather_bruck<T: Datum>(&self, mine: &[T]) -> Vec<T> {
-        let n = self.size();
-        let rank = self.rank();
-        let blk = mine.len() * T::WIDTH;
-        let mut flat = vec![0u8; n * blk];
-        crate::datatype::encode_to_slice(mine, &mut flat[..blk]);
-        let mut have = 1usize;
-        let mut dist = 1usize;
-        let mut step = 0u32;
-        while have < n {
-            let to = (rank + n - dist) % n;
-            let from = (rank + dist) % n;
-            let cnt = have.min(n - have);
-            self.send_raw(
-                to,
-                TAG_ALLGATHER | step,
-                self.pooled_from(&flat[..cnt * blk]),
-            );
-            let recv = self.recv_raw(from, TAG_ALLGATHER | step);
-            flat[have * blk..(have + cnt) * blk].copy_from_slice(&recv);
-            self.recycle(recv);
-            have += cnt;
-            dist <<= 1;
-            step += 1;
+    /// # Panics
+    /// When a member is dead in a replay world; when the meeting is
+    /// poisoned (mismatched collectives or block lengths — every member
+    /// panics with the same message); and when the release does not come
+    /// within `recv_timeout`, naming the collective, its sequence number
+    /// and how many members arrived.
+    fn meet<R>(
+        &self,
+        deposit: Deposit,
+        tag: u32,
+        schedule: impl Iterator<Item = (usize, u64)>,
+        read: impl FnOnce(&Outcome, u64) -> R,
+    ) -> R {
+        let kind = deposit.name();
+        let seq = self.next_seq();
+        let (n, rank) = (self.size(), self.rank());
+        if let Some(replay) = self.shared.replay.as_deref() {
+            if let Some(dead) = (0..n).find(|&r| !replay.live[self.world_rank_of(r)]) {
+                panic!(
+                    "simmpi {kind} #{seq} on ctx {:#x}: rank {dead} (world rank {}) is dead \
+                     in this replay world; collectives run only among live ranks",
+                    self.ctx,
+                    self.world_rank_of(dead)
+                );
+            }
         }
-        // Block j belongs to rank (rank + j) mod n → rotate into order.
-        flat.rotate_right(rank * blk);
-        decode(&flat)
+        let src = self.world_rank() as u32;
+        let phase = self.phase();
+        for (k, (dst, bytes)) in schedule.enumerate() {
+            self.shared.trace.record(MessageEvent {
+                src,
+                dst: self.world_rank_of(dst) as u32,
+                bytes,
+                tag: tag | k as u32,
+                phase,
+            });
+        }
+        let key = (self.ctx, seq);
+        let (slot, last) = self.shared.meetings.arrive(key, n, rank, deposit);
+        let release = |r: usize| (self.ctx, r as u32, TAG_RELEASE);
+        match last {
+            Some(meeting) => {
+                let outcome = meeting.assemble(|r| self.world_rank_of(r) as u32);
+                if slot.set(outcome).is_err() {
+                    unreachable!("a meeting completes once");
+                }
+                for r in (0..n).filter(|&r| r != rank) {
+                    self.shared
+                        .deliver(self.world_rank_of(r), release(r), Bytes::new());
+                }
+            }
+            None => {
+                let released = self
+                    .shared
+                    .recv_within_timeout(self.world_rank(), release(rank));
+                if released.is_none() {
+                    panic!(
+                        "simmpi collective stalled: rank {rank} waited {:?} in {kind} #{seq} \
+                         on ctx {:#x}; {} of {n} ranks arrived",
+                        self.shared.recv_timeout,
+                        self.ctx,
+                        self.shared.meetings.arrived(key)
+                    );
+                }
+            }
+        }
+        match slot.get().expect("a released member finds the outcome") {
+            Ok(outcome) => read(outcome, seq),
+            Err(why) => panic!("simmpi collective #{seq} on ctx {:#x}: {why}", self.ctx),
+        }
     }
 
     /// Allreduce with an element-wise operation (recursive doubling, with
@@ -159,7 +277,7 @@ impl Comm {
     where
         F: Fn(T, T) -> T,
     {
-        tally("allreduce", payload_bytes(mine));
+        tally(Op::Allreduce, payload_bytes(mine));
         let n = self.size();
         let rank = self.rank();
         let mut acc = mine.to_vec();
@@ -234,7 +352,7 @@ impl Comm {
 
     /// Binomial-tree broadcast from `root`.
     pub fn bcast<T: Datum>(&self, root: usize, data: &mut Vec<T>) {
-        tally("bcast", payload_bytes(data));
+        tally(Op::Bcast, payload_bytes(data));
         let n = self.size();
         if n == 1 {
             return;
@@ -265,7 +383,7 @@ impl Comm {
     /// Linear gather to `root`: returns `Some(concatenation)` at the root,
     /// `None` elsewhere.
     pub fn gather<T: Datum>(&self, root: usize, mine: &[T]) -> Option<Vec<T>> {
-        tally("gather", payload_bytes(mine));
+        tally(Op::Gather, payload_bytes(mine));
         let n = self.size();
         if self.rank() == root {
             let mut out = Vec::with_capacity(n * mine.len());
@@ -291,7 +409,7 @@ impl Comm {
     where
         F: Fn(T, T) -> T,
     {
-        tally("reduce", payload_bytes(mine));
+        tally(Op::Reduce, payload_bytes(mine));
         let n = self.size();
         if self.rank() == root {
             let mut acc = mine.to_vec();
@@ -316,7 +434,7 @@ impl Comm {
     /// Pairwise all-to-all personalised exchange: `sends[d]` goes to rank
     /// `d`; returns the vector received from each rank.
     pub fn alltoall<T: Datum>(&self, sends: &[Vec<T>]) -> Vec<Vec<T>> {
-        tally("alltoall", sends.iter().map(|s| payload_bytes(s)).sum());
+        tally(Op::Alltoall, sends.iter().map(|s| payload_bytes(s)).sum());
         let n = self.size();
         assert_eq!(sends.len(), n, "alltoall needs one buffer per rank");
         let rank = self.rank();
@@ -351,7 +469,7 @@ impl Comm {
     /// result holds each rank's contribution separately, in rank order.
     /// Ring-based (the robust MPICH2 choice for irregular sizes).
     pub fn allgatherv<T: Datum>(&self, mine: &[T]) -> Vec<Vec<T>> {
-        tally("allgatherv", payload_bytes(mine));
+        tally(Op::Allgatherv, payload_bytes(mine));
         let n = self.size();
         let rank = self.rank();
         let mut have: Vec<Option<bytes::Bytes>> = vec![None; n];
@@ -381,7 +499,7 @@ impl Comm {
     /// Panics if the root's data length is not divisible by the
     /// communicator size, or if a non-root passes data.
     pub fn scatter<T: Datum>(&self, root: usize, data: Option<&[T]>) -> Vec<T> {
-        tally("scatter", data.map(payload_bytes).unwrap_or(0));
+        tally(Op::Scatter, data.map(payload_bytes).unwrap_or(0));
         let n = self.size();
         if self.rank() == root {
             let data = data.expect("root provides data");
@@ -414,7 +532,7 @@ impl Comm {
     where
         F: Fn(T, T) -> T,
     {
-        tally("scan", payload_bytes(mine));
+        tally(Op::Scan, payload_bytes(mine));
         let rank = self.rank();
         let mut acc = mine.to_vec();
         if rank > 0 {
@@ -430,6 +548,436 @@ impl Comm {
             self.send_raw(rank + 1, TAG_SCAN, self.encode_pooled(&acc));
         }
         acc
+    }
+}
+
+/// The point-to-point algorithms `barrier`, `allgather` and `split` trace:
+/// MPICH2's dissemination barrier, recursive-doubling and Bruck
+/// allgathers, and a split over that allgather. Every step is a real
+/// traced message, so a world run on these is the reference the
+/// rendezvous must reproduce event for event.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::sync::Arc;
+
+    use super::{TAG_ALLGATHER, TAG_BARRIER};
+    use crate::comm::Comm;
+    use crate::datatype::{decode, encode, Datum};
+
+    /// Dissemination barrier: ⌈log₂ n⌉ rounds, rank r signals r+2ᵏ and
+    /// waits for r−2ᵏ.
+    pub(crate) fn barrier(c: &Comm) {
+        let n = c.size();
+        let mut k = 0u32;
+        let mut dist = 1usize;
+        while dist < n {
+            let to = (c.rank() + dist) % n;
+            let from = (c.rank() + n - dist) % n;
+            c.send_raw(to, TAG_BARRIER | k, c.pooled_from(&[0]));
+            let token = c.recv_raw(from, TAG_BARRIER | k);
+            c.recycle(token);
+            dist <<= 1;
+            k += 1;
+        }
+    }
+
+    /// Recursive doubling for power-of-two sizes, Bruck otherwise.
+    pub(crate) fn allgather<T: Datum>(c: &Comm, mine: &[T]) -> Vec<T> {
+        let n = c.size();
+        if n == 1 {
+            return mine.to_vec();
+        }
+        if n.is_power_of_two() {
+            recursive_doubling(c, mine)
+        } else {
+            bruck(c, mine)
+        }
+    }
+
+    /// At step k exchange all currently held blocks with partner
+    /// `rank XOR 2^k`; block i sits at `i * blk` of one flat buffer.
+    fn recursive_doubling<T: Datum>(c: &Comm, mine: &[T]) -> Vec<T> {
+        let n = c.size();
+        let rank = c.rank();
+        let blk = mine.len() * T::WIDTH;
+        let mut flat = vec![0u8; n * blk];
+        flat[rank * blk..(rank + 1) * blk].copy_from_slice(&encode(mine));
+        let mut dist = 1usize;
+        let mut step = 0u32;
+        while dist < n {
+            let partner = rank ^ dist;
+            // My corner of the butterfly owns blocks base..base+2*dist; I
+            // hold the half my dist-bit selects, the partner the other.
+            let base = rank & !(2 * dist - 1);
+            let (my_lo, their_lo) = if rank & dist == 0 {
+                (base, base + dist)
+            } else {
+                (base + dist, base)
+            };
+            c.send_raw(
+                partner,
+                TAG_ALLGATHER | step,
+                c.pooled_from(&flat[my_lo * blk..(my_lo + dist) * blk]),
+            );
+            let recv = c.recv_raw(partner, TAG_ALLGATHER | step);
+            flat[their_lo * blk..(their_lo + dist) * blk].copy_from_slice(&recv);
+            c.recycle(recv);
+            dist <<= 1;
+            step += 1;
+        }
+        decode(&flat)
+    }
+
+    /// Step k sends the first `min(2^k, n − 2^k)` held blocks to
+    /// `rank − 2^k` and receives from `rank + 2^k`; block j of the buffer
+    /// is rank `(rank + j) mod n`'s, and a final rotation restores rank
+    /// order.
+    fn bruck<T: Datum>(c: &Comm, mine: &[T]) -> Vec<T> {
+        let n = c.size();
+        let rank = c.rank();
+        let blk = mine.len() * T::WIDTH;
+        let mut flat = vec![0u8; n * blk];
+        flat[..blk].copy_from_slice(&encode(mine));
+        let mut have = 1usize;
+        let mut dist = 1usize;
+        let mut step = 0u32;
+        while have < n {
+            let to = (rank + n - dist) % n;
+            let from = (rank + dist) % n;
+            let cnt = have.min(n - have);
+            c.send_raw(to, TAG_ALLGATHER | step, c.pooled_from(&flat[..cnt * blk]));
+            let recv = c.recv_raw(from, TAG_ALLGATHER | step);
+            flat[have * blk..(have + cnt) * blk].copy_from_slice(&recv);
+            c.recycle(recv);
+            have += cnt;
+            dist <<= 1;
+            step += 1;
+        }
+        flat.rotate_right(rank * blk);
+        decode(&flat)
+    }
+
+    /// `MPI_Comm_split` over [`allgather`] of `(colour, key, world rank)`,
+    /// each rank building its own member list.
+    pub(crate) fn split(c: &Comm, color: Option<u32>, key: i64) -> Option<Comm> {
+        const NO_COLOR: u64 = u64::MAX;
+        let mine = [
+            color.map(|c| c as u64).unwrap_or(NO_COLOR),
+            (key as i128 - i64::MIN as i128) as u64,
+            c.world_rank() as u64,
+        ];
+        let all = allgather(c, &mine);
+        let seq = c.next_seq();
+        let my_color = color?;
+        let mut members: Vec<(u64, u64, usize)> = all
+            .chunks_exact(3)
+            .enumerate()
+            .filter(|(_, m)| m[0] == my_color as u64)
+            .map(|(comm_rank, m)| (m[1], comm_rank as u64, m[2] as usize))
+            .collect();
+        members.sort_unstable();
+        let world_ranks: Vec<u32> = members.iter().map(|&(_, _, w)| w as u32).collect();
+        let my_world = c.world_rank() as u32;
+        let new_rank = world_ranks
+            .iter()
+            .position(|&w| w == my_world)
+            .expect("caller is in its own color group");
+        Some(c.sub(c.split_ctx(seq, my_color), new_rank, Arc::new(world_ranks)))
+    }
+}
+
+/// The rendezvous collectives against [`oracle`]: per-sender event
+/// streams, matrices and outputs must be identical.
+#[cfg(test)]
+mod rendezvous_tests {
+    use std::time::Duration;
+
+    use proptest::prelude::*;
+
+    use super::oracle;
+    use crate::comm::Comm;
+    use crate::runtime::{Engine, World, WorldConfig};
+    use crate::trace::MessageEvent;
+
+    /// One SPMD step of a random program, as `(opcode, argument)`:
+    /// 0 set a per-rank phase, 1 ring exchange (point to point),
+    /// 2 barrier, 3/4/5 allgather of `a % 4` `u8`/`u64`/`f64` elements,
+    /// 6 split and descend into the new communicator (ranks with no
+    /// colour skip to the matching ascend), 7 ascend.
+    type Step = (u8, u64);
+
+    #[derive(Clone, Copy)]
+    enum Impl {
+        Oracle,
+        Rendezvous,
+    }
+
+    fn mix(a: u64, b: u64) -> u64 {
+        let mut h = (a ^ 0x9e37_79b9_7f4a_7c15).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h ^= b.wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
+
+    fn allgather<T: crate::Datum>(c: &Comm, imp: Impl, mine: &[T]) -> Vec<T> {
+        match imp {
+            Impl::Oracle => oracle::allgather(c, mine),
+            Impl::Rendezvous => c.allgather(mine),
+        }
+    }
+
+    /// Run `program` on this rank; the log is everything it observed.
+    fn run_program(world: &Comm, program: &[Step], imp: Impl) -> Vec<u64> {
+        let mut log = Vec::new();
+        let wr = world.world_rank() as u64;
+        // Innermost last; `None` while this rank sits out a split.
+        let mut stack: Vec<Option<Comm>> = Vec::new();
+        for (i, &(op, a)) in program.iter().enumerate() {
+            let skipping = matches!(stack.last(), Some(None));
+            let c = match stack.last() {
+                Some(Some(c)) => c,
+                _ => world,
+            };
+            match op {
+                6 if skipping => stack.push(None),
+                7 => {
+                    stack.pop();
+                }
+                _ if skipping => {}
+                0 => world.set_phase(a % 1000 + wr % 3),
+                1 => {
+                    let (n, r) = (c.size(), c.rank());
+                    let tag = (a % 100) as u32;
+                    c.send_slice((r + 1) % n, tag, &[wr ^ a]);
+                    log.extend(c.recv_vec::<u64>((r + n - 1) % n, tag));
+                }
+                2 => match imp {
+                    Impl::Oracle => oracle::barrier(c),
+                    Impl::Rendezvous => c.barrier(),
+                },
+                3 => {
+                    let mine: Vec<u8> = (0..a % 4).map(|k| (wr * 7 + k + a) as u8).collect();
+                    log.extend(allgather(c, imp, &mine).into_iter().map(u64::from));
+                }
+                4 => {
+                    let mine: Vec<u64> = (0..a % 4).map(|k| mix(a, wr + k)).collect();
+                    log.extend(allgather(c, imp, &mine));
+                }
+                5 => {
+                    let mine: Vec<f64> = (0..a % 4)
+                        .map(|k| (wr + k) as f64 * 0.1 + (a % 1000) as f64)
+                        .collect();
+                    log.extend(allgather(c, imp, &mine).into_iter().map(f64::to_bits));
+                }
+                6 => {
+                    let r = c.rank() as u64;
+                    let colors = 1 + a % 3;
+                    let color = mix(a, r) % (colors + 1);
+                    let color = (color < colors).then_some(color as u32);
+                    let key = (mix(a ^ 0xffff, r) % 5) as i64 - 2;
+                    let sub = match imp {
+                        Impl::Oracle => oracle::split(c, color, key),
+                        Impl::Rendezvous => c.split(color, key),
+                    };
+                    log.push(u64::MAX - i as u64);
+                    if let Some(s) = &sub {
+                        log.extend([s.size() as u64, s.rank() as u64]);
+                        log.extend((0..s.size()).map(|r| s.world_rank_of(r) as u64));
+                    }
+                    stack.push(sub);
+                }
+                _ => unreachable!("opcode {op}"),
+            }
+        }
+        log
+    }
+
+    struct Run {
+        outputs: Vec<Vec<u64>>,
+        events: Vec<Vec<MessageEvent>>,
+        cells: Vec<(usize, usize, u64)>,
+        counts: Vec<(usize, usize, u64)>,
+    }
+
+    fn run(n: usize, program: &[Step], imp: Impl, engine: Engine, workers: usize) -> Run {
+        let program = program.to_vec();
+        let cfg = WorldConfig {
+            trace_events: true,
+            engine,
+            workers,
+            recv_timeout: Duration::from_secs(30),
+            ..WorldConfig::default()
+        };
+        let r = World::run_with(n, cfg, move |c| run_program(c, &program, imp));
+        Run {
+            outputs: r.outputs,
+            events: r.trace.take_events(),
+            cells: r.trace.byte_matrix().entries().collect(),
+            counts: r.trace.count_matrix().entries().collect(),
+        }
+    }
+
+    /// The engines a program runs on: tasks at 1 and 2 workers, threads.
+    const ENGINES: [(Engine, usize); 3] =
+        [(Engine::Tasks, 1), (Engine::Tasks, 2), (Engine::Threads, 0)];
+
+    fn check(n: usize, program: &[Step]) -> Result<(), String> {
+        let want = run(n, program, Impl::Oracle, Engine::Tasks, 1);
+        for (engine, workers) in ENGINES {
+            let got = run(n, program, Impl::Rendezvous, engine, workers);
+            let at = format!("{engine:?} × {workers} worker(s)");
+            for (rank, (g, w)) in got.events.iter().zip(&want.events).enumerate() {
+                prop_assert_eq!(g, w, "events sent by rank {rank}, {at}");
+            }
+            prop_assert_eq!(&got.outputs, &want.outputs, "outputs, {at}");
+            prop_assert_eq!(&got.cells, &want.cells, "byte matrix, {at}");
+            prop_assert_eq!(&got.counts, &want.counts, "count matrix, {at}");
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn rendezvous_equals_the_point_to_point_oracle(
+            n in 1usize..71,
+            program in prop::collection::vec((0u8..8, any::<u64>()), 1..14),
+        ) {
+            check(n, &program)?;
+        }
+    }
+
+    #[test]
+    fn every_collective_on_nested_splits_matches_the_oracle() {
+        // Fixed coverage next to the random programs: both allgather
+        // schedules, empty blocks, a `None` colour and a nested split.
+        let program: Vec<Step> = vec![
+            (0, 5),
+            (4, 3),
+            (3, 0),
+            (6, 1),
+            (2, 0),
+            (5, 2),
+            (1, 9),
+            (6, 4),
+            (4, 1),
+            (7, 0),
+            (2, 0),
+            (7, 0),
+            (5, 3),
+        ];
+        for n in [1, 2, 3, 8, 17, 33] {
+            check(n, &program).unwrap_or_else(|e| panic!("n = {n}: {e}"));
+        }
+    }
+
+    /// The paper's 1 088-rank world (64 nodes × 16 application ranks + 1
+    /// encoder): FTI's world allgather and split, then collectives on
+    /// both halves of the split. Release only:
+    /// `cargo test --release -p hcft-simmpi --lib -- --ignored paper_world`.
+    #[test]
+    #[ignore = "1 088-rank worlds; run explicitly in release"]
+    fn rendezvous_equals_the_oracle_on_the_paper_world() {
+        let n = 64 * 17;
+        let run_paper = |imp: Impl, engine: Engine, workers: usize| {
+            let cfg = WorldConfig {
+                trace_events: true,
+                engine,
+                workers,
+                ..WorldConfig::default()
+            };
+            let r = World::run_with(n, cfg, move |c| {
+                let wr = c.world_rank() as u64;
+                let mut log = allgather(c, imp, &[wr]);
+                let color = u32::from(wr.is_multiple_of(17));
+                let sub = match imp {
+                    Impl::Oracle => oracle::split(c, Some(color), wr as i64),
+                    Impl::Rendezvous => c.split(Some(color), wr as i64),
+                }
+                .expect("every rank has a colour");
+                c.set_phase(1);
+                log.extend(
+                    allgather(&sub, imp, &[wr as f64 * 0.5, 1.0])
+                        .iter()
+                        .map(|x| x.to_bits()),
+                );
+                match imp {
+                    Impl::Oracle => {
+                        oracle::barrier(&sub);
+                        oracle::barrier(c);
+                    }
+                    Impl::Rendezvous => {
+                        sub.barrier();
+                        c.barrier();
+                    }
+                }
+                log.extend([sub.size() as u64, sub.rank() as u64]);
+                log
+            });
+            (r.outputs, r.trace.take_events())
+        };
+        let want = run_paper(Impl::Oracle, Engine::Tasks, 1);
+        for (engine, workers) in ENGINES {
+            let got = run_paper(Impl::Rendezvous, engine, workers);
+            assert!(
+                got.1 == want.1,
+                "event streams differ on {engine:?} × {workers}"
+            );
+            assert!(got.0 == want.0, "outputs differ on {engine:?} × {workers}");
+        }
+    }
+
+    fn short_timeout() -> WorldConfig {
+        WorldConfig {
+            recv_timeout: Duration::from_millis(100),
+            ..WorldConfig::default()
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "allgather contributions differ: rank 0 gave 1 × 8 B, rank 2 gave 2 × 8 B"
+    )]
+    fn unequal_allgather_contributions_fail_at_the_rendezvous() {
+        World::run_with(3, short_timeout(), |c| {
+            let mine = vec![7u64; if c.rank() == 2 { 2 } else { 1 }];
+            c.allgather(&mine);
+        });
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "mismatched collectives: rank 0 called barrier, rank 1 called allgather"
+    )]
+    fn mismatched_collectives_fail_at_the_rendezvous() {
+        World::run_with(2, short_timeout(), |c| {
+            if c.rank() == 0 {
+                c.barrier();
+            } else {
+                c.allgather(&[1u8]);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "in barrier #1 on ctx 0x0; 2 of 3 ranks arrived")]
+    fn a_missing_member_trips_the_watchdog() {
+        World::run_with(3, short_timeout(), |c| {
+            c.barrier();
+            if c.rank() != 1 {
+                c.barrier();
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 1 (world rank 1) is dead in this replay world")]
+    fn a_collective_over_dead_ranks_in_a_replay_world_panics() {
+        use crate::replay::{ReplayFeed, ReplayPlan};
+        let plan = ReplayPlan {
+            live: vec![true, false, true],
+            feed: ReplayFeed::new(3),
+        };
+        World::run_replay(3, short_timeout(), plan, |c| c.barrier());
     }
 }
 

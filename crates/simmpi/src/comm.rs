@@ -1,4 +1,4 @@
-//! Communicator handle: point-to-point operations and `split`.
+//! Communicator handle: point-to-point operations.
 //!
 //! A `Comm` is owned by exactly one rank thread. Destination and source
 //! arguments are ranks *within this communicator*; tracing always resolves
@@ -31,14 +31,16 @@ enum Group {
 
 /// A communicator bound to the calling rank.
 pub struct Comm {
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     /// Communicator context id (world = 0).
-    ctx: u64,
+    pub(crate) ctx: u64,
     /// This rank's position within the communicator.
     rank: usize,
     group: Group,
-    /// Per-(rank, comm) counter making successive `split` contexts unique.
-    split_seq: Cell<u64>,
+    /// Collectives this rank has entered on this communicator. Every
+    /// member counts the same calls in the same order, so the count keys
+    /// the rendezvous and makes successive `split` contexts unique.
+    coll_seq: Cell<u64>,
 }
 
 impl Comm {
@@ -48,8 +50,41 @@ impl Comm {
             ctx: 0,
             rank: world_rank,
             group: Group::World,
-            split_seq: Cell::new(0),
+            coll_seq: Cell::new(0),
         }
+    }
+
+    /// The sub-communicator of `members` (world ranks, in new rank order)
+    /// in which this rank is `rank`, with context `ctx`.
+    pub(crate) fn sub(&self, ctx: u64, rank: usize, members: Arc<Vec<u32>>) -> Comm {
+        Comm {
+            shared: Arc::clone(&self.shared),
+            ctx,
+            rank,
+            group: Group::Sub(members),
+            coll_seq: Cell::new(0),
+        }
+    }
+
+    /// Enter the next collective on this communicator: its sequence
+    /// number.
+    pub(crate) fn next_seq(&self) -> u64 {
+        let seq = self.coll_seq.get();
+        self.coll_seq.set(seq + 1);
+        seq
+    }
+
+    /// Context id of the `color` communicator split off by collective
+    /// `seq`: identical on all members and distinct from every other
+    /// communicator — parent context, sequence number and colour mixed
+    /// through an FNV-style avalanche, never the world's 0.
+    pub(crate) fn split_ctx(&self, seq: u64, color: u32) -> u64 {
+        let mut ctx = 0xcbf2_9ce4_8422_2325u64;
+        for v in [self.ctx, seq, color as u64, 0x9e37_79b9] {
+            ctx ^= v;
+            ctx = ctx.wrapping_mul(0x100_0000_01b3);
+        }
+        ctx | 1
     }
 
     /// This rank within the communicator.
@@ -164,8 +199,9 @@ impl Comm {
         out
     }
 
-    /// Copy raw bytes into a pooled buffer (for collective-internal
-    /// payloads, so control messages stay allocation-free too).
+    /// Copy raw bytes into a pooled buffer (the point-to-point collective
+    /// oracle's payloads).
+    #[cfg(test)]
     pub(crate) fn pooled_from(&self, bytes: &[u8]) -> Bytes {
         let mut buf = self.shared.pool.checkout(bytes.len());
         buf.buf().extend_from_slice(bytes);
@@ -244,54 +280,6 @@ impl Comm {
         }
         self.shared
             .blocking_recv(self.world_rank(), (self.ctx, src as u32, tag))
-    }
-
-    // ----- communicator management ---------------------------------------
-
-    /// `MPI_Comm_split`: collective over this communicator. Ranks passing
-    /// the same `color` end up in the same new communicator, ordered by
-    /// `(key, old rank)`. Returns `None` for ranks passing `color: None`.
-    pub fn split(&self, color: Option<u32>, key: i64) -> Option<Comm> {
-        const NO_COLOR: u64 = u64::MAX;
-        // Gather (color, key, world_rank) from everyone, via allgather on
-        // this communicator. Encoded as 3×u64 with key biased to unsigned.
-        let mine = [
-            color.map(|c| c as u64).unwrap_or(NO_COLOR),
-            (key as i128 - i64::MIN as i128) as u64,
-            self.world_rank() as u64,
-        ];
-        let all = self.allgather(&mine);
-        let seq = self.split_seq.get();
-        self.split_seq.set(seq + 1);
-        let my_color = color?;
-        let mut members: Vec<(u64, u64, usize)> = all
-            .chunks_exact(3)
-            .enumerate()
-            .filter(|(_, c)| c[0] == my_color as u64)
-            .map(|(comm_rank, c)| (c[1], comm_rank as u64, c[2] as usize))
-            .collect();
-        members.sort_unstable();
-        let world_ranks: Vec<u32> = members.iter().map(|&(_, _, w)| w as u32).collect();
-        let my_world = self.world_rank() as u32;
-        let new_rank = world_ranks
-            .iter()
-            .position(|&w| w == my_world)
-            .expect("caller is in its own color group");
-        // Context id must be identical on all members and distinct from
-        // every other communicator: mix parent ctx, per-parent sequence
-        // number and color through an FNV-style avalanche.
-        let mut ctx = 0xcbf2_9ce4_8422_2325u64;
-        for v in [self.ctx, seq, my_color as u64, 0x9e37_79b9] {
-            ctx ^= v;
-            ctx = ctx.wrapping_mul(0x100_0000_01b3);
-        }
-        Some(Comm {
-            shared: Arc::clone(&self.shared),
-            ctx: ctx | 1, // never collide with the world ctx 0
-            rank: new_rank,
-            group: Group::Sub(Arc::new(world_ranks)),
-            split_seq: Cell::new(0),
-        })
     }
 }
 

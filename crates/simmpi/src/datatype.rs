@@ -55,19 +55,6 @@ pub fn encode_into<T: Datum>(xs: &[T], out: &mut Vec<u8>) {
     }
 }
 
-/// Encode a slice of datums into an exactly-sized destination window —
-/// the flat-buffer collectives place each rank's block at a fixed offset
-/// of one preallocated buffer.
-///
-/// # Panics
-/// Panics if `dst.len() != xs.len() * T::WIDTH`.
-pub fn encode_to_slice<T: Datum>(xs: &[T], dst: &mut [u8]) {
-    assert_eq!(dst.len(), xs.len() * T::WIDTH, "destination window size");
-    for (dst, &x) in dst.chunks_exact_mut(T::WIDTH).zip(xs) {
-        x.pack(dst);
-    }
-}
-
 /// Decode a byte buffer produced by [`encode`].
 ///
 /// # Panics

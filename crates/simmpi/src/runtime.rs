@@ -39,6 +39,7 @@ use hcft_telemetry::{Counter, HcftError, Registry};
 use parking_lot::{Condvar, Mutex};
 
 use crate::comm::Comm;
+use crate::rendezvous::Meetings;
 use crate::replay::{ReplayPlan, ReplayState, ReplayWorldResult};
 use crate::sched::{self, TaskSched};
 use crate::trace::TraceRecorder;
@@ -431,6 +432,8 @@ pub(crate) struct Shared {
     /// plus the logged-message feed standing in for dead senders. `None`
     /// for normal worlds — one branch on the message path.
     pub(crate) replay: Option<Arc<ReplayState>>,
+    /// Open collective rendezvous (`barrier`, `allgather`, `split`).
+    pub(crate) meetings: Meetings,
 }
 
 impl Shared {
@@ -438,6 +441,18 @@ impl Shared {
     /// Panics with a diagnostic if `recv_timeout` elapses — a deadlocked
     /// SPMD program is a bug we want loudly, not a hung test suite.
     pub(crate) fn blocking_recv(&self, rank: usize, key: MsgKey) -> Bytes {
+        self.recv_within_timeout(rank, key).unwrap_or_else(|| {
+            panic!(
+                "simmpi deadlock: rank {rank} waited {:?} for (ctx={}, src={}, tag={:#x})",
+                self.recv_timeout, key.0, key.1, key.2
+            )
+        })
+    }
+
+    /// [`Shared::blocking_recv`] that returns `None` instead of panicking
+    /// when `recv_timeout` elapses, so the caller can name what it was
+    /// waiting for (the collective rendezvous does).
+    pub(crate) fn recv_within_timeout(&self, rank: usize, key: MsgKey) -> Option<Bytes> {
         // Task engine: the caller is a coroutine, so "blocking" means
         // registering a wake hint and switching to the next runnable
         // rank — no spinning, no condvar.
@@ -460,7 +475,7 @@ impl Shared {
             // the channel would pay a fresh queue allocation plus a map
             // insert/remove cycle.
             if let Some(msg) = queues.get_mut(&key).and_then(|c| c.q.pop_front()) {
-                return msg;
+                return Some(msg);
             }
             if yields < YIELD_SPINS {
                 yields += 1;
@@ -475,10 +490,7 @@ impl Shared {
             let timed_out = shard.cv.wait_until(&mut queues, deadline).timed_out();
             shard.waiters.fetch_sub(1, Ordering::Relaxed);
             if timed_out {
-                panic!(
-                    "simmpi deadlock: rank {rank} waited {:?} for (ctx={}, src={}, tag={:#x})",
-                    self.recv_timeout, key.0, key.1, key.2
-                );
+                return None;
             }
         }
     }
@@ -489,14 +501,14 @@ impl Shared {
     /// watchdog resumes us with the timeout flag if the deadline passes;
     /// one final queue check closes the race where the message and the
     /// timeout arrive together.
-    fn task_recv(&self, rank: usize, key: MsgKey, cur: sched::CurrentTask) -> Bytes {
+    fn task_recv(&self, rank: usize, key: MsgKey, cur: sched::CurrentTask) -> Option<Bytes> {
         let shard = self.mailboxes[rank].shard(&key);
         let deadline = Instant::now() + self.recv_timeout;
         loop {
             let mut queues = shard.queues.lock();
             let ch = queues.entry(key).or_default();
             if let Some(msg) = ch.q.pop_front() {
-                return msg;
+                return Some(msg);
             }
             ch.waiter = rank as u32;
             cur.prepare_block();
@@ -511,14 +523,7 @@ impl Shared {
                 if ch.waiter == rank as u32 {
                     ch.waiter = NO_WAITER;
                 }
-                if let Some(msg) = ch.q.pop_front() {
-                    return msg;
-                }
-                drop(queues);
-                panic!(
-                    "simmpi deadlock: rank {rank} waited {:?} for (ctx={}, src={}, tag={:#x})",
-                    self.recv_timeout, key.0, key.1, key.2
-                );
+                return ch.q.pop_front();
             }
         }
     }
@@ -789,6 +794,7 @@ impl World {
             pool: BufferPool::new(reg),
             sched: OnceLock::new(),
             replay,
+            meetings: Meetings::default(),
         });
         let f = Arc::new(f);
         let outputs = match resolved.engine {
