@@ -42,13 +42,11 @@ impl FourDScore {
 /// Evaluator bound to one traced application run and machine model.
 ///
 /// Work that depends only on the run is done once and shared by every
-/// scheme scored: the matrix's non-zero cells are listed at construction,
-/// and the reliability model keeps its Monte-Carlo failure sets.
+/// scheme scored: the reliability model keeps its Monte-Carlo failure
+/// sets, and each scheme's logging stats walk the sparse matrix's
+/// non-zero cells.
 pub struct Evaluator {
     matrix: CommMatrix,
-    /// `matrix.entries()`, collected once: each scheme's logging stats
-    /// walk this list instead of the dense n² matrix.
-    entries: Vec<(usize, usize, u64)>,
     placement: Placement,
     encoding: EncodingModel,
     reliability: ReliabilityModel,
@@ -62,25 +60,11 @@ impl Evaluator {
         assert_eq!(matrix.n(), placement.nprocs(), "matrix/placement size");
         let nodes = placement.nodes();
         Evaluator {
-            entries: matrix.entries().collect(),
             matrix,
             placement,
             encoding: EncodingModel::tsubame2(),
             reliability: ReliabilityModel::new(nodes, EventDistribution::fti_calibrated()),
         }
-    }
-
-    /// Replace the encoding model (e.g. with a locally measured
-    /// calibration).
-    pub fn with_encoding_model(mut self, m: EncodingModel) -> Self {
-        self.encoding = m;
-        self
-    }
-
-    /// Replace the reliability model.
-    pub fn with_reliability(mut self, m: ReliabilityModel) -> Self {
-        self.reliability = m;
-        self
     }
 
     /// The application matrix under evaluation.
@@ -101,7 +85,7 @@ impl Evaluator {
     /// carries the same numbers as the rendered table.
     pub fn evaluate(&self, scheme: &ClusteringScheme) -> FourDScore {
         let protocol = HybridProtocol::new(scheme.l1.clone());
-        let stats = protocol.stats_from_entries(self.entries.iter().copied());
+        let stats = protocol.stats_from_matrix(&self.matrix);
         let restart = protocol.expected_restart_fraction(&self.placement);
         // The encoding time is governed by the largest L2 cluster (all
         // clusters encode in parallel; the slowest gates the checkpoint).

@@ -391,28 +391,25 @@ pub struct TraceResult {
 }
 
 impl TraceResult {
-    /// Approximate resident size of this trace — the matrices plus the
-    /// event streams. Drives the trace cache's `service.cache.bytes`
-    /// accounting.
+    /// Approximate resident size of this trace — the matrices' stored
+    /// rows plus the event streams. Drives the trace cache's
+    /// `service.cache.bytes` accounting.
     pub fn approx_bytes(&self) -> u64 {
-        let cell = std::mem::size_of::<u64>() as u64;
-        let full = (self.full.n() as u64).pow(2) * cell;
-        let app = (self.app.n() as u64).pow(2) * cell;
         let events: u64 = self
             .app_events
             .iter()
             .map(|s| (s.len() * std::mem::size_of::<hcft_msglog::MsgEvent>()) as u64)
             .sum();
-        full + app + events
+        self.full.heap_bytes() + self.app.heap_bytes() + events
     }
 }
 
 /// The raw outcome of a traced world run: the layout plus the live
-/// trace recorder, before any dense matrix is materialised. At
-/// full-TSUBAME2 scale (23 936 ranks) each dense [`CommMatrix`] costs
-/// ~4.6 GB, so the scale benches consume the recorder directly; the
-/// figure pipeline goes through [`run_traced_job`], which projects the
-/// matrices it needs.
+/// trace recorder, before any [`CommMatrix`] is built from it. The
+/// recorder keeps one sparse row per sender, so its memory follows the
+/// cells sent at any world size; the scale tests read its totals
+/// directly, and the figure pipeline goes through [`run_traced_job`],
+/// which snapshots and projects the matrices it needs.
 pub struct TracedWorld {
     /// The job layout (global rank numbering).
     pub layout: JobLayout,
@@ -752,6 +749,17 @@ mod tests {
         // a single node failure roll back the whole machine.
         assert!(ds.restart_fraction > 0.9);
         assert!(ds.restart_fraction > 3.0 * hi.restart_fraction);
+    }
+
+    #[test]
+    fn paper_trace_is_resident_in_under_a_megabyte() {
+        // 1 088² + 1 024² cells of 8 B would be 17 858 560 B; the
+        // stored rows of a 14 782-cell trace fit well under 1 MiB.
+        let t = run_traced_job(&TracedJobConfig::paper_1024());
+        assert!(t.app_events.is_empty());
+        let cells = (t.full.edge_count() + t.app.edge_count()) as u64;
+        assert!(t.approx_bytes() >= cells * 16, "every stored cell counts");
+        assert!(t.approx_bytes() < 1 << 20, "{} B", t.approx_bytes());
     }
 }
 

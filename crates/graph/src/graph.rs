@@ -6,7 +6,7 @@
 //! constraints speak in "nodes", matching the paper's "minimum 4 nodes per
 //! L1 cluster".
 
-use crate::matrix::CommMatrix;
+use crate::matrix::{merge_rows, CommMatrix};
 
 /// Undirected weighted graph with vertex weights, adjacency-list storage.
 #[derive(Clone, Debug)]
@@ -31,19 +31,26 @@ impl WeightedGraph {
     }
 
     /// Build from a communication matrix, symmetrising directed traffic.
-    /// Diagonal entries become self-loop weights.
+    /// Diagonal entries become self-loop weights. Each adjacency row is
+    /// sorted by neighbour: `u`'s sent row merged with the column of
+    /// what `u` received, in O(non-zeros).
     pub fn from_comm_matrix(m: &CommMatrix) -> Self {
         let n = m.n();
-        let mut g = WeightedGraph::new(n);
-        for u in 0..n {
-            g.selfw[u] = m.get(u, u);
-            for v in (u + 1)..n {
-                let w = m.get(u, v) + m.get(v, u);
-                if w > 0 {
-                    g.adj[u].push((v as u32, w));
-                    g.adj[v].push((u as u32, w));
-                }
+        // received[v] lists (u, bytes u → v); the row-major walk keeps it
+        // sorted by sender.
+        let mut received: Vec<Vec<(u32, u64)>> = vec![Vec::new(); n];
+        for (s, d, b) in m.entries() {
+            if s != d {
+                received[d].push((s as u32, b));
             }
+        }
+        let mut g = WeightedGraph::new(n);
+        for (u, column) in received.iter().enumerate() {
+            let mut row = merge_rows(m.row(u), column);
+            if let Some(i) = row.iter().position(|&(v, _)| v as usize == u) {
+                g.selfw[u] = row.remove(i).1;
+            }
+            g.adj[u] = row;
         }
         g
     }

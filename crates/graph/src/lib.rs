@@ -4,8 +4,8 @@
 //! communication matrix of the traced application (Fig. 5a/5b). This crate
 //! provides:
 //!
-//! * [`CommMatrix`] — dense (sender, receiver) → bytes matrix, with
-//!   aggregation to a node-level matrix, projection onto rank subsets and
+//! * [`CommMatrix`] — sparse (sender, receiver) → bytes matrix, one
+//!   destination-sorted row per sender, with aggregation to a node-level matrix, projection onto rank subsets and
 //!   CSV/ASCII rendering;
 //! * [`WeightedGraph`] — the undirected weighted graph the partitioner
 //!   consumes;

@@ -1,72 +1,108 @@
-//! Dense communication matrix.
+//! Sparse communication matrix.
 //!
-//! `mat[s][d]` holds the number of bytes sent from rank `s` to rank `d`
+//! `get(s, d)` is the number of bytes sent from rank `s` to rank `d`
 //! over the traced execution — exactly what the paper extracts from its
-//! modified MPICH2. Dense storage is deliberate: at the paper's scale
-//! (1088 ranks) the matrix is ~9 MiB of `u64`, far cheaper to address
-//! directly than through a hash map, and the heat-map figures need the
-//! dense view anyway.
+//! modified MPICH2. Each sender keeps one row of its non-zero
+//! `(dst, bytes)` cells, sorted by destination. The §V trace is very
+//! sparse: its 1 088 ranks have 14 782 non-zero cells (the stencil's
+//! double diagonal, the power-of-two allgather diagonals and the encoder
+//! rows) out of 1.18 M, so the rows hold ≈ 0.3 MB where a dense `n²`
+//! array would hold 9 MiB. Everything downstream — the node
+//! graph, the logging stats, the CSVs and the Fig. 5 heat maps — walks
+//! [`CommMatrix::entries`], which yields the cells row-major with
+//! ascending destinations, the order a dense scan would.
+
+use std::cmp::Ordering;
 
 use hcft_topology::{Placement, Rank};
 
-/// A dense bytes-communicated matrix over `n` ranks.
+/// A sparse bytes-communicated matrix over `n` ranks.
+///
+/// No stored cell is zero and every row is sorted by destination, so the
+/// derived equality holds exactly when every cell is equal.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommMatrix {
-    n: usize,
-    data: Vec<u64>,
+    rows: Vec<Vec<(u32, u64)>>,
 }
 
 impl CommMatrix {
     /// An all-zero matrix over `n` ranks.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "empty communication matrix");
+        assert!(u32::try_from(n).is_ok(), "rank count exceeds u32");
         CommMatrix {
-            n,
-            data: vec![0; n * n],
+            rows: vec![Vec::new(); n],
         }
     }
 
     /// Number of ranks.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.rows.len()
     }
 
     /// Bytes sent `src → dst`.
     #[inline]
     pub fn get(&self, src: usize, dst: usize) -> u64 {
-        self.data[src * self.n + dst]
+        assert!(dst < self.n(), "destination {dst} out of range");
+        let row = &self.rows[src];
+        row.binary_search_by_key(&(dst as u32), |&(d, _)| d)
+            .map_or(0, |i| row[i].1)
     }
 
-    /// Add `bytes` to the `src → dst` cell.
+    /// Add `bytes` to the `src → dst` cell. Appending in ascending
+    /// destination order, as every trace walk does, is O(1).
     #[inline]
     pub fn add(&mut self, src: usize, dst: usize, bytes: u64) {
-        self.data[src * self.n + dst] += bytes;
+        assert!(dst < self.n(), "destination {dst} out of range");
+        if bytes == 0 {
+            return;
+        }
+        let row = &mut self.rows[src];
+        let dst = dst as u32;
+        if row.last().is_none_or(|&(d, _)| d < dst) {
+            row.push((dst, bytes));
+            return;
+        }
+        match row.binary_search_by_key(&dst, |&(d, _)| d) {
+            Ok(i) => row[i].1 += bytes,
+            Err(i) => row.insert(i, (dst, bytes)),
+        }
     }
 
-    /// Raw row access (receiver-indexed slice for sender `src`).
+    /// The non-zero `(dst, bytes)` cells of sender `src`, sorted by
+    /// destination.
     #[inline]
-    pub fn row(&self, src: usize) -> &[u64] {
-        &self.data[src * self.n..(src + 1) * self.n]
+    pub fn row(&self, src: usize) -> &[(u32, u64)] {
+        &self.rows[src]
     }
 
     /// Total bytes communicated (sum of all cells).
     pub fn total_bytes(&self) -> u64 {
-        self.data.iter().sum()
+        self.entries().map(|(_, _, b)| b).sum()
     }
 
     /// Number of non-zero (directed) edges.
     pub fn edge_count(&self) -> usize {
-        self.data.iter().filter(|&&b| b > 0).count()
+        self.rows.iter().map(Vec::len).sum()
     }
 
-    /// Iterate over non-zero `(src, dst, bytes)` entries.
+    /// Heap bytes held: the row headers plus every row's allocated
+    /// cells. What a trace cache counts as resident.
+    pub fn heap_bytes(&self) -> u64 {
+        let header = std::mem::size_of::<Vec<(u32, u64)>>();
+        let cell = std::mem::size_of::<(u32, u64)>();
+        let cells: usize = self.rows.iter().map(|r| r.capacity() * cell).sum();
+        (self.rows.capacity() * header + cells) as u64
+    }
+
+    /// Iterate over non-zero `(src, dst, bytes)` entries, row-major with
+    /// ascending destinations.
     pub fn entries(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
-        self.data
+        self.rows
             .iter()
             .enumerate()
-            .filter(|&(_i, &b)| b > 0)
-            .map(|(i, &b)| (i / self.n, i % self.n, b))
+            .flat_map(|(s, row)| row.iter().map(move |&(d, b)| (s, d as usize, b)))
     }
 
     /// Symmetric volume between `a` and `b` (both directions).
@@ -77,9 +113,11 @@ impl CommMatrix {
 
     /// Merge another matrix of the same size into this one.
     pub fn merge(&mut self, other: &CommMatrix) {
-        assert_eq!(self.n, other.n, "matrix size mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
+        assert_eq!(self.n(), other.n(), "matrix size mismatch");
+        for (row, theirs) in self.rows.iter_mut().zip(&other.rows) {
+            if !theirs.is_empty() {
+                *row = merge_rows(row, theirs);
+            }
         }
     }
 
@@ -87,9 +125,8 @@ impl CommMatrix {
     /// the result is the sum of bytes from ranks on node `u` to ranks on
     /// node `v`. This is the "node-based communication graph" of §IV-B.
     pub fn aggregate_by_node(&self, placement: &Placement) -> CommMatrix {
-        assert_eq!(placement.nprocs(), self.n, "placement covers all ranks");
-        let nn = placement.nodes();
-        let mut out = CommMatrix::new(nn);
+        assert_eq!(placement.nprocs(), self.n(), "placement covers all ranks");
+        let mut out = CommMatrix::new(placement.nodes());
         for (s, d, b) in self.entries() {
             let sn = placement.node_of(Rank::from(s)).idx();
             let dn = placement.node_of(Rank::from(d)).idx();
@@ -102,7 +139,7 @@ impl CommMatrix {
     /// given. Traffic to/from ranks outside the subset is dropped. Used to
     /// extract the application-only matrix from a full job trace.
     pub fn project(&self, subset: &[Rank]) -> CommMatrix {
-        let mut index = vec![usize::MAX; self.n];
+        let mut index = vec![usize::MAX; self.n()];
         for (new, r) in subset.iter().enumerate() {
             index[r.idx()] = new;
         }
@@ -119,15 +156,11 @@ impl CommMatrix {
     /// The top-left `k × k` corner — the paper's Fig. 5b "zoom on the first
     /// 68 processes".
     pub fn zoom(&self, k: usize) -> CommMatrix {
-        assert!(k <= self.n);
+        assert!(k <= self.n());
         let mut out = CommMatrix::new(k);
-        for s in 0..k {
-            for d in 0..k {
-                let b = self.get(s, d);
-                if b > 0 {
-                    out.add(s, d, b);
-                }
-            }
+        for (dst, row) in out.rows.iter_mut().zip(&self.rows) {
+            let end = row.partition_point(|&(d, _)| (d as usize) < k);
+            dst.extend_from_slice(&row[..end]);
         }
         out
     }
@@ -135,7 +168,7 @@ impl CommMatrix {
     /// Bytes crossing between `set` and its complement (both directions) —
     /// the quantity message logging must capture for one cluster.
     pub fn cut_bytes(&self, set: &[Rank]) -> u64 {
-        let mut inside = vec![false; self.n];
+        let mut inside = vec![false; self.n()];
         for r in set {
             inside[r.idx()] = true;
         }
@@ -187,8 +220,9 @@ impl CommMatrix {
     /// diagonals in a terminal.
     pub fn render_ascii(&self, max_cells: usize) -> String {
         const SHADES: &[u8] = b" .:-=+*#%@";
-        let cells = self.n.min(max_cells.max(1));
-        let bucket = self.n.div_ceil(cells);
+        let n = self.n();
+        let cells = n.min(max_cells.max(1));
+        let bucket = n.div_ceil(cells);
         let mut grid = vec![0u64; cells * cells];
         for (s, d, b) in self.entries() {
             grid[(s / bucket).min(cells - 1) * cells + (d / bucket).min(cells - 1)] += b;
@@ -211,6 +245,32 @@ impl CommMatrix {
         }
         out
     }
+}
+
+/// The cell-wise sum of two destination-sorted rows, itself sorted.
+pub(crate) fn merge_rows(a: &[(u32, u64)], b: &[(u32, u64)]) -> Vec<(u32, u64)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push((a[i].0, a[i].1 + b[j].1));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 #[cfg(test)]
@@ -310,27 +370,239 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::graph::WeightedGraph;
     use proptest::prelude::*;
 
-    fn arb_matrix() -> impl Strategy<Value = CommMatrix> {
-        (2usize..12).prop_flat_map(|n| {
-            proptest::collection::vec((0usize..n, 0usize..n, 1u64..1_000_000), 0..40).prop_map(
-                move |edges| {
-                    let mut m = CommMatrix::new(n);
-                    for (s, d, b) in edges {
-                        m.add(s, d, b);
-                    }
-                    m
-                },
+    /// The dense `n²` layout the matrix used to have: the oracle every
+    /// sparse operation is checked against.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Dense {
+        n: usize,
+        cells: Vec<u64>,
+    }
+
+    impl Dense {
+        fn new(n: usize) -> Self {
+            Dense {
+                n,
+                cells: vec![0; n * n],
+            }
+        }
+
+        fn add(&mut self, s: usize, d: usize, b: u64) {
+            self.cells[s * self.n + d] += b;
+        }
+
+        fn get(&self, s: usize, d: usize) -> u64 {
+            self.cells[s * self.n + d]
+        }
+
+        fn entries(&self) -> Vec<(usize, usize, u64)> {
+            (0..self.n * self.n)
+                .filter(|&i| self.cells[i] > 0)
+                .map(|i| (i / self.n, i % self.n, self.cells[i]))
+                .collect()
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            for (a, b) in self.cells.iter_mut().zip(&other.cells) {
+                *a += b;
+            }
+        }
+
+        fn project(&self, subset: &[Rank]) -> Dense {
+            let mut out = Dense::new(subset.len());
+            for (ns, s) in subset.iter().enumerate() {
+                for (nd, d) in subset.iter().enumerate() {
+                    out.add(ns, nd, self.get(s.idx(), d.idx()));
+                }
+            }
+            out
+        }
+
+        fn aggregate(&self, placement: &Placement) -> Dense {
+            let mut out = Dense::new(placement.nodes());
+            for (s, d, b) in self.entries() {
+                let sn = placement.node_of(Rank::from(s)).idx();
+                let dn = placement.node_of(Rank::from(d)).idx();
+                out.add(sn, dn, b);
+            }
+            out
+        }
+
+        fn zoom(&self, k: usize) -> Dense {
+            let mut out = Dense::new(k);
+            for s in 0..k {
+                for d in 0..k {
+                    out.add(s, d, self.get(s, d));
+                }
+            }
+            out
+        }
+
+        fn cut_bytes(&self, set: &[Rank]) -> u64 {
+            let inside = |r: usize| set.iter().any(|x| x.idx() == r);
+            self.entries()
+                .into_iter()
+                .filter(|&(s, d, _)| inside(s) != inside(d))
+                .map(|(_, _, b)| b)
+                .sum()
+        }
+    }
+
+    /// The matrix holds exactly the oracle's cells, in the dense scan
+    /// order, with no zero stored and every row sorted.
+    fn assert_same(m: &CommMatrix, d: &Dense) -> Result<(), String> {
+        prop_assert_eq!(m.n(), d.n);
+        prop_assert_eq!(m.entries().collect::<Vec<_>>(), d.entries());
+        for s in 0..d.n {
+            for t in 0..d.n {
+                prop_assert_eq!(m.get(s, t), d.get(s, t));
+            }
+            let row = m.row(s);
+            prop_assert!(row.windows(2).all(|w| w[0].0 < w[1].0));
+            prop_assert!(row.iter().all(|&(_, b)| b > 0));
+        }
+        prop_assert_eq!(m.total_bytes(), d.cells.iter().sum::<u64>());
+        prop_assert_eq!(m.edge_count(), d.entries().len());
+        Ok(())
+    }
+
+    type Ops = Vec<(usize, usize, u64)>;
+
+    /// `n` and a list of `add`s in any order: zero byte counts, repeated
+    /// cells and destinations below a row's last one all occur.
+    fn arb_ops() -> impl Strategy<Value = (usize, Ops, Ops)> {
+        fn op(n: usize) -> impl Strategy<Value = (usize, usize, u64)> {
+            (0..n, 0..n, 0u64..1_000_000, 0u8..5)
+                .prop_map(|(s, d, b, zero)| (s, d, if zero == 0 { 0 } else { b }))
+        }
+        (1usize..12).prop_flat_map(|n| {
+            (
+                Just(n),
+                proptest::collection::vec(op(n), 0..60),
+                proptest::collection::vec(op(n), 0..20),
             )
         })
     }
 
+    fn build(n: usize, ops: &[(usize, usize, u64)]) -> (CommMatrix, Dense) {
+        let mut m = CommMatrix::new(n);
+        let mut d = Dense::new(n);
+        for &(s, t, b) in ops {
+            m.add(s, t, b);
+            d.add(s, t, b);
+        }
+        (m, d)
+    }
+
+    fn arb_matrix() -> impl Strategy<Value = CommMatrix> {
+        arb_ops().prop_map(|(n, ops, _)| build(n, &ops).0)
+    }
+
+    /// The `O(n²)` node-graph builder that scanned every dense pair.
+    fn graph_oracle(m: &CommMatrix) -> (Vec<Vec<(u32, u64)>>, Vec<u64>) {
+        let n = m.n();
+        let mut adj = vec![Vec::new(); n];
+        let mut selfw = vec![0; n];
+        for u in 0..n {
+            selfw[u] = m.get(u, u);
+            for v in (u + 1)..n {
+                let w = m.get(u, v) + m.get(v, u);
+                if w > 0 {
+                    adj[u].push((v as u32, w));
+                    adj[v].push((u as u32, w));
+                }
+            }
+        }
+        (adj, selfw)
+    }
+
     proptest! {
+        #[test]
+        fn add_get_and_entries_match_the_dense_oracle(case in arb_ops()) {
+            let (n, ops, _) = case;
+            let (m, d) = build(n, &ops);
+            assert_same(&m, &d)?;
+        }
+
+        #[test]
+        fn merge_matches_the_dense_oracle(case in arb_ops()) {
+            let (n, a, b) = case;
+            let (mut ma, mut da) = build(n, &a);
+            let (mb, db) = build(n, &b);
+            ma.merge(&mb);
+            da.merge(&db);
+            assert_same(&ma, &da)?;
+        }
+
+        #[test]
+        fn equality_is_cellwise(case in arb_ops()) {
+            let (n, a, b) = case;
+            let (ma, da) = build(n, &a);
+            let (mb, db) = build(n, &b);
+            prop_assert_eq!(ma == mb, da == db);
+            // The same adds in reverse order, zero-byte adds dropped,
+            // make an equal matrix.
+            let reversed: Ops = a.iter().rev().filter(|op| op.2 > 0).copied().collect();
+            prop_assert_eq!(&build(n, &reversed).0, &ma);
+        }
+
+        #[test]
+        fn project_matches_the_dense_oracle(
+            case in arb_ops(),
+            picks in proptest::collection::vec(any::<usize>(), 1..12),
+        ) {
+            let (n, ops, _) = case;
+            let (m, d) = build(n, &ops);
+            // A subset in any order, without repeats.
+            let mut subset: Vec<Rank> = Vec::new();
+            for p in picks {
+                let r = Rank::from(p % n);
+                if !subset.contains(&r) {
+                    subset.push(r);
+                }
+            }
+            assert_same(&m.project(&subset), &d.project(&subset))?;
+        }
+
+        #[test]
+        fn aggregate_zoom_and_cut_match_the_dense_oracle(
+            case in arb_ops(),
+            per_node in 1usize..4,
+            k in any::<usize>(),
+            set in proptest::collection::vec(any::<usize>(), 0..8),
+        ) {
+            let (n, ops, _) = case;
+            let (m, d) = build(n, &ops);
+            let placement = hcft_topology::Placement::new(
+                hcft_topology::PlacementStrategy::Block,
+                n,
+                n.div_ceil(per_node),
+                per_node,
+            );
+            assert_same(&m.aggregate_by_node(&placement), &d.aggregate(&placement))?;
+            let k = k % n + 1;
+            assert_same(&m.zoom(k), &d.zoom(k))?;
+            let set: Vec<Rank> = set.iter().map(|i| Rank::from(i % n)).collect();
+            prop_assert_eq!(m.cut_bytes(&set), d.cut_bytes(&set));
+        }
+
         #[test]
         fn csv_roundtrip_is_identity(m in arb_matrix()) {
             let back = CommMatrix::from_csv(m.n(), &m.to_csv()).expect("parse");
             prop_assert_eq!(&m, &back);
+        }
+
+        #[test]
+        fn node_graph_matches_the_dense_builder(m in arb_matrix()) {
+            let g = WeightedGraph::from_comm_matrix(&m);
+            let (adj, selfw) = graph_oracle(&m);
+            prop_assert_eq!(g.n(), m.n());
+            for u in 0..m.n() {
+                prop_assert_eq!(g.neighbors(u), adj[u].as_slice());
+                prop_assert_eq!(g.self_weight(u), selfw[u]);
+            }
         }
 
         #[test]

@@ -69,20 +69,10 @@ impl HybridProtocol {
         !self.clustering.same_cluster(src, dst)
     }
 
-    /// Accounting from a byte matrix (no per-message phases needed).
+    /// Accounting from a byte matrix (no per-message phases needed):
+    /// one walk over its non-zero cells.
     pub fn stats_from_matrix(&self, m: &CommMatrix) -> LogStats {
         assert_eq!(m.n(), self.clustering.nprocs(), "matrix/clustering size");
-        self.stats_from_entries(m.entries())
-    }
-
-    /// Accounting from a byte matrix's non-zero `(src, dst, bytes)`
-    /// cells ([`CommMatrix::entries`]), in any order. A sweep over many
-    /// clusterings collects the list once and walks it per clustering
-    /// instead of rescanning the dense n² matrix.
-    pub fn stats_from_entries(
-        &self,
-        entries: impl IntoIterator<Item = (usize, usize, u64)>,
-    ) -> LogStats {
         let mut s = LogStats {
             total_bytes: 0,
             logged_bytes: 0,
@@ -90,7 +80,7 @@ impl HybridProtocol {
             logged_msgs: 0,
             per_sender_logged: vec![0; self.clustering.nprocs()],
         };
-        for (src, dst, bytes) in entries {
+        for (src, dst, bytes) in m.entries() {
             s.total_bytes += bytes;
             if self.must_log(Rank::from(src), Rank::from(dst)) {
                 s.logged_bytes += bytes;
@@ -158,16 +148,6 @@ impl HybridProtocol {
             acc += restarted.len() as f64 / nprocs;
         }
         acc / nodes as f64
-    }
-
-    /// Restart fraction for a specific single-node failure.
-    pub fn restart_fraction_for_node(
-        &self,
-        placement: &Placement,
-        node: hcft_topology::NodeId,
-    ) -> f64 {
-        let failed = placement.ranks_on(node);
-        self.restart_set(failed).len() as f64 / placement.nprocs() as f64
     }
 }
 

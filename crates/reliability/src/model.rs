@@ -454,16 +454,6 @@ impl ReliabilityModel {
     }
 }
 
-/// Convenience: P(catastrophic) with the FTI half-cluster tolerance and
-/// the FTI-calibrated event distribution.
-pub fn p_catastrophic_fti(nodes: usize, clustering: &Clustering, placement: &Placement) -> f64 {
-    ReliabilityModel::new(nodes, EventDistribution::fti_calibrated()).p_catastrophic(
-        clustering,
-        placement,
-        &fti_tolerance,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

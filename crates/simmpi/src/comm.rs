@@ -129,11 +129,6 @@ impl Comm {
         self.shared.phases[self.world_rank()].load(Ordering::Relaxed)
     }
 
-    /// Pause/resume trace recording globally (affects all ranks).
-    pub fn set_tracing(&self, on: bool) {
-        self.shared.trace.set_enabled(on);
-    }
-
     // ----- point to point ------------------------------------------------
 
     /// Buffered (non-blocking semantics) send of raw bytes. The bytes

@@ -7,27 +7,17 @@
 //!   application-defined *phase* (iteration / checkpoint epoch), which the
 //!   message-logging replay simulation consumes.
 //!
-//! The matrix storage switches on world size. Up to
-//! `SPARSE_THRESHOLD` ranks it is two dense `n²` atomic arrays
-//! (contention-free because each cell is touched by a single sender at a
-//! time in practice). Beyond that — the full-TSUBAME2 22k-rank run would
-//! need ~9 GiB of dense counters for a matrix that is overwhelmingly
-//! zeros (stencil + power-of-two collective edges are O(n log n)) — it
-//! is one lock-striped hash map per sender, keyed by destination. The
-//! sender-major striping preserves the dense layout's contention story:
-//! a rank only ever locks its own row.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! The matrix is one lock-guarded map per sender, keyed by destination,
+//! at every world size. A traced job's matrix is overwhelmingly zeros
+//! (stencil and power-of-two collective edges are O(n log n) cells), so
+//! the recorder's memory follows the cells sent, not `n²`. A rank only
+//! ever locks its own row. [`TraceRecorder::for_each_cell`] visits the
+//! cells row-major, sorted by destination, which is the order
+//! [`CommMatrix::entries`] keeps.
 
 use crate::runtime::FnvMap;
 use hcft_graph::CommMatrix;
 use parking_lot::Mutex;
-
-/// World sizes above this record into per-sender sparse rows instead of
-/// dense `n²` arrays. 4096 dense ranks cost 256 MiB of counters — fine;
-/// the next doubling starts to hurt, and paper-scale runs (1088) stay
-/// comfortably dense, keeping the hot path branch-predictable.
-const SPARSE_THRESHOLD: usize = 4096;
 
 /// One traced point-to-point message (collective steps decompose into
 /// these too, exactly as a PMPI tracer would see them).
@@ -45,23 +35,11 @@ pub struct MessageEvent {
     pub phase: u64,
 }
 
-/// Matrix storage: dense atomics below `SPARSE_THRESHOLD`, per-sender
-/// sparse rows above.
-enum Cells {
-    Dense {
-        bytes: Vec<AtomicU64>,
-        msgs: Vec<AtomicU64>,
-    },
-    /// `rows[src]` maps destination → (bytes, msgs).
-    Sparse(Vec<Mutex<FnvMap<u32, (u64, u64)>>>),
-}
-
 /// Concurrent trace sink shared by all ranks of a [`crate::World`].
 pub struct TraceRecorder {
-    n: usize,
-    cells: Cells,
+    /// `rows[src]` maps destination → (bytes, msgs).
+    rows: Vec<Mutex<FnvMap<u32, (u64, u64)>>>,
     events: Option<Vec<Mutex<Vec<MessageEvent>>>>,
-    enabled: AtomicBool,
 }
 
 impl TraceRecorder {
@@ -69,101 +47,55 @@ impl TraceRecorder {
     /// the per-sender ordered event log (costs memory proportional to the
     /// message count).
     pub fn new(n: usize, with_events: bool) -> Self {
-        let cells = if n <= SPARSE_THRESHOLD {
-            Cells::Dense {
-                bytes: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-                msgs: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            }
-        } else {
-            Cells::Sparse((0..n).map(|_| Mutex::new(FnvMap::default())).collect())
-        };
         TraceRecorder {
-            n,
-            cells,
+            rows: (0..n).map(|_| Mutex::new(FnvMap::default())).collect(),
             events: with_events.then(|| (0..n).map(|_| Mutex::new(Vec::new())).collect()),
-            enabled: AtomicBool::new(true),
         }
     }
 
     /// Number of world ranks covered.
     pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Pause/resume recording (e.g. to exclude a warm-up phase).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Release);
+        self.rows.len()
     }
 
     /// Record one message. Called by the runtime on every send.
     pub fn record(&self, ev: MessageEvent) {
-        if !self.enabled.load(Ordering::Acquire) {
-            return;
-        }
-        match &self.cells {
-            Cells::Dense { bytes, msgs } => {
-                let cell = ev.src as usize * self.n + ev.dst as usize;
-                bytes[cell].fetch_add(ev.bytes, Ordering::Relaxed);
-                msgs[cell].fetch_add(1, Ordering::Relaxed);
-            }
-            Cells::Sparse(rows) => {
-                let e = &mut *rows[ev.src as usize].lock();
-                let slot = e.entry(ev.dst).or_insert((0, 0));
-                slot.0 += ev.bytes;
-                slot.1 += 1;
-            }
+        {
+            let row = &mut *self.rows[ev.src as usize].lock();
+            let slot = row.entry(ev.dst).or_insert((0, 0));
+            slot.0 += ev.bytes;
+            slot.1 += 1;
         }
         if let Some(logs) = &self.events {
             logs[ev.src as usize].lock().push(ev);
         }
     }
 
-    /// Visit every non-zero cell as `(src, dst, bytes, msgs)`. Sparse
-    /// rows iterate in hash order; callers that need determinism (CSV
-    /// emission) sort or re-grid downstream, and the dense path feeds
-    /// [`CommMatrix`] which is order-insensitive.
+    /// Visit every cell that saw a message as `(src, dst, bytes, msgs)`,
+    /// row-major and sorted by destination within a row.
     pub fn for_each_cell(&self, mut f: impl FnMut(usize, usize, u64, u64)) {
-        match &self.cells {
-            Cells::Dense { bytes, msgs } => {
-                for s in 0..self.n {
-                    for d in 0..self.n {
-                        let b = bytes[s * self.n + d].load(Ordering::Relaxed);
-                        let c = msgs[s * self.n + d].load(Ordering::Relaxed);
-                        if b > 0 || c > 0 {
-                            f(s, d, b, c);
-                        }
-                    }
-                }
-            }
-            Cells::Sparse(rows) => {
-                for (s, row) in rows.iter().enumerate() {
-                    for (&d, &(b, c)) in row.lock().iter() {
-                        f(s, d as usize, b, c);
-                    }
-                }
+        let mut cells = Vec::new();
+        for (s, row) in self.rows.iter().enumerate() {
+            cells.clear();
+            cells.extend(row.lock().iter().map(|(&d, &(b, c))| (d, b, c)));
+            cells.sort_unstable_by_key(|&(d, _, _)| d);
+            for &(d, b, c) in &cells {
+                f(s, d as usize, b, c);
             }
         }
     }
 
     /// Snapshot the byte matrix.
     pub fn byte_matrix(&self) -> CommMatrix {
-        let mut m = CommMatrix::new(self.n);
-        self.for_each_cell(|s, d, b, _| {
-            if b > 0 {
-                m.add(s, d, b);
-            }
-        });
+        let mut m = CommMatrix::new(self.n());
+        self.for_each_cell(|s, d, b, _| m.add(s, d, b));
         m
     }
 
     /// Snapshot the message-count matrix.
     pub fn count_matrix(&self) -> CommMatrix {
-        let mut m = CommMatrix::new(self.n);
-        self.for_each_cell(|s, d, _, c| {
-            if c > 0 {
-                m.add(s, d, c);
-            }
-        });
+        let mut m = CommMatrix::new(self.n());
+        self.for_each_cell(|s, d, _, c| m.add(s, d, c));
         m
     }
 
@@ -222,36 +154,80 @@ mod tests {
         assert_eq!(t.total_messages(), 3);
     }
 
-    #[test]
-    fn sparse_recorder_matches_dense_semantics() {
-        // One rank past the threshold flips to sparse rows; the
-        // observable API must not change.
-        let t = TraceRecorder::new(SPARSE_THRESHOLD + 1, false);
-        assert!(matches!(t.cells, Cells::Sparse(_)));
-        t.record(ev(0, 1, 10));
-        t.record(ev(0, 1, 5));
-        t.record(ev(4096, 0, 7));
-        let b = t.byte_matrix();
-        assert_eq!(b.get(0, 1), 15);
-        assert_eq!(b.get(4096, 0), 7);
-        assert_eq!(t.count_matrix().get(0, 1), 2);
-        assert_eq!(t.total_bytes(), 22);
-        assert_eq!(t.total_messages(), 3);
+    /// `for_each_cell` is row-major and sorted by destination, and both
+    /// matrices are the sums over the event log.
+    fn assert_cells_match_log(t: &TraceRecorder) {
         let mut cells = Vec::new();
-        t.for_each_cell(|s, d, bytes, msgs| cells.push((s, d, bytes, msgs)));
-        cells.sort_unstable();
-        assert_eq!(cells, vec![(0, 1, 15, 2), (4096, 0, 7, 1)]);
+        t.for_each_cell(|s, d, b, c| cells.push((s, d, b, c)));
+        assert!(
+            cells
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "cells out of order at n = {}",
+            t.n()
+        );
+        let (bytes, counts) = (t.byte_matrix(), t.count_matrix());
+        let mut want_bytes = CommMatrix::new(t.n());
+        let mut want_counts = CommMatrix::new(t.n());
+        for e in t.take_events().iter().flatten() {
+            want_bytes.add(e.src as usize, e.dst as usize, e.bytes);
+            want_counts.add(e.src as usize, e.dst as usize, 1);
+        }
+        assert_eq!(bytes, want_bytes, "byte matrix at n = {}", t.n());
+        assert_eq!(counts, want_counts, "count matrix at n = {}", t.n());
+        assert_eq!(cells.len(), counts.edge_count());
+        assert_eq!(t.total_bytes(), want_bytes.total_bytes());
+        assert_eq!(t.total_messages(), want_counts.total_bytes());
     }
 
     #[test]
-    fn disable_suppresses_recording() {
-        let t = TraceRecorder::new(2, false);
-        t.record(ev(0, 1, 1));
-        t.set_enabled(false);
-        t.record(ev(0, 1, 100));
-        t.set_enabled(true);
-        t.record(ev(0, 1, 2));
-        assert_eq!(t.total_bytes(), 3);
+    fn cells_are_row_major_and_match_the_log_at_every_world_size() {
+        // Sizes on both sides of the old 4 096-rank dense/sparse split.
+        for n in [1usize, 2, 7, 64, 4097] {
+            let t = TraceRecorder::new(n, true);
+            let mut x = n as u64;
+            for _ in 0..600 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (src, dst) = ((x >> 33) as usize % n, (x >> 13) as usize % n);
+                // Small destination ranges repeat cells; zero-byte
+                // messages count but add no bytes.
+                let dst = if x & 1 == 0 { dst % 5 % n } else { dst };
+                t.record(ev(src as u32, dst as u32, (x >> 50) % 4));
+            }
+            assert_cells_match_log(&t);
+        }
+    }
+
+    #[test]
+    fn traced_worlds_record_row_major_cells_that_match_the_log() {
+        for n in [1usize, 3, 17, 70] {
+            let cfg = crate::WorldConfig {
+                trace_events: true,
+                ..crate::WorldConfig::default()
+            };
+            let r = crate::World::run_with(n, cfg, |c| {
+                let (me, n) = (c.rank(), c.size());
+                let _ = c.allgather(&[me as u64]);
+                let sub = c.split(Some((me % 2) as u32), -(me as i64));
+                // Far destinations first, then the ring neighbour.
+                for k in (1..n).rev().step_by(3) {
+                    c.send_bytes((me + k) % n, 5, &vec![0; k]);
+                }
+                if n > 1 {
+                    c.send_bytes((me + 1) % n, 6, &[]);
+                }
+                for k in (1..n).rev().step_by(3) {
+                    let _ = c.recv_bytes((me + n - k) % n, 5);
+                }
+                if n > 1 {
+                    let _ = c.recv_bytes((me + n - 1) % n, 6);
+                }
+                sub.expect("every rank has a colour").barrier();
+            });
+            assert_cells_match_log(&r.trace);
+        }
     }
 
     #[test]
