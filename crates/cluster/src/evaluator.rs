@@ -6,6 +6,7 @@ use hcft_msglog::HybridProtocol;
 use hcft_reliability::model::fti_tolerance;
 use hcft_reliability::{EventDistribution, ReliabilityModel};
 use hcft_topology::Placement;
+use rayon::prelude::*;
 
 use crate::strategies::ClusteringScheme;
 
@@ -42,9 +43,11 @@ impl FourDScore {
 /// Evaluator bound to one traced application run and machine model.
 ///
 /// Work that depends only on the run is done once and shared by every
-/// scheme scored: the reliability model keeps its Monte-Carlo failure
-/// sets, and each scheme's logging stats walk the sparse matrix's
-/// non-zero cells.
+/// scheme scored: each scheme's logging stats walk the sparse matrix's
+/// non-zero cells, the Monte-Carlo failure sets are drawn once per
+/// process (`hcft_reliability::model`), and
+/// [`evaluate_all`](Self::evaluate_all) computes P(catastrophic) once
+/// per distinct L2 placement digest, however many schemes share it.
 pub struct Evaluator {
     matrix: CommMatrix,
     placement: Placement,
@@ -77,31 +80,60 @@ impl Evaluator {
         &self.placement
     }
 
-    /// Score a scheme on all four dimensions.
+    /// Score a scheme on all four dimensions: the one-scheme case of
+    /// [`evaluate_all`](Self::evaluate_all).
     ///
     /// Besides returning the [`FourDScore`], the raw byte counts and the
     /// four dimensions are published under `table2.<scheme-slug>.*` in
     /// the process-global telemetry registry, so a `--telemetry` export
     /// carries the same numbers as the rendered table.
     pub fn evaluate(&self, scheme: &ClusteringScheme) -> FourDScore {
-        let protocol = HybridProtocol::new(scheme.l1.clone());
-        let stats = protocol.stats_from_matrix(&self.matrix);
-        let restart = protocol.expected_restart_fraction(&self.placement);
-        // The encoding time is governed by the largest L2 cluster (all
-        // clusters encode in parallel; the slowest gates the checkpoint).
-        let encode = self.encoding.seconds_per_gb(scheme.l2.max_size());
-        let p_cat = self
-            .reliability
-            .p_catastrophic(&scheme.l2, &self.placement, &fti_tolerance);
-        let score = FourDScore {
-            name: scheme.name.clone(),
-            logging_fraction: stats.logged_fraction(),
-            restart_fraction: restart,
-            encode_s_per_gb: encode,
-            p_catastrophic: p_cat,
-        };
-        publish_score(&score, stats.logged_bytes, stats.total_bytes);
-        score
+        let mut scores = self.evaluate_all(std::slice::from_ref(scheme));
+        scores.pop().expect("one score per scheme")
+    }
+
+    /// Score every scheme, in order, as [`evaluate`](Self::evaluate)
+    /// would one at a time. The logging, restart and encoding dimensions
+    /// fan out over schemes; P(catastrophic) is computed once per
+    /// distinct L2 digest, in parallel over the distinct digests
+    /// ([`ReliabilityModel::p_catastrophic_sweep`]). Every score is
+    /// bit-identical at any thread count.
+    pub fn evaluate_all(&self, schemes: &[ClusteringScheme]) -> Vec<FourDScore> {
+        let (rows, digests): (Vec<_>, Vec<_>) = schemes
+            .par_iter()
+            .map(|scheme| {
+                let protocol = HybridProtocol::new(scheme.l1.clone());
+                let stats = protocol.stats_from_matrix(&self.matrix);
+                let restart = protocol.expected_restart_fraction(&self.placement);
+                // The encoding time is governed by the largest L2 cluster
+                // (all clusters encode in parallel; the slowest gates the
+                // checkpoint).
+                let encode = self.encoding.seconds_per_gb(scheme.l2.max_size());
+                let digest = self
+                    .reliability
+                    .digest(&scheme.l2, &self.placement, &fti_tolerance);
+                ((stats, restart, encode), digest)
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .unzip();
+        let p_cat = self.reliability.p_catastrophic_sweep(&digests);
+        schemes
+            .iter()
+            .zip(rows)
+            .zip(p_cat)
+            .map(|((scheme, (stats, restart, encode)), p_cat)| {
+                let score = FourDScore {
+                    name: scheme.name.clone(),
+                    logging_fraction: stats.logged_fraction(),
+                    restart_fraction: restart,
+                    encode_s_per_gb: encode,
+                    p_catastrophic: p_cat,
+                };
+                publish_score(&score, stats.logged_bytes, stats.total_bytes);
+                score
+            })
+            .collect()
     }
 }
 

@@ -15,7 +15,6 @@
 use hcft_graph::WeightedGraph;
 use hcft_telemetry::HcftError;
 use hcft_topology::{NodeId, Placement};
-use rayon::prelude::*;
 
 use crate::evaluator::{Evaluator, FourDScore};
 use crate::strategies::{self, ClusteringScheme, HierarchicalConfig};
@@ -406,8 +405,10 @@ impl SchemeFamilySpec {
     /// Build every strategy on the evaluator's placement and `node_graph`
     /// and score it, in spec order. Building is sequential (the
     /// hierarchical partitioner is milliseconds at paper scale); scoring
-    /// dominates and fans out over rayon with an order-preserving
-    /// collect, so the rows are byte-identical at any thread count.
+    /// dominates and is [`Evaluator::evaluate_all`], which fans out over
+    /// rayon with order-preserving collects and computes P(catastrophic)
+    /// once per distinct L2 digest, so the rows are byte-identical at any
+    /// thread count.
     ///
     /// An empty spec is a `Config` error. An entry the machine cannot
     /// host fails the whole call with its strategy's validation error;
@@ -430,16 +431,16 @@ impl SchemeFamilySpec {
             placement,
             node_graph,
         };
-        let built = self
+        let (families, schemes): (Vec<&'static str>, Vec<ClusteringScheme>) = self
             .strategies()
             .map(|(family, s)| Ok((family, s.build(&ctx)?)))
-            .collect::<Result<Vec<_>, HcftError>>()?;
-        let scores: Vec<FourDScore> = built
-            .par_iter()
-            .map(|(_, scheme)| evaluator.evaluate(scheme))
-            .collect();
-        Ok(built
+            .collect::<Result<Vec<_>, HcftError>>()?
             .into_iter()
+            .unzip();
+        let scores = evaluator.evaluate_all(&schemes);
+        Ok(families
+            .into_iter()
+            .zip(schemes)
             .zip(scores)
             .map(|((family, scheme), score)| FamilyScore {
                 family,

@@ -13,8 +13,9 @@
 //! * [`combinatorics`] — exact hypergeometric machinery;
 //! * [`model`] — P(catastrophic) per clustering: exact enumeration for
 //!   1- and 2-node events, per-cluster knapsack DP + union bound for
-//!   deeper correlated events, Monte Carlo over failure sets a model
-//!   draws once per event size and shares across clusterings;
+//!   deeper correlated events, Monte Carlo over failure sets drawn once
+//!   per process and event size and shared across models and
+//!   clusterings (the byte-bounded registry is in `tables`);
 //! * [`sampler`] — the one node sampler, shared by the model's draws and
 //!   the campaign kernel;
 //! * [`arrivals`] — failure arrival processes (exponential and Weibull)
@@ -26,6 +27,7 @@ pub mod efficiency;
 pub mod events;
 pub mod model;
 pub mod sampler;
+mod tables;
 
 pub use arrivals::FailureArrivals;
 pub use efficiency::EfficiencyModel;

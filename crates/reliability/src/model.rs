@@ -19,58 +19,77 @@
 //! The Monte-Carlo branch counts how many of 16 000 uniformly random
 //! `j`-node failure sets kill some cluster. The sets are drawn in 8 RNG
 //! streams, stream `c` seeded `seed + c`, so they depend only on the node
-//! count and `j`, never on the clustering. A [`ReliabilityModel`]
-//! therefore draws them once per `j` — on the first clustering that
-//! reaches the branch at that `j` — into a table of node indices, and
-//! keeps the table until the model is dropped; every later clustering only
-//! counts its losses over the stored sets. The count is an integer, so the
-//! estimate is bit-identical whichever clustering drew the table and in
-//! whatever order clusterings arrive. A table holds `16 000 × j` `u32`s;
-//! under the FTI distribution (`j ≤ 12`) a model keeps at most ≈ 5 MB
-//! (`j = 3..=12`), and only for the `j` that reach the branch. An
-//! `Evaluator` owns one model, so a request or figure draws each table
-//! once.
+//! count and `j`, never on the clustering or the model. They are therefore
+//! drawn once per *process*: one registry maps each node count to its
+//! tables, and each `(nodes, j)` table is an `Arc` of a `OnceLock`, drawn
+//! by the first clustering of any model that reaches the branch at that
+//! `j`. The registry's lock covers the lookup only, never a draw. A model
+//! keeps the tables it has looked up until it is dropped; every later
+//! clustering only counts its losses over the stored sets. The count is an
+//! integer, so the estimate is bit-identical whichever clustering or model
+//! drew the table and in whatever order clusterings arrive.
 //!
-//! Every failure set comes from [`NodeSampler`], the workspace's one node
-//! sampler (the campaign kernel draws with it too): it reproduces
-//! `rand::seq::index::sample` draw for draw without allocating.
+//! A table stores its `16 000 × j` node indices in the narrowest unsigned
+//! type that holds `nodes − 1`: `u8` up to 256 nodes, `u16` up to 65 536
+//! and `u32` beyond, read by one counting kernel generic over the width.
+//! Under the FTI distribution (`j ≤ 12`) a machine's tables take at most
+//! ≈ 1.2 MB at one byte per index (`j = 3..=12`), and only the `j` that
+//! reach the branch are drawn. The registry keeps at most
+//! [`MC_TABLE_BUDGET_BYTES`] (2 MiB) of tables, a constant, and evicts the
+//! least-recently-used node counts to stay under it; a model still
+//! holding an evicted table keeps it alive through its `Arc`. A table
+//! that does not fit even beside its own node count's others (a machine
+//! of more than 256 nodes whose tables pass the budget) is drawn for the
+//! model that needs it alone.
+//!
+//! [`ReliabilityModel::p_catastrophic_sweep`] scores many clusterings at
+//! once: it computes P(catastrophic) once per distinct ordered
+//! [`ClusteringDigest`], in parallel over the distinct digests, and fans
+//! the values back out in input order. Equal digests run identical
+//! arithmetic, so the values are bit-identical at any thread count and to
+//! scoring each clustering alone.
+//!
+//! Every failure set comes from [`NodeSampler`](crate::NodeSampler), the
+//! workspace's one node sampler (the campaign kernel draws with it too):
+//! it reproduces `rand::seq::index::sample` draw for draw without
+//! allocating.
 //!
 //! Each `q(j)` evaluation bumps one global counter for its branch,
-//! `reliability.q.{single,pair,exact,monte_carlo,mixed}`, and
-//! `reliability.mc_tables_built` counts the shared tables drawn.
+//! `reliability.q.{single,pair,exact,monte_carlo,mixed}`;
+//! `reliability.mc_tables_built` and `reliability.mc_tables_evicted` count
+//! the shared tables drawn and evicted, and the gauges
+//! `reliability.mc_tables.bytes` and `reliability.mc_tables.node_counts`
+//! show what the registry holds.
 
-use std::sync::{Arc, OnceLock};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hcft_graph::Clustering;
 use hcft_telemetry::{Counter, Registry};
 use hcft_topology::Placement;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rayon::prelude::*;
 
 use crate::combinatorics::choose;
 use crate::events::EventDistribution;
-use crate::sampler::NodeSampler;
+use crate::tables::{shared_table, SampleTable, SharedTable};
 
-/// Failure sets per Monte-Carlo estimate inside [`ReliabilityModel`].
-const MC_SAMPLES: usize = 16_000;
-/// Seed of those sets; stream `c` is seeded `MC_SEED + c`.
-const MC_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-/// RNG streams a sample table is drawn in.
-const MC_CHUNKS: usize = 8;
+pub use crate::tables::MC_TABLE_BUDGET_BYTES;
 
-/// Global handles for the branch and table counters (see module docs).
+/// Global handles for the branch counters (see module docs).
 struct QCounters {
     single: Arc<Counter>,
     pair: Arc<Counter>,
     exact: Arc<Counter>,
     monte_carlo: Arc<Counter>,
     mixed: Arc<Counter>,
-    tables_built: Arc<Counter>,
 }
 
 fn counters() -> &'static QCounters {
     static GLOBAL: OnceLock<QCounters> = OnceLock::new();
     GLOBAL.get_or_init(|| {
+        // The table registry's metrics show from the first q(j) on, even
+        // before any table is drawn.
+        crate::tables::register_metrics();
         let reg = Registry::global();
         QCounters {
             single: reg.counter("reliability.q.single"),
@@ -78,7 +97,6 @@ fn counters() -> &'static QCounters {
             exact: reg.counter("reliability.q.exact"),
             monte_carlo: reg.counter("reliability.q.monte_carlo"),
             mixed: reg.counter("reliability.q.mixed"),
-            tables_built: reg.counter("reliability.mc_tables_built"),
         }
     })
 }
@@ -90,124 +108,79 @@ pub fn fti_tolerance(s: usize) -> usize {
 }
 
 /// Per-cluster placement digest: which nodes hold how many members.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct ClusterNodes {
-    /// (node, member count), nodes distinct.
+    /// (node, member count), nodes distinct and ascending.
     counts: Vec<(usize, u32)>,
     /// Erasure tolerance of this cluster.
     tolerance: u32,
 }
 
-/// The failure sets of one Monte-Carlo estimate: row `s` of `failed`
-/// holds the `j` distinct nodes sample `s` fails.
-struct SampleTable {
-    j: usize,
-    failed: Vec<u32>,
+/// What P(catastrophic) reads of a clustering on a placement: per
+/// distinct cluster, in clustering order, the nodes holding its members
+/// (with counts) and its erasure tolerance. Clusterings with equal
+/// digests have bit-identical probabilities; see
+/// [`ReliabilityModel::p_catastrophic_sweep`].
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct ClusteringDigest {
+    clusters: Vec<ClusterNodes>,
 }
 
-impl SampleTable {
-    /// Draw `samples` `j`-node failure sets (`j ≥ 1`) over `nodes` nodes,
-    /// in [`MC_CHUNKS`] streams seeded `seed + c`. Stream `c` draws
-    /// `samples / MC_CHUNKS` sets, plus one for the first
-    /// `samples % MC_CHUNKS` streams.
-    fn draw(nodes: usize, j: usize, samples: usize, seed: u64) -> Self {
-        let mut sampler = NodeSampler::new(nodes);
-        let mut failed = Vec::with_capacity(samples * j);
-        for c in 0..MC_CHUNKS {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
-            let draws = samples / MC_CHUNKS + usize::from(c < samples % MC_CHUNKS);
-            for _ in 0..draws {
-                sampler.sample_into(&mut rng, j, &mut failed);
-            }
-        }
-        SampleTable { j, failed }
+/// Share of `table`'s failure sets that kill some cluster of `digests`
+/// (whose node indices are below `nodes`); 0.0 for an empty table.
+fn catastrophic_share(table: &SampleTable, nodes: usize, digests: &[&ClusterNodes]) -> f64 {
+    let samples = table.samples();
+    if samples == 0 {
+        return 0.0;
     }
-
-    /// Share of the failure sets that kill some cluster of `digests`
-    /// (whose node indices are below `nodes`); 0.0 for an empty table.
-    fn catastrophic_share(&self, nodes: usize, digests: &[&ClusterNodes]) -> f64 {
-        let samples = self.failed.len() / self.j;
-        if samples == 0 {
-            return 0.0;
+    // Per node, the clusters with members there: `at[start[n]..
+    // start[n + 1]]` holds (cluster, members on n).
+    let mut start = vec![0usize; nodes + 1];
+    for d in digests {
+        for &(node, _) in &d.counts {
+            start[node + 1] += 1;
         }
-        // Per node, the clusters with members there: `at[start[n]..
-        // start[n + 1]]` holds (cluster, members on n).
-        let mut start = vec![0usize; nodes + 1];
-        for d in digests {
-            for &(node, _) in &d.counts {
-                start[node + 1] += 1;
-            }
+    }
+    for n in 0..nodes {
+        start[n + 1] += start[n];
+    }
+    let mut at = vec![(0u32, 0u32); start[nodes]];
+    let mut fill = start.clone();
+    for (c, d) in digests.iter().enumerate() {
+        for &(node, members) in &d.counts {
+            at[fill[node]] = (c as u32, members);
+            fill[node] += 1;
         }
-        for n in 0..nodes {
-            start[n + 1] += start[n];
-        }
-        let mut at = vec![(0u32, 0u32); start[nodes]];
-        let mut fill = start.clone();
-        for (c, d) in digests.iter().enumerate() {
-            for &(node, members) in &d.counts {
-                at[fill[node]] = (c as u32, members);
-                fill[node] += 1;
-            }
-        }
-        // One extra cluster that loses nothing and tolerates everything
-        // stands in for "no cluster" below.
-        let none = (digests.len() as u32, 0);
-        let tolerance: Vec<u32> = digests
-            .iter()
-            .map(|d| d.tolerance)
-            .chain([u32::MAX])
+    }
+    // One extra cluster that loses nothing and tolerates everything
+    // stands in for "no cluster" below.
+    let none = (digests.len() as u32, 0);
+    let tolerance: Vec<u32> = digests
+        .iter()
+        .map(|d| d.tolerance)
+        .chain([u32::MAX])
+        .collect();
+    let hits = if start.windows(2).all(|w| w[1] - w[0] <= 1) {
+        // The common shape (every node in at most one cluster, e.g.
+        // after signature dedup): one direct lookup per failed node,
+        // with no per-node range to walk.
+        let owner: Vec<(u32, u32)> = (0..nodes)
+            .map(|n| at[start[n]..start[n + 1]].first().copied().unwrap_or(none))
             .collect();
-        let hits = if start.windows(2).all(|w| w[1] - w[0] <= 1) {
-            // The common shape (every node in at most one cluster, e.g.
-            // after signature dedup): one direct lookup per failed node,
-            // with no per-node range to walk.
-            let owner: Vec<(u32, u32)> = (0..nodes)
-                .map(|n| at[start[n]..start[n + 1]].first().copied().unwrap_or(none))
-                .collect();
-            self.count_catastrophic(&tolerance, |n| std::slice::from_ref(&owner[n as usize]))
-        } else {
-            self.count_catastrophic(&tolerance, |n| {
-                &at[start[n as usize]..start[n as usize + 1]]
-            })
-        };
-        hits as f64 / samples as f64
-    }
-
-    /// Failure sets in which some cluster loses more than its tolerance;
-    /// `on(node)` lists the (cluster, members) a node's failure costs.
-    #[inline]
-    fn count_catastrophic<'a>(
-        &self,
-        tolerance: &[u32],
-        on: impl Fn(u32) -> &'a [(u32, u32)],
-    ) -> usize {
-        let mut lost = vec![0u32; tolerance.len()];
-        let mut hits = 0;
-        for set in self.failed.chunks_exact(self.j) {
-            let mut dead = false;
-            for &node in set {
-                for &(c, members) in on(node) {
-                    lost[c as usize] += members;
-                    dead |= lost[c as usize] > tolerance[c as usize];
-                }
-            }
-            for &node in set {
-                for &(c, _) in on(node) {
-                    lost[c as usize] = 0;
-                }
-            }
-            hits += usize::from(dead);
-        }
-        hits
-    }
+        table.count_catastrophic(&tolerance, |n| std::slice::from_ref(&owner[n]))
+    } else {
+        table.count_catastrophic(&tolerance, |n| &at[start[n]..start[n + 1]])
+    };
+    hits as f64 / samples as f64
 }
 
 /// Reliability model for one machine size and event distribution.
 pub struct ReliabilityModel {
     nodes: usize,
     dist: EventDistribution,
-    /// `tables[j]`: the shared Monte-Carlo failure sets of `j`-node
-    /// events, drawn on first use (see module docs).
-    tables: Box<[OnceLock<SampleTable>]>,
+    /// `(j, table)`: the process-wide Monte-Carlo tables this model has
+    /// looked up, kept alive until it is dropped (see module docs).
+    held: Mutex<Vec<(usize, Arc<SharedTable>)>>,
 }
 
 impl ReliabilityModel {
@@ -217,7 +190,7 @@ impl ReliabilityModel {
         ReliabilityModel {
             nodes,
             dist,
-            tables: (0..=nodes).map(|_| OnceLock::new()).collect(),
+            held: Mutex::new(Vec::new()),
         }
     }
 
@@ -226,14 +199,16 @@ impl ReliabilityModel {
         self.nodes
     }
 
-    fn digest(
+    /// The digest P(catastrophic) reads of `clustering` on `placement`,
+    /// a cluster of `s` members tolerating `tolerance(s)` losses.
+    pub fn digest(
         &self,
         clustering: &Clustering,
         placement: &Placement,
         tolerance: &dyn Fn(usize) -> usize,
-    ) -> Vec<ClusterNodes> {
+    ) -> ClusteringDigest {
         let mut seen = std::collections::HashSet::new();
-        clustering
+        let clusters = clustering
             .iter()
             .filter_map(|(_, members)| {
                 let mut counts: Vec<(usize, u32)> = Vec::new();
@@ -256,7 +231,8 @@ impl ReliabilityModel {
                     tolerance: tol,
                 })
             })
-            .collect()
+            .collect();
+        ClusteringDigest { clusters }
     }
 
     /// Probability that a uniformly random `j`-node failure event is
@@ -268,11 +244,13 @@ impl ReliabilityModel {
         placement: &Placement,
         tolerance: &dyn Fn(usize) -> usize,
     ) -> f64 {
-        let digests = self.digest(clustering, placement, tolerance);
-        self.q_from_digests(j, &digests)
+        let digest = self.digest(clustering, placement, tolerance);
+        let bad = self.singly_bad_nodes(&digest.clusters);
+        self.q_from_digests(j, &digest.clusters, &bad)
     }
 
-    fn q_from_digests(&self, j: usize, digests: &[ClusterNodes]) -> f64 {
+    /// `q(j)` of a clustering's digests, whose singly-bad nodes are `bad`.
+    fn q_from_digests(&self, j: usize, digests: &[ClusterNodes], bad: &[bool]) -> f64 {
         let n = self.nodes;
         if j == 0 || j > n {
             return 0.0;
@@ -281,12 +259,10 @@ impl ReliabilityModel {
         match j {
             1 => {
                 counters.single.inc();
-                let bad = self.singly_bad_nodes(digests);
                 bad.iter().filter(|&&b| b).count() as f64 / n as f64
             }
             2 => {
                 counters.pair.inc();
-                let bad = self.singly_bad_nodes(digests);
                 let b = bad.iter().filter(|&&x| x).count();
                 // Pairs touching a singly-bad node are bad outright.
                 let pairs_with_bad = choose(n, 2) - choose(n - b, 2);
@@ -317,7 +293,6 @@ impl ReliabilityModel {
                 // the probability comes from clusters that need multiple
                 // correlated losses, where the per-cluster union bound is
                 // tight (and Monte Carlo covers the loose remainder).
-                let bad = self.singly_bad_nodes(digests);
                 let b = bad.iter().filter(|&&x| x).count();
                 let p_hit_bad = 1.0 - choose(n - b, j) / choose(n, j);
                 let residual: Vec<&ClusterNodes> = digests
@@ -391,21 +366,29 @@ impl ReliabilityModel {
         q
     }
 
-    /// Monte-Carlo estimate of q(j) (`1 ≤ j ≤ nodes`) over the model's
-    /// shared failure sets for `j`, drawing them on first use.
+    /// Monte-Carlo estimate of q(j) (`1 ≤ j ≤ nodes`) over the
+    /// process-wide failure sets for `j`, drawing them on first use.
     fn monte_carlo_q(&self, j: usize, digests: &[&ClusterNodes]) -> f64 {
-        let table = self.tables[j].get_or_init(|| {
-            counters().tables_built.inc();
-            SampleTable::draw(self.nodes, j, MC_SAMPLES, MC_SEED)
-        });
-        table.catastrophic_share(self.nodes, digests)
+        let table = {
+            let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
+            match held.iter().find(|(k, _)| *k == j) {
+                Some((_, table)) => table.clone(),
+                None => {
+                    let table = shared_table(self.nodes, j);
+                    held.push((j, table.clone()));
+                    table
+                }
+            }
+        };
+        catastrophic_share(table.sets(), self.nodes, digests)
     }
 
     /// Public Monte-Carlo estimator (for cross-validating the analytic
     /// path in tests and benches): the share of `samples` uniformly
     /// random `j`-node failure sets that are catastrophic. Draws a one-off
-    /// table from its own `samples` and `seed` and counts it exactly like
-    /// the model's shared tables, so `(16_000, 0x9e37_79b9_7f4a_7c15)`
+    /// table from its own `samples` and `seed`, stored as `u32` whatever
+    /// the node count, and counts it with the shared tables' kernel, so
+    /// `(16_000, 0x9e37_79b9_7f4a_7c15)`
     /// reproduces what [`p_catastrophic`](Self::p_catastrophic) samples
     /// for a clustering with no singly-bad node.
     ///
@@ -423,21 +406,53 @@ impl ReliabilityModel {
         if j == 0 || j > self.nodes {
             return 0.0;
         }
-        let digests = self.digest(clustering, placement, tolerance);
-        let digests: Vec<&ClusterNodes> = digests.iter().collect();
-        SampleTable::draw(self.nodes, j, samples, seed).catastrophic_share(self.nodes, &digests)
+        let digest = self.digest(clustering, placement, tolerance);
+        let digests: Vec<&ClusterNodes> = digest.clusters.iter().collect();
+        let table = SampleTable::draw_u32(self.nodes, j, samples, seed);
+        catastrophic_share(&table, self.nodes, &digests)
     }
 
     /// Probability that a random failure event (drawn from the event
     /// distribution) is catastrophic — the paper's reliability metric
-    /// (Fig. 4a, Table II last column).
+    /// (Fig. 4a, Table II last column). The one-clustering case of
+    /// [`p_catastrophic_sweep`](Self::p_catastrophic_sweep).
     pub fn p_catastrophic(
         &self,
         clustering: &Clustering,
         placement: &Placement,
         tolerance: &dyn Fn(usize) -> usize,
     ) -> f64 {
-        let digests = self.digest(clustering, placement, tolerance);
+        let digest = self.digest(clustering, placement, tolerance);
+        self.p_catastrophic_sweep(std::slice::from_ref(&digest))[0]
+    }
+
+    /// P(catastrophic) of every digest, in input order. Each distinct
+    /// digest is scored once, in parallel over the distinct digests, and
+    /// its value fanned back out to every position that holds it; equal
+    /// digests run identical arithmetic, so every value is bit-identical
+    /// to scoring its clustering alone, at any thread count.
+    pub fn p_catastrophic_sweep(&self, digests: &[ClusteringDigest]) -> Vec<f64> {
+        let mut first: HashMap<&ClusteringDigest, usize> = HashMap::new();
+        let mut distinct: Vec<&ClusteringDigest> = Vec::new();
+        let slots: Vec<usize> = digests
+            .iter()
+            .map(|d| {
+                *first.entry(d).or_insert_with(|| {
+                    distinct.push(d);
+                    distinct.len() - 1
+                })
+            })
+            .collect();
+        let p: Vec<f64> = distinct
+            .par_iter()
+            .map(|d| self.p_catastrophic_of(d))
+            .collect();
+        slots.into_iter().map(|i| p[i]).collect()
+    }
+
+    /// `Σ_j P(j-node event) · q(j)` for one digest.
+    fn p_catastrophic_of(&self, digest: &ClusteringDigest) -> f64 {
+        let bad = self.singly_bad_nodes(&digest.clusters);
         self.dist
             .p_nodes
             .iter()
@@ -447,7 +462,7 @@ impl ReliabilityModel {
                 if p == 0.0 {
                     0.0
                 } else {
-                    p * self.q_from_digests(j, &digests)
+                    p * self.q_from_digests(j, &digest.clusters, &bad)
                 }
             })
             .sum()
@@ -457,10 +472,13 @@ impl ReliabilityModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables::{MC_SAMPLES, MC_SEED};
     use hcft_graph::Clustering;
     use hcft_topology::{NodeId, Placement};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
     use rand::seq::index::sample;
+    use rand::SeedableRng;
 
     /// The allocating estimator `p_catastrophic` ran before the shared
     /// tables, kept as the oracle: fresh `rand::seq::index::sample` and
@@ -515,6 +533,20 @@ mod tests {
     /// q(j ≥ 3) exactly as computed before the shared tables, on the
     /// reference estimator.
     fn q_reference(m: &ReliabilityModel, j: usize, digests: &[ClusterNodes]) -> f64 {
+        q_reference_with(m, j, digests, |set| {
+            monte_carlo_q_reference(m.nodes, j, set, MC_SAMPLES, MC_SEED)
+        })
+    }
+
+    /// q(j ≥ 3) exactly as computed before the shared tables, its
+    /// Monte-Carlo estimates taken from `mc` (over the clusters it is
+    /// given).
+    fn q_reference_with(
+        m: &ReliabilityModel,
+        j: usize,
+        digests: &[ClusterNodes],
+        mut mc: impl FnMut(&[&ClusterNodes]) -> f64,
+    ) -> f64 {
         let n = m.nodes;
         if j > n {
             return 0.0;
@@ -527,11 +559,44 @@ mod tests {
             (p_hit_bad + (1.0 - p_hit_bad) * union).min(1.0)
         } else if b == 0 {
             let all: Vec<&ClusterNodes> = digests.iter().collect();
-            monte_carlo_q_reference(n, j, &all, MC_SAMPLES, MC_SEED).min(1.0)
+            mc(&all).min(1.0)
         } else {
-            let q_rest = monte_carlo_q_reference(n, j, &residual, MC_SAMPLES, MC_SEED).min(1.0);
+            let q_rest = mc(&residual).min(1.0);
             (p_hit_bad + (1.0 - p_hit_bad) * q_rest).min(1.0)
         }
+    }
+
+    /// P(catastrophic) of one digest scored alone, its Monte-Carlo
+    /// branches read from `u32` tables drawn afresh into `fresh` (by `j`)
+    /// instead of the process-wide narrow ones.
+    fn p_catastrophic_on_fresh_tables(
+        m: &ReliabilityModel,
+        digest: &ClusteringDigest,
+        fresh: &mut HashMap<usize, SampleTable>,
+    ) -> f64 {
+        let bad = m.singly_bad_nodes(&digest.clusters);
+        m.dist
+            .p_nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let j = i + 1;
+                if p == 0.0 {
+                    return 0.0;
+                }
+                let q = if j <= 2 {
+                    m.q_from_digests(j, &digest.clusters, &bad)
+                } else {
+                    q_reference_with(m, j, &digest.clusters, |set| {
+                        let table = fresh.entry(j).or_insert_with(|| {
+                            SampleTable::draw_u32(m.nodes, j, MC_SAMPLES, MC_SEED)
+                        });
+                        catastrophic_share(table, m.nodes, set)
+                    })
+                };
+                p * q
+            })
+            .sum()
     }
 
     /// The tolerance rules the oracle tests draw from.
@@ -586,6 +651,78 @@ mod tests {
                     Just(tol),
                 )
             })
+    }
+
+    /// Clusterings of `n` ranks whose clusters hold about `size ≤ 12`
+    /// members, so the knapsack DP stays small on machines of hundreds
+    /// of nodes: random labels, consecutive blocks, or strided across
+    /// the machine.
+    fn arb_small_clusters(n: usize) -> impl Strategy<Value = Clustering> {
+        (
+            0usize..3,
+            1usize..=12,
+            proptest::collection::vec(0usize..n, n),
+        )
+            .prop_map(move |(kind, size, random)| {
+                let k = n.div_ceil(size);
+                let assignment: Vec<usize> = match kind {
+                    0 => random.iter().map(|&c| c % k).collect(),
+                    1 => (0..n).map(|r| r / size).collect(),
+                    _ => (0..n).map(|r| r % k).collect(),
+                };
+                Clustering::from_assignment(&assignment)
+            })
+    }
+
+    /// A machine of 2–300 nodes with 1–3 ranks per node, uniform or
+    /// ragged. Half the cases sit at the boundary between `u8` and `u16`
+    /// tables: 256 nodes, 257, or 250–262.
+    fn arb_machine() -> impl Strategy<Value = Placement> {
+        (
+            (0usize..6, 2usize..=300, 250usize..=262),
+            any::<bool>(),
+            1usize..=3,
+        )
+            .prop_flat_map(|((range, broad, near), uniform, ppn)| {
+                let nodes = [broad, broad, broad, 256, 257, near][range];
+                proptest::collection::vec(1usize..=3, nodes).prop_map(move |per_node| {
+                    if uniform {
+                        ragged(&vec![ppn; nodes])
+                    } else {
+                        ragged(&per_node)
+                    }
+                })
+            })
+    }
+
+    /// A machine, three clusterings of its ranks plus two-node blocks
+    /// (which reach the Monte-Carlo branch under FTI's tolerance at
+    /// every size here), and 4–8 (clustering, tolerance rule) picks
+    /// among them.
+    fn arb_sweep() -> impl Strategy<Value = (Placement, Vec<Clustering>, Vec<(usize, usize)>)> {
+        arb_machine().prop_flat_map(|placement| {
+            let n = placement.nprocs();
+            let blocks = Clustering::consecutive(n, 2 * n.div_ceil(placement.nodes()));
+            (
+                Just(placement),
+                proptest::collection::vec(arb_small_clusters(n), 3).prop_map(move |mut c| {
+                    c.push(blocks.clone());
+                    c
+                }),
+                proptest::collection::vec((0usize..4, 0..TOLERANCES.len()), 4..=8),
+            )
+        })
+    }
+
+    #[test]
+    fn tables_store_the_narrowest_index_width() {
+        for (nodes, width) in [(3, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)] {
+            assert_eq!(
+                SampleTable::draw(nodes, 3, 8, 1).bytes(),
+                8 * 3 * width,
+                "{nodes} nodes"
+            );
+        }
     }
 
     /// Distributed clustering over a block placement: cluster (g, slot)
@@ -716,7 +853,7 @@ mod tests {
         let mixed = Clustering::from_assignment(&mixed);
         let m = ReliabilityModel::new(16, EventDistribution::fti_calibrated());
         for (c, want_bad) in [(&pure, false), (&mixed, true)] {
-            let digests = m.digest(c, &p, &fti_tolerance);
+            let digests = m.digest(c, &p, &fti_tolerance).clusters;
             assert_eq!(m.singly_bad_nodes(&digests).contains(&true), want_bad);
             for j in 3..=12 {
                 let union: f64 = residual(&m, &digests)
@@ -756,7 +893,7 @@ mod tests {
         let (h8, h15, h16) = (hits(8), hits(15), hits(16));
         assert!(h8 <= h15 && h15 <= h8 + 7 && h15 <= h16, "{h8} {h15} {h16}");
         // Multiples of 8 are unchanged.
-        let digests = m.digest(&c, &p, &fti_tolerance);
+        let digests = m.digest(&c, &p, &fti_tolerance).clusters;
         let all: Vec<&ClusterNodes> = digests.iter().collect();
         for samples in [8, 16, 16_000] {
             assert_eq!(
@@ -794,7 +931,7 @@ mod tests {
             let forward = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
             let backward = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
             let clusterings = [&first, &second];
-            let digests = clusterings.map(|c| forward.digest(c, &placement, &tolerance));
+            let digests = clusterings.map(|c| forward.digest(c, &placement, &tolerance).clusters);
             // The cluster sets the two sampled branches count: all of
             // them, and the residual when some node is singly bad.
             let sampled: Vec<Vec<Vec<&ClusterNodes>>> = digests
@@ -831,6 +968,50 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        // A case draws up to ten fresh u32 tables and scores up to ten
+        // schemes twice (debug ≈ 1 s).
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The sweep (process-wide narrow tables, one score per distinct
+        /// digest) equals each scheme scored alone on freshly drawn `u32`
+        /// tables, bit for bit, with duplicate schemes, one clustering
+        /// under two tolerance rules, two-node blocks under FTI's rule,
+        /// and the schemes in either order.
+        #[test]
+        fn sweep_matches_each_scheme_alone_on_fresh_u32_tables(
+            (placement, clusterings, picks) in arb_sweep(),
+        ) {
+            let nodes = placement.nodes();
+            let (c0, t0) = picks[0];
+            let mut schemes = picks.clone();
+            schemes.push((c0, t0));
+            schemes.push((c0, (t0 + 1) % TOLERANCES.len()));
+            schemes.push((3, 0));
+            let model = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
+            let digests: Vec<ClusteringDigest> = schemes
+                .iter()
+                .map(|&(c, tol)| model.digest(&clusterings[c], &placement, &TOLERANCES[tol]))
+                .collect();
+            let mut fresh = HashMap::new();
+            let want: Vec<f64> = digests
+                .iter()
+                .map(|d| p_catastrophic_on_fresh_tables(&model, d, &mut fresh))
+                .collect();
+            let forward = model.p_catastrophic_sweep(&digests);
+            let reversed: Vec<ClusteringDigest> = digests.iter().rev().cloned().collect();
+            let mut backward = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated())
+                .p_catastrophic_sweep(&reversed);
+            backward.reverse();
+            for (i, want) in want.iter().enumerate() {
+                prop_assert_eq!(forward[i].to_bits(), want.to_bits(),
+                    "{} nodes, scheme {:?}: {} vs {}", nodes, schemes[i], forward[i], want);
+                prop_assert_eq!(backward[i].to_bits(), want.to_bits(),
+                    "{} nodes, scheme {:?} reversed: {} vs {}", nodes, schemes[i], backward[i], want);
             }
         }
     }
