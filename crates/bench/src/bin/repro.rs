@@ -47,33 +47,35 @@ use std::sync::Arc;
 use hcft_bench::figures;
 use hcft_bench::harness::{Artifact, Scale};
 use hcft_cluster::PartitionEngine;
+use hcft_core::HcftError;
 
-/// Builds one artifact; figures that ignore an argument are wrapped.
-type Build = fn(Scale, PartitionEngine) -> Artifact;
+/// Builds one artifact; figures that ignore an argument or cannot fail
+/// are wrapped.
+type Build = fn(Scale, PartitionEngine) -> Result<Artifact, HcftError>;
 
 /// Every artifact `repro` can regenerate, in `all` order: the one list
 /// behind argument parsing, dispatch and [`usage`].
 const ARTIFACTS: &[(&str, Build)] = &[
-    ("table1", |_, _| figures::table1()),
-    ("table2", figures::table2),
-    ("fig3a", |s, _| figures::fig3a(s)),
-    ("fig3b", |s, _| figures::fig3b(s)),
-    ("fig4a", |_, _| figures::fig4a()),
-    ("fig4b", |s, _| figures::fig4b(s)),
-    ("fig4c", |_, _| figures::fig4c()),
-    ("fig5a", |s, _| figures::fig5a(s)),
-    ("fig5b", |s, _| figures::fig5b(s)),
-    ("fig5c", figures::fig5c),
-    ("scaling", figures::scaling),
-    ("efficiency", |s, _| figures::efficiency(s)),
-    ("alltoall", |s, _| figures::alltoall(s)),
-    ("ablation", |s, _| figures::ablation(s)),
-    ("campaign", |s, _| figures::campaign(s)),
+    ("table1", |_, _| Ok(figures::table1())),
+    ("table2", |s, e| Ok(figures::table2(s, e))),
+    ("fig3a", |s, _| Ok(figures::fig3a(s))),
+    ("fig3b", |s, _| Ok(figures::fig3b(s))),
+    ("fig4a", |_, _| Ok(figures::fig4a())),
+    ("fig4b", |s, _| Ok(figures::fig4b(s))),
+    ("fig4c", |_, _| Ok(figures::fig4c())),
+    ("fig5a", |s, _| Ok(figures::fig5a(s))),
+    ("fig5b", |s, _| Ok(figures::fig5b(s))),
+    ("fig5c", |s, e| Ok(figures::fig5c(s, e))),
+    ("scaling", |s, e| Ok(figures::scaling(s, e))),
+    ("efficiency", |s, _| Ok(figures::efficiency(s))),
+    ("alltoall", |s, _| Ok(figures::alltoall(s))),
+    ("ablation", |s, _| Ok(figures::ablation(s))),
+    ("campaign", |s, _| Ok(figures::campaign(s))),
     ("campaign-grid", |s, _| figures::campaign_grid(s)),
-    ("heat3d", |s, _| figures::heat3d(s)),
-    ("logmem", |s, _| figures::logmem(s)),
-    ("simtime", |s, _| figures::simtime(s)),
-    ("replay", |s, _| figures::replay(s)),
+    ("heat3d", |s, _| Ok(figures::heat3d(s))),
+    ("logmem", |s, _| Ok(figures::logmem(s))),
+    ("simtime", |s, _| Ok(figures::simtime(s))),
+    ("replay", |s, _| Ok(figures::replay(s))),
 ];
 
 fn usage() -> ExitCode {
@@ -178,7 +180,13 @@ fn main() -> ExitCode {
         return usage();
     }
     for build in wanted {
-        let artifact = build(scale, engine);
+        let artifact = match build(scale, engine) {
+            Ok(artifact) => artifact,
+            Err(e) => {
+                eprintln!("repro: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         println!("\n================= {} =================\n", artifact.id);
         println!("{}", artifact.report);
         match artifact.persist(&out) {

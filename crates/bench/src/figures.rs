@@ -4,6 +4,8 @@ use hcft_cluster::{
     distributed, hierarchical, naive, BaselineRequirements, Evaluator, FamilyScore,
     HierarchicalConfig, PartitionEngine, SchemeFamilySpec,
 };
+use hcft_core::campaign::{CiTarget, StopRule};
+use hcft_core::HcftError;
 use hcft_erasure::{EncodingModel, ReedSolomon};
 use hcft_graph::WeightedGraph;
 use hcft_msglog::HybridProtocol;
@@ -809,9 +811,10 @@ pub fn campaign(scale: Scale) -> Artifact {
 /// optionally `HCFT_CAMPAIGN_TARGET_CI_CAT` for the catastrophic-count
 /// CI) to let converged cells stop at batch boundaries — the stopping
 /// decision is deterministic, so the CSV stays byte-identical at any
-/// thread count.
-pub fn campaign_grid(scale: Scale) -> Artifact {
-    use hcft_core::campaign::{CampaignConfig, CampaignGrid, CiTarget, GridStrategy, StopRule};
+/// thread count. A value that is not a positive number is
+/// [`HcftError::Config`].
+pub fn campaign_grid(scale: Scale) -> Result<Artifact, HcftError> {
+    use hcft_core::campaign::{CampaignConfig, CampaignGrid, GridStrategy};
     let strategies = vec![
         GridStrategy::Naive,
         GridStrategy::Distributed,
@@ -822,32 +825,9 @@ pub fn campaign_grid(scale: Scale) -> Artifact {
         Scale::Paper => (vec![8, 32], vec![64, 128], 16, 32_768u64, 4_096u64),
         Scale::Small => (vec![4, 8], vec![16, 32], 4, 2_048u64, 512u64),
     };
-    let stop = match std::env::var("HCFT_CAMPAIGN_TARGET_CI")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        Some(avail_ci) => {
-            let cat_ci = std::env::var("HCFT_CAMPAIGN_TARGET_CI_CAT")
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or(f64::INFINITY);
-            StopRule::until_ci(
-                trials,
-                batch,
-                batch,
-                CiTarget {
-                    availability: avail_ci,
-                    catastrophic: cat_ci,
-                },
-            )
-        }
-        None => StopRule {
-            max_trials: trials,
-            batch,
-            min_trials: trials,
-            target_ci: None,
-        },
-    };
+    let stop = campaign_stop_rule(trials, batch, |name| {
+        std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+    })?;
     let grid = CampaignGrid {
         strategies,
         mtbfs_h,
@@ -914,7 +894,7 @@ pub fn campaign_grid(scale: Scale) -> Artifact {
          single-point campaign holds across the grid: striped containment\n\
          tracks distributed reliability at a fraction of the restart waste.\n",
     );
-    Artifact {
+    Ok(Artifact {
         id: "campaign-grid",
         report,
         csv: vec![CsvFile::new(
@@ -924,7 +904,50 @@ pub fn campaign_grid(scale: Scale) -> Artifact {
              transient_mean,transient_ci95,availability_mean,availability_ci95",
             &rows,
         )],
-    }
+    })
+}
+
+/// The campaign grid's stopping rule from `HCFT_CAMPAIGN_TARGET_CI` and
+/// `HCFT_CAMPAIGN_TARGET_CI_CAT`, read through `lookup` (`None` = unset):
+/// `trials` per cell unless the availability target is set. A set value
+/// that is not a positive number is [`HcftError::Config`] naming the
+/// variable and the value.
+fn campaign_stop_rule(
+    trials: u64,
+    batch: u64,
+    lookup: impl Fn(&str) -> Option<String>,
+) -> Result<StopRule, HcftError> {
+    let read = |name: &str| {
+        lookup(name)
+            .map(|raw| {
+                raw.trim()
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|v| *v > 0.0)
+                    .ok_or_else(|| {
+                        HcftError::Config(format!("{name} must be a positive number, got {raw:?}"))
+                    })
+            })
+            .transpose()
+    };
+    let catastrophic = read("HCFT_CAMPAIGN_TARGET_CI_CAT")?.unwrap_or(f64::INFINITY);
+    Ok(match read("HCFT_CAMPAIGN_TARGET_CI")? {
+        Some(availability) => StopRule::until_ci(
+            trials,
+            batch,
+            batch,
+            CiTarget {
+                availability,
+                catastrophic,
+            },
+        ),
+        None => StopRule {
+            max_trials: trials,
+            batch,
+            min_trials: trials,
+            target_ci: None,
+        },
+    })
 }
 
 /// Extension: the §V generalisation claim — evaluate the four clusterings
@@ -1234,6 +1257,50 @@ pub fn replay(scale: Scale) -> Artifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn malformed_campaign_ci_targets_are_config_errors() {
+        let rule = |vars: &[(&str, &str)]| {
+            campaign_stop_rule(64, 8, |name| {
+                vars.iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| v.to_string())
+            })
+        };
+        assert_eq!(rule(&[]).expect("unset").target_ci, None);
+        let set = rule(&[
+            ("HCFT_CAMPAIGN_TARGET_CI", "2e-4"),
+            ("HCFT_CAMPAIGN_TARGET_CI_CAT", "0.5"),
+        ])
+        .expect("valid");
+        assert_eq!(
+            set.target_ci,
+            Some(CiTarget {
+                availability: 2e-4,
+                catastrophic: 0.5
+            })
+        );
+        for (name, bad) in [
+            ("HCFT_CAMPAIGN_TARGET_CI", "abc"),
+            ("HCFT_CAMPAIGN_TARGET_CI", "-1"),
+            ("HCFT_CAMPAIGN_TARGET_CI_CAT", "0"),
+        ] {
+            let mut vars = vec![(name, bad)];
+            if name.ends_with("_CAT") {
+                vars.push(("HCFT_CAMPAIGN_TARGET_CI", "2e-4"));
+            }
+            match rule(&vars) {
+                Err(HcftError::Config(msg)) => {
+                    assert!(
+                        msg.starts_with(name) && msg.contains(&format!("{bad:?}")),
+                        "{msg}"
+                    );
+                    assert!(msg.contains("positive number"), "{msg}");
+                }
+                other => panic!("{name}={bad}: {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn model_only_figures_run_without_a_trace() {

@@ -30,7 +30,7 @@ impl Scale {
     }
 
     /// The traced-job configuration for this scale.
-    pub fn job(self) -> TracedJobConfig {
+    pub(crate) fn job(self) -> TracedJobConfig {
         match self {
             Scale::Paper => TracedJobConfig::paper_1024(),
             Scale::Small => TracedJobConfig {
@@ -51,7 +51,7 @@ impl Scale {
 
     /// Table-II cluster sizes scaled to the configuration: (naïve,
     /// size-guided, distributed, hierarchical L1 max nodes).
-    pub fn table2_sizes(self) -> (usize, usize, usize) {
+    pub(crate) fn table2_sizes(self) -> (usize, usize, usize) {
         match self {
             Scale::Paper => (32, 8, 16),
             Scale::Small => (16, 4, 8),
@@ -80,7 +80,7 @@ pub struct CsvFile {
 
 impl CsvFile {
     /// Build from a header and rows.
-    pub fn new(name: impl Into<String>, header: &str, rows: &[Vec<String>]) -> Self {
+    pub(crate) fn new(name: impl Into<String>, header: &str, rows: &[Vec<String>]) -> Self {
         let mut content = String::from(header);
         content.push('\n');
         for row in rows {
@@ -121,7 +121,7 @@ impl Artifact {
 
 /// Format a probability the way the paper's Table II does (powers of
 /// ten).
-pub fn fmt_prob(p: f64) -> String {
+pub(crate) fn fmt_prob(p: f64) -> String {
     if p == 0.0 {
         "0".to_string()
     } else if p >= 0.01 {

@@ -9,5 +9,7 @@
 //! printable report plus CSV series; [`harness`] holds the shared
 //! machinery (scales, trace caching, CSV writing).
 
+#![warn(unreachable_pub)]
+
 pub mod figures;
 pub mod harness;

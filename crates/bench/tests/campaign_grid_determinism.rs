@@ -86,3 +86,22 @@ fn grid_csv_with_early_stopping_is_byte_identical_across_thread_counts() {
     let _ = std::fs::remove_dir_all(&serial_dir);
     let _ = std::fs::remove_dir_all(&parallel_dir);
 }
+
+#[test]
+fn malformed_target_ci_fails_the_run() {
+    let dir = temp_dir("malformed");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "small", "--out"])
+        .arg(&dir)
+        .arg("campaign-grid")
+        .env("HCFT_CAMPAIGN_TARGET_CI", "1e-4x")
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a malformed target ran the grid");
+    assert!(
+        stderr.contains("HCFT_CAMPAIGN_TARGET_CI must be a positive number, got \"1e-4x\""),
+        "{stderr}"
+    );
+    assert!(!dir.join(CSV).exists(), "a malformed target wrote {CSV}");
+}

@@ -41,7 +41,7 @@ pub struct CheckpointCostModel {
 
 impl CheckpointCostModel {
     /// Build from a machine spec and encoding model.
-    pub fn new(machine: MachineSpec, encoding: EncodingModel) -> Self {
+    pub(crate) fn new(machine: MachineSpec, encoding: EncodingModel) -> Self {
         CheckpointCostModel { machine, encoding }
     }
 
@@ -100,12 +100,6 @@ impl CheckpointCostModel {
         }
         cost
     }
-
-    /// The paper's headline encoding metric: seconds per GB for a given
-    /// cluster size.
-    pub fn encode_seconds_per_gb(&self, cluster_size: usize) -> f64 {
-        self.encoding.seconds_per_gb(cluster_size)
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +127,7 @@ mod tests {
         let m = CheckpointCostModel::tsubame2();
         let c = m.cost(Level::Encoded, 1_000_000_000, 16, 1024, 8);
         assert!((c.encode_s - 51.0).abs() < 1.0);
-        assert!((m.encode_seconds_per_gb(32) - 204.0).abs() < 1.0);
+        assert!((m.encoding.seconds_per_gb(32) - 204.0).abs() < 1.0);
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //! [`cost`] provides the virtual-time model (Table I bandwidths + the
 //! calibrated encoding model) used by the benchmark harness.
 
+#![warn(unreachable_pub)]
+
 pub mod cost;
 pub mod multilevel;
 pub mod store;
@@ -51,32 +53,19 @@ pub enum Level {
     Pfs,
 }
 
-impl Level {
-    /// All levels, cheapest first.
-    pub const ALL: [Level; 5] = [
-        Level::Local,
-        Level::Partner,
-        Level::Xor,
-        Level::Encoded,
-        Level::Pfs,
-    ];
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn ladder_is_ordered() {
-        let mut prev = None;
-        for l in Level::ALL {
-            if let Some(p) = prev {
-                assert!(p < l);
-            }
-            prev = Some(l);
-        }
-        assert!(Level::Local < Level::Partner);
-        assert!(Level::Xor < Level::Encoded);
-        assert!(Level::Encoded < Level::Pfs);
+        let ladder = [
+            Level::Local,
+            Level::Partner,
+            Level::Xor,
+            Level::Encoded,
+            Level::Pfs,
+        ];
+        assert!(ladder.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -170,14 +170,9 @@ impl MultilevelCheckpointer {
         }
     }
 
-    /// The registry this checkpointer reports to.
-    pub fn telemetry(&self) -> &Arc<Registry> {
-        &self.telemetry
-    }
-
     /// Aggregate decode-matrix cache counters across every RS code this
     /// checkpointer has instantiated (one per distinct group size).
-    pub fn decode_cache_stats(&self) -> DecodeCacheStats {
+    pub(crate) fn decode_cache_stats(&self) -> DecodeCacheStats {
         let codes = self.codes.lock().expect("codes lock");
         let (mut hits, mut misses) = (0, 0);
         for rs in codes.values() {
@@ -215,11 +210,6 @@ impl MultilevelCheckpointer {
     /// Return a buffer to the pool.
     fn return_scratch(&self, buf: Vec<u8>) {
         self.scratch.lock().expect("scratch lock").push(buf);
-    }
-
-    /// The encoding clustering.
-    pub fn groups(&self) -> &Clustering {
-        &self.groups
     }
 
     /// The backing store.
@@ -825,7 +815,7 @@ mod tests {
         let dir = TempDir::new();
         let (ml, data) = distributed_setup(&dir);
         ml.checkpoint(1, Level::Encoded, &data).expect("ckpt");
-        for (_, members) in ml.groups().iter() {
+        for (_, members) in ml.groups.iter() {
             let padded = HEADER + members.iter().map(|r| data[r.idx()].len()).max().unwrap();
             let shards: Vec<Vec<u8>> = members
                 .iter()
@@ -855,7 +845,7 @@ mod tests {
         set_frame_len(&ml, 1, 2, 1, u64::MAX - 3);
         assert_eq!(ml.recover(1).expect("rebuilt from parity"), data);
         assert_eq!(
-            ml.telemetry()
+            ml.telemetry
                 .counter("checkpoint.rebuilt_payload_bytes")
                 .get(),
             data[2].len() as u64
@@ -885,7 +875,7 @@ mod tests {
         let dir = TempDir::new();
         let (ml, data) = distributed_setup(&dir);
         let count = |op: &str| {
-            ml.telemetry()
+            ml.telemetry
                 .counter(&format!("checkpoint.files.{op}"))
                 .get()
         };
@@ -1020,7 +1010,7 @@ mod partner_xor_level_tests {
         // Node 1 hosts ranks 2 and 3; their predecessors are 0 and 1.
         assert_eq!(held.get(0), Some(&data[0][..]));
         assert_eq!(held.get(1), Some(&data[1][..]));
-        assert_eq!(held.len(), 2);
+        assert_eq!(held.iter().count(), 2);
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl Bundle {
 
     /// The entry stored under `id` (the first, should a writer have
     /// repeated it).
-    pub fn get(&self, id: u64) -> Option<&[u8]> {
+    pub(crate) fn get(&self, id: u64) -> Option<&[u8]> {
         let range = self.range(id)?;
         Some(&self.bytes[range])
     }
@@ -147,20 +147,10 @@ impl Bundle {
     }
 
     /// The entries in file order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
         self.entries
             .iter()
             .map(|(id, r)| (*id, &self.bytes[r.clone()]))
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Does the bundle hold no entry?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// The serialised form, as read from the file (with any
@@ -264,16 +254,6 @@ impl CheckpointStore {
         })
     }
 
-    /// Number of node directories.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Root path.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn node_dir(&self, node: NodeId) -> PathBuf {
         self.root.join(format!("nodes/node_{node}"))
     }
@@ -309,7 +289,7 @@ impl CheckpointStore {
     }
 
     /// Does the bundle at `at` exist for `epoch`?
-    pub fn has_bundle(&self, at: Artefact, epoch: u64) -> bool {
+    pub(crate) fn has_bundle(&self, at: Artefact, epoch: u64) -> bool {
         self.path(at, epoch).exists()
     }
 
@@ -376,15 +356,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Bytes stored on one node, over every kind and epoch.
-    pub fn node_bytes(&self, node: NodeId) -> io::Result<u64> {
-        let mut total = 0;
-        for entry in fs::read_dir(self.node_dir(node))? {
-            total += entry?.metadata()?.len();
-        }
-        Ok(total)
-    }
-
     /// Delete every bundle of the epochs older than `epoch` (garbage
     /// collection after a successful newer checkpoint), by name.
     pub fn prune_before(&self, epoch: u64) -> io::Result<()> {
@@ -444,11 +415,11 @@ mod tests {
         use std::path::{Path, PathBuf};
         use std::sync::atomic::{AtomicU64, Ordering};
 
-        pub struct TempDir(PathBuf);
+        pub(crate) struct TempDir(PathBuf);
 
         impl TempDir {
             #[allow(clippy::new_without_default)]
-            pub fn new() -> Self {
+            pub(crate) fn new() -> Self {
                 static SEQ: AtomicU64 = AtomicU64::new(0);
                 let path = std::env::temp_dir().join(format!(
                     "hcft-store-test-{}-{}",
@@ -459,7 +430,7 @@ mod tests {
                 TempDir(path)
             }
 
-            pub fn path(&self) -> &Path {
+            pub(crate) fn path(&self) -> &Path {
                 &self.0
             }
         }
@@ -496,7 +467,7 @@ mod tests {
         assert_eq!(b.get(5), Some(&b"hello"[..]));
         assert_eq!(b.get(6), Some(&b""[..]), "an empty entry is still there");
         assert_eq!(b.get(7), None);
-        assert_eq!(b.len(), 2);
+        assert_eq!(b.entries.len(), 2);
         assert!(s.has_bundle(Artefact::Local(n1), 3));
         assert!(!s.has_bundle(Artefact::Local(NodeId(0)), 3));
         assert!(
@@ -601,22 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn node_bytes_accounts_files() {
-        let (_d, s) = temp_store(1);
-        let n = NodeId(0);
-        let local = bundle(&[(0, &[0u8; 100])]);
-        let parity = bundle(&[(0, &[0u8; 50])]);
-        s.write_bundle(Artefact::Local(n), 0, &local)
-            .expect("write");
-        s.write_bundle(Artefact::Parity(n), 0, &parity)
-            .expect("parity");
-        assert_eq!(
-            s.node_bytes(n).expect("size"),
-            (local.len() + parity.len()) as u64
-        );
-    }
-
-    #[test]
     fn quarantine_leaves_the_node_siblings_readable() {
         let (_d, s) = temp_store(1);
         let local = Artefact::Local(NodeId(0));
@@ -694,7 +649,7 @@ mod tests {
                 .collect();
             let good = bundle(&entries);
             let parsed = Bundle::parse(good.clone()).expect("written bytes parse");
-            prop_assert_eq!(parsed.len(), entries.len());
+            prop_assert_eq!(parsed.entries.len(), entries.len());
             for (&(id, bytes), (got_id, got)) in entries.iter().zip(parsed.iter()) {
                 prop_assert_eq!(got_id, id);
                 prop_assert_eq!(got, bytes);

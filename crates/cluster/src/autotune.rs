@@ -6,7 +6,7 @@
 //! baseline, and rank the survivors by a scalarised cost (normalised
 //! worst-axis by default — minimise the largest baseline ratio, i.e. the
 //! Chebyshev objective that matches Fig. 5c's "stay inside the polygon").
-//! The sweep itself is the [`SchemeFamilySpec::autotune`] preset.
+//! The sweep itself is the `SchemeFamilySpec::autotune` preset.
 
 use hcft_graph::WeightedGraph;
 use hcft_telemetry::HcftError;
@@ -27,7 +27,7 @@ pub struct Candidate {
     pub chebyshev: f64,
 }
 
-/// Score the [`SchemeFamilySpec::autotune`] sweep for a traced workload,
+/// Score the `SchemeFamilySpec::autotune` sweep for a traced workload,
 /// in sweep order. Fails with `Config` when no candidate fits the
 /// machine, or when a hierarchical candidate's `node_graph` does not
 /// cover its nodes.

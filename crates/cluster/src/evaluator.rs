@@ -26,27 +26,13 @@ pub struct FourDScore {
     pub p_catastrophic: f64,
 }
 
-impl FourDScore {
-    /// Render as a Table-II-style row.
-    pub fn render_row(&self) -> String {
-        format!(
-            "{:<24} {:>7.1}% {:>8.2}% {:>8.0} s {:>12.2e}",
-            self.name,
-            self.logging_fraction * 100.0,
-            self.restart_fraction * 100.0,
-            self.encode_s_per_gb,
-            self.p_catastrophic
-        )
-    }
-}
-
 /// Evaluator bound to one traced application run and machine model.
 ///
 /// Work that depends only on the run is done once and shared by every
 /// scheme scored: each scheme's logging stats walk the sparse matrix's
 /// non-zero cells, the Monte-Carlo failure sets are drawn once per
 /// process (`hcft_reliability::model`), and
-/// [`evaluate_all`](Self::evaluate_all) computes P(catastrophic) once
+/// `evaluate_all` computes P(catastrophic) once
 /// per distinct L2 placement digest, however many schemes share it.
 pub struct Evaluator {
     matrix: CommMatrix,
@@ -76,12 +62,12 @@ impl Evaluator {
     }
 
     /// The placement under evaluation.
-    pub fn placement(&self) -> &Placement {
+    pub(crate) fn placement(&self) -> &Placement {
         &self.placement
     }
 
     /// Score a scheme on all four dimensions: the one-scheme case of
-    /// [`evaluate_all`](Self::evaluate_all).
+    /// `evaluate_all`.
     ///
     /// Besides returning the [`FourDScore`], the raw byte counts and the
     /// four dimensions are published under `table2.<scheme-slug>.*` in
@@ -98,7 +84,7 @@ impl Evaluator {
     /// distinct L2 digest, in parallel over the distinct digests
     /// ([`ReliabilityModel::p_catastrophic_sweep`]). Every score is
     /// bit-identical at any thread count.
-    pub fn evaluate_all(&self, schemes: &[ClusteringScheme]) -> Vec<FourDScore> {
+    pub(crate) fn evaluate_all(&self, schemes: &[ClusteringScheme]) -> Vec<FourDScore> {
         let (rows, digests): (Vec<_>, Vec<_>) = schemes
             .par_iter()
             .map(|scheme| {
@@ -237,14 +223,5 @@ mod tests {
             reg.gauge(&format!("table2.{slug}.restart_fraction")).get(),
             s.restart_fraction
         );
-    }
-
-    #[test]
-    fn render_row_contains_all_fields() {
-        let ev = setup();
-        let row = ev.evaluate(&naive(16, 4)).render_row();
-        assert!(row.contains("naive"));
-        assert!(row.contains('%'));
-        assert!(row.contains('s'));
     }
 }

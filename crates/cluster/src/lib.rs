@@ -22,6 +22,8 @@
 //!   together (Table II);
 //! * the baseline requirements of §III and the Fig. 5c normalisation.
 
+#![warn(unreachable_pub)]
+
 pub mod autotune;
 pub mod baseline;
 pub mod evaluator;
@@ -40,5 +42,5 @@ pub use strategies::{
 };
 pub use strategy::{
     ClusteringStrategy, Distributed, FamilyScore, Hierarchical, Naive, SchemeFamilySpec,
-    SizeGuided, StrategyContext, Striped,
+    StrategyContext, Striped,
 };

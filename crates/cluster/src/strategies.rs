@@ -188,14 +188,6 @@ impl PartitionEngine {
             _ => None,
         }
     }
-
-    /// The CLI spelling, inverse of [`PartitionEngine::parse`].
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PartitionEngine::Multilevel => "multilevel",
-            PartitionEngine::Modularity => "modularity",
-        }
-    }
 }
 
 /// Configuration of the hierarchical strategy (§IV-B).
@@ -228,7 +220,7 @@ impl HierarchicalConfig {
     /// with `k·min ≤ nodes ≤ k·max`, or `None` when no `k` fits (five
     /// nodes in clusters of exactly four, say). This is the part count
     /// the multilevel engine partitions into.
-    pub fn l1_parts(&self, nodes: usize) -> Option<usize> {
+    pub(crate) fn l1_parts(&self, nodes: usize) -> Option<usize> {
         let k = nodes / self.min_nodes_per_l1.max(1);
         let fits = k
             .checked_mul(self.max_nodes_per_l1)

@@ -55,7 +55,7 @@ pub struct Naive {
 /// §III-B size-guided clustering: consecutive ranks, size chosen to
 /// balance encoding time (paper: 8).
 #[derive(Clone, Copy, Debug)]
-pub struct SizeGuided {
+pub(crate) struct SizeGuided {
     /// Ranks per cluster (paper: 8).
     pub size: usize,
 }
@@ -249,7 +249,7 @@ type Entry = Box<dyn ClusteringStrategy + Send + Sync>;
 /// independent of thread count.
 ///
 /// The generated presets ([`table2`](Self::table2),
-/// [`for_layout`](Self::for_layout), [`autotune`](Self::autotune)) keep
+/// [`for_layout`](Self::for_layout), `autotune`) keep
 /// only the entries whose [`ClusteringStrategy::validate`] accepts the
 /// machine; [`paper`](Self::paper) keeps the sizes it is given, so an
 /// infeasible one fails the build with the strategy's error.
@@ -350,7 +350,7 @@ impl SchemeFamilySpec {
     /// (powers of two up to the node count) and hierarchical L1 widths of
     /// exactly 4 and 8 nodes where at least two such clusters fit — of
     /// these, the entries `placement` can host.
-    pub fn autotune(placement: &Placement) -> Self {
+    pub(crate) fn autotune(placement: &Placement) -> Self {
         let nodes = placement.nodes();
         let powers_of_two = |max: usize| {
             std::iter::successors(Some(2usize), |s| s.checked_mul(2)).take_while(move |&s| s <= max)
@@ -398,14 +398,14 @@ impl SchemeFamilySpec {
     }
 
     /// Is the spec empty?
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Build every strategy on the evaluator's placement and `node_graph`
     /// and score it, in spec order. Building is sequential (the
     /// hierarchical partitioner is milliseconds at paper scale); scoring
-    /// dominates and is [`Evaluator::evaluate_all`], which fans out over
+    /// dominates and is `Evaluator::evaluate_all`, which fans out over
     /// rayon with order-preserving collects and computes P(catastrophic)
     /// once per distinct L2 digest, so the rows are byte-identical at any
     /// thread count.

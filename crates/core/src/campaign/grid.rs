@@ -39,7 +39,7 @@ const STRIPED_L1_NODES: usize = 4;
 
 impl GridStrategy {
     /// Stable identifier used in CSV output.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             GridStrategy::Naive => "naive",
             GridStrategy::Distributed => "distributed",
@@ -74,7 +74,7 @@ impl GridStrategy {
 /// One grid cell's coordinates and statistics.
 #[derive(Clone, Debug)]
 pub struct GridCell {
-    /// Strategy identifier ([`GridStrategy::name`]).
+    /// Strategy identifier (`GridStrategy::name`).
     pub strategy: &'static str,
     /// MTBF of the cell's exponential arrival process, hours.
     pub mtbf_h: f64,
@@ -250,7 +250,11 @@ mod tests {
     #[test]
     fn early_stopping_saves_trials_in_a_grid() {
         let mut grid = tiny_grid();
-        grid.stop = StopRule::until_ci(512, 64, 64, CiTarget::availability(0.5));
+        let target = CiTarget {
+            availability: 0.5,
+            catastrophic: f64::INFINITY,
+        };
+        grid.stop = StopRule::until_ci(512, 64, 64, target);
         let cells = grid.run().unwrap();
         for c in &cells {
             assert!(c.stats.early_stopped, "{c:?}");

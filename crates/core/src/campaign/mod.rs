@@ -31,9 +31,7 @@ pub mod stats;
 
 pub use grid::{CampaignGrid, GridCell, GridStrategy};
 pub use kernel::{CampaignKernel, TrialTotals};
-pub use stats::{
-    simulate_campaign_stats, trial_availability, CampaignStats, CiTarget, StopRule, Welford,
-};
+pub use stats::{simulate_campaign_stats, CampaignStats, CiTarget, StopRule, Welford};
 
 use hcft_cluster::ClusteringScheme;
 use hcft_msglog::HybridProtocol;
@@ -45,7 +43,6 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::Rng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Campaign parameters.
 #[derive(Clone, Debug)]
@@ -101,8 +98,8 @@ pub struct CampaignOutcome {
 }
 
 /// Run the campaign for one clustering scheme through the batched
-/// engine. Equivalent trial-for-trial to
-/// [`simulate_campaign_reference`]; orders of magnitude faster.
+/// engine. Equivalent trial-for-trial to [`run_trial_reference`]; orders
+/// of magnitude faster.
 pub fn simulate_campaign(
     scheme: &ClusteringScheme,
     placement: &Placement,
@@ -124,11 +121,13 @@ pub fn simulate_campaign(
 /// The pre-engine scalar implementation, retained as the correctness
 /// reference: per-event `Vec` materialisation, [`FaultScenario`]
 /// construction and the O(nprocs) `defeated_by` scan.
-pub fn simulate_campaign_reference(
+#[cfg(test)]
+fn simulate_campaign_reference(
     scheme: &ClusteringScheme,
     placement: &Placement,
     cfg: &CampaignConfig,
 ) -> CampaignOutcome {
+    use rayon::prelude::*;
     let protocol = HybridProtocol::new(scheme.l1.clone());
     let sampler = cfg.events.sampler();
     let duration_s = cfg.duration_h * 3600.0;

@@ -3,7 +3,7 @@
 //! Each campaign metric is accumulated in a [`Welford`] estimator
 //! (numerically stable single-pass mean/variance), merged across worker
 //! chunks with Chan's parallel update. Chunk boundaries are fixed
-//! multiples of [`CHUNK`] and the merge happens sequentially in chunk
+//! multiples of `CHUNK` and the merge happens sequentially in chunk
 //! order, so the resulting statistics are **byte-identical at any rayon
 //! thread count** — the same guarantee the rest of the pipeline gives.
 //!
@@ -23,7 +23,7 @@ use super::{CampaignConfig, CampaignOutcome};
 
 /// Trials per worker chunk. Fixed so chunk (and therefore Welford merge)
 /// boundaries never depend on thread count.
-pub const CHUNK: u64 = 64;
+pub(crate) const CHUNK: u64 = 64;
 
 /// Welford's streaming mean/variance accumulator.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -36,7 +36,7 @@ pub struct Welford {
 impl Welford {
     /// Fold one observation in.
     #[inline]
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.n += 1;
         let d = x - self.mean;
         self.mean += d / self.n as f64;
@@ -45,7 +45,7 @@ impl Welford {
 
     /// Chan's parallel merge. Call in a fixed order for deterministic
     /// results.
-    pub fn merge(&mut self, other: &Welford) {
+    pub(crate) fn merge(&mut self, other: &Welford) {
         if other.n == 0 {
             return;
         }
@@ -60,18 +60,13 @@ impl Welford {
         *self = Welford { n, mean, m2 };
     }
 
-    /// Number of observations.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// Sample mean (0 with no observations).
     pub fn mean(&self) -> f64 {
         self.mean
     }
 
     /// Unbiased sample variance (0 below two observations).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -99,16 +94,6 @@ pub struct CiTarget {
     /// … and the per-campaign catastrophic-count CI half-width is at
     /// most this ([`f64::INFINITY`] to gate on availability alone).
     pub catastrophic: f64,
-}
-
-impl CiTarget {
-    /// Gate on availability alone.
-    pub fn availability(half_width: f64) -> Self {
-        CiTarget {
-            availability: half_width,
-            catastrophic: f64::INFINITY,
-        }
-    }
 }
 
 /// When to stop sampling.
@@ -176,7 +161,7 @@ pub struct CampaignStats {
 impl CampaignStats {
     /// Fold one trial in. `availability` is the trial's availability
     /// fraction (see [`trial_availability`]).
-    pub fn push(&mut self, t: &TrialTotals, availability: f64) {
+    pub(crate) fn push(&mut self, t: &TrialTotals, availability: f64) {
         self.trials += 1;
         self.total_failures += t.failures;
         self.total_catastrophic += t.catastrophic;
@@ -189,7 +174,7 @@ impl CampaignStats {
 
     /// Merge another accumulator in (Chan update per metric). Call in a
     /// fixed chunk order for deterministic results.
-    pub fn merge(&mut self, other: &CampaignStats) {
+    pub(crate) fn merge(&mut self, other: &CampaignStats) {
         self.trials += other.trials;
         self.total_failures += other.total_failures;
         self.total_catastrophic += other.total_catastrophic;
@@ -203,7 +188,7 @@ impl CampaignStats {
 
     /// Collapse to the mean-level [`CampaignOutcome`]. Counts come from
     /// the exact integer totals, availability from the per-trial mean.
-    pub fn outcome(&self) -> CampaignOutcome {
+    pub(crate) fn outcome(&self) -> CampaignOutcome {
         let trials = (self.trials as f64).max(1.0);
         CampaignOutcome {
             failures: self.total_failures as f64 / trials,
@@ -217,7 +202,7 @@ impl CampaignStats {
 /// One trial's useful-work availability: steady checkpoint overhead plus
 /// the trial's recovery waste, clamped at zero.
 #[inline]
-pub fn trial_availability(t: &TrialTotals, cfg: &CampaignConfig) -> f64 {
+pub(crate) fn trial_availability(t: &TrialTotals, cfg: &CampaignConfig) -> f64 {
     let duration_s = cfg.duration_h * 3600.0;
     let ckpt_fraction = cfg.checkpoint_cost_s / cfg.checkpoint_interval_s;
     (1.0 - (ckpt_fraction + t.waste_s / duration_s)).max(0.0)
@@ -226,7 +211,7 @@ pub fn trial_availability(t: &TrialTotals, cfg: &CampaignConfig) -> f64 {
 /// Run a campaign cell through the batched kernel under `stop`,
 /// returning full statistics.
 ///
-/// Trials fan out across rayon workers in fixed [`CHUNK`]-sized chunks;
+/// Trials fan out across rayon workers in fixed `CHUNK`-sized chunks;
 /// each chunk owns a [`CampaignKernel`] (scratch buffers, no steady-state
 /// allocation) and its partial statistics are merged in chunk order, so
 /// the result is byte-identical at any thread count.
@@ -311,7 +296,7 @@ mod tests {
             }
             merged.merge(&part);
         }
-        assert_eq!(whole.n(), merged.n());
+        assert_eq!(whole.n, merged.n);
         assert!((whole.mean() - merged.mean()).abs() < 1e-12);
         assert!((whole.variance() - merged.variance()).abs() < 1e-10);
     }
@@ -338,7 +323,7 @@ mod tests {
         let stats = simulate_campaign_stats(&scheme, &placement, &cfg, &StopRule::fixed(130));
         assert_eq!(stats.trials, 130);
         assert!(!stats.early_stopped);
-        assert_eq!(stats.availability.n(), 130);
+        assert_eq!(stats.availability.n, 130);
     }
 
     #[test]
@@ -350,7 +335,11 @@ mod tests {
             ..Default::default()
         };
         // A generous target stops at the first eligible boundary.
-        let rule = StopRule::until_ci(10_000, 64, 128, CiTarget::availability(1.0));
+        let target = CiTarget {
+            availability: 1.0,
+            catastrophic: f64::INFINITY,
+        };
+        let rule = StopRule::until_ci(10_000, 64, 128, target);
         let stopped = simulate_campaign_stats(&scheme, &placement, &cfg, &rule);
         assert!(stopped.early_stopped);
         assert_eq!(stopped.trials, 128);

@@ -109,7 +109,7 @@ impl TracedJobConfig {
     }
 
     /// Solver parameters implied by this configuration.
-    pub fn tsunami_params(&self) -> TsunamiParams {
+    pub(crate) fn tsunami_params(&self) -> TsunamiParams {
         let mut p = TsunamiParams::stable(self.grid.0, self.grid.1);
         p.process_grid = self.process_grid;
         p
@@ -394,7 +394,7 @@ impl TraceResult {
     /// Approximate resident size of this trace — the matrices' stored
     /// rows plus the event streams. Drives the trace cache's
     /// `service.cache.bytes` accounting.
-    pub fn approx_bytes(&self) -> u64 {
+    pub(crate) fn approx_bytes(&self) -> u64 {
         let events: u64 = self
             .app_events
             .iter()

@@ -23,6 +23,8 @@
 //!   failures-during-encoding injectable via the unified
 //!   [`scenario::FaultScenario`] API.
 
+#![warn(unreachable_pub)]
+
 pub mod campaign;
 pub mod experiment;
 pub mod replay;
@@ -30,9 +32,9 @@ pub mod scenario;
 pub mod trace_cache;
 
 pub use campaign::{
-    simulate_campaign, simulate_campaign_reference, simulate_campaign_stats, CampaignConfig,
-    CampaignGrid, CampaignKernel, CampaignOutcome, CampaignStats, CiTarget, GridCell, GridStrategy,
-    StopRule, TrialTotals, Welford,
+    simulate_campaign, simulate_campaign_stats, CampaignConfig, CampaignGrid, CampaignKernel,
+    CampaignOutcome, CampaignStats, CiTarget, GridCell, GridStrategy, StopRule, TrialTotals,
+    Welford,
 };
 pub use experiment::{
     evaluate_family_sweep, run_traced_job, TraceKey, TraceResult, TracedJobConfig,

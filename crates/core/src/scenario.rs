@@ -115,18 +115,13 @@ impl FaultScenario {
         self.at_phase
     }
 
-    /// The symbolic targets.
-    pub fn targets(&self) -> &[FaultTarget] {
-        &self.targets
-    }
-
     /// The attached injections.
-    pub fn injections(&self) -> &[Injection] {
+    pub(crate) fn injections(&self) -> &[Injection] {
         &self.injections
     }
 
     /// Is a [`Injection::FailDuringEncoding`] attached?
-    pub fn fails_during_encoding(&self) -> bool {
+    pub(crate) fn fails_during_encoding(&self) -> bool {
         self.injections
             .iter()
             .any(|i| matches!(i, Injection::FailDuringEncoding))
@@ -209,7 +204,7 @@ impl FaultScenario {
     }
 
     /// Resolve to the ranks lost with the failed nodes (sorted).
-    pub fn failed_ranks(
+    pub(crate) fn failed_ranks(
         &self,
         placement: &Placement,
         scheme: &ClusteringScheme,
@@ -248,14 +243,6 @@ impl FaultScenarioBuilder {
     /// Fail a single node.
     pub fn node(mut self, n: NodeId) -> Self {
         self.s.targets.push(FaultTarget::Node(n));
-        self
-    }
-
-    /// Fail several nodes simultaneously.
-    pub fn nodes(mut self, ns: &[NodeId]) -> Self {
-        for &n in ns {
-            self.s.targets.push(FaultTarget::Node(n));
-        }
         self
     }
 

@@ -9,7 +9,7 @@
 use std::sync::OnceLock;
 
 /// Primitive polynomial for the field (with the x⁸ term).
-pub const POLY: u16 = 0x11d;
+pub(crate) const POLY: u16 = 0x11d;
 
 struct Tables {
     /// exp[i] = generator^i, doubled to 512 entries so `exp[a+b]` needs no
@@ -54,22 +54,16 @@ fn tables() -> &'static Tables {
     })
 }
 
-/// Field addition (== subtraction).
-#[inline]
-pub fn add(a: u8, b: u8) -> u8 {
-    a ^ b
-}
-
 /// Field multiplication.
 #[inline]
-pub fn mul(a: u8, b: u8) -> u8 {
+pub(crate) fn mul(a: u8, b: u8) -> u8 {
     tables().mul[a as usize][b as usize]
 }
 
 /// The 256-entry row of products `a·x` — the hot-loop lookup used by the
 /// shard encoder.
 #[inline]
-pub fn mul_row(a: u8) -> &'static [u8; 256] {
+pub(crate) fn mul_row(a: u8) -> &'static [u8; 256] {
     &tables().mul[a as usize]
 }
 
@@ -78,37 +72,10 @@ pub fn mul_row(a: u8) -> &'static [u8; 256] {
 /// # Panics
 /// Panics on zero, which has no inverse.
 #[inline]
-pub fn inv(a: u8) -> u8 {
+pub(crate) fn inv(a: u8) -> u8 {
     assert!(a != 0, "zero has no inverse in GF(256)");
     let t = tables();
     t.exp[(255 - t.log[a as usize]) as usize]
-}
-
-/// Field division `a / b`.
-///
-/// # Panics
-/// Panics when `b == 0`.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    assert!(b != 0, "division by zero in GF(256)");
-    if a == 0 {
-        return 0;
-    }
-    let t = tables();
-    t.exp[(t.log[a as usize] + 255 - t.log[b as usize]) as usize]
-}
-
-/// Exponentiation `a^n`.
-pub fn pow(a: u8, n: u64) -> u8 {
-    if n == 0 {
-        return 1;
-    }
-    if a == 0 {
-        return 0;
-    }
-    let t = tables();
-    let e = (t.log[a as usize] as u64 * (n % 255)) % 255;
-    t.exp[e as usize]
 }
 
 /// XOR-accumulate `coeff · src` into `dst` (the SPMV kernel of encoding).
@@ -130,10 +97,11 @@ mod tests {
     fn generator_has_full_order() {
         // Powers of the generator must enumerate all 255 non-zero elements.
         let mut seen = [false; 256];
-        for i in 0..255 {
-            let v = pow(2, i);
+        let mut v = 1u8;
+        for _ in 0..255 {
             assert!(!seen[v as usize], "generator order < 255");
             seen[v as usize] = true;
+            v = mul(v, 2);
         }
         assert!(!seen[0]);
     }
@@ -171,11 +139,6 @@ mod tests {
 
     proptest! {
         #[test]
-        fn addition_is_own_inverse(a: u8, b: u8) {
-            prop_assert_eq!(add(add(a, b), b), a);
-        }
-
-        #[test]
         fn multiplication_commutes(a: u8, b: u8) {
             prop_assert_eq!(mul(a, b), mul(b, a));
         }
@@ -187,26 +150,12 @@ mod tests {
 
         #[test]
         fn distributive_law(a: u8, b: u8, c: u8) {
-            prop_assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
+            prop_assert_eq!(mul(a, b ^ c), mul(a, b) ^ mul(a, c));
         }
 
         #[test]
         fn inverse_cancels(a in 1u8..=255) {
             prop_assert_eq!(mul(a, inv(a)), 1);
-        }
-
-        #[test]
-        fn division_inverts_multiplication(a: u8, b in 1u8..=255) {
-            prop_assert_eq!(div(mul(a, b), b), a);
-        }
-
-        #[test]
-        fn pow_matches_repeated_mul(a: u8, n in 0u64..16) {
-            let mut acc = 1u8;
-            for _ in 0..n {
-                acc = mul(acc, a);
-            }
-            prop_assert_eq!(pow(a, n), acc);
         }
     }
 }

@@ -25,9 +25,12 @@
 //!
 //! [`active`] resolves the best available kernel once per process
 //! (override with the `HCFT_GF_KERNEL` environment variable: one of
-//! `reference`, `portable64`, `ssse3`, `avx2`).
+//! `reference`, `portable64`, `ssse3`, `avx2`; any other value panics
+//! with the [`HcftError::Config`] naming it).
 
 use std::sync::OnceLock;
+
+use hcft_telemetry::HcftError;
 
 use crate::gf256;
 
@@ -67,7 +70,7 @@ pub enum Kernel {
 
 impl Kernel {
     /// Every kernel variant, in dispatch-preference order (best last).
-    pub const ALL: [Kernel; 4] = [
+    pub(crate) const ALL: [Kernel; 4] = [
         Kernel::Reference,
         Kernel::Portable64,
         Kernel::Ssse3,
@@ -85,7 +88,7 @@ impl Kernel {
     }
 
     /// Whether this kernel can run on the current CPU.
-    pub fn is_available(self) -> bool {
+    pub(crate) fn is_available(self) -> bool {
         match self {
             Kernel::Reference | Kernel::Portable64 => true,
             #[cfg(target_arch = "x86_64")]
@@ -150,29 +153,48 @@ pub(crate) fn count_dispatch() {
 
 /// The best kernel for this process: `HCFT_GF_KERNEL` override if set
 /// and available, else the most capable detected variant. Resolved once.
+///
+/// # Panics
+/// When `HCFT_GF_KERNEL` names no kernel, with the [`HcftError::Config`]
+/// that names the variable, the value and the accepted names.
 pub fn active() -> Kernel {
     static ACTIVE: OnceLock<Kernel> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        if let Ok(want) = std::env::var("HCFT_GF_KERNEL") {
-            if let Some(k) = Kernel::ALL
+        let raw = std::env::var_os("HCFT_GF_KERNEL").map(|v| v.to_string_lossy().into_owned());
+        match requested(raw.as_deref()) {
+            Ok(Some(k)) if k.is_available() => k,
+            Ok(_) => Kernel::ALL
                 .into_iter()
-                .find(|k| k.name().eq_ignore_ascii_case(&want))
-            {
-                if k.is_available() {
-                    return k;
-                }
-            }
+                .rev()
+                .find(|k| k.is_available())
+                .expect("portable kernels are always available"),
+            Err(e) => panic!("{e}"),
         }
-        Kernel::ALL
-            .into_iter()
-            .rev()
-            .find(|k| k.is_available())
-            .expect("portable kernels are always available")
     })
 }
 
-/// Wide `dst ^= src` (the coefficient-1 fast path, also used by the XOR
-/// code): one `u64` per step plus a scalar tail.
+/// The kernel an `HCFT_GF_KERNEL` value `raw` names (case-insensitive;
+/// `None` when unset). Any other value is [`HcftError::Config`] naming
+/// the variable, the value and the accepted names.
+pub(crate) fn requested(raw: Option<&str>) -> Result<Option<Kernel>, HcftError> {
+    let Some(raw) = raw else {
+        return Ok(None);
+    };
+    Kernel::ALL
+        .into_iter()
+        .find(|k| k.name().eq_ignore_ascii_case(raw.trim()))
+        .map(Some)
+        .ok_or_else(|| {
+            let names: Vec<&str> = Kernel::ALL.iter().map(|k| k.name()).collect();
+            HcftError::Config(format!(
+                "HCFT_GF_KERNEL must be one of {}, got {raw:?}",
+                names.join(", ")
+            ))
+        })
+}
+
+/// Wide `dst ^= src` (the coefficient-1 fast path, also used by the
+/// checkpoint XOR level): one `u64` per step plus a scalar tail.
 pub fn xor_acc(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor_acc slice length mismatch");
     let mut d = dst.chunks_exact_mut(8);
@@ -237,7 +259,7 @@ mod x86 {
     /// # Safety
     /// Requires SSSE3.
     #[target_feature(enable = "ssse3")]
-    pub unsafe fn mul_acc_ssse3(dst: &mut [u8], src: &[u8], coeff: u8) {
+    pub(crate) unsafe fn mul_acc_ssse3(dst: &mut [u8], src: &[u8], coeff: u8) {
         let t = nibble_tables();
         let lo = _mm_loadu_si128(t.lo[coeff as usize].as_ptr().cast());
         let hi = _mm_loadu_si128(t.hi[coeff as usize].as_ptr().cast());
@@ -262,7 +284,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_acc_avx2(dst: &mut [u8], src: &[u8], coeff: u8) {
+    pub(crate) unsafe fn mul_acc_avx2(dst: &mut [u8], src: &[u8], coeff: u8) {
         let t = nibble_tables();
         // Same 16-byte table in both lanes: vpshufb looks up per lane.
         let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo[coeff as usize].as_ptr().cast()));
@@ -354,6 +376,25 @@ mod tests {
     fn names_round_trip() {
         for k in Kernel::ALL {
             assert!(Kernel::ALL.iter().any(|o| o.name() == k.name()));
+        }
+    }
+
+    #[test]
+    fn unknown_gf_kernel_names_are_config_errors() {
+        assert_eq!(requested(None).ok(), Some(None));
+        for k in Kernel::ALL {
+            let upper = k.name().to_uppercase();
+            assert_eq!(requested(Some(&upper)).ok(), Some(Some(k)));
+        }
+        for bad in ["avx512", "", "portable"] {
+            match requested(Some(bad)) {
+                Err(HcftError::Config(msg)) => {
+                    assert!(msg.contains("HCFT_GF_KERNEL"), "{msg}");
+                    assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+                    assert!(msg.contains("reference, portable64, ssse3, avx2"), "{msg}");
+                }
+                other => panic!("{bad:?}: {other:?}"),
+            }
         }
     }
 }

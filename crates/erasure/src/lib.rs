@@ -10,24 +10,23 @@
 //! * [`kernel`] — the multiply-accumulate kernels behind the hot loops:
 //!   4-bit split tables in scalar `u64` and SSSE3/AVX2 `pshufb` forms,
 //!   selected at runtime by CPU feature detection;
-//! * [`matrix`] — matrices over the field, Gauss–Jordan inversion and the
+//! * `matrix` — matrices over the field, Gauss–Jordan inversion and the
 //!   Cauchy construction whose every square submatrix is invertible (the
 //!   MDS property Reed–Solomon needs);
 //! * [`rs`] — systematic Reed–Solomon encode / verify / reconstruct over
 //!   byte shards, parallelised with Rayon;
-//! * [`xor`] — the single-parity XOR code (FTI's cheaper level);
 //! * [`timing`] — the encoding-time model calibrated to the paper
 //!   (≈6.4 s per GiB per cluster member: 25 s for clusters of 4,
 //!   51 s for 8, 102 s for 16, 204 s for 32 — Fig. 3b / Table II).
 
+#![warn(unreachable_pub)]
+
 pub mod gf256;
 pub mod kernel;
-pub mod matrix;
+mod matrix;
 pub mod rs;
 pub mod timing;
-pub mod xor;
 
 pub use kernel::Kernel;
 pub use rs::ReedSolomon;
 pub use timing::EncodingModel;
-pub use xor::XorCode;

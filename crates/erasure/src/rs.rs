@@ -200,7 +200,7 @@ impl ReedSolomon {
     }
 
     /// Total shard count.
-    pub fn total_shards(&self) -> usize {
+    pub(crate) fn total_shards(&self) -> usize {
         self.k + self.m
     }
 

@@ -13,11 +13,11 @@
 
 /// Paper-calibrated slope: seconds per gigabyte of checkpoint data per
 /// encoding-cluster member (TSUBAME2, FTI Reed–Solomon; Table II).
-pub const TSUBAME2_SECONDS_PER_GB_PER_MEMBER: f64 = 6.375;
+pub(crate) const TSUBAME2_SECONDS_PER_GB_PER_MEMBER: f64 = 6.375;
 
 /// Bytes per gigabyte as the paper counts them (10⁹; the paper mixes GB
 /// and GiB loosely, the shape is unaffected).
-pub const GB: f64 = 1.0e9;
+pub(crate) const GB: f64 = 1.0e9;
 
 /// Linear encoding-time model `t = slope × members × gigabytes`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,15 +31,6 @@ impl EncodingModel {
     pub fn tsubame2() -> Self {
         EncodingModel {
             seconds_per_gb_per_member: TSUBAME2_SECONDS_PER_GB_PER_MEMBER,
-        }
-    }
-
-    /// A model calibrated from one measurement: encoding `bytes` in an
-    /// `members`-process cluster took `seconds`.
-    pub fn calibrated(members: usize, bytes: u64, seconds: f64) -> Self {
-        assert!(members > 0 && bytes > 0 && seconds > 0.0);
-        EncodingModel {
-            seconds_per_gb_per_member: seconds / (members as f64 * bytes as f64 / GB),
         }
     }
 
@@ -68,13 +59,6 @@ mod tests {
         assert!((m.seconds_per_gb(16) - 102.0).abs() < 1.0);
         assert!((m.seconds_per_gb(8) - 51.0).abs() < 1.0);
         assert!((m.seconds_per_gb(4) - 25.5).abs() < 1.0);
-    }
-
-    #[test]
-    fn calibration_inverts_prediction() {
-        let m = EncodingModel::calibrated(8, 2_000_000_000, 100.0);
-        assert!((m.seconds(8, 2_000_000_000) - 100.0).abs() < 1e-9);
-        assert!((m.seconds(16, 2_000_000_000) - 200.0).abs() < 1e-9);
     }
 
     #[test]

@@ -152,84 +152,8 @@ impl Clustering {
     }
 
     /// Per-rank assignment slice.
-    pub fn assignment(&self) -> Vec<usize> {
+    pub(crate) fn assignment(&self) -> Vec<usize> {
         self.cluster_of.iter().map(|&c| c as usize).collect()
-    }
-}
-
-impl Clustering {
-    /// Render as CSV (`rank,cluster` per line) — the interchange format
-    /// for external partitioning tools.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("rank,cluster\n");
-        for r in 0..self.nprocs() {
-            s.push_str(&format!("{r},{}\n", self.cluster_of(Rank::from(r))));
-        }
-        s
-    }
-
-    /// Parse the CSV format produced by [`Clustering::to_csv`]. Ranks may
-    /// appear in any order but must cover `0..n` exactly once.
-    pub fn from_csv(csv: &str) -> Result<Clustering, String> {
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (lineno, line) in csv.lines().enumerate() {
-            if lineno == 0 && line.starts_with("rank") {
-                continue;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut it = line.split(',');
-            let parse = |tok: Option<&str>| -> Result<usize, String> {
-                tok.ok_or_else(|| format!("line {lineno}: missing field"))?
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|e| format!("line {lineno}: {e}"))
-            };
-            pairs.push((parse(it.next())?, parse(it.next())?));
-        }
-        if pairs.is_empty() {
-            return Err("empty clustering".to_string());
-        }
-        let n = pairs.len();
-        let mut assignment = vec![usize::MAX; n];
-        for (rank, cluster) in pairs {
-            if rank >= n {
-                return Err(format!("rank {rank} out of range (0..{n})"));
-            }
-            if assignment[rank] != usize::MAX {
-                return Err(format!("rank {rank} assigned twice"));
-            }
-            assignment[rank] = cluster;
-        }
-        Ok(Clustering::from_assignment(&assignment))
-    }
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-
-    #[test]
-    fn csv_roundtrip() {
-        let c = Clustering::consecutive(10, 3);
-        let back = Clustering::from_csv(&c.to_csv()).expect("parse");
-        assert_eq!(c, back);
-    }
-
-    #[test]
-    fn csv_accepts_shuffled_rows() {
-        let c = Clustering::from_csv("rank,cluster\n2,0\n0,1\n1,0\n").expect("parse");
-        assert_eq!(c.cluster_of(Rank(0)), 0); // first-appearance renumbering
-        assert!(c.same_cluster(Rank(1), Rank(2)));
-        assert!(!c.same_cluster(Rank(0), Rank(1)));
-    }
-
-    #[test]
-    fn csv_rejects_gaps_and_duplicates() {
-        assert!(Clustering::from_csv("rank,cluster\n0,0\n0,1\n").is_err());
-        assert!(Clustering::from_csv("rank,cluster\n5,0\n").is_err());
-        assert!(Clustering::from_csv("rank,cluster\n").is_err());
     }
 }
 

@@ -126,12 +126,12 @@ impl WeightedGraph {
     }
 
     /// Unweighted degree (neighbour count).
-    pub fn degree_count(&self, u: usize) -> usize {
+    pub(crate) fn degree_count(&self, u: usize) -> usize {
         self.adj[u].len()
     }
 
     /// Self-loop weight of `u`.
-    pub fn self_weight(&self, u: usize) -> u64 {
+    pub(crate) fn self_weight(&self, u: usize) -> u64 {
         self.selfw[u]
     }
 
@@ -151,7 +151,7 @@ impl WeightedGraph {
     }
 
     /// Weight of the edge `{u, v}` (0 if absent).
-    pub fn edge_weight(&self, u: usize, v: usize) -> u64 {
+    pub(crate) fn edge_weight(&self, u: usize, v: usize) -> u64 {
         self.adj[u]
             .iter()
             .find(|&&(x, _)| x as usize == v)

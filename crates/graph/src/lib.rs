@@ -20,6 +20,8 @@
 //!   inspiration (§IV-A): degree distribution, weighted modularity,
 //!   clustering coefficient.
 
+#![warn(unreachable_pub)]
+
 pub mod clustering;
 pub mod csr;
 pub mod graph;

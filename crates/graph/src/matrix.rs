@@ -73,7 +73,7 @@ impl CommMatrix {
     /// The non-zero `(dst, bytes)` cells of sender `src`, sorted by
     /// destination.
     #[inline]
-    pub fn row(&self, src: usize) -> &[(u32, u64)] {
+    pub(crate) fn row(&self, src: usize) -> &[(u32, u64)] {
         &self.rows[src]
     }
 
@@ -103,22 +103,6 @@ impl CommMatrix {
             .iter()
             .enumerate()
             .flat_map(|(s, row)| row.iter().map(move |&(d, b)| (s, d as usize, b)))
-    }
-
-    /// Symmetric volume between `a` and `b` (both directions).
-    #[inline]
-    pub fn between(&self, a: usize, b: usize) -> u64 {
-        self.get(a, b) + self.get(b, a)
-    }
-
-    /// Merge another matrix of the same size into this one.
-    pub fn merge(&mut self, other: &CommMatrix) {
-        assert_eq!(self.n(), other.n(), "matrix size mismatch");
-        for (row, theirs) in self.rows.iter_mut().zip(&other.rows) {
-            if !theirs.is_empty() {
-                *row = merge_rows(row, theirs);
-            }
-        }
     }
 
     /// Aggregate to a node-level matrix using a placement: cell `(u, v)` of
@@ -176,43 +160,6 @@ impl CommMatrix {
             .filter(|&(s, d, _)| inside[s] != inside[d])
             .map(|(_, _, b)| b)
             .sum()
-    }
-
-    /// Render as CSV (`src,dst,bytes` for non-zero entries).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("src,dst,bytes\n");
-        for (src, dst, b) in self.entries() {
-            s.push_str(&format!("{src},{dst},{b}\n"));
-        }
-        s
-    }
-
-    /// Parse the CSV format produced by [`CommMatrix::to_csv`].
-    pub fn from_csv(n: usize, csv: &str) -> Result<CommMatrix, String> {
-        let mut m = CommMatrix::new(n);
-        for (lineno, line) in csv.lines().enumerate() {
-            if lineno == 0 && line.starts_with("src") {
-                continue;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut it = line.split(',');
-            let parse = |tok: Option<&str>| -> Result<u64, String> {
-                tok.ok_or_else(|| format!("line {lineno}: missing field"))?
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|e| format!("line {lineno}: {e}"))
-            };
-            let src = parse(it.next())? as usize;
-            let dst = parse(it.next())? as usize;
-            let bytes = parse(it.next())?;
-            if src >= n || dst >= n {
-                return Err(format!("line {lineno}: rank out of range"));
-            }
-            m.add(src, dst, bytes);
-        }
-        Ok(m)
     }
 
     /// ASCII heat map with log-scale density characters, coarsened to at
@@ -292,7 +239,7 @@ mod tests {
         let m = sample();
         assert_eq!(m.total_bytes(), 161);
         assert_eq!(m.edge_count(), 4);
-        assert_eq!(m.between(0, 1), 150);
+        assert_eq!(m.get(0, 1) + m.get(1, 0), 150);
     }
 
     #[test]
@@ -327,33 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip() {
-        let m = sample();
-        let csv = m.to_csv();
-        let back = CommMatrix::from_csv(4, &csv).unwrap();
-        assert_eq!(m, back);
-    }
-
-    #[test]
-    fn csv_rejects_out_of_range() {
-        assert!(CommMatrix::from_csv(2, "src,dst,bytes\n5,0,1\n").is_err());
-    }
-
-    #[test]
     fn zoom_takes_corner() {
         let m = sample();
         let z = m.zoom(2);
         assert_eq!(z.n(), 2);
         assert_eq!(z.get(0, 1), 100);
         assert_eq!(z.total_bytes(), 150);
-    }
-
-    #[test]
-    fn merge_adds_cellwise() {
-        let mut a = sample();
-        let b = sample();
-        a.merge(&b);
-        assert_eq!(a.total_bytes(), 322);
     }
 
     #[test]
@@ -527,11 +453,13 @@ mod proptests {
         }
 
         #[test]
-        fn merge_matches_the_dense_oracle(case in arb_ops()) {
+        fn merge_rows_matches_the_dense_oracle(case in arb_ops()) {
             let (n, a, b) = case;
             let (mut ma, mut da) = build(n, &a);
             let (mb, db) = build(n, &b);
-            ma.merge(&mb);
+            for (row, theirs) in ma.rows.iter_mut().zip(&mb.rows) {
+                *row = merge_rows(row, theirs);
+            }
             da.merge(&db);
             assert_same(&ma, &da)?;
         }
@@ -586,12 +514,6 @@ mod proptests {
             assert_same(&m.zoom(k), &d.zoom(k))?;
             let set: Vec<Rank> = set.iter().map(|i| Rank::from(i % n)).collect();
             prop_assert_eq!(m.cut_bytes(&set), d.cut_bytes(&set));
-        }
-
-        #[test]
-        fn csv_roundtrip_is_identity(m in arb_matrix()) {
-            let back = CommMatrix::from_csv(m.n(), &m.to_csv()).expect("parse");
-            prop_assert_eq!(&m, &back);
         }
 
         #[test]

@@ -31,15 +31,6 @@ pub fn stencil_2d(px: usize, py: usize, ew_bytes: u64, ns_bytes: u64) -> CommMat
     m
 }
 
-/// Unidirectional ring (pipeline codes).
-pub fn ring(n: usize, bytes: u64) -> CommMatrix {
-    let mut m = CommMatrix::new(n);
-    for r in 0..n {
-        m.add(r, (r + 1) % n, bytes);
-    }
-    m
-}
-
 /// Uniform all-to-all (transpose/FFT-like) — every pair exchanges
 /// `bytes`.
 pub fn all_to_all(n: usize, bytes: u64) -> CommMatrix {
@@ -64,27 +55,6 @@ pub fn butterfly(n: usize, bytes: u64) -> CommMatrix {
             m.add(r, r ^ dist, bytes);
         }
         dist <<= 1;
-    }
-    m
-}
-
-/// Random sparse pattern with `edges` directed edges (deterministic in
-/// `seed`) — an irregular-application stand-in.
-pub fn random_sparse(n: usize, edges: usize, bytes: u64, seed: u64) -> CommMatrix {
-    let mut m = CommMatrix::new(n);
-    let mut state = seed | 1;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as usize
-    };
-    for _ in 0..edges {
-        let s = next() % n;
-        let d = next() % n;
-        if s != d {
-            m.add(s, d, bytes);
-        }
     }
     m
 }
@@ -128,13 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_volume() {
-        let m = ring(5, 7);
-        assert_eq!(m.total_bytes(), 35);
-        assert_eq!(m.get(4, 0), 7);
-    }
-
-    #[test]
     fn all_to_all_logs_badly_under_any_clustering() {
         // The §V caveat, quantified: with uniform all-to-all, clusters of
         // size k leave only (k−1)/(n−1) of traffic internal.
@@ -160,17 +123,5 @@ mod tests {
         }
         // Every rank talks to log2(n) partners.
         assert_eq!(m.row(0), &[(1, 3), (2, 3), (4, 3)]);
-    }
-
-    #[test]
-    fn random_sparse_is_deterministic() {
-        let a = random_sparse(10, 40, 5, 99);
-        let b = random_sparse(10, 40, 5, 99);
-        assert_eq!(a, b);
-        assert!(a.total_bytes() > 0);
-        // No self-loops.
-        for r in 0..10 {
-            assert_eq!(a.get(r, r), 0);
-        }
     }
 }

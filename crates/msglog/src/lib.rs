@@ -19,6 +19,8 @@
 //!   during replay is either logged or regenerated), and rolled-back
 //!   work.
 
+#![warn(unreachable_pub)]
+
 pub mod determinism;
 pub mod protocol;
 pub mod recovery;
@@ -27,7 +29,7 @@ pub mod timeline;
 
 pub use determinism::{check_send_determinism, DeterminismReport};
 pub use protocol::{HybridProtocol, LogStats};
-pub use recovery::{check_replay, rolled_back_work, ReplayReport};
+pub use recovery::{check_replay, ReplayReport};
 pub use senderlog::SenderLog;
 pub use timeline::{log_memory_timeline, LogSample};
 

@@ -5,19 +5,13 @@ use std::sync::Arc;
 use hcft_graph::{Clustering, CommMatrix};
 use hcft_topology::{Placement, Rank};
 
-use crate::MsgEvent;
-
-/// Byte/message accounting for a clustering applied to a traffic trace.
+/// Byte accounting for a clustering applied to a traffic trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogStats {
     /// All traced bytes.
     pub total_bytes: u64,
     /// Bytes crossing cluster boundaries (must be logged).
     pub logged_bytes: u64,
-    /// All traced messages.
-    pub total_msgs: u64,
-    /// Messages crossing cluster boundaries.
-    pub logged_msgs: u64,
     /// Logged bytes held by each sender (the per-rank memory footprint).
     pub per_sender_logged: Vec<u64>,
 }
@@ -31,11 +25,6 @@ impl LogStats {
         } else {
             self.logged_bytes as f64 / self.total_bytes as f64
         }
-    }
-
-    /// Largest sender-side log (bytes) — the worst-case memory pressure.
-    pub fn max_sender_log(&self) -> u64 {
-        self.per_sender_logged.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -58,11 +47,6 @@ impl HybridProtocol {
         }
     }
 
-    /// The clustering in force.
-    pub fn clustering(&self) -> &Clustering {
-        &self.clustering
-    }
-
     /// Must this message be logged? (Inter-cluster ⇒ yes.)
     #[inline]
     pub fn must_log(&self, src: Rank, dst: Rank) -> bool {
@@ -76,8 +60,6 @@ impl HybridProtocol {
         let mut s = LogStats {
             total_bytes: 0,
             logged_bytes: 0,
-            total_msgs: 0,
-            logged_msgs: 0,
             per_sender_logged: vec![0; self.clustering.nprocs()],
         };
         for (src, dst, bytes) in m.entries() {
@@ -85,30 +67,6 @@ impl HybridProtocol {
             if self.must_log(Rank::from(src), Rank::from(dst)) {
                 s.logged_bytes += bytes;
                 s.per_sender_logged[src] += bytes;
-            }
-        }
-        s
-    }
-
-    /// Accounting from per-sender event streams (message counts exact).
-    pub fn stats_from_events(&self, events: &[Vec<MsgEvent>]) -> LogStats {
-        let n = self.clustering.nprocs();
-        let mut s = LogStats {
-            total_bytes: 0,
-            logged_bytes: 0,
-            total_msgs: 0,
-            logged_msgs: 0,
-            per_sender_logged: vec![0; n],
-        };
-        for stream in events {
-            for ev in stream {
-                s.total_bytes += ev.bytes;
-                s.total_msgs += 1;
-                if self.must_log(Rank(ev.src), Rank(ev.dst)) {
-                    s.logged_bytes += ev.bytes;
-                    s.logged_msgs += 1;
-                    s.per_sender_logged[ev.src as usize] += ev.bytes;
-                }
             }
         }
         s
@@ -174,7 +132,6 @@ mod tests {
         assert_eq!(s.per_sender_logged[3], 10);
         assert_eq!(s.per_sender_logged[7], 10);
         assert_eq!(s.per_sender_logged[1], 0);
-        assert_eq!(s.max_sender_log(), 10);
     }
 
     #[test]
@@ -189,38 +146,6 @@ mod tests {
         let p = HybridProtocol::new(Clustering::singletons(8));
         let s = p.stats_from_matrix(&matrix_ring(8, 10));
         assert_eq!(s.logged_bytes, s.total_bytes);
-    }
-
-    #[test]
-    fn stats_from_events_counts_messages() {
-        let p = HybridProtocol::new(Clustering::consecutive(4, 2));
-        let events = vec![
-            vec![
-                MsgEvent {
-                    src: 0,
-                    dst: 1,
-                    bytes: 5,
-                    phase: 0,
-                },
-                MsgEvent {
-                    src: 0,
-                    dst: 2,
-                    bytes: 7,
-                    phase: 1,
-                },
-            ],
-            vec![MsgEvent {
-                src: 1,
-                dst: 3,
-                bytes: 3,
-                phase: 1,
-            }],
-        ];
-        let s = p.stats_from_events(&events);
-        assert_eq!(s.total_msgs, 3);
-        assert_eq!(s.logged_msgs, 2);
-        assert_eq!(s.logged_bytes, 10);
-        assert_eq!(s.per_sender_logged, vec![7, 3, 0, 0]);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! same messages) or *served from a sender log* (sender survives, and
 //! because it survives it is outside the restarting cluster, so the
 //! message crossed a boundary and was logged). [`check_replay`] walks a
-//! trace and verifies this exhaustively; [`rolled_back_work`] measures
-//! the wasted computation the paper's recovery-cost axis abstracts.
+//! trace and verifies this exhaustively.
 
 use hcft_graph::Clustering;
 use hcft_topology::Rank;
@@ -100,27 +99,6 @@ pub fn check_replay(
     report
 }
 
-/// Wasted work caused by a failure at `failure_phase`: each restarted
-/// rank repeats `failure_phase − its cluster's checkpoint epoch` phases.
-/// Returned in rank-phases (the paper's "amount of rolled back
-/// computation").
-pub fn rolled_back_work(
-    clustering: &Clustering,
-    epoch_of_cluster: &[u64],
-    failed: &[Rank],
-    failure_phase: u64,
-) -> u64 {
-    let protocol = HybridProtocol::new(clustering.clone());
-    protocol
-        .restart_set(failed)
-        .iter()
-        .map(|&r| {
-            let epoch = epoch_of_cluster[clustering.cluster_of(r)];
-            failure_phase.saturating_sub(epoch)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,31 +165,5 @@ mod tests {
             let report = check_replay(&c, &events, &[3, 3, 3, 3], &[Rank(f)]);
             assert!(report.feasible(), "failure of {f} infeasible");
         }
-    }
-
-    #[test]
-    fn rolled_back_work_scales_with_cluster_and_staleness() {
-        let c = Clustering::consecutive(8, 4);
-        // Cluster 0 checkpointed at phase 8, cluster 1 at phase 2.
-        let w0 = rolled_back_work(&c, &[8, 2], &[Rank(0)], 10);
-        let w1 = rolled_back_work(&c, &[8, 2], &[Rank(5)], 10);
-        assert_eq!(w0, 4 * 2);
-        assert_eq!(w1, 4 * 8);
-        // Failure of both clusters rolls back everything.
-        let w = rolled_back_work(&c, &[8, 2], &[Rank(0), Rank(5)], 10);
-        assert_eq!(w, w0 + w1);
-    }
-
-    #[test]
-    fn smaller_clusters_waste_less_work() {
-        let events = ring_events(10);
-        let _ = events;
-        let small = Clustering::consecutive(8, 2);
-        let large = Clustering::consecutive(8, 8);
-        let ws = rolled_back_work(&small, &vec![5; small.len()], &[Rank(3)], 10);
-        let wl = rolled_back_work(&large, &vec![5; large.len()], &[Rank(3)], 10);
-        assert!(ws < wl);
-        assert_eq!(ws, 2 * 5);
-        assert_eq!(wl, 8 * 5);
     }
 }

@@ -96,16 +96,6 @@ impl SenderLog {
         self.bytes
     }
 
-    /// Number of logged messages.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is logged.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Messages to replay towards `dst` from phase `from_phase` onwards,
     /// in original send order.
     pub fn replay_for(&self, dst: u32, from_phase: u64) -> impl Iterator<Item = &LogEntry> {
@@ -144,11 +134,11 @@ mod tests {
     #[test]
     fn records_and_accounts_memory() {
         let mut log = SenderLog::new();
-        assert!(log.is_empty());
+        assert!(log.entries.is_empty());
         log.record(1, 0, 0, payload(100));
         log.record(2, 0, 1, payload(50));
         assert_eq!(log.memory_bytes(), 150);
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.entries.len(), 2);
     }
 
     #[test]
@@ -178,7 +168,7 @@ mod tests {
         log.record(1, 0, 0, payload(10));
         log.record(1, 0, 5, payload(20));
         log.truncate_before(3);
-        assert_eq!(log.len(), 1);
+        assert_eq!(log.entries.len(), 1);
         assert_eq!(log.memory_bytes(), 20);
     }
 

@@ -12,11 +12,11 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 /// One level of coarsening: the coarse graph plus the fine→coarse map.
-pub struct CoarseLevel {
+pub(crate) struct CoarseLevel {
     /// The contracted graph.
-    pub graph: WeightedGraph,
+    pub(crate) graph: WeightedGraph,
     /// `map[fine_vertex] = coarse_vertex`.
-    pub map: Vec<usize>,
+    pub(crate) map: Vec<usize>,
 }
 
 /// Contract a heavy-edge maximal matching of `g`. Visit order is shuffled
@@ -33,7 +33,7 @@ pub struct CoarseLevel {
 /// `(weight, Reverse(v))` key), so coarse graphs are bit-identical
 /// regardless of thread count — the same fixed-order determinism
 /// discipline as the sweep engine.
-pub fn coarsen_once(g: &WeightedGraph, seed: u64) -> Option<CoarseLevel> {
+pub(crate) fn coarsen_once(g: &WeightedGraph, seed: u64) -> Option<CoarseLevel> {
     let n = g.n();
     let mut order: Vec<usize> = (0..n).collect();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -119,7 +119,7 @@ pub fn coarsen_once(g: &WeightedGraph, seed: u64) -> Option<CoarseLevel> {
 
 /// Coarsen until at most `target_n` vertices remain or progress stalls.
 /// Returns the level stack, finest first.
-pub fn coarsen_to(g: &WeightedGraph, target_n: usize, seed: u64) -> Vec<CoarseLevel> {
+pub(crate) fn coarsen_to(g: &WeightedGraph, target_n: usize, seed: u64) -> Vec<CoarseLevel> {
     let mut levels = Vec::new();
     let mut current = g.clone();
     let mut round = 0u64;

@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Ordered gain → vertex buckets with O(log) insert/remove/pop.
-pub struct GainBuckets {
+pub(crate) struct GainBuckets {
     buckets: BTreeMap<i128, BTreeSet<u32>>,
     /// Current gain per vertex (`None` = not enqueued).
     cur: Vec<Option<i128>>,
@@ -21,7 +21,7 @@ pub struct GainBuckets {
 
 impl GainBuckets {
     /// Empty structure for `n` vertices.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         GainBuckets {
             buckets: BTreeMap::new(),
             cur: vec![None; n],
@@ -30,7 +30,7 @@ impl GainBuckets {
     }
 
     /// Insert `u` with `gain`, replacing any previous entry.
-    pub fn insert(&mut self, u: usize, gain: i128) {
+    pub(crate) fn insert(&mut self, u: usize, gain: i128) {
         self.remove(u);
         self.buckets.entry(gain).or_default().insert(u as u32);
         self.cur[u] = Some(gain);
@@ -38,7 +38,7 @@ impl GainBuckets {
     }
 
     /// Remove `u` if enqueued.
-    pub fn remove(&mut self, u: usize) {
+    pub(crate) fn remove(&mut self, u: usize) {
         if let Some(g) = self.cur[u].take() {
             let empty = {
                 let set = self.buckets.get_mut(&g).expect("bucket for cached gain");
@@ -53,7 +53,7 @@ impl GainBuckets {
     }
 
     /// Pop the entry with the highest gain (lowest vertex id on ties).
-    pub fn pop_best(&mut self) -> Option<(usize, i128)> {
+    pub(crate) fn pop_best(&mut self) -> Option<(usize, i128)> {
         let (&gain, set) = self.buckets.iter_mut().next_back()?;
         let u = *set.iter().next().expect("non-empty bucket") as usize;
         set.remove(&(u as u32));
@@ -66,7 +66,7 @@ impl GainBuckets {
     }
 
     /// Total bucket operations performed (for `partition.fm.bucket_moves`).
-    pub fn moves(&self) -> u64 {
+    pub(crate) fn moves(&self) -> u64 {
         self.moves
     }
 }

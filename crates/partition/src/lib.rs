@@ -15,9 +15,11 @@
 //! * [`cost`] — the logging-vs-restart objective used to pick between
 //!   candidate partitions.
 
-pub mod coarsen;
+#![warn(unreachable_pub)]
+
+mod coarsen;
 pub mod cost;
-pub mod gain;
+mod gain;
 pub mod mapping;
 pub mod modularity;
 pub mod multilevel;

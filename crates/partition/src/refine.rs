@@ -3,7 +3,7 @@
 //! Two phases alternate until neither improves the cut:
 //!
 //! * **Move phase** — Fiduccia–Mattheyses-style single-vertex moves,
-//!   driven best-first from integer [`crate::gain::GainBuckets`]
+//!   driven best-first from integer `crate::gain::GainBuckets`
 //!   over the boundary. Only strictly-positive-gain moves that keep the
 //!   [`SizeBounds`] invariant are applied, so each phase monotonically
 //!   improves the cut and termination is guaranteed. Moves blocked by the
@@ -68,7 +68,7 @@ fn best_move(
 
 /// One gain-bucket move phase. Returns the total gain achieved
 /// (reduction of the cut weight).
-pub fn fm_move_phase(
+pub(crate) fn fm_move_phase(
     csr: &CsrGraph,
     part_of: &mut [usize],
     part_weight: &mut [u64],
@@ -221,7 +221,7 @@ fn best_swap(
 /// positive equal-weight swap per pair, until a full sweep applies
 /// nothing. Part weights are unchanged by construction. Returns the
 /// total gain.
-pub fn kl_swap_phase(csr: &CsrGraph, part_of: &mut [usize], k: usize) -> u64 {
+pub(crate) fn kl_swap_phase(csr: &CsrGraph, part_of: &mut [usize], k: usize) -> u64 {
     let n = csr.n();
     let mut total_gain = 0u64;
     let mut swaps = 0u64;
@@ -280,7 +280,7 @@ pub fn refine(
 
 /// [`refine`] over a pre-built CSR view (the multilevel driver reuses
 /// the one coarsening produced).
-pub fn refine_csr(
+pub(crate) fn refine_csr(
     csr: &CsrGraph,
     part_of: &mut [usize],
     part_weight: &mut [u64],
@@ -321,7 +321,7 @@ fn part_weights_for(g: &WeightedGraph, part: &[usize], k: usize) -> Vec<u64> {
 /// unchanged), so the selected repair sequence is identical to the
 /// original recompute-everything scan — just not quadratic per
 /// candidate.
-pub fn repair_bounds(g: &WeightedGraph, part: &mut [usize], k: usize, b: SizeBounds) {
+pub(crate) fn repair_bounds(g: &WeightedGraph, part: &mut [usize], k: usize, b: SizeBounds) {
     // Excess contribution of one part weight.
     let ex = |w: u64| -> u64 { w.saturating_sub(b.max_weight) + b.min_weight.saturating_sub(w) };
     let affinity = |u: usize, p: usize, part: &[usize]| -> i128 {

@@ -39,7 +39,7 @@ impl FailureArrivals {
     }
 
     /// Draw one inter-arrival time (hours) by inverse-CDF sampling.
-    pub fn sample_interval<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample_interval<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // U in (0, 1]: avoid ln(0).
         let u: f64 = 1.0 - rng.random::<f64>();
         match *self {

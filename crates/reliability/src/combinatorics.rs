@@ -2,7 +2,7 @@
 
 /// Binomial coefficient C(n, k) as f64 (exact for the magnitudes the
 /// model needs; returns 0.0 when `k > n`).
-pub fn choose(n: usize, k: usize) -> f64 {
+pub(crate) fn choose(n: usize, k: usize) -> f64 {
     if k > n {
         return 0.0;
     }
@@ -12,15 +12,6 @@ pub fn choose(n: usize, k: usize) -> f64 {
         acc = acc * (n - i) as f64 / (i + 1) as f64;
     }
     acc
-}
-
-/// Hypergeometric probability that a uniformly random `j`-subset of `n`
-/// items contains a *fixed* `r`-subset entirely: C(n−r, j−r) / C(n, j).
-pub fn p_subset_covered(n: usize, j: usize, r: usize) -> f64 {
-    if r > j || j > n {
-        return 0.0;
-    }
-    choose(n - r, j - r) / choose(n, j)
 }
 
 #[cfg(test)]
@@ -55,16 +46,5 @@ mod tests {
                 assert!((lhs - rhs).abs() < 1e-6 * lhs.max(1.0));
             }
         }
-    }
-
-    #[test]
-    fn subset_cover_probability() {
-        // Pick 2 of 4; P a fixed single item is included = 1/2.
-        assert!((p_subset_covered(4, 2, 1) - 0.5).abs() < 1e-12);
-        // P a fixed pair is the chosen pair = 1/C(4,2) = 1/6.
-        assert!((p_subset_covered(4, 2, 2) - 1.0 / 6.0).abs() < 1e-12);
-        // Impossible cases.
-        assert_eq!(p_subset_covered(4, 1, 2), 0.0);
-        assert_eq!(p_subset_covered(4, 5, 1), 0.0);
     }
 }

@@ -75,7 +75,7 @@ impl EfficiencyModel {
     /// First-order waste fraction at checkpoint interval `tau_s`:
     /// checkpoint overhead + contained redo work + catastrophic
     /// fallbacks.
-    pub fn waste(&self, tau_s: f64) -> f64 {
+    pub(crate) fn waste(&self, tau_s: f64) -> f64 {
         assert!(tau_s > 0.0);
         self.checkpoint_s / tau_s
             + self.restart_fraction * (tau_s / 2.0 + self.recovery_s) / self.mtbf_s
@@ -83,7 +83,7 @@ impl EfficiencyModel {
     }
 
     /// Efficiency (1 − waste, floored at 0) at interval `tau_s`.
-    pub fn efficiency(&self, tau_s: f64) -> f64 {
+    pub(crate) fn efficiency(&self, tau_s: f64) -> f64 {
         (1.0 - self.waste(tau_s)).max(0.0)
     }
 

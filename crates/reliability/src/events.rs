@@ -99,11 +99,6 @@ impl EventDistribution {
             .rposition(|&p| p > 0.0)
             .map_or(0, |i| i + 1)
     }
-
-    /// Probability that an event involves node loss at all.
-    pub fn p_node_loss(&self) -> f64 {
-        self.p_nodes.iter().sum()
-    }
 }
 
 /// Precomputed event-class sampler: one uniform draw in `[0, 1)` maps to
@@ -201,7 +196,7 @@ mod tests {
         let d = EventDistribution::fti_calibrated();
         let total = d.p_transient + d.p_nodes.iter().sum::<f64>();
         assert!((total - 1.0).abs() < 1e-12);
-        assert!((d.p_node_loss() - 0.95).abs() < 1e-12);
+        assert!((d.p_nodes.iter().sum::<f64>() - 0.95).abs() < 1e-12);
     }
 
     #[test]

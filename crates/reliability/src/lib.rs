@@ -10,7 +10,7 @@
 //!   1-node / correlated j-node), calibrated to the FTI observation that
 //!   "most failures … affect only … one single node or a small set of
 //!   nodes";
-//! * [`combinatorics`] — exact hypergeometric machinery;
+//! * `combinatorics` — exact hypergeometric machinery;
 //! * [`model`] — P(catastrophic) per clustering: exact enumeration for
 //!   1- and 2-node events, per-cluster knapsack DP + union bound for
 //!   deeper correlated events, Monte Carlo over failure sets drawn once
@@ -21,8 +21,10 @@
 //! * [`arrivals`] — failure arrival processes (exponential and Weibull)
 //!   for end-to-end failure injection.
 
+#![warn(unreachable_pub)]
+
 pub mod arrivals;
-pub mod combinatorics;
+mod combinatorics;
 pub mod efficiency;
 pub mod events;
 pub mod model;

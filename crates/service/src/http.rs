@@ -10,9 +10,9 @@
 //! * `GET /evaluate?nodes=..&ppn=..[&iters=..&ck=..&families=table2|full]`
 //!   — the ranked scheme comparison (deterministic JSON; `400` on a
 //!   malformed query, so a typo never silently returns a default, and on
-//!   a job past [`MAX_RANKS`](crate::request::MAX_RANKS) = 4 096 ranks
+//!   a job past `MAX_RANKS` = 4 096 ranks
 //!   counting encoders, `nodes × (ppn+1)`, or past
-//!   [`MAX_ITERATIONS`](crate::request::MAX_ITERATIONS) = 10⁶
+//!   `MAX_ITERATIONS` = 10⁶
 //!   iterations, so one request can neither exhaust memory nor hold a
 //!   worker for weeks);
 //! * `GET /cache` — trace-cache + response-memo counters as JSON;

@@ -32,6 +32,8 @@
 //! protocol surface needed (GET + query string, `Connection: close`) is
 //! tiny. See DESIGN.md §19 for the architecture.
 
+#![warn(unreachable_pub)]
+
 pub mod http;
 pub mod request;
 pub mod service;

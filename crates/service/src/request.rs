@@ -10,11 +10,11 @@ use hcft_telemetry::HcftError;
 /// coroutine stack, solver state and mailbox, ≈ 180 kB a rank, which
 /// at the full 23 936-rank TSUBAME2 reads ≈ 4.3 GB of peak RSS — more
 /// than one request may take from a shared server.
-pub const MAX_RANKS: usize = 4096;
+pub(crate) const MAX_RANKS: usize = 4096;
 
 /// Most solver iterations a request may trace: a bound on how long one
 /// cold request can hold a worker and its single-flight cache entry.
-pub const MAX_ITERATIONS: u64 = 1_000_000;
+pub(crate) const MAX_ITERATIONS: u64 = 1_000_000;
 
 /// Which strategy-family grid a request sweeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub enum FamilySelect {
 
 impl FamilySelect {
     /// The query-string spelling (`families=` value).
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             FamilySelect::Table2 => "table2",
             FamilySelect::Full => "full",
@@ -37,7 +37,7 @@ impl FamilySelect {
     }
 
     /// Parse a `families=` value.
-    pub fn parse(s: &str) -> Result<Self, HcftError> {
+    pub(crate) fn parse(s: &str) -> Result<Self, HcftError> {
         match s {
             "table2" => Ok(FamilySelect::Table2),
             "full" | "all" => Ok(FamilySelect::Full),

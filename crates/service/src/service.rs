@@ -73,7 +73,7 @@ impl EvalService {
 
     /// Response-memo counter snapshot `(hits, misses)` for this
     /// instance.
-    pub fn memo_stats(&self) -> (u64, u64) {
+    pub(crate) fn memo_stats(&self) -> (u64, u64) {
         (
             self.memo_hits.load(Ordering::Relaxed),
             self.memo_misses.load(Ordering::Relaxed),

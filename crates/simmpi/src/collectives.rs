@@ -27,9 +27,9 @@
 //! those of the point-to-point algorithms, which survive as the test
 //! oracle (`oracle` below) that a property test holds the rendezvous to.
 //!
-//! The other collectives (`allreduce`, `bcast`, `gather`, `reduce`,
-//! `alltoall`, `allgatherv`, `scatter`, `scan`) run their algorithms as
-//! point-to-point messages through the ordinary traced layer.
+//! These three are the only collectives: the paper's FTI job calls no
+//! others. A reduction is an `allgather` followed by a local fold in
+//! rank order, which fixes its combining order on every schedule.
 
 use std::sync::{Arc, OnceLock};
 
@@ -46,28 +46,9 @@ use crate::trace::MessageEvent;
 enum Op {
     Barrier,
     Allgather,
-    Allreduce,
-    Bcast,
-    Gather,
-    Reduce,
-    Alltoall,
-    Allgatherv,
-    Scatter,
-    Scan,
 }
 
-const OP_NAMES: [&str; 10] = [
-    "barrier",
-    "allgather",
-    "allreduce",
-    "bcast",
-    "gather",
-    "reduce",
-    "alltoall",
-    "allgatherv",
-    "scatter",
-    "scan",
-];
+const OP_NAMES: [&str; 2] = ["barrier", "allgather"];
 
 /// Tally one collective invocation in the global telemetry registry:
 /// `simmpi.<op>.calls` and `simmpi.<op>.bytes` (the caller's contributed
@@ -100,11 +81,6 @@ fn payload_bytes<T: Datum>(xs: &[T]) -> u64 {
 // Reserved tag blocks (above MAX_USER_TAG).
 const TAG_BARRIER: u32 = 0xC100_0000;
 const TAG_ALLGATHER: u32 = 0xC200_0000;
-const TAG_ALLREDUCE: u32 = 0xC300_0000;
-const TAG_BCAST: u32 = 0xC400_0000;
-const TAG_GATHER: u32 = 0xC500_0000;
-const TAG_ALLTOALL: u32 = 0xC600_0000;
-const TAG_REDUCE: u32 = 0xC700_0000;
 /// Rendezvous release: one empty delivery per waiting member.
 const TAG_RELEASE: u32 = 0xCB00_0000;
 
@@ -268,286 +244,6 @@ impl Comm {
             Ok(outcome) => read(outcome, seq),
             Err(why) => panic!("simmpi collective #{seq} on ctx {:#x}: {why}", self.ctx),
         }
-    }
-
-    /// Allreduce with an element-wise operation (recursive doubling, with
-    /// the MPICH2 pre/post phase folding non-power-of-two stragglers into
-    /// the nearest power of two).
-    pub fn allreduce<T: Datum, F>(&self, mine: &[T], op: F) -> Vec<T>
-    where
-        F: Fn(T, T) -> T,
-    {
-        tally(Op::Allreduce, payload_bytes(mine));
-        let n = self.size();
-        let rank = self.rank();
-        let mut acc = mine.to_vec();
-        if n == 1 {
-            return acc;
-        }
-        let m = usize::BITS - 1 - n.leading_zeros(); // floor(log2 n)
-        let pof2 = 1usize << m;
-        let rem = n - pof2;
-        let reduce_in = |acc: &mut Vec<T>, bytes: &[u8], op: &F| {
-            let theirs = decode::<T>(bytes);
-            assert_eq!(theirs.len(), acc.len(), "allreduce length mismatch");
-            for (a, b) in acc.iter_mut().zip(theirs) {
-                *a = op(*a, b);
-            }
-        };
-        // Phase 1: ranks < 2*rem pair up; odd ranks absorb even ranks.
-        let newrank = if rank < 2 * rem {
-            if rank.is_multiple_of(2) {
-                self.send_raw(rank + 1, TAG_ALLREDUCE, self.encode_pooled(&acc));
-                None
-            } else {
-                let b = self.recv_raw(rank - 1, TAG_ALLREDUCE);
-                reduce_in(&mut acc, &b, &op);
-                self.recycle(b);
-                Some(rank / 2)
-            }
-        } else {
-            Some(rank - rem)
-        };
-        // Phase 2: recursive doubling among pof2 participants.
-        if let Some(nr) = newrank {
-            let mut dist = 1usize;
-            let mut step = 1u32;
-            while dist < pof2 {
-                let partner_nr = nr ^ dist;
-                let partner = if partner_nr < rem {
-                    partner_nr * 2 + 1
-                } else {
-                    partner_nr + rem
-                };
-                self.send_raw(partner, TAG_ALLREDUCE | step, self.encode_pooled(&acc));
-                let b = self.recv_raw(partner, TAG_ALLREDUCE | step);
-                reduce_in(&mut acc, &b, &op);
-                self.recycle(b);
-                dist <<= 1;
-                step += 1;
-            }
-        }
-        // Phase 3: hand results back to the absorbed even ranks.
-        if rank < 2 * rem {
-            if rank % 2 == 1 {
-                self.send_raw(rank - 1, TAG_ALLREDUCE | 0xFF, self.encode_pooled(&acc));
-            } else {
-                let b = self.recv_raw(rank + 1, TAG_ALLREDUCE | 0xFF);
-                acc = decode(&b);
-                self.recycle(b);
-            }
-        }
-        acc
-    }
-
-    /// Element-wise sum allreduce for f64 — the common HPC reduction.
-    pub fn allreduce_sum(&self, mine: &[f64]) -> Vec<f64> {
-        self.allreduce(mine, |a, b| a + b)
-    }
-
-    /// Maximum allreduce for f64 (CFL time-step computation etc.).
-    pub fn allreduce_max(&self, mine: &[f64]) -> Vec<f64> {
-        self.allreduce(mine, f64::max)
-    }
-
-    /// Binomial-tree broadcast from `root`.
-    pub fn bcast<T: Datum>(&self, root: usize, data: &mut Vec<T>) {
-        tally(Op::Bcast, payload_bytes(data));
-        let n = self.size();
-        if n == 1 {
-            return;
-        }
-        let rank = self.rank();
-        let vrank = (rank + n - root) % n;
-        let mut mask = 1usize;
-        while mask < n {
-            if vrank & mask != 0 {
-                let src = (vrank - mask + root) % n;
-                let b = self.recv_raw(src, TAG_BCAST);
-                *data = decode(&b);
-                self.recycle(b);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if vrank & mask == 0 && vrank + mask < n {
-                let dst = (vrank + mask + root) % n;
-                self.send_raw(dst, TAG_BCAST, self.encode_pooled(data));
-            }
-            mask >>= 1;
-        }
-    }
-
-    /// Linear gather to `root`: returns `Some(concatenation)` at the root,
-    /// `None` elsewhere.
-    pub fn gather<T: Datum>(&self, root: usize, mine: &[T]) -> Option<Vec<T>> {
-        tally(Op::Gather, payload_bytes(mine));
-        let n = self.size();
-        if self.rank() == root {
-            let mut out = Vec::with_capacity(n * mine.len());
-            for src in 0..n {
-                if src == root {
-                    out.extend_from_slice(mine);
-                } else {
-                    let b = self.recv_raw(src, TAG_GATHER);
-                    out.extend(decode::<T>(&b));
-                    self.recycle(b);
-                }
-            }
-            Some(out)
-        } else {
-            self.send_raw(root, TAG_GATHER, self.encode_pooled(mine));
-            None
-        }
-    }
-
-    /// Reduce to `root` with an element-wise op (linear reference
-    /// algorithm; the hot path in this codebase is allreduce).
-    pub fn reduce<T: Datum, F>(&self, root: usize, mine: &[T], op: F) -> Option<Vec<T>>
-    where
-        F: Fn(T, T) -> T,
-    {
-        tally(Op::Reduce, payload_bytes(mine));
-        let n = self.size();
-        if self.rank() == root {
-            let mut acc = mine.to_vec();
-            for src in 0..n {
-                if src == root {
-                    continue;
-                }
-                let raw = self.recv_raw(src, TAG_REDUCE);
-                let theirs = decode::<T>(&raw);
-                self.recycle(raw);
-                for (a, b) in acc.iter_mut().zip(theirs) {
-                    *a = op(*a, b);
-                }
-            }
-            Some(acc)
-        } else {
-            self.send_raw(root, TAG_REDUCE, self.encode_pooled(mine));
-            None
-        }
-    }
-
-    /// Pairwise all-to-all personalised exchange: `sends[d]` goes to rank
-    /// `d`; returns the vector received from each rank.
-    pub fn alltoall<T: Datum>(&self, sends: &[Vec<T>]) -> Vec<Vec<T>> {
-        tally(Op::Alltoall, sends.iter().map(|s| payload_bytes(s)).sum());
-        let n = self.size();
-        assert_eq!(sends.len(), n, "alltoall needs one buffer per rank");
-        let rank = self.rank();
-        let mut recvs: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-        recvs[rank] = sends[rank].clone();
-        for step in 1..n {
-            let to = (rank + step) % n;
-            let from = (rank + n - step) % n;
-            self.send_raw(
-                to,
-                TAG_ALLTOALL | step as u32,
-                self.encode_pooled(&sends[to]),
-            );
-            let raw = self.recv_raw(from, TAG_ALLTOALL | step as u32);
-            recvs[from] = decode(&raw);
-            self.recycle(raw);
-        }
-        recvs
-    }
-}
-
-// ---------------------------------------------------------------------
-// Variable-size and prefix collectives.
-// ---------------------------------------------------------------------
-
-const TAG_ALLGATHERV: u32 = 0xC800_0000;
-const TAG_SCATTER: u32 = 0xC900_0000;
-const TAG_SCAN: u32 = 0xCA00_0000;
-
-impl Comm {
-    /// Allgatherv: every rank contributes a slice of *any* length; the
-    /// result holds each rank's contribution separately, in rank order.
-    /// Ring-based (the robust MPICH2 choice for irregular sizes).
-    pub fn allgatherv<T: Datum>(&self, mine: &[T]) -> Vec<Vec<T>> {
-        tally(Op::Allgatherv, payload_bytes(mine));
-        let n = self.size();
-        let rank = self.rank();
-        let mut have: Vec<Option<bytes::Bytes>> = vec![None; n];
-        have[rank] = Some(self.encode_pooled(mine));
-        if n > 1 {
-            let next = (rank + 1) % n;
-            let prev = (rank + n - 1) % n;
-            let mut cursor = rank;
-            for step in 0..(n - 1) as u32 {
-                // Refcount-bump forward, no copy.
-                let payload = have[cursor].clone().expect("held block");
-                self.send_raw(next, TAG_ALLGATHERV | step, payload);
-                let recv = self.recv_raw(prev, TAG_ALLGATHERV | step);
-                cursor = (cursor + n - 1) % n;
-                have[cursor] = Some(recv);
-            }
-        }
-        have.into_iter()
-            .map(|b| decode(&b.expect("ring complete")))
-            .collect()
-    }
-
-    /// Scatter: the root splits `data` into `size` equal chunks; rank i
-    /// receives chunk i. Non-roots pass `None`.
-    ///
-    /// # Panics
-    /// Panics if the root's data length is not divisible by the
-    /// communicator size, or if a non-root passes data.
-    pub fn scatter<T: Datum>(&self, root: usize, data: Option<&[T]>) -> Vec<T> {
-        tally(Op::Scatter, data.map(payload_bytes).unwrap_or(0));
-        let n = self.size();
-        if self.rank() == root {
-            let data = data.expect("root provides data");
-            assert!(
-                data.len().is_multiple_of(n),
-                "scatter data ({}) not divisible by {n}",
-                data.len()
-            );
-            let chunk = data.len() / n;
-            for dst in 0..n {
-                if dst != root {
-                    self.send_raw(
-                        dst,
-                        TAG_SCATTER,
-                        encode(&data[dst * chunk..(dst + 1) * chunk]),
-                    );
-                }
-            }
-            data[root * chunk..(root + 1) * chunk].to_vec()
-        } else {
-            assert!(data.is_none(), "only the root provides data");
-            decode(&self.recv_raw(root, TAG_SCATTER))
-        }
-    }
-
-    /// Inclusive prefix scan: rank i receives `op` folded over the
-    /// contributions of ranks 0..=i, element-wise. Linear chain
-    /// (latency-optimal variants exist; this is the reference algorithm).
-    pub fn scan<T: Datum, F>(&self, mine: &[T], op: F) -> Vec<T>
-    where
-        F: Fn(T, T) -> T,
-    {
-        tally(Op::Scan, payload_bytes(mine));
-        let rank = self.rank();
-        let mut acc = mine.to_vec();
-        if rank > 0 {
-            let b = self.recv_raw(rank - 1, TAG_SCAN);
-            let prev = decode::<T>(&b);
-            self.recycle(b);
-            assert_eq!(prev.len(), acc.len(), "scan length mismatch");
-            for (a, p) in acc.iter_mut().zip(prev) {
-                *a = op(p, *a);
-            }
-        }
-        if rank + 1 < self.size() {
-            self.send_raw(rank + 1, TAG_SCAN, self.encode_pooled(&acc));
-        }
-        acc
     }
 }
 
@@ -982,81 +678,6 @@ mod rendezvous_tests {
 }
 
 #[cfg(test)]
-mod v_tests {
-    use crate::runtime::World;
-
-    #[test]
-    fn allgatherv_handles_ragged_sizes() {
-        let r = World::run(5, |c| {
-            let mine: Vec<u64> = (0..c.rank() as u64 + 1).collect();
-            c.allgatherv(&mine)
-        });
-        for out in r.outputs {
-            assert_eq!(out.len(), 5);
-            for (rank, chunk) in out.iter().enumerate() {
-                assert_eq!(chunk, &(0..rank as u64 + 1).collect::<Vec<_>>());
-            }
-        }
-    }
-
-    #[test]
-    fn allgatherv_with_empty_contributions() {
-        let r = World::run(3, |c| {
-            let mine: Vec<f64> = if c.rank() == 1 {
-                vec![]
-            } else {
-                vec![c.rank() as f64]
-            };
-            c.allgatherv(&mine)
-        });
-        assert_eq!(r.outputs[0], vec![vec![0.0], vec![], vec![2.0]]);
-    }
-
-    #[test]
-    fn scatter_distributes_chunks() {
-        let r = World::run(4, |c| {
-            let data: Option<Vec<u32>> = (c.rank() == 2).then(|| (0..8).collect());
-            c.scatter(2, data.as_deref())
-        });
-        for (rank, out) in r.outputs.iter().enumerate() {
-            assert_eq!(out, &vec![2 * rank as u32, 2 * rank as u32 + 1]);
-        }
-    }
-
-    #[test]
-    fn scan_computes_inclusive_prefix() {
-        let r = World::run(5, |c| c.scan(&[c.rank() as u64 + 1], |a, b| a + b));
-        let prefix: Vec<u64> = r.outputs.iter().map(|v| v[0]).collect();
-        assert_eq!(prefix, vec![1, 3, 6, 10, 15]);
-    }
-
-    #[test]
-    fn scan_with_non_commutative_op_respects_rank_order() {
-        // op = keep-left composed in rank order: result at rank i is
-        // rank 0's value.
-        let r = World::run(4, |c| c.scan(&[c.rank() as u64 + 7], |a, _b| a));
-        for out in r.outputs {
-            assert_eq!(out, vec![7]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn scatter_rejects_ragged_data() {
-        // Short watchdog: the non-root ranks block on the never-sent
-        // chunks while the root's panic propagates.
-        let cfg = crate::runtime::WorldConfig {
-            recv_timeout: std::time::Duration::from_millis(100),
-            ..Default::default()
-        };
-        World::run_with(3, cfg, |c| {
-            let data: Option<Vec<u32>> = (c.rank() == 0).then(|| (0..7).collect());
-            c.scatter(0, data.as_deref());
-        });
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use crate::runtime::{World, WorldConfig};
 
@@ -1122,77 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_sum_all_sizes() {
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 12] {
-            let r = World::run(n, |c| c.allreduce_sum(&[c.rank() as f64, 1.0]));
-            let expect = vec![(0..n).sum::<usize>() as f64, n as f64];
-            for (rank, out) in r.outputs.iter().enumerate() {
-                assert_eq!(out, &expect, "n={n} rank={rank}");
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_max() {
-        let r = World::run(5, |c| {
-            c.allreduce_max(&[-(c.rank() as f64), c.rank() as f64])
-        });
-        for out in r.outputs {
-            assert_eq!(out, vec![0.0, 4.0]);
-        }
-    }
-
-    #[test]
-    fn bcast_from_each_root() {
-        for root in 0..5 {
-            let r = World::run(5, move |c| {
-                let mut v = if c.rank() == root {
-                    vec![3.5f64, 4.5]
-                } else {
-                    Vec::new()
-                };
-                c.bcast(root, &mut v);
-                v
-            });
-            for out in r.outputs {
-                assert_eq!(out, vec![3.5, 4.5]);
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let r = World::run(4, |c| c.gather(2, &[c.rank() as u32]));
-        for (rank, out) in r.outputs.iter().enumerate() {
-            if rank == 2 {
-                assert_eq!(out.as_deref(), Some(&[0u32, 1, 2, 3][..]));
-            } else {
-                assert!(out.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_applies_op_at_root() {
-        let r = World::run(4, |c| c.reduce(0, &[c.rank() as u64 + 1], |a, b| a * b));
-        assert_eq!(r.outputs[0].as_deref(), Some(&[24u64][..]));
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let n = 4;
-        let r = World::run(n, move |c| {
-            let sends: Vec<Vec<u64>> = (0..n).map(|d| vec![(c.rank() * 100 + d) as u64]).collect();
-            c.alltoall(&sends)
-        });
-        for (rank, out) in r.outputs.iter().enumerate() {
-            for (src, v) in out.iter().enumerate() {
-                assert_eq!(v, &vec![(src * 100 + rank) as u64]);
-            }
-        }
-    }
-
-    #[test]
     fn barrier_completes_at_odd_sizes() {
         let cfg = WorldConfig {
             recv_timeout: std::time::Duration::from_secs(10),
@@ -1216,11 +766,11 @@ mod subcomm_tests {
     /// FTI runs its allgathers on the application communicator, not the
     /// world.
     #[test]
-    fn allreduce_within_split_groups() {
+    fn allgather_sum_within_split_groups() {
         let r = World::run(12, |c| {
             let color = (c.rank() % 3) as u32;
             let sub = c.split(Some(color), 0).expect("member");
-            sub.allreduce_sum(&[c.rank() as f64])[0]
+            sub.allgather(&[c.rank() as f64]).iter().sum::<f64>()
         });
         for (rank, &sum) in r.outputs.iter().enumerate() {
             let color = rank % 3;
@@ -1246,12 +796,13 @@ mod subcomm_tests {
         let r = World::run(8, |c| {
             let sub = c.split(Some((c.rank() % 2) as u32), 0).expect("member");
             // Both halves run different collective sequences at once.
+            let sum = |x: f64| sub.allgather(&[x]).iter().sum::<f64>();
             if c.rank() % 2 == 0 {
                 let g = sub.allgather(&[c.rank() as u64]);
-                let s = sub.allreduce_sum(&[1.0])[0];
+                let s = sum(1.0);
                 (g, s)
             } else {
-                let s = sub.allreduce_sum(&[2.0])[0];
+                let s = sum(2.0);
                 let g = sub.allgather(&[c.rank() as u64]);
                 (g, s)
             }

@@ -104,7 +104,7 @@ impl Comm {
 
     /// World rank of a communicator rank.
     #[inline]
-    pub fn world_rank_of(&self, comm_rank: usize) -> usize {
+    pub(crate) fn world_rank_of(&self, comm_rank: usize) -> usize {
         match &self.group {
             Group::World => comm_rank,
             Group::Sub(m) => m[comm_rank] as usize,
@@ -113,7 +113,7 @@ impl Comm {
 
     /// This rank's world rank.
     #[inline]
-    pub fn world_rank(&self) -> usize {
+    pub(crate) fn world_rank(&self) -> usize {
         self.world_rank_of(self.rank)
     }
 
@@ -218,20 +218,6 @@ impl Comm {
         self.shared.pool.recycle(payload);
     }
 
-    /// Combined send+receive (safe under buffered sends; provided for
-    /// halo-exchange ergonomics).
-    pub fn sendrecv<T: Datum>(
-        &self,
-        dst: usize,
-        send_tag: u32,
-        data: &[T],
-        src: usize,
-        recv_tag: u32,
-    ) -> Vec<T> {
-        self.send_slice(dst, send_tag, data);
-        self.recv_vec(src, recv_tag)
-    }
-
     pub(crate) fn send_raw(&self, dst: usize, tag: u32, payload: impl Into<Bytes>) {
         let payload = payload.into();
         let size = self.size();
@@ -281,16 +267,6 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use crate::runtime::World;
-
-    #[test]
-    fn sendrecv_exchanges_between_pair() {
-        let r = World::run(2, |c| {
-            let other = 1 - c.rank();
-            let got = c.sendrecv(other, 1, &[c.rank() as f64], other, 1);
-            got[0]
-        });
-        assert_eq!(r.outputs, vec![1.0, 0.0]);
-    }
 
     #[test]
     fn split_by_parity_forms_two_comms() {

@@ -4,10 +4,12 @@
 //! every message. We have no cluster and no MPI, so this crate *is* the
 //! substitute substrate: each rank is a resumable task multiplexed M:N
 //! onto a fixed worker pool (or, as a portable fallback, an OS thread),
-//! point-to-point messages go through per-rank mailboxes, and the
-//! collectives trace the same messages MPICH2's algorithms send (notably
-//! recursive-doubling allgather, whose power-of-two communication
-//! diagonals are explicitly visible in the paper's Fig. 5b). A
+//! point-to-point messages go through per-rank mailboxes, and the three
+//! collectives the paper's FTI job calls (`barrier`, `allgather` and
+//! `split`) each run as one rendezvous that traces the messages MPICH2's
+//! algorithms send (notably recursive-doubling allgather, whose
+//! power-of-two communication diagonals are explicitly visible in the
+//! paper's Fig. 5b). A
 //! [`TraceRecorder`] observes every byte on the wire, exactly like the
 //! paper's instrumented MPI library.
 //!
@@ -23,6 +25,8 @@
 //!   and there is no wildcard receive, so applications written against
 //!   this API are send-deterministic — the property HydEE requires of its
 //!   MPI applications.
+
+#![warn(unreachable_pub)]
 
 pub mod collectives;
 pub mod comm;

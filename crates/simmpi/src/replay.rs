@@ -44,8 +44,6 @@ type FeedKey = (u32, u32);
 #[derive(Default)]
 pub struct ReplayFeed {
     per_dst: Vec<FnvMap<FeedKey, VecDeque<Bytes>>>,
-    messages: u64,
-    bytes: u64,
 }
 
 impl ReplayFeed {
@@ -53,29 +51,15 @@ impl ReplayFeed {
     pub fn new(n: usize) -> Self {
         ReplayFeed {
             per_dst: (0..n).map(|_| FnvMap::default()).collect(),
-            messages: 0,
-            bytes: 0,
         }
     }
 
     /// Append a logged payload for `dst` on channel (`src`, `tag`).
     pub fn push(&mut self, src: u32, dst: u32, tag: u32, payload: Bytes) {
-        self.messages += 1;
-        self.bytes += payload.len() as u64;
         self.per_dst[dst as usize]
             .entry((src, tag))
             .or_default()
             .push_back(payload);
-    }
-
-    /// Total messages pushed.
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Total payload bytes pushed.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 }
 

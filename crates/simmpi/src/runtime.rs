@@ -633,15 +633,6 @@ pub struct ResolvedWorldConfig {
 }
 
 impl WorldConfig {
-    /// Validate the configuration and the environment overrides: a
-    /// malformed `HCFT_SIMMPI_*` value or an out-of-range explicit
-    /// `stack_size` is [`HcftError::Config`]. `World::run_with` performs
-    /// the same checks and panics on failure; call this first to reject
-    /// invalid configuration gracefully.
-    pub fn validate(&self) -> Result<(), HcftError> {
-        self.resolve(1).map(|_| ())
-    }
-
     /// Resolve every setting to the concrete value a world of `n` ranks
     /// would run with. This is the single precedence point the runtime
     /// itself uses (see [`ResolvedWorldConfig`] for the rules), exposed
@@ -976,8 +967,8 @@ mod tests {
                 stack_size: bytes,
                 ..WorldConfig::default()
             };
-            match cfg.validate() {
-                Ok(()) => assert!(ok, "{bytes} B accepted"),
+            match cfg.resolve(1) {
+                Ok(_) => assert!(ok, "{bytes} B accepted"),
                 Err(HcftError::Config(msg)) => {
                     assert!(!ok, "{bytes} B rejected: {msg}");
                     assert!(msg.contains("stack_size"), "{msg}");
@@ -985,7 +976,7 @@ mod tests {
                 Err(e) => panic!("{bytes} B: not a config error: {e}"),
             }
         }
-        assert!(WorldConfig::default().validate().is_ok());
+        assert!(WorldConfig::default().resolve(1).is_ok());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! at every world size. A traced job's matrix is overwhelmingly zeros
 //! (stencil and power-of-two collective edges are O(n log n) cells), so
 //! the recorder's memory follows the cells sent, not `n²`. A rank only
-//! ever locks its own row. [`TraceRecorder::for_each_cell`] visits the
+//! ever locks its own row. `TraceRecorder::for_each_cell` visits the
 //! cells row-major, sorted by destination, which is the order
 //! [`CommMatrix::entries`] keeps.
 
@@ -46,7 +46,7 @@ impl TraceRecorder {
     /// A recorder over `n` world ranks. `with_events` additionally keeps
     /// the per-sender ordered event log (costs memory proportional to the
     /// message count).
-    pub fn new(n: usize, with_events: bool) -> Self {
+    pub(crate) fn new(n: usize, with_events: bool) -> Self {
         TraceRecorder {
             rows: (0..n).map(|_| Mutex::new(FnvMap::default())).collect(),
             events: with_events.then(|| (0..n).map(|_| Mutex::new(Vec::new())).collect()),
@@ -59,7 +59,7 @@ impl TraceRecorder {
     }
 
     /// Record one message. Called by the runtime on every send.
-    pub fn record(&self, ev: MessageEvent) {
+    pub(crate) fn record(&self, ev: MessageEvent) {
         {
             let row = &mut *self.rows[ev.src as usize].lock();
             let slot = row.entry(ev.dst).or_insert((0, 0));
@@ -73,7 +73,7 @@ impl TraceRecorder {
 
     /// Visit every cell that saw a message as `(src, dst, bytes, msgs)`,
     /// row-major and sorted by destination within a row.
-    pub fn for_each_cell(&self, mut f: impl FnMut(usize, usize, u64, u64)) {
+    pub(crate) fn for_each_cell(&self, mut f: impl FnMut(usize, usize, u64, u64)) {
         let mut cells = Vec::new();
         for (s, row) in self.rows.iter().enumerate() {
             cells.clear();
@@ -92,8 +92,9 @@ impl TraceRecorder {
         m
     }
 
-    /// Snapshot the message-count matrix.
-    pub fn count_matrix(&self) -> CommMatrix {
+    /// Snapshot the message-count matrix (the tests compare traces by it).
+    #[cfg(test)]
+    pub(crate) fn count_matrix(&self) -> CommMatrix {
         let mut m = CommMatrix::new(self.n());
         self.for_each_cell(|s, d, _, c| m.add(s, d, c));
         m

@@ -1,4 +1,4 @@
-//! Task graphs for checkpointing and recovery.
+//! Task graphs for checkpointing.
 //!
 //! Each node owns three FCFS resources — SSD, NIC, one encoder core —
 //! and the PFS is one shared resource. A checkpoint at a given level
@@ -9,7 +9,7 @@
 //! the member's core, write the parity shard.
 
 use hcft_graph::Clustering;
-use hcft_topology::{NodeId, Placement, Rank};
+use hcft_topology::{Placement, Rank};
 
 use crate::engine::{ResourceId, Sim, TaskId};
 use crate::rates::Rates;
@@ -131,67 +131,6 @@ pub fn simulate_checkpoint(
     sim.run()
 }
 
-/// Simulate recovery from the loss of `failed` node: every encoding
-/// cluster with lost members rebuilds them — survivors read and ship
-/// their shards to a rebuilder core, which decodes (k × shard operand
-/// bytes per lost shard) and writes the rebuilt data back. Returns the
-/// makespan, or `None` when some cluster lost more than half its members
-/// (beyond RS(s, s) tolerance — the catastrophic case).
-pub fn simulate_recovery(
-    cfg: &SimConfig,
-    groups: &Clustering,
-    placement: &Placement,
-    failed: NodeId,
-) -> Option<f64> {
-    let mut sim = Sim::new();
-    let r = &cfg.rates;
-    let nodes = build_nodes(&mut sim, placement.nodes(), r);
-    let bytes = cfg.bytes_per_rank as f64;
-    for (_, members) in groups.iter() {
-        let lost: Vec<Rank> = members
-            .iter()
-            .copied()
-            .filter(|&m| placement.node_of(m) == failed)
-            .collect();
-        if lost.is_empty() {
-            continue;
-        }
-        // A node loss costs data + colocated parity: 2 shards of 2s.
-        if 2 * lost.len() > members.len() {
-            return None;
-        }
-        let survivors: Vec<Rank> = members
-            .iter()
-            .copied()
-            .filter(|&m| placement.node_of(m) != failed)
-            .collect();
-        // The lowest-indexed survivor's node hosts the rebuild.
-        let rebuild_node = placement.node_of(survivors[0]).idx();
-        let mut shipped = Vec::with_capacity(survivors.len());
-        for &s in &survivors {
-            let n = placement.node_of(s).idx();
-            let read = sim.task(nodes[n].ssd, bytes, &[]);
-            shipped.push(if n == rebuild_node {
-                read
-            } else {
-                sim.task(nodes[n].nic, bytes, &[read])
-            });
-        }
-        for &l in &lost {
-            let decode = sim.task(
-                nodes[rebuild_node].core,
-                members.len() as f64 * bytes,
-                &shipped,
-            );
-            // Ship the rebuilt shard to the replacement node and store it.
-            let ship = sim.task(nodes[rebuild_node].nic, bytes, &[decode]);
-            let home = placement.node_of(l).idx();
-            sim.task(nodes[home].ssd, bytes, &[ship]);
-        }
-    }
-    Some(sim.run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,37 +228,5 @@ mod tests {
         let encoded = simulate_checkpoint(&c, SimLevel::Encoded, &groups, &placement);
         assert!(local < partner);
         assert!(partner < encoded, "{partner} vs {encoded}");
-    }
-
-    #[test]
-    fn recovery_rebuilds_lost_shards_in_reasonable_time() {
-        let placement = Placement::block(8, 2);
-        let groups = distributed(8, 2, 4);
-        let t =
-            simulate_recovery(&cfg(GB), &groups, &placement, NodeId(3)).expect("within tolerance");
-        // Two groups each rebuild one shard: decode = 4 GB of operands
-        // ≈ 25.5 s on one core, plus reads/ships — well under a minute.
-        assert!(t > 25.0 && t < 60.0, "t = {t}");
-    }
-
-    #[test]
-    fn recovery_detects_catastrophic_groups() {
-        // Same-node group: the node loss takes the whole cluster.
-        let placement = Placement::block(2, 4);
-        let groups = Clustering::consecutive(8, 4);
-        assert_eq!(
-            simulate_recovery(&cfg(GB), &groups, &placement, NodeId(0)),
-            None
-        );
-    }
-
-    #[test]
-    fn unaffected_groups_cost_nothing() {
-        let placement = Placement::block(8, 1);
-        let groups = Clustering::consecutive(8, 4); // groups {0..4},{4..8}
-        let t = simulate_recovery(&cfg(GB), &groups, &placement, NodeId(7)).expect("tolerant");
-        // Only the second group rebuilds.
-        let t2 = simulate_recovery(&cfg(GB), &groups, &placement, NodeId(0)).expect("tolerant");
-        assert!((t - t2).abs() < 1.0, "symmetric cost: {t} vs {t2}");
     }
 }

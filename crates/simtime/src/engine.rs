@@ -12,11 +12,11 @@ use std::collections::BinaryHeap;
 
 /// Handle to a declared resource.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ResourceId(usize);
+pub(crate) struct ResourceId(usize);
 
 /// Handle to a declared task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TaskId(usize);
+pub(crate) struct TaskId(usize);
 
 struct Resource {
     /// Service rate in work units (bytes) per second.
@@ -36,14 +36,14 @@ struct Task {
 
 /// The simulation under construction / execution.
 #[derive(Default)]
-pub struct Sim {
+pub(crate) struct Sim {
     resources: Vec<Resource>,
     tasks: Vec<Task>,
 }
 
 impl Sim {
     /// An empty simulation.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sim::default()
     }
 
@@ -51,7 +51,7 @@ impl Sim {
     ///
     /// # Panics
     /// Panics on a non-positive rate.
-    pub fn resource(&mut self, rate: f64) -> ResourceId {
+    pub(crate) fn resource(&mut self, rate: f64) -> ResourceId {
         assert!(rate > 0.0, "resource rate must be positive");
         self.resources.push(Resource {
             rate,
@@ -62,7 +62,7 @@ impl Sim {
 
     /// Declare a task performing `work` units on `resource` after all
     /// `deps` complete.
-    pub fn task(&mut self, resource: ResourceId, work: f64, deps: &[TaskId]) -> TaskId {
+    pub(crate) fn task(&mut self, resource: ResourceId, work: f64, deps: &[TaskId]) -> TaskId {
         assert!(work >= 0.0, "negative work");
         let id = self.tasks.len();
         self.tasks.push(Task {
@@ -86,7 +86,7 @@ impl Sim {
     /// # Panics
     /// Panics if a dependency cycle leaves tasks unexecuted (impossible
     /// through the public API, which forbids forward references).
-    pub fn run(&mut self) -> f64 {
+    pub(crate) fn run(&mut self) -> f64 {
         // Min-heap of (ready_at, task id).
         let mut ready: BinaryHeap<Reverse<(ordered::F64, usize)>> = BinaryHeap::new();
         for (i, t) in self.tasks.iter().enumerate() {
@@ -120,8 +120,9 @@ impl Sim {
         makespan
     }
 
-    /// Completion time of a task after [`Sim::run`].
-    pub fn finish_time(&self, t: TaskId) -> f64 {
+    /// Completion time of a task after [`Sim::run`] (the tests' check).
+    #[cfg(test)]
+    fn finish_time(&self, t: TaskId) -> f64 {
         self.tasks[t.0].finish.expect("run() first")
     }
 }
@@ -129,7 +130,7 @@ impl Sim {
 /// Total-ordered f64 wrapper for heap keys (no NaNs enter the engine).
 mod ordered {
     #[derive(PartialEq, PartialOrd)]
-    pub struct F64(pub f64);
+    pub(crate) struct F64(pub f64);
     impl Eq for F64 {}
     #[allow(clippy::derive_ord_xor_partial_ord)]
     impl Ord for F64 {

@@ -1,4 +1,4 @@
-//! Discrete-event virtual-time simulation of checkpoint and recovery.
+//! Discrete-event virtual-time simulation of checkpointing.
 //!
 //! The paper's §III requirements are *time* requirements ("encode 1 GB in
 //! less than one minute"), and its analysis uses closed-form cost models.
@@ -10,17 +10,17 @@
 //! cross-validation of `hcft_checkpoint::CheckpointCostModel`, the same
 //! way Monte Carlo cross-validates the reliability model.
 //!
-//! * [`engine`] — the event engine: FCFS resources + dependency-counted
+//! * `engine` — the event engine: FCFS resources + dependency-counted
 //!   tasks, deterministic;
 //! * [`rates`] — hardware rates derived from Table I plus one measured
 //!   constant (GF(2⁸) multiply-accumulate throughput);
-//! * [`checkpoint_sim`] — task graphs for every checkpoint level and for
-//!   node-loss recovery.
+//! * [`checkpoint_sim`] — task graphs for every checkpoint level.
+
+#![warn(unreachable_pub)]
 
 pub mod checkpoint_sim;
-pub mod engine;
+mod engine;
 pub mod rates;
 
-pub use checkpoint_sim::{simulate_checkpoint, simulate_recovery, SimConfig, SimLevel};
-pub use engine::{ResourceId, Sim, TaskId};
+pub use checkpoint_sim::{simulate_checkpoint, SimConfig, SimLevel};
 pub use rates::Rates;

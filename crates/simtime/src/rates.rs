@@ -10,7 +10,7 @@
 
 use hcft_topology::MachineSpec;
 
-/// Byte rates used by the checkpoint/recovery task graphs.
+/// Byte rates used by the checkpoint task graphs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Rates {
     /// Node-local storage write, bytes/s.
@@ -28,12 +28,12 @@ pub struct Rates {
 
 /// Calibrated 2010-era GF(2⁸) multiply-accumulate throughput (see module
 /// docs): `1e9 / 6.375` bytes of parity-row operand per second.
-pub const TSUBAME2_GF_RATE: f64 = 1.0e9 / 6.375;
+pub(crate) const TSUBAME2_GF_RATE: f64 = 1.0e9 / 6.375;
 
 impl Rates {
     /// Derive rates from a machine spec (Table I) and the calibrated
     /// field-arithmetic constant.
-    pub fn from_machine(m: &MachineSpec) -> Self {
+    pub(crate) fn from_machine(m: &MachineSpec) -> Self {
         let mib = 1024.0 * 1024.0;
         let gib = 1024.0 * mib;
         Rates {

@@ -31,13 +31,6 @@ pub enum HcftError {
     Config(String),
 }
 
-impl HcftError {
-    /// True when the error is the paper's catastrophic-failure case.
-    pub fn is_catastrophic(&self) -> bool {
-        matches!(self, HcftError::Erasure { .. })
-    }
-}
-
 impl std::fmt::Display for HcftError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -77,16 +70,14 @@ mod tests {
         let e: HcftError = io::Error::new(io::ErrorKind::NotFound, "gone").into();
         assert!(matches!(e, HcftError::Io(_)));
         assert!(e.to_string().contains("gone"));
-        assert!(!e.is_catastrophic());
     }
 
     #[test]
-    fn erasure_is_catastrophic_and_displays_counts() {
+    fn erasure_displays_counts() {
         let e = HcftError::Erasure {
             needed: 4,
             available: 2,
         };
-        assert!(e.is_catastrophic());
         let s = e.to_string();
         assert!(s.contains('4') && s.contains('2'), "{s}");
     }

@@ -32,7 +32,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable string form used in JSON exports.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             EventKind::NodeFailure => "node_failure",
             EventKind::DeadRanks => "dead_ranks",
@@ -61,7 +61,7 @@ pub struct Event {
 const DEFAULT_CAPACITY: usize = 4096;
 
 /// A bounded ring buffer of [`Event`]s. When full, the oldest events
-/// are dropped and counted in [`EventJournal::dropped`].
+/// are dropped and counted in `EventJournal::dropped`.
 #[derive(Debug)]
 pub struct EventJournal {
     capacity: usize,
@@ -76,11 +76,11 @@ impl Default for EventJournal {
 }
 
 impl EventJournal {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventJournal {
             capacity: capacity.max(1),
             ring: Mutex::new(VecDeque::with_capacity(capacity.clamp(1, 64))),
@@ -89,7 +89,7 @@ impl EventJournal {
     }
 
     /// Append an event, evicting the oldest one when at capacity.
-    pub fn push(&self, event: Event) {
+    pub(crate) fn push(&self, event: Event) {
         let mut ring = self.ring.lock().expect("journal lock");
         if ring.len() == self.capacity {
             ring.pop_front();
@@ -99,7 +99,7 @@ impl EventJournal {
     }
 
     /// All retained events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
+    pub(crate) fn events(&self) -> Vec<Event> {
         self.ring
             .lock()
             .expect("journal lock")
@@ -119,23 +119,9 @@ impl EventJournal {
             .collect()
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.ring.lock().expect("journal lock").len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Remove all retained events (the dropped count is kept).
-    pub fn clear(&self) {
-        self.ring.lock().expect("journal lock").clear();
     }
 }
 
@@ -158,7 +144,7 @@ mod tests {
         j.push(ev(1, EventKind::NodeFailure));
         j.push(ev(2, EventKind::RebuildComplete));
         j.push(ev(3, EventKind::NodeFailure));
-        assert_eq!(j.len(), 3);
+        assert_eq!(j.events().len(), 3);
         let fails = j.events_of(EventKind::NodeFailure);
         assert_eq!(fails.len(), 2);
         assert_eq!(fails[0].virt, 1);
@@ -172,7 +158,7 @@ mod tests {
         for v in 1..=5 {
             j.push(ev(v, EventKind::CheckpointComplete));
         }
-        assert_eq!(j.len(), 3);
+        assert_eq!(j.events().len(), 3);
         assert_eq!(j.dropped(), 2);
         let virts: Vec<u64> = j.events().iter().map(|e| e.virt).collect();
         assert_eq!(virts, vec![3, 4, 5]);

@@ -37,6 +37,8 @@
 //! `telemetry.histogram_observe_ns` rows price one observation in the
 //! instrumented hot loops (erasure kernels, sender-log appends).
 
+#![warn(unreachable_pub)]
+
 pub mod error;
 pub mod journal;
 pub mod metrics;

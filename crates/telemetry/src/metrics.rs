@@ -19,7 +19,7 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -65,7 +65,7 @@ impl Default for Gauge {
 }
 
 impl Gauge {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -110,7 +110,7 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -166,7 +166,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Arithmetic mean of the observations, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

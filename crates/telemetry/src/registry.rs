@@ -56,7 +56,7 @@ impl Registry {
     }
 
     /// Monotonic nanoseconds since this registry was created.
-    pub fn elapsed_ns(&self) -> u64 {
+    pub(crate) fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
@@ -137,20 +137,6 @@ impl Registry {
             events: self.journal.events(),
             events_dropped: self.journal.dropped(),
         }
-    }
-
-    /// Zero all counters/gauges and clear histograms + journal.
-    /// Existing cached handles stay valid (counters are reset in place;
-    /// gauges to 0.0; histograms are replaced, so re-resolve those).
-    pub fn reset(&self) {
-        for c in self.counters.lock().expect("registry lock").values() {
-            c.store(0);
-        }
-        for g in self.gauges.lock().expect("registry lock").values() {
-            g.set(0.0);
-        }
-        self.histograms.lock().expect("registry lock").clear();
-        self.journal.clear();
     }
 
     /// Serialise a snapshot straight to a JSON file.
@@ -362,19 +348,6 @@ mod tests {
         let json = Registry::new().snapshot().to_json();
         assert!(json.contains("\"counters\": {}"));
         assert!(json.contains("\"events\": []"));
-    }
-
-    #[test]
-    fn reset_zeroes_existing_handles() {
-        let r = Registry::new();
-        let c = r.counter("n");
-        c.add(9);
-        r.gauge("g").set(1.0);
-        r.event(EventKind::RecoveryComplete, 0, "");
-        r.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(r.gauge("g").get(), 0.0);
-        assert!(r.journal().is_empty());
     }
 
     #[test]

@@ -55,16 +55,6 @@ impl JobLayout {
         }
     }
 
-    /// Number of nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Application ranks per node.
-    pub fn app_per_node(&self) -> usize {
-        self.app_per_node
-    }
-
     /// Global ranks per node (application + encoder if present).
     pub fn ranks_per_node(&self) -> usize {
         self.app_per_node + usize::from(self.with_encoders)
@@ -113,7 +103,7 @@ impl JobLayout {
     }
 
     /// Translate an application index (0-based, dense) to its global rank.
-    pub fn app_to_global(&self, app: usize) -> Rank {
+    pub(crate) fn app_to_global(&self, app: usize) -> Rank {
         assert!(app < self.app_ranks(), "app rank {app} out of range");
         if !self.with_encoders {
             return Rank::from(app);
@@ -139,11 +129,6 @@ impl JobLayout {
         }
     }
 
-    /// Placement of all *global* ranks (block: node r / ranks_per_node).
-    pub fn global_placement(&self) -> Placement {
-        Placement::block(self.nodes, self.ranks_per_node())
-    }
-
     /// Placement of *application* ranks only, renumbered densely — this is
     /// what the clustering strategies operate on.
     pub fn app_placement(&self) -> Placement {
@@ -151,12 +136,6 @@ impl JobLayout {
             .map(|a| self.node_of(self.app_to_global(a)))
             .collect();
         Placement::from_assignment(assign, self.nodes)
-    }
-
-    /// The paper's §V configuration: 64 nodes × 16 application ranks + 1
-    /// encoder per node = 1088 global ranks, 1024 application ranks.
-    pub fn paper_1024() -> Self {
-        Self::with_encoders(64, 16)
     }
 }
 
@@ -166,7 +145,8 @@ mod tests {
 
     #[test]
     fn paper_layout_counts() {
-        let l = JobLayout::paper_1024();
+        // The paper's §V job: 64 nodes × (16 application ranks + 1 encoder).
+        let l = JobLayout::with_encoders(64, 16);
         assert_eq!(l.total_ranks(), 1088);
         assert_eq!(l.app_ranks(), 1024);
         assert_eq!(l.ranks_per_node(), 17);
@@ -174,7 +154,8 @@ mod tests {
 
     #[test]
     fn encoder_ranks_match_paper_figure_5b() {
-        let l = JobLayout::paper_1024();
+        // The paper's §V job: 64 nodes × (16 application ranks + 1 encoder).
+        let l = JobLayout::with_encoders(64, 16);
         let enc = l.encoder_ranks();
         // Fig. 5b: encoding processes at global ranks 0, 17, 34, 51.
         assert_eq!(&enc[..4], &[Rank(0), Rank(17), Rank(34), Rank(51)]);
@@ -215,13 +196,5 @@ mod tests {
         assert_eq!(p.node_of(Rank(0)), NodeId(0));
         assert_eq!(p.node_of(Rank(3)), NodeId(0));
         assert_eq!(p.node_of(Rank(4)), NodeId(1));
-    }
-
-    #[test]
-    fn global_placement_has_one_extra_rank_per_node() {
-        let l = JobLayout::with_encoders(2, 3);
-        let p = l.global_placement();
-        assert_eq!(p.nprocs(), 8);
-        assert_eq!(p.ranks_on(NodeId(0)).len(), 4);
     }
 }

@@ -9,6 +9,8 @@
 //! describes an FTI-style job in which every node dedicates one rank to
 //! checkpoint encoding.
 
+#![warn(unreachable_pub)]
+
 pub mod ids;
 pub mod layout;
 pub mod machine;

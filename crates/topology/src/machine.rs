@@ -130,13 +130,13 @@ impl MachineSpec {
     }
 
     /// Maximum processes launchable per node (cores × hw threads).
-    pub fn max_procs_per_node(&self) -> u32 {
+    pub(crate) fn max_procs_per_node(&self) -> u32 {
         self.cores_per_node * self.threads_per_core
     }
 
     /// The power-supply (correlated failure) group of a node. Nodes in the
     /// same group are assumed to fail together when the PSU fails.
-    pub fn psu_group_of(&self, node: NodeId) -> u32 {
+    pub(crate) fn psu_group_of(&self, node: NodeId) -> u32 {
         node.0 / self.nodes_per_psu.max(1)
     }
 

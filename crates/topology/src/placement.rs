@@ -94,22 +94,6 @@ impl Placement {
         &self.ranks_on[node.idx()]
     }
 
-    /// The local index of `rank` within its node (0-based).
-    pub fn local_index(&self, rank: Rank) -> usize {
-        self.ranks_on(self.node_of(rank))
-            .iter()
-            .position(|&r| r == rank)
-            .expect("rank present on its own node")
-    }
-
-    /// Iterator over `(rank, node)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (Rank, NodeId)> + '_ {
-        self.node_of
-            .iter()
-            .enumerate()
-            .map(|(r, &n)| (Rank::from(r), n))
-    }
-
     /// True if the ranks of `set` all live on pairwise-distinct nodes —
     /// the property erasure-code clusters need (§II-C1).
     pub fn fully_distributed(&self, set: &[Rank]) -> bool {
@@ -130,15 +114,6 @@ impl Placement {
         v.sort_unstable();
         v.dedup();
         v
-    }
-
-    /// Restrict this placement to a subset of ranks, renumbering them
-    /// `0..subset.len()` in the given order. Used to project a job-wide
-    /// placement onto the application communicator (excluding encoder
-    /// ranks).
-    pub fn project(&self, subset: &[Rank]) -> Placement {
-        let node_of: Vec<NodeId> = subset.iter().map(|&r| self.node_of(r)).collect();
-        Self::from_assignment(node_of, self.nodes())
     }
 }
 
@@ -166,14 +141,6 @@ mod tests {
     }
 
     #[test]
-    fn local_index_counts_within_node() {
-        let p = Placement::block(2, 3);
-        assert_eq!(p.local_index(Rank(0)), 0);
-        assert_eq!(p.local_index(Rank(2)), 2);
-        assert_eq!(p.local_index(Rank(4)), 1);
-    }
-
-    #[test]
     fn fully_distributed_detects_colocation() {
         let p = Placement::block(4, 4);
         assert!(p.fully_distributed(&[Rank(0), Rank(4), Rank(8), Rank(12)]));
@@ -188,17 +155,6 @@ mod tests {
             p.nodes_of(&[Rank(5), Rank(4), Rank(0), Rank(12)]),
             vec![NodeId(0), NodeId(1), NodeId(3)]
         );
-    }
-
-    #[test]
-    fn project_preserves_node_assignment() {
-        let p = Placement::block(2, 4);
-        let sub = p.project(&[Rank(1), Rank(5), Rank(6)]);
-        assert_eq!(sub.nprocs(), 3);
-        assert_eq!(sub.node_of(Rank(0)), NodeId(0));
-        assert_eq!(sub.node_of(Rank(1)), NodeId(1));
-        assert_eq!(sub.node_of(Rank(2)), NodeId(1));
-        assert_eq!(sub.ranks_on(NodeId(1)), &[Rank(1), Rank(2)]);
     }
 
     #[test]

@@ -36,13 +36,6 @@ pub struct SyntheticGraph {
     pub edges: Vec<(u32, u32, u64)>,
 }
 
-impl SyntheticGraph {
-    /// Total bytes over all edges.
-    pub fn total_bytes(&self) -> u64 {
-        self.edges.iter().map(|&(_, _, w)| w).sum()
-    }
-}
-
 /// splitmix64: the standard 64-bit finalizer-style mixer — deterministic,
 /// stateless, good avalanche.
 fn mix(mut z: u64) -> u64 {

@@ -29,7 +29,7 @@ pub struct CartDecomp {
 
 /// Split `n` cells over `parts` parts: the first `n % parts` parts get one
 /// extra cell. Returns `(offset, len)` for `idx`.
-pub fn block_range(n: usize, parts: usize, idx: usize) -> (usize, usize) {
+pub(crate) fn block_range(n: usize, parts: usize, idx: usize) -> (usize, usize) {
     let base = n / parts;
     let extra = n % parts;
     let len = base + usize::from(idx < extra);
@@ -54,13 +54,13 @@ pub fn choose_grid(nprocs: usize) -> (usize, usize) {
 impl CartDecomp {
     /// Decomposition of a `nx × ny` grid for `rank` of `nprocs` with an
     /// automatically chosen process grid.
-    pub fn new(nx: usize, ny: usize, nprocs: usize, rank: usize) -> Self {
+    pub(crate) fn new(nx: usize, ny: usize, nprocs: usize, rank: usize) -> Self {
         let (px, py) = choose_grid(nprocs);
         Self::with_grid(nx, ny, px, py, rank)
     }
 
     /// Decomposition with an explicit `px × py` process grid.
-    pub fn with_grid(nx: usize, ny: usize, px: usize, py: usize, rank: usize) -> Self {
+    pub(crate) fn with_grid(nx: usize, ny: usize, px: usize, py: usize, rank: usize) -> Self {
         assert!(rank < px * py, "rank {rank} outside {px}x{py} grid");
         assert!(px <= nx && py <= ny, "more processes than grid cells");
         let cx = rank % px;
@@ -80,22 +80,22 @@ impl CartDecomp {
     }
 
     /// Rank of the west neighbour, if any.
-    pub fn west(&self) -> Option<usize> {
+    pub(crate) fn west(&self) -> Option<usize> {
         (self.cx > 0).then(|| self.cy * self.px + self.cx - 1)
     }
 
     /// Rank of the east neighbour, if any.
-    pub fn east(&self) -> Option<usize> {
+    pub(crate) fn east(&self) -> Option<usize> {
         (self.cx + 1 < self.px).then(|| self.cy * self.px + self.cx + 1)
     }
 
     /// Rank of the north neighbour (lower y), if any.
-    pub fn north(&self) -> Option<usize> {
+    pub(crate) fn north(&self) -> Option<usize> {
         (self.cy > 0).then(|| (self.cy - 1) * self.px + self.cx)
     }
 
     /// Rank of the south neighbour (higher y), if any.
-    pub fn south(&self) -> Option<usize> {
+    pub(crate) fn south(&self) -> Option<usize> {
         (self.cy + 1 < self.py).then(|| (self.cy + 1) * self.px + self.cx)
     }
 }

@@ -154,7 +154,7 @@ impl Face {
     ];
 
     /// The face a message sent through this one arrives on.
-    pub fn opposite(self) -> Face {
+    pub(crate) fn opposite(self) -> Face {
         match self {
             Face::West => Face::East,
             Face::East => Face::West,
@@ -206,7 +206,7 @@ impl Heat3dState {
         }
     }
 
-    #[inline]
+    #[cfg(test)]
     fn idx(&self, i: usize, j: usize, k: usize) -> usize {
         // Halo coordinates (interior cell (i,j,k) at (+1,+1,+1)).
         (k) * (self.ln.0 + 2) * (self.ln.1 + 2) + (j) * (self.ln.0 + 2) + i
@@ -218,12 +218,13 @@ impl Heat3dState {
     }
 
     /// Owned extents.
-    pub fn extents(&self) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn extents(&self) -> (usize, usize, usize) {
         self.ln
     }
 
     /// The neighbour rank across a face, if any.
-    pub fn neighbor(&self, f: Face) -> Option<usize> {
+    pub(crate) fn neighbor(&self, f: Face) -> Option<usize> {
         let (px, py, _pz) = self.p.process_grid;
         let (cx, cy, cz) = self.c;
         let at = |x: usize, y: usize, z: usize| z * px * py + y * px + x;
@@ -396,7 +397,8 @@ impl Heat3dState {
     }
 
     /// Interior field, x fastest.
-    pub fn local_field(&self) -> Vec<f64> {
+    #[cfg(test)]
+    fn local_field(&self) -> Vec<f64> {
         let (lnx, lny, lnz) = self.ln;
         let mut out = Vec::with_capacity(lnx * lny * lnz);
         for k in 1..=lnz {
@@ -410,7 +412,8 @@ impl Heat3dState {
     }
 
     /// Owned offsets.
-    pub fn offsets(&self) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn offsets(&self) -> (usize, usize, usize) {
         self.lo
     }
 
@@ -492,7 +495,7 @@ const TAG_FACE_BASE: u32 = 40;
 
 /// Wire tag of a halo message crossing face `f` (the 3-D counterpart
 /// of [`crate::solver::halo_tag`]).
-pub fn face_tag(f: Face) -> u32 {
+pub(crate) fn face_tag(f: Face) -> u32 {
     TAG_FACE_BASE
         + match f {
             Face::West => 0,
@@ -504,13 +507,14 @@ pub fn face_tag(f: Face) -> u32 {
         }
 }
 
-/// Is `tag` one of the six [`face_tag`]s?
+/// Is `tag` one of the six `face_tag`s?
 pub fn is_face_tag(tag: u32) -> bool {
     Face::ALL.into_iter().any(|f| face_tag(f) == tag)
 }
 
 /// Sequential reference: the same arithmetic on one rank.
-pub fn solve_heat3d_sequential(dims: (usize, usize, usize), iters: u64) -> Vec<f64> {
+#[cfg(test)]
+fn solve_heat3d_sequential(dims: (usize, usize, usize), iters: u64) -> Vec<f64> {
     let p = Heat3dParams::stable(dims, (1, 1, 1));
     let mut st = Heat3dState::new(&p, 1, 0);
     for _ in 0..iters {

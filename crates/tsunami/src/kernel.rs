@@ -110,7 +110,7 @@ impl RankState {
     }
 
     /// The neighbour rank in a direction, if any.
-    pub fn neighbor(&self, dir: Dir) -> Option<usize> {
+    pub(crate) fn neighbor(&self, dir: Dir) -> Option<usize> {
         match dir {
             Dir::West => self.d.west(),
             Dir::East => self.d.east(),

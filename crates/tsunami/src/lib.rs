@@ -13,12 +13,14 @@
 //! [`Heat3dState::step`], run over a [`HaloLink`] (a plain
 //! [`hcft_simmpi::Comm`], or the replay engine's logging link).
 //!
-//! A sequential reference solver ([`sequential::solve_sequential`])
+//! A sequential reference solver ([`sequential::SequentialSim`])
 //! verifies that the parallel code computes the *identical* field
 //! (bit-for-bit: the per-cell arithmetic is order-identical, only the
 //! halo values travel), which is also what makes failure-injection tests
 //! meaningful: after recovery, the field must match an uninterrupted run
 //! exactly.
+
+#![warn(unreachable_pub)]
 
 pub mod decomp;
 pub mod heat3d;

@@ -38,7 +38,7 @@ impl SequentialSim {
     }
 
     /// Advance one step.
-    pub fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         let p = &self.p;
         let (nx, ny) = (p.nx, p.ny);
         let gdt = GRAVITY * p.dt / p.dx;
@@ -81,7 +81,8 @@ impl SequentialSim {
 }
 
 /// Run the sequential solver for `iters` steps and return the final η.
-pub fn solve_sequential(p: TsunamiParams, iters: u64) -> Vec<f64> {
+#[cfg(test)]
+fn solve_sequential(p: TsunamiParams, iters: u64) -> Vec<f64> {
     let mut sim = SequentialSim::new(p);
     sim.run(iters);
     sim.eta

@@ -78,7 +78,7 @@ mod tests {
             let mut st = RankState::new(&p, c.size(), c.rank());
             let energy = |st: &RankState| {
                 let local: f64 = st.local_eta().iter().map(|e| e * e).sum();
-                c.allreduce_sum(&[local])[0]
+                c.allgather(&[local]).iter().sum::<f64>()
             };
             let e0 = energy(&st);
             for _ in 0..50 {

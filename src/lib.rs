@@ -9,7 +9,7 @@
 //! |---|---|
 //! | [`topology`] | machine model (TSUBAME2 Table I), rank placement, FTI job layout |
 //! | [`graph`] | communication matrices, weighted graphs, clusterings, network metrics |
-//! | [`simmpi`] | MPI-like runtime multiplexing rank tasks onto an M:N worker pool, with MPICH2 collective algorithms and byte-exact tracing |
+//! | [`simmpi`] | MPI-like runtime multiplexing rank tasks onto an M:N worker pool, with MPICH2-traced barrier/allgather/split and byte-exact tracing |
 //! | [`tsunami`] | 2-D shallow-water stencil workload (parallel solver bit-identical to its sequential reference) |
 //! | [`erasure`] | GF(2⁸), Reed–Solomon and XOR erasure codes, paper-calibrated encoding-time model |
 //! | [`checkpoint`] | FTI-style multi-level checkpoint store (local / RS-encoded / PFS) over real files |
@@ -39,6 +39,8 @@
 //! let score = Evaluator::new(trace.app.clone(), placement).evaluate(&scheme);
 //! assert!(BaselineRequirements::default().meets(&score)[2], "fast encoding");
 //! ```
+
+#![warn(unreachable_pub)]
 
 pub use hcft_checkpoint as checkpoint;
 pub use hcft_cluster as cluster;
@@ -78,7 +80,7 @@ pub mod prelude {
         Heat3dWorkload, ReplayConfig, ReplayEngine, ReplayOutcome, ReplayWorkload, TsunamiWorkload,
     };
     pub use hcft_core::scenario::{FaultScenario, FaultScenarioBuilder, FaultTarget, Injection};
-    pub use hcft_erasure::{EncodingModel, ReedSolomon, XorCode};
+    pub use hcft_erasure::{EncodingModel, ReedSolomon};
     pub use hcft_graph::{Clustering, CommMatrix, WeightedGraph};
     pub use hcft_msglog::{check_replay, HybridProtocol, ReplayReport, SenderLog};
     pub use hcft_partition::{MultilevelConfig, MultilevelPartitioner, SizeBounds};

@@ -8,13 +8,13 @@
 //!   FTI-style job, serialised exactly as the figure pipeline writes
 //!   them, are byte-identical across worker counts {1, 2, cores} and
 //!   across engines;
-//! * **collective results** — allgather/allreduce outputs (including
-//!   f64 sums, whose bit pattern depends on reduction order) are
-//!   byte-identical across the same axis, because the collective
-//!   algorithms fix the combining order independently of scheduling.
+//! * **collective results** — allgather outputs and a point-to-point
+//!   recursive-doubling f64 sum (whose bit pattern depends on the order
+//!   partial sums meet) are byte-identical across the same axis, because
+//!   the algorithms fix the combining order independently of scheduling.
 
 use hcft::core::experiment::{run_traced_job, run_traced_world, TraceResult, TracedJobConfig};
-use hcft::simmpi::{Engine, World, WorldConfig};
+use hcft::simmpi::{Comm, Engine, World, WorldConfig};
 
 /// Worker counts under test: 1, 2 and the core count, deduplicated.
 fn worker_counts() -> Vec<usize> {
@@ -128,10 +128,61 @@ fn ranks_22k_traced_run_completes_on_the_task_scheduler() {
     );
 }
 
+/// Element-wise f64 sum over `c` by MPICH2's recursive doubling: with
+/// `2ᵏ` the largest power of two ≤ n, the first `2·(n − 2ᵏ)` ranks pair
+/// up and the even rank of each pair folds into the odd one, the `2ᵏ`
+/// survivors exchange partial sums at distances 1, 2, 4, …, and the
+/// folded ranks get the result back. Each step adds the partner's
+/// partial sum, so the bits depend on which partial sums meet in which
+/// order.
+fn recursive_doubling_sum(c: &Comm, mine: &[f64]) -> Vec<f64> {
+    const TAG: u32 = 7 << 20;
+    let (n, rank) = (c.size(), c.rank());
+    let pof2 = 1usize << (usize::BITS - 1 - n.leading_zeros());
+    let rem = n - pof2;
+    let add = |acc: &mut Vec<f64>, theirs: Vec<f64>| {
+        for (a, b) in acc.iter_mut().zip(theirs) {
+            *a += b;
+        }
+    };
+    let mut acc = mine.to_vec();
+    let newrank = match rank {
+        r if r < 2 * rem && r % 2 == 0 => {
+            c.send_slice(r + 1, TAG, &acc);
+            None
+        }
+        r if r < 2 * rem => {
+            add(&mut acc, c.recv_vec(r - 1, TAG));
+            Some(r / 2)
+        }
+        r => Some(r - rem),
+    };
+    if let Some(nr) = newrank {
+        let mut dist = 1;
+        while dist < pof2 {
+            let p = nr ^ dist;
+            let partner = if p < rem { 2 * p + 1 } else { p + rem };
+            let tag = TAG | dist as u32;
+            c.send_slice(partner, tag, &acc);
+            add(&mut acc, c.recv_vec(partner, tag));
+            dist <<= 1;
+        }
+    }
+    if rank < 2 * rem {
+        if rank % 2 == 1 {
+            c.send_slice(rank - 1, TAG | 1 << 16, &acc);
+        } else {
+            acc = c.recv_vec(rank + 1, TAG | 1 << 16);
+        }
+    }
+    acc
+}
+
 #[test]
 fn collective_results_identical_across_workers_and_engines() {
-    // Non-power-of-two size exercises Bruck + the allreduce fold-in
-    // phases; f64 payloads make combining order visible in the bits.
+    // Non-power-of-two size exercises Bruck and the recursive-doubling
+    // fold-in phases; f64 payloads make combining order visible in the
+    // bits.
     let run = |workers: usize, engine: Engine| {
         let cfg = WorldConfig {
             workers,
@@ -141,8 +192,8 @@ fn collective_results_identical_across_workers_and_engines() {
         World::run_with(6, cfg, |c| {
             let r = c.rank() as f64;
             let gathered = c.allgather(&[r * 0.1, r * 0.3]);
-            let summed = c.allreduce_sum(&[r * 1e-3, 1.0 / (r + 1.0)]);
-            let maxed = c.allreduce_max(&[r.sin()]);
+            let summed = recursive_doubling_sum(c, &[r * 1e-3, 1.0 / (r + 1.0)]);
+            let maxed = vec![c.allgather(&[r.sin()]).into_iter().fold(f64::MIN, f64::max)];
             (gathered, summed, maxed)
         })
         .outputs

@@ -105,7 +105,7 @@ fn traced_tsunami_is_send_deterministic_across_runs() {
                 st.step(&p, c);
             }
             let energy: f64 = st.local_eta().iter().map(|e| e * e).sum();
-            let _ = c.allreduce_sum(&[energy]);
+            let _ = c.allgather(&[energy]);
         });
         let events: Vec<Vec<MsgEvent>> = r
             .trace
