@@ -138,23 +138,39 @@ pub fn fig3b(scale: Scale) -> Artifact {
 /// Measure a real RS(s, s) encode and scale it to the paper's metric:
 /// wall seconds per GB of per-member checkpoint data, assuming FTI's
 /// distribution of parity work across the s members.
+///
+/// Only the encode is timed: the parity buffers are allocated and
+/// written before the clock starts, and the encode is repeated until
+/// 50 ms of it has been timed (about 25 runs at 4 members, one at 64),
+/// keeping the fastest run. Page faults, thread-pool start-up and a busy
+/// neighbour (which otherwise dominate a 4-member encode in release
+/// builds) stay out of the figure.
 fn measure_encode_seconds_per_gb(group: usize) -> f64 {
     const SHARD: usize = 1 << 20; // 1 MiB per member
+    const BUDGET_S: f64 = 0.05;
     let rs = ReedSolomon::new(group, group);
     let data: Vec<Vec<u8>> = (0..group)
         .map(|i| (0..SHARD).map(|b| ((i * 31 + b * 7) % 251) as u8).collect())
         .collect();
     let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-    let start = std::time::Instant::now();
-    let parity = rs.encode(&refs);
-    let elapsed = start.elapsed().as_secs_f64();
+    // Non-zero fill, so every page is resident before the first encode.
+    let mut parity = vec![vec![0xA5u8; SHARD]; group];
+    let (mut fastest, mut timed) = (f64::INFINITY, 0.0);
+    while timed < BUDGET_S {
+        let outs: Vec<&mut [u8]> = parity.iter_mut().map(|p| &mut p[..]).collect();
+        let start = std::time::Instant::now();
+        rs.encode_into(&refs, outs);
+        let run = start.elapsed().as_secs_f64();
+        fastest = fastest.min(run);
+        timed += run;
+    }
     std::hint::black_box(&parity);
     // The encode computed `group` parity rows; FTI spreads those rows
-    // over the group's members, so per-member wall time is elapsed/group.
+    // over the group's members, so per-member wall time is fastest/group.
     // Scale the 1 MiB test shard up to the paper's 1 GB unit. The result
     // grows linearly with the group size (each parity row combines
     // `group` data shards), which is exactly Fig. 3b's law.
-    (elapsed / group as f64) * (1.0e9 / SHARD as f64)
+    (fastest / group as f64) * (1.0e9 / SHARD as f64)
 }
 
 /// Fig. 4a: probability of catastrophic failure, distributed vs
@@ -1027,7 +1043,7 @@ pub fn heat3d(scale: Scale) -> Artifact {
 pub fn simtime(_scale: Scale) -> Artifact {
     use hcft_checkpoint::{CheckpointCostModel, Level};
     use hcft_graph::Clustering;
-    use hcft_simtime::{simulate_checkpoint, SimConfig, SimLevel};
+    use hcft_simtime::{simulate_checkpoint, SimConfig};
     let rates = hcft_simtime::Rates::tsubame2();
     let cost = CheckpointCostModel::tsubame2();
     let gb: u64 = 1_000_000_000;
@@ -1049,7 +1065,7 @@ pub fn simtime(_scale: Scale) -> Artifact {
         bytes_per_rank: gb,
     };
     for g in [4usize, 8, 16, 32] {
-        let t = simulate_checkpoint(&sim_cfg, SimLevel::Encoded, &distributed(g), &placement);
+        let t = simulate_checkpoint(&sim_cfg, Level::Encoded, &distributed(g), &placement);
         let m = cost.cost(Level::Encoded, gb, 1, 32, g);
         emit(
             format!("RS encode, group {g}"),
@@ -1058,10 +1074,10 @@ pub fn simtime(_scale: Scale) -> Artifact {
         );
     }
     let singles = Clustering::singletons(32);
-    let t = simulate_checkpoint(&sim_cfg, SimLevel::Local, &singles, &placement);
+    let t = simulate_checkpoint(&sim_cfg, Level::Local, &singles, &placement);
     let m = cost.cost(Level::Local, gb, 1, 32, 4);
     emit("local only".to_string(), t, m.total_s());
-    let t = simulate_checkpoint(&sim_cfg, SimLevel::Pfs, &singles, &placement);
+    let t = simulate_checkpoint(&sim_cfg, Level::Pfs, &singles, &placement);
     let m = cost.cost(Level::Pfs, gb, 1, 32, 4);
     emit("PFS drain".to_string(), t, m.total_s());
     report.push_str(

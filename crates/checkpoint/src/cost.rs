@@ -17,9 +17,7 @@ pub struct CheckpointCost {
     /// Seconds to write all local checkpoints (bounded by the busiest
     /// node's SSD).
     pub local_write_s: f64,
-    /// Seconds to ship partner copies over the network (Partner level).
-    pub partner_copy_s: f64,
-    /// Seconds of parity encoding (XOR or Reed–Solomon level).
+    /// Seconds of Reed–Solomon parity encoding (Encoded level).
     pub encode_s: f64,
     /// Seconds to drain everything to the PFS (Pfs level).
     pub pfs_write_s: f64,
@@ -28,7 +26,7 @@ pub struct CheckpointCost {
 impl CheckpointCost {
     /// End-to-end seconds for the checkpoint.
     pub fn total_s(&self) -> f64 {
-        self.local_write_s + self.partner_copy_s + self.encode_s + self.pfs_write_s
+        self.local_write_s + self.encode_s + self.pfs_write_s
     }
 }
 
@@ -67,29 +65,15 @@ impl CheckpointCostModel {
         encoding_cluster_size: usize,
     ) -> CheckpointCost {
         let mib = 1024.0 * 1024.0;
-        let gib = 1024.0 * mib;
         let node_bytes = bytes_per_rank as f64 * ranks_per_node as f64;
         let local_write_s = node_bytes / (self.machine.local_storage.write_mib_s * mib);
         let mut cost = CheckpointCost {
             local_write_s,
-            partner_copy_s: 0.0,
             encode_s: 0.0,
             pfs_write_s: 0.0,
         };
         match level {
             Level::Local => {}
-            Level::Partner => {
-                // Ship + store one extra copy of the node's data: bounded
-                // by the slower of network injection and local write.
-                let net_s = node_bytes / (self.machine.network.total_gib_s() * gib);
-                cost.partner_copy_s = net_s.max(local_write_s);
-            }
-            Level::Xor => {
-                // One XOR pass over the cluster's data; roughly the cost
-                // of a single-parity Reed–Solomon row.
-                cost.encode_s = self.encoding.seconds(encoding_cluster_size, bytes_per_rank)
-                    / encoding_cluster_size as f64;
-            }
             Level::Encoded => {
                 cost.encode_s = self.encoding.seconds(encoding_cluster_size, bytes_per_rank);
             }
@@ -132,18 +116,14 @@ mod tests {
 
     #[test]
     fn protection_terms_follow_fti_ordering() {
-        // At scale the ladder costs grow: local < xor < partner ≈ rs-ish
-        // < pfs for large rank counts (PFS is shared).
+        // At scale the ladder costs grow: local < encoded < pfs for large
+        // rank counts (the PFS is shared).
         let m = CheckpointCostModel::tsubame2();
         let c = |lvl| m.cost(lvl, 1 << 30, 16, 1024, 4).total_s();
-        assert!(c(Level::Local) < c(Level::Xor));
-        assert!(c(Level::Xor) < c(Level::Encoded));
-        assert!(c(Level::Local) < c(Level::Partner));
+        assert!(c(Level::Local) < c(Level::Encoded));
         assert!(c(Level::Encoded) < c(Level::Pfs));
         // Exactly one protection term per level.
-        let p = m.cost(Level::Partner, 1 << 30, 16, 1024, 4);
-        assert!(p.partner_copy_s > 0.0 && p.encode_s == 0.0 && p.pfs_write_s == 0.0);
-        let x = m.cost(Level::Xor, 1 << 30, 16, 1024, 4);
-        assert!(x.encode_s > 0.0 && x.partner_copy_s == 0.0);
+        let e = m.cost(Level::Encoded, 1 << 30, 16, 1024, 4);
+        assert!(e.encode_s > 0.0 && e.pfs_write_s == 0.0);
     }
 }

@@ -5,24 +5,16 @@
 //! 1. **Local** — every rank writes its checkpoint to its node's local
 //!    storage (TSUBAME2: SSD RAID0). Survives transient/soft errors,
 //!    not node loss.
-//! 2. **Partner** — each rank's checkpoint is additionally copied to the
-//!    next node of its encoding cluster (FTI's "partner copy"). Survives
-//!    any single node loss per cluster at the cost of 2× storage.
-//! 3. **Xor** — single-parity (RAID-5-class) protection: one XOR parity
-//!    per encoding cluster, replicated on two distinct member nodes.
-//!    Survives any single node loss per cluster at ~1/s storage overhead
-//!    but a costlier rebuild.
-//! 4. **Encoded** — Reed–Solomon parity within each encoding cluster:
+//! 2. **Encoded** — Reed–Solomon parity within each encoding cluster:
 //!    member i's node holds data shard i and parity shard i, exactly
 //!    FTI's layout. Losing up to half the cluster's nodes is recoverable.
-//! 5. **Pfs** — the classic parallel-file-system checkpoint: slow, but
+//! 3. **Pfs** — the classic parallel-file-system checkpoint: slow, but
 //!    survives anything.
 //!
 //! The store is backed by a real directory tree, so tests can *actually*
 //! kill a node (delete its directory) and watch recovery rebuild the
-//! missing checkpoints — partner copy first, then XOR, then
-//! Reed–Solomon, then the PFS — the code paths the paper's reliability
-//! column abstracts into probabilities.
+//! missing checkpoints — Reed–Solomon first, then the PFS — the code
+//! paths the paper's reliability column abstracts into probabilities.
 //!
 //! [`cost`] provides the virtual-time model (Table I bandwidths + the
 //! calibrated encoding model) used by the benchmark harness.
@@ -43,10 +35,6 @@ pub use store::CheckpointStore;
 pub enum Level {
     /// Node-local storage only.
     Local,
-    /// Local + full copy on the partner node.
-    Partner,
-    /// Local + replicated XOR parity within encoding clusters.
-    Xor,
     /// Local + Reed–Solomon parity within encoding clusters.
     Encoded,
     /// Parallel file system.
@@ -59,13 +47,7 @@ mod tests {
 
     #[test]
     fn ladder_is_ordered() {
-        let ladder = [
-            Level::Local,
-            Level::Partner,
-            Level::Xor,
-            Level::Encoded,
-            Level::Pfs,
-        ];
+        let ladder = [Level::Local, Level::Encoded, Level::Pfs];
         assert!(ladder.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -10,8 +10,8 @@
 //! (the paper's size-guided pathology).
 //!
 //! A checkpoint builds each node's bundles once, in parallel over nodes
-//! (the layout is in [`crate::store`]): its `.local` bundle and, by
-//! level, its `.partner`, `.xor` or `.parity` bundle. Data shard `i` is
+//! (the layout is in [`crate::store`]): its `.local` bundle and, at the
+//! `Encoded` level, its `.parity` bundle. Data shard `i` is
 //! member `i`'s payload framed as `[len u64 LE][payload]` and
 //! zero-padded to the group's longest frame. Parity rows are computed
 //! straight from the caller's payloads, one hosted member at a time, so
@@ -28,7 +28,6 @@ use hcft_telemetry::{HcftError, Registry};
 use hcft_topology::{NodeId, Placement, Rank};
 use rayon::prelude::*;
 
-use hcft_erasure::kernel::xor_acc;
 use hcft_erasure::rs::DecodeCacheStats;
 use hcft_erasure::ReedSolomon;
 
@@ -76,16 +75,6 @@ fn parity_row(rs: &ReedSolomon, p: usize, members: &[Rank], payloads: &[Vec<u8>]
         .collect();
     let data: Vec<&[&[u8]]> = shards.iter().map(|s| &s[..]).collect();
     rs.encode_row_into(p, &data, row);
-}
-
-/// XOR the frames of `payloads`, each zero-padded to `acc.len()`, into
-/// `acc`: a group's XOR parity when `acc` starts zeroed, its one missing
-/// frame when `acc` starts as that parity. Every frame must fit.
-fn xor_frames<'a>(payloads: impl Iterator<Item = &'a [u8]>, acc: &mut [u8]) {
-    for payload in payloads {
-        xor_acc(&mut acc[..HEADER], &header(payload));
-        xor_acc(&mut acc[HEADER..HEADER + payload.len()], payload);
-    }
 }
 
 /// The bundles one recovery has read, each read at most once (a failed
@@ -220,8 +209,7 @@ impl MultilevelCheckpointer {
     /// Take a checkpoint of all ranks' payloads at `epoch` and protect it
     /// at the requested level. As in FTI, a checkpoint is taken *at* one
     /// level: the local copy is always written, plus that level's
-    /// protection artefacts (partner copies, XOR parity, Reed–Solomon
-    /// parity, or PFS copies).
+    /// protection artefacts (Reed–Solomon parity or PFS copies).
     pub fn checkpoint(
         &self,
         epoch: u64,
@@ -229,13 +217,7 @@ impl MultilevelCheckpointer {
         payloads: &[Vec<u8>],
     ) -> Result<(), HcftError> {
         assert_eq!(payloads.len(), self.groups.nprocs(), "one payload per rank");
-        let protection: Option<fn(NodeId) -> Artefact> = match level {
-            Level::Local | Level::Pfs => None,
-            Level::Partner => Some(Artefact::Partner),
-            Level::Xor => Some(Artefact::Xor),
-            Level::Encoded => Some(Artefact::Parity),
-        };
-        self.write_nodes(epoch, payloads, true, protection, &[])?;
+        self.write_nodes(epoch, payloads, true, level == Level::Encoded, &[])?;
         if level == Level::Pfs {
             // A buffer of its own: every payload, too large to pool.
             self.write_bundle(Artefact::Pfs, epoch, payloads, &[], &[], &mut Vec::new())?;
@@ -269,7 +251,7 @@ impl MultilevelCheckpointer {
                         .any(|&r| lost[self.placement.node_of(r).idx()])
             })
             .collect();
-        self.write_nodes(epoch, payloads, false, Some(Artefact::Parity), &broken)?;
+        self.write_nodes(epoch, payloads, false, true, &broken)?;
         match broken.iter().position(|&b| b) {
             None => Ok(()),
             Some(g) => Err(io::Error::new(
@@ -284,29 +266,30 @@ impl MultilevelCheckpointer {
     }
 
     /// Write every node's share of `epoch`, in parallel over nodes: its
-    /// `.local` bundle when `local`, then its `protection` bundle. Groups
-    /// flagged in `broken` get no parity.
+    /// `.local` bundle when `local`, then its `.parity` bundle when
+    /// `parity`. Groups flagged in `broken` get no parity.
     fn write_nodes(
         &self,
         epoch: u64,
         payloads: &[Vec<u8>],
         local: bool,
-        protection: Option<fn(NodeId) -> Artefact>,
+        parity: bool,
         broken: &[bool],
     ) -> Result<(), HcftError> {
         let padded = self.padded_lens(payloads);
-        let kinds: Vec<fn(NodeId) -> Artefact> = local
-            .then_some(Artefact::Local as fn(NodeId) -> Artefact)
-            .into_iter()
-            .chain(protection)
-            .collect();
         let results: Vec<io::Result<()>> = (0..self.placement.nodes())
             .into_par_iter()
             .map(|n| {
                 let started = Instant::now();
+                let node = NodeId::from(n);
                 let mut buf = self.take_scratch();
-                let result = kinds.iter().try_for_each(|kind| {
-                    let at = kind(NodeId::from(n));
+                let result = [
+                    (local, Artefact::Local(node)),
+                    (parity, Artefact::Parity(node)),
+                ]
+                .into_iter()
+                .filter(|&(on, _)| on)
+                .try_for_each(|(_, at)| {
                     self.write_bundle(at, epoch, payloads, &padded, broken, &mut buf)
                 });
                 self.return_scratch(buf);
@@ -361,23 +344,6 @@ impl MultilevelCheckpointer {
                     });
                 }
             }
-            Artefact::Partner(node) => {
-                for (_, members) in self.groups.iter() {
-                    for (i, r) in members.iter().enumerate() {
-                        if self.partner_node(members, i) == node {
-                            bundle.push(r.idx() as u64, &[&payloads[r.idx()][..]]);
-                        }
-                    }
-                }
-            }
-            Artefact::Xor(node) => {
-                for (g, members) in self.groups.iter() {
-                    if members.len() >= 2 && self.xor_holders(members).contains(&node) {
-                        let frames = members.iter().map(|r| &payloads[r.idx()][..]);
-                        bundle.push_with(g as u64, padded[g], |acc| xor_frames(frames, acc));
-                    }
-                }
-            }
             Artefact::Pfs => {
                 for (r, payload) in payloads.iter().enumerate() {
                     bundle.push(r as u64, &[&payload[..]]);
@@ -409,25 +375,11 @@ impl MultilevelCheckpointer {
             .collect()
     }
 
-    /// The node holding member `i`'s partner copy: the next member's node
-    /// (ring order within the encoding cluster).
-    fn partner_node(&self, members: &[Rank], i: usize) -> NodeId {
-        let partner = members[(i + 1) % members.len()];
-        self.placement.node_of(partner)
-    }
-
-    /// The nodes holding a group's XOR parity: member 0's and member
-    /// `s/2`'s — distinct whenever the cluster spans distinct nodes, so
-    /// losing either replica leaves the other.
-    fn xor_holders(&self, members: &[Rank]) -> [NodeId; 2] {
-        [0, members.len() / 2].map(|i| self.placement.node_of(members[i]))
-    }
-
-    /// Recover every rank's payload at `epoch`, rebuilding lost local
-    /// checkpoints from partner copies, XOR or Reed–Solomon parity,
-    /// falling back to the PFS copy, and reporting a catastrophic failure
-    /// ([`HcftError::Erasure`]) otherwise. What XOR or Reed–Solomon
-    /// rebuilt is written back to the nodes that lost it.
+    /// Recover every rank's payload at `epoch`: from the local
+    /// checkpoints, then by Reed–Solomon rebuild of what they lost, then
+    /// from the PFS copy, reporting a catastrophic failure
+    /// ([`HcftError::Erasure`]) otherwise. What Reed–Solomon rebuilt is
+    /// written back to the nodes that lost it.
     pub fn recover(&self, epoch: u64) -> Result<Vec<Vec<u8>>, HcftError> {
         let n = self.groups.nprocs();
         let nodes = self.placement.nodes();
@@ -446,49 +398,29 @@ impl MultilevelCheckpointer {
             }
         }
         // Ranks that missed the fast path: whatever comes back for them
-        // was *rebuilt* (partner / parity / PFS), which the registry
-        // reports as `checkpoint.rebuilt_payload_bytes`.
+        // was *rebuilt* (parity / PFS), which the registry reports as
+        // `checkpoint.rebuilt_payload_bytes`.
         let lost: Vec<usize> = (0..n).filter(|&r| out[r].is_none()).collect();
         let mut bundles = Bundles {
             store: &self.store,
             epoch,
             read: HashMap::new(),
         };
-        // Nodes whose `.local` (and, after a Reed–Solomon rebuild,
-        // `.parity`) bundle recovery writes back.
-        let mut relocal = vec![false; nodes];
-        let mut reparity = vec![false; nodes];
+        // Nodes a Reed–Solomon rebuild restored, whose bundles recovery
+        // writes back.
+        let mut rebuilt_nodes = vec![false; nodes];
         let missing = |members: &[Rank], out: &[Option<Vec<u8>>]| {
             members.iter().filter(|r| out[r.idx()].is_none()).count()
         };
-        // Cascade per group: partner copies → XOR parity → Reed–Solomon
-        // → PFS. Each stage only runs for ranks still missing.
-        for (g, members) in self.groups.iter() {
+        // Cascade per group: Reed–Solomon, then the PFS for ranks still
+        // missing.
+        for (_, members) in self.groups.iter() {
             if missing(members, &out) == 0 {
                 continue;
             }
-            // Stage 1: partner copies (stored on the next member's node).
-            for (i, r) in members.iter().enumerate() {
-                if out[r.idx()].is_none() {
-                    let partner = self.partner_node(members, i);
-                    out[r.idx()] = bundles.entry(Artefact::Partner(partner), r.idx());
-                }
-            }
-            if missing(members, &out) == 0 {
-                continue;
-            }
-            // Stage 2: XOR parity (rebuilds exactly one missing member).
-            if let Some((r, payload)) = self.xor_rebuild(g, members, &out, &mut bundles) {
-                relocal[self.placement.node_of(r).idx()] = true;
-                out[r.idx()] = Some(payload);
-                continue;
-            }
-            // Stage 3: Reed–Solomon.
             if let Some(rebuilt) = self.rs_rebuild(members, &mut out, &mut bundles) {
                 for r in rebuilt {
-                    let node = self.placement.node_of(r).idx();
-                    relocal[node] = true;
-                    reparity[node] = true;
+                    rebuilt_nodes[self.placement.node_of(r).idx()] = true;
                 }
                 continue;
             }
@@ -513,7 +445,7 @@ impl MultilevelCheckpointer {
             .into_iter()
             .map(|p| p.expect("all ranks recovered"))
             .collect();
-        self.reprotect(epoch, &payloads, &relocal, &reparity)?;
+        self.reprotect(epoch, &payloads, &rebuilt_nodes)?;
         self.telemetry
             .counter("checkpoint.rebuilt_payload_bytes")
             .add(lost.iter().map(|&r| payloads[r].len() as u64).sum());
@@ -529,20 +461,14 @@ impl MultilevelCheckpointer {
         Ok(payloads)
     }
 
-    /// Write what recovery rebuilt back to the nodes that lost it: the
-    /// `.local` bundle of every node flagged in `local`, and the
-    /// `.parity` bundle of every node flagged in `parity` that has none.
-    fn reprotect(
-        &self,
-        epoch: u64,
-        payloads: &[Vec<u8>],
-        local: &[bool],
-        parity: &[bool],
-    ) -> io::Result<()> {
+    /// Write what recovery rebuilt back to the nodes that lost it: every
+    /// node flagged in `rebuilt` gets its `.local` bundle, and its
+    /// `.parity` bundle if it has none.
+    fn reprotect(&self, epoch: u64, payloads: &[Vec<u8>], rebuilt: &[bool]) -> io::Result<()> {
         let padded = self.padded_lens(payloads);
         let mut buf = self.take_scratch();
-        let result = (0..local.len())
-            .filter(|&n| local[n])
+        let result = (0..rebuilt.len())
+            .filter(|&n| rebuilt[n])
             .map(NodeId::from)
             .try_for_each(|node| -> io::Result<()> {
                 self.write_bundle(
@@ -554,43 +480,13 @@ impl MultilevelCheckpointer {
                     &mut buf,
                 )?;
                 let at = Artefact::Parity(node);
-                if parity[node.idx()] && !self.store.has_bundle(at, epoch) {
+                if !self.store.has_bundle(at, epoch) {
                     self.write_bundle(at, epoch, payloads, &padded, &[], &mut buf)?;
                 }
                 Ok(())
             });
         self.return_scratch(buf);
         result
-    }
-
-    /// XOR rebuild of a group's one missing member: needs a surviving
-    /// replica of the group parity and every other member's frame to fit
-    /// it. Returns the rebuilt rank and payload.
-    fn xor_rebuild(
-        &self,
-        group: usize,
-        members: &[Rank],
-        out: &[Option<Vec<u8>>],
-        bundles: &mut Bundles,
-    ) -> Option<(Rank, Vec<u8>)> {
-        let mut missing = members.iter().filter(|r| out[r.idx()].is_none());
-        let (Some(&lost), None) = (missing.next(), missing.next()) else {
-            return None;
-        };
-        let mut acc = self
-            .xor_holders(members)
-            .into_iter()
-            .find_map(|node| bundles.entry(Artefact::Xor(node), group))?;
-        let others: Vec<&[u8]> = members
-            .iter()
-            .filter(|&&r| r != lost)
-            .map(|r| out[r.idx()].as_deref().expect("only one member is missing"))
-            .collect();
-        if others.iter().any(|p| HEADER + p.len() > acc.len()) {
-            return None; // inconsistent artefacts: defer to RS/PFS
-        }
-        xor_frames(others.into_iter(), &mut acc);
-        Some((lost, unframe(&acc)?.to_vec()))
     }
 
     /// Reed–Solomon rebuild of a group's missing payloads, in place. The
@@ -927,156 +823,5 @@ mod tests {
         ml.encode_epoch(2, &data).expect("encode");
         ml.store().fail_node(NodeId(3)).expect("kill");
         assert_eq!(ml.recover(2).expect("rebuild"), data);
-    }
-}
-
-#[cfg(test)]
-mod partner_xor_level_tests {
-    use super::*;
-
-    struct TempDir(std::path::PathBuf);
-    impl TempDir {
-        fn new() -> Self {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            static SEQ: AtomicU64 = AtomicU64::new(0);
-            let p = std::env::temp_dir().join(format!(
-                "hcft-mlpx-{}-{}",
-                std::process::id(),
-                SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&p).expect("temp dir");
-            TempDir(p)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn payloads(n: usize) -> Vec<Vec<u8>> {
-        (0..n)
-            .map(|r| {
-                (0..(40 + r * 11))
-                    .map(|b| ((r * 7 + b) % 251) as u8)
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// 4 nodes × 2 ranks, distributed groups of 4 (one rank per node).
-    fn setup(dir: &TempDir) -> (MultilevelCheckpointer, Vec<Vec<u8>>) {
-        let placement = Placement::block(4, 2);
-        let groups = Clustering::from_assignment(&(0..8).map(|r| r % 2).collect::<Vec<_>>());
-        let store = CheckpointStore::create(&dir.0, 4).expect("store");
-        (
-            MultilevelCheckpointer::new(store, groups, placement),
-            payloads(8),
-        )
-    }
-
-    #[test]
-    fn partner_level_survives_one_node_loss() {
-        let dir = TempDir::new();
-        let (ml, data) = setup(&dir);
-        ml.checkpoint(1, Level::Partner, &data).expect("ckpt");
-        ml.store().fail_node(NodeId(2)).expect("kill");
-        assert_eq!(ml.recover(1).expect("partner copies"), data);
-    }
-
-    #[test]
-    fn partner_level_dies_on_adjacent_pair_loss() {
-        // Losing a node AND its partner kills both copies of the first
-        // node's ranks; with no parity, that is catastrophic.
-        let dir = TempDir::new();
-        let (ml, data) = setup(&dir);
-        ml.checkpoint(1, Level::Partner, &data).expect("ckpt");
-        ml.store().fail_node(NodeId(1)).expect("kill");
-        ml.store().fail_node(NodeId(2)).expect("kill");
-        assert!(matches!(ml.recover(1), Err(HcftError::Erasure { .. })));
-    }
-
-    #[test]
-    fn partner_copies_are_one_bundle_per_holding_node() {
-        // Each node holds the copies of its ring predecessors' ranks, in
-        // one `.partner` bundle per epoch, beside its own `.local` one.
-        let dir = TempDir::new();
-        let (ml, data) = setup(&dir);
-        ml.checkpoint(1, Level::Partner, &data).expect("ckpt");
-        let held = ml
-            .store()
-            .read_bundle(Artefact::Partner(NodeId(1)), 1)
-            .expect("partner bundle");
-        // Node 1 hosts ranks 2 and 3; their predecessors are 0 and 1.
-        assert_eq!(held.get(0), Some(&data[0][..]));
-        assert_eq!(held.get(1), Some(&data[1][..]));
-        assert_eq!(held.iter().count(), 2);
-    }
-
-    #[test]
-    fn xor_level_survives_one_node_loss() {
-        let dir = TempDir::new();
-        let (ml, data) = setup(&dir);
-        ml.checkpoint(2, Level::Xor, &data).expect("ckpt");
-        // Node 0 holds one parity replica — kill it to force use of the
-        // second replica on node 2.
-        ml.store().fail_node(NodeId(0)).expect("kill");
-        assert_eq!(ml.recover(2).expect("xor rebuild"), data);
-    }
-
-    #[test]
-    fn xor_replicas_live_on_two_member_nodes() {
-        let dir = TempDir::new();
-        let (ml, data) = setup(&dir);
-        ml.checkpoint(2, Level::Xor, &data).expect("ckpt");
-        for (node, held) in [(0, true), (1, false), (2, true), (3, false)] {
-            let at = Artefact::Xor(NodeId(node));
-            assert_eq!(ml.store().has_bundle(at, 2), held, "node {node}");
-        }
-        let replica = |n| {
-            let b = ml.store().read_bundle(Artefact::Xor(NodeId(n)), 2);
-            b.expect("replica").get(1).map(<[u8]>::to_vec)
-        };
-        assert_eq!(replica(0), replica(2), "the two replicas agree");
-    }
-
-    #[test]
-    fn xor_level_dies_on_two_node_losses() {
-        let dir = TempDir::new();
-        let (ml, data) = setup(&dir);
-        ml.checkpoint(3, Level::Xor, &data).expect("ckpt");
-        ml.store().fail_node(NodeId(1)).expect("kill");
-        ml.store().fail_node(NodeId(3)).expect("kill");
-        assert!(matches!(ml.recover(3), Err(HcftError::Erasure { .. })));
-    }
-
-    #[test]
-    fn xor_rebuild_reprotects_the_local_copy() {
-        let dir = TempDir::new();
-        let (ml, data) = setup(&dir);
-        ml.checkpoint(4, Level::Xor, &data).expect("ckpt");
-        ml.store().fail_node(NodeId(3)).expect("kill");
-        ml.recover(4).expect("rebuild");
-        // Node 3's ranks (6, 7) have local copies again.
-        let local = ml
-            .store()
-            .read_bundle(Artefact::Local(NodeId(3)), 4)
-            .expect("rewritten");
-        assert!(local.get(6).is_some() && local.get(7).is_some());
-    }
-
-    #[test]
-    fn same_node_group_partner_copy_is_useless() {
-        // The size-guided pathology also defeats partner copies: the
-        // "partner" is the same node.
-        let dir = TempDir::new();
-        let placement = Placement::block(2, 2);
-        let groups = Clustering::consecutive(4, 2); // each group = one node
-        let store = CheckpointStore::create(&dir.0, 2).expect("store");
-        let ml = MultilevelCheckpointer::new(store, groups, placement);
-        let data = payloads(4);
-        ml.checkpoint(1, Level::Partner, &data).expect("ckpt");
-        ml.store().fail_node(NodeId(0)).expect("kill");
-        assert!(matches!(ml.recover(1), Err(HcftError::Erasure { .. })));
     }
 }

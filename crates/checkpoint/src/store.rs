@@ -6,16 +6,14 @@
 //! root/
 //!   nodes/node_<n>/epoch_<e>.local    framed payload of every rank node n hosts
 //!   nodes/node_<n>/epoch_<e>.parity   RS parity shard of every group member it hosts
-//!   nodes/node_<n>/epoch_<e>.partner  the partner copies node n holds
-//!   nodes/node_<n>/epoch_<e>.xor      the XOR parity replicas node n holds
 //!   pfs/epoch_<e>.pfs                 every rank's level-3 copy
 //! ```
 //!
 //! Each file is a [`Bundle`]: the magic `HCFTBDL1`, an entry count, then
 //! per entry `[id u64][len u64][len bytes]`, little-endian. The id is a
-//! rank, or a group in `.xor`. A parity shard is exactly as long as its
-//! group's padded data shard, so a `.parity` bundle also carries the
-//! group geometry recovery needs. An `Encoded` epoch is two files per
+//! rank. A parity shard is exactly as long as its group's padded data
+//! shard, so a `.parity` bundle also carries the group geometry
+//! recovery needs. An `Encoded` epoch is two files per
 //! node, and a store that keeps `k` epochs holds at most `2 · nodes · k`
 //! files besides its directories. Every file operation is counted:
 //! `checkpoint.files.written`, `.read` and `.removed` (a pruned or
@@ -50,12 +48,6 @@ pub enum Artefact {
     /// The Reed–Solomon parity shard of every group member the node
     /// hosts.
     Parity(NodeId),
-    /// Partner copies of the payloads of the ranks whose partner is the
-    /// node.
-    Partner(NodeId),
-    /// The XOR parity of every group whose replica the node holds, by
-    /// group.
-    Xor(NodeId),
     /// Every rank's level-3 copy, on the parallel file system.
     Pfs,
 }
@@ -66,8 +58,6 @@ impl Artefact {
         match self {
             Artefact::Local(_) => "local",
             Artefact::Parity(_) => "parity",
-            Artefact::Partner(_) => "partner",
-            Artefact::Xor(_) => "xor",
             Artefact::Pfs => "pfs",
         }
     }
@@ -75,9 +65,7 @@ impl Artefact {
     /// The node holding the bundle; `None` for the PFS.
     fn node(self) -> Option<NodeId> {
         match self {
-            Artefact::Local(n) | Artefact::Parity(n) | Artefact::Partner(n) | Artefact::Xor(n) => {
-                Some(n)
-            }
+            Artefact::Local(n) | Artefact::Parity(n) => Some(n),
             Artefact::Pfs => None,
         }
     }
@@ -387,8 +375,6 @@ fn index_dir(dir: &Path, node: NodeId, index: &mut Index) -> io::Result<()> {
         let at = match ext {
             "local" => Artefact::Local(node),
             "parity" => Artefact::Parity(node),
-            "partner" => Artefact::Partner(node),
-            "xor" => Artefact::Xor(node),
             "pfs" => Artefact::Pfs,
             _ => continue,
         };
@@ -545,30 +531,14 @@ mod tests {
     }
 
     #[test]
-    fn prune_covers_partner_and_xor_bundles() {
-        let (_d, s) = temp_store(2);
-        let (partner, xor) = (Artefact::Partner(NodeId(0)), Artefact::Xor(NodeId(1)));
-        s.write_bundle(partner, 1, &bundle(&[(0, b"old")]))
-            .expect("write");
-        s.write_bundle(xor, 1, &bundle(&[(0, b"old")]))
-            .expect("write");
-        s.write_bundle(partner, 3, &bundle(&[(0, b"new")]))
-            .expect("write");
-        s.prune_before(2).expect("prune");
-        assert!(s.read_bundle(partner, 1).is_err());
-        assert!(s.read_bundle(xor, 1).is_err());
-        assert_eq!(entry(&s, partner, 3, 0).expect("kept"), b"new");
-    }
-
-    #[test]
     fn prune_covers_bundles_of_an_earlier_store() {
         // Reopening a store indexes what is already there.
         let (d, s) = temp_store(2);
-        s.write_bundle(Artefact::Xor(NodeId(1)), 1, &bundle(&[(0, b"old")]))
+        s.write_bundle(Artefact::Parity(NodeId(1)), 1, &bundle(&[(0, b"old")]))
             .expect("write");
         let reopened = CheckpointStore::create(d.path(), 2).expect("reopen");
         reopened.prune_before(2).expect("prune");
-        assert!(!s.has_bundle(Artefact::Xor(NodeId(1)), 1));
+        assert!(!s.has_bundle(Artefact::Parity(NodeId(1)), 1));
     }
 
     #[test]

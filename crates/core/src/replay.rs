@@ -248,7 +248,6 @@ struct CkptBook {
 struct Fabric<W: ReplayWorkload> {
     workload: Arc<W>,
     protocol: HybridProtocol,
-    level: Level,
     every: u64,
     /// `None` before the first world and while a rank is dead.
     states: Vec<Mutex<Option<W::State>>>,
@@ -345,7 +344,7 @@ impl<W: ReplayWorkload> Fabric<W> {
             let slots = self.slots.lock().expect("checkpoint slots");
             match sabotage {
                 Some(victims) => self.checkpoint_failing_mid_encode(epoch, phase, &slots, &victims),
-                None => self.ckpt.checkpoint(epoch, self.level, &slots),
+                None => self.ckpt.checkpoint(epoch, Level::Encoded, &slots),
             }
         };
         let mut book = self.book.lock().expect("checkpoint book");
@@ -399,13 +398,13 @@ impl<W: ReplayWorkload> Fabric<W> {
     }
 }
 
-/// Configuration of a [`ReplayEngine`].
+/// Configuration of a [`ReplayEngine`]. Coordinated checkpoints are
+/// always taken at [`Level::Encoded`]: a local write plus Reed–Solomon
+/// parity over the L2 clusters.
 #[derive(Clone, Debug)]
 pub struct ReplayConfig {
     /// Checkpoint cadence in iterations (must be positive).
     pub checkpoint_every: u64,
-    /// Protection level of coordinated checkpoints.
-    pub level: Level,
     /// Checkpoint store root. Use a fresh directory per engine run: the
     /// store is stateful across epochs.
     pub store_root: PathBuf,
@@ -418,12 +417,11 @@ pub struct ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// Defaults: encoded checkpoints every 5 iterations, auto engine.
+    /// Defaults: a checkpoint every 5 iterations, auto engine.
     pub fn new(store_root: impl Into<PathBuf>) -> Self {
         let wc = WorldConfig::default();
         ReplayConfig {
             checkpoint_every: 5,
-            level: Level::Encoded,
             store_root: store_root.into(),
             workers: 0,
             engine: wc.engine,
@@ -684,12 +682,6 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
             for inj in scenario.injections() {
                 match inj {
                     Injection::FailDuringEncoding => {
-                        if !matches!(self.cfg.level, Level::Encoded) {
-                            return cfg_err(
-                                "failure-during-encoding needs Level::Encoded checkpoints"
-                                    .to_string(),
-                            );
-                        }
                         if !fp.is_multiple_of(self.cfg.checkpoint_every) {
                             return cfg_err(format!(
                                 "failure-during-encoding needs the failure phase ({fp}) on the \
@@ -769,7 +761,6 @@ impl<'e, W: ReplayWorkload> LiveRun<'e, W> {
         let fab = Arc::new(Fabric {
             workload: Arc::clone(&eng.workload),
             protocol: HybridProtocol::new(eng.scheme.l1.clone()),
-            level: eng.cfg.level,
             every: eng.cfg.checkpoint_every,
             states: (0..n).map(|_| Mutex::new(None)).collect(),
             logs: (0..n)

@@ -193,9 +193,9 @@ pub(crate) fn requested(raw: Option<&str>) -> Result<Option<Kernel>, HcftError> 
         })
 }
 
-/// Wide `dst ^= src` (the coefficient-1 fast path, also used by the
-/// checkpoint XOR level): one `u64` per step plus a scalar tail.
-pub fn xor_acc(dst: &mut [u8], src: &[u8]) {
+/// Wide `dst ^= src` (the coefficient-1 fast path): one `u64` per step
+/// plus a scalar tail.
+pub(crate) fn xor_acc(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor_acc slice length mismatch");
     let mut d = dst.chunks_exact_mut(8);
     let mut s = src.chunks_exact(8);

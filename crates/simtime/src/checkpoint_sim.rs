@@ -8,6 +8,7 @@
 //! around the ring, multiply-accumulate `g × shard` bytes of operands on
 //! the member's core, write the parity shard.
 
+use hcft_checkpoint::Level;
 use hcft_graph::Clustering;
 use hcft_topology::{Placement, Rank};
 
@@ -21,20 +22,6 @@ pub struct SimConfig {
     pub rates: Rates,
     /// Checkpoint bytes per rank.
     pub bytes_per_rank: u64,
-}
-
-/// Checkpoint protection level (mirrors `hcft_checkpoint::Level`, kept
-/// separate so this crate stays a leaf below the checkpoint crate).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimLevel {
-    /// Local writes only.
-    Local,
-    /// Local + partner copies.
-    Partner,
-    /// Local + Reed–Solomon encode within encoding clusters.
-    Encoded,
-    /// Local + PFS drain.
-    Pfs,
 }
 
 struct NodeResources {
@@ -57,7 +44,7 @@ fn build_nodes(sim: &mut Sim, nodes: usize, r: &Rates) -> Vec<NodeResources> {
 /// in seconds.
 pub fn simulate_checkpoint(
     cfg: &SimConfig,
-    level: SimLevel,
+    level: Level,
     groups: &Clustering,
     placement: &Placement,
 ) -> f64 {
@@ -74,18 +61,8 @@ pub fn simulate_checkpoint(
         })
         .collect();
     match level {
-        SimLevel::Local => {}
-        SimLevel::Partner => {
-            for (_, members) in groups.iter() {
-                for (i, &m) in members.iter().enumerate() {
-                    let src = placement.node_of(m).idx();
-                    let dst = placement.node_of(members[(i + 1) % members.len()]).idx();
-                    let ship = sim.task(nodes[src].nic, bytes, &[writes[m.idx()]]);
-                    sim.task(nodes[dst].ssd, bytes, &[ship]);
-                }
-            }
-        }
-        SimLevel::Encoded => {
+        Level::Local => {}
+        Level::Encoded => {
             for (_, members) in groups.iter() {
                 let g = members.len();
                 if g < 2 {
@@ -121,9 +98,8 @@ pub fn simulate_checkpoint(
                 }
             }
         }
-        SimLevel::Pfs => {
-            for (rank, &w) in writes.iter().enumerate() {
-                let _ = rank;
+        Level::Pfs => {
+            for &w in &writes {
                 sim.task(pfs, bytes, &[w]);
             }
         }
@@ -161,7 +137,7 @@ mod tests {
         // (nodes in parallel) — the cost model's local term.
         let placement = Placement::block(4, 16);
         let groups = Clustering::singletons(64);
-        let t = simulate_checkpoint(&cfg(GB), SimLevel::Local, &groups, &placement);
+        let t = simulate_checkpoint(&cfg(GB), Level::Local, &groups, &placement);
         let expect = 16.0 * 1e9 / (360.0 * 1024.0 * 1024.0);
         assert!((t - expect).abs() < 1e-6, "{t} vs {expect}");
     }
@@ -170,7 +146,7 @@ mod tests {
     fn pfs_level_serializes_on_the_shared_filesystem() {
         let placement = Placement::block(4, 16);
         let groups = Clustering::singletons(64);
-        let t = simulate_checkpoint(&cfg(GB), SimLevel::Pfs, &groups, &placement);
+        let t = simulate_checkpoint(&cfg(GB), Level::Pfs, &groups, &placement);
         // 64 GB over 10 GiB/s ≈ 6 s of PFS time after ~42 s of local
         // writes; PFS drain overlaps the tail, so total < local + pfs and
         // ≥ max(local, pfs-with-first-write-latency).
@@ -189,7 +165,7 @@ mod tests {
         let mut times = Vec::new();
         for g in [4usize, 8, 16, 32] {
             let groups = distributed(32, 1, g);
-            let t = simulate_checkpoint(&cfg(GB), SimLevel::Encoded, &groups, &placement);
+            let t = simulate_checkpoint(&cfg(GB), Level::Encoded, &groups, &placement);
             times.push((g, t));
         }
         for &(g, t) in &times {
@@ -209,24 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn partner_level_costs_roughly_double_local() {
-        let placement = Placement::block(4, 4);
-        let groups = distributed(4, 4, 4);
-        let local = simulate_checkpoint(&cfg(GB), SimLevel::Local, &groups, &placement);
-        let partner = simulate_checkpoint(&cfg(GB), SimLevel::Partner, &groups, &placement);
-        assert!(partner > 1.5 * local, "{partner} vs {local}");
-        assert!(partner < 3.0 * local);
-    }
-
-    #[test]
     fn level_costs_are_ordered() {
         let placement = Placement::block(8, 4);
         let groups = distributed(8, 4, 4);
         let c = cfg(256 * 1024 * 1024);
-        let local = simulate_checkpoint(&c, SimLevel::Local, &groups, &placement);
-        let partner = simulate_checkpoint(&c, SimLevel::Partner, &groups, &placement);
-        let encoded = simulate_checkpoint(&c, SimLevel::Encoded, &groups, &placement);
-        assert!(local < partner);
-        assert!(partner < encoded, "{partner} vs {encoded}");
+        let local = simulate_checkpoint(&c, Level::Local, &groups, &placement);
+        let encoded = simulate_checkpoint(&c, Level::Encoded, &groups, &placement);
+        assert!(local < encoded, "{local} vs {encoded}");
     }
 }

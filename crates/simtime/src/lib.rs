@@ -22,5 +22,5 @@ pub mod checkpoint_sim;
 mod engine;
 pub mod rates;
 
-pub use checkpoint_sim::{simulate_checkpoint, SimConfig, SimLevel};
+pub use checkpoint_sim::{simulate_checkpoint, SimConfig};
 pub use rates::Rates;

@@ -22,7 +22,7 @@ pub enum EventKind {
     DeadRanks,
     /// A checkpoint (any level) completed.
     CheckpointComplete,
-    /// Missing checkpoint payloads were rebuilt (partner/XOR/RS/PFS).
+    /// Missing checkpoint payloads were rebuilt (RS/PFS).
     RebuildComplete,
     /// Sender-log replay finished for the restarted cluster(s).
     ReplayComplete,

@@ -11,7 +11,7 @@
 //! | [`graph`] | communication matrices, weighted graphs, clusterings, network metrics |
 //! | [`simmpi`] | MPI-like runtime multiplexing rank tasks onto an M:N worker pool, with MPICH2-traced barrier/allgather/split and byte-exact tracing |
 //! | [`tsunami`] | 2-D shallow-water stencil workload (parallel solver bit-identical to its sequential reference) |
-//! | [`erasure`] | GF(2⁸), Reed–Solomon and XOR erasure codes, paper-calibrated encoding-time model |
+//! | [`erasure`] | GF(2⁸) arithmetic, the Reed–Solomon erasure code, paper-calibrated encoding-time model |
 //! | [`checkpoint`] | FTI-style multi-level checkpoint store (local / RS-encoded / PFS) over real files |
 //! | [`msglog`] | HydEE-style hybrid protocol: partial sender-based logging, restart sets, replay checks |
 //! | [`partition`] | multilevel k-way graph partitioner, CNM modularity clustering, the \[24\] cost function |
@@ -64,7 +64,6 @@ pub use hcft_tsunami as tsunami;
 /// the live [`ReplayEngine`](hcft_core::replay::ReplayEngine) — alone or
 /// as one of a sequence — or to campaign analysis.
 pub mod prelude {
-    pub use hcft_checkpoint::Level as CheckpointLevel;
     pub use hcft_checkpoint::{CheckpointStore, Level, MultilevelCheckpointer};
     pub use hcft_cluster::{
         autotune, candidates, distributed, hierarchical, naive, size_guided, striped,
