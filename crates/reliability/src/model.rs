@@ -29,18 +29,19 @@
 //! integer, so the estimate is bit-identical whichever clustering or model
 //! drew the table and in whatever order clusterings arrive.
 //!
-//! A table stores its `16 000 × j` node indices in the narrowest unsigned
-//! type that holds `nodes − 1`: `u8` up to 256 nodes, `u16` up to 65 536
-//! and `u32` beyond, read by one counting kernel generic over the width.
-//! Under the FTI distribution (`j ≤ 12`) a machine's tables take at most
-//! ≈ 1.2 MB at one byte per index (`j = 3..=12`), and only the `j` that
-//! reach the branch are drawn. The registry keeps at most
-//! [`MC_TABLE_BUDGET_BYTES`] (2 MiB) of tables, a constant, and evicts the
-//! least-recently-used node counts to stay under it; a model still
-//! holding an evicted table keeps it alive through its `Arc`. A table
-//! that does not fit even beside its own node count's others (a machine
-//! of more than 256 nodes whose tables pass the budget) is drawn for the
-//! model that needs it alone.
+//! A table is bit-sliced: one bitset over the 16 000 sets per node, bit
+//! `s` set iff the node is in set `s`. That is 2 000 B a node whatever
+//! `j`, so a 64-node machine's tables take at most ≈ 1.3 MB under the FTI
+//! distribution (`j = 3..=12`), and only the `j` that reach the branch
+//! are drawn. One kernel counts the sets that kill some cluster, 64 sets
+//! a word: it adds each node's weight under the node's bitset into
+//! binary counter planes and compares them with the tolerance. The
+//! registry keeps at most [`MC_TABLE_BUDGET_BYTES`] (2 MiB) of tables, a
+//! constant, and evicts the least-recently-used node counts to stay under
+//! it; a model still holding an evicted table keeps it alive through its
+//! `Arc`. A table that does not fit even beside its own node count's
+//! others (a machine of more than ≈ 100 nodes whose tables pass the
+//! budget) is drawn for the model that needs it alone.
 //!
 //! [`ReliabilityModel::p_catastrophic_sweep`] scores many clusterings at
 //! once: it computes P(catastrophic) once per distinct ordered
@@ -126,51 +127,14 @@ pub struct ClusteringDigest {
     clusters: Vec<ClusterNodes>,
 }
 
-/// Share of `table`'s failure sets that kill some cluster of `digests`
-/// (whose node indices are below `nodes`); 0.0 for an empty table.
-fn catastrophic_share(table: &SampleTable, nodes: usize, digests: &[&ClusterNodes]) -> f64 {
+/// Share of `table`'s failure sets that kill some cluster of `digests`;
+/// 0.0 for an empty table.
+fn catastrophic_share(table: &SampleTable, digests: &[&ClusterNodes]) -> f64 {
     let samples = table.samples();
     if samples == 0 {
         return 0.0;
     }
-    // Per node, the clusters with members there: `at[start[n]..
-    // start[n + 1]]` holds (cluster, members on n).
-    let mut start = vec![0usize; nodes + 1];
-    for d in digests {
-        for &(node, _) in &d.counts {
-            start[node + 1] += 1;
-        }
-    }
-    for n in 0..nodes {
-        start[n + 1] += start[n];
-    }
-    let mut at = vec![(0u32, 0u32); start[nodes]];
-    let mut fill = start.clone();
-    for (c, d) in digests.iter().enumerate() {
-        for &(node, members) in &d.counts {
-            at[fill[node]] = (c as u32, members);
-            fill[node] += 1;
-        }
-    }
-    // One extra cluster that loses nothing and tolerates everything
-    // stands in for "no cluster" below.
-    let none = (digests.len() as u32, 0);
-    let tolerance: Vec<u32> = digests
-        .iter()
-        .map(|d| d.tolerance)
-        .chain([u32::MAX])
-        .collect();
-    let hits = if start.windows(2).all(|w| w[1] - w[0] <= 1) {
-        // The common shape (every node in at most one cluster, e.g.
-        // after signature dedup): one direct lookup per failed node,
-        // with no per-node range to walk.
-        let owner: Vec<(u32, u32)> = (0..nodes)
-            .map(|n| at[start[n]..start[n + 1]].first().copied().unwrap_or(none))
-            .collect();
-        table.count_catastrophic(&tolerance, |n| std::slice::from_ref(&owner[n]))
-    } else {
-        table.count_catastrophic(&tolerance, |n| &at[start[n]..start[n + 1]])
-    };
+    let hits = table.count_catastrophic(digests.iter().map(|d| (&d.counts[..], d.tolerance)));
     hits as f64 / samples as f64
 }
 
@@ -380,17 +344,16 @@ impl ReliabilityModel {
                 }
             }
         };
-        catastrophic_share(table.sets(), self.nodes, digests)
+        catastrophic_share(table.sets(), digests)
     }
 
     /// Public Monte-Carlo estimator (for cross-validating the analytic
     /// path in tests and benches): the share of `samples` uniformly
     /// random `j`-node failure sets that are catastrophic. Draws a one-off
-    /// table from its own `samples` and `seed`, stored as `u32` whatever
-    /// the node count, and counts it with the shared tables' kernel, so
-    /// `(16_000, 0x9e37_79b9_7f4a_7c15)`
-    /// reproduces what [`p_catastrophic`](Self::p_catastrophic) samples
-    /// for a clustering with no singly-bad node.
+    /// table from its own `samples` and `seed`, stored and counted like
+    /// the shared tables, so `(16_000, 0x9e37_79b9_7f4a_7c15)` reproduces
+    /// what [`p_catastrophic`](Self::p_catastrophic) samples for a
+    /// clustering with no singly-bad node.
     ///
     /// Returns 0.0 when `samples == 0` or no `j`-node event exists
     /// (`j == 0` or `j > nodes`).
@@ -408,8 +371,8 @@ impl ReliabilityModel {
         }
         let digest = self.digest(clustering, placement, tolerance);
         let digests: Vec<&ClusterNodes> = digest.clusters.iter().collect();
-        let table = SampleTable::draw_u32(self.nodes, j, samples, seed);
-        catastrophic_share(&table, self.nodes, &digests)
+        let table = SampleTable::draw(self.nodes, j, samples, seed);
+        catastrophic_share(&table, &digests)
     }
 
     /// Probability that a random failure event (drawn from the event
@@ -567,12 +530,11 @@ mod tests {
     }
 
     /// P(catastrophic) of one digest scored alone, its Monte-Carlo
-    /// branches read from `u32` tables drawn afresh into `fresh` (by `j`)
-    /// instead of the process-wide narrow ones.
-    fn p_catastrophic_on_fresh_tables(
+    /// estimates taken from `mc(j, clusters)`.
+    fn p_catastrophic_with(
         m: &ReliabilityModel,
         digest: &ClusteringDigest,
-        fresh: &mut HashMap<usize, SampleTable>,
+        mut mc: impl FnMut(usize, &[&ClusterNodes]) -> f64,
     ) -> f64 {
         let bad = m.singly_bad_nodes(&digest.clusters);
         m.dist
@@ -587,12 +549,7 @@ mod tests {
                 let q = if j <= 2 {
                     m.q_from_digests(j, &digest.clusters, &bad)
                 } else {
-                    q_reference_with(m, j, &digest.clusters, |set| {
-                        let table = fresh.entry(j).or_insert_with(|| {
-                            SampleTable::draw_u32(m.nodes, j, MC_SAMPLES, MC_SEED)
-                        });
-                        catastrophic_share(table, m.nodes, set)
-                    })
+                    q_reference_with(m, j, &digest.clusters, |set| mc(j, set))
                 };
                 p * q
             })
@@ -675,8 +632,7 @@ mod tests {
     }
 
     /// A machine of 2–300 nodes with 1–3 ranks per node, uniform or
-    /// ragged. Half the cases sit at the boundary between `u8` and `u16`
-    /// tables: 256 nodes, 257, or 250–262.
+    /// ragged. Half the cases sit near 256 nodes: 256, 257, or 250–262.
     fn arb_machine() -> impl Strategy<Value = Placement> {
         (
             (0usize..6, 2usize..=300, 250usize..=262),
@@ -714,14 +670,63 @@ mod tests {
         })
     }
 
+    /// The tolerance rules the kernel test draws from: the oracle tests'
+    /// rules and two constants, which with 16 ranks a node give weights
+    /// whose gcd is 16.
+    const KERNEL_TOLERANCES: [fn(usize) -> usize; 5] =
+        [TOLERANCES[0], TOLERANCES[1], TOLERANCES[2], |_| 16, |_| 32];
+
+    /// A machine of 1–300 nodes with 1–3 ranks per node (uniform or
+    /// ragged) or 16; two clusterings of its ranks, each small clusters
+    /// (random labels share nodes) or consecutive blocks of 1–4 nodes'
+    /// worth of ranks; a kernel tolerance rule; a sample count that is
+    /// no multiple of 64 but one of 8, which the reference needs; and a
+    /// seed.
+    fn arb_kernel_case() -> impl Strategy<Value = (Placement, Vec<Clustering>, usize, usize, u64)> {
+        (
+            proptest::collection::vec(1usize..=3, 1..=300),
+            0usize..3,
+            0..KERNEL_TOLERANCES.len(),
+            (0usize..=40, 1usize..=7),
+            any::<u64>(),
+        )
+            .prop_flat_map(|(per_node, shape, tol, (a, b), seed)| {
+                let per_node = match shape {
+                    0 => per_node,
+                    1 => vec![per_node[0]; per_node.len()],
+                    _ => vec![16; per_node.len()],
+                };
+                let n: usize = per_node.iter().sum();
+                let ppn = per_node[0];
+                let clustering = (any::<bool>(), arb_small_clusters(n), 1usize..=4).prop_map(
+                    move |(blocks, small, k)| {
+                        if blocks {
+                            Clustering::consecutive(n, k * ppn)
+                        } else {
+                            small
+                        }
+                    },
+                );
+                (
+                    Just(ragged(&per_node)),
+                    proptest::collection::vec(clustering, 2),
+                    Just(tol),
+                    Just(64 * a + 8 * b),
+                    Just(seed),
+                )
+            })
+    }
+
     #[test]
-    fn tables_store_the_narrowest_index_width() {
-        for (nodes, width) in [(3, 1), (256, 1), (257, 2), (65_536, 2), (65_537, 4)] {
-            assert_eq!(
-                SampleTable::draw(nodes, 3, 8, 1).bytes(),
-                8 * 3 * width,
-                "{nodes} nodes"
-            );
+    fn tables_store_one_word_per_node_and_64_sets() {
+        for nodes in [3, 256, 257, 65_537] {
+            for samples in [8, 64, 65, 16_000] {
+                assert_eq!(
+                    SampleTable::draw(nodes, 3, samples, 1).bytes(),
+                    nodes * samples.div_ceil(64) * 8,
+                    "{nodes} nodes, {samples} samples"
+                );
+            }
         }
     }
 
@@ -973,17 +978,57 @@ mod tests {
     }
 
     proptest! {
-        // A case draws up to ten fresh u32 tables and scores up to ten
+        // A case runs the allocating reference up to 44 times over up to
+        // 300 nodes (debug ≈ 1.5 s).
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The bit-sliced kernel counts exactly what the allocating
+        /// reference does: every public estimate on a fresh table of a
+        /// sample count that is no multiple of 64, and the sweep's
+        /// P(catastrophic), with members above the tolerance, clusters
+        /// that share nodes and weights whose gcd is above 1.
+        #[test]
+        fn bitsliced_kernel_matches_the_allocating_reference(
+            (placement, clusterings, tol, samples, seed) in arb_kernel_case(),
+        ) {
+            let nodes = placement.nodes();
+            let tolerance = KERNEL_TOLERANCES[tol];
+            let model = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
+            let digests: Vec<ClusteringDigest> = clusterings
+                .iter()
+                .map(|c| model.digest(c, &placement, &tolerance))
+                .collect();
+            for (c, d) in clusterings.iter().zip(&digests) {
+                let all: Vec<&ClusterNodes> = d.clusters.iter().collect();
+                for j in 1..=nodes.min(12) {
+                    let got = model.q_given_j_monte_carlo(j, c, &placement, &tolerance, samples, seed);
+                    let want = monte_carlo_q_reference(nodes, j, &all, samples, seed);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(),
+                        "{} nodes, j = {}, {} samples: {} vs {}", nodes, j, samples, got, want);
+                }
+            }
+            let got = model.p_catastrophic_sweep(&digests);
+            for (d, got) in digests.iter().zip(got) {
+                let want = p_catastrophic_with(&model, d, |j, set| {
+                    monte_carlo_q_reference(nodes, j, set, MC_SAMPLES, MC_SEED)
+                });
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} nodes: {} vs {}", nodes, got, want);
+            }
+        }
+    }
+
+    proptest! {
+        // A case draws up to ten fresh tables and scores up to ten
         // schemes twice (debug ≈ 1 s).
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// The sweep (process-wide narrow tables, one score per distinct
-        /// digest) equals each scheme scored alone on freshly drawn `u32`
-        /// tables, bit for bit, with duplicate schemes, one clustering
-        /// under two tolerance rules, two-node blocks under FTI's rule,
-        /// and the schemes in either order.
+        /// The sweep (process-wide tables, one score per distinct digest)
+        /// equals each scheme scored alone on tables drawn afresh, bit for
+        /// bit, with duplicate schemes, one clustering under two tolerance
+        /// rules, two-node blocks under FTI's rule, and the schemes in
+        /// either order.
         #[test]
-        fn sweep_matches_each_scheme_alone_on_fresh_u32_tables(
+        fn sweep_matches_each_scheme_alone_on_fresh_tables(
             (placement, clusterings, picks) in arb_sweep(),
         ) {
             let nodes = placement.nodes();
@@ -1000,7 +1045,14 @@ mod tests {
             let mut fresh = HashMap::new();
             let want: Vec<f64> = digests
                 .iter()
-                .map(|d| p_catastrophic_on_fresh_tables(&model, d, &mut fresh))
+                .map(|d| {
+                    p_catastrophic_with(&model, d, |j, set| {
+                        let table = fresh
+                            .entry(j)
+                            .or_insert_with(|| SampleTable::draw(nodes, j, MC_SAMPLES, MC_SEED));
+                        catastrophic_share(table, set)
+                    })
+                })
                 .collect();
             let forward = model.p_catastrophic_sweep(&digests);
             let reversed: Vec<ClusteringDigest> = digests.iter().rev().cloned().collect();

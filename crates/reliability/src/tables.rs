@@ -3,12 +3,11 @@
 //! "Shared Monte-Carlo draws").
 //!
 //! A [`SampleTable`] holds the 16 000 `j`-node failure sets of one
-//! `(nodes, j)`, with node indices in the narrowest unsigned type that
-//! holds `nodes − 1`. [`shared_table`] hands each `(nodes, j)` out as one
-//! `Arc<SharedTable>` (an `OnceLock` of the sets), so the sets are drawn at
-//! most once per process, and its registry keeps at most
-//! [`MC_TABLE_BUDGET_BYTES`] of them, evicting least-recently-used node
-//! counts.
+//! `(nodes, j)`, bit-sliced: one bitset over the sets per node.
+//! [`shared_table`] hands each `(nodes, j)` out as one `Arc<SharedTable>`
+//! (an `OnceLock` of the sets), so the sets are drawn at most once per
+//! process, and its registry keeps at most [`MC_TABLE_BUDGET_BYTES`] of
+//! them, evicting least-recently-used node counts.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -25,164 +24,169 @@ pub(crate) const MC_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 /// RNG streams a sample table is drawn in.
 const MC_CHUNKS: usize = 8;
 
-/// Bytes of failure-set tables the process-wide registry keeps. Under the
-/// FTI distribution (`j = 3..=12`) a machine of up to 256 nodes needs at
-/// most ≈ 1.2 MB (one byte per index), so the budget holds one such
-/// machine's tables, and most of a larger one's. It is small because a
-/// long-lived server keeps it resident on top of everything else.
+/// Bytes of failure-set tables the process-wide registry keeps. A table
+/// takes 2 000 B a node whatever `j`, so under the FTI distribution
+/// (`j = 3..=12`) the budget holds a 16- and a 32-node machine's tables
+/// side by side (≈ 0.9 MB together), a 64-node machine's (≈ 1.3 MB at
+/// most), and most of a larger one's. It is small because a long-lived
+/// server keeps it resident on top of everything else.
 pub const MC_TABLE_BUDGET_BYTES: usize = 2 << 20;
 
-/// Bytes per stored node index on a machine of `nodes` nodes: the
-/// narrowest unsigned type that holds `nodes − 1`.
-fn index_width(nodes: usize) -> usize {
-    if nodes <= 1 << 8 {
-        1
-    } else if nodes <= 1 << 16 {
-        2
-    } else {
-        4
-    }
-}
-
-/// A node index as a table stores it: `u8`, `u16` or `u32`.
-pub(crate) trait NodeIndex: Copy {
-    /// Narrow a drawn node index; it must fit.
-    fn narrow(node: u32) -> Self;
-    /// The node index as a slice position.
-    fn index(self) -> usize;
-}
-
-macro_rules! node_index {
-    ($($t:ty),*) => {$(
-        impl NodeIndex for $t {
-            #[inline]
-            fn narrow(node: u32) -> Self {
-                <$t>::try_from(node).expect("node index fits the table's width")
-            }
-            #[inline]
-            fn index(self) -> usize {
-                self as usize
-            }
-        }
-    )*};
-}
-node_index!(u8, u16, u32);
-
-/// A table's node indices at one of the three widths.
-enum Failed {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-    U32(Vec<u32>),
-}
-
-/// The failure sets of one Monte-Carlo estimate: set `s` is the `j`
-/// distinct nodes at `s * j..(s + 1) * j`.
+/// The failure sets of one Monte-Carlo estimate, bit-sliced: bit `s % 64`
+/// of `bits[n * words + s / 64]` is set iff node `n` is in set `s`.
 pub(crate) struct SampleTable {
-    j: usize,
-    failed: Failed,
+    samples: usize,
+    /// `⌈samples / 64⌉`: the words of one node's bitset.
+    words: usize,
+    bits: Vec<u64>,
 }
 
 impl SampleTable {
-    /// Draw `samples` `j`-node failure sets (`j ≥ 1`) over `nodes` nodes,
-    /// stored at the narrowest width that holds `nodes − 1`.
+    /// Draw `samples` `j`-node failure sets (`j ≥ 1`) over `nodes` nodes
+    /// in [`MC_CHUNKS`] streams seeded `seed + c`. Stream `c` draws
+    /// `samples / MC_CHUNKS` sets, plus one for the first
+    /// `samples % MC_CHUNKS` streams; sets are numbered in draw order.
     pub(crate) fn draw(nodes: usize, j: usize, samples: usize, seed: u64) -> Self {
-        let failed = match index_width(nodes) {
-            1 => Failed::U8(draw_sets(nodes, j, samples, seed)),
-            2 => Failed::U16(draw_sets(nodes, j, samples, seed)),
-            _ => Failed::U32(draw_sets(nodes, j, samples, seed)),
-        };
-        SampleTable { j, failed }
-    }
-
-    /// The same sets as [`draw`](Self::draw), stored as `u32` whatever
-    /// the node count.
-    pub(crate) fn draw_u32(nodes: usize, j: usize, samples: usize, seed: u64) -> Self {
+        let words = samples.div_ceil(64);
+        let mut bits = vec![0u64; nodes * words];
+        let mut sampler = NodeSampler::new(nodes);
+        let mut set = Vec::with_capacity(j);
+        let mut s = 0;
+        for c in 0..MC_CHUNKS {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
+            let draws = samples / MC_CHUNKS + usize::from(c < samples % MC_CHUNKS);
+            for _ in 0..draws {
+                set.clear();
+                sampler.sample_into(&mut rng, j, &mut set);
+                for &node in &set {
+                    bits[node as usize * words + s / 64] |= 1 << (s % 64);
+                }
+                s += 1;
+            }
+        }
         SampleTable {
-            j,
-            failed: Failed::U32(draw_sets(nodes, j, samples, seed)),
+            samples,
+            words,
+            bits,
         }
     }
 
-    /// Heap bytes of the stored indices.
+    /// Heap bytes of the stored bitsets.
     #[cfg(test)]
     pub(crate) fn bytes(&self) -> usize {
-        match &self.failed {
-            Failed::U8(f) => f.len(),
-            Failed::U16(f) => f.len() * 2,
-            Failed::U32(f) => f.len() * 4,
-        }
+        self.bits.len() * 8
     }
 
-    /// Failure sets in which some cluster loses more than its tolerance;
-    /// `on(node)` lists the (cluster, members) a node's failure costs.
+    /// Failure sets in which some cluster, given as its (node, members ≥
+    /// 1) and its tolerance `t`, loses more than `t` members.
+    ///
+    /// Bit-sliced, 64 sets a word. Each member count is clipped at
+    /// `t + 1` (a node that alone passes `t` needs no more), and the
+    /// clipped weights and `t` are divided by the weights' gcd `g`, which
+    /// keeps `Σ members > t` exact as `Σ w > ⌊t / g⌋`. Each node's
+    /// weight, masked by its bitset, is ripple-added into
+    /// `bit_length(⌊t / g⌋)` counter planes; since no weight exceeds
+    /// `⌊t / g⌋ + 1`, a carry out of the top plane is a counter past the
+    /// threshold and marks its sets dead, as does a final `counter >
+    /// ⌊t / g⌋`.
     pub(crate) fn count_catastrophic<'a>(
         &self,
-        tolerance: &[u32],
-        on: impl Fn(usize) -> &'a [(u32, u32)],
+        clusters: impl IntoIterator<Item = (&'a [(usize, u32)], u32)>,
     ) -> usize {
-        match &self.failed {
-            Failed::U8(f) => count_catastrophic(f, self.j, tolerance, on),
-            Failed::U16(f) => count_catastrophic(f, self.j, tolerance, on),
-            Failed::U32(f) => count_catastrophic(f, self.j, tolerance, on),
+        let words = self.words;
+        let mut dead = vec![0u64; words];
+        let mut carry = vec![0u64; words];
+        let mut planes = Vec::new();
+        let mut weights = Vec::new();
+        for (counts, tolerance) in clusters {
+            let t = u64::from(tolerance);
+            weights.clear();
+            weights.extend(counts.iter().map(|&(n, m)| (n, u64::from(m).min(t + 1))));
+            if weights.iter().map(|&(_, w)| w).sum::<u64>() <= t {
+                continue; // dies in no set
+            }
+            let g = weights.iter().fold(0, |g, &(_, w)| gcd(g, w));
+            let over = t / g;
+            let k = bit_length(over);
+            planes.clear();
+            planes.resize(k * words, 0u64);
+            // Counters stay at or below `reach`: planes from
+            // `bit_length(reach)` up see no carry, and none leaves the
+            // top plane while `reach < 2^k`.
+            let mut reach = 0;
+            for &(node, w) in &weights {
+                let w = w / g;
+                reach += w;
+                let mask = &self.bits[node * words..][..words];
+                if w == 1 << k {
+                    for (d, &m) in dead.iter_mut().zip(mask) {
+                        *d |= m;
+                    }
+                    continue;
+                }
+                let low = w.trailing_zeros() as usize;
+                let high = bit_length(reach).min(k);
+                for (b, plane) in planes.chunks_exact_mut(words).enumerate() {
+                    if b < low || b >= high {
+                        continue;
+                    }
+                    if b == low {
+                        for ((p, c), &m) in plane.iter_mut().zip(&mut carry).zip(mask) {
+                            (*p, *c) = (*p ^ m, *p & m);
+                        }
+                    } else if w >> b & 1 == 1 {
+                        for ((p, c), &m) in plane.iter_mut().zip(&mut carry).zip(mask) {
+                            let half = *p ^ m;
+                            (*p, *c) = (half ^ *c, (*p & m) | (*c & half));
+                        }
+                    } else {
+                        for (p, c) in plane.iter_mut().zip(&mut carry) {
+                            (*p, *c) = (*p ^ *c, *p & *c);
+                        }
+                    }
+                }
+                if reach >> k != 0 {
+                    for (d, &c) in dead.iter_mut().zip(&carry) {
+                        *d |= c;
+                    }
+                }
+            }
+            // `counter > over`, most significant plane first; `carry`
+            // holds the sets whose counter equals `over` so far.
+            carry.fill(!0);
+            for (b, plane) in planes.chunks_exact(words).enumerate().rev() {
+                if over >> b & 1 == 0 {
+                    for ((d, e), &p) in dead.iter_mut().zip(&mut carry).zip(plane) {
+                        *d |= *e & p;
+                        *e &= !p;
+                    }
+                } else {
+                    for (e, &p) in carry.iter_mut().zip(plane) {
+                        *e &= p;
+                    }
+                }
+            }
         }
+        dead.iter().map(|d| d.count_ones() as usize).sum()
     }
 
     /// Number of failure sets.
     pub(crate) fn samples(&self) -> usize {
-        let len = match &self.failed {
-            Failed::U8(f) => f.len(),
-            Failed::U16(f) => f.len(),
-            Failed::U32(f) => f.len(),
-        };
-        len / self.j
+        self.samples
     }
 }
 
-/// `samples` `j`-node failure sets over `nodes` nodes, in [`MC_CHUNKS`]
-/// streams seeded `seed + c`. Stream `c` draws `samples / MC_CHUNKS`
-/// sets, plus one for the first `samples % MC_CHUNKS` streams.
-fn draw_sets<T: NodeIndex>(nodes: usize, j: usize, samples: usize, seed: u64) -> Vec<T> {
-    let mut sampler = NodeSampler::new(nodes);
-    let mut set = Vec::with_capacity(j);
-    let mut failed = Vec::with_capacity(samples * j);
-    for c in 0..MC_CHUNKS {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(c as u64));
-        let draws = samples / MC_CHUNKS + usize::from(c < samples % MC_CHUNKS);
-        for _ in 0..draws {
-            set.clear();
-            sampler.sample_into(&mut rng, j, &mut set);
-            failed.extend(set.iter().map(|&node| T::narrow(node)));
-        }
-    }
-    failed
+/// Bits needed to write `x`.
+fn bit_length(x: u64) -> usize {
+    (u64::BITS - x.leading_zeros()) as usize
 }
 
-/// The one counting kernel, at every index width.
-#[inline]
-fn count_catastrophic<'a, T: NodeIndex>(
-    failed: &[T],
-    j: usize,
-    tolerance: &[u32],
-    on: impl Fn(usize) -> &'a [(u32, u32)],
-) -> usize {
-    let mut lost = vec![0u32; tolerance.len()];
-    let mut hits = 0;
-    for set in failed.chunks_exact(j) {
-        let mut dead = false;
-        for &node in set {
-            for &(c, members) in on(node.index()) {
-                lost[c as usize] += members;
-                dead |= lost[c as usize] > tolerance[c as usize];
-            }
-        }
-        for &node in set {
-            for &(c, _) in on(node.index()) {
-                lost[c as usize] = 0;
-            }
-        }
-        hits += usize::from(dead);
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
-    hits
 }
 
 /// One `(nodes, j)` table, drawn by whichever caller first reads it.
@@ -201,9 +205,9 @@ impl SharedTable {
         })
     }
 
-    /// Bytes the drawn sets take.
+    /// Bytes the drawn sets take: one `u64` per node and 64 sets.
     fn bytes(&self) -> usize {
-        MC_SAMPLES * self.j * index_width(self.nodes)
+        self.nodes * MC_SAMPLES.div_ceil(64) * 8
     }
 }
 

@@ -45,10 +45,14 @@ fn score_with(model: &ReliabilityModel) -> u64 {
         .to_bits()
 }
 
+/// Bytes of one table over `nodes` nodes: 16 000 sets, one bit each, a
+/// `u64` word per node and 64 sets.
+fn table_bytes(nodes: usize) -> usize {
+    nodes * 16_000usize.div_ceil(64) * 8
+}
+
 #[test]
 fn registry_stays_in_budget_and_evicts_the_least_recently_used_node_count() {
-    // 300+ nodes: `u16` indices, 16 000 × 12 × 2 B a table.
-    let table_bytes = 16_000 * 12 * 2;
     let (a, b) = (300, 301);
     let built = counter("reliability.mc_tables_built");
     let (_, a_bits) = score(a);
@@ -61,23 +65,33 @@ fn registry_stays_in_budget_and_evicts_the_least_recently_used_node_count() {
     assert_eq!(counter("reliability.mc_tables_built") - built, 0);
 
     let evicted = counter("reliability.mc_tables_evicted");
-    let mut walked = 2;
+    let mut resident = vec![a, b];
+    let resident_bytes =
+        |resident: &[usize]| resident.iter().map(|&n| table_bytes(n)).sum::<usize>();
     while counter("reliability.mc_tables_evicted") == evicted {
         let bytes = gauge("reliability.mc_tables.bytes");
         assert!(bytes <= MC_TABLE_BUDGET_BYTES as f64, "{bytes} B resident");
-        assert_eq!(bytes, (walked * table_bytes) as f64);
-        assert_eq!(gauge("reliability.mc_tables.node_counts"), walked as f64);
-        assert!(walked * table_bytes <= MC_TABLE_BUDGET_BYTES, "no eviction");
+        assert_eq!(bytes, resident_bytes(&resident) as f64);
+        assert_eq!(
+            gauge("reliability.mc_tables.node_counts"),
+            resident.len() as f64
+        );
+        let next = a + resident.len();
         let built = counter("reliability.mc_tables_built");
-        score(a + walked);
+        score(next);
         assert_eq!(counter("reliability.mc_tables_built") - built, 1);
-        walked += 1;
+        resident.push(next);
     }
-    // The first table past the budget evicted exactly one node count.
-    assert_eq!(walked, MC_TABLE_BUDGET_BYTES / table_bytes + 1);
+    // The first table past the budget evicted exactly one node count,
+    // the least recently used: `b`.
+    let last = *resident.last().unwrap();
+    let before_last = resident_bytes(&resident) - table_bytes(last);
+    assert!(before_last <= MC_TABLE_BUDGET_BYTES, "no eviction");
+    assert!(before_last + table_bytes(last) > MC_TABLE_BUDGET_BYTES);
     assert_eq!(counter("reliability.mc_tables_evicted") - evicted, 1);
+    resident.retain(|&n| n != b);
     let bytes = gauge("reliability.mc_tables.bytes");
-    assert_eq!(bytes, ((walked - 1) * table_bytes) as f64);
+    assert_eq!(bytes, resident_bytes(&resident) as f64);
     assert!(bytes <= MC_TABLE_BUDGET_BYTES as f64);
 
     // `a` is still resident: a new model over it draws nothing.

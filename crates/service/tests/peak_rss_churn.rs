@@ -31,10 +31,11 @@ fn evaluate(svc: &EvalService, query: &str) {
 #[test]
 #[ignore = "measures process memory; run explicitly in release"]
 fn churn_then_registry_eviction_stays_under_the_peak_rss_bound() {
-    // Measured ≈ 16.2 MB on x86_64 Linux, of which the registry holds
-    // ≈ 1.2 MB. Before the registry (each request drew its own `u32`
-    // tables) it read 14.9–15.1 MB; the bound is that plus 15 %. `u32`
-    // tables that are never evicted read ≈ 42.7 MB.
+    // Measured ≈ 17.1 MB on x86_64 Linux, of which the registry holds
+    // ≈ 1.9 MB of bitset tables over three node counts. Before the
+    // registry (each request drew its own `u32` tables) it read
+    // 14.9–15.1 MB; the bound is that plus 15 %. `u32` tables that are
+    // never evicted read ≈ 42.7 MB.
     const PEAK_RSS_BOUND_KB: u64 = 17 * 1024;
     let evicted = || {
         Registry::global()
@@ -43,8 +44,11 @@ fn churn_then_registry_eviction_stays_under_the_peak_rss_bound() {
     };
     let gauge = |name: &str| Registry::global().gauge(name).get();
     // The ledger's `eval_churn` server and its 12 keys (16/32 nodes, 8
-    // ranks a node, 50/55/60 iterations, both family grids), twice.
+    // ranks a node, 50/55/60 iterations, both family grids), twice. The
+    // two machine sizes' tables take ≈ 0.9 MB together, so the 2 MiB
+    // registry holds both and evicts nothing.
     let svc = EvalService::new(2, 4);
+    let before = evicted();
     for _ in 0..2 {
         for iters in [50, 55, 60] {
             for nodes in [16, 32] {
@@ -57,8 +61,9 @@ fn churn_then_registry_eviction_stays_under_the_peak_rss_bound() {
             }
         }
     }
-    // Each machine size draws ≈ 1.2 MB of tables, so the 2 MiB registry
-    // holds one and evicts on every change of size.
+    assert_eq!(evicted(), before, "the churn keys evicted a table");
+    // A table takes 2 000 B a node, so these five sizes' tables pass the
+    // budget and the walk evicts.
     let before = evicted();
     for nodes in [20, 24, 28, 36, 40] {
         evaluate(

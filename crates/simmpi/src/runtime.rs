@@ -304,13 +304,15 @@ thread_local! {
 /// consumer (typed receive, collective, sender-log eviction) recycles it.
 /// Two tiers: a lock-free thread-local magazine, then a shared mutex
 /// vector. `runtime.alloc.msg_buffers` counts *actual* allocator hits —
-/// fresh buffers and capacity growth of reused ones — which is what the
-/// steady-state zero-allocation test asserts on.
+/// fresh buffers and capacity growth of reused ones — across every world
+/// of the process; `allocated` counts this pool's alone, which is what
+/// the steady-state zero-allocation test asserts on.
 pub(crate) struct BufferPool {
     slots: Mutex<Vec<Arc<Vec<u8>>>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     allocs: Arc<Counter>,
+    allocated: AtomicU64,
 }
 
 impl BufferPool {
@@ -329,7 +331,19 @@ impl BufferPool {
             hits: reg.counter("runtime.pool.hits"),
             misses: reg.counter("runtime.pool.misses"),
             allocs: reg.counter("runtime.alloc.msg_buffers"),
+            allocated: AtomicU64::new(0),
         }
+    }
+
+    /// Allocator hits of this pool (one world's) so far.
+    #[cfg(test)]
+    fn allocated(&self) -> u64 {
+        self.allocated.load(Ordering::Relaxed)
+    }
+
+    fn count_alloc(&self) {
+        self.allocs.inc();
+        self.allocated.fetch_add(1, Ordering::Relaxed);
     }
 
     /// An empty buffer with at least `capacity` reserved.
@@ -345,14 +359,14 @@ impl BufferPool {
                 if v.capacity() < capacity {
                     // Growing a pooled buffer is a real allocation; once
                     // capacities converge this branch goes quiet.
-                    self.allocs.inc();
+                    self.count_alloc();
                     v.reserve(capacity);
                 }
                 PooledBuf { arc }
             }
             None => {
                 self.misses.inc();
-                self.allocs.inc();
+                self.count_alloc();
                 PooledBuf {
                     arc: Arc::new(Vec::with_capacity(capacity)),
                 }
@@ -1152,10 +1166,9 @@ mod tests {
 
     #[test]
     fn steady_ping_pong_stops_allocating() {
-        let reg = Registry::global();
-        // Allocation counters are process-global, so other tests in this
-        // binary may run concurrently; use a dedicated payload size and
-        // assert on pool-miss *stability* inside a single world instead.
+        // Each world's pool counts its own allocator hits, so worlds that
+        // other tests in this binary run concurrently cannot move the
+        // count this test reads.
         World::run(2, |c| {
             let other = 1 - c.rank();
             let payload = [c.rank() as u64; 37];
@@ -1170,7 +1183,7 @@ mod tests {
                 }
             }
             c.barrier();
-            let allocs = reg.counter("runtime.alloc.msg_buffers").get();
+            let allocs = c.shared.pool.allocated();
             for _ in 0..50 {
                 if c.rank() == 0 {
                     c.send_slice(other, 1, &payload);
@@ -1181,10 +1194,8 @@ mod tests {
                 }
             }
             c.barrier();
-            // Other worlds in this test binary can allocate concurrently,
-            // but this world's own traffic must be served by the pool; a
-            // per-message allocation here would add >= 100 to the counter.
-            let grew = reg.counter("runtime.alloc.msg_buffers").get() - allocs;
+            // A per-message allocation would add >= 100 to the count.
+            let grew = c.shared.pool.allocated() - allocs;
             assert!(
                 grew < 100,
                 "steady-state ping-pong allocated {grew} buffers in 100 messages"
