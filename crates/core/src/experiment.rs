@@ -7,7 +7,10 @@
 //! * the init-time `MPI_Allgather` over *all* ranks (power-of-two /
 //!   Bruck diagonals),
 //! * the tsunami stencil's double diagonal between application
-//!   neighbours,
+//!   neighbours, sent shape-only: each rank sends every halo at its
+//!   decomposed length through the solver's own exchange loop
+//!   ([`hcft_tsunami::CartDecomp::exchange`]) but builds and steps no
+//!   field, since no traced byte depends on a cell value,
 //! * light horizontal rows where application ranks push checkpoint data
 //!   to their node's encoder,
 //! * isolated encoder↔encoder points from the ring-structured parity
@@ -26,7 +29,7 @@ use hcft_graph::{CommMatrix, WeightedGraph};
 use hcft_simmpi::{Engine, World, WorldConfig};
 use hcft_telemetry::{HcftError, Registry};
 use hcft_topology::{JobLayout, Role};
-use hcft_tsunami::{RankState, TsunamiParams};
+use hcft_tsunami::TsunamiParams;
 
 /// Tag for application→encoder checkpoint pushes (world communicator).
 const TAG_CKPT_PUSH: u32 = 0x000C_0001;
@@ -420,6 +423,12 @@ pub struct TracedWorld {
 }
 
 /// Run the instrumented job and return the raw trace recorder.
+///
+/// Application ranks are shape-only: no [`hcft_tsunami::RankState`] is
+/// built. Each step is the decomposition's halo exchange with
+/// zero-filled edges ([`hcft_tsunami::CartDecomp::exchange_shape`]) and
+/// each checkpoint note carries [`hcft_tsunami::CartDecomp::state_len`],
+/// so every traced send (peer, length, tag, phase) is the full solver's.
 pub fn run_traced_world(cfg: &TracedJobConfig) -> TracedWorld {
     let layout = cfg.layout();
     let total = layout.total_ranks();
@@ -559,20 +568,24 @@ fn run_app_rank(
     layout: &JobLayout,
     cfg: &TracedJobConfig,
 ) {
-    let params = cfg.tsunami_params();
-    let mut st = RankState::new(&params, app_comm.size(), app_comm.rank());
+    // The traffic depends on the decomposition alone, so no solver
+    // field is built or stepped: each step is the halo exchange's
+    // sends and receives at their decomposed lengths.
+    let d = cfg
+        .tsunami_params()
+        .decomp(app_comm.size(), app_comm.rank());
     let my_node = layout.node_of(hcft_topology::Rank::from(world.rank()));
     let encoder_world = my_node.idx() * layout.ranks_per_node();
     for it in 1..=cfg.iterations {
-        st.step(&params, app_comm);
+        d.exchange_shape(it - 1, app_comm);
         if cfg.with_encoders && cfg.checkpoint_every > 0 && it % cfg.checkpoint_every == 0 {
             // FTI writes the checkpoint itself to node-local storage; the
             // MPI traffic to the node's encoder process is only the
             // notification carrying the checkpoint geometry (the light
             // horizontal rows of Fig. 5b). `state_len` knows the payload
-            // size without serialising anything.
+            // size from the decomposition alone.
             let mut note = [0u8; 16];
-            note[..8].copy_from_slice(&(st.state_len() as u64).to_le_bytes());
+            note[..8].copy_from_slice(&(d.state_len() as u64).to_le_bytes());
             note[8..].copy_from_slice(&it.to_le_bytes());
             world.send_bytes(encoder_world, TAG_CKPT_PUSH, &note);
         }

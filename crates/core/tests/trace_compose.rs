@@ -3,6 +3,12 @@
 //! (`run_traced_world` → `byte_matrix` → `project`) on every machine
 //! shape and cadence, and the whole run must still serve the jobs the
 //! composition does not cover.
+//!
+//! Both sides are shape-only runs: the traced world's application ranks
+//! send zero-filled halos at their decomposed lengths and build no
+//! solver field. That shape-only traffic equals a full solver step's is
+//! proven in `hcft-tsunami`'s `tests/properties.rs`
+//! (`shape_only_exchange_sends_what_the_full_step_sends`).
 
 use hcft_core::experiment::{run_traced_job, run_traced_world, TracedJobConfig};
 use hcft_core::Registry;

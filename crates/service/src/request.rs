@@ -5,11 +5,12 @@ use hcft_core::{SchemeFamilySpec, TracedJobConfig};
 use hcft_telemetry::HcftError;
 
 /// Most ranks a request may trace, encoders included
-/// (`nodes × (ppn + 1)`). The matrices are sparse, so what grows with
-/// the machine is the prefix world a cold request runs: every rank's
-/// coroutine stack, solver state and mailbox, ≈ 180 kB a rank, which
-/// at the full 23 936-rank TSUBAME2 reads ≈ 4.3 GB of peak RSS — more
-/// than one request may take from a shared server.
+/// (`nodes × (ppn + 1)`). The matrices are sparse and traced ranks hold
+/// no solver field, so what grows with the machine is the prefix world
+/// a cold request runs: every rank's touched coroutine stack, in-flight
+/// halo buffers and mailbox, ≈ 40–45 kB a rank, which at the full
+/// 23 936-rank TSUBAME2 reads ≈ 1.0 GB of peak RSS — still more than
+/// one request may take from a shared server.
 pub(crate) const MAX_RANKS: usize = 4096;
 
 /// Most solver iterations a request may trace: a bound on how long one

@@ -26,9 +26,9 @@ struct MemoInner {
 /// cache plus an LRU memo of fully rendered responses.
 ///
 /// Two tiers because they save different work: a trace-cache hit skips
-/// the traced job (≈ 85 % of a cold paper-machine request on the
-/// ledger, composed from a two-step prefix world) but still recomputes
-/// the strategy sweep (≈ 15 %, whose largest part is still
+/// the traced job (≈ 75 % of a cold paper-machine request, composed from
+/// a two-step prefix world of shape-only ranks) but still recomputes
+/// the strategy sweep (≈ 20 %, whose largest part is still
 /// `p_catastrophic` over the process-wide Monte-Carlo tables); a memo hit
 /// returns the stored bytes outright. Both tiers are deterministic, so a
 /// response is byte-identical whether it came cold, trace-warm or

@@ -31,8 +31,9 @@ fn evaluate(svc: &EvalService, query: &str) {
 #[test]
 #[ignore = "measures process memory; run explicitly in release"]
 fn churn_then_registry_eviction_stays_under_the_peak_rss_bound() {
-    // Measured ≈ 17.1 MB on x86_64 Linux, of which the registry holds
-    // ≈ 1.9 MB of bitset tables over three node counts. Before the
+    // Measured ≈ 11.0 MB on x86_64 Linux, of which the registry holds
+    // ≈ 1.9 MB of bitset tables over three node counts; traced ranks
+    // that still built their solver fields read ≈ 17.2 MB. Before the
     // registry (each request drew its own `u32` tables) it read
     // 14.9–15.1 MB; the bound is that plus 15 %. `u32` tables that are
     // never evicted read ≈ 42.7 MB.

@@ -5,9 +5,17 @@
 //! north/south neighbours by ±px. Combined with the paper's block
 //! placement (consecutive ranks share a node) this maximises intra-node
 //! halo traffic, reproducing the placement the paper studies.
+//!
+//! A decomposition is all the communication pattern depends on: which
+//! neighbours exist, how many cells each halo carries
+//! (`CartDecomp::edge_cells`) and how large a checkpoint is
+//! ([`CartDecomp::state_len`]). The halo exchange itself,
+//! [`CartDecomp::exchange`], lives with the step in `solver.rs`.
+
+use crate::kernel::Dir;
 
 /// Cartesian decomposition bookkeeping for one rank.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CartDecomp {
     /// Process-grid extent in x.
     pub px: usize,
@@ -97,6 +105,36 @@ impl CartDecomp {
     /// Rank of the south neighbour (higher y), if any.
     pub(crate) fn south(&self) -> Option<usize> {
         (self.cy + 1 < self.py).then(|| (self.cy + 1) * self.px + self.cx)
+    }
+
+    /// The neighbour rank in a direction, if any.
+    pub(crate) fn neighbor(&self, dir: Dir) -> Option<usize> {
+        match dir {
+            Dir::West => self.west(),
+            Dir::East => self.east(),
+            Dir::North => self.north(),
+            Dir::South => self.south(),
+        }
+    }
+
+    /// Cells on the edge towards `dir`, hence in the halo travelling
+    /// that way: a west/east edge is a column of `lny` cells, a
+    /// north/south edge a row of `lnx`.
+    pub(crate) fn edge_cells(&self, dir: Dir) -> usize {
+        match dir {
+            Dir::West | Dir::East => self.lny,
+            Dir::North | Dir::South => self.lnx,
+        }
+    }
+
+    /// Exact byte length of this rank's serialised solver state
+    /// ([`RankState::save_state`](crate::RankState::save_state)): the
+    /// iteration and five length headers, then η with its north/south
+    /// halo cells, the west and east halo columns, u on x faces and v
+    /// on y faces, 8 bytes a value.
+    pub fn state_len(&self) -> usize {
+        let (lnx, lny) = (self.lnx, self.lny);
+        8 * (6 + lnx * (lny + 2) + 2 * lny + (lnx + 1) * lny + lnx * (lny + 1))
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! [`RankState`] owns one rank's fields and exposes exactly three
 //! operations: extract an outgoing boundary edge, install a received halo
-//! edge, and advance one step. [`RankState::step`] wraps them in the one
-//! halo exchange that the traced world, the replay engine in `hcft-core`
-//! and the tests all run, which is what makes "recovered state equals
+//! edge, and advance one step. [`RankState::step`] hands the first two to
+//! the decomposition's one halo exchange ([`CartDecomp::exchange`]) and
+//! then runs the third; the replay engine in `hcft-core` and the tests
+//! run that step, which is what makes "recovered state equals
 //! uninterrupted state **bit-for-bit**" a meaningful assertion.
 
 use hcft_telemetry::HcftError;
@@ -75,13 +76,7 @@ impl RankState {
     /// Initialise rank `rank` of `nprocs` with the earthquake initial
     /// condition.
     pub fn new(params: &TsunamiParams, nprocs: usize, rank: usize) -> Self {
-        let d = match params.process_grid {
-            Some((px, py)) => {
-                assert_eq!(px * py, nprocs, "process grid must cover nprocs");
-                CartDecomp::with_grid(params.nx, params.ny, px, py, rank)
-            }
-            None => CartDecomp::new(params.nx, params.ny, nprocs, rank),
-        };
+        let d = params.decomp(nprocs, rank);
         let mut eta = vec![0.0; d.lnx * (d.lny + 2)];
         for i in 0..d.lnx {
             for j in 0..d.lny {
@@ -109,16 +104,6 @@ impl RankState {
         self.iter
     }
 
-    /// The neighbour rank in a direction, if any.
-    pub(crate) fn neighbor(&self, dir: Dir) -> Option<usize> {
-        match dir {
-            Dir::West => self.d.west(),
-            Dir::East => self.d.east(),
-            Dir::North => self.d.north(),
-            Dir::South => self.d.south(),
-        }
-    }
-
     /// The currently installed halo values on the `dir` side — the
     /// inverse probe of [`RankState::set_halo_bytes`], used by the halo
     /// roundtrip tests.
@@ -141,11 +126,7 @@ impl RankState {
         let (lnx, lny) = (self.d.lnx, self.d.lny);
         let se = lny + 2;
         out.clear();
-        let n = match dir {
-            Dir::West | Dir::East => lny,
-            Dir::North | Dir::South => lnx,
-        };
-        out.resize(n * 8, 0);
+        out.resize(8 * self.d.edge_cells(dir), 0);
         let cells = out.chunks_exact_mut(8);
         match dir {
             // The hot edges: one contiguous η column straight to wire.
@@ -316,14 +297,10 @@ impl RankState {
     }
 
     /// Exact byte length [`RankState::save_state`] produces — lets
-    /// callers size checkpoint plans without serialising anything.
+    /// callers size checkpoint plans without serialising anything. A
+    /// function of the decomposition alone: [`CartDecomp::state_len`].
     pub fn state_len(&self) -> usize {
-        8 * (6
-            + self.eta.len()
-            + self.halo_w.len()
-            + self.halo_e.len()
-            + self.u.len()
-            + self.v.len())
+        self.d.state_len()
     }
 
     /// Serialise the full state (η, u, v, iteration).

@@ -9,9 +9,14 @@
 //! for trans-oceanic tsunami propagation — with block 2-D decomposition
 //! and halo exchange over [`hcft_simmpi`].
 //!
-//! Each stencil has exactly one halo exchange: [`RankState::step`] and
-//! [`Heat3dState::step`], run over a [`HaloLink`] (a plain
-//! [`hcft_simmpi::Comm`], or the replay engine's logging link).
+//! Each stencil has exactly one halo exchange, run over a [`HaloLink`]
+//! (a plain [`hcft_simmpi::Comm`], or the replay engine's logging link):
+//! [`CartDecomp::exchange`] for the shallow-water solver and
+//! [`Heat3dState::step`] for the heat kernel. [`RankState::step`] is the
+//! tsunami exchange with real η edges followed by the update; the replay
+//! engine and the tests drive it. The traced world in `hcft-core` drives
+//! the same exchange shape-only ([`CartDecomp::exchange_shape`]): the
+//! traffic depends on the decomposition alone, so it builds no field.
 //!
 //! A sequential reference solver ([`sequential::SequentialSim`])
 //! verifies that the parallel code computes the *identical* field

@@ -1,11 +1,11 @@
 //! The communication seam of a stencil step.
 //!
-//! [`RankState::step`](crate::RankState::step) and
+//! [`CartDecomp::exchange`](crate::CartDecomp::exchange) and
 //! [`Heat3dState::step`](crate::Heat3dState::step) each hold their
 //! stencil's one halo-exchange loop; a [`HaloLink`] is all that loop
 //! sees of the transport. A plain [`Comm`] is one. The replay engine in
 //! `hcft-core` supplies the other, which also keeps sender logs of
-//! cross-cluster halos, so every caller runs the same step.
+//! cross-cluster halos, so every caller runs the same exchange.
 //!
 //! Payloads travel in wire form (little-endian `f64`): a send serialises
 //! an edge straight into a pooled message buffer and a receive installs

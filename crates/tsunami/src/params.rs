@@ -1,5 +1,7 @@
 //! Simulation parameters for the shallow-water solver.
 
+use crate::decomp::CartDecomp;
+
 /// Gravitational acceleration, m/s².
 pub(crate) const GRAVITY: f64 = 9.81;
 
@@ -57,6 +59,22 @@ impl TsunamiParams {
         let mut p = Self::stable(nx, ny);
         p.process_grid = Some((px, py));
         p
+    }
+
+    /// Rank `rank`'s block of the grid when `nprocs` ranks run it: on
+    /// the explicit [`TsunamiParams::process_grid`], else on a
+    /// near-square one.
+    ///
+    /// # Panics
+    /// Panics when an explicit process grid does not cover `nprocs`.
+    pub fn decomp(&self, nprocs: usize, rank: usize) -> CartDecomp {
+        match self.process_grid {
+            Some((px, py)) => {
+                assert_eq!(px * py, nprocs, "process grid must cover nprocs");
+                CartDecomp::with_grid(self.nx, self.ny, px, py, rank)
+            }
+            None => CartDecomp::new(self.nx, self.ny, nprocs, rank),
+        }
     }
 
     /// Initial free-surface displacement at global cell `(i, j)`.

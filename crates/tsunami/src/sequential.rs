@@ -105,7 +105,7 @@ mod tests {
                 for _ in 0..25 {
                     st.step(&pclone, c);
                 }
-                (st.decomp().clone(), st.local_eta())
+                (*st.decomp(), st.local_eta())
             });
             let mut parallel = vec![0.0; p.nx * p.ny];
             for (d, local) in &r.outputs {

@@ -1,13 +1,20 @@
-//! The parallel shallow-water solver: one time step of [`RankState`]
-//! over a [`HaloLink`].
+//! The parallel shallow-water solver: the decomposition's one halo
+//! exchange and one time step of [`RankState`] over a [`HaloLink`].
 //!
 //! Per step, ship the four boundary edges to the Cartesian neighbours
 //! (buffered sends, so no ordering hazards), install the received halos,
 //! and run the kernel update. η is the only field needing a halo, so each
 //! iteration costs one message per neighbour — the double-diagonal
-//! pattern of Fig. 5b. The traced world, the replay engine and the tests
-//! all drive this one step.
+//! pattern of Fig. 5b.
+//!
+//! Who sends how many bytes to whom depends on the decomposition alone,
+//! so the exchange is [`CartDecomp::exchange`]: the replay engine and the
+//! tests drive it through [`RankState::step`], which fills and installs
+//! real η edges; the traced world drives it through
+//! [`CartDecomp::exchange_shape`], with zero-filled edges of the same
+//! lengths and no solver state at all.
 
+use crate::decomp::CartDecomp;
 use crate::kernel::{Dir, RankState};
 use crate::link::HaloLink;
 use crate::params::TsunamiParams;
@@ -31,26 +38,30 @@ pub fn is_halo_tag(tag: u32) -> bool {
     Dir::ALL.into_iter().any(|d| halo_tag(d) == tag)
 }
 
-impl RankState {
-    /// Advance one time step over `link`: stamp the iteration as the
-    /// phase, send every edge (in [`Dir::ALL`] order), receive every
-    /// halo, update. Edges are serialised straight into pooled message
-    /// buffers and halos installed straight from the received payloads,
-    /// so each η edge is copied exactly once in each direction and a
-    /// steady-state step allocates nothing (`runtime.alloc.msg_buffers`
-    /// stays flat).
-    pub fn step(&mut self, p: &TsunamiParams, link: &(impl HaloLink + ?Sized)) {
-        link.set_phase(self.iteration());
-        let (lnx, lny) = (self.decomp().lnx, self.decomp().lny);
+impl CartDecomp {
+    /// One halo exchange over `link`: stamp `phase` (the step's
+    /// iteration) on this rank's sends, send an edge of
+    /// `CartDecomp::edge_cells` cells to every neighbour (in
+    /// [`Dir::ALL`] order, on its [`halo_tag`]), then receive every halo.
+    ///
+    /// `fill(state, dir, buf)` writes the edge towards `dir` into the
+    /// empty pooled message buffer; `install(state, dir, raw)` takes the
+    /// halo landing on the `dir` side. A caller that only needs the
+    /// traffic passes a zero filler and a no-op install; a solver passes
+    /// its own edge and halo methods with itself as `state`.
+    pub fn exchange<S: ?Sized>(
+        &self,
+        phase: u64,
+        link: &(impl HaloLink + ?Sized),
+        state: &mut S,
+        fill: impl Fn(&S, Dir, &mut Vec<u8>),
+        install: impl Fn(&mut S, Dir, &[u8]),
+    ) {
+        link.set_phase(phase);
         for dir in Dir::ALL {
             if let Some(nbr) = self.neighbor(dir) {
-                let cells = match dir {
-                    Dir::West | Dir::East => lny,
-                    Dir::North | Dir::South => lnx,
-                };
-                link.send_with(nbr, halo_tag(dir), 8 * cells, &mut |buf| {
-                    self.edge_out_bytes(dir, buf)
-                });
+                let len = 8 * self.edge_cells(dir);
+                link.send_with(nbr, halo_tag(dir), len, &mut |buf| fill(state, dir, buf));
             }
         }
         for dir in Dir::ALL {
@@ -58,10 +69,44 @@ impl RankState {
                 // The halo landing on our `dir` side travelled in
                 // direction `dir.opposite()` from the neighbour.
                 link.recv_with(nbr, halo_tag(dir.opposite()), &mut |raw| {
-                    self.set_halo_bytes(dir, raw)
+                    install(state, dir, raw)
                 });
             }
         }
+    }
+
+    /// The exchange's traffic without a field: every edge goes out
+    /// zero-filled at its decomposed length and every halo is dropped.
+    /// Sends, tags, lengths and phases are those of [`RankState::step`]
+    /// at iteration `phase`; the traced world runs this.
+    pub fn exchange_shape(&self, phase: u64, link: &(impl HaloLink + ?Sized)) {
+        self.exchange(
+            phase,
+            link,
+            &mut (),
+            |(), dir, buf| buf.resize(8 * self.edge_cells(dir), 0),
+            |(), _, _| {},
+        );
+    }
+}
+
+impl RankState {
+    /// Advance one time step over `link`: the decomposition's halo
+    /// exchange at this iteration's phase, then the update. Edges are
+    /// serialised straight into pooled message buffers and halos
+    /// installed straight from the received payloads, so each η edge is
+    /// copied exactly once in each direction and a steady-state step
+    /// allocates nothing (`runtime.alloc.msg_buffers` stays flat).
+    pub fn step(&mut self, p: &TsunamiParams, link: &(impl HaloLink + ?Sized)) {
+        // A copy, so the exchange can borrow `self` as its state.
+        let d = *self.decomp();
+        d.exchange(
+            self.iteration(),
+            link,
+            self,
+            Self::edge_out_bytes,
+            Self::set_halo_bytes,
+        );
         self.update(p);
     }
 }

@@ -3,13 +3,48 @@
 //! neighbour's halo for every geometry, and save/restore must be a
 //! bitwise identity at arbitrary iteration counts. These are the
 //! contracts the zero-copy message path and pooled checkpoint
-//! serialization rely on.
+//! serialization rely on. The shallow-water exchange is also traced
+//! twice, once stepping a real field and once shape-only as the traced
+//! world runs it, and the two must send the same messages.
 
 use proptest::prelude::*;
 
+use hcft_simmpi::{World, WorldConfig};
 use hcft_tsunami::heat3d::{Face, Heat3dParams, Heat3dState};
 use hcft_tsunami::kernel::{Dir, RankState};
 use hcft_tsunami::TsunamiParams;
+
+/// One sender's traced messages, in send order: `(dst, bytes, tag, phase)`.
+type Stream = Vec<(u32, u64, u32, u64)>;
+
+/// The per-sender streams of `steps` steps of `p` on `nprocs` ranks:
+/// full [`RankState::step`]s when `full`, else the field-less
+/// [`CartDecomp::exchange_shape`](hcft_tsunami::CartDecomp::exchange_shape).
+fn traced_streams(p: &TsunamiParams, nprocs: usize, steps: u64, full: bool) -> Vec<Stream> {
+    let cfg = WorldConfig {
+        trace_events: true,
+        ..WorldConfig::default()
+    };
+    let p = p.clone();
+    let r = World::run_with(nprocs, cfg, move |c| {
+        if full {
+            let mut st = RankState::new(&p, c.size(), c.rank());
+            for _ in 0..steps {
+                st.step(&p, c);
+            }
+        } else {
+            let d = p.decomp(c.size(), c.rank());
+            for it in 0..steps {
+                d.exchange_shape(it, c);
+            }
+        }
+    });
+    r.trace
+        .take_events()
+        .into_iter()
+        .map(|s| s.iter().map(|e| (e.dst, e.bytes, e.tag, e.phase)).collect())
+        .collect()
+}
 
 proptest! {
     /// Shipping an edge through the byte path (serialise → install →
@@ -78,6 +113,33 @@ proptest! {
         restored.restore_state(&snap).expect("restore valid snapshot");
         prop_assert_eq!(&restored, &s);
         prop_assert_eq!(restored.iteration(), iters);
+    }
+
+    /// The shape-only exchange the traced world runs sends exactly what
+    /// the full step sends — the same destinations, lengths, tags and
+    /// phases in the same per-sender order — on every decomposition,
+    /// uneven block splits and 1×N, N×1 and 1×1 process grids included;
+    /// and the decomposition's checkpoint length is the serialised one.
+    #[test]
+    fn shape_only_exchange_sends_what_the_full_step_sends(
+        px in 1usize..6,
+        py in 1usize..6,
+        extra_x in 0usize..9,
+        extra_y in 0usize..9,
+        steps in 2u64..4,
+    ) {
+        let (nx, ny) = (px + extra_x, py + extra_y);
+        let p = TsunamiParams::stable_with_grid(nx, ny, px, py);
+        let nprocs = px * py;
+        let full = traced_streams(&p, nprocs, steps, true);
+        let shape = traced_streams(&p, nprocs, steps, false);
+        prop_assert_eq!(full.len(), nprocs);
+        prop_assert_eq!(&shape, &full);
+        for rank in 0..nprocs {
+            let st = RankState::new(&p, nprocs, rank);
+            prop_assert_eq!(p.decomp(nprocs, rank).state_len(), st.state_len());
+            prop_assert_eq!(st.state_len(), st.save_state().len());
+        }
     }
 
     /// Heat3d wire-halo install → read-back is exact on every face for

@@ -88,18 +88,20 @@ fn traced_csvs_identical_across_workers_and_engines() {
 /// = 23 936 simulated ranks, past `pid_max` for thread-per-rank — it
 /// completes only on the M:N task scheduler with the sparse trace
 /// recorder, and must show the full traffic structure within its memory
-/// bound. About 15 s and 4.3 GB in release:
+/// bound. About 3 s and 1.0 GB in release:
 /// `cargo test --release -- --ignored ranks_22k` (add `--nocapture` to
 /// see the process's peak RSS).
 #[test]
 #[ignore = "23 936-rank traced run; run explicitly in release"]
 fn ranks_22k_traced_run_completes_on_the_task_scheduler() {
-    // Measured VmHWM 4 168 088–4 342 604 kB (x86_64 Linux, 1, 2 and 4
-    // workers) plus ≈ 15 %. The peak is the solver's rank state
-    // (22 528 × 4 096 cells), the touched coroutine stacks and the sparse
-    // recorder; the FTI allgather and split add one n-block buffer per
-    // call, not one per rank.
-    const PEAK_RSS_BOUND_KB: u64 = 5_000_000;
+    // Measured VmHWM 968 356–1 089 912 kB (x86_64 Linux, 4, 2 and 1
+    // workers). Traced application ranks hold no solver field, so the
+    // peak is the touched coroutine stacks, the in-flight halo buffers
+    // and the sparse recorder; the FTI allgather and split add one
+    // n-block buffer per call, not one per rank. Ranks that built their
+    // 22 528 × 4 096-cell solver state again read 4.2–4.3 GB and fail
+    // this bound.
+    const PEAK_RSS_BOUND_KB: u64 = 2_000_000;
     let job = TracedJobConfig::builder(1408, 16)
         .iterations(10)
         .checkpoint_every(5)
