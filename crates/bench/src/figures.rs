@@ -1039,7 +1039,8 @@ pub fn heat3d(scale: Scale) -> Artifact {
 }
 
 /// Extension: the discrete-event simulator vs the closed-form cost model
-/// — the same cross-validation role Monte Carlo plays for reliability.
+/// — the same cross-validation role the enumeration and sampling
+/// oracles play for the reliability model.
 pub fn simtime(_scale: Scale) -> Artifact {
     use hcft_checkpoint::{CheckpointCostModel, Level};
     use hcft_graph::Clustering;

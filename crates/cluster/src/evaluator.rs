@@ -30,9 +30,7 @@ pub struct FourDScore {
 ///
 /// Work that depends only on the run is done once and shared by every
 /// scheme scored: each scheme's logging stats walk the sparse matrix's
-/// non-zero cells, the Monte-Carlo failure sets are drawn once per
-/// process (`hcft_reliability::model`), and
-/// `evaluate_all` computes P(catastrophic) once
+/// non-zero cells, and `evaluate_all` computes P(catastrophic) once
 /// per distinct L2 placement digest, however many schemes share it.
 pub struct Evaluator {
     matrix: CommMatrix,

@@ -11,13 +11,11 @@
 //!   "most failures … affect only … one single node or a small set of
 //!   nodes";
 //! * `combinatorics` — exact hypergeometric machinery;
-//! * [`model`] — P(catastrophic) per clustering: exact enumeration for
-//!   1- and 2-node events, per-cluster knapsack DP + union bound for
-//!   deeper correlated events, Monte Carlo over failure sets drawn once
-//!   per process and event size and shared across models and
-//!   clusterings (the byte-bounded registry is in `tables`);
-//! * [`sampler`] — the one node sampler, shared by the model's draws and
-//!   the campaign kernel;
+//! * [`model`] — P(catastrophic) per clustering, exact: the failure sets
+//!   of each size that kill no cluster are counted in integers, one
+//!   polynomial per node-disjoint failure component, multiplied;
+//! * [`sampler`] — the one node sampler, which the campaign kernel draws
+//!   its failed nodes with;
 //! * [`arrivals`] — failure arrival processes (exponential and Weibull)
 //!   for end-to-end failure injection.
 
@@ -29,7 +27,6 @@ pub mod efficiency;
 pub mod events;
 pub mod model;
 pub mod sampler;
-mod tables;
 
 pub use arrivals::FailureArrivals;
 pub use efficiency::EfficiencyModel;

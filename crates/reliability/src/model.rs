@@ -7,100 +7,57 @@
 //! on `F`; the event is catastrophic iff some cluster loses more than `t`
 //! members.
 //!
-//! Computation per event cardinality `j`:
-//! * `j = 1` and `j = 2` — exact enumeration;
-//! * `j ≥ 3` — exact per-cluster probability via a knapsack DP over the
-//!   cluster's occupied nodes combined with hypergeometric weights, then
-//!   a union bound across clusters (tight for the small probabilities
-//!   where it is used; replaced by Monte Carlo when the bound is loose).
+//! # Exact P(catastrophic)
 //!
-//! # Shared Monte-Carlo draws
+//! `q(j)`, the share of the `C(n, j)` `j`-node failure sets that are
+//! catastrophic, is a count of sets, taken in `u128`:
+//! * a *singly-bad* node holds more than the tolerance of some cluster:
+//!   no set that holds it is safe, so it is left out;
+//! * every cluster is restricted to the other nodes and kept if those can
+//!   still kill it. Clusters that share a node are joined (union-find)
+//!   into node-disjoint *components*, so a set is safe iff its share of
+//!   every component is;
+//! * the safe counts are therefore the coefficients of
+//!   `Π_c S_c(x) · (1+x)^free`, where `S_c(k)` counts the safe `k`-subsets
+//!   of component `c` and `free` is the number of nodes in no component;
+//! * `q(j) = (C(n, j) − safe_j) / C(n, j)`, the difference taken in
+//!   integers so that values near 1e-16 keep their digits.
 //!
-//! The Monte-Carlo branch counts how many of 16 000 uniformly random
-//! `j`-node failure sets kill some cluster. The sets are drawn in 8 RNG
-//! streams, stream `c` seeded `seed + c`, so they depend only on the node
-//! count and `j`, never on the clustering or the model. They are therefore
-//! drawn once per *process*: one registry maps each node count to its
-//! tables, and each `(nodes, j)` table is an `Arc` of a `OnceLock`, drawn
-//! by the first clustering of any model that reaches the branch at that
-//! `j`. The registry's lock covers the lookup only, never a draw. A model
-//! keeps the tables it has looked up until it is dropped; every later
-//! clustering only counts its losses over the stored sets. The count is an
-//! integer, so the estimate is bit-identical whichever clustering or model
-//! drew the table and in whatever order clusterings arrive.
+//! A component that holds one cluster (every component of the shipped
+//! families on even layouts) has `S_c(k) = C(m, k)` minus the `k`-subsets
+//! whose members pass the tolerance, counted by a knapsack over the
+//! cluster's nodes. A component of several clusters, which only uneven
+//! layouts reach, counts `k ≤ 2` from the pairs inside its clusters and
+//! enumerates its safe `k`-subsets while `C(m, k)` stays within
+//! `ENUMERATION_LIMIT` (2^14). Above that it takes its integer union
+//! bound over its clusters, clipped at `C(m, k)`: the one count that is a
+//! bound (of the catastrophic sets, from above) rather than exact. On
+//! machines of at most 16 nodes every count is exact.
 //!
-//! A table is bit-sliced: one bitset over the 16 000 sets per node, bit
-//! `s` set iff the node is in set `s`. That is 2 000 B a node whatever
-//! `j`, so a 64-node machine's tables take at most ≈ 1.3 MB under the FTI
-//! distribution (`j = 3..=12`), and only the `j` that reach the branch
-//! are drawn. One kernel counts the sets that kill some cluster, 64 sets
-//! a word: it adds each node's weight under the node's bitset into
-//! binary counter planes and compares them with the tolerance. The
-//! registry keeps at most [`MC_TABLE_BUDGET_BYTES`] (2 MiB) of tables, a
-//! constant, and evicts the least-recently-used node counts to stay under
-//! it; a model still holding an evicted table keeps it alive through its
-//! `Arc`. A table that does not fit even beside its own node count's
-//! others (a machine of more than ≈ 100 nodes whose tables pass the
-//! budget) is drawn for the model that needs it alone.
+//! The counts stop at the distribution's largest event size `max_j`.
+//! `C(n, max_j)` fits in `u128` up to 8 602 nodes at `max_j = 12`;
+//! [`ReliabilityModel::new`] refuses a machine past that range. Counts are
+//! integers, so a value depends on no evaluation order and no node ids:
+//! two clusterings equal up to a node permutation score bit-identically.
 //!
 //! [`ReliabilityModel::p_catastrophic_sweep`] scores many clusterings at
 //! once: it computes P(catastrophic) once per distinct ordered
 //! [`ClusteringDigest`], in parallel over the distinct digests, and fans
-//! the values back out in input order. Equal digests run identical
-//! arithmetic, so the values are bit-identical at any thread count and to
-//! scoring each clustering alone.
-//!
-//! Every failure set comes from [`NodeSampler`](crate::NodeSampler), the
-//! workspace's one node sampler (the campaign kernel draws with it too):
-//! it reproduces `rand::seq::index::sample` draw for draw without
-//! allocating.
-//!
-//! Each `q(j)` evaluation bumps one global counter for its branch,
-//! `reliability.q.{single,pair,exact,monte_carlo,mixed}`;
-//! `reliability.mc_tables_built` and `reliability.mc_tables_evicted` count
-//! the shared tables drawn and evicted, and the gauges
-//! `reliability.mc_tables.bytes` and `reliability.mc_tables.node_counts`
-//! show what the registry holds.
+//! the values back out in input order, bit-identical at any thread count
+//! and to scoring each clustering alone.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use hcft_graph::Clustering;
-use hcft_telemetry::{Counter, Registry};
 use hcft_topology::Placement;
 use rayon::prelude::*;
 
-use crate::combinatorics::choose;
+use crate::combinatorics::{checked_choose, choose};
 use crate::events::EventDistribution;
-use crate::tables::{shared_table, SampleTable, SharedTable};
 
-pub use crate::tables::MC_TABLE_BUDGET_BYTES;
-
-/// Global handles for the branch counters (see module docs).
-struct QCounters {
-    single: Arc<Counter>,
-    pair: Arc<Counter>,
-    exact: Arc<Counter>,
-    monte_carlo: Arc<Counter>,
-    mixed: Arc<Counter>,
-}
-
-fn counters() -> &'static QCounters {
-    static GLOBAL: OnceLock<QCounters> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        // The table registry's metrics show from the first q(j) on, even
-        // before any table is drawn.
-        crate::tables::register_metrics();
-        let reg = Registry::global();
-        QCounters {
-            single: reg.counter("reliability.q.single"),
-            pair: reg.counter("reliability.q.pair"),
-            exact: reg.counter("reliability.q.exact"),
-            monte_carlo: reg.counter("reliability.q.monte_carlo"),
-            mixed: reg.counter("reliability.q.mixed"),
-        }
-    })
-}
+/// Most `k`-subsets of a several-cluster component that are enumerated
+/// (see module docs). It covers every `C(16, k)`, at most 12 870.
+const ENUMERATION_LIMIT: u128 = 1 << 14;
 
 /// FTI's Reed–Solomon tolerance for an encoding cluster of `s` members:
 /// half the cluster (rounded up) may vanish.
@@ -127,35 +84,25 @@ pub struct ClusteringDigest {
     clusters: Vec<ClusterNodes>,
 }
 
-/// Share of `table`'s failure sets that kill some cluster of `digests`;
-/// 0.0 for an empty table.
-fn catastrophic_share(table: &SampleTable, digests: &[&ClusterNodes]) -> f64 {
-    let samples = table.samples();
-    if samples == 0 {
-        return 0.0;
-    }
-    let hits = table.count_catastrophic(digests.iter().map(|d| (&d.counts[..], d.tolerance)));
-    hits as f64 / samples as f64
-}
-
 /// Reliability model for one machine size and event distribution.
 pub struct ReliabilityModel {
     nodes: usize,
     dist: EventDistribution,
-    /// `(j, table)`: the process-wide Monte-Carlo tables this model has
-    /// looked up, kept alive until it is dropped (see module docs).
-    held: Mutex<Vec<(usize, Arc<SharedTable>)>>,
 }
 
 impl ReliabilityModel {
-    /// A model over `nodes` physical nodes.
+    /// A model over `nodes` physical nodes. Panics unless every `C(nodes,
+    /// k)`, `k ≤ dist.max_nodes()`, fits in `u128`: up to 8 602 nodes
+    /// under the FTI distribution's `max_j = 12`.
     pub fn new(nodes: usize, dist: EventDistribution) -> Self {
         assert!(nodes > 0);
-        ReliabilityModel {
-            nodes,
-            dist,
-            held: Mutex::new(Vec::new()),
-        }
+        let max_j = dist.max_nodes();
+        assert!(
+            (0..=max_j).all(|k| checked_choose(nodes, k).is_some()),
+            "{nodes} nodes: C({nodes}, {max_j}) overflows u128 \
+             (at max_j = 12 the exact count holds up to 8 602 nodes)"
+        );
+        ReliabilityModel { nodes, dist }
     }
 
     /// Number of nodes modelled.
@@ -187,9 +134,8 @@ impl ReliabilityModel {
                 let tol = tolerance(members.len()) as u32;
                 // Clusters with identical placement signatures live and die
                 // together (e.g. the per-slot L2 clusters of one node
-                // group); keeping one representative keeps the j≥3 union
-                // bound tight instead of over-counting perfectly
-                // correlated clusters.
+                // group); one representative keeps their nodes a
+                // one-cluster component, which the knapsack counts.
                 seen.insert((counts.clone(), tol)).then_some(ClusterNodes {
                     counts,
                     tolerance: tol,
@@ -200,7 +146,9 @@ impl ReliabilityModel {
     }
 
     /// Probability that a uniformly random `j`-node failure event is
-    /// catastrophic for this clustering.
+    /// catastrophic for this clustering; 0.0 when no `j`-node event
+    /// exists (`j == 0` or `j > nodes`). Panics if `C(nodes, j)` overflows
+    /// `u128`.
     pub fn q_given_j(
         &self,
         j: usize,
@@ -208,171 +156,12 @@ impl ReliabilityModel {
         placement: &Placement,
         tolerance: &dyn Fn(usize) -> usize,
     ) -> f64 {
-        let digest = self.digest(clustering, placement, tolerance);
-        let bad = self.singly_bad_nodes(&digest.clusters);
-        self.q_from_digests(j, &digest.clusters, &bad)
-    }
-
-    /// `q(j)` of a clustering's digests, whose singly-bad nodes are `bad`.
-    fn q_from_digests(&self, j: usize, digests: &[ClusterNodes], bad: &[bool]) -> f64 {
-        let n = self.nodes;
-        if j == 0 || j > n {
-            return 0.0;
-        }
-        let counters = counters();
-        match j {
-            1 => {
-                counters.single.inc();
-                bad.iter().filter(|&&b| b).count() as f64 / n as f64
-            }
-            2 => {
-                counters.pair.inc();
-                let b = bad.iter().filter(|&&x| x).count();
-                // Pairs touching a singly-bad node are bad outright.
-                let pairs_with_bad = choose(n, 2) - choose(n - b, 2);
-                // Plus pairs of individually-safe nodes that jointly
-                // overwhelm some cluster.
-                let mut joint: std::collections::HashSet<(usize, usize)> =
-                    std::collections::HashSet::new();
-                for d in digests {
-                    for a in 0..d.counts.len() {
-                        for c in (a + 1)..d.counts.len() {
-                            let (na, ca) = d.counts[a];
-                            let (nc, cc) = d.counts[c];
-                            if bad[na] || bad[nc] {
-                                continue;
-                            }
-                            if ca + cc > d.tolerance {
-                                joint.insert((na.min(nc), na.max(nc)));
-                            }
-                        }
-                    }
-                }
-                (pairs_with_bad + joint.len() as f64) / choose(n, 2)
-            }
-            _ => {
-                // Split off the nodes whose loss is *alone* catastrophic:
-                // any j-subset touching one of them is catastrophic, a
-                // hypergeometric term we can compute exactly. The rest of
-                // the probability comes from clusters that need multiple
-                // correlated losses, where the per-cluster union bound is
-                // tight (and Monte Carlo covers the loose remainder).
-                let b = bad.iter().filter(|&&x| x).count();
-                let p_hit_bad = 1.0 - choose(n - b, j) / choose(n, j);
-                let residual: Vec<&ClusterNodes> = digests
-                    .iter()
-                    .filter(|d| d.counts.iter().all(|&(node, _)| !bad[node]))
-                    .collect();
-                let union: f64 = residual.iter().map(|d| self.q_cluster_exact(j, d)).sum();
-                if union <= 0.1 {
-                    counters.exact.inc();
-                    (p_hit_bad + (1.0 - p_hit_bad) * union).min(1.0)
-                } else if b == 0 {
-                    // Large multi-node-driven probability: sample. With no
-                    // singly-bad node the residual is every digest.
-                    counters.monte_carlo.inc();
-                    self.monte_carlo_q(j, &residual).min(1.0)
-                } else {
-                    // Mixed case: sample only the residual structure.
-                    counters.mixed.inc();
-                    let q_rest = self.monte_carlo_q(j, &residual).min(1.0);
-                    (p_hit_bad + (1.0 - p_hit_bad) * q_rest).min(1.0)
-                }
-            }
-        }
-    }
-
-    /// `bad[n]` = does losing node `n` alone kill some cluster?
-    fn singly_bad_nodes(&self, digests: &[ClusterNodes]) -> Vec<bool> {
-        let mut bad = vec![false; self.nodes];
-        for d in digests {
-            for &(node, cnt) in &d.counts {
-                if cnt > d.tolerance {
-                    bad[node] = true;
-                }
-            }
-        }
-        bad
-    }
-
-    /// Exact P(cluster dies | j uniformly-random node failures):
-    /// Σ_r D_r · C(N−m, j−r) / C(N, j) with D_r counted by knapsack DP.
-    fn q_cluster_exact(&self, j: usize, d: &ClusterNodes) -> f64 {
-        let m = d.counts.len();
-        let t = d.tolerance as usize;
-        // ways[r][s] = number of r-subsets of the occupied nodes whose
-        // member sum is s (sums capped at t+1: "already dead").
-        let cap = t + 1;
-        let mut ways = vec![vec![0.0f64; cap + 1]; m + 1];
-        ways[0][0] = 1.0;
-        for &(_, cnt) in &d.counts {
-            let cnt = cnt as usize;
-            for r in (0..m).rev() {
-                for s in 0..=cap {
-                    let w = ways[r][s];
-                    if w == 0.0 {
-                        continue;
-                    }
-                    let ns = (s + cnt).min(cap);
-                    ways[r + 1][ns] += w;
-                }
-            }
-        }
-        let n = self.nodes;
-        let mut q = 0.0;
-        let denom = choose(n, j);
-        for (r, row) in ways.iter().enumerate() {
-            let dead = row[cap]; // sum > t
-            if dead > 0.0 && r <= j {
-                q += dead * choose(n - m, j - r) / denom;
-            }
-        }
-        q
-    }
-
-    /// Monte-Carlo estimate of q(j) (`1 ≤ j ≤ nodes`) over the
-    /// process-wide failure sets for `j`, drawing them on first use.
-    fn monte_carlo_q(&self, j: usize, digests: &[&ClusterNodes]) -> f64 {
-        let table = {
-            let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
-            match held.iter().find(|(k, _)| *k == j) {
-                Some((_, table)) => table.clone(),
-                None => {
-                    let table = shared_table(self.nodes, j);
-                    held.push((j, table.clone()));
-                    table
-                }
-            }
-        };
-        catastrophic_share(table.sets(), digests)
-    }
-
-    /// Public Monte-Carlo estimator (for cross-validating the analytic
-    /// path in tests and benches): the share of `samples` uniformly
-    /// random `j`-node failure sets that are catastrophic. Draws a one-off
-    /// table from its own `samples` and `seed`, stored and counted like
-    /// the shared tables, so `(16_000, 0x9e37_79b9_7f4a_7c15)` reproduces
-    /// what [`p_catastrophic`](Self::p_catastrophic) samples for a
-    /// clustering with no singly-bad node.
-    ///
-    /// Returns 0.0 when `samples == 0` or no `j`-node event exists
-    /// (`j == 0` or `j > nodes`).
-    pub fn q_given_j_monte_carlo(
-        &self,
-        j: usize,
-        clustering: &Clustering,
-        placement: &Placement,
-        tolerance: &dyn Fn(usize) -> usize,
-        samples: usize,
-        seed: u64,
-    ) -> f64 {
         if j == 0 || j > self.nodes {
             return 0.0;
         }
         let digest = self.digest(clustering, placement, tolerance);
-        let digests: Vec<&ClusterNodes> = digest.clusters.iter().collect();
-        let table = SampleTable::draw(self.nodes, j, samples, seed);
-        catastrophic_share(&table, &digests)
+        let safe = safe_counts(self.nodes, &digest.clusters, j);
+        q_of(self.nodes, j, safe[j])
     }
 
     /// Probability that a random failure event (drawn from the event
@@ -415,41 +204,262 @@ impl ReliabilityModel {
 
     /// `Σ_j P(j-node event) · q(j)` for one digest.
     fn p_catastrophic_of(&self, digest: &ClusteringDigest) -> f64 {
-        let bad = self.singly_bad_nodes(&digest.clusters);
+        let n = self.nodes;
+        let safe = safe_counts(n, &digest.clusters, self.dist.max_nodes().min(n));
         self.dist
             .p_nodes
             .iter()
             .enumerate()
             .map(|(i, &p)| {
                 let j = i + 1;
-                if p == 0.0 {
+                if p == 0.0 || j > n {
                     0.0
                 } else {
-                    p * self.q_from_digests(j, &digest.clusters, &bad)
+                    p * q_of(n, j, safe[j])
                 }
             })
             .sum()
     }
 }
 
+/// `q(j)`: the share of the `C(nodes, j)` `j`-node sets that are not
+/// among the `safe` ones.
+fn q_of(nodes: usize, j: usize, safe: u128) -> f64 {
+    let all = choose(nodes, j);
+    (all - safe) as f64 / all as f64
+}
+
+/// A digest cut into node-disjoint failure components (see module docs).
+struct Components {
+    /// Nodes neither singly bad nor in a component.
+    free: usize,
+    /// Each component's clusters, restricted to the nodes that are not
+    /// singly bad.
+    clusters: Vec<Vec<ClusterNodes>>,
+}
+
+impl Components {
+    fn of(nodes: usize, clusters: &[ClusterNodes]) -> Self {
+        let mut bad = vec![false; nodes];
+        for c in clusters {
+            for &(node, members) in &c.counts {
+                if members > c.tolerance {
+                    bad[node] = true;
+                }
+            }
+        }
+        let residual: Vec<ClusterNodes> = clusters
+            .iter()
+            .filter_map(|c| {
+                let counts: Vec<(usize, u32)> =
+                    c.counts.iter().copied().filter(|&(n, _)| !bad[n]).collect();
+                let members: u64 = counts.iter().map(|&(_, m)| u64::from(m)).sum();
+                (members > u64::from(c.tolerance)).then_some(ClusterNodes {
+                    counts,
+                    tolerance: c.tolerance,
+                })
+            })
+            .collect();
+        let mut root: Vec<usize> = (0..nodes).collect();
+        let mut held = bad.iter().filter(|&&b| b).count();
+        let mut touched = vec![false; nodes];
+        for c in &residual {
+            let a = find(&mut root, c.counts[0].0);
+            for &(node, _) in &c.counts {
+                let b = find(&mut root, node);
+                root[b] = a;
+                held += usize::from(!std::mem::replace(&mut touched[node], true));
+            }
+        }
+        // Root node → index of its component.
+        let mut index = vec![usize::MAX; nodes];
+        let mut components: Vec<Vec<ClusterNodes>> = Vec::new();
+        for c in residual {
+            let r = find(&mut root, c.counts[0].0);
+            if index[r] == usize::MAX {
+                index[r] = components.len();
+                components.push(Vec::new());
+            }
+            components[index[r]].push(c);
+        }
+        Components {
+            free: nodes - held,
+            clusters: components,
+        }
+    }
+}
+
+/// Union-find root of `x`, halving the path on the way.
+fn find(root: &mut [usize], mut x: usize) -> usize {
+    while root[x] != x {
+        root[x] = root[root[x]];
+        x = root[x];
+    }
+    x
+}
+
+/// `safe[k]`, `k ≤ degree`: the `k`-node failure sets over `nodes` nodes
+/// that kill no cluster of `clusters`.
+fn safe_counts(nodes: usize, clusters: &[ClusterNodes], degree: usize) -> Vec<u128> {
+    let components = Components::of(nodes, clusters);
+    let mut safe: Vec<u128> = (0..=degree).map(|k| choose(components.free, k)).collect();
+    for component in &components.clusters {
+        let s = component_safe_counts(component, degree);
+        // Multiply in place, truncated at `degree`: coefficient `k` reads
+        // only coefficients up to `k`, so go downwards.
+        for k in (0..=degree).rev() {
+            safe[k] = (0..=k).map(|i| safe[i] * s[k - i]).sum();
+        }
+    }
+    safe
+}
+
+/// `S(k)`, `k ≤ degree`: the `k`-subsets of one component's nodes that
+/// kill none of its `clusters`.
+fn component_safe_counts(clusters: &[ClusterNodes], degree: usize) -> Vec<u128> {
+    if let [cluster] = clusters {
+        let m = cluster.counts.len();
+        return (dead_subsets(cluster, degree).into_iter().enumerate())
+            .map(|(k, dead)| choose(m, k) - dead)
+            .collect();
+    }
+    let mut nodes: Vec<usize> = (clusters.iter())
+        .flat_map(|c| c.counts.iter().map(|&(n, _)| n))
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let m = nodes.len();
+    let mut safe: Vec<u128> = (0..=degree).map(|k| choose(m, k)).collect();
+    // No node kills alone; a pair kills iff it passes the tolerance of a
+    // cluster that holds both.
+    if degree >= 2 {
+        let mut pairs = Vec::new();
+        for c in clusters {
+            for (a, &(na, ca)) in c.counts.iter().enumerate() {
+                for &(nb, cb) in &c.counts[a + 1..] {
+                    if ca + cb > c.tolerance {
+                        pairs.push((na, nb));
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        safe[2] -= pairs.len() as u128;
+    }
+    let enumerable = (0..=degree)
+        .take_while(|&k| choose(m, k) <= ENUMERATION_LIMIT)
+        .count();
+    if enumerable > 3 {
+        let mut members = vec![Vec::new(); m];
+        for (i, c) in clusters.iter().enumerate() {
+            for &(n, count) in &c.counts {
+                let local = nodes.binary_search(&n).expect("a component node");
+                members[local].push((i, count));
+            }
+        }
+        let tolerance: Vec<u32> = clusters.iter().map(|c| c.tolerance).collect();
+        let mut counted = vec![0; enumerable];
+        let mut loss = vec![0; clusters.len()];
+        count_safe_sets(&members, &tolerance, &mut loss, 0, 0, &mut counted);
+        safe[3..enumerable].copy_from_slice(&counted[3..]);
+    }
+    if enumerable <= degree {
+        let dead: Vec<Vec<u128>> = clusters.iter().map(|c| dead_subsets(c, degree)).collect();
+        for (k, safe) in safe.iter_mut().enumerate().skip(enumerable.max(3)) {
+            let all = choose(m, k);
+            let killed = clusters.iter().zip(&dead).fold(0u128, |acc, (c, dead)| {
+                let others = m - c.counts.len();
+                (0..=k)
+                    .fold(acc, |acc, r| {
+                        acc.saturating_add(dead[r] * choose(others, k - r))
+                    })
+                    .min(all)
+            });
+            *safe = all - killed;
+        }
+    }
+    safe
+}
+
+/// Count into `safe[size..]` the current set (`size` nodes, cluster
+/// losses `loss`) and every safe set that extends it by nodes from `from`
+/// on, up to `safe.len() − 1` nodes. `members[v]` lists node `v`'s
+/// (cluster, member count). A subset of a safe set is safe, so only safe
+/// sets are extended.
+fn count_safe_sets(
+    members: &[Vec<(usize, u32)>],
+    tolerance: &[u32],
+    loss: &mut [u32],
+    from: usize,
+    size: usize,
+    safe: &mut [u128],
+) {
+    safe[size] += 1;
+    if size + 1 == safe.len() {
+        return;
+    }
+    for v in from..members.len() {
+        if members[v].iter().all(|&(c, w)| loss[c] + w <= tolerance[c]) {
+            for &(c, w) in &members[v] {
+                loss[c] += w;
+            }
+            count_safe_sets(members, tolerance, loss, v + 1, size + 1, safe);
+            for &(c, w) in &members[v] {
+                loss[c] -= w;
+            }
+        }
+    }
+}
+
+/// `dead[r]`, `r ≤ degree`: the `r`-subsets of `cluster`'s nodes whose
+/// members pass its tolerance, by a knapsack over the nodes with member
+/// sums capped at `tolerance + 1`.
+fn dead_subsets(cluster: &ClusterNodes, degree: usize) -> Vec<u128> {
+    let cap = cluster.tolerance as usize + 1;
+    let width = cap + 1;
+    let rows = degree.min(cluster.counts.len());
+    // ways[r * width + s]: the r-subsets whose capped member sum is s.
+    let mut ways = vec![0u128; (rows + 1) * width];
+    ways[0] = 1;
+    for (i, &(_, members)) in cluster.counts.iter().enumerate() {
+        for r in (0..rows.min(i + 1)).rev() {
+            for s in 0..width {
+                let w = ways[r * width + s];
+                if w != 0 {
+                    ways[(r + 1) * width + (s + members as usize).min(cap)] += w;
+                }
+            }
+        }
+    }
+    (0..=degree)
+        .map(|r| if r <= rows { ways[r * width + cap] } else { 0 })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::{MC_SAMPLES, MC_SEED};
     use hcft_graph::Clustering;
-    use hcft_topology::{NodeId, Placement};
+    use hcft_topology::{NodeId, Placement, Rank};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::index::sample;
     use rand::SeedableRng;
 
-    /// The allocating estimator `p_catastrophic` ran before the shared
-    /// tables, kept as the oracle: fresh `rand::seq::index::sample` and
-    /// failure mask per sample, `samples / 8` per stream.
+    /// Failure sets of the Monte-Carlo oracle, and their seed.
+    const MC_SAMPLES: usize = 16_000;
+    const MC_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    /// The Monte-Carlo estimator P(catastrophic) sampled with before it
+    /// was exact, kept as an oracle: the share of `samples` uniformly
+    /// random `j`-node failure sets, drawn in 8 streams seeded `seed + c`
+    /// with a fresh `rand::seq::index::sample` each, that kill some
+    /// cluster.
     fn monte_carlo_q_reference(
         nodes: usize,
         j: usize,
-        digests: &[&ClusterNodes],
+        digests: &[ClusterNodes],
         samples: usize,
         seed: u64,
     ) -> f64 {
@@ -484,78 +494,6 @@ mod tests {
         hits as f64 / (per * chunks) as f64
     }
 
-    /// The clusters free of singly-bad nodes: what the mixed branch samples.
-    fn residual<'a>(m: &ReliabilityModel, digests: &'a [ClusterNodes]) -> Vec<&'a ClusterNodes> {
-        let bad = m.singly_bad_nodes(digests);
-        digests
-            .iter()
-            .filter(|d| d.counts.iter().all(|&(node, _)| !bad[node]))
-            .collect()
-    }
-
-    /// q(j ≥ 3) exactly as computed before the shared tables, on the
-    /// reference estimator.
-    fn q_reference(m: &ReliabilityModel, j: usize, digests: &[ClusterNodes]) -> f64 {
-        q_reference_with(m, j, digests, |set| {
-            monte_carlo_q_reference(m.nodes, j, set, MC_SAMPLES, MC_SEED)
-        })
-    }
-
-    /// q(j ≥ 3) exactly as computed before the shared tables, its
-    /// Monte-Carlo estimates taken from `mc` (over the clusters it is
-    /// given).
-    fn q_reference_with(
-        m: &ReliabilityModel,
-        j: usize,
-        digests: &[ClusterNodes],
-        mut mc: impl FnMut(&[&ClusterNodes]) -> f64,
-    ) -> f64 {
-        let n = m.nodes;
-        if j > n {
-            return 0.0;
-        }
-        let b = m.singly_bad_nodes(digests).iter().filter(|&&x| x).count();
-        let p_hit_bad = 1.0 - choose(n - b, j) / choose(n, j);
-        let residual = residual(m, digests);
-        let union: f64 = residual.iter().map(|d| m.q_cluster_exact(j, d)).sum();
-        if union <= 0.1 {
-            (p_hit_bad + (1.0 - p_hit_bad) * union).min(1.0)
-        } else if b == 0 {
-            let all: Vec<&ClusterNodes> = digests.iter().collect();
-            mc(&all).min(1.0)
-        } else {
-            let q_rest = mc(&residual).min(1.0);
-            (p_hit_bad + (1.0 - p_hit_bad) * q_rest).min(1.0)
-        }
-    }
-
-    /// P(catastrophic) of one digest scored alone, its Monte-Carlo
-    /// estimates taken from `mc(j, clusters)`.
-    fn p_catastrophic_with(
-        m: &ReliabilityModel,
-        digest: &ClusteringDigest,
-        mut mc: impl FnMut(usize, &[&ClusterNodes]) -> f64,
-    ) -> f64 {
-        let bad = m.singly_bad_nodes(&digest.clusters);
-        m.dist
-            .p_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                let j = i + 1;
-                if p == 0.0 {
-                    return 0.0;
-                }
-                let q = if j <= 2 {
-                    m.q_from_digests(j, &digest.clusters, &bad)
-                } else {
-                    q_reference_with(m, j, &digest.clusters, |set| mc(j, set))
-                };
-                p * q
-            })
-            .sum()
-    }
-
     /// The tolerance rules the oracle tests draw from.
     const TOLERANCES: [fn(usize) -> usize; 3] = [fti_tolerance, |s| s / 2, |s| s / 3];
 
@@ -583,30 +521,6 @@ mod tests {
                     _ => (0..n).map(|r| r % k).collect(),
                 };
                 Clustering::from_assignment(&assignment)
-            })
-    }
-
-    /// A machine with uniform or ragged ranks per node, two clusterings
-    /// of its ranks and a tolerance rule.
-    fn arb_scored_pair() -> impl Strategy<Value = (Placement, Clustering, Clustering, usize)> {
-        (
-            proptest::collection::vec(1usize..=4, 6..=14),
-            any::<bool>(),
-            0..TOLERANCES.len(),
-        )
-            .prop_flat_map(|(per_node, uniform, tol)| {
-                let per_node = if uniform {
-                    vec![per_node[0]; per_node.len()]
-                } else {
-                    per_node
-                };
-                let nprocs = per_node.iter().sum();
-                (
-                    Just(ragged(&per_node)),
-                    arb_clustering(nprocs),
-                    arb_clustering(nprocs),
-                    Just(tol),
-                )
             })
     }
 
@@ -651,10 +565,32 @@ mod tests {
             })
     }
 
-    /// A machine, three clusterings of its ranks plus two-node blocks
-    /// (which reach the Monte-Carlo branch under FTI's tolerance at
-    /// every size here), and 4–8 (clustering, tolerance rule) picks
-    /// among them.
+    /// Clusterings of `placement`'s ranks over groups of 1–8 consecutive
+    /// nodes: one cluster per group, or one per group and rank slot.
+    fn arb_node_groups(placement: &Placement) -> impl Strategy<Value = Clustering> {
+        let nodes = placement.nodes();
+        let node_of: Vec<usize> = (0..placement.nprocs())
+            .map(|r| placement.node_of(Rank(r as u32)).idx())
+            .collect();
+        (1usize..=8, any::<bool>()).prop_map(move |(group, by_slot)| {
+            let mut slot = vec![0; nodes];
+            let assignment: Vec<usize> = node_of
+                .iter()
+                .map(|&n| {
+                    slot[n] += 1;
+                    if by_slot {
+                        (n / group) * node_of.len() + slot[n]
+                    } else {
+                        n / group
+                    }
+                })
+                .collect();
+            Clustering::from_assignment(&assignment)
+        })
+    }
+
+    /// A machine, three clusterings of its ranks plus two-node blocks,
+    /// and 4–8 (clustering, tolerance rule) picks among them.
     fn arb_sweep() -> impl Strategy<Value = (Placement, Vec<Clustering>, Vec<(usize, usize)>)> {
         arb_machine().prop_flat_map(|placement| {
             let n = placement.nprocs();
@@ -670,70 +606,62 @@ mod tests {
         })
     }
 
-    /// The tolerance rules the kernel test draws from: the oracle tests'
-    /// rules and two constants, which with 16 ranks a node give weights
-    /// whose gcd is 16.
-    const KERNEL_TOLERANCES: [fn(usize) -> usize; 5] =
-        [TOLERANCES[0], TOLERANCES[1], TOLERANCES[2], |_| 16, |_| 32];
-
-    /// A machine of 1–300 nodes with 1–3 ranks per node (uniform or
-    /// ragged) or 16; two clusterings of its ranks, each small clusters
-    /// (random labels share nodes) or consecutive blocks of 1–4 nodes'
-    /// worth of ranks; a kernel tolerance rule; a sample count that is
-    /// no multiple of 64 but one of 8, which the reference needs; and a
-    /// seed.
-    fn arb_kernel_case() -> impl Strategy<Value = (Placement, Vec<Clustering>, usize, usize, u64)> {
-        (
-            proptest::collection::vec(1usize..=3, 1..=300),
-            0usize..3,
-            0..KERNEL_TOLERANCES.len(),
-            (0usize..=40, 1usize..=7),
-            any::<u64>(),
-        )
-            .prop_flat_map(|(per_node, shape, tol, (a, b), seed)| {
-                let per_node = match shape {
-                    0 => per_node,
-                    1 => vec![per_node[0]; per_node.len()],
-                    _ => vec![16; per_node.len()],
-                };
-                let n: usize = per_node.iter().sum();
-                let ppn = per_node[0];
-                let clustering = (any::<bool>(), arb_small_clusters(n), 1usize..=4).prop_map(
-                    move |(blocks, small, k)| {
-                        if blocks {
-                            Clustering::consecutive(n, k * ppn)
-                        } else {
-                            small
-                        }
-                    },
-                );
-                (
-                    Just(ragged(&per_node)),
-                    proptest::collection::vec(clustering, 2),
-                    Just(tol),
-                    Just(64 * a + 8 * b),
-                    Just(seed),
-                )
-            })
-    }
-
-    #[test]
-    fn tables_store_one_word_per_node_and_64_sets() {
-        for nodes in [3, 256, 257, 65_537] {
-            for samples in [8, 64, 65, 16_000] {
-                assert_eq!(
-                    SampleTable::draw(nodes, 3, samples, 1).bytes(),
-                    nodes * samples.div_ceil(64) * 8,
-                    "{nodes} nodes, {samples} samples"
-                );
+    /// Per node of `placement`, each cluster of `clustering` with members
+    /// there and how many, read off the ranks with no digest.
+    fn members_by_node(clustering: &Clustering, placement: &Placement) -> Vec<Vec<(usize, u32)>> {
+        let mut by_node = vec![Vec::new(); placement.nodes()];
+        for (i, (_, members)) in clustering.iter().enumerate() {
+            for &r in members {
+                let held: &mut Vec<(usize, u32)> = &mut by_node[placement.node_of(r).idx()];
+                match held.iter_mut().find(|(c, _)| *c == i) {
+                    Some((_, k)) => *k += 1,
+                    None => held.push((i, 1)),
+                }
             }
         }
+        by_node
+    }
+
+    /// `safe[k]`, `k ≤ degree`: the `k`-node sets out of `placement`'s
+    /// nodes (at most 20) that kill no cluster, by enumerating every set.
+    fn brute_force_safe(
+        clustering: &Clustering,
+        placement: &Placement,
+        tolerance: fn(usize) -> usize,
+        degree: usize,
+    ) -> Vec<u128> {
+        let nodes = placement.nodes();
+        assert!(nodes <= 20);
+        let by_node = members_by_node(clustering, placement);
+        let tol: Vec<u32> = clustering
+            .iter()
+            .map(|(_, m)| tolerance(m.len()) as u32)
+            .collect();
+        let mut safe = vec![0u128; degree + 1];
+        let mut loss = vec![0u32; tol.len()];
+        for set in 0u32..1 << nodes {
+            let size = set.count_ones() as usize;
+            if size > degree {
+                continue;
+            }
+            loss.fill(0);
+            for (node, held) in by_node.iter().enumerate() {
+                if set >> node & 1 == 1 {
+                    for &(c, k) in held {
+                        loss[c] += k;
+                    }
+                }
+            }
+            if loss.iter().zip(&tol).all(|(l, t)| l <= t) {
+                safe[size] += 1;
+            }
+        }
+        safe
     }
 
     /// Distributed clustering over a block placement: cluster (g, slot)
     /// takes the slot-th rank of each node in node-group g.
     fn distributed(nodes: usize, ppn: usize, size: usize) -> Clustering {
-        let groups = nodes / size;
         let assignment: Vec<usize> = (0..nodes * ppn)
             .map(|r| {
                 let node = r / ppn;
@@ -742,7 +670,6 @@ mod tests {
                 g * ppn + slot
             })
             .collect();
-        let _ = groups;
         Clustering::from_assignment(&assignment)
     }
 
@@ -766,8 +693,7 @@ mod tests {
         let m = ReliabilityModel::new(8, EventDistribution::single_node_only());
         assert_eq!(m.q_given_j(1, &c, &p, &fti_tolerance), 0.0);
         // But any same-cluster pair dies: bad pairs = 4 of C(8,2)=28.
-        let q2 = m.q_given_j(2, &c, &p, &fti_tolerance);
-        assert!((q2 - 4.0 / 28.0).abs() < 1e-12);
+        assert_eq!(m.q_given_j(2, &c, &p, &fti_tolerance), 4.0 / 28.0);
     }
 
     #[test]
@@ -780,12 +706,11 @@ mod tests {
         let m = ReliabilityModel::new(16, EventDistribution::single_node_only());
         assert_eq!(m.q_given_j(1, &c, &p, &fti_tolerance), 0.0);
         assert_eq!(m.q_given_j(2, &c, &p, &fti_tolerance), 0.0);
-        let q3 = m.q_given_j(3, &c, &p, &fti_tolerance);
         // Bad triples: per node-group C(4,3)=4, 4 groups → 16 of C(16,3)=560.
-        // (After signature dedup the union bound is exact here: the four
-        // slot clusters of a node group share one signature, and distinct
-        // groups cannot both lose 3 nodes within a 3-node event.)
-        assert!((q3 - 16.0 / 560.0).abs() < 1e-9, "q3 = {q3}");
+        assert_eq!(m.q_given_j(3, &c, &p, &fti_tolerance), 16.0 / 560.0);
+        // Bad 4-sets: all four nodes of a group (4), three of one group
+        // and one node elsewhere (4 · 4 · 12).
+        assert_eq!(m.q_given_j(4, &c, &p, &fti_tolerance), 196.0 / 1820.0);
     }
 
     #[test]
@@ -793,9 +718,10 @@ mod tests {
         let p = Placement::block(16, 4);
         let c = distributed(16, 4, 4);
         let m = ReliabilityModel::new(16, EventDistribution::single_node_only());
+        let digest = m.digest(&c, &p, &fti_tolerance);
         for j in [3usize, 4, 5] {
             let analytic = m.q_given_j(j, &c, &p, &fti_tolerance);
-            let mc = m.q_given_j_monte_carlo(j, &c, &p, &fti_tolerance, 200_000, 42);
+            let mc = monte_carlo_q_reference(16, j, &digest.clusters, 200_000, 42);
             assert!(
                 (analytic - mc).abs() < 0.01 + 0.2 * analytic,
                 "j={j}: analytic {analytic} vs MC {mc}"
@@ -838,197 +764,214 @@ mod tests {
         let mut prev = 0.0;
         for j in 1..=8 {
             let q = m.q_given_j(j, &c, &p, &fti_tolerance);
-            assert!(q + 1e-12 >= prev, "q({j}) = {q} < q({}) = {prev}", j - 1);
+            assert!(q >= prev, "q({j}) = {q} < q({}) = {prev}", j - 1);
             prev = q;
         }
     }
 
     #[test]
-    fn shared_tables_reproduce_both_sampled_branches() {
-        // 16 nodes × 4: two-node clusters of 8 ranks (tolerance 4) only
-        // die when both their nodes fail, so no node is singly bad and
-        // the union bound is loose from j = 3 on — the Monte-Carlo branch.
-        // Splitting node 0 into clusters of 2 (tolerance 1) adds a
-        // singly-bad node — the mixed branch.
-        let p = Placement::block(16, 4);
-        let pure = Clustering::consecutive(64, 8);
-        let mixed: Vec<usize> = (0..64)
-            .map(|r| if r < 4 { r / 2 } else { 2 + (r - 4) / 8 })
-            .collect();
-        let mixed = Clustering::from_assignment(&mixed);
-        let m = ReliabilityModel::new(16, EventDistribution::fti_calibrated());
-        for (c, want_bad) in [(&pure, false), (&mixed, true)] {
-            let digests = m.digest(c, &p, &fti_tolerance).clusters;
-            assert_eq!(m.singly_bad_nodes(&digests).contains(&true), want_bad);
-            for j in 3..=12 {
-                let union: f64 = residual(&m, &digests)
-                    .iter()
-                    .map(|d| m.q_cluster_exact(j, d))
-                    .sum();
-                assert!(union > 0.1, "j={j}: exact branch, union {union}");
-                let got = m.q_given_j(j, c, &p, &fti_tolerance);
-                let want = q_reference(&m, j, &digests);
-                assert_eq!(got.to_bits(), want.to_bits(), "j={j}: {got} vs {want}");
-            }
+    fn relabelled_nodes_score_bit_identically() {
+        // The ablation's hierarchical L2 on the paper machine: 16
+        // disjoint 4-node groups, one rank a node per group and slot. The
+        // same clustering on a placement whose node ids are permuted has
+        // another digest but the same structure, hence the same value.
+        let p = Placement::block(64, 16);
+        let permuted = Placement::from_assignment(
+            (0..1024)
+                .map(|r| NodeId::from((r / 16 * 7 + 3) % 64))
+                .collect(),
+            64,
+        );
+        let c = distributed(64, 16, 4);
+        let m = ReliabilityModel::new(64, EventDistribution::fti_calibrated());
+        let digests = [
+            m.digest(&c, &p, &fti_tolerance),
+            m.digest(&c, &permuted, &fti_tolerance),
+        ];
+        assert_ne!(digests[0], digests[1]);
+        let [a, b] = m.p_catastrophic_sweep(&digests)[..] else {
+            unreachable!()
+        };
+        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
+        assert!(a > 1e-7 && a < 1e-5, "{a}");
+    }
+
+    #[test]
+    fn scores_a_4096_node_machine_at_j_12() {
+        // The service's largest job at one rank a node.
+        let p = Placement::block(4096, 1);
+        let m = ReliabilityModel::new(4096, EventDistribution::fti_calibrated());
+        for c in [Clustering::consecutive(4096, 4), distributed(4096, 1, 16)] {
+            let q = m.q_given_j(12, &c, &p, &fti_tolerance);
+            assert!(q.is_finite() && (0.0..=1.0).contains(&q), "q(12) = {q}");
+            assert!(q > 0.0, "q(12) = {q}");
+            let p_cat = m.p_catastrophic(&c, &p, &fti_tolerance);
+            assert!(p_cat.is_finite() && (0.0..=1.0).contains(&p_cat), "{p_cat}");
         }
     }
 
     #[test]
-    fn public_estimator_counts_every_sample() {
-        let p = Placement::block(16, 4);
-        let c = Clustering::consecutive(64, 8);
-        let m = ReliabilityModel::new(16, EventDistribution::single_node_only());
-        let q = |samples| m.q_given_j_monte_carlo(3, &c, &p, &fti_tolerance, samples, 7);
-        // The hit count behind an estimate, checked to be a whole number
-        // of `samples`ths (no sample silently dropped from the divisor).
-        let hits = |samples: usize| {
-            let est: f64 = q(samples);
-            let hits = (est * samples as f64).round();
-            assert_eq!(
-                (hits / samples as f64).to_bits(),
-                est.to_bits(),
-                "{samples} samples: {est}"
-            );
-            hits as usize
-        };
-        assert_eq!(q(0), 0.0);
-        assert!(hits(5) <= 5);
-        // Streams draw 2,2,2,2,2,2,2,1 sets for 15 samples: the 8-sample
-        // sets (one per stream) plus seven more.
-        let (h8, h15, h16) = (hits(8), hits(15), hits(16));
-        assert!(h8 <= h15 && h15 <= h8 + 7 && h15 <= h16, "{h8} {h15} {h16}");
-        // Multiples of 8 are unchanged.
-        let digests = m.digest(&c, &p, &fti_tolerance).clusters;
-        let all: Vec<&ClusterNodes> = digests.iter().collect();
-        for samples in [8, 16, 16_000] {
-            assert_eq!(
-                q(samples).to_bits(),
-                monte_carlo_q_reference(16, 3, &all, samples, 7).to_bits(),
-                "{samples} samples"
-            );
+    fn largest_machine_is_8602_nodes_at_max_j_12() {
+        ReliabilityModel::new(8602, EventDistribution::fti_calibrated());
+        let refused = std::panic::catch_unwind(|| {
+            ReliabilityModel::new(8603, EventDistribution::fti_calibrated())
+        });
+        assert!(refused.is_err());
+        // A distribution of single-node events needs only C(n, 1).
+        ReliabilityModel::new(1 << 20, EventDistribution::single_node_only());
+    }
+
+    #[test]
+    fn several_cluster_component_is_enumerated_then_bounded() {
+        // 18 nodes × 2 ranks: slot 0 clusters take 3 consecutive nodes,
+        // slot 1 clusters the same shifted by one node, so the twelve
+        // clusters chain every node into one component. C(18, k) passes
+        // the enumeration limit from k = 6 on.
+        let p = Placement::block(18, 2);
+        let assignment: Vec<usize> = (0..36)
+            .map(|r| {
+                let node = r / 2;
+                if r % 2 == 0 {
+                    node / 3
+                } else {
+                    6 + (node + 1) % 18 / 3
+                }
+            })
+            .collect();
+        let c = Clustering::from_assignment(&assignment);
+        let m = ReliabilityModel::new(18, EventDistribution::fti_calibrated());
+        let digest = m.digest(&c, &p, &fti_tolerance);
+        let components = Components::of(18, &digest.clusters);
+        assert_eq!(components.free, 0);
+        assert_eq!(components.clusters.len(), 1);
+        assert_eq!(components.clusters[0].len(), 12);
+        let enumerable = (0..=12)
+            .take_while(|&k| choose(18, k) <= ENUMERATION_LIMIT)
+            .count();
+        assert_eq!(enumerable, 6);
+        let got = safe_counts(18, &digest.clusters, 12);
+        let want = brute_force_safe(&c, &p, fti_tolerance, 12);
+        assert_eq!(got[..6], want[..6]);
+        for k in 6..=12 {
+            // The union bound over-counts the catastrophic sets.
+            assert!(got[k] <= want[k], "k = {k}: {} > {}", got[k], want[k]);
         }
-        // No j-node event exists outside 1..=nodes.
-        assert_eq!(
-            m.q_given_j_monte_carlo(0, &c, &p, &fti_tolerance, 800, 7),
-            0.0
-        );
-        assert_eq!(
-            m.q_given_j_monte_carlo(17, &c, &p, &fti_tolerance, 800, 7),
-            0.0
-        );
+        // The bound is loose, not vacuous: some 6-sets are still safe.
+        assert!(got[6] > 0);
     }
 
     proptest! {
-        // Each case runs the allocating reference ~60 times (debug ≈ 0.5 s).
-        #![proptest_config(ProptestConfig::with_cases(12))]
+        // A case enumerates up to 2^16 node sets (debug ≈ 50 ms).
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Every `q(j)`, j ∈ 3..=12, and every raw Monte-Carlo estimate
-        /// (over all clusters and over the clusters free of singly-bad
-        /// nodes) read from a model's shared tables equals the allocating
-        /// reference bit for bit, whichever of two clusterings drew the
-        /// tables.
+        /// On machines of at most 16 nodes, uniform or ragged, with
+        /// clusters that share nodes, every exact safe count equals the
+        /// number of safe sets found by enumerating every set, as
+        /// integers.
         #[test]
-        fn shared_tables_match_the_allocating_reference(
-            (placement, first, second, tol) in arb_scored_pair(),
+        fn safe_counts_equal_enumeration_on_small_machines(
+            (placement, clustering, tol) in (
+                proptest::collection::vec(1usize..=4, 1..=16),
+                any::<bool>(),
+                0..TOLERANCES.len(),
+            )
+                .prop_flat_map(|(per_node, uniform, tol)| {
+                    let per_node = if uniform {
+                        vec![per_node[0]; per_node.len()]
+                    } else {
+                        per_node
+                    };
+                    let nprocs = per_node.iter().sum();
+                    (Just(ragged(&per_node)), arb_clustering(nprocs), Just(tol))
+                }),
         ) {
             let nodes = placement.nodes();
             let tolerance = TOLERANCES[tol];
-            let forward = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
-            let backward = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
-            let clusterings = [&first, &second];
-            let digests = clusterings.map(|c| forward.digest(c, &placement, &tolerance).clusters);
-            // The cluster sets the two sampled branches count: all of
-            // them, and the residual when some node is singly bad.
-            let sampled: Vec<Vec<Vec<&ClusterNodes>>> = digests
-                .iter()
-                .map(|d| {
-                    let all: Vec<&ClusterNodes> = d.iter().collect();
-                    let residual = residual(&forward, d);
-                    if residual.len() < all.len() { vec![all, residual] } else { vec![all] }
-                })
-                .collect();
-            // The references depend on no model: compute them once.
-            let want: Vec<Vec<(f64, Vec<f64>)>> = (0..2)
-                .map(|i| {
-                    (3..=12)
-                        .map(|j| {
-                            let mc = sampled[i]
-                                .iter()
-                                .filter(|_| j <= nodes)
-                                .map(|set| monte_carlo_q_reference(nodes, j, set, MC_SAMPLES, MC_SEED))
-                                .collect();
-                            (q_reference(&forward, j, &digests[i]), mc)
-                        })
-                        .collect()
-                })
-                .collect();
-            for (m, order) in [(&forward, [0, 1]), (&backward, [1, 0])] {
-                for i in order {
-                    for (j, (want_q, want_mc)) in (3..=12).zip(&want[i]) {
-                        let got = m.q_given_j(j, clusterings[i], &placement, &tolerance);
-                        prop_assert_eq!(got.to_bits(), want_q.to_bits(), "q({}): {} vs {}", j, got, want_q);
-                        for (set, want) in sampled[i].iter().zip(want_mc) {
-                            let got = m.monte_carlo_q(j, set);
-                            prop_assert_eq!(got.to_bits(), want.to_bits(), "mc({}): {} vs {}", j, got, want);
-                        }
-                    }
-                }
+            let degree = nodes.min(12);
+            let model = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
+            let digest = model.digest(&clustering, &placement, &tolerance);
+            let got = safe_counts(nodes, &digest.clusters, degree);
+            let want = brute_force_safe(&clustering, &placement, tolerance, degree);
+            prop_assert_eq!(&got, &want, "{} nodes", nodes);
+            for (j, &want) in want.iter().enumerate().skip(1) {
+                let q = model.q_given_j(j, &clustering, &placement, &tolerance);
+                prop_assert_eq!(q.to_bits(), q_of(nodes, j, want).to_bits());
             }
         }
     }
 
     proptest! {
-        // A case runs the allocating reference up to 44 times over up to
-        // 300 nodes (debug ≈ 1.5 s).
-        #![proptest_config(ProptestConfig::with_cases(10))]
+        // A case samples 16 000 sets at three event sizes over up to 300
+        // nodes (debug ≈ 1 s).
+        #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The bit-sliced kernel counts exactly what the allocating
-        /// reference does: every public estimate on a fresh table of a
-        /// sample count that is no multiple of 64, and the sweep's
-        /// P(catastrophic), with members above the tolerance, clusters
-        /// that share nodes and weights whose gcd is above 1.
+        /// On machines of up to 300 nodes: where every component holds
+        /// one cluster, the exact `q(j)` lies within 5 binomial standard
+        /// errors (plus one sample) of the Monte-Carlo oracle's; and
+        /// everywhere `q(1)` and `q(2)` equal a brute-force count over
+        /// nodes and pairs.
         #[test]
-        fn bitsliced_kernel_matches_the_allocating_reference(
-            (placement, clusterings, tol, samples, seed) in arb_kernel_case(),
+        fn exact_agrees_with_sampling_and_with_pairs(
+            (placement, clustering, tol, sizes) in arb_machine().prop_flat_map(|placement| {
+                let n = placement.nprocs();
+                let clustering = (any::<bool>(), arb_small_clusters(n), arb_node_groups(&placement))
+                    .prop_map(|(small, a, b)| if small { a } else { b });
+                (
+                    Just(placement),
+                    clustering,
+                    0..TOLERANCES.len(),
+                    proptest::collection::vec(3usize..=12, 3),
+                )
+            }),
         ) {
             let nodes = placement.nodes();
-            let tolerance = KERNEL_TOLERANCES[tol];
+            let tolerance = TOLERANCES[tol];
             let model = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
-            let digests: Vec<ClusteringDigest> = clusterings
-                .iter()
-                .map(|c| model.digest(c, &placement, &tolerance))
-                .collect();
-            for (c, d) in clusterings.iter().zip(&digests) {
-                let all: Vec<&ClusterNodes> = d.clusters.iter().collect();
-                for j in 1..=nodes.min(12) {
-                    let got = model.q_given_j_monte_carlo(j, c, &placement, &tolerance, samples, seed);
-                    let want = monte_carlo_q_reference(nodes, j, &all, samples, seed);
-                    prop_assert_eq!(got.to_bits(), want.to_bits(),
-                        "{} nodes, j = {}, {} samples: {} vs {}", nodes, j, samples, got, want);
+            let digest = model.digest(&clustering, &placement, &tolerance);
+            if Components::of(nodes, &digest.clusters).clusters.iter().all(|c| c.len() == 1) {
+                for j in sizes.into_iter().filter(|&j| j <= nodes) {
+                    let q = model.q_given_j(j, &clustering, &placement, &tolerance);
+                    let mc = monte_carlo_q_reference(nodes, j, &digest.clusters, MC_SAMPLES, MC_SEED);
+                    let se = (q * (1.0 - q) / MC_SAMPLES as f64).sqrt();
+                    prop_assert!((q - mc).abs() <= 5.0 * se + 1.0 / MC_SAMPLES as f64,
+                        "{} nodes, j = {}: exact {} vs sampled {}", nodes, j, q, mc);
                 }
             }
-            let got = model.p_catastrophic_sweep(&digests);
-            for (d, got) in digests.iter().zip(got) {
-                let want = p_catastrophic_with(&model, d, |j, set| {
-                    monte_carlo_q_reference(nodes, j, set, MC_SAMPLES, MC_SEED)
-                });
-                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} nodes: {} vs {}", nodes, got, want);
+            let by_node = members_by_node(&clustering, &placement);
+            let tol: Vec<u32> = clustering.iter().map(|(_, m)| tolerance(m.len()) as u32).collect();
+            let kills = |held: &[(usize, u32)]| held.iter().any(|&(c, k)| k > tol[c]);
+            let singles = by_node.iter().filter(|held| kills(held)).count();
+            let mut pairs = 0u64;
+            for a in 0..nodes {
+                for b in a + 1..nodes {
+                    let mut both = by_node[a].clone();
+                    for &(c, k) in &by_node[b] {
+                        match both.iter_mut().find(|(d, _)| *d == c) {
+                            Some((_, l)) => *l += k,
+                            None => both.push((c, k)),
+                        }
+                    }
+                    pairs += u64::from(kills(&both));
+                }
+            }
+            let q1 = model.q_given_j(1, &clustering, &placement, &tolerance);
+            prop_assert_eq!(q1, singles as f64 / nodes as f64);
+            if nodes >= 2 {
+                let q2 = model.q_given_j(2, &clustering, &placement, &tolerance);
+                prop_assert_eq!(q2, pairs as f64 / (nodes * (nodes - 1) / 2) as f64);
             }
         }
     }
 
     proptest! {
-        // A case draws up to ten fresh tables and scores up to ten
-        // schemes twice (debug ≈ 1 s).
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// The sweep (process-wide tables, one score per distinct digest)
-        /// equals each scheme scored alone on tables drawn afresh, bit for
-        /// bit, with duplicate schemes, one clustering under two tolerance
-        /// rules, two-node blocks under FTI's rule, and the schemes in
-        /// either order.
+        /// The sweep (one score per distinct digest) equals each scheme
+        /// scored alone, bit for bit, with duplicate schemes, one
+        /// clustering under two tolerance rules, two-node blocks under
+        /// FTI's rule, and the schemes in either order.
         #[test]
-        fn sweep_matches_each_scheme_alone_on_fresh_tables(
+        fn sweep_matches_each_scheme_alone(
             (placement, clusterings, picks) in arb_sweep(),
         ) {
             let nodes = placement.nodes();
@@ -1038,26 +981,17 @@ mod tests {
             schemes.push((c0, (t0 + 1) % TOLERANCES.len()));
             schemes.push((3, 0));
             let model = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
+            let want: Vec<f64> = schemes
+                .iter()
+                .map(|&(c, tol)| model.p_catastrophic(&clusterings[c], &placement, &TOLERANCES[tol]))
+                .collect();
             let digests: Vec<ClusteringDigest> = schemes
                 .iter()
                 .map(|&(c, tol)| model.digest(&clusterings[c], &placement, &TOLERANCES[tol]))
                 .collect();
-            let mut fresh = HashMap::new();
-            let want: Vec<f64> = digests
-                .iter()
-                .map(|d| {
-                    p_catastrophic_with(&model, d, |j, set| {
-                        let table = fresh
-                            .entry(j)
-                            .or_insert_with(|| SampleTable::draw(nodes, j, MC_SAMPLES, MC_SEED));
-                        catastrophic_share(table, set)
-                    })
-                })
-                .collect();
             let forward = model.p_catastrophic_sweep(&digests);
             let reversed: Vec<ClusteringDigest> = digests.iter().rev().cloned().collect();
-            let mut backward = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated())
-                .p_catastrophic_sweep(&reversed);
+            let mut backward = model.p_catastrophic_sweep(&reversed);
             backward.reverse();
             for (i, want) in want.iter().enumerate() {
                 prop_assert_eq!(forward[i].to_bits(), want.to_bits(),

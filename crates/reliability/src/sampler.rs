@@ -14,9 +14,7 @@ use rand::RngCore;
 /// because the identity pool maps the drawn value to itself.
 ///
 /// It is the workspace's only node sampler: the campaign kernel draws
-/// each event's failed nodes with it, and
-/// [`ReliabilityModel`](crate::ReliabilityModel) its shared Monte-Carlo
-/// failure sets.
+/// each event's failed nodes with it.
 #[derive(Clone, Debug)]
 pub struct NodeSampler {
     /// Identity permutation of `0..nodes` between draws.

@@ -275,14 +275,6 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(metrics.contains("service.memo.hits"), "{metrics}");
         assert!(metrics.contains("core.trace.composed"), "{metrics}");
-        for name in [
-            "reliability.mc_tables_built",
-            "reliability.mc_tables_evicted",
-            "reliability.mc_tables.bytes",
-            "reliability.mc_tables.node_counts",
-        ] {
-            assert!(metrics.contains(name), "{name} missing: {metrics}");
-        }
 
         let (head, _) = get(addr, "/evaluate?nodes=2&ppn=2&bogus=1");
         assert!(head.starts_with("HTTP/1.1 400"), "{head}");

@@ -28,8 +28,8 @@ struct MemoInner {
 /// Two tiers because they save different work: a trace-cache hit skips
 /// the traced job (≈ 75 % of a cold paper-machine request, composed from
 /// a two-step prefix world of shape-only ranks) but still recomputes
-/// the strategy sweep (≈ 20 %, whose largest part is still
-/// `p_catastrophic` over the process-wide Monte-Carlo tables); a memo hit
+/// the strategy sweep (≈ 20 %, building and scoring the schemes; the
+/// exact P(catastrophic) count is ≈ 1.5 ms of it at 64×16); a memo hit
 /// returns the stored bytes outright. Both tiers are deterministic, so a
 /// response is byte-identical whether it came cold, trace-warm or
 /// memo-warm — the sweep itself is an order-preserving rayon fold,

@@ -8,7 +8,8 @@
 //! the linear-in-cluster-size encoding law and the level cost ordering
 //! *emerge from the mechanics* rather than being assumed — an independent
 //! cross-validation of `hcft_checkpoint::CheckpointCostModel`, the same
-//! way Monte Carlo cross-validates the reliability model.
+//! way enumeration and sampling oracles cross-validate the reliability
+//! model.
 //!
 //! * `engine` — the event engine: FCFS resources + dependency-counted
 //!   tasks, deterministic;

@@ -1,7 +1,7 @@
 //! Reliability what-if: explore how machine size, failure correlation
 //! and erasure-cluster layout move the probability of catastrophic
-//! failure — the model behind Fig. 4a and Table II's last column,
-//! cross-checked by Monte Carlo.
+//! failure — the model behind Fig. 4a and Table II's last column, with
+//! the exact share of catastrophic 2-node events beside it.
 //!
 //! ```text
 //! cargo run --release --example reliability_whatif
@@ -19,7 +19,7 @@ fn main() {
     let n = nodes * ppn;
 
     println!("catastrophic-failure probability, {nodes} nodes x {ppn} ranks\n");
-    println!("layout                      analytic      monte-carlo(j=2)");
+    println!("layout                      analytic      exact(j=2)");
     let model = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
     for (name, clustering) in [
         ("consecutive, size 4", naive(n, 4).l2),
@@ -30,9 +30,8 @@ fn main() {
         ("distributed, size 16", distributed(&placement, 16).l2),
     ] {
         let p = model.p_catastrophic(&clustering, &placement, &fti_tolerance);
-        let mc =
-            model.q_given_j_monte_carlo(2, &clustering, &placement, &fti_tolerance, 100_000, 7);
-        println!("{name:<26} {p:>12.3e}   q(2)≈{mc:.4}");
+        let q2 = model.q_given_j(2, &clustering, &placement, &fti_tolerance);
+        println!("{name:<26} {p:>12.3e}   q(2)={q2:.4}");
     }
 
     // What if failures were never correlated across nodes?

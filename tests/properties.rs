@@ -82,9 +82,8 @@ proptest! {
     fn catastrophic_probability_is_monotone_in_tolerance(
         (placement, clustering) in arb_machine(),
     ) {
-        // Single-node events keep every evaluation on the exact path
-        // (the tolerance-0 case would otherwise hit the Monte-Carlo
-        // fallback for every deep event class, at proptest volumes).
+        // Single-node events isolate the tolerance rule from the event
+        // distribution.
         let model = ReliabilityModel::new(
             placement.nodes(),
             EventDistribution::single_node_only(),
