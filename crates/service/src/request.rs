@@ -8,8 +8,8 @@ use hcft_telemetry::HcftError;
 /// (`nodes × (ppn + 1)`). The matrices are sparse and traced ranks hold
 /// no solver field, so what grows with the machine is the prefix world
 /// a cold request runs: every rank's touched coroutine stack, in-flight
-/// halo buffers and mailbox, ≈ 40–45 kB a rank, which at the full
-/// 23 936-rank TSUBAME2 reads ≈ 1.0 GB of peak RSS — still more than
+/// halo buffers and mailbox, ≈ 35–40 kB a rank, which at the full
+/// 23 936-rank TSUBAME2 reads ≈ 0.9 GB of peak RSS — still more than
 /// one request may take from a shared server.
 pub(crate) const MAX_RANKS: usize = 4096;
 

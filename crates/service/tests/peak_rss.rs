@@ -20,9 +20,11 @@ fn peak_rss_kb() -> u64 {
 #[test]
 #[ignore = "measures process memory; run explicitly in release"]
 fn two_cold_paper_evaluations_stay_under_the_peak_rss_bound() {
-    // Measured ≈ 19.8 MB on x86_64 Linux: sparse matrices and recorder
-    // rows, and traced ranks that send their halos shape-only. Ranks
-    // that build and step their solver fields again read ≈ 39 MB and
+    // Measured ≈ 14.7 MB on x86_64 Linux: sparse matrices and recorder
+    // rows, traced ranks that send their halos shape-only, and a second
+    // world that runs on the first one's pooled stack slabs, one page a
+    // stack. Fresh slabs per world, two pages a stack, read ≈ 19.8 MB;
+    // ranks that build and step their solver fields again read ≈ 39 MB and
     // fail this bound; dense n² matrices on top (five of them per cold
     // request, ≈ 45 MB) read ≈ 72 MB.
     const PEAK_RSS_BOUND_KB: u64 = 32 * 1024;

@@ -55,11 +55,34 @@
 //! The context switch is ~20 instructions of inline assembly (x86_64
 //! SysV: save/restore the six callee-saved GPRs plus `rsp`; the FP/SSE
 //! control words are never modified by generated code, and no xmm
-//! register is callee-saved). Stacks are carved out of large slabs — one
-//! allocation per ~512 stacks — so 100k ranks do not exhaust
+//! register is callee-saved).
+//!
+//! Stacks are carved out of 256 MiB slabs — one allocation per 512
+//! stacks at the default 512 KiB — so 100k ranks do not exhaust
 //! `vm.max_map_count`. There are no guard pages; a canary word at the
 //! stack base turns silent overflow into a loud panic at the next
-//! switch.
+//! switch. Two things keep a world's stacks cheap:
+//!
+//! * **Pooled slabs.** Slabs are a process-wide resource: a dropped
+//!   scheduler hands its slabs back to a bounded free list
+//!   (`POOLED_SLABS`) in the order it used them, and the next world of
+//!   the same stack size takes them from the front, so it runs on the
+//!   pages the last one already faulted in. Every slab holds the full
+//!   count of stacks for its size, whatever the world that allocated it
+//!   needed. A world rewrites every canary and replants every initial
+//!   frame it uses, reused slabs included, and slabs go back only when
+//!   the scheduler drops, after every worker has exited and only if
+//!   every task is `DONE` (nothing can still be suspended on them).
+//! * **Shared canary pages.** A slab's first stack starts 64 B before
+//!   the end of its first page and each next one `stack_size` above it,
+//!   so stack i's canary lies on the page that holds the top frame of
+//!   stack i−1. A rank whose body stays under ≈ 4 KiB of stack touches
+//!   one page, not two.
+//!
+//! A detected overflow *poisons* the scheduler: every worker leaves its
+//! loop, `run` joins them all and then re-raises the overflow panic, so
+//! a clobbered canary on any worker ends the world instead of leaving
+//! the others waiting for a task that will never finish.
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub(crate) use imp::*;
@@ -74,7 +97,7 @@ pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", target_os = 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod imp {
     use std::cell::{Cell, UnsafeCell};
-    use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -189,22 +212,117 @@ mod imp {
     unsafe impl Send for Task {}
     unsafe impl Sync for Task {}
 
-    /// A slab holding many task stacks — one allocation per ~512 stacks so
-    /// six-figure rank counts stay far under `vm.max_map_count`.
+    // ----- stack slabs ---------------------------------------------------
+
+    /// Address space per slab: big enough that 100k ranks need a few
+    /// hundred mappings, small enough to not trip overcommit heuristics
+    /// on modest machines.
+    const SLAB_BYTES: usize = 256 << 20;
+    /// Idle slabs kept for the next world: 1 GiB of address space, and
+    /// room for the 3 slabs of a paper-size world at the default stack.
+    const POOLED_SLABS: usize = 4;
+    /// Initial frame planted at each stack top (see `TaskSched::new`).
+    const FRAME_BYTES: usize = 56;
+    /// Offset of stack 0 in its slab: 64 B before the end of the first
+    /// page, so that every stack's canary shares a page with the top
+    /// frame of the stack below it (see module docs).
+    const FIRST_STACK: usize = 4096 - 64;
+    // Slab bases and stack sizes are page multiples, so every stack top
+    // is FIRST_STACK modulo a page: 16-aligned, as the trampoline needs.
+    const _: () = assert!(FIRST_STACK.is_multiple_of(16));
+
+    /// Stacks in one slab of `stack_size`-byte stacks.
+    fn stacks_per_slab(stack_size: usize) -> usize {
+        (SLAB_BYTES / stack_size).max(1)
+    }
+
+    /// Bytes of one slab of `stack_size`-byte stacks: every stack plus
+    /// the first page that holds stack 0's canary.
+    fn slab_bytes(stack_size: usize) -> usize {
+        stacks_per_slab(stack_size) * stack_size + 4096
+    }
+
+    /// Offset of stack `i`'s lowest byte (its canary) from the slab base;
+    /// its top is `stack_size` above, where stack `i + 1`'s canary lies.
+    fn stack_offset(i: usize, stack_size: usize) -> usize {
+        FIRST_STACK + i * stack_size
+    }
+
+    /// A slab holding many task stacks — one allocation per 512 stacks
+    /// at the default stack size, so six-figure rank counts stay far
+    /// under `vm.max_map_count`.
     struct StackSlab {
         base: *mut u8,
-        layout: std::alloc::Layout,
+        stack_size: usize,
     }
 
     // SAFETY: the slab is raw memory; all aliasing is managed by the
-    // scheduler (each stack range is used by exactly one task).
+    // scheduler (each stack range is used by exactly one task) and the
+    // pool (a slab is owned by one scheduler or by the pool, never both).
     unsafe impl Send for StackSlab {}
     unsafe impl Sync for StackSlab {}
 
+    /// Idle slabs, most recently returned world first. See module docs.
+    static POOL: Mutex<Vec<StackSlab>> = Mutex::new(Vec::new());
+
+    impl StackSlab {
+        fn layout(stack_size: usize) -> std::alloc::Layout {
+            std::alloc::Layout::from_size_align(slab_bytes(stack_size), 4096)
+                .expect("stack slab layout")
+        }
+
+        /// `count` slabs of `stack_size`-byte stacks: pooled ones first,
+        /// taken from the front in the order the last world used them,
+        /// then fresh allocations.
+        fn take(stack_size: usize, count: usize, allocated: &Counter) -> Vec<StackSlab> {
+            let mut slabs = Vec::with_capacity(count);
+            {
+                let mut pool = POOL.lock();
+                let mut i = 0;
+                while i < pool.len() && slabs.len() < count {
+                    if pool[i].stack_size == stack_size {
+                        slabs.push(pool.remove(i));
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+            while slabs.len() < count {
+                // SAFETY: the layout is non-zero; allocation checked below.
+                let base = unsafe { std::alloc::alloc(Self::layout(stack_size)) };
+                assert!(!base.is_null(), "stack slab allocation failed");
+                allocated.inc();
+                slabs.push(StackSlab { base, stack_size });
+            }
+            slabs
+        }
+
+        /// Hand a dropped world's slabs to the pool, in the order it used
+        /// them, ahead of older ones; whatever passes `POOLED_SLABS` is
+        /// freed (outside the lock).
+        fn give_back(slabs: Vec<StackSlab>) {
+            let evicted = {
+                let mut pool = POOL.lock();
+                pool.splice(0..0, slabs);
+                let keep = pool.len().min(POOLED_SLABS);
+                pool.split_off(keep)
+            };
+            drop(evicted);
+        }
+
+        /// Lowest byte (the canary) of stack `i`.
+        fn stack_lo(&self, i: usize) -> *mut u8 {
+            debug_assert!(i < stacks_per_slab(self.stack_size));
+            // SAFETY: i < stacks_per_slab, so the stack and its top lie
+            // inside the slab (`slab_bytes`).
+            unsafe { self.base.add(stack_offset(i, self.stack_size)) }
+        }
+    }
+
     impl Drop for StackSlab {
         fn drop(&mut self) {
-            // SAFETY: allocated with this layout in `TaskSched::new`.
-            unsafe { std::alloc::dealloc(self.base, self.layout) };
+            // SAFETY: allocated with this layout in `StackSlab::take`.
+            unsafe { std::alloc::dealloc(self.base, Self::layout(self.stack_size)) };
         }
     }
 
@@ -333,9 +451,29 @@ mod imp {
         /// The watchdog may declare timeouts only at zero — see module
         /// docs (quiescence-gated watchdog).
         runnable: AtomicUsize,
+        /// Set when a worker panics (a clobbered canary): every worker
+        /// leaves its loop and `run` re-raises the panic. Publishes no
+        /// other data; `release_workers` after the store is what makes
+        /// parked workers see it.
+        poisoned: AtomicBool,
         metrics: SchedMetrics,
-        /// Keeps the stacks alive; dropped (deallocated) with the sched.
-        _slabs: Vec<StackSlab>,
+        /// The stacks, in rank order; returned to the pool on drop.
+        slabs: Vec<StackSlab>,
+    }
+
+    impl Drop for TaskSched {
+        fn drop(&mut self) {
+            // SAFETY (of reusing the stacks): the scheduler drops after
+            // `run` joined every worker, and a `DONE` task never runs
+            // again; its stack holds only the dead frame of its final
+            // switch. A task that is not `DONE` may be suspended with
+            // live values on its stack, so its world's slabs are freed
+            // instead of reused. The next world rewrites every canary and
+            // initial frame it uses.
+            if self.tasks.iter_mut().all(|t| *t.state.get_mut() == DONE) {
+                StackSlab::give_back(std::mem::take(&mut self.slabs));
+            }
+        }
     }
 
     // ----- worker-thread TLS ---------------------------------------------
@@ -469,52 +607,46 @@ mod imp {
             assert!(stack_size >= 64 * 1024, "task stack below 64 KiB");
             let stack_size = stack_size & !4095;
             let reg = Registry::global();
-            let mut tasks: Vec<Task> = Vec::with_capacity(n);
-            let mut slabs = Vec::new();
-            let mut remaining = n;
-            // ~256 MiB per slab: big enough that 100k ranks need a few
-            // hundred mappings, small enough to not trip overcommit
-            // heuristics on modest machines.
-            let per_slab = ((256 << 20) / stack_size).max(1);
-            while remaining > 0 {
-                let count = remaining.min(per_slab);
-                let layout = std::alloc::Layout::from_size_align(count * stack_size, 4096)
-                    .expect("stack slab layout");
-                // SAFETY: layout is non-zero; allocation checked below.
-                let base = unsafe { std::alloc::alloc(layout) };
-                assert!(!base.is_null(), "stack slab allocation failed");
-                for i in 0..count {
-                    // SAFETY: i < count, so the offset stays in the slab.
-                    let lo = unsafe { base.add(i * stack_size) };
-                    // SAFETY: lo is the bottom of an unused stack.
+            let per_slab = stacks_per_slab(stack_size);
+            let slabs = StackSlab::take(
+                stack_size,
+                n.div_ceil(per_slab),
+                &reg.counter("simmpi.sched.stack_slabs_allocated"),
+            );
+            let tasks: Vec<Task> = (0..n)
+                .map(|i| {
+                    let lo = slabs[i / per_slab].stack_lo(i % per_slab);
+                    // SAFETY: lo is the bottom of a stack no task uses:
+                    // fresh, or pooled after its last world's scheduler
+                    // dropped with every task DONE. Written on every
+                    // world, so a reused slab never keeps an old canary.
                     unsafe { (lo as *mut u64).write(STACK_CANARY) };
-                    tasks.push(Task {
+                    Task {
                         state: AtomicU8::new(READY),
                         sp: Cell::new(std::ptr::null_mut()),
                         stack_lo: lo,
                         deadline_ns: AtomicU64::new(0),
                         timed_out: Cell::new(false),
                         body: UnsafeCell::new(None),
-                    });
-                }
-                slabs.push(StackSlab { base, layout });
-                remaining -= count;
-            }
-            // The task vector is complete (no more pushes): pointers into
-            // it are stable, so the initial frames can be planted now.
+                    }
+                })
+                .collect();
+            // The task vector is complete: pointers into it are stable, so
+            // the initial frames can be planted now.
             for (task, body) in tasks.iter().zip(bodies) {
                 // SAFETY: single-threaded setup, before any worker runs.
                 unsafe { *task.body.get() = Some(body) };
                 // Initial frame, popped by the first context switch into
-                // the task (descending from the 16-aligned stack top):
+                // the task (descending from the 16-aligned stack top,
+                // which is the next stack's canary address):
                 //   [top-8]  return address -> trampoline
                 //   [top-16] rbp  [top-24] rbx  [top-32] r12 = task ptr
                 //   [top-40] r13  [top-48] r14  [top-56] r15  <- saved rsp
-                // SAFETY: the frame lies entirely within this task's stack.
+                // SAFETY: the frame lies entirely within this task's
+                // stack, strictly below the next stack's canary. It is
+                // replanted on every world, reused slabs included.
                 unsafe {
-                    let top = task.stack_lo.add(stack_size);
-                    let top16 = ((top as usize) & !15) as *mut u8;
-                    let sp = top16.sub(56);
+                    let sp = task.stack_lo.add(stack_size - FRAME_BYTES);
                     (sp as *mut usize).write_bytes(0, 6);
                     (sp.add(24) as *mut usize).write(task as *const Task as usize);
                     (sp.add(48) as *mut usize).write(hcft_simmpi_task_tramp as *const () as usize);
@@ -540,6 +672,7 @@ mod imp {
                 watchdog_period,
                 live: AtomicUsize::new(n),
                 runnable: AtomicUsize::new(n),
+                poisoned: AtomicBool::new(false),
                 metrics: SchedMetrics {
                     resumes: reg.counter("simmpi.sched.resumes"),
                     wakes_local: reg.counter("simmpi.sched.wakes_local"),
@@ -549,7 +682,7 @@ mod imp {
                     idle_nanos: reg.counter("simmpi.sched.idle_nanos"),
                     runq_depth: reg.histogram("simmpi.sched.runq_depth"),
                 },
-                _slabs: slabs,
+                slabs,
             })
         }
 
@@ -631,6 +764,11 @@ mod imp {
         /// Spawn the worker pool, run every task to completion, join.
         /// `on_worker_exit` runs once per worker thread after its last
         /// task finishes (the buffer-magazine flush hook).
+        ///
+        /// A worker that panics (a clobbered canary) poisons the world:
+        /// the others leave their loops, every worker is joined, the
+        /// bodies of tasks that never started are dropped, and only then
+        /// is the first worker panic re-raised.
         pub(crate) fn run(self: &Arc<Self>, on_worker_exit: impl Fn() + Send + Sync + 'static) {
             let on_exit = Arc::new(on_worker_exit);
             let handles: Vec<_> = (0..self.workers.len())
@@ -640,14 +778,32 @@ mod imp {
                     std::thread::Builder::new()
                         .name(format!("simmpi-worker-{w}"))
                         .spawn(move || {
-                            sched.worker_main(w);
+                            let main = std::panic::AssertUnwindSafe(|| sched.worker_main(w));
+                            if let Err(e) = std::panic::catch_unwind(main) {
+                                sched.poisoned.store(true, Ordering::Release);
+                                sched.release_workers();
+                                std::panic::resume_unwind(e);
+                            }
                             on_exit();
                         })
                         .expect("spawn simmpi worker")
                 })
                 .collect();
-            for h in handles {
-                if let Err(e) = h.join() {
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            if self.poisoned.load(Ordering::Acquire) {
+                for t in &self.tasks {
+                    // SAFETY: every worker has been joined, so this thread
+                    // is the only one left touching any task.
+                    if unsafe { (*t.body.get()).take() }.is_some() {
+                        // Never started: nothing lives on its stack. The
+                        // body holds the world's shared state, which holds
+                        // this scheduler, so dropping it lets both go.
+                        t.state.store(DONE, Ordering::Release);
+                    }
+                }
+            }
+            for r in joined {
+                if let Err(e) = r {
                     let msg = e
                         .downcast_ref::<String>()
                         .cloned()
@@ -676,7 +832,7 @@ mod imp {
             }
             let started = Instant::now();
             let mut idle = Duration::ZERO;
-            while self.live.load(Ordering::Acquire) > 0 {
+            while self.live.load(Ordering::Acquire) > 0 && !self.poisoned.load(Ordering::Acquire) {
                 match runq.pop().or_else(|| self.drain_injector(index)) {
                     Some(tid) => self.run_one(&ctl, tid),
                     None => idle += self.idle_wait(index, lo, hi),
@@ -705,6 +861,13 @@ mod imp {
             // the pop's acquire edge makes the save visible.
             unsafe { hcft_simmpi_ctx_switch(ctl.sched_sp.as_ptr(), t.sp.get()) };
             CURRENT.with(|c| c.set(std::ptr::null()));
+            let reason = ctl.reason.get();
+            if reason == Reason::Done {
+                // Before the canary check, so that a task that returned
+                // and overflowed still counts as finished when its
+                // poisoned world drops (see `Drop for TaskSched`).
+                t.state.store(DONE, Ordering::Release);
+            }
             // SAFETY: stack_lo points at this task's canary.
             let canary = unsafe { (t.stack_lo as *const u64).read() };
             assert!(
@@ -712,17 +875,12 @@ mod imp {
                 "simmpi task stack overflow (rank {tid}): raise WorldConfig.stack_size \
                  or HCFT_SIMMPI_STACK_KB"
             );
-            match ctl.reason.get() {
+            match reason {
                 Reason::Done => {
-                    t.state.store(DONE, Ordering::Release);
                     self.runnable.fetch_sub(1, Ordering::AcqRel);
                     if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        // Last task in the world: release every parked
-                        // worker so the pool can exit.
-                        for ws in &self.workers {
-                            let _inj = ws.injector.lock();
-                            ws.cv.notify_all();
-                        }
+                        // Last task in the world: let the pool exit.
+                        self.release_workers();
                     }
                 }
                 Reason::Blocked => {
@@ -740,6 +898,16 @@ mod imp {
                         self.runqs[ctl.index].push(tid);
                     }
                 }
+            }
+        }
+
+        /// Wake every parked worker so it re-reads `live` and `poisoned`.
+        /// Taking each injector lock orders the wake after the worker's
+        /// re-check in `idle_wait`, so no worker sleeps through it.
+        fn release_workers(&self) {
+            for ws in &self.workers {
+                let _inj = ws.injector.lock();
+                ws.cv.notify_all();
             }
         }
 
@@ -773,10 +941,14 @@ mod imp {
                 return start.elapsed();
             }
             let mut inj = ws.injector.lock();
-            // Re-check liveness under the lock: the finishing worker
-            // decrements `live` *before* taking this lock to notify, so a
-            // `> 0` read here guarantees its notify is still to come.
-            if inj.is_empty() && self.live.load(Ordering::Acquire) > 0 {
+            // Re-check liveness under the lock: the finishing (or
+            // poisoning) worker updates `live` (or `poisoned`) *before*
+            // taking this lock to notify, so a read here that still says
+            // "run on" guarantees its notify is still to come.
+            if inj.is_empty()
+                && self.live.load(Ordering::Acquire) > 0
+                && !self.poisoned.load(Ordering::Acquire)
+            {
                 ws.sleeping.set(true);
                 let _ = ws
                     .cv
@@ -832,6 +1004,100 @@ mod imp {
                 woken += 1;
             }
             woken
+        }
+    }
+
+    /// Overwrite the running task's canary, as an overflow would.
+    #[cfg(test)]
+    pub(crate) fn clobber_current_canary() {
+        let t = CURRENT.with(|c| c.get());
+        assert!(!t.is_null(), "not running on a task");
+        // SAFETY: the canary is the lowest word of the running task's own
+        // stack, far below its stack pointer.
+        unsafe { ((*t).stack_lo as *mut u64).write(!STACK_CANARY) };
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::{Engine, World, WorldConfig};
+
+        /// Every stack of a slab, at the smallest, default, a large and
+        /// the largest stack size: canary and top inside the allocation,
+        /// the planted frame strictly below the next stack's canary and on
+        /// that canary's page, every top 16-aligned.
+        #[test]
+        fn each_canary_shares_a_page_with_the_top_frame_below_it() {
+            for stack_size in [64 << 10, 512 << 10, 64 << 20, 1 << 30] {
+                let per_slab = stacks_per_slab(stack_size);
+                let bytes = slab_bytes(stack_size);
+                assert!(per_slab >= 1 && per_slab * stack_size <= SLAB_BYTES.max(stack_size));
+                for i in 0..per_slab {
+                    let lo = stack_offset(i, stack_size);
+                    let top = lo + stack_size;
+                    assert!(lo + 8 <= bytes && top <= bytes, "stack {i} leaves the slab");
+                    assert_eq!(top % 16, 0, "stack {i} top misaligned");
+                    let frame = top - FRAME_BYTES;
+                    assert!(frame >= lo + 8, "stack {i}: frame reaches its canary");
+                    if i + 1 < per_slab {
+                        let next_canary = stack_offset(i + 1, stack_size);
+                        assert!(top - 1 < next_canary, "stack {i}: frame overlaps");
+                        assert_eq!(frame / 4096, next_canary / 4096, "stack {i}: frame page");
+                        assert_eq!((top - 1) / 4096, next_canary / 4096, "stack {i}: top page");
+                    }
+                }
+            }
+        }
+
+        /// Run a 4-rank world whose rank `victim` (if any) clobbers its own
+        /// canary and returns, on a helper thread so that a hang fails the
+        /// test instead of stalling it. Returns the outputs or the panic.
+        fn four_ranks(workers: usize, victim: Option<usize>) -> Result<Vec<usize>, String> {
+            let cfg = WorldConfig {
+                workers,
+                engine: Engine::Tasks,
+                // A size no other test uses, so that the next world here
+                // takes the slab this one returns.
+                stack_size: 200 << 10,
+                ..WorldConfig::default()
+            };
+            let (tx, rx) = std::sync::mpsc::channel();
+            let helper = std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(|| {
+                    World::run_with(4, cfg, move |c| {
+                        if Some(c.rank()) == victim {
+                            clobber_current_canary();
+                        }
+                        c.rank()
+                    })
+                    .outputs
+                });
+                let _ = tx
+                    .send(run.map_err(|e| e.downcast_ref::<String>().cloned().unwrap_or_default()));
+            });
+            let result = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("world hung: workers {workers}, victim {victim:?}"));
+            helper.join().expect("helper thread");
+            result
+        }
+
+        /// An overflow on rank 0, mid-slab or on worker 1 ends the world
+        /// with the overflow panic, and the next world, on the slab that
+        /// world handed back, runs clean.
+        #[test]
+        fn overflow_on_any_worker_ends_the_world_and_its_slab_is_reused() {
+            for workers in [1, 2] {
+                for victim in 0..4 {
+                    let err = four_ranks(workers, Some(victim))
+                        .expect_err("a clobbered canary must panic");
+                    assert!(
+                        err.contains(&format!("stack overflow (rank {victim})")),
+                        "workers {workers}, victim {victim}: {err}"
+                    );
+                    assert_eq!(four_ranks(workers, None), Ok(vec![0, 1, 2, 3]));
+                }
+            }
         }
     }
 }
