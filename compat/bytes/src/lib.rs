@@ -13,13 +13,17 @@
 //!   whole-buffer and uniquely held ([`Bytes::into_shared`]) — which is
 //!   what lets the simmpi runtime recycle spent message payloads,
 //!   including the `Arc` control block, instead of re-allocating per
-//!   message.
+//!   message,
+//! * every empty buffer shares **one** backing allocation, so
+//!   [`Bytes::new`] allocates nothing (as upstream's does) and a pool
+//!   never mistakes an empty payload for a recyclable one: the shared
+//!   vector is never uniquely held.
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Reference-counted immutable bytes: a `[start, end)` view of a shared
 /// backing vector.
@@ -32,14 +36,16 @@ pub struct Bytes {
 
 impl Default for Bytes {
     fn default() -> Self {
-        Bytes::from(Vec::new())
+        Bytes::new()
     }
 }
 
 impl Bytes {
-    /// An empty buffer.
+    /// An empty buffer: a view of the process-wide empty vector, so no
+    /// allocation happens.
     pub fn new() -> Self {
-        Bytes::default()
+        static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+        Bytes::from_shared(Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new()))))
     }
 
     /// Wrap a static byte slice (copied once; upstream borrows, but the
@@ -107,8 +113,12 @@ impl Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
-    /// Zero-copy: the vector becomes the backing buffer.
+    /// Zero-copy: the vector becomes the backing buffer. A vector that
+    /// owns no allocation becomes [`Bytes::new`].
     fn from(v: Vec<u8>) -> Self {
+        if v.capacity() == 0 {
+            return Bytes::new();
+        }
         Bytes::from_shared(Arc::new(v))
     }
 }
@@ -239,6 +249,29 @@ mod tests {
         assert_eq!(Arc::strong_count(&arc), 2);
         drop(narrowed);
         assert_eq!(Arc::strong_count(&arc), 1);
+    }
+
+    #[test]
+    fn every_empty_buffer_shares_one_allocation() {
+        let empties = [
+            Bytes::new(),
+            Bytes::default(),
+            Bytes::from(Vec::new()),
+            Bytes::copy_from_slice(&[]),
+        ];
+        let mut shared: Vec<Arc<Vec<u8>>> = empties
+            .into_iter()
+            .map(|b| b.into_shared().expect("an empty view is whole"))
+            .collect();
+        assert!(shared.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
+        // A pool recycles only uniquely held buffers, so handing an empty
+        // payload back is a no-op: the process keeps its own reference.
+        let mut last = shared.pop().unwrap();
+        drop(shared);
+        assert!(Arc::get_mut(&mut last).is_none());
+        // An empty vector with capacity is a real buffer and stays one.
+        let spare = Bytes::from(Vec::with_capacity(8)).into_shared().unwrap();
+        assert!(!Arc::ptr_eq(&spare, &last));
     }
 
     #[test]

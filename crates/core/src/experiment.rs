@@ -14,7 +14,14 @@
 //! * light horizontal rows where application ranks push checkpoint data
 //!   to their node's encoder,
 //! * isolated encoder↔encoder points from the ring-structured parity
-//!   accumulation inside each encoding group of nodes.
+//!   accumulation inside each encoding group of nodes, sent shape-only
+//!   too: one block-sized zero view per group member, forwarded around
+//!   the ring, with no GF(256) arithmetic.
+//!
+//! No traced send carries payload bytes anyone writes: halos and parity
+//! blocks are views of one shared zero block
+//! ([`hcft_simmpi::Comm::send_zeros`]); only the 16-byte checkpoint
+//! notes are pooled buffers.
 //!
 //! [`run_traced_job`] traces a two-step prefix of that job and scales it
 //! whenever the prefix proves periodic (DESIGN.md §19, "Composed
@@ -26,7 +33,7 @@ use std::sync::Arc;
 
 use hcft_cluster::{Evaluator, FamilyScore, SchemeFamilySpec};
 use hcft_graph::{CommMatrix, WeightedGraph};
-use hcft_simmpi::{Engine, World, WorldConfig};
+use hcft_simmpi::{Engine, MessageEvent, TraceRecorder, World, WorldConfig};
 use hcft_telemetry::{HcftError, Registry};
 use hcft_topology::{JobLayout, Role};
 use hcft_tsunami::TsunamiParams;
@@ -419,16 +426,17 @@ pub struct TracedWorld {
     /// The solver's process grid (px, py) in application-rank space.
     pub process_grid: (usize, usize),
     /// The shared trace recorder with every traced send.
-    pub trace: Arc<hcft_simmpi::TraceRecorder>,
+    pub trace: Arc<TraceRecorder>,
 }
 
 /// Run the instrumented job and return the raw trace recorder.
 ///
 /// Application ranks are shape-only: no [`hcft_tsunami::RankState`] is
-/// built. Each step is the decomposition's halo exchange with
-/// zero-filled edges ([`hcft_tsunami::CartDecomp::exchange_shape`]) and
-/// each checkpoint note carries [`hcft_tsunami::CartDecomp::state_len`],
-/// so every traced send (peer, length, tag, phase) is the full solver's.
+/// built. Each step is the decomposition's halo exchange with every edge
+/// sent as a shared zero view
+/// ([`hcft_tsunami::CartDecomp::exchange_shape`]) and each checkpoint
+/// note carries [`hcft_tsunami::CartDecomp::state_len`], so every traced
+/// send (peer, length, tag, phase) is the full solver's.
 pub fn run_traced_world(cfg: &TracedJobConfig) -> TracedWorld {
     let layout = cfg.layout();
     let total = layout.total_ranks();
@@ -493,13 +501,11 @@ pub fn run_traced_job(cfg: &TracedJobConfig) -> TraceResult {
         }
         None => {
             full_runs.inc();
-            // Without `record_events` the recorder keeps no log and
-            // `take_events` is empty.
+            // Without `record_events` the recorder keeps no log and its
+            // events are empty.
             let trace = run_traced_world(cfg).trace;
-            (
-                trace.byte_matrix(),
-                app_events(&layout, trace.take_events()),
-            )
+            let full = trace.byte_matrix();
+            (full, app_events(&layout, trace.into_events()))
         }
     };
     let app = full.project(&layout.application_ranks());
@@ -527,7 +533,7 @@ fn compose_from_prefix(cfg: &TracedJobConfig) -> Option<CommMatrix> {
         record_events: true,
         ..cfg.clone()
     };
-    let events = run_traced_world(&prefix).trace.take_events();
+    let events = run_traced_world(&prefix).trace.into_events();
     let ring_steps = cfg.encoder_group_nodes.saturating_sub(1);
     compose::compose(&events, cfg.iterations, rounds, ring_steps).ok()
 }
@@ -536,7 +542,7 @@ fn compose_from_prefix(cfg: &TracedJobConfig) -> Option<CommMatrix> {
 /// space, dropping traffic that touches encoder ranks.
 fn app_events(
     layout: &JobLayout,
-    events: Vec<Vec<hcft_simmpi::MessageEvent>>,
+    events: Vec<Vec<MessageEvent>>,
 ) -> Vec<Vec<hcft_msglog::MsgEvent>> {
     events
         .into_iter()
@@ -610,7 +616,7 @@ fn run_encoder_rank(
     let app_world: Vec<usize> = (0..cfg.app_per_node)
         .map(|l| my_node * layout.ranks_per_node() + 1 + l)
         .collect();
-    for round in 0..rounds {
+    for _ in 0..rounds {
         // Collect the checkpoint notifications from this node's ranks;
         // the checkpoint payloads themselves went to local storage.
         let mut node_bytes = 0u64;
@@ -620,11 +626,15 @@ fn run_encoder_rank(
             world.recycle(note);
         }
         // Distributed Reed–Solomon parity accumulation over one encoding
-        // block per round: ring-pass around the group,
-        // multiply-accumulating in GF(256). FTI encodes the (large)
-        // checkpoint in bounded blocks, so the on-wire traffic is the
-        // block size, not the checkpoint size — the isolated light
-        // points of Fig. 5b.
+        // block per round: a ring pass around the group. FTI encodes the
+        // (large) checkpoint in bounded blocks, so the on-wire traffic is
+        // the block size, not the checkpoint size — the isolated light
+        // points of Fig. 5b. Only that traffic is traced, so the pass
+        // computes no parity: the first step sends a zero view of this
+        // node's block length and every later step forwards the buffer
+        // received on the previous one (a refcount move, no copy), so
+        // each block travels at its origin's length even when an uneven
+        // decomposition gives the group's nodes different blocks.
         let peers: Vec<usize> = (group_start..group_end).collect();
         if peers.len() < 2 {
             continue;
@@ -633,32 +643,15 @@ fn run_encoder_rank(
         let next = peers[(pos + 1) % peers.len()];
         let prev = peers[(pos + peers.len() - 1) % peers.len()];
         let block = (node_bytes as usize / 64).clamp(1024, 1 << 20);
-        let mut parity: Vec<u8> = (0..block)
-            .map(|b| ((my_node * 131 + b * 7 + round as usize) % 251) as u8)
-            .collect();
-        // Ring pass, zero-copy: the first step ships the local seed, every
-        // later step forwards the buffer received on the previous one (a
-        // refcount move, no copy), and the last received buffer goes back
-        // to the runtime pool.
         let mut travelling = None;
         for step in 0..peers.len() - 1 {
             let tag = TAG_PARITY + step as u32;
             match travelling.take() {
-                None => enc_comm.send_bytes(next, tag, &parity),
+                None => enc_comm.send_zeros(next, tag, block),
                 Some(b) => enc_comm.send_shared(next, tag, b),
             }
-            let got = enc_comm.recv_bytes(prev, tag);
-            // Accumulate with a non-trivial coefficient, as RS would. An
-            // uneven decomposition gives the group's nodes different
-            // checkpoint sizes, hence blocks: accumulate the overlap.
-            let n = parity.len().min(got.len());
-            hcft_erasure::gf256::mul_acc(&mut parity[..n], &got[..n], (step + 2) as u8);
-            travelling = Some(got);
+            travelling = Some(enc_comm.recv_bytes(prev, tag));
         }
-        if let Some(b) = travelling {
-            enc_comm.recycle(b);
-        }
-        std::hint::black_box(&parity);
     }
 }
 

@@ -803,7 +803,7 @@ impl<'e, W: ReplayWorkload> LiveRun<'e, W> {
             *fab.states[r].lock().expect("state") = Some(st);
         });
         if trace_events {
-            for (history, evs) in self.events.iter_mut().zip(wr.trace.take_events()) {
+            for (history, evs) in self.events.iter_mut().zip(wr.trace.into_events()) {
                 history.extend(
                     evs.into_iter()
                         .filter(|e| self.eng.workload.is_halo_tag(e.tag))

@@ -5,7 +5,7 @@
 //! composition does not cover.
 //!
 //! Both sides are shape-only runs: the traced world's application ranks
-//! send zero-filled halos at their decomposed lengths and build no
+//! send every halo as a zero view of its decomposed length and build no
 //! solver field. That shape-only traffic equals a full solver step's is
 //! proven in `hcft-tsunami`'s `tests/properties.rs`
 //! (`shape_only_exchange_sends_what_the_full_step_sends`).

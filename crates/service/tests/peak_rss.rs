@@ -20,10 +20,12 @@ fn peak_rss_kb() -> u64 {
 #[test]
 #[ignore = "measures process memory; run explicitly in release"]
 fn two_cold_paper_evaluations_stay_under_the_peak_rss_bound() {
-    // Measured ≈ 14.7 MB on x86_64 Linux: sparse matrices and recorder
-    // rows, traced ranks that send their halos shape-only, and a second
-    // world that runs on the first one's pooled stack slabs, one page a
-    // stack. Fresh slabs per world, two pages a stack, read ≈ 19.8 MB;
+    // Measured ≈ 11.7–11.9 MB on x86_64 Linux: sparse matrices and
+    // recorder rows, traced ranks that send their halos and parity blocks
+    // as views of one shared zero block, and a second world that runs on
+    // the first one's pooled stack slabs, one page a stack. Pooled,
+    // zero-filled halo buffers read ≈ 15.9 MB; fresh slabs per world, two
+    // pages a stack, on top ≈ 19.8 MB;
     // ranks that build and step their solver fields again read ≈ 39 MB and
     // fail this bound; dense n² matrices on top (five of them per cold
     // request, ≈ 45 MB) read ≈ 72 MB.

@@ -28,8 +28,9 @@ fn evaluate(svc: &EvalService, query: &str) {
 #[test]
 #[ignore = "measures process memory; run explicitly in release"]
 fn churn_then_more_machine_sizes_stay_under_the_peak_rss_bound() {
-    // Measured ≈ 7.4 MB on x86_64 Linux (≈ 9.0 MB with fresh stack slabs
-    // per world and two pages a stack). The bound is what the walk read
+    // Measured ≈ 6.5–6.6 MB on x86_64 Linux (≈ 7.5 MB with pooled,
+    // zero-filled halo buffers; ≈ 9.0 MB with fresh stack slabs per world
+    // and two pages a stack on top). The bound is what the walk read
     // when each request drew its own sampled failure-set tables
     // (14.9–15.1 MB), plus 15 %.
     const PEAK_RSS_BOUND_KB: u64 = 17 * 1024;

@@ -12,6 +12,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use crate::datatype::{decode, encode_into, Datum};
 use crate::runtime::Shared;
@@ -20,6 +21,25 @@ use crate::trace::MessageEvent;
 /// Highest tag value usable by applications; larger tags are reserved for
 /// collective-internal traffic.
 pub const MAX_USER_TAG: u32 = 0x0FFF_FFFF;
+
+/// The process-wide zero block behind [`Comm::send_zeros`]. A longer
+/// request swaps in a larger block; views of the old one keep it alive
+/// until they are dropped.
+static ZEROS: Mutex<Option<Bytes>> = Mutex::new(None);
+
+/// A view of `len` zero bytes on the shared zero block.
+fn zeros(len: usize) -> Bytes {
+    let mut block = ZEROS.lock();
+    match &*block {
+        Some(b) if b.len() >= len => b.slice(0..len),
+        _ => {
+            let b = Bytes::from(vec![0u8; len.next_power_of_two().max(4096)]);
+            let view = b.slice(0..len);
+            *block = Some(b);
+            view
+        }
+    }
+}
 
 /// Rank membership of a communicator.
 enum Group {
@@ -150,6 +170,15 @@ impl Comm {
     pub fn send_shared(&self, dst: usize, tag: u32, payload: Bytes) {
         assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
         self.send_raw(dst, tag, payload);
+    }
+
+    /// Send `len` zero bytes without writing, copying or pooling any: the
+    /// payload is a view of one process-wide zero block. For traffic
+    /// whose content no receiver reads — a trace needs only who sent how
+    /// many bytes to whom.
+    pub fn send_zeros(&self, dst: usize, tag: u32, len: usize) {
+        assert!(tag <= MAX_USER_TAG, "tag {tag:#x} is reserved");
+        self.send_raw(dst, tag, zeros(len));
     }
 
     /// Blocking receive of raw bytes from `src` with `tag`. The returned
@@ -347,6 +376,36 @@ mod tests {
         );
         let ev = r.trace.take_events();
         assert_eq!(ev[0].iter().map(|e| e.phase).collect::<Vec<_>>(), [41, 42]);
+    }
+
+    #[test]
+    fn zero_sends_are_views_of_one_block() {
+        let r = World::run(2, |c| {
+            if c.rank() == 0 {
+                for len in [0, 24, 24, 5000] {
+                    c.send_zeros(1, 3, len);
+                }
+                Vec::new()
+            } else {
+                (0..4).map(|_| c.recv_bytes(0, 3)).collect()
+            }
+        });
+        let got = &r.outputs[1];
+        assert_eq!(
+            got.iter().map(|b| b.len()).collect::<Vec<_>>(),
+            [0, 24, 24, 5000]
+        );
+        assert!(got.iter().all(|b| b.iter().all(|&x| x == 0)));
+        // Equal requests share the block; the traced lengths are the
+        // requested ones.
+        assert_eq!(got[1].as_ptr(), got[2].as_ptr());
+        assert_eq!(r.trace.total_bytes(), 5048);
+        // A longer request swaps in a larger block; earlier views stay
+        // valid, and later short requests view the larger one.
+        let long = super::zeros(1 << 16);
+        assert_eq!(long.len(), 1 << 16);
+        assert!(got[1].iter().all(|&x| x == 0));
+        assert_eq!(super::zeros(24).as_ptr(), long.as_ptr());
     }
 
     #[test]

@@ -7,17 +7,24 @@
 //!   application-defined *phase* (iteration / checkpoint epoch), which the
 //!   message-logging replay simulation consumes.
 //!
-//! The matrix is one lock-guarded map per sender, keyed by destination,
-//! at every world size. A traced job's matrix is overwhelmingly zeros
-//! (stencil and power-of-two collective edges are O(n log n) cells), so
-//! the recorder's memory follows the cells sent, not `n²`. A rank only
-//! ever locks its own row. `TraceRecorder::for_each_cell` visits the
-//! cells row-major, sorted by destination, which is the order
+//! Each send is recorded once. Without a log, it is added to its cell:
+//! one lock-guarded map per sender, keyed by destination, at every world
+//! size. A traced job's matrix is overwhelmingly zeros (stencil and
+//! power-of-two collective edges are O(n log n) cells), so the
+//! recorder's memory follows the cells sent, not `n²`. With a log, it is
+//! appended to the sender's log only, and the cells are folded from the
+//! log when read; [`TraceRecorder::take_events`] folds what it drains
+//! into the cell maps, so the matrices read the same before and after,
+//! and [`TraceRecorder::into_events`] consumes a finished world's
+//! recorder and returns the log unfolded, for a reader of the log alone.
+//! A rank only ever locks its own row. `TraceRecorder::for_each_cell` visits the cells
+//! row-major, sorted by destination, which is the order
 //! [`CommMatrix::entries`] keeps.
 
 use crate::runtime::FnvMap;
 use hcft_graph::CommMatrix;
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// One traced point-to-point message (collective steps decompose into
 /// these too, exactly as a PMPI tracer would see them).
@@ -37,8 +44,10 @@ pub struct MessageEvent {
 
 /// Concurrent trace sink shared by all ranks of a [`crate::World`].
 pub struct TraceRecorder {
-    /// `rows[src]` maps destination → (bytes, msgs).
+    /// `rows[src]` maps destination → (bytes, msgs): every send without
+    /// a log, only the drained part of the log with one.
     rows: Vec<Mutex<FnvMap<u32, (u64, u64)>>>,
+    /// `events[src]`: the sends not yet drained, in send order.
     events: Option<Vec<Mutex<Vec<MessageEvent>>>>,
 }
 
@@ -58,27 +67,39 @@ impl TraceRecorder {
         self.rows.len()
     }
 
-    /// Record one message. Called by the runtime on every send.
+    /// Record one message. Called by the runtime on every send: into
+    /// the log when there is one, into its cell otherwise.
     pub(crate) fn record(&self, ev: MessageEvent) {
-        {
-            let row = &mut *self.rows[ev.src as usize].lock();
-            let slot = row.entry(ev.dst).or_insert((0, 0));
-            slot.0 += ev.bytes;
-            slot.1 += 1;
-        }
-        if let Some(logs) = &self.events {
-            logs[ev.src as usize].lock().push(ev);
+        match &self.events {
+            Some(logs) => logs[ev.src as usize].lock().push(ev),
+            None => fold(&mut self.rows[ev.src as usize].lock(), [ev]),
         }
     }
 
     /// Visit every cell that saw a message as `(src, dst, bytes, msgs)`,
-    /// row-major and sorted by destination within a row.
+    /// row-major and sorted by destination within a row. A logged
+    /// sender's cells are its folded row plus its undrained log, read
+    /// under the log's lock and then the row's (the order
+    /// [`TraceRecorder::take_events`] takes them in), so a read that
+    /// overlaps a drain sees each drained batch exactly once.
     pub(crate) fn for_each_cell(&self, mut f: impl FnMut(usize, usize, u64, u64)) {
         let mut cells = Vec::new();
         for (s, row) in self.rows.iter().enumerate() {
             cells.clear();
+            let log = self.events.as_ref().map(|logs| logs[s].lock());
             cells.extend(row.lock().iter().map(|(&d, &(b, c))| (d, b, c)));
+            if let Some(log) = log {
+                cells.extend(log.iter().map(|e| (e.dst, e.bytes, 1)));
+            }
             cells.sort_unstable_by_key(|&(d, _, _)| d);
+            cells.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                    kept.2 += next.2;
+                }
+                same
+            });
             for &(d, b, c) in &cells {
                 f(s, d as usize, b, c);
             }
@@ -114,16 +135,55 @@ impl TraceRecorder {
         t
     }
 
-    /// Drain the ordered event logs (sender-major). Empty if the recorder
-    /// was built without event logging.
+    /// Drain the ordered event logs (sender-major), folding each drained
+    /// log into its sender's cells so the matrices and totals read the
+    /// same afterwards. Empty if the recorder was built without event
+    /// logging.
     pub fn take_events(&self) -> Vec<Vec<MessageEvent>> {
         match &self.events {
             None => Vec::new(),
             Some(logs) => logs
                 .iter()
-                .map(|l| std::mem::take(&mut *l.lock()))
+                .zip(&self.rows)
+                .map(|(log, row)| {
+                    let mut log = log.lock();
+                    fold(&mut row.lock(), log.iter().copied());
+                    std::mem::take(&mut *log)
+                })
                 .collect(),
         }
+    }
+
+    /// The ordered event logs (sender-major) of a finished world's
+    /// recorder, without folding them into cells: for a consumer that
+    /// reads only the log. Empty if the recorder was built without event
+    /// logging.
+    ///
+    /// # Panics
+    /// If anything else still holds the recorder; a finished
+    /// [`crate::World`] keeps no reference to it.
+    pub fn into_events(self: Arc<Self>) -> Vec<Vec<MessageEvent>> {
+        Arc::into_inner(self)
+            .expect("a finished world holds no recorder")
+            .events
+            .map(|logs| logs.into_iter().map(Mutex::into_inner).collect())
+            .unwrap_or_default()
+    }
+
+    /// Cells folded into the sender maps so far (a logged recorder's
+    /// stay empty until its log is drained).
+    #[cfg(test)]
+    fn folded_cells(&self) -> usize {
+        self.rows.iter().map(|r| r.lock().len()).sum()
+    }
+}
+
+/// Add `events` of one sender to its destination → (bytes, msgs) map.
+fn fold(row: &mut FnvMap<u32, (u64, u64)>, events: impl IntoIterator<Item = MessageEvent>) {
+    for ev in events {
+        let slot = row.entry(ev.dst).or_insert((0, 0));
+        slot.0 += ev.bytes;
+        slot.1 += 1;
     }
 }
 
@@ -201,34 +261,79 @@ mod tests {
         }
     }
 
+    /// A small world mixing the rendezvous collectives with uneven
+    /// point-to-point traffic, zero-byte messages included.
+    fn traced_world(n: usize) -> Arc<TraceRecorder> {
+        let cfg = crate::WorldConfig {
+            trace_events: true,
+            ..crate::WorldConfig::default()
+        };
+        let r = crate::World::run_with(n, cfg, |c| {
+            let (me, n) = (c.rank(), c.size());
+            let _ = c.allgather(&[me as u64]);
+            let sub = c.split(Some((me % 2) as u32), -(me as i64));
+            // Far destinations first, then the ring neighbour.
+            for k in (1..n).rev().step_by(3) {
+                c.send_bytes((me + k) % n, 5, &vec![0; k]);
+            }
+            if n > 1 {
+                c.send_bytes((me + 1) % n, 6, &[]);
+            }
+            for k in (1..n).rev().step_by(3) {
+                let _ = c.recv_bytes((me + n - k) % n, 5);
+            }
+            if n > 1 {
+                let _ = c.recv_bytes((me + n - 1) % n, 6);
+            }
+            sub.expect("every rank has a colour").barrier();
+        });
+        r.trace
+    }
+
+    /// The matrices and totals, which must not depend on how much of
+    /// the log has been drained.
+    fn readings(t: &TraceRecorder) -> (CommMatrix, CommMatrix, u64, u64) {
+        (
+            t.byte_matrix(),
+            t.count_matrix(),
+            t.total_bytes(),
+            t.total_messages(),
+        )
+    }
+
     #[test]
     fn traced_worlds_record_row_major_cells_that_match_the_log() {
         for n in [1usize, 3, 17, 70] {
-            let cfg = crate::WorldConfig {
-                trace_events: true,
-                ..crate::WorldConfig::default()
-            };
-            let r = crate::World::run_with(n, cfg, |c| {
-                let (me, n) = (c.rank(), c.size());
-                let _ = c.allgather(&[me as u64]);
-                let sub = c.split(Some((me % 2) as u32), -(me as i64));
-                // Far destinations first, then the ring neighbour.
-                for k in (1..n).rev().step_by(3) {
-                    c.send_bytes((me + k) % n, 5, &vec![0; k]);
-                }
-                if n > 1 {
-                    c.send_bytes((me + 1) % n, 6, &[]);
-                }
-                for k in (1..n).rev().step_by(3) {
-                    let _ = c.recv_bytes((me + n - k) % n, 5);
-                }
-                if n > 1 {
-                    let _ = c.recv_bytes((me + n - 1) % n, 6);
-                }
-                sub.expect("every rank has a colour").barrier();
-            });
-            assert_cells_match_log(&r.trace);
+            let t = traced_world(n);
+            let before = readings(&t);
+            assert_cells_match_log(&t);
+            assert_eq!(readings(&t), before, "drained readings at n = {n}");
+            assert!(t.take_events().iter().all(Vec::is_empty));
+            // Consuming the log returns what draining it would.
+            assert_eq!(
+                traced_world(n).into_events(),
+                traced_world(n).take_events(),
+                "owned log at n = {n}"
+            );
         }
+    }
+
+    #[test]
+    fn logged_sends_are_folded_into_cells_only_when_drained() {
+        let t = traced_world(17);
+        assert_eq!(t.folded_cells(), 0, "a logged send is recorded once");
+        let before = readings(&t);
+        assert!(before.3 > 0);
+        assert_eq!(t.folded_cells(), 0, "reading folds nothing");
+        let drained = t.take_events().iter().map(Vec::len).sum::<usize>();
+        assert_eq!(drained as u64, before.3);
+        assert_eq!(t.folded_cells(), before.1.edge_count());
+        assert_eq!(readings(&t), before);
+
+        let unlogged = Arc::new(TraceRecorder::new(2, false));
+        unlogged.record(ev(0, 1, 3));
+        assert_eq!(unlogged.folded_cells(), 1);
+        assert!(unlogged.into_events().is_empty());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! tsunami exchange with real η edges followed by the update; the replay
 //! engine and the tests drive it. The traced world in `hcft-core` drives
 //! the same exchange shape-only ([`CartDecomp::exchange_shape`]): the
-//! traffic depends on the decomposition alone, so it builds no field.
+//! traffic depends on the decomposition alone, so it builds no field and
+//! sends every edge as [`HaloLink::send_zeros`], which writes no byte.
 //!
 //! A sequential reference solver ([`sequential::SequentialSim`])
 //! verifies that the parallel code computes the *identical* field

@@ -11,8 +11,10 @@
 //! so the exchange is [`CartDecomp::exchange`]: the replay engine and the
 //! tests drive it through [`RankState::step`], which fills and installs
 //! real η edges; the traced world drives it through
-//! [`CartDecomp::exchange_shape`], with zero-filled edges of the same
-//! lengths and no solver state at all.
+//! [`CartDecomp::exchange_shape`], which sends every edge as
+//! [`HaloLink::send_zeros`] of the same length — on a `Comm`, a view of
+//! one shared zero block, so no payload byte is written — and keeps no
+//! solver state at all.
 
 use crate::decomp::CartDecomp;
 use crate::kernel::{Dir, RankState};
@@ -45,23 +47,27 @@ impl CartDecomp {
     /// [`Dir::ALL`] order, on its [`halo_tag`]), then receive every halo.
     ///
     /// `fill(state, dir, buf)` writes the edge towards `dir` into the
-    /// empty pooled message buffer; `install(state, dir, raw)` takes the
+    /// empty pooled message buffer; with no `fill`, every edge goes out
+    /// as [`HaloLink::send_zeros`]. `install(state, dir, raw)` takes the
     /// halo landing on the `dir` side. A caller that only needs the
-    /// traffic passes a zero filler and a no-op install; a solver passes
-    /// its own edge and halo methods with itself as `state`.
+    /// traffic passes no filler and a no-op install; a solver passes its
+    /// own edge and halo methods with itself as `state`.
     pub fn exchange<S: ?Sized>(
         &self,
         phase: u64,
         link: &(impl HaloLink + ?Sized),
         state: &mut S,
-        fill: impl Fn(&S, Dir, &mut Vec<u8>),
+        fill: Option<impl Fn(&S, Dir, &mut Vec<u8>)>,
         install: impl Fn(&mut S, Dir, &[u8]),
     ) {
         link.set_phase(phase);
         for dir in Dir::ALL {
             if let Some(nbr) = self.neighbor(dir) {
-                let len = 8 * self.edge_cells(dir);
-                link.send_with(nbr, halo_tag(dir), len, &mut |buf| fill(state, dir, buf));
+                let (tag, len) = (halo_tag(dir), 8 * self.edge_cells(dir));
+                match &fill {
+                    Some(fill) => link.send_with(nbr, tag, len, &mut |buf| fill(state, dir, buf)),
+                    None => link.send_zeros(nbr, tag, len),
+                }
             }
         }
         for dir in Dir::ALL {
@@ -75,16 +81,17 @@ impl CartDecomp {
         }
     }
 
-    /// The exchange's traffic without a field: every edge goes out
-    /// zero-filled at its decomposed length and every halo is dropped.
-    /// Sends, tags, lengths and phases are those of [`RankState::step`]
-    /// at iteration `phase`; the traced world runs this.
+    /// The exchange's traffic without a field: every edge goes out as
+    /// zeros of its decomposed length ([`HaloLink::send_zeros`]) and
+    /// every halo is dropped. Sends, tags, lengths and phases are those
+    /// of [`RankState::step`] at iteration `phase`; the traced world runs
+    /// this.
     pub fn exchange_shape(&self, phase: u64, link: &(impl HaloLink + ?Sized)) {
         self.exchange(
             phase,
             link,
             &mut (),
-            |(), dir, buf| buf.resize(8 * self.edge_cells(dir), 0),
+            None::<fn(&(), Dir, &mut Vec<u8>)>,
             |(), _, _| {},
         );
     }
@@ -104,7 +111,7 @@ impl RankState {
             self.iteration(),
             link,
             self,
-            Self::edge_out_bytes,
+            Some(Self::edge_out_bytes),
             Self::set_halo_bytes,
         );
         self.update(p);

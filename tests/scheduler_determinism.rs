@@ -88,21 +88,21 @@ fn traced_csvs_identical_across_workers_and_engines() {
 /// = 23 936 simulated ranks, past `pid_max` for thread-per-rank — it
 /// completes only on the M:N task scheduler with the sparse trace
 /// recorder, and must show the full traffic structure within its memory
-/// bound. About 2 s and 0.9 GB in release:
+/// bound. About 1 s and 0.17 GB in release:
 /// `cargo test --release -- --ignored ranks_22k` (add `--nocapture` to
 /// see the process's peak RSS).
 #[test]
 #[ignore = "23 936-rank traced run; run explicitly in release"]
 fn ranks_22k_traced_run_completes_on_the_task_scheduler() {
-    // Measured VmHWM 903 248–953 136 kB (x86_64 Linux, 2 workers; two
-    // pages a stack instead of one read 1 064 440–1 103 588 kB). Traced
-    // application ranks hold no solver field, so the peak is the
-    // touched coroutine stacks, the in-flight halo buffers
-    // and the sparse recorder; the FTI allgather and split add one
-    // n-block buffer per call, not one per rank. Ranks that built their
-    // 22 528 × 4 096-cell solver state again read 4.2–4.3 GB and fail
-    // this bound.
-    const PEAK_RSS_BOUND_KB: u64 = 2_000_000;
+    // Measured VmHWM 171 144–171 404 kB (x86_64 Linux, 2 workers).
+    // Traced ranks hold no solver field and send their halos and parity
+    // blocks as views of one shared zero block, so the peak is the
+    // touched coroutine stacks and the sparse recorder; the FTI
+    // allgather and split add one n-block buffer per call, not one per
+    // rank. Zero-filled pooled halo buffers, in flight per rank, read
+    // 903 248–955 276 kB and fail this bound; ranks that built their
+    // 22 528 × 4 096-cell solver state read 4.2–4.3 GB.
+    const PEAK_RSS_BOUND_KB: u64 = 500_000;
     let job = TracedJobConfig::builder(1408, 16)
         .iterations(10)
         .checkpoint_every(5)
