@@ -4,9 +4,8 @@ use hcft_erasure::EncodingModel;
 use hcft_graph::CommMatrix;
 use hcft_msglog::HybridProtocol;
 use hcft_reliability::model::fti_tolerance;
-use hcft_reliability::{EventDistribution, ReliabilityModel};
+use hcft_reliability::{ClusteringDigest, EventDistribution, ReliabilityModel};
 use hcft_topology::Placement;
-use rayon::prelude::*;
 
 use crate::strategies::ClusteringScheme;
 
@@ -77,41 +76,29 @@ impl Evaluator {
     }
 
     /// Score every scheme, in order, as [`evaluate`](Self::evaluate)
-    /// would one at a time. The logging, restart and encoding dimensions
-    /// fan out over schemes; P(catastrophic) is computed once per
-    /// distinct L2 digest, in parallel over the distinct digests
-    /// ([`ReliabilityModel::p_catastrophic_sweep`]). Every score is
-    /// bit-identical at any thread count.
+    /// would one at a time, with P(catastrophic) computed once per
+    /// distinct L2 digest ([`ReliabilityModel::p_catastrophic_sweep`]).
+    /// Scoring runs on the calling thread: at paper scale a whole sweep
+    /// is a few milliseconds, less than a thread fan-out costs.
     pub(crate) fn evaluate_all(&self, schemes: &[ClusteringScheme]) -> Vec<FourDScore> {
-        let (rows, digests): (Vec<_>, Vec<_>) = schemes
-            .par_iter()
-            .map(|scheme| {
-                let protocol = HybridProtocol::new(scheme.l1.clone());
-                let stats = protocol.stats_from_matrix(&self.matrix);
-                let restart = protocol.expected_restart_fraction(&self.placement);
-                // The encoding time is governed by the largest L2 cluster
-                // (all clusters encode in parallel; the slowest gates the
-                // checkpoint).
-                let encode = self.encoding.seconds_per_gb(scheme.l2.max_size());
-                let digest = self
-                    .reliability
-                    .digest(&scheme.l2, &self.placement, &fti_tolerance);
-                ((stats, restart, encode), digest)
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .unzip();
+        let digests: Vec<ClusteringDigest> = schemes
+            .iter()
+            .map(|scheme| ClusteringDigest::new(&scheme.l2, &self.placement, &fti_tolerance))
+            .collect();
         let p_cat = self.reliability.p_catastrophic_sweep(&digests);
         schemes
             .iter()
-            .zip(rows)
             .zip(p_cat)
-            .map(|((scheme, (stats, restart, encode)), p_cat)| {
+            .map(|(scheme, p_cat)| {
+                let protocol = HybridProtocol::new(scheme.l1.clone());
+                let stats = protocol.stats_from_matrix(&self.matrix);
                 let score = FourDScore {
                     name: scheme.name.clone(),
                     logging_fraction: stats.logged_fraction(),
-                    restart_fraction: restart,
-                    encode_s_per_gb: encode,
+                    restart_fraction: protocol.expected_restart_fraction(&self.placement),
+                    // The largest L2 cluster gates the checkpoint: all
+                    // clusters encode in parallel.
+                    encode_s_per_gb: self.encoding.seconds_per_gb(scheme.l2.max_size()),
                     p_catastrophic: p_cat,
                 };
                 publish_score(&score, stats.logged_bytes, stats.total_bytes);

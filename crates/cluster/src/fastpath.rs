@@ -1,21 +1,17 @@
 //! Counting fast path for the Monte-Carlo campaign's two per-event
 //! questions: *is this node-loss event catastrophic?* and *how many ranks
-//! restart?*
+//! restart?* The first is the workspace's one catastrophe judge,
+//! [`EventJudge`] on the scheme's L2 [`ClusteringDigest`]. For the second,
+//! [`SchemeIndex`] precomputes the distinct L1 clusters each node hosts,
+//! so an event is answered without `HybridProtocol::restart_set`'s sorted
+//! `Vec<Rank>`: O(j · entries per node) counter bumps against
+//! epoch-stamped scratch, no clearing, no allocation.
 //!
-//! [`ClusteringScheme::defeated_by`] answers the first by scanning every
-//! L2 cluster's member list — O(nprocs) per event — and the restart size
-//! goes through `HybridProtocol::restart_set`, which materialises and
-//! sorts a `Vec<Rank>` per event. Neither is acceptable at millions of
-//! trials. [`SchemeIndex`] precomputes, per *node*, the L2 clusters its
-//! ranks feed (with member counts) and the distinct L1 clusters it
-//! hosts; an event touching `j` nodes is then judged in
-//! O(j · ranks-per-node) counter bumps against epoch-stamped scratch —
-//! no clearing, no allocation, no per-event `Vec` of ranks.
-//!
-//! The answers are exact: `fastpath_agrees_with_reference` proptests
-//! both against the slow paths for arbitrary schemes and failed sets.
+//! `fastpath_agrees_with_reference` proptests both answers against a
+//! member scan and the restart set, on flat and two-level schemes.
 
 use hcft_reliability::model::fti_tolerance;
+use hcft_reliability::{ClusteringDigest, EventJudge, JudgeScratch};
 use hcft_topology::{NodeId, Placement};
 
 use crate::strategies::ClusteringScheme;
@@ -26,13 +22,8 @@ use crate::strategies::ClusteringScheme;
 /// pair with a per-thread [`SchemeScratch`] for the mutable counters.
 #[derive(Clone, Debug)]
 pub struct SchemeIndex {
-    nodes: usize,
-    /// CSR over nodes: `l2_pairs[l2_off[n]..l2_off[n+1]]` lists
-    /// `(l2 cluster, members of that cluster on node n)`.
-    l2_off: Vec<u32>,
-    l2_pairs: Vec<(u32, u32)>,
-    /// Reed–Solomon tolerance per L2 cluster ([`fti_tolerance`]).
-    l2_tolerance: Vec<u32>,
+    /// The L2 half: the catastrophe judge of the L2 digest.
+    l2: EventJudge,
     /// CSR over nodes: distinct L1 clusters hosted by node n.
     l1_off: Vec<u32>,
     l1_clusters: Vec<u32>,
@@ -43,9 +34,7 @@ pub struct SchemeIndex {
 /// Epoch-stamped counters for one thread of [`SchemeIndex`] queries.
 #[derive(Clone, Debug)]
 pub struct SchemeScratch {
-    l2_epoch: u32,
-    l2_stamp: Vec<u32>,
-    l2_lost: Vec<u32>,
+    l2: JudgeScratch,
     l1_epoch: u32,
     l1_stamp: Vec<u32>,
 }
@@ -53,35 +42,20 @@ pub struct SchemeScratch {
 impl SchemeIndex {
     /// Index `scheme` against `placement`.
     pub fn new(scheme: &ClusteringScheme, placement: &Placement) -> Self {
-        let nodes = placement.nodes();
-        let mut per_node_l2: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nodes];
-        let mut l2_tolerance = vec![0u32; scheme.l2.len()];
-        for (c, members) in scheme.l2.iter() {
-            l2_tolerance[c] = fti_tolerance(members.len()) as u32;
-            for &r in members {
-                let n = placement.node_of(r).idx();
-                match per_node_l2[n].iter_mut().find(|(cl, _)| *cl == c as u32) {
-                    Some((_, cnt)) => *cnt += 1,
-                    None => per_node_l2[n].push((c as u32, 1)),
-                }
-            }
-        }
-        let mut l2_off = Vec::with_capacity(nodes + 1);
-        let mut l2_pairs = Vec::new();
-        l2_off.push(0u32);
-        for pairs in &per_node_l2 {
-            l2_pairs.extend_from_slice(pairs);
-            l2_off.push(l2_pairs.len() as u32);
-        }
+        let l2 = EventJudge::new(&ClusteringDigest::new(
+            &scheme.l2,
+            placement,
+            &fti_tolerance,
+        ));
         let l1_size: Vec<u32> = scheme
             .l1
             .iter()
             .map(|(_, members)| members.len() as u32)
             .collect();
-        let mut l1_off = Vec::with_capacity(nodes + 1);
+        let mut l1_off = Vec::with_capacity(placement.nodes() + 1);
         let mut l1_clusters = Vec::new();
         l1_off.push(0u32);
-        for n in 0..nodes {
+        for n in 0..placement.nodes() {
             let start = l1_clusters.len();
             for &r in placement.ranks_on(NodeId::from(n)) {
                 let c = scheme.l1.cluster_of(r) as u32;
@@ -92,10 +66,7 @@ impl SchemeIndex {
             l1_off.push(l1_clusters.len() as u32);
         }
         SchemeIndex {
-            nodes,
-            l2_off,
-            l2_pairs,
-            l2_tolerance,
+            l2,
             l1_off,
             l1_clusters,
             l1_size,
@@ -104,43 +75,24 @@ impl SchemeIndex {
 
     /// Number of placed nodes the index covers.
     pub fn nodes(&self) -> usize {
-        self.nodes
+        self.l1_off.len() - 1
     }
 
     /// A scratch sized for this index.
     pub fn scratch(&self) -> SchemeScratch {
         SchemeScratch {
-            l2_epoch: 0,
-            l2_stamp: vec![0; self.l2_tolerance.len()],
-            l2_lost: vec![0; self.l2_tolerance.len()],
+            l2: self.l2.scratch(),
             l1_epoch: 0,
             l1_stamp: vec![0; self.l1_size.len()],
         }
     }
 
     /// Does losing exactly the nodes in `failed` (distinct indices)
-    /// defeat the scheme's L2 redundancy? Same judgement as
-    /// [`ClusteringScheme::defeated_by`], in O(Σ per-node L2 entries).
+    /// defeat the scheme's L2 redundancy? [`EventJudge::defeated_by`] on
+    /// the L2 digest, in O(Σ per-node L2 entries).
     #[inline]
     pub fn defeated_by(&self, failed: &[u32], scratch: &mut SchemeScratch) -> bool {
-        let epoch = scratch.next_l2_epoch();
-        for &n in failed {
-            let (lo, hi) = (self.l2_off[n as usize], self.l2_off[n as usize + 1]);
-            for &(c, cnt) in &self.l2_pairs[lo as usize..hi as usize] {
-                let c = c as usize;
-                let lost = if scratch.l2_stamp[c] == epoch {
-                    scratch.l2_lost[c] + cnt
-                } else {
-                    scratch.l2_stamp[c] = epoch;
-                    cnt
-                };
-                scratch.l2_lost[c] = lost;
-                if lost > self.l2_tolerance[c] {
-                    return true;
-                }
-            }
-        }
-        false
+        self.l2.defeated_by(failed, &mut scratch.l2)
     }
 
     /// Number of ranks forced to restart when the nodes in `failed` die:
@@ -167,16 +119,6 @@ impl SchemeIndex {
 
 impl SchemeScratch {
     #[inline]
-    fn next_l2_epoch(&mut self) -> u32 {
-        self.l2_epoch = self.l2_epoch.wrapping_add(1);
-        if self.l2_epoch == 0 {
-            self.l2_stamp.fill(0);
-            self.l2_epoch = 1;
-        }
-        self.l2_epoch
-    }
-
-    #[inline]
     fn next_l1_epoch(&mut self) -> u32 {
         self.l1_epoch = self.l1_epoch.wrapping_add(1);
         if self.l1_epoch == 0 {
@@ -190,14 +132,42 @@ impl SchemeScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::{distributed, naive, striped};
+    use crate::strategies::{distributed, hierarchical, naive, striped, HierarchicalConfig};
+    use hcft_graph::{CommMatrix, WeightedGraph};
     use hcft_msglog::HybridProtocol;
     use hcft_topology::Rank;
     use proptest::prelude::*;
 
+    /// The scan oracle: does some L2 cluster lose more members to the
+    /// `failed` nodes than FTI's Reed–Solomon code tolerates? O(nprocs),
+    /// read off the member lists with no digest.
     fn reference_defeated(s: &ClusteringScheme, p: &Placement, failed: &[u32]) -> bool {
-        let nodes: Vec<NodeId> = failed.iter().map(|&n| NodeId(n)).collect();
-        s.defeated_by(p, &nodes)
+        let mut down = vec![false; p.nodes()];
+        for &n in failed {
+            down[n as usize] = true;
+        }
+        s.l2.iter().any(|(_, members)| {
+            let lost = members
+                .iter()
+                .filter(|&&r| down[p.node_of(r).idx()])
+                .count();
+            lost > fti_tolerance(members.len())
+        })
+    }
+
+    /// A hierarchical scheme on `p` over a chain of nodes: L1 blocks of
+    /// 4–8 nodes, L2 groups of two nodes, one rank a slot.
+    fn small_hierarchical(p: &Placement) -> ClusteringScheme {
+        let mut m = CommMatrix::new(p.nodes());
+        for n in 1..p.nodes() {
+            m.add(n - 1, n, 100);
+            m.add(n, n - 1, 100);
+        }
+        let cfg = HierarchicalConfig {
+            l2_group_nodes: 2,
+            ..HierarchicalConfig::default()
+        };
+        hierarchical(p, &WeightedGraph::from_comm_matrix(&m), &cfg)
     }
 
     fn reference_restart(s: &ClusteringScheme, p: &Placement, failed: &[u32]) -> u64 {
@@ -259,10 +229,17 @@ mod tests {
         ) {
             let p = Placement::block(nodes, ppn);
             let nprocs = nodes * ppn;
-            let schemes = vec![
+            let mut schemes = vec![
                 naive(nprocs, size.min(nprocs)),
                 distributed(&p, size.min(nodes).max(2)),
             ];
+            // Two-level schemes, whose L1 and L2 differ.
+            if nodes % 2 == 0 && nprocs % 2 == 0 {
+                schemes.push(striped(&p, 2, 2));
+            }
+            if nodes >= 4 {
+                schemes.push(small_hierarchical(&p));
+            }
             let mut failed: Vec<u32> = picks.iter().map(|&x| (x % nodes) as u32).collect();
             failed.sort_unstable();
             failed.dedup();

@@ -64,27 +64,6 @@ impl ClusteringScheme {
         }
         nodes
     }
-
-    /// Does losing `failed` nodes defeat this scheme's L2 redundancy?
-    ///
-    /// True when any L2 encoding cluster loses more members than its
-    /// RS(s, s) tolerance ([`hcft_reliability::model::fti_tolerance`]) — the
-    /// catastrophic case: the data is unrecoverable without a PFS copy.
-    /// Shared by the Monte-Carlo campaign and `FaultScenario` resolution
-    /// so both judge catastrophes identically.
-    pub fn defeated_by(&self, placement: &Placement, failed: &[NodeId]) -> bool {
-        let mut down = vec![false; placement.nodes()];
-        for &n in failed {
-            down[n.idx()] = true;
-        }
-        self.l2.iter().any(|(_, members)| {
-            let lost = members
-                .iter()
-                .filter(|&&r| down[placement.node_of(r).idx()])
-                .count();
-            lost > hcft_reliability::model::fti_tolerance(members.len())
-        })
-    }
 }
 
 /// §III-A — naïve clustering: consecutive ranks in clusters of `size`
@@ -146,9 +125,9 @@ pub fn distributed(placement: &Placement, size: usize) -> ClusteringScheme {
 /// while L2 (encoding) groups of `l2_size` ranks stride across the rank
 /// space so every group spreads over many L1 clusters. Killing all nodes
 /// of one L1 cluster then costs each L2 group only
-/// `l1_nodes·ppn / (nprocs/l2_size)` members — keep that at or below
-/// [`hcft_reliability::model::fti_tolerance`]`(l2_size)` and the dead
-/// cluster's checkpoints remain RS-rebuildable from survivors' parity.
+/// `l1_nodes·ppn / (nprocs/l2_size)` members — keep that within the
+/// group's tolerance (half of it, rounded up) and the dead cluster's
+/// checkpoints remain RS-rebuildable from survivors' parity.
 /// This is the layout the live replay engine's cluster-kill scenarios
 /// assume.
 ///
@@ -319,6 +298,7 @@ pub fn hierarchical(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SchemeIndex;
     use hcft_graph::CommMatrix;
 
     /// Node graph of a 1-D chain of nodes with heavy neighbour traffic.
@@ -340,26 +320,27 @@ mod tests {
     fn striped_survives_a_whole_l1_cluster_loss() {
         // 16 nodes x 4 ranks; L1 = 4-node blocks (4 clusters of 16
         // ranks), L2 = 8 strided groups of 8. A full L1 cluster is 16
-        // consecutive ranks = 2 members of each L2 group; tolerance is
-        // fti_tolerance(8) = 4, so the kill stays recoverable.
+        // consecutive ranks = 2 members of each L2 group, which
+        // tolerates 4 of its 8, so the kill stays recoverable.
         let placement = Placement::block(16, 4);
         let s = striped(&placement, 4, 8);
         assert_eq!(s.l1.len(), 4);
         assert_eq!(s.l2.len(), 8);
+        let index = SchemeIndex::new(&s, &placement);
+        let mut scratch = index.scratch();
+        let ids = |nodes: Vec<NodeId>| nodes.into_iter().map(|n| n.0).collect::<Vec<u32>>();
         for c in 0..s.l1.len() {
-            let nodes = s.nodes_of_l1(&placement, c);
+            let nodes = ids(s.nodes_of_l1(&placement, c));
             assert_eq!(nodes.len(), 4);
             assert!(
-                !s.defeated_by(&placement, &nodes),
+                !index.defeated_by(&nodes, &mut scratch),
                 "losing all of L1 cluster {c} must not defeat L2"
             );
         }
         // But losing two whole L1 clusters (4 of 8 members per group)
         // crosses the tolerance boundary only at 5+, so check 3 clusters.
-        let mut nodes = s.nodes_of_l1(&placement, 0);
-        nodes.extend(s.nodes_of_l1(&placement, 1));
-        nodes.extend(s.nodes_of_l1(&placement, 2));
-        assert!(s.defeated_by(&placement, &nodes));
+        let nodes = ids((0..3).flat_map(|c| s.nodes_of_l1(&placement, c)).collect());
+        assert!(index.defeated_by(&nodes, &mut scratch));
     }
 
     #[test]

@@ -405,10 +405,9 @@ impl SchemeFamilySpec {
     /// Build every strategy on the evaluator's placement and `node_graph`
     /// and score it, in spec order. Building is sequential (the
     /// hierarchical partitioner is milliseconds at paper scale); scoring
-    /// dominates and is `Evaluator::evaluate_all`, which fans out over
-    /// rayon with order-preserving collects and computes P(catastrophic)
-    /// once per distinct L2 digest, so the rows are byte-identical at any
-    /// thread count.
+    /// dominates and is `Evaluator::evaluate_all`, which runs on the
+    /// calling thread and computes P(catastrophic) once per distinct L2
+    /// digest, so the rows are byte-identical at any thread count.
     ///
     /// An empty spec is a `Config` error. An entry the machine cannot
     /// host fails the whole call with its strategy's validation error;

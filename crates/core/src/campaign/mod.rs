@@ -13,8 +13,9 @@
 //!
 //! * [`kernel`] — the batched trial kernel: scratch-buffer reuse for
 //!   arrival times and failed-node samples, a counting fast path for
-//!   catastrophe/restart judgements ([`hcft_cluster::SchemeIndex`]) and a
-//!   LUT-guided event-class sampler. Trial-for-trial identical to the
+//!   catastrophe/restart judgements ([`hcft_cluster::SchemeIndex`], over
+//!   the one judge [`hcft_reliability::EventJudge`]) and a LUT-guided
+//!   event-class sampler. Trial-for-trial identical to the
 //!   retained scalar [`run_trial_reference`] — proptested in
 //!   `tests/campaign_kernel.rs`.
 //! * [`stats`] — streaming Welford mean/variance per metric with 95 %
@@ -120,7 +121,7 @@ pub fn simulate_campaign(
 
 /// The pre-engine scalar implementation, retained as the correctness
 /// reference: per-event `Vec` materialisation, [`FaultScenario`]
-/// construction and the O(nprocs) `defeated_by` scan.
+/// construction and a catastrophe judge built per event in O(nprocs).
 #[cfg(test)]
 fn simulate_campaign_reference(
     scheme: &ClusteringScheme,
@@ -196,9 +197,9 @@ pub fn run_trial_reference(
             .into_iter()
             .map(NodeId::from)
             .collect();
-        // Each sampled event becomes a FaultScenario, so the campaign
-        // judges catastrophes with exactly the rule every other
-        // fault-injection surface uses (ClusteringScheme::defeated_by).
+        // Each sampled event becomes a FaultScenario, so the reference
+        // resolves and judges it as every fault-injection surface does
+        // (FaultScenario::is_catastrophic, a judge built per event).
         let event = FaultScenario::nodes_loss(&failed_nodes, (t_h * 3600.0) as u64);
         if event
             .is_catastrophic(placement, scheme, None)

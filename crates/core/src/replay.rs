@@ -639,10 +639,12 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
     }
 
     /// Everything that can be rejected before a world is launched: the
-    /// engine's own configuration, each scenario's targets, timing and
-    /// injection preconditions (including the corruption/erasure
-    /// interaction that would otherwise poison a Reed–Solomon rebuild),
-    /// and the order of the sequence. Returns the resolved strikes.
+    /// engine's own configuration, each scenario's targets (their
+    /// resolution also refuses a scheme that does not cover the
+    /// placement), timing and injection preconditions (including the
+    /// corruption/erasure interaction that would otherwise poison a
+    /// Reed–Solomon rebuild), and the order of the sequence. Returns the
+    /// resolved strikes.
     fn validate<'s>(
         &self,
         scenarios: &'s [FaultScenario],
@@ -651,14 +653,6 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
         let cfg_err = |msg: String| Err(HcftError::Config(msg));
         if self.cfg.checkpoint_every == 0 {
             return cfg_err("checkpoint cadence must be positive".to_string());
-        }
-        let n = self.placement.nprocs();
-        if self.scheme.l1.nprocs() != n || self.scheme.l2.nprocs() != n {
-            return cfg_err(format!(
-                "clustering scheme covers {} (L1) / {} (L2) ranks, the placement has {n}",
-                self.scheme.l1.nprocs(),
-                self.scheme.l2.nprocs()
-            ));
         }
         if scenarios.is_empty() {
             return cfg_err("a run needs at least one fault scenario".to_string());
@@ -1367,7 +1361,7 @@ mod tests {
         let dir = TempDir::new();
         let eng = engine(&dir);
         // Both nodes of L1 cluster 0 = all 8 members of its L2 group:
-        // beyond fti_tolerance(8) = 4 members.
+        // beyond the 4 members it tolerates.
         let scenario = FaultScenario::at(7).l1_cluster(0).build();
         assert!(matches!(
             eng.run(&scenario, 10),

@@ -8,13 +8,14 @@
 //! ([`run`](crate::replay::ReplayEngine::run)) or as one of several
 //! strikes on the same run
 //! ([`run_sequence`](crate::replay::ReplayEngine::run_sequence)) — or to
-//! campaign-style analysis ([`FaultScenario::is_catastrophic`]).
+//! campaign-style analysis ([`FaultScenario::is_catastrophic`], which asks
+//! the campaign kernel's judge, [`SchemeIndex`]).
 //!
 //! Targets are *symbolic* until [`FaultScenario::failed_nodes`] resolves
 //! them against a concrete placement + clustering (+ machine, for PSU
 //! correlation), so one scenario is reusable across schemes and scales.
 
-use hcft_cluster::ClusteringScheme;
+use hcft_cluster::{ClusteringScheme, SchemeIndex};
 use hcft_telemetry::HcftError;
 use hcft_topology::{MachineSpec, NodeId, Placement, Rank};
 
@@ -131,13 +132,23 @@ impl FaultScenario {
     /// first-appearance order without duplicates.
     ///
     /// `machine` is only consulted for [`FaultTarget::PsuGroupOf`];
-    /// resolving a PSU target without one is a configuration error.
+    /// resolving a PSU target without one is a configuration error, and
+    /// so is a scheme whose L1 or L2 clustering covers another number of
+    /// ranks than `placement` holds.
     pub fn failed_nodes(
         &self,
         placement: &Placement,
         scheme: &ClusteringScheme,
         machine: Option<&MachineSpec>,
     ) -> Result<Vec<NodeId>, HcftError> {
+        let n = placement.nprocs();
+        if scheme.l1.nprocs() != n || scheme.l2.nprocs() != n {
+            return Err(HcftError::Config(format!(
+                "clustering scheme covers {} (L1) / {} (L2) ranks, the placement has {n}",
+                scheme.l1.nprocs(),
+                scheme.l2.nprocs()
+            )));
+        }
         if self.targets.is_empty() {
             return Err(HcftError::Config(
                 "fault scenario has no targets".to_string(),
@@ -219,9 +230,9 @@ impl FaultScenario {
         Ok(ranks)
     }
 
-    /// Would the primary loss defeat the scheme's L2 redundancy (same
-    /// judgement as the Monte-Carlo campaign)? Cascades are not included:
-    /// they strike later, possibly after partial recovery.
+    /// Would the primary loss defeat the scheme's L2 redundancy? Judged
+    /// by a [`SchemeIndex`] built per call, in O(nprocs). Cascades are not
+    /// included: they strike later, possibly after partial recovery.
     pub fn is_catastrophic(
         &self,
         placement: &Placement,
@@ -229,7 +240,9 @@ impl FaultScenario {
         machine: Option<&MachineSpec>,
     ) -> Result<bool, HcftError> {
         let nodes = self.failed_nodes(placement, scheme, machine)?;
-        Ok(scheme.defeated_by(placement, &nodes))
+        let failed: Vec<u32> = nodes.iter().map(|n| n.0).collect();
+        let index = SchemeIndex::new(scheme, placement);
+        Ok(index.defeated_by(&failed, &mut index.scratch()))
     }
 }
 
@@ -367,11 +380,28 @@ mod tests {
     }
 
     #[test]
+    fn schemes_that_do_not_cover_the_placement_are_config_errors() {
+        // 4 nodes × 8 ranks = 32 ranks; one scheme over more ranks, one
+        // over fewer.
+        let p = Placement::block(4, 8);
+        let sc = FaultScenario::node_loss(NodeId(3), 0);
+        for s in [naive(64, 16), naive(16, 8)] {
+            assert!(matches!(
+                sc.failed_nodes(&p, &s, None),
+                Err(HcftError::Config(_))
+            ));
+            assert!(matches!(
+                sc.is_catastrophic(&p, &s, None),
+                Err(HcftError::Config(_))
+            ));
+        }
+    }
+
+    #[test]
     fn catastrophe_judgement_matches_l2_tolerance() {
         let (p, s) = setup();
-        // L2 clusters of 8 members tolerate fti_tolerance(8) = 4 lost
-        // members = 1 node here; 2 nodes of one cluster (8 members) is
-        // catastrophic.
+        // L2 clusters of 8 members tolerate 4 lost members = 1 node here;
+        // 2 nodes of one cluster (8 members) is catastrophic.
         let one = FaultScenario::node_loss(NodeId(0), 0);
         assert!(!one.is_catastrophic(&p, &s, None).unwrap());
         let two = FaultScenario::at(0).l1_cluster(0).build();

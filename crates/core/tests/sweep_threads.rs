@@ -1,6 +1,7 @@
 //! `evaluate_family_sweep` returns the same bytes at one and two rayon
-//! threads: its per-scheme fan-out and its one P(catastrophic) per
-//! distinct L2 digest are order-preserving collects.
+//! threads. It scores every scheme, and P(catastrophic) once per
+//! distinct L2 digest, on the calling thread; this keeps a thread pool
+//! from ever reaching the scores, should the scoring fan out again.
 //!
 //! The compat rayon pool latches `RAYON_NUM_THREADS` once per process, so
 //! the test runs this test binary twice more, pinned to each count, on

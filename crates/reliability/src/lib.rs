@@ -13,7 +13,8 @@
 //! * `combinatorics` — exact hypergeometric machinery;
 //! * [`model`] — P(catastrophic) per clustering, exact: the failure sets
 //!   of each size that kill no cluster are counted in integers, one
-//!   polynomial per node-disjoint failure component, multiplied;
+//!   polynomial per node-disjoint failure component, multiplied; and
+//!   [`EventJudge`], the one judge of whether a single event kills one;
 //! * [`sampler`] — the one node sampler, which the campaign kernel draws
 //!   its failed nodes with;
 //! * [`arrivals`] — failure arrival processes (exponential and Weibull)
@@ -31,5 +32,5 @@ pub mod sampler;
 pub use arrivals::FailureArrivals;
 pub use efficiency::EfficiencyModel;
 pub use events::{ClassSampler, EventDistribution};
-pub use model::ReliabilityModel;
+pub use model::{ClusteringDigest, EventJudge, JudgeScratch, ReliabilityModel};
 pub use sampler::NodeSampler;

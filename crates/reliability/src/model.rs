@@ -42,15 +42,17 @@
 //!
 //! [`ReliabilityModel::p_catastrophic_sweep`] scores many clusterings at
 //! once: it computes P(catastrophic) once per distinct ordered
-//! [`ClusteringDigest`], in parallel over the distinct digests, and fans
-//! the values back out in input order, bit-identical at any thread count
-//! and to scoring each clustering alone.
+//! [`ClusteringDigest`] and fans the values back out in input order,
+//! bit-identical to scoring each clustering alone.
+//!
+//! [`EventJudge`] applies the same rule to one event at a time. It is the
+//! workspace's only such judge: the campaign kernel and fault scenarios
+//! ask it through `hcft_cluster::SchemeIndex`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use hcft_graph::Clustering;
 use hcft_topology::Placement;
-use rayon::prelude::*;
 
 use crate::combinatorics::{checked_choose, choose};
 use crate::events::EventDistribution;
@@ -74,14 +76,136 @@ struct ClusterNodes {
     tolerance: u32,
 }
 
-/// What P(catastrophic) reads of a clustering on a placement: per
-/// distinct cluster, in clustering order, the nodes holding its members
-/// (with counts) and its erasure tolerance. Clusterings with equal
-/// digests have bit-identical probabilities; see
-/// [`ReliabilityModel::p_catastrophic_sweep`].
+/// What a node failure touches: per distinct cluster, in clustering
+/// order, the nodes holding its members (with counts) and its erasure
+/// tolerance. P(catastrophic) counts failure sets against it and an
+/// [`EventJudge`] judges single events against it; equal digests have
+/// bit-identical probabilities.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ClusteringDigest {
+    /// Placed nodes, whether or not they hold a member.
+    nodes: usize,
     clusters: Vec<ClusterNodes>,
+}
+
+impl ClusteringDigest {
+    /// The digest of `clustering` on `placement`, a cluster of `s`
+    /// members tolerating `tolerance(s)` losses.
+    pub fn new(
+        clustering: &Clustering,
+        placement: &Placement,
+        tolerance: &dyn Fn(usize) -> usize,
+    ) -> Self {
+        let mut nodes = Vec::new();
+        let all: Vec<ClusterNodes> = clustering
+            .iter()
+            .map(|(_, members)| {
+                nodes.clear();
+                nodes.extend(members.iter().map(|&r| placement.node_of(r).idx()));
+                nodes.sort_unstable();
+                ClusterNodes {
+                    counts: (nodes.chunk_by(|a, b| a == b))
+                        .map(|run| (run[0], run.len() as u32))
+                        .collect(),
+                    tolerance: tolerance(members.len()) as u32,
+                }
+            })
+            .collect();
+        // Clusters with identical signatures (the per-slot L2 clusters of
+        // a node group) live and die together; one representative keeps
+        // their nodes a one-cluster component, which the knapsack counts.
+        let mut seen = HashSet::new();
+        let first: Vec<bool> = all.iter().map(|c| seen.insert(c)).collect();
+        let clusters = (all.into_iter().zip(first))
+            .filter_map(|(c, first)| first.then_some(c))
+            .collect();
+        ClusteringDigest {
+            nodes: placement.nodes(),
+            clusters,
+        }
+    }
+}
+
+/// The one judge of a single failure event: does losing exactly a set of
+/// nodes take some cluster of a [`ClusteringDigest`] past its tolerance?
+/// Build once per digest and share across threads; each thread brings
+/// its own [`JudgeScratch`].
+#[derive(Clone, Debug)]
+pub struct EventJudge {
+    /// CSR over nodes: `held[off[n]..off[n + 1]]` lists
+    /// `(cluster, members on node n)`.
+    off: Vec<u32>,
+    held: Vec<(u32, u32)>,
+    /// Erasure tolerance per digest cluster.
+    tolerance: Vec<u32>,
+}
+
+/// Epoch-stamped loss counters for one thread of [`EventJudge`] queries:
+/// a stale stamp reads as no loss, so nothing is cleared between events.
+#[derive(Clone, Debug)]
+pub struct JudgeScratch {
+    epoch: u32,
+    /// Per digest cluster: (epoch of its last loss, members lost then).
+    lost: Vec<(u32, u32)>,
+}
+
+impl EventJudge {
+    /// Index `digest` by node.
+    pub fn new(digest: &ClusteringDigest) -> Self {
+        let mut off = vec![0u32; digest.nodes + 1];
+        for &(n, _) in digest.clusters.iter().flat_map(|c| &c.counts) {
+            off[n + 1] += 1;
+        }
+        for n in 1..off.len() {
+            off[n] += off[n - 1];
+        }
+        let mut held = vec![(0, 0); off[digest.nodes] as usize];
+        let mut next = off.clone();
+        for (c, cluster) in digest.clusters.iter().enumerate() {
+            for &(n, members) in &cluster.counts {
+                held[next[n] as usize] = (c as u32, members);
+                next[n] += 1;
+            }
+        }
+        EventJudge {
+            off,
+            held,
+            tolerance: digest.clusters.iter().map(|c| c.tolerance).collect(),
+        }
+    }
+
+    /// A scratch sized for this judge.
+    pub fn scratch(&self) -> JudgeScratch {
+        JudgeScratch {
+            epoch: 0,
+            lost: vec![(0, 0); self.tolerance.len()],
+        }
+    }
+
+    /// Does losing exactly the nodes in `failed` (distinct indices of
+    /// placed nodes) take some cluster past its tolerance, that is, is
+    /// the event catastrophic? O(Σ entries of the failed nodes).
+    #[inline]
+    pub fn defeated_by(&self, failed: &[u32], scratch: &mut JudgeScratch) -> bool {
+        scratch.epoch = scratch.epoch.wrapping_add(1);
+        if scratch.epoch == 0 {
+            scratch.lost.fill((0, 0));
+            scratch.epoch = 1;
+        }
+        let epoch = scratch.epoch;
+        for &n in failed {
+            let (lo, hi) = (self.off[n as usize], self.off[n as usize + 1]);
+            for &(c, cnt) in &self.held[lo as usize..hi as usize] {
+                let (stamp, lost) = &mut scratch.lost[c as usize];
+                *lost = if *stamp == epoch { *lost + cnt } else { cnt };
+                *stamp = epoch;
+                if *lost > self.tolerance[c as usize] {
+                    return true;
+                }
+            }
+        }
+        false
+    }
 }
 
 /// Reliability model for one machine size and event distribution.
@@ -105,46 +229,6 @@ impl ReliabilityModel {
         ReliabilityModel { nodes, dist }
     }
 
-    /// Number of nodes modelled.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// The digest P(catastrophic) reads of `clustering` on `placement`,
-    /// a cluster of `s` members tolerating `tolerance(s)` losses.
-    pub fn digest(
-        &self,
-        clustering: &Clustering,
-        placement: &Placement,
-        tolerance: &dyn Fn(usize) -> usize,
-    ) -> ClusteringDigest {
-        let mut seen = std::collections::HashSet::new();
-        let clusters = clustering
-            .iter()
-            .filter_map(|(_, members)| {
-                let mut counts: Vec<(usize, u32)> = Vec::new();
-                for &r in members {
-                    let n = placement.node_of(r).idx();
-                    match counts.iter_mut().find(|(node, _)| *node == n) {
-                        Some((_, c)) => *c += 1,
-                        None => counts.push((n, 1)),
-                    }
-                }
-                counts.sort_unstable();
-                let tol = tolerance(members.len()) as u32;
-                // Clusters with identical placement signatures live and die
-                // together (e.g. the per-slot L2 clusters of one node
-                // group); one representative keeps their nodes a
-                // one-cluster component, which the knapsack counts.
-                seen.insert((counts.clone(), tol)).then_some(ClusterNodes {
-                    counts,
-                    tolerance: tol,
-                })
-            })
-            .collect();
-        ClusteringDigest { clusters }
-    }
-
     /// Probability that a uniformly random `j`-node failure event is
     /// catastrophic for this clustering; 0.0 when no `j`-node event
     /// exists (`j == 0` or `j > nodes`). Panics if `C(nodes, j)` overflows
@@ -159,7 +243,7 @@ impl ReliabilityModel {
         if j == 0 || j > self.nodes {
             return 0.0;
         }
-        let digest = self.digest(clustering, placement, tolerance);
+        let digest = ClusteringDigest::new(clustering, placement, tolerance);
         let safe = safe_counts(self.nodes, &digest.clusters, j);
         q_of(self.nodes, j, safe[j])
     }
@@ -174,15 +258,14 @@ impl ReliabilityModel {
         placement: &Placement,
         tolerance: &dyn Fn(usize) -> usize,
     ) -> f64 {
-        let digest = self.digest(clustering, placement, tolerance);
+        let digest = ClusteringDigest::new(clustering, placement, tolerance);
         self.p_catastrophic_sweep(std::slice::from_ref(&digest))[0]
     }
 
     /// P(catastrophic) of every digest, in input order. Each distinct
-    /// digest is scored once, in parallel over the distinct digests, and
-    /// its value fanned back out to every position that holds it; equal
-    /// digests run identical arithmetic, so every value is bit-identical
-    /// to scoring its clustering alone, at any thread count.
+    /// digest is scored once and its value fanned back out to every
+    /// position that holds it; equal digests run identical arithmetic, so
+    /// every value is bit-identical to scoring its clustering alone.
     pub fn p_catastrophic_sweep(&self, digests: &[ClusteringDigest]) -> Vec<f64> {
         let mut first: HashMap<&ClusteringDigest, usize> = HashMap::new();
         let mut distinct: Vec<&ClusteringDigest> = Vec::new();
@@ -195,10 +278,7 @@ impl ReliabilityModel {
                 })
             })
             .collect();
-        let p: Vec<f64> = distinct
-            .par_iter()
-            .map(|d| self.p_catastrophic_of(d))
-            .collect();
+        let p: Vec<f64> = distinct.iter().map(|d| self.p_catastrophic_of(d)).collect();
         slots.into_iter().map(|i| p[i]).collect()
     }
 
@@ -718,7 +798,7 @@ mod tests {
         let p = Placement::block(16, 4);
         let c = distributed(16, 4, 4);
         let m = ReliabilityModel::new(16, EventDistribution::single_node_only());
-        let digest = m.digest(&c, &p, &fti_tolerance);
+        let digest = ClusteringDigest::new(&c, &p, &fti_tolerance);
         for j in [3usize, 4, 5] {
             let analytic = m.q_given_j(j, &c, &p, &fti_tolerance);
             let mc = monte_carlo_q_reference(16, j, &digest.clusters, 200_000, 42);
@@ -785,8 +865,8 @@ mod tests {
         let c = distributed(64, 16, 4);
         let m = ReliabilityModel::new(64, EventDistribution::fti_calibrated());
         let digests = [
-            m.digest(&c, &p, &fti_tolerance),
-            m.digest(&c, &permuted, &fti_tolerance),
+            ClusteringDigest::new(&c, &p, &fti_tolerance),
+            ClusteringDigest::new(&c, &permuted, &fti_tolerance),
         ];
         assert_ne!(digests[0], digests[1]);
         let [a, b] = m.p_catastrophic_sweep(&digests)[..] else {
@@ -839,8 +919,7 @@ mod tests {
             })
             .collect();
         let c = Clustering::from_assignment(&assignment);
-        let m = ReliabilityModel::new(18, EventDistribution::fti_calibrated());
-        let digest = m.digest(&c, &p, &fti_tolerance);
+        let digest = ClusteringDigest::new(&c, &p, &fti_tolerance);
         let components = Components::of(18, &digest.clusters);
         assert_eq!(components.free, 0);
         assert_eq!(components.clusters.len(), 1);
@@ -866,8 +945,8 @@ mod tests {
 
         /// On machines of at most 16 nodes, uniform or ragged, with
         /// clusters that share nodes, every exact safe count equals the
-        /// number of safe sets found by enumerating every set, as
-        /// integers.
+        /// number of safe sets found by enumerating every set, and the
+        /// number of sets the event judge calls safe, as integers.
         #[test]
         fn safe_counts_equal_enumeration_on_small_machines(
             (placement, clustering, tol) in (
@@ -889,10 +968,20 @@ mod tests {
             let tolerance = TOLERANCES[tol];
             let degree = nodes.min(12);
             let model = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
-            let digest = model.digest(&clustering, &placement, &tolerance);
+            let digest = ClusteringDigest::new(&clustering, &placement, &tolerance);
             let got = safe_counts(nodes, &digest.clusters, degree);
             let want = brute_force_safe(&clustering, &placement, tolerance, degree);
             prop_assert_eq!(&got, &want, "{} nodes", nodes);
+            let judge = EventJudge::new(&digest);
+            let mut scratch = judge.scratch();
+            let mut judged = vec![0u128; degree + 1];
+            for set in 0u32..1 << nodes {
+                let failed: Vec<u32> = (0..nodes as u32).filter(|&n| set >> n & 1 == 1).collect();
+                if failed.len() <= degree && !judge.defeated_by(&failed, &mut scratch) {
+                    judged[failed.len()] += 1;
+                }
+            }
+            prop_assert_eq!(&judged, &want, "{} nodes, judged", nodes);
             for (j, &want) in want.iter().enumerate().skip(1) {
                 let q = model.q_given_j(j, &clustering, &placement, &tolerance);
                 prop_assert_eq!(q.to_bits(), q_of(nodes, j, want).to_bits());
@@ -927,7 +1016,7 @@ mod tests {
             let nodes = placement.nodes();
             let tolerance = TOLERANCES[tol];
             let model = ReliabilityModel::new(nodes, EventDistribution::fti_calibrated());
-            let digest = model.digest(&clustering, &placement, &tolerance);
+            let digest = ClusteringDigest::new(&clustering, &placement, &tolerance);
             if Components::of(nodes, &digest.clusters).clusters.iter().all(|c| c.len() == 1) {
                 for j in sizes.into_iter().filter(|&j| j <= nodes) {
                     let q = model.q_given_j(j, &clustering, &placement, &tolerance);
@@ -987,7 +1076,7 @@ mod tests {
                 .collect();
             let digests: Vec<ClusteringDigest> = schemes
                 .iter()
-                .map(|&(c, tol)| model.digest(&clusterings[c], &placement, &TOLERANCES[tol]))
+                .map(|&(c, tol)| ClusteringDigest::new(&clusterings[c], &placement, &TOLERANCES[tol]))
                 .collect();
             let forward = model.p_catastrophic_sweep(&digests);
             let reversed: Vec<ClusteringDigest> = digests.iter().rev().cloned().collect();

@@ -18,11 +18,10 @@
 //!   request; results are cached behind `Arc` keyed by the stable
 //!   [`TracedJobConfig::content_hash`](hcft_core::TracedJobConfig::content_hash),
 //!   with single-flight coalescing and deterministic LRU eviction;
-//! * the **family fan-out**
+//! * the **family sweep**
 //!   ([`hcft_core::evaluate_family_sweep`]): each request scores every
-//!   applicable strategy-family configuration concurrently over rayon
-//!   with order-preserving folds, so the response bytes are identical at
-//!   any thread count;
+//!   applicable strategy-family configuration in spec order on its own
+//!   thread, so the response bytes are identical at any thread count;
 //! * the **response memo** ([`EvalService`]): a fully-warm request
 //!   (same shape, same family selection) returns the memoized rendered
 //!   response without recomputing the sweep.

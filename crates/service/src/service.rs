@@ -32,8 +32,8 @@ struct MemoInner {
 /// exact P(catastrophic) count is ≈ 1.5 ms of it at 64×16); a memo hit
 /// returns the stored bytes outright. Both tiers are deterministic, so a
 /// response is byte-identical whether it came cold, trace-warm or
-/// memo-warm — the sweep itself is an order-preserving rayon fold,
-/// identical at any thread count.
+/// memo-warm — the sweep itself scores in spec order on the calling
+/// thread, identical at any thread count.
 pub struct EvalService {
     traces: TraceCache,
     memo: Mutex<MemoInner>,
