@@ -29,8 +29,11 @@ pub struct FourDScore {
 ///
 /// Work that depends only on the run is done once and shared by every
 /// scheme scored: each scheme's logging stats walk the sparse matrix's
-/// non-zero cells, and `evaluate_all` computes P(catastrophic) once
-/// per distinct L2 placement digest, however many schemes share it.
+/// non-zero cells, its restart share walks the placement's nodes once
+/// (no restart sets are built), and `evaluate_all` computes
+/// P(catastrophic) once per distinct L2 placement digest, however many
+/// schemes share it. On the served 64 × 16 trace the logged-bytes walk
+/// is the largest scoring term left (≈ 40 µs a scheme; 2 vCPU).
 pub struct Evaluator {
     matrix: CommMatrix,
     placement: Placement,

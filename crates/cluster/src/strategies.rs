@@ -230,17 +230,35 @@ pub fn hierarchical(
     let nodes = placement.nodes();
     assert_eq!(node_graph.n(), nodes, "node graph must cover the placement");
     must(Hierarchical { cfg: cfg.clone() }.validate(placement));
+    hierarchical_from_l1(placement, &l1_node_partition(node_graph, cfg), cfg)
+}
+
+/// Step 1 of [`hierarchical`]: the part of every node. It depends on the
+/// L1 bounds and the engine only, not on the L2 group width.
+pub(crate) fn l1_node_partition(
+    node_graph: &WeightedGraph,
+    cfg: &HierarchicalConfig,
+) -> Vec<usize> {
     // Vertex weights: ranks per node, so partition balance is in ranks…
     // except the paper's constraint is in *nodes*, so weight each vertex
     // 1 and bound by node counts.
     let bounds = SizeBounds::new(cfg.min_nodes_per_l1 as u64, cfg.max_nodes_per_l1 as u64);
-    let node_part = match cfg.engine {
+    match cfg.engine {
         PartitionEngine::Multilevel => {
-            let k = cfg.l1_parts(nodes).expect("validated bounds fit");
+            let k = cfg.l1_parts(node_graph.n()).expect("validated bounds fit");
             MultilevelPartitioner::new(MultilevelConfig::new(k, bounds)).partition(node_graph)
         }
         PartitionEngine::Modularity => modularity_clusters(node_graph, bounds),
-    };
+    }
+}
+
+/// Step 2 of [`hierarchical`]: the L1 and L2 clusters of a validated
+/// node partition.
+pub(crate) fn hierarchical_from_l1(
+    placement: &Placement,
+    node_part: &[usize],
+    cfg: &HierarchicalConfig,
+) -> ClusteringScheme {
     // L1 clusters: all ranks of each node part.
     let nparts = node_part.iter().copied().max().expect("nodes") + 1;
     let mut l1_members: Vec<Vec<Rank>> = vec![Vec::new(); nparts];

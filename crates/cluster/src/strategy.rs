@@ -17,7 +17,7 @@ use hcft_telemetry::HcftError;
 use hcft_topology::{NodeId, Placement};
 
 use crate::evaluator::{Evaluator, FourDScore};
-use crate::strategies::{self, ClusteringScheme, HierarchicalConfig};
+use crate::strategies::{self, ClusteringScheme, HierarchicalConfig, PartitionEngine};
 
 /// Everything a strategy may consult when building a scheme: the
 /// rank→node placement and the node-level communication graph (vertex
@@ -181,6 +181,25 @@ impl ClusteringStrategy for Hierarchical {
     }
 
     fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
+        self.build_sharing(ctx, &mut Vec::new())
+    }
+}
+
+/// L1 node partitions already computed within one
+/// [`SchemeFamilySpec::score`] call, by `(min, max)` nodes per L1 cluster
+/// and engine.
+type L1Partitions = Vec<((usize, usize, PartitionEngine), Vec<usize>)>;
+
+impl Hierarchical {
+    /// [`ClusteringStrategy::build`], taking the L1 node partition from
+    /// `l1` when an earlier entry had the same bounds and engine, and
+    /// adding it there otherwise: entries that differ only in
+    /// `l2_group_nodes` partition the node graph once.
+    fn build_sharing(
+        &self,
+        ctx: &StrategyContext<'_>,
+        l1: &mut L1Partitions,
+    ) -> Result<ClusteringScheme, HcftError> {
         let nodes = ctx.placement.nodes();
         if ctx.node_graph.n() != nodes {
             return Err(HcftError::Config(format!(
@@ -189,9 +208,22 @@ impl ClusteringStrategy for Hierarchical {
             )));
         }
         self.validate(ctx.placement)?;
-        Ok(strategies::hierarchical(
+        let key = (
+            self.cfg.min_nodes_per_l1,
+            self.cfg.max_nodes_per_l1,
+            self.cfg.engine,
+        );
+        let i = match l1.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                let part = strategies::l1_node_partition(ctx.node_graph, &self.cfg);
+                l1.push((key, part));
+                l1.len() - 1
+            }
+        };
+        Ok(strategies::hierarchical_from_l1(
             ctx.placement,
-            ctx.node_graph,
+            &l1[i].1,
             &self.cfg,
         ))
     }
@@ -240,8 +272,26 @@ impl ClusteringStrategy for Striped {
     }
 }
 
-/// One entry of a [`SchemeFamilySpec`].
-type Entry = Box<dyn ClusteringStrategy + Send + Sync>;
+/// One entry of a [`SchemeFamilySpec`]: a sized strategy of one family.
+enum Entry {
+    Naive(Naive),
+    SizeGuided(SizeGuided),
+    Distributed(Distributed),
+    Striped(Striped),
+    Hierarchical(Hierarchical),
+}
+
+impl Entry {
+    fn strategy(&self) -> &(dyn ClusteringStrategy + Send + Sync) {
+        match self {
+            Entry::Naive(s) => s,
+            Entry::SizeGuided(s) => s,
+            Entry::Distributed(s) => s,
+            Entry::Striped(s) => s,
+            Entry::Hierarchical(s) => s,
+        }
+    }
+}
 
 /// An ordered list of sized strategies: every entry builds one
 /// [`ClusteringScheme`] and scores one row. Construction order is the
@@ -269,10 +319,10 @@ impl SchemeFamilySpec {
     ) -> Self {
         SchemeFamilySpec {
             entries: vec![
-                Box::new(Naive { size: naive }),
-                Box::new(SizeGuided { size: size_guided }),
-                Box::new(Distributed { size: distributed }),
-                Box::new(Hierarchical { cfg: hierarchical }),
+                Entry::Naive(Naive { size: naive }),
+                Entry::SizeGuided(SizeGuided { size: size_guided }),
+                Entry::Distributed(Distributed { size: distributed }),
+                Entry::Hierarchical(Hierarchical { cfg: hierarchical }),
             ],
         }
     }
@@ -292,20 +342,20 @@ impl SchemeFamilySpec {
             ..HierarchicalConfig::default()
         };
         let entries: Vec<Entry> = vec![
-            Box::new(Naive {
+            Entry::Naive(Naive {
                 size: 32.min(nprocs),
             }),
-            Box::new(SizeGuided {
+            Entry::SizeGuided(SizeGuided {
                 size: 8.min(nprocs),
             }),
-            Box::new(Distributed {
+            Entry::Distributed(Distributed {
                 size: 16.min(nodes),
             }),
-            Box::new(Striped {
+            Entry::Striped(Striped {
                 l1_nodes: 4,
                 l2_size: ppn,
             }),
-            Box::new(Hierarchical { cfg: hier }),
+            Entry::Hierarchical(Hierarchical { cfg: hier }),
         ];
         SchemeFamilySpec { entries }.feasible_on_block(nodes, ppn)
     }
@@ -317,23 +367,23 @@ impl SchemeFamilySpec {
     pub fn for_layout(nodes: usize, ppn: usize) -> Self {
         let mut entries: Vec<Entry> = Vec::new();
         for size in [ppn, 2 * ppn, 4 * ppn] {
-            entries.push(Box::new(Naive { size }));
+            entries.push(Entry::Naive(Naive { size }));
         }
         let mut size_guided = vec![ppn.div_ceil(2), ppn, 2 * ppn];
         size_guided.dedup();
         for size in size_guided {
-            entries.push(Box::new(SizeGuided { size }));
+            entries.push(Entry::SizeGuided(SizeGuided { size }));
         }
         for size in [4, 8, 16] {
-            entries.push(Box::new(Distributed { size }));
+            entries.push(Entry::Distributed(Distributed { size }));
         }
         for l1_nodes in [2, 4] {
             for l2_size in [ppn, 2 * ppn] {
-                entries.push(Box::new(Striped { l1_nodes, l2_size }));
+                entries.push(Entry::Striped(Striped { l1_nodes, l2_size }));
             }
         }
         for (min, max, l2g) in [(4, 8, 4), (4, 8, 2), (4, 4, 4), (8, 16, 4)] {
-            entries.push(Box::new(Hierarchical {
+            entries.push(Entry::Hierarchical(Hierarchical {
                 cfg: HierarchicalConfig {
                     min_nodes_per_l1: min,
                     max_nodes_per_l1: max,
@@ -357,14 +407,14 @@ impl SchemeFamilySpec {
         };
         let mut entries: Vec<Entry> = Vec::new();
         for size in powers_of_two(placement.nprocs() / 2) {
-            entries.push(Box::new(Naive { size }));
+            entries.push(Entry::Naive(Naive { size }));
         }
         for size in powers_of_two(nodes) {
-            entries.push(Box::new(Distributed { size }));
+            entries.push(Entry::Distributed(Distributed { size }));
         }
         for l1 in [4, 8] {
             if nodes >= 2 * l1 {
-                entries.push(Box::new(Hierarchical {
+                entries.push(Entry::Hierarchical(Hierarchical {
                     cfg: HierarchicalConfig {
                         min_nodes_per_l1: l1,
                         max_nodes_per_l1: l1,
@@ -374,7 +424,7 @@ impl SchemeFamilySpec {
                 }));
             }
         }
-        entries.retain(|s| s.validate(placement).is_ok());
+        entries.retain(|s| s.strategy().validate(placement).is_ok());
         SchemeFamilySpec { entries }
     }
 
@@ -385,7 +435,8 @@ impl SchemeFamilySpec {
             self.entries.clear();
         } else {
             let placement = Placement::block(nodes, ppn);
-            self.entries.retain(|s| s.validate(&placement).is_ok());
+            self.entries
+                .retain(|s| s.strategy().validate(&placement).is_ok());
         }
         self
     }
@@ -394,7 +445,9 @@ impl SchemeFamilySpec {
     pub fn strategies(
         &self,
     ) -> impl Iterator<Item = (&'static str, &(dyn ClusteringStrategy + Send + Sync))> {
-        self.entries.iter().map(|s| (s.name(), &**s))
+        self.entries
+            .iter()
+            .map(|s| (s.strategy().name(), s.strategy()))
     }
 
     /// Is the spec empty?
@@ -403,11 +456,13 @@ impl SchemeFamilySpec {
     }
 
     /// Build every strategy on the evaluator's placement and `node_graph`
-    /// and score it, in spec order. Building is sequential (the
-    /// hierarchical partitioner is milliseconds at paper scale); scoring
-    /// dominates and is `Evaluator::evaluate_all`, which runs on the
-    /// calling thread and computes P(catastrophic) once per distinct L2
-    /// digest, so the rows are byte-identical at any thread count.
+    /// and score it, in spec order. Building is sequential, and
+    /// hierarchical entries with the same L1 bounds and engine share one
+    /// L1 partition, computed once in this call and dropped with it (the
+    /// `full` preset's `(4, 8)` entries with L2 groups of 4 and 2 nodes).
+    /// Scoring is `Evaluator::evaluate_all`, which runs on the calling
+    /// thread and computes P(catastrophic) once per distinct L2 digest,
+    /// so the rows are byte-identical at any thread count.
     ///
     /// An empty spec is a `Config` error. An entry the machine cannot
     /// host fails the whole call with its strategy's validation error;
@@ -430,9 +485,17 @@ impl SchemeFamilySpec {
             placement,
             node_graph,
         };
+        let mut l1 = L1Partitions::new();
         let (families, schemes): (Vec<&'static str>, Vec<ClusteringScheme>) = self
-            .strategies()
-            .map(|(family, s)| Ok((family, s.build(&ctx)?)))
+            .entries
+            .iter()
+            .map(|entry| {
+                let scheme = match entry {
+                    Entry::Hierarchical(h) => h.build_sharing(&ctx, &mut l1)?,
+                    other => other.strategy().build(&ctx)?,
+                };
+                Ok((entry.strategy().name(), scheme))
+            })
             .collect::<Result<Vec<_>, HcftError>>()?
             .into_iter()
             .unzip();

@@ -34,7 +34,7 @@ pub use grid::{CampaignGrid, GridCell, GridStrategy};
 pub use kernel::{CampaignKernel, TrialTotals};
 pub use stats::{simulate_campaign_stats, CampaignStats, CiTarget, StopRule, Welford};
 
-use hcft_cluster::ClusteringScheme;
+use hcft_cluster::{ClusteringScheme, SchemeIndex};
 use hcft_msglog::HybridProtocol;
 use hcft_reliability::{ClassSampler, EventDistribution, FailureArrivals};
 use hcft_topology::{NodeId, Placement, Rank};
@@ -121,7 +121,7 @@ pub fn simulate_campaign(
 
 /// The pre-engine scalar implementation, retained as the correctness
 /// reference: per-event `Vec` materialisation, [`FaultScenario`]
-/// construction and a catastrophe judge built per event in O(nprocs).
+/// construction and a catastrophe judge built per trial in O(nprocs).
 #[cfg(test)]
 fn simulate_campaign_reference(
     scheme: &ClusteringScheme,
@@ -168,7 +168,9 @@ fn simulate_campaign_reference(
 /// This is the reference the batched [`CampaignKernel`] must match
 /// trial-for-trial: same RNG consumption order (arrival times, then one
 /// uniform per event class, then one `u64` per sampled node), same
-/// floating-point expressions for the waste ledger.
+/// floating-point expressions for the waste ledger. It builds the
+/// scheme's [`SchemeIndex`] once per trial and judges every event
+/// through [`FaultScenario::is_catastrophic`].
 pub fn run_trial_reference(
     trial: u64,
     scheme: &ClusteringScheme,
@@ -179,6 +181,7 @@ pub fn run_trial_reference(
 ) -> TrialTotals {
     let nprocs = placement.nprocs() as f64;
     let nodes = placement.nodes();
+    let index = SchemeIndex::new(scheme, placement);
     let mut acc = TrialTotals::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(trial));
     let times = cfg.arrivals.sample_times(cfg.duration_h, &mut rng);
@@ -199,10 +202,10 @@ pub fn run_trial_reference(
             .collect();
         // Each sampled event becomes a FaultScenario, so the reference
         // resolves and judges it as every fault-injection surface does
-        // (FaultScenario::is_catastrophic, a judge built per event).
+        // (FaultScenario::is_catastrophic, through the trial's index).
         let event = FaultScenario::nodes_loss(&failed_nodes, (t_h * 3600.0) as u64);
         if event
-            .is_catastrophic(placement, scheme, None)
+            .is_catastrophic(placement, scheme, None, &index)
             .expect("sampled nodes are in range")
         {
             acc.catastrophic += 1;

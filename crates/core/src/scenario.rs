@@ -231,17 +231,26 @@ impl FaultScenario {
     }
 
     /// Would the primary loss defeat the scheme's L2 redundancy? Judged
-    /// by a [`SchemeIndex`] built per call, in O(nprocs). Cascades are not
+    /// by `index`, the [`SchemeIndex`] of `scheme` on `placement`: build
+    /// it once and judge every event of that scheme through it. An index
+    /// of another machine size is a `Config` error. Cascades are not
     /// included: they strike later, possibly after partial recovery.
     pub fn is_catastrophic(
         &self,
         placement: &Placement,
         scheme: &ClusteringScheme,
         machine: Option<&MachineSpec>,
+        index: &SchemeIndex,
     ) -> Result<bool, HcftError> {
         let nodes = self.failed_nodes(placement, scheme, machine)?;
+        if index.nodes() != placement.nodes() {
+            return Err(HcftError::Config(format!(
+                "scheme index covers {} nodes, placement has {}",
+                index.nodes(),
+                placement.nodes()
+            )));
+        }
         let failed: Vec<u32> = nodes.iter().map(|n| n.0).collect();
-        let index = SchemeIndex::new(scheme, placement);
         Ok(index.defeated_by(&failed, &mut index.scratch()))
     }
 }
@@ -385,16 +394,26 @@ mod tests {
         // over fewer.
         let p = Placement::block(4, 8);
         let sc = FaultScenario::node_loss(NodeId(3), 0);
+        // A scheme that does not cover `p` has no index on it; judge
+        // through the index of one that does.
+        let index = SchemeIndex::new(&naive(32, 8), &p);
         for s in [naive(64, 16), naive(16, 8)] {
             assert!(matches!(
                 sc.failed_nodes(&p, &s, None),
                 Err(HcftError::Config(_))
             ));
             assert!(matches!(
-                sc.is_catastrophic(&p, &s, None),
+                sc.is_catastrophic(&p, &s, None, &index),
                 Err(HcftError::Config(_))
             ));
         }
+        // An index of another machine is refused too.
+        let small = Placement::block(2, 8);
+        let other = SchemeIndex::new(&naive(16, 8), &small);
+        assert!(matches!(
+            sc.is_catastrophic(&p, &naive(32, 8), None, &other),
+            Err(HcftError::Config(_))
+        ));
     }
 
     #[test]
@@ -402,9 +421,10 @@ mod tests {
         let (p, s) = setup();
         // L2 clusters of 8 members tolerate 4 lost members = 1 node here;
         // 2 nodes of one cluster (8 members) is catastrophic.
+        let index = SchemeIndex::new(&s, &p);
         let one = FaultScenario::node_loss(NodeId(0), 0);
-        assert!(!one.is_catastrophic(&p, &s, None).unwrap());
+        assert!(!one.is_catastrophic(&p, &s, None, &index).unwrap());
         let two = FaultScenario::at(0).l1_cluster(0).build();
-        assert!(two.is_catastrophic(&p, &s, None).unwrap());
+        assert!(two.is_catastrophic(&p, &s, None, &index).unwrap());
     }
 }

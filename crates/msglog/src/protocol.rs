@@ -92,18 +92,30 @@ impl HybridProtocol {
     /// Expected fraction of ranks restarted when one uniformly-random
     /// node fails — the paper's "recovery cost"/"restart cost" axis
     /// (Fig. 3a right axis, Fig. 4c).
+    ///
+    /// A node's restart set is the union of its ranks' clusters, and
+    /// clusters are disjoint, so its size is the summed size of the
+    /// distinct clusters the node hosts: one walk over the node's ranks,
+    /// marking clusters with an epoch stamp, with no rank set built.
+    /// The share is `restart_set(ranks on node).len() / nprocs`, summed in
+    /// node order (a node without ranks adds an exact `0.0`).
     pub fn expected_restart_fraction(&self, placement: &Placement) -> f64 {
         assert_eq!(placement.nprocs(), self.clustering.nprocs());
         let nprocs = placement.nprocs() as f64;
         let nodes = placement.nodes();
+        // stamp[c] == node + 1: cluster c is already counted for `node`.
+        let mut stamp = vec![0usize; self.clustering.len()];
         let mut acc = 0.0;
         for node in 0..nodes {
-            let failed = placement.ranks_on(hcft_topology::NodeId::from(node));
-            if failed.is_empty() {
-                continue;
+            let mut count = 0usize;
+            for &r in placement.ranks_on(hcft_topology::NodeId::from(node)) {
+                let c = self.clustering.cluster_of(r);
+                if stamp[c] != node + 1 {
+                    stamp[c] = node + 1;
+                    count += self.clustering.members(c).len();
+                }
             }
-            let restarted = self.restart_set(failed);
-            acc += restarted.len() as f64 / nprocs;
+            acc += count as f64 / nprocs;
         }
         acc / nodes as f64
     }
@@ -112,6 +124,8 @@ impl HybridProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcft_topology::{NodeId, PlacementStrategy};
+    use proptest::prelude::*;
 
     fn matrix_ring(n: usize, bytes: u64) -> CommMatrix {
         let mut m = CommMatrix::new(n);
@@ -179,5 +193,60 @@ mod tests {
         let assignment: Vec<usize> = (0..16).map(|r| r % 4).collect();
         let p = HybridProtocol::new(Clustering::from_assignment(&assignment));
         assert!((p.expected_restart_fraction(&placement) - 1.0).abs() < 1e-12);
+    }
+
+    /// The restart share as computed before the node walk: one sorted
+    /// restart set per node.
+    fn restart_fraction_by_sets(p: &HybridProtocol, placement: &Placement) -> f64 {
+        let nprocs = placement.nprocs() as f64;
+        let nodes = placement.nodes();
+        let mut acc = 0.0;
+        for node in 0..nodes {
+            let failed = placement.ranks_on(NodeId::from(node));
+            if failed.is_empty() {
+                continue;
+            }
+            acc += p.restart_set(failed).len() as f64 / nprocs;
+        }
+        acc / nodes as f64
+    }
+
+    proptest! {
+        /// The node walk equals the restart-set computation bit for bit:
+        /// block, cyclic and random placements (ragged, some nodes
+        /// empty) under consecutive clusters that split nodes, striped
+        /// clusters spanning nodes and random clusters.
+        #[test]
+        fn walked_restart_share_equals_restart_sets(
+            nodes in 1usize..12,
+            ranks in 1usize..80,
+            layout in 0u8..3,
+            node_draw in proptest::collection::vec(0usize..12, 80),
+            family in 0u8..3,
+            size in 1usize..20,
+            cluster_draw in proptest::collection::vec(0usize..20, 80),
+        ) {
+            let per_node = ranks.div_ceil(nodes);
+            let placement = match layout {
+                0 => Placement::new(PlacementStrategy::Block, ranks, nodes, per_node),
+                1 => Placement::new(PlacementStrategy::RoundRobin, ranks, nodes, per_node),
+                _ => Placement::from_assignment(
+                    node_draw[..ranks].iter().map(|&n| NodeId::from(n % nodes)).collect(),
+                    nodes,
+                ),
+            };
+            let clustering = match family {
+                0 => Clustering::consecutive(ranks, size),
+                1 => Clustering::from_assignment(&(0..ranks).map(|r| r % size).collect::<Vec<_>>()),
+                _ => Clustering::from_assignment(
+                    &cluster_draw[..ranks].iter().map(|&c| c % size).collect::<Vec<_>>(),
+                ),
+            };
+            let p = HybridProtocol::new(clustering);
+            prop_assert_eq!(
+                p.expected_restart_fraction(&placement).to_bits(),
+                restart_fraction_by_sets(&p, &placement).to_bits()
+            );
+        }
     }
 }

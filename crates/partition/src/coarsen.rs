@@ -78,9 +78,8 @@ pub(crate) fn coarsen_once(g: &WeightedGraph, seed: u64) -> Option<CoarseLevel> 
             matched_any = true;
         }
     }
-    hcft_telemetry::Registry::global()
-        .counter("partition.coarsen.match_fallbacks")
-        .add(fallbacks);
+    let [match_fallbacks] = counters!("partition.coarsen.match_fallbacks");
+    match_fallbacks.add(fallbacks);
     if !matched_any {
         return None;
     }

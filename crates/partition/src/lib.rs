@@ -17,6 +17,21 @@
 
 #![warn(unreachable_pub)]
 
+/// This call site's telemetry counters, looked up by name once per
+/// process (a lookup takes the registry's lock); evaluates to
+/// `&'static [Arc<Counter>; N]` in the order named.
+macro_rules! counters {
+    ($($name:literal),+ $(,)?) => {{
+        const N: usize = [$($name),+].len();
+        static HANDLES: std::sync::OnceLock<[std::sync::Arc<hcft_telemetry::Counter>; N]> =
+            std::sync::OnceLock::new();
+        HANDLES.get_or_init(|| {
+            let reg = hcft_telemetry::Registry::global();
+            [$(reg.counter($name)),+]
+        })
+    }};
+}
+
 mod coarsen;
 pub mod cost;
 mod gain;

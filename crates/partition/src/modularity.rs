@@ -228,10 +228,14 @@ fn agglomerate_heap(st: &mut CnmState, bounds: SizeBounds) {
             }
         }
     }
-    let reg = hcft_telemetry::Registry::global();
-    reg.counter("partition.cnm.heap_pushes").add(pushes);
-    reg.counter("partition.cnm.heap_pops").add(pops);
-    reg.counter("partition.cnm.heap_stale_pops").add(stale);
+    let [heap_pushes, heap_pops, heap_stale_pops] = counters!(
+        "partition.cnm.heap_pushes",
+        "partition.cnm.heap_pops",
+        "partition.cnm.heap_stale_pops"
+    );
+    heap_pushes.add(pushes);
+    heap_pops.add(pops);
+    heap_stale_pops.add(stale);
 }
 
 /// Reference merge selection: full rescan of every feasible pair per

@@ -62,6 +62,17 @@ impl MultilevelPartitioner {
     /// # Panics
     /// Panics if the bounds are infeasible for the graph's total weight.
     pub fn partition(&self, g: &WeightedGraph) -> Vec<usize> {
+        self.partition_with(g, grow_initial, refine)
+    }
+
+    /// The multilevel driver over the given seeding and refinement (the
+    /// equivalence tests run it over the retained oracles too).
+    fn partition_with(
+        &self,
+        g: &WeightedGraph,
+        grow_initial: fn(&WeightedGraph, usize, u64) -> Vec<usize>,
+        refine: fn(&WeightedGraph, &mut [usize], &mut [u64], SizeBounds, usize),
+    ) -> Vec<usize> {
         let total = g.total_vertex_weight();
         let k = self.cfg.k;
         let b = self.cfg.bounds;
@@ -133,6 +144,8 @@ pub fn grow_initial(g: &WeightedGraph, k: usize, seed: u64) -> Vec<usize> {
     let mut corners: BinaryHeap<Reverse<(usize, usize)>> =
         (0..n).map(|u| Reverse((free_deg[u], u))).collect();
     let mut heap_pops = 0u64;
+    let mut frontier: Vec<usize> = Vec::new();
+    let mut nbrs: Vec<(u64, usize)> = Vec::new();
     // Assign `u` to part `p` and maintain the corner heap: neighbours
     // lose one free neighbour each and re-enter at their new key.
     let assign = |u: usize,
@@ -166,7 +179,8 @@ pub fn grow_initial(g: &WeightedGraph, k: usize, seed: u64) -> Vec<usize> {
         };
         let Some(seed_v) = seed_v else { break };
         let mut weight = 0u64;
-        let mut frontier = vec![seed_v];
+        frontier.clear();
+        frontier.push(seed_v);
         while let Some(u) = frontier.pop() {
             if part[u] != usize::MAX {
                 continue;
@@ -177,19 +191,19 @@ pub fn grow_initial(g: &WeightedGraph, k: usize, seed: u64) -> Vec<usize> {
                 break;
             }
             // Push neighbours, heaviest edge last so it pops first.
-            let mut nbrs: Vec<(u64, usize)> = g
-                .neighbors(u)
-                .iter()
-                .filter(|&&(v, _)| part[v as usize] == usize::MAX)
-                .map(|&(v, w)| (w, v as usize))
-                .collect();
+            nbrs.clear();
+            nbrs.extend(
+                g.neighbors(u)
+                    .iter()
+                    .filter(|&&(v, _)| part[v as usize] == usize::MAX)
+                    .map(|&(v, w)| (w, v as usize)),
+            );
             nbrs.sort_unstable();
-            frontier.extend(nbrs.into_iter().map(|(_, v)| v));
+            frontier.extend(nbrs.iter().map(|&(_, v)| v));
         }
     }
-    hcft_telemetry::Registry::global()
-        .counter("partition.seed.heap_pops")
-        .add(heap_pops);
+    let [seed_heap_pops] = counters!("partition.seed.heap_pops");
+    seed_heap_pops.add(heap_pops);
     // Any stragglers: attach to the most connected part, else the lightest.
     let mut weights = vec![0u64; k];
     for u in 0..n {
@@ -197,11 +211,12 @@ pub fn grow_initial(g: &WeightedGraph, k: usize, seed: u64) -> Vec<usize> {
             weights[part[u]] += g.vertex_weight(u);
         }
     }
+    let mut links = vec![0u64; k];
     for u in 0..n {
         if part[u] != usize::MAX {
             continue;
         }
-        let mut links = vec![0u64; k];
+        links.fill(0);
         for &(v, w) in g.neighbors(u) {
             if part[v as usize] != usize::MAX {
                 links[part[v as usize]] += w;
@@ -319,6 +334,57 @@ mod tests {
         let bounds = SizeBounds::new(10, 40);
         let part = MultilevelPartitioner::new(MultilevelConfig::new(10, bounds)).partition(&g);
         check_partition(&g, &part, Some(bounds)).expect("valid partition");
+    }
+}
+
+#[cfg(test)]
+mod oracle_equivalence {
+    use super::*;
+    use crate::reference::{grow_initial_scan, refine as oracle};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// End to end, the partitioner equals the same driver over the
+        /// retained seeding scan and the pre-rewrite refinement, part for
+        /// part: on graphs coarse enough to carry mixed vertex weights,
+        /// under loose and exactly tight bounds, and at k = 1.
+        #[test]
+        fn multilevel_matches_the_oracle_driver(
+            n in 2usize..120,
+            edges in proptest::collection::vec((0usize..120, 0usize..120, 1u64..6), 0..360),
+            unit_weights in any::<bool>(),
+            vw in proptest::collection::vec(1u64..4, 120),
+            k in 1usize..9,
+            slack in 0u64..3,
+            coarsen_target in 2usize..24,
+        ) {
+            let mut g = WeightedGraph::new(n);
+            for (u, v, w) in edges {
+                let (u, v) = (u % n, v % n);
+                if u != v {
+                    g.add_edge(u, v, w);
+                }
+            }
+            if !unit_weights {
+                for (u, &w) in vw.iter().take(n).enumerate() {
+                    g.set_vertex_weight(u, w);
+                }
+            }
+            let total = g.total_vertex_weight();
+            let k = k.min(total as usize);
+            // Exactly tight when `k` divides the total and `slack` is 0.
+            let min = (total / k as u64).saturating_sub(slack).max(1);
+            let max = total.div_ceil(k as u64) + slack;
+            let cfg = MultilevelConfig {
+                coarsen_target: Some(coarsen_target),
+                ..MultilevelConfig::new(k, SizeBounds::new(min, max))
+            };
+            let ml = MultilevelPartitioner::new(cfg);
+            prop_assert_eq!(
+                ml.partition(&g),
+                ml.partition_with(&g, grow_initial_scan, oracle::refine)
+            );
+        }
     }
 }
 

@@ -16,11 +16,16 @@
 //!   quadratic pass, hard-capped at 512 vertices), candidates are ranked
 //!   per adjacent part pair by their KL `D` values (external minus
 //!   internal connectivity) and only the top few per weight class are
-//!   combined — O(boundary · deg) per sweep, no size cap.
+//!   combined — no size cap. `D` values come from a per-vertex table of
+//!   links to each adjacent part, kept current across swaps, so a part
+//!   pair costs O(candidates · parts touched) instead of a rescan of
+//!   every candidate's neighbours; a pair whose two largest `D` values
+//!   sum to at most 0 cannot gain and is skipped before ranking.
+//!   `refine_matches_the_rescanning_oracle` in this module and
+//!   `multilevel_matches_the_oracle_driver` hold the phases to the
+//!   pre-table code (`crate::reference::refine`) move for move.
 
 use hcft_graph::{CsrGraph, WeightedGraph};
-
-use std::collections::{BTreeMap, BTreeSet};
 
 use crate::gain::GainBuckets;
 use crate::SizeBounds;
@@ -84,7 +89,10 @@ pub(crate) fn fm_move_phase(
             }
         }
     }
+    // Blocked vertices, and the batch being retried after a move (the two
+    // buffers trade places instead of reallocating).
     let mut parked: Vec<u32> = Vec::new();
+    let mut retry: Vec<u32> = Vec::new();
     let mut total_gain = 0u64;
     let mut applied = 0u64;
     while let Some((u, cached)) = buckets.pop_best() {
@@ -129,7 +137,8 @@ pub(crate) fn fm_move_phase(
             }
         }
         // The move shifted two part weights; parked vertices may fit now.
-        for v in std::mem::take(&mut parked) {
+        std::mem::swap(&mut parked, &mut retry);
+        for v in retry.drain(..) {
             let v = v as usize;
             if let Some((_, g)) = best_move(csr, part_of, v, &mut scratch) {
                 if g > 0 {
@@ -138,75 +147,176 @@ pub(crate) fn fm_move_phase(
             }
         }
     }
-    let reg = hcft_telemetry::Registry::global();
-    reg.counter("partition.fm.bucket_moves")
-        .add(buckets.moves());
-    reg.counter("partition.fm.moves").add(applied);
+    let [bucket_moves, moves] = counters!("partition.fm.bucket_moves", "partition.fm.moves");
+    bucket_moves.add(buckets.moves());
+    moves.add(applied);
     total_gain
 }
 
-/// KL `D` values of one side of a part pair: for each boundary vertex of
-/// `own`, `D = link(·, other) − link(·, own)`, grouped by vertex weight
-/// (swaps must preserve part weights) and truncated to the top
-/// candidates per class, ranked by `D` descending then vertex id.
+/// `link(u, p)`, the weight of `u`'s edges into part `p`, for every part
+/// `u` touches. Each vertex keeps its non-zero links unordered in its own
+/// CSR row range: edge weights are positive, so a vertex touches at most
+/// `deg(u)` parts. (A dense `n × k` table would be 32 MB for a 128 × 128
+/// torus in 256 parts.)
+struct PartLinks {
+    /// Row start per vertex, then the end of the last row.
+    off: Vec<usize>,
+    /// Links in use per row.
+    len: Vec<u32>,
+    /// `(part, link weight)` entries.
+    links: Vec<(u32, u64)>,
+}
+
+impl PartLinks {
+    fn new(csr: &CsrGraph, part_of: &[usize]) -> Self {
+        let n = csr.n();
+        let mut off = Vec::with_capacity(n + 1);
+        off.push(0);
+        for u in 0..n {
+            off.push(off[u] + csr.neighbors(u).0.len());
+        }
+        let mut table = PartLinks {
+            links: vec![(0, 0); off[n]],
+            len: vec![0; n],
+            off,
+        };
+        for u in 0..n {
+            let (nbrs, wgts) = csr.neighbors(u);
+            for (&v, &w) in nbrs.iter().zip(wgts) {
+                table.add(u, part_of[v as usize], w);
+            }
+        }
+        table
+    }
+
+    /// The non-zero links of `u`.
+    fn row(&self, u: usize) -> &[(u32, u64)] {
+        &self.links[self.off[u]..self.off[u] + self.len[u] as usize]
+    }
+
+    /// KL `D` of `u` in part `own` against part `other`:
+    /// `link(u, other) − link(u, own)`.
+    fn d_value(&self, u: usize, own: usize, other: usize) -> i128 {
+        let (mut to_own, mut to_other) = (0u64, 0u64);
+        for &(p, w) in self.row(u) {
+            if p as usize == own {
+                to_own = w;
+            } else if p as usize == other {
+                to_other = w;
+            }
+        }
+        to_other as i128 - to_own as i128
+    }
+
+    fn add(&mut self, u: usize, p: usize, w: u64) {
+        let (start, len) = (self.off[u], self.len[u] as usize);
+        match self.links[start..start + len]
+            .iter_mut()
+            .find(|(q, _)| *q as usize == p)
+        {
+            Some((_, lw)) => *lw += w,
+            None => {
+                // A new part is one of `u`'s neighbours' parts, and every
+                // linked part holds one, so the row has room.
+                debug_assert!(start + len < self.off[u + 1], "row of {u} is full");
+                self.links[start + len] = (p as u32, w);
+                self.len[u] += 1;
+            }
+        }
+    }
+
+    fn sub(&mut self, u: usize, p: usize, w: u64) {
+        let (start, len) = (self.off[u], self.len[u] as usize);
+        let row = &mut self.links[start..start + len];
+        let i = row
+            .iter()
+            .position(|&(q, _)| q as usize == p)
+            .expect("a neighbour's part is linked");
+        row[i].1 -= w;
+        if row[i].1 == 0 {
+            row.swap(i, len - 1);
+            self.len[u] -= 1;
+        }
+    }
+
+    /// `v` moved from part `from` to part `to`: shift its edge weights
+    /// between the links of each neighbour.
+    fn move_vertex(&mut self, csr: &CsrGraph, v: usize, from: usize, to: usize) {
+        let (nbrs, wgts) = csr.neighbors(v);
+        for (&x, &w) in nbrs.iter().zip(wgts) {
+            self.sub(x as usize, from, w);
+            self.add(x as usize, to, w);
+        }
+    }
+}
+
+/// Swap candidates of part `own` against part `other`: the vertices of
+/// `list` still in `own` (an earlier swap this sweep may have moved one
+/// away), as `(weight class, D, vertex)` in `list` order. Returns the
+/// largest `D`, `None` when there is no candidate.
 fn swap_side(
     csr: &CsrGraph,
     part_of: &[usize],
+    links: &PartLinks,
     list: &[u32],
     own: usize,
     other: usize,
-) -> BTreeMap<u64, Vec<(i128, u32)>> {
-    let mut classes: BTreeMap<u64, Vec<(i128, u32)>> = BTreeMap::new();
+    out: &mut Vec<(u64, i128, u32)>,
+) -> Option<i128> {
+    out.clear();
+    let mut top = None;
     for &u in list {
-        let u = u as usize;
-        if part_of[u] != own {
-            continue; // moved away by an earlier swap this sweep
+        let ui = u as usize;
+        if part_of[ui] == own {
+            let d = links.d_value(ui, own, other);
+            top = top.max(Some(d));
+            out.push((csr.vertex_weight(ui), d, u));
         }
-        let (nbrs, wgts) = csr.neighbors(u);
-        let (mut to_own, mut to_other) = (0u64, 0u64);
-        for (&v, &w) in nbrs.iter().zip(wgts) {
-            let p = part_of[v as usize];
-            if p == own {
-                to_own += w;
-            } else if p == other {
-                to_other += w;
-            }
-        }
-        classes
-            .entry(csr.vertex_weight(u))
-            .or_default()
-            .push((to_other as i128 - to_own as i128, u as u32));
     }
-    for cands in classes.values_mut() {
-        cands.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        cands.truncate(SWAP_TOP_CANDIDATES);
-    }
-    classes
+    top
 }
 
-/// Best positive swap between parts `p` and `q`, or `None`. The exact
-/// gain `D_u + D_v − 2·w(u, v)` is evaluated for every top-candidate
-/// combination of matching weight class; the first maximum in class /
-/// rank order wins ties (deterministic).
+/// Rank one side's candidates: swaps must preserve part weights, so
+/// candidates pair within a weight class. Sorts by class ascending, then
+/// `D` descending, then vertex id, and keeps the top candidates per
+/// class.
+fn rank_side(side: &mut Vec<(u64, i128, u32)>) {
+    side.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
+    let mut kept = 0;
+    let mut rank = 0;
+    for i in 0..side.len() {
+        rank = if i > 0 && side[i].0 == side[i - 1].0 {
+            rank + 1
+        } else {
+            0
+        };
+        if rank < SWAP_TOP_CANDIDATES {
+            side[kept] = side[i];
+            kept += 1;
+        }
+    }
+    side.truncate(kept);
+}
+
+/// Best positive swap between two sides of a part pair, or `None`. The
+/// exact gain `D_u + D_v − 2·w(u, v)` is evaluated for every
+/// top-candidate combination of matching weight class; the first maximum
+/// in class / rank order wins ties (deterministic).
 fn best_swap(
     csr: &CsrGraph,
-    part_of: &[usize],
-    p: usize,
-    q: usize,
-    boundary_of: &[Vec<u32>],
+    side_p: &[(u64, i128, u32)],
+    side_q: &[(u64, i128, u32)],
 ) -> Option<(usize, usize, u64)> {
-    let side_p = swap_side(csr, part_of, &boundary_of[p], p, q);
-    if side_p.is_empty() {
-        return None;
-    }
-    let side_q = swap_side(csr, part_of, &boundary_of[q], q, p);
     let mut best: Option<(i128, usize, usize)> = None;
-    for (w, cands_p) in &side_p {
-        let Some(cands_q) = side_q.get(w) else {
-            continue;
-        };
-        for &(du, u) in cands_p {
-            for &(dv, v) in cands_q {
+    let mut lo = 0;
+    for class in side_p.chunk_by(|a, b| a.0 == b.0) {
+        let w = class[0].0;
+        while lo < side_q.len() && side_q[lo].0 < w {
+            lo += 1;
+        }
+        let hi = lo + side_q[lo..].iter().take_while(|c| c.0 == w).count();
+        for &(_, du, u) in class {
+            for &(_, dv, v) in &side_q[lo..hi] {
                 let gain = du + dv - 2 * csr.edge_weight(u as usize, v as usize) as i128;
                 if gain > 0 && best.is_none_or(|(bg, _, _)| gain > bg) {
                     best = Some((gain, u as usize, v as usize));
@@ -221,35 +331,68 @@ fn best_swap(
 /// positive equal-weight swap per pair, until a full sweep applies
 /// nothing. Part weights are unchanged by construction. Returns the
 /// total gain.
+///
+/// The boundary and the pairs are taken at the start of a sweep; `D`
+/// values are read from a [`PartLinks`] table that each applied swap
+/// updates for the neighbours of the two vertices, so no pair rescans a
+/// neighbourhood.
 pub(crate) fn kl_swap_phase(csr: &CsrGraph, part_of: &mut [usize], k: usize) -> u64 {
-    let n = csr.n();
+    let mut links = PartLinks::new(csr, part_of);
+    let mut boundary_of: Vec<Vec<u32>> = vec![Vec::new(); k];
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    // `listed[q] == p`: the pair (p, q) is already in `pairs`.
+    let mut listed = vec![usize::MAX; k];
+    let (mut side_p, mut side_q) = (Vec::new(), Vec::new());
     let mut total_gain = 0u64;
     let mut swaps = 0u64;
     loop {
-        // Boundary vertices per part and the adjacent part pairs, from
-        // the current assignment.
-        let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
-        let mut boundary_of: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for u in 0..n {
-            let pu = part_of[u];
-            let (nbrs, _) = csr.neighbors(u);
-            let mut cross = false;
-            for &v in nbrs {
-                let pv = part_of[v as usize];
-                if pv != pu {
-                    cross = true;
-                    pairs.insert((pu.min(pv), pu.max(pv)));
-                }
-            }
-            if cross {
+        // Boundary vertices per part, ascending, and the adjacent part
+        // pairs (p < q) ascending, from the current assignment.
+        for list in &mut boundary_of {
+            list.clear();
+        }
+        for (u, &pu) in part_of.iter().enumerate() {
+            if links.row(u).iter().any(|&(p, _)| p as usize != pu) {
                 boundary_of[pu].push(u as u32);
             }
         }
+        pairs.clear();
+        listed.fill(usize::MAX);
+        for (p, list) in boundary_of.iter().enumerate() {
+            let first = pairs.len();
+            for &u in list {
+                for &(q, _) in links.row(u as usize) {
+                    let q = q as usize;
+                    if q > p && listed[q] != p {
+                        listed[q] = p;
+                        pairs.push((p, q));
+                    }
+                }
+            }
+            pairs[first..].sort_unstable();
+        }
         let mut applied = false;
         for &(p, q) in &pairs {
-            if let Some((u, v, gain)) = best_swap(csr, part_of, p, q, &boundary_of) {
+            let Some(top_p) = swap_side(csr, part_of, &links, &boundary_of[p], p, q, &mut side_p)
+            else {
+                continue;
+            };
+            let Some(top_q) = swap_side(csr, part_of, &links, &boundary_of[q], q, p, &mut side_q)
+            else {
+                continue;
+            };
+            // A swap gains `D_u + D_v − 2·w(u, v) ≤ D_u + D_v`: no swap of
+            // this pair can gain unless the two largest `D` values can.
+            if top_p + top_q <= 0 {
+                continue;
+            }
+            rank_side(&mut side_p);
+            rank_side(&mut side_q);
+            if let Some((u, v, gain)) = best_swap(csr, &side_p, &side_q) {
                 part_of[u] = q;
                 part_of[v] = p;
+                links.move_vertex(csr, u, p, q);
+                links.move_vertex(csr, v, q, p);
                 total_gain += gain;
                 swaps += 1;
                 applied = true;
@@ -259,9 +402,8 @@ pub(crate) fn kl_swap_phase(csr: &CsrGraph, part_of: &mut [usize], k: usize) -> 
             break;
         }
     }
-    hcft_telemetry::Registry::global()
-        .counter("partition.fm.swaps")
-        .add(swaps);
+    let [swap_count] = counters!("partition.fm.swaps");
+    swap_count.add(swaps);
     total_gain
 }
 
@@ -407,6 +549,8 @@ pub(crate) fn repair_bounds(g: &WeightedGraph, part: &mut [usize], k: usize, b: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::refine as oracle;
+    use proptest::prelude::*;
 
     /// Two dense squares joined by one edge, with a deliberately bad
     /// initial split.
@@ -468,6 +612,87 @@ mod tests {
         let mut pw = vec![4u64, 4];
         let gain = fm_move_phase(&csr, &mut part, &mut pw, SizeBounds::new(3, 5));
         assert!(gain > 0);
+    }
+
+    /// A random graph with tie-prone edge weights (many equal `D` values
+    /// and gains), vertex weights of 1 or mixed 1..=3 (as on a coarsened
+    /// level), and a start assignment into `k` non-empty parts.
+    fn arb_case() -> impl Strategy<Value = (WeightedGraph, Vec<usize>, usize)> {
+        (2usize..40, 1usize..9, any::<bool>()).prop_flat_map(|(n, k, mixed)| {
+            let k = k.min(n);
+            let max_vw = if mixed { 4 } else { 2 };
+            (
+                proptest::collection::vec((0usize..n, 0usize..n, 1u64..5), 0..3 * n),
+                proptest::collection::vec(1u64..max_vw, n),
+                proptest::collection::vec(0usize..k, n),
+            )
+                .prop_map(move |(edges, vw, mut part)| {
+                    let mut g = WeightedGraph::new(n);
+                    for (u, v, w) in edges {
+                        if u != v {
+                            g.add_edge(u, v, w);
+                        }
+                    }
+                    for (u, &w) in vw.iter().enumerate() {
+                        g.set_vertex_weight(u, w);
+                    }
+                    for (p, slot) in part.iter_mut().enumerate().take(k) {
+                        *slot = p;
+                    }
+                    (g, part, k)
+                })
+        })
+    }
+
+    /// Bounds for a start assignment: loose, the start's own weight
+    /// spread, or exactly tight at its lightest part (no move fits, only
+    /// swaps).
+    fn bounds_for(weights: &[u64], mode: u8) -> SizeBounds {
+        let (lo, hi) = (
+            *weights.iter().min().expect("k >= 1"),
+            *weights.iter().max().expect("k >= 1"),
+        );
+        match mode {
+            0 => SizeBounds::new(1, weights.iter().sum()),
+            1 => SizeBounds::new(lo, hi),
+            _ => SizeBounds::new(lo, lo),
+        }
+    }
+
+    proptest! {
+        /// The link-table refinement makes exactly the moves and swaps of
+        /// the pre-rewrite per-pair rescans: phase by phase, and over whole
+        /// refinement rounds.
+        #[test]
+        fn refine_matches_the_rescanning_oracle(case in arb_case(), mode in 0u8..3, passes in 1usize..7) {
+            let (g, start, k) = case;
+            let csr = CsrGraph::from_graph(&g);
+            let weights = part_weights_for(&g, &start, k);
+            let bounds = bounds_for(&weights, mode);
+
+            let (mut part, mut pw) = (start.clone(), weights.clone());
+            let (mut want, mut want_pw) = (start.clone(), weights.clone());
+            prop_assert_eq!(
+                fm_move_phase(&csr, &mut part, &mut pw, bounds),
+                oracle::fm_move_phase(&csr, &mut want, &mut want_pw, bounds)
+            );
+            prop_assert_eq!(&part, &want);
+            prop_assert_eq!(&pw, &want_pw);
+
+            let (mut part, mut want) = (start.clone(), start.clone());
+            prop_assert_eq!(
+                kl_swap_phase(&csr, &mut part, k),
+                oracle::kl_swap_phase(&csr, &mut want, k)
+            );
+            prop_assert_eq!(&part, &want);
+
+            let (mut part, mut pw) = (start.clone(), weights.clone());
+            let (mut want, mut want_pw) = (start, weights);
+            refine(&g, &mut part, &mut pw, bounds, passes);
+            oracle::refine(&g, &mut want, &mut want_pw, bounds, passes);
+            prop_assert_eq!(part, want);
+            prop_assert_eq!(pw, want_pw);
+        }
     }
 
     #[test]

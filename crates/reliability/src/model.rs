@@ -49,7 +49,7 @@
 //! workspace's only such judge: the campaign kernel and fault scenarios
 //! ask it through `hcft_cluster::SchemeIndex`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use hcft_graph::Clustering;
 use hcft_topology::Placement;
@@ -96,28 +96,50 @@ impl ClusteringDigest {
         placement: &Placement,
         tolerance: &dyn Fn(usize) -> usize,
     ) -> Self {
-        let mut nodes = Vec::new();
-        let all: Vec<ClusterNodes> = clustering
+        // Every cluster's signature, `(node, members)` runs in one flat
+        // buffer: cluster `i` is `runs[span[i].0..span[i].1]` with
+        // tolerance `span[i].2`. A run holds at least one rank, so the
+        // buffer never outgrows one entry per rank.
+        let mut nodes: Vec<u32> = Vec::new();
+        let mut runs: Vec<(u32, u32)> = Vec::with_capacity(clustering.nprocs());
+        let span: Vec<(usize, usize, u32)> = clustering
             .iter()
             .map(|(_, members)| {
                 nodes.clear();
-                nodes.extend(members.iter().map(|&r| placement.node_of(r).idx()));
+                nodes.extend(members.iter().map(|&r| placement.node_of(r).0));
                 nodes.sort_unstable();
-                ClusterNodes {
-                    counts: (nodes.chunk_by(|a, b| a == b))
-                        .map(|run| (run[0], run.len() as u32))
-                        .collect(),
-                    tolerance: tolerance(members.len()) as u32,
-                }
+                let start = runs.len();
+                runs.extend(
+                    nodes
+                        .chunk_by(|a, b| a == b)
+                        .map(|run| (run[0], run.len() as u32)),
+                );
+                (start, runs.len(), tolerance(members.len()) as u32)
             })
             .collect();
+        let signature = |i: usize| (&runs[span[i].0..span[i].1], span[i].2);
         // Clusters with identical signatures (the per-slot L2 clusters of
         // a node group) live and die together; one representative keeps
         // their nodes a one-cluster component, which the knapsack counts.
-        let mut seen = HashSet::new();
-        let first: Vec<bool> = all.iter().map(|c| seen.insert(c)).collect();
-        let clusters = (all.into_iter().zip(first))
-            .filter_map(|(c, first)| first.then_some(c))
+        // Sorted by signature, then index, each duplicate follows the
+        // first occurrence of its signature, which is the one kept.
+        let mut order: Vec<usize> = (0..span.len()).collect();
+        order.sort_unstable_by(|&a, &b| signature(a).cmp(&signature(b)).then(a.cmp(&b)));
+        let mut first = vec![true; span.len()];
+        for pair in order.windows(2) {
+            if signature(pair[0]) == signature(pair[1]) {
+                first[pair[1]] = false;
+            }
+        }
+        let clusters = (0..span.len())
+            .filter(|&i| first[i])
+            .map(|i| {
+                let (counts, tolerance) = signature(i);
+                ClusterNodes {
+                    counts: counts.iter().map(|&(n, c)| (n as usize, c)).collect(),
+                    tolerance,
+                }
+            })
             .collect();
         ClusteringDigest {
             nodes: placement.nodes(),
@@ -1049,6 +1071,61 @@ mod tests {
                 let q2 = model.q_given_j(2, &clustering, &placement, &tolerance);
                 prop_assert_eq!(q2, pairs as f64 / (nodes * (nodes - 1) / 2) as f64);
             }
+        }
+    }
+
+    /// The digest as built before duplicates were dropped by sorting: a
+    /// `HashSet` of signatures, the first occurrence kept.
+    fn digest_by_hash_set(
+        clustering: &Clustering,
+        placement: &Placement,
+        tolerance: &dyn Fn(usize) -> usize,
+    ) -> ClusteringDigest {
+        let all: Vec<ClusterNodes> = clustering
+            .iter()
+            .map(|(_, members)| {
+                let mut nodes: Vec<usize> = members
+                    .iter()
+                    .map(|&r| placement.node_of(r).idx())
+                    .collect();
+                nodes.sort_unstable();
+                ClusterNodes {
+                    counts: (nodes.chunk_by(|a, b| a == b))
+                        .map(|run| (run[0], run.len() as u32))
+                        .collect(),
+                    tolerance: tolerance(members.len()) as u32,
+                }
+            })
+            .collect();
+        let mut seen = std::collections::HashSet::new();
+        ClusteringDigest {
+            nodes: placement.nodes(),
+            clusters: all.iter().filter(|c| seen.insert(*c)).cloned().collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Dropping duplicate signatures by sorting keeps the same
+        /// clusters in the same order as the hash-set pass: per-slot node
+        /// groups (many duplicates), whole node groups and random,
+        /// consecutive or strided clusterings, on uniform and ragged
+        /// machines, under each tolerance rule.
+        #[test]
+        fn sorted_dedup_equals_hash_set_dedup(
+            (placement, groups, other) in arb_machine().prop_flat_map(|p| {
+                let n = p.nprocs();
+                (Just(p.clone()), arb_node_groups(&p), arb_clustering(n))
+            }),
+            use_groups in any::<bool>(),
+            tol in 0..TOLERANCES.len(),
+        ) {
+            let clustering = if use_groups { &groups } else { &other };
+            prop_assert_eq!(
+                ClusteringDigest::new(clustering, &placement, &TOLERANCES[tol]),
+                digest_by_hash_set(clustering, &placement, &TOLERANCES[tol])
+            );
         }
     }
 

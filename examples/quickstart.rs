@@ -67,7 +67,12 @@ fn main() {
             .failed_nodes(&placement, scheme, None)
             .expect("resolvable");
         let catastrophic = scenario
-            .is_catastrophic(&placement, scheme, None)
+            .is_catastrophic(
+                &placement,
+                scheme,
+                None,
+                &SchemeIndex::new(scheme, &placement),
+            )
             .expect("resolvable");
         println!(
             "  {:<24} {:>2} nodes lost — {}",

@@ -68,7 +68,7 @@ pub mod prelude {
     pub use hcft_cluster::{
         autotune, candidates, distributed, hierarchical, naive, size_guided, striped,
         BaselineRequirements, ClusteringScheme, ClusteringStrategy, Evaluator, FamilyScore,
-        FourDScore, HierarchicalConfig, SchemeFamilySpec, StrategyContext,
+        FourDScore, HierarchicalConfig, SchemeFamilySpec, SchemeIndex, StrategyContext,
     };
     pub use hcft_core::campaign::{
         simulate_campaign, simulate_campaign_stats, CampaignConfig, CampaignGrid, CampaignOutcome,

@@ -257,7 +257,12 @@ fn same_node_encoding_clusters_hit_the_catastrophic_path() {
     let scenario = FaultScenario::node_loss(NodeId(2), 6);
     assert!(
         scenario
-            .is_catastrophic(&placement, &scheme, None)
+            .is_catastrophic(
+                &placement,
+                &scheme,
+                None,
+                &SchemeIndex::new(&scheme, &placement)
+            )
             .expect("in range"),
         "same-node encoding clusters are defeated by one node loss"
     );

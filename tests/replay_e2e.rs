@@ -201,8 +201,9 @@ fn losing_most_clusters_defeats_the_erasure_code() {
         .l1_cluster(2)
         .build();
     let (placement, scheme) = topology();
+    let index = SchemeIndex::new(&scheme, &placement);
     assert!(scenario
-        .is_catastrophic(&placement, &scheme, None)
+        .is_catastrophic(&placement, &scheme, None, &index)
         .expect("in range"));
     assert!(matches!(
         eng.run(&scenario, 18),
