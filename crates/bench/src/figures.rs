@@ -8,7 +8,7 @@ use hcft_core::campaign::{CiTarget, StopRule};
 use hcft_core::HcftError;
 use hcft_erasure::{EncodingModel, ReedSolomon};
 use hcft_graph::WeightedGraph;
-use hcft_msglog::HybridProtocol;
+use hcft_msglog::{logged_fraction, HybridProtocol};
 use hcft_reliability::model::fti_tolerance;
 use hcft_reliability::{EventDistribution, ReliabilityModel};
 use hcft_topology::{MachineSpec, Placement};
@@ -55,7 +55,7 @@ pub fn fig3a(scale: Scale) -> Artifact {
         .map(|size| {
             let scheme = naive(n, size);
             let protocol = HybridProtocol::new(scheme.l1.clone());
-            let logged = protocol.stats_from_matrix(&t.app).logged_fraction() * 100.0;
+            let logged = logged_fraction(protocol.logged_bytes(&t.app)) * 100.0;
             let restart = protocol.expected_restart_fraction(&placement) * 100.0;
             (size, logged, restart)
         })
@@ -100,7 +100,7 @@ pub fn fig3b(scale: Scale) -> Artifact {
     for size in power_of_two_sizes(n / 2, 4) {
         let scheme = naive(n, size);
         let protocol = HybridProtocol::new(scheme.l1.clone());
-        let logged = protocol.stats_from_matrix(&t.app).logged_fraction() * 100.0;
+        let logged = logged_fraction(protocol.logged_bytes(&t.app)) * 100.0;
         let model_s = model.seconds_per_gb(size);
         // RS over GF(256) caps at 256 shards (k = m = size), so the live
         // measurement stops at 128; the model extrapolates beyond.
@@ -231,8 +231,8 @@ pub fn fig4b(scale: Scale) -> Artifact {
         .map(|size| {
             let nd = HybridProtocol::new(naive(n, size).l1);
             let d = HybridProtocol::new(distributed(&placement, size).l1);
-            let l_nd = nd.stats_from_matrix(&t.app).logged_fraction() * 100.0;
-            let l_d = d.stats_from_matrix(&t.app).logged_fraction() * 100.0;
+            let l_nd = logged_fraction(nd.logged_bytes(&t.app)) * 100.0;
+            let l_d = logged_fraction(d.logged_bytes(&t.app)) * 100.0;
             (size, l_nd, l_d)
         })
         .collect();

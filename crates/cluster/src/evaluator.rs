@@ -2,7 +2,7 @@
 
 use hcft_erasure::EncodingModel;
 use hcft_graph::CommMatrix;
-use hcft_msglog::HybridProtocol;
+use hcft_msglog::{logged_fraction, HybridProtocol};
 use hcft_reliability::model::fti_tolerance;
 use hcft_reliability::{ClusteringDigest, EventDistribution, ReliabilityModel};
 use hcft_topology::Placement;
@@ -94,17 +94,17 @@ impl Evaluator {
             .zip(p_cat)
             .map(|(scheme, p_cat)| {
                 let protocol = HybridProtocol::new(scheme.l1.clone());
-                let stats = protocol.stats_from_matrix(&self.matrix);
+                let (total, logged) = protocol.logged_bytes(&self.matrix);
                 let score = FourDScore {
                     name: scheme.name.clone(),
-                    logging_fraction: stats.logged_fraction(),
+                    logging_fraction: logged_fraction((total, logged)),
                     restart_fraction: protocol.expected_restart_fraction(&self.placement),
                     // The largest L2 cluster gates the checkpoint: all
                     // clusters encode in parallel.
                     encode_s_per_gb: self.encoding.seconds_per_gb(scheme.l2.max_size()),
                     p_catastrophic: p_cat,
                 };
-                publish_score(&score, stats.logged_bytes, stats.total_bytes);
+                publish_score(&score, logged, total);
                 score
             })
             .collect()

@@ -454,8 +454,9 @@ pub fn run_traced_world(cfg: &TracedJobConfig) -> TracedWorld {
         let cfg = &*cfg2;
         let layout = &layout_for_ranks;
         let me = hcft_topology::Rank::from(world.rank());
-        // FTI initialisation: allgather over every rank in the job.
-        let _ = world.allgather(&[world.rank() as u64]);
+        // FTI initialisation: allgather of one `u64` from every rank in
+        // the job. Nothing reads the result, so it is traced shape-only.
+        world.allgather_zeros(std::mem::size_of::<u64>());
         let role = layout.role(me);
         // FTI replaces the world communicator: split off the application.
         let color = match role {

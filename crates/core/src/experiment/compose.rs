@@ -69,22 +69,18 @@ pub(super) fn compose(
     ring_steps: usize,
 ) -> Result<CommMatrix, NotPeriodic> {
     let mut full = CommMatrix::new(events.len());
-    let mut add = |src: usize, dst: u32, bytes: u64, times: u64| {
-        let bytes = bytes.checked_mul(times).ok_or(NotPeriodic::Overflow)?;
-        full.get(src, dst as usize)
-            .checked_add(bytes)
-            .ok_or(NotPeriodic::Overflow)?;
-        full.add(src, dst as usize, bytes);
-        Ok(())
-    };
     let mut steps: [Vec<(u32, u64)>; 2] = Default::default();
     let mut round = Vec::new();
+    // One sender's scaled cells, summed per destination once its stream
+    // is read and then appended to its row in ascending order.
+    let mut cells: Vec<(u32, u64)> = Vec::new();
     for (src, stream) in events.iter().enumerate() {
         steps.iter_mut().for_each(Vec::clear);
         round.clear();
+        cells.clear();
         for e in stream {
             match part(e.tag, ring_steps).ok_or(NotPeriodic::UnknownTag(e.tag))? {
-                Part::Init => add(src, e.dst, e.bytes, 1)?,
+                Part::Init => cells.push((e.dst, e.bytes)),
                 Part::Step => usize::try_from(e.phase)
                     .ok()
                     .and_then(|p| steps.get_mut(p))
@@ -100,11 +96,23 @@ pub(super) fn compose(
         if first != second {
             return Err(NotPeriodic::RoundsDiffer);
         }
-        for &(dst, bytes) in &steps[0] {
-            add(src, dst, bytes, iterations)?;
+        let scaled = |&(dst, bytes): &(u32, u64), times: u64| {
+            let bytes = bytes.checked_mul(times).ok_or(NotPeriodic::Overflow)?;
+            Ok((dst, bytes))
+        };
+        for cell in &steps[0] {
+            cells.push(scaled(cell, iterations)?);
         }
-        for &(dst, bytes) in first {
-            add(src, dst, bytes, rounds)?;
+        for cell in first {
+            cells.push(scaled(cell, rounds)?);
+        }
+        cells.sort_unstable_by_key(|&(dst, _)| dst);
+        for run in cells.chunk_by(|a, b| a.0 == b.0) {
+            let bytes = run
+                .iter()
+                .try_fold(0u64, |sum, &(_, b)| sum.checked_add(b))
+                .ok_or(NotPeriodic::Overflow)?;
+            full.add(src, run[0].0 as usize, bytes);
         }
     }
     Ok(full)

@@ -73,7 +73,7 @@ impl CommMatrix {
     /// The non-zero `(dst, bytes)` cells of sender `src`, sorted by
     /// destination.
     #[inline]
-    pub(crate) fn row(&self, src: usize) -> &[(u32, u64)] {
+    pub fn row(&self, src: usize) -> &[(u32, u64)] {
         &self.rows[src]
     }
 

@@ -28,7 +28,7 @@ pub mod senderlog;
 pub mod timeline;
 
 pub use determinism::{check_send_determinism, DeterminismReport};
-pub use protocol::{HybridProtocol, LogStats};
+pub use protocol::{logged_fraction, HybridProtocol, LogStats};
 pub use recovery::{check_replay, ReplayReport};
 pub use senderlog::SenderLog;
 pub use timeline::{log_memory_timeline, LogSample};

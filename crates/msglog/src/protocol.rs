@@ -20,11 +20,17 @@ impl LogStats {
     /// Fraction of bytes logged — the paper's "message logging overhead"
     /// axis.
     pub fn logged_fraction(&self) -> f64 {
-        if self.total_bytes == 0 {
-            0.0
-        } else {
-            self.logged_bytes as f64 / self.total_bytes as f64
-        }
+        logged_fraction((self.total_bytes, self.logged_bytes))
+    }
+}
+
+/// `logged / total` of a `(total, logged)` byte pair, such as
+/// [`HybridProtocol::logged_bytes`] returns; 0 for an empty trace.
+pub fn logged_fraction((total, logged): (u64, u64)) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        logged as f64 / total as f64
     }
 }
 
@@ -54,7 +60,7 @@ impl HybridProtocol {
     }
 
     /// Accounting from a byte matrix (no per-message phases needed):
-    /// one walk over its non-zero cells.
+    /// one walk over its rows.
     pub fn stats_from_matrix(&self, m: &CommMatrix) -> LogStats {
         assert_eq!(m.n(), self.clustering.nprocs(), "matrix/clustering size");
         let mut s = LogStats {
@@ -62,14 +68,35 @@ impl HybridProtocol {
             logged_bytes: 0,
             per_sender_logged: vec![0; self.clustering.nprocs()],
         };
-        for (src, dst, bytes) in m.entries() {
-            s.total_bytes += bytes;
-            if self.must_log(Rank::from(src), Rank::from(dst)) {
-                s.logged_bytes += bytes;
-                s.per_sender_logged[src] += bytes;
-            }
+        for src in 0..m.n() {
+            let (total, logged) = self.row_bytes(m, src);
+            s.total_bytes += total;
+            s.logged_bytes += logged;
+            s.per_sender_logged[src] = logged;
         }
         s
+    }
+
+    /// `(total, logged)` bytes of a byte matrix: the two totals of
+    /// [`HybridProtocol::stats_from_matrix`] without its per-sender
+    /// vector.
+    pub fn logged_bytes(&self, m: &CommMatrix) -> (u64, u64) {
+        assert_eq!(m.n(), self.clustering.nprocs(), "matrix/clustering size");
+        (0..m.n())
+            .map(|src| self.row_bytes(m, src))
+            .fold((0, 0), |(t, l), (rt, rl)| (t + rt, l + rl))
+    }
+
+    /// `(total, logged)` bytes sent by `src`: its row of `m`, reading
+    /// its cluster once.
+    fn row_bytes(&self, m: &CommMatrix, src: usize) -> (u64, u64) {
+        let home = self.clustering.cluster_of(Rank::from(src));
+        m.row(src)
+            .iter()
+            .fold((0, 0), |(total, logged), &(dst, bytes)| {
+                let cut = self.clustering.cluster_of(Rank::from(dst as usize)) != home;
+                (total + bytes, logged + if cut { bytes } else { 0 })
+            })
     }
 
     /// The set of ranks forced to restart when `failed` ranks die: the
@@ -246,6 +273,41 @@ mod tests {
             prop_assert_eq!(
                 p.expected_restart_fraction(&placement).to_bits(),
                 restart_fraction_by_sets(&p, &placement).to_bits()
+            );
+        }
+
+        /// The row walks equal a per-cell accounting with `must_log`:
+        /// both totals, the per-sender vector and the fraction.
+        #[test]
+        fn row_walks_equal_the_per_cell_accounting(
+            ranks in 1usize..60,
+            cells in proptest::collection::vec((0usize..60, 0usize..60, 0u64..1000), 0..200),
+            size in 1usize..20,
+            cluster_draw in proptest::collection::vec(0usize..20, 60),
+        ) {
+            let mut m = CommMatrix::new(ranks);
+            for (s, d, b) in cells {
+                m.add(s % ranks, d % ranks, b);
+            }
+            let p = HybridProtocol::new(Clustering::from_assignment(
+                &cluster_draw[..ranks].iter().map(|&c| c % size).collect::<Vec<_>>(),
+            ));
+            let mut per_sender = vec![0; ranks];
+            let (mut total, mut logged) = (0, 0);
+            for (s, d, b) in m.entries() {
+                total += b;
+                if p.must_log(Rank::from(s), Rank::from(d)) {
+                    logged += b;
+                    per_sender[s] += b;
+                }
+            }
+            prop_assert_eq!(p.logged_bytes(&m), (total, logged));
+            let stats = p.stats_from_matrix(&m);
+            prop_assert_eq!((stats.total_bytes, stats.logged_bytes), (total, logged));
+            prop_assert_eq!(&stats.per_sender_logged, &per_sender);
+            prop_assert_eq!(
+                logged_fraction((total, logged)).to_bits(),
+                stats.logged_fraction().to_bits()
             );
         }
     }

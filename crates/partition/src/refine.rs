@@ -8,7 +8,9 @@
 //!   [`SizeBounds`] invariant are applied, so each phase monotonically
 //!   improves the cut and termination is guaranteed. Moves blocked by the
 //!   bounds are parked and retried after every applied move (weights
-//!   shift, so a blocked move can become legal).
+//!   shift, so a blocked move can become legal). When no part can give
+//!   up even its lightest vertex, the phase returns before it builds its
+//!   buckets: nothing could ever be applied.
 //! * **Swap phase** — pairwise exchanges of equal-weight boundary
 //!   vertices between adjacent parts. Swaps keep part weights unchanged,
 //!   so they work even under exactly tight bounds where single moves are
@@ -71,6 +73,21 @@ fn best_move(
     Some((target, link_target as i128 - link_home as i128))
 }
 
+/// Whether some part can give up its lightest vertex without falling
+/// below `min_weight`. When none can, no single move is legal now, and
+/// since weights change only by moves, none ever becomes legal in this
+/// phase: the tight `k · min = total` bounds of the hierarchical runs.
+fn any_part_can_give(csr: &CsrGraph, part_of: &[usize], part_weight: &[u64], min: u64) -> bool {
+    let mut lightest = vec![u64::MAX; part_weight.len()];
+    for (u, &p) in part_of.iter().enumerate() {
+        lightest[p] = lightest[p].min(csr.vertex_weight(u));
+    }
+    part_weight
+        .iter()
+        .zip(&lightest)
+        .any(|(&w, &l)| w >= min.saturating_add(l))
+}
+
 /// One gain-bucket move phase. Returns the total gain achieved
 /// (reduction of the cut weight).
 pub(crate) fn fm_move_phase(
@@ -79,6 +96,9 @@ pub(crate) fn fm_move_phase(
     part_weight: &mut [u64],
     bounds: SizeBounds,
 ) -> u64 {
+    if !any_part_can_give(csr, part_of, part_weight, bounds.min_weight) {
+        return 0;
+    }
     let n = csr.n();
     let mut buckets = GainBuckets::new(n);
     let mut scratch: Vec<(usize, u64)> = Vec::new();
@@ -602,6 +622,22 @@ mod tests {
         // Already optimal; tight bounds must keep it intact.
         refine(&g, &mut part, &mut pw, SizeBounds::new(4, 4), 4);
         assert_eq!(part, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn no_part_can_give_under_tight_bounds() {
+        // Every part sits exactly at the minimum, so no move is legal even
+        // though moving vertex 0 or 4 home would cut the cut weight.
+        let g = squares();
+        let csr = CsrGraph::from_graph(&g);
+        let mut part = vec![1, 0, 0, 0, 0, 1, 1, 1];
+        let mut pw = vec![4u64, 4];
+        assert!(!any_part_can_give(&csr, &part, &pw, 4));
+        assert!(any_part_can_give(&csr, &part, &pw, 3));
+        let gain = fm_move_phase(&csr, &mut part, &mut pw, SizeBounds::new(4, 5));
+        assert_eq!(gain, 0);
+        assert_eq!(part, vec![1, 0, 0, 0, 0, 1, 1, 1]);
+        assert_eq!(pw, vec![4, 4]);
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! job and the replay engine call — trace those messages without sending
 //! them. Each call is one rendezvous (`rendezvous.rs`): every member
 //! deposits its block in the meeting keyed by (communicator context,
-//! collective sequence number), the last to arrive assembles the result
-//! once and releases the others with one mailbox delivery each, and
-//! every member copies out its own typed result. Before it meets, each
-//! member records into the [`crate::TraceRecorder`] exactly the messages
+//! collective sequence number) and parks on the meeting; the last to
+//! arrive assembles the result once, publishes it and releases the
+//! others with one wake batch per worker (one condvar notify on the
+//! thread engine), and every member copies out its own typed result. No
+//! mailbox message is sent. Before it meets, each member records into
+//! the [`crate::TraceRecorder`], under one lock, exactly the messages
 //! the MPICH2 schedule sends from it, in schedule order, at its current
 //! phase:
 //!
@@ -32,13 +34,14 @@
 //! rank order, which fixes its combining order on every schedule.
 
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
-use bytes::Bytes;
 use hcft_telemetry::{Counter, Registry};
 
 use crate::comm::Comm;
 use crate::datatype::{decode, encode, Datum};
-use crate::rendezvous::{Deposit, Outcome};
+use crate::rendezvous::{Arrival, Deposit, Outcome};
+use crate::sched;
 use crate::trace::MessageEvent;
 
 /// The collectives counted in telemetry, indexing [`OP_NAMES`].
@@ -81,24 +84,27 @@ fn payload_bytes<T: Datum>(xs: &[T]) -> u64 {
 // Reserved tag blocks (above MAX_USER_TAG).
 const TAG_BARRIER: u32 = 0xC100_0000;
 const TAG_ALLGATHER: u32 = 0xC200_0000;
-/// Rendezvous release: one empty delivery per waiting member.
-const TAG_RELEASE: u32 = 0xCB00_0000;
 
 /// Encoded `(colour, key, world rank)` block `split` traces per rank:
 /// the allgather MPICH2's `MPI_Comm_split` runs.
 const SPLIT_BLOCK: usize = 3 * 8;
 
-/// The partner distances 1, 2, 4, … below `n`, one per schedule step.
-fn distances(n: usize) -> impl Iterator<Item = usize> {
-    (0..usize::BITS)
-        .map(|k| 1usize << k)
-        .take_while(move |&d| d < n)
+/// The partner distances 1, 2, 4, … below `n`, one per schedule step:
+/// ⌈log₂ n⌉ of them, an exact count, so a member's whole schedule is
+/// recorded with one reservation.
+fn distances(n: usize) -> impl ExactSizeIterator<Item = usize> {
+    let steps = usize::BITS - n.saturating_sub(1).leading_zeros();
+    (0..steps as usize).map(|k| 1usize << k)
 }
 
 /// `(destination, bytes)` of each message MPICH2's allgather sends from
 /// `rank`: recursive doubling when `n` is a power of two, Bruck's
 /// algorithm otherwise.
-fn allgather_schedule(n: usize, rank: usize, blk: usize) -> impl Iterator<Item = (usize, u64)> {
+fn allgather_schedule(
+    n: usize,
+    rank: usize,
+    blk: usize,
+) -> impl ExactSizeIterator<Item = (usize, u64)> {
     let doubling = n.is_power_of_two();
     distances(n).map(move |d| {
         if doubling {
@@ -147,6 +153,28 @@ impl Comm {
         )
     }
 
+    /// Allgather of a block of `len` zero bytes from every rank, for a
+    /// collective whose content no rank reads: traced, counted and
+    /// checked exactly as [`Comm::allgather`] of a `len`-byte block, but
+    /// no rank copies the result out (at 1 088 ranks that is 1 088
+    /// copies of 8.7 KB for a one-`u64` block). The trace needs only the
+    /// schedule, as it needs only the lengths of halos sent with
+    /// [`Comm::send_zeros`].
+    ///
+    /// # Panics
+    /// As [`Comm::allgather`]; a member calling the typed `allgather`
+    /// instead contributes another shape.
+    pub fn allgather_zeros(&self, len: usize) {
+        tally(Op::Allgather, len as u64);
+        let block = vec![0; len];
+        let schedule = allgather_schedule(self.size(), self.rank(), len);
+        let deposit = Deposit::Allgather {
+            bytes: &block,
+            width: 1,
+        };
+        self.meet(deposit, TAG_ALLGATHER, schedule, |_, _| ());
+    }
+
     /// `MPI_Comm_split`: collective over this communicator. Ranks passing
     /// the same `color` end up in the same new communicator, ordered by
     /// `(key, old rank)`. Returns `None` for ranks passing `color: None`.
@@ -171,7 +199,7 @@ impl Comm {
     /// One rendezvous: check every member is alive, record this rank's
     /// `schedule` (`(destination, bytes)` of step k, tagged `tag | k`),
     /// deposit, then either complete the meeting and release the others
-    /// or wait to be released. `read` gets the outcome and the
+    /// or park until released. `read` gets the outcome and the
     /// collective's sequence number.
     ///
     /// # Panics
@@ -184,7 +212,7 @@ impl Comm {
         &self,
         deposit: Deposit,
         tag: u32,
-        schedule: impl Iterator<Item = (usize, u64)>,
+        schedule: impl ExactSizeIterator<Item = (usize, u64)>,
         read: impl FnOnce(&Outcome, u64) -> R,
     ) -> R {
         let kind = deposit.name();
@@ -202,44 +230,45 @@ impl Comm {
         }
         let src = self.world_rank() as u32;
         let phase = self.phase();
-        for (k, (dst, bytes)) in schedule.enumerate() {
-            self.shared.trace.record(MessageEvent {
+        self.shared.trace.record_from(
+            src,
+            schedule.enumerate().map(|(k, (dst, bytes))| MessageEvent {
                 src,
                 dst: self.world_rank_of(dst) as u32,
                 bytes,
                 tag: tag | k as u32,
                 phase,
-            });
-        }
+            }),
+        );
         let key = (self.ctx, seq);
-        let (slot, last) = self.shared.meetings.arrive(key, n, rank, deposit);
-        let release = |r: usize| (self.ctx, r as u32, TAG_RELEASE);
-        match last {
-            Some(meeting) => {
-                let outcome = meeting.assemble(|r| self.world_rank_of(r) as u32);
-                if slot.set(outcome).is_err() {
-                    unreachable!("a meeting completes once");
+        let task = sched::current();
+        let meetings = &self.shared.meetings;
+        let slot = match meetings.arrive(key, n, rank, deposit, task.as_ref()) {
+            Arrival::Last(meeting, slot) => {
+                meetings.publish(&slot, meeting.assemble(|r| self.world_rank_of(r) as u32));
+                if let Some(sched) = self.shared.sched.get() {
+                    let mut others: Vec<u32> = (0..n)
+                        .filter(|&r| r != rank)
+                        .map(|r| self.world_rank_of(r) as u32)
+                        .collect();
+                    sched.wake_all(&mut others);
                 }
-                for r in (0..n).filter(|&r| r != rank) {
-                    self.shared
-                        .deliver(self.world_rank_of(r), release(r), Bytes::new());
-                }
+                slot
             }
-            None => {
-                let released = self
-                    .shared
-                    .recv_within_timeout(self.world_rank(), release(rank));
-                if released.is_none() {
+            Arrival::Wait(slot) => {
+                let deadline = Instant::now() + self.shared.recv_timeout;
+                if !meetings.wait(&slot, task.as_ref(), deadline) {
                     panic!(
                         "simmpi collective stalled: rank {rank} waited {:?} in {kind} #{seq} \
                          on ctx {:#x}; {} of {n} ranks arrived",
                         self.shared.recv_timeout,
                         self.ctx,
-                        self.shared.meetings.arrived(key)
+                        meetings.arrived(key)
                     );
                 }
+                slot
             }
-        }
+        };
         match slot.get().expect("a released member finds the outcome") {
             Ok(outcome) => read(outcome, seq),
             Err(why) => panic!("simmpi collective #{seq} on ctx {:#x}: {why}", self.ctx),
@@ -399,7 +428,8 @@ mod rendezvous_tests {
     /// 0 set a per-rank phase, 1 ring exchange (point to point),
     /// 2 barrier, 3/4/5 allgather of `a % 4` `u8`/`u64`/`f64` elements,
     /// 6 split and descend into the new communicator (ranks with no
-    /// colour skip to the matching ascend), 7 ascend.
+    /// colour skip to the matching ascend), 7 ascend, 8 allgather of
+    /// `a % 20` zero bytes whose result is not read.
     type Step = (u8, u64);
 
     #[derive(Clone, Copy)]
@@ -481,6 +511,13 @@ mod rendezvous_tests {
                     }
                     stack.push(sub);
                 }
+                8 => {
+                    let len = (a % 20) as usize;
+                    match imp {
+                        Impl::Oracle => drop(oracle::allgather(c, &vec![0u8; len])),
+                        Impl::Rendezvous => c.allgather_zeros(len),
+                    }
+                }
                 _ => unreachable!("opcode {op}"),
             }
         }
@@ -536,7 +573,7 @@ mod rendezvous_tests {
         #[test]
         fn rendezvous_equals_the_point_to_point_oracle(
             n in 1usize..71,
-            program in prop::collection::vec((0u8..8, any::<u64>()), 1..14),
+            program in prop::collection::vec((0u8..9, any::<u64>()), 1..14),
         ) {
             check(n, &program)?;
         }
@@ -545,10 +582,12 @@ mod rendezvous_tests {
     #[test]
     fn every_collective_on_nested_splits_matches_the_oracle() {
         // Fixed coverage next to the random programs: both allgather
-        // schedules, empty blocks, a `None` colour and a nested split.
+        // schedules, empty blocks, zero blocks, a `None` colour and a
+        // nested split.
         let program: Vec<Step> = vec![
             (0, 5),
             (4, 3),
+            (8, 8),
             (3, 0),
             (6, 1),
             (2, 0),
@@ -556,6 +595,7 @@ mod rendezvous_tests {
             (1, 9),
             (6, 4),
             (4, 1),
+            (8, 3),
             (7, 0),
             (2, 0),
             (7, 0),
@@ -622,47 +662,72 @@ mod rendezvous_tests {
         }
     }
 
-    fn short_timeout() -> WorldConfig {
+    fn short_timeout(engine: Engine) -> WorldConfig {
         WorldConfig {
             recv_timeout: Duration::from_millis(100),
+            engine,
             ..WorldConfig::default()
         }
     }
 
-    #[test]
-    #[should_panic(
-        expected = "allgather contributions differ: rank 0 gave 1 × 8 B, rank 2 gave 2 × 8 B"
-    )]
-    fn unequal_allgather_contributions_fail_at_the_rendezvous() {
-        World::run_with(3, short_timeout(), |c| {
-            let mine = vec![7u64; if c.rank() == 2 { 2 } else { 1 }];
-            c.allgather(&mine);
-        });
+    /// Run `body` on `n` ranks of each engine (tasks on 2 workers, then
+    /// threads) and return each engine's panic message; a world that
+    /// finishes fails the test.
+    fn panics_on_both_engines(n: usize, body: fn(&mut Comm)) -> [String; 2] {
+        [(Engine::Tasks, 2), (Engine::Threads, 0)].map(|(engine, workers)| {
+            let cfg = WorldConfig {
+                workers,
+                ..short_timeout(engine)
+            };
+            let run = std::panic::catch_unwind(|| World::run_with(n, cfg, body).outputs);
+            let err = run.expect_err("the world must panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            format!("{engine:?}: {msg}")
+        })
+    }
+
+    fn assert_both_contain(msgs: [String; 2], want: &str) {
+        for msg in msgs {
+            assert!(msg.contains(want), "{msg}\n  does not contain: {want}");
+        }
     }
 
     #[test]
-    #[should_panic(
-        expected = "mismatched collectives: rank 0 called barrier, rank 1 called allgather"
-    )]
+    fn unequal_allgather_contributions_fail_at_the_rendezvous() {
+        let msgs = panics_on_both_engines(3, |c| {
+            let mine = vec![7u64; if c.rank() == 2 { 2 } else { 1 }];
+            c.allgather(&mine);
+        });
+        assert_both_contain(
+            msgs,
+            "allgather contributions differ: rank 0 gave 1 × 8 B, rank 2 gave 2 × 8 B",
+        );
+    }
+
+    #[test]
     fn mismatched_collectives_fail_at_the_rendezvous() {
-        World::run_with(2, short_timeout(), |c| {
+        let msgs = panics_on_both_engines(2, |c| {
             if c.rank() == 0 {
                 c.barrier();
             } else {
                 c.allgather(&[1u8]);
             }
         });
+        assert_both_contain(
+            msgs,
+            "mismatched collectives: rank 0 called barrier, rank 1 called allgather",
+        );
     }
 
     #[test]
-    #[should_panic(expected = "in barrier #1 on ctx 0x0; 2 of 3 ranks arrived")]
     fn a_missing_member_trips_the_watchdog() {
-        World::run_with(3, short_timeout(), |c| {
+        let msgs = panics_on_both_engines(3, |c| {
             c.barrier();
             if c.rank() != 1 {
                 c.barrier();
             }
         });
+        assert_both_contain(msgs, "in barrier #1 on ctx 0x0; 2 of 3 ranks arrived");
     }
 
     #[test]
@@ -673,7 +738,7 @@ mod rendezvous_tests {
             live: vec![true, false, true],
             feed: ReplayFeed::new(3),
         };
-        World::run_replay(3, short_timeout(), plan, |c| c.barrier());
+        World::run_replay(3, short_timeout(Engine::Auto), plan, |c| c.barrier());
     }
 }
 
@@ -760,7 +825,7 @@ mod tests {
 
 #[cfg(test)]
 mod subcomm_tests {
-    use crate::runtime::World;
+    use crate::runtime::{Engine, World, WorldConfig};
 
     /// Collectives must work identically inside split communicators —
     /// FTI runs its allgathers on the application communicator, not the
@@ -791,25 +856,34 @@ mod subcomm_tests {
         assert_eq!(r.outputs[7], vec![5, 6, 7, 8, 9]);
     }
 
+    /// On the thread engine every meeting's waiters share one condvar, so
+    /// a waiter woken by its sibling meeting's outcome must wait again.
     #[test]
     fn concurrent_collectives_in_sibling_comms_do_not_interfere() {
-        let r = World::run(8, |c| {
-            let sub = c.split(Some((c.rank() % 2) as u32), 0).expect("member");
-            // Both halves run different collective sequences at once.
-            let sum = |x: f64| sub.allgather(&[x]).iter().sum::<f64>();
-            if c.rank() % 2 == 0 {
-                let g = sub.allgather(&[c.rank() as u64]);
-                let s = sum(1.0);
-                (g, s)
-            } else {
-                let s = sum(2.0);
-                let g = sub.allgather(&[c.rank() as u64]);
-                (g, s)
-            }
-        });
-        assert_eq!(r.outputs[0].0, vec![0, 2, 4, 6]);
-        assert_eq!(r.outputs[0].1, 4.0);
-        assert_eq!(r.outputs[1].0, vec![1, 3, 5, 7]);
-        assert_eq!(r.outputs[1].1, 8.0);
+        for engine in [Engine::Tasks, Engine::Threads] {
+            let cfg = WorldConfig {
+                engine,
+                workers: 2,
+                ..WorldConfig::default()
+            };
+            let r = World::run_with(8, cfg, |c| {
+                let sub = c.split(Some((c.rank() % 2) as u32), 0).expect("member");
+                // Both halves run different collective sequences at once.
+                let sum = |x: f64| sub.allgather(&[x]).iter().sum::<f64>();
+                if c.rank() % 2 == 0 {
+                    let g = sub.allgather(&[c.rank() as u64]);
+                    let s = sum(1.0);
+                    (g, s)
+                } else {
+                    let s = sum(2.0);
+                    let g = sub.allgather(&[c.rank() as u64]);
+                    (g, s)
+                }
+            });
+            assert_eq!(r.outputs[0].0, vec![0, 2, 4, 6], "{engine:?}");
+            assert_eq!(r.outputs[0].1, 4.0, "{engine:?}");
+            assert_eq!(r.outputs[1].0, vec![1, 3, 5, 7], "{engine:?}");
+            assert_eq!(r.outputs[1].1, 8.0, "{engine:?}");
+        }
     }
 }

@@ -463,10 +463,9 @@ impl Shared {
         })
     }
 
-    /// [`Shared::blocking_recv`] that returns `None` instead of panicking
-    /// when `recv_timeout` elapses, so the caller can name what it was
-    /// waiting for (the collective rendezvous does).
-    pub(crate) fn recv_within_timeout(&self, rank: usize, key: MsgKey) -> Option<Bytes> {
+    /// The wait behind [`Shared::blocking_recv`]: `None` when
+    /// `recv_timeout` elapses first.
+    fn recv_within_timeout(&self, rank: usize, key: MsgKey) -> Option<Bytes> {
         // Task engine: the caller is a coroutine, so "blocking" means
         // registering a wake hint and switching to the next runnable
         // rank — no spinning, no condvar.

@@ -24,9 +24,10 @@
 //!   next holder.
 //! * **Two-phase block.** A task cannot be woken between "announced it
 //!   will block" and "finished saving its context": `prepare_block`
-//!   stores `BLOCKING` (under the mailbox shard lock), and only after the
-//!   switch back does the worker CAS `BLOCKING → BLOCKED`, publishing the
-//!   saved context. A sender that races in between CASes
+//!   stores `BLOCKING` under the lock its waker reads it under (a
+//!   mailbox shard's, or the collective meetings table's), and only
+//!   after the switch back does the worker CAS `BLOCKING → BLOCKED`,
+//!   publishing the saved context. A sender that races in between CASes
 //!   `BLOCKING → WOKEN` instead; the switching worker sees its CAS fail
 //!   and finishes the wake itself, *after* the save. With static
 //!   placement the home worker both saves and resumes, so a remote wake
@@ -37,8 +38,10 @@
 //!   model test of this one to check it against.
 //! * **Wake ownership by CAS.** A blocked task is woken by exactly one
 //!   party: a sender that finds the task's id registered on the message
-//!   channel, or the deadline watchdog. All wakers race through one
-//!   `compare_exchange` on the state word; the loser does nothing.
+//!   channel, the member that completes a collective the task is parked
+//!   on (which wakes every other member in one `wake_all` batch), or the
+//!   deadline watchdog. All wakers race through one `compare_exchange`
+//!   on the state word; the loser does nothing.
 //! * **Quiescence-gated watchdog.** The receive-deadline watchdog may
 //!   declare timeouts only when the global runnable count is zero. Every
 //!   sender is itself a running task, so `runnable == 0` means no message
@@ -521,10 +524,11 @@ mod imp {
         }
 
         /// Announce that the task is about to block (phase one of the
-        /// two-phase block). Must be called while holding the mailbox
-        /// shard lock on which the wake-hint was registered: the lock
-        /// orders this store against the waker's read of the hint, so a
-        /// sender that saw the hint always finds `BLOCKING` or `BLOCKED`.
+        /// two-phase block). Must be called while holding the lock under
+        /// which its waker will find it — the mailbox shard on which the
+        /// wake-hint was registered, or the meetings table of the
+        /// collective it waits for: the lock orders this store against the
+        /// waker's read, so a waker always finds `BLOCKING` or `BLOCKED`.
         pub(crate) fn prepare_block(&self) {
             self.task().state.store(BLOCKING, Ordering::Release);
         }
@@ -686,78 +690,94 @@ mod imp {
             })
         }
 
-        /// Make a blocked task runnable. Callable from any thread; the
-        /// CAS guarantees exactly one waker wins even when a sender races
-        /// the deadline watchdog. Waking a task that is not blocked (the
-        /// sender's channel hint can be stale for one round trip) is a
-        /// harmless no-op.
+        /// Make a blocked task runnable: [`TaskSched::wake_all`] of one.
         pub(crate) fn wake(&self, tid: u32) {
-            let t = &self.tasks[tid as usize];
-            let mut state = t.state.load(Ordering::Relaxed);
-            loop {
-                match state {
-                    BLOCKED => {
-                        match t.state.compare_exchange_weak(
-                            BLOCKED,
-                            READY,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break, // we own the wake; enqueue below
-                            Err(s) => state = s,
-                        }
-                    }
-                    BLOCKING => {
-                        // Mid-switch: the context save may be incomplete.
-                        // Hand the wake debt to the switching worker.
-                        match t.state.compare_exchange_weak(
-                            BLOCKING,
-                            WOKEN,
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => return,
-                            Err(s) => state = s,
-                        }
-                    }
-                    // READY / WOKEN: someone else owns the wake. DONE:
-                    // nothing to wake.
-                    _ => return,
+            self.wake_all(&mut [tid]);
+        }
+
+        /// Make every blocked task in `tids` runnable. Callable from any
+        /// thread; per task, the CAS guarantees exactly one waker wins
+        /// even when a sender or a completing collective member races the
+        /// deadline watchdog. Waking a task that is not blocked (a stale
+        /// channel hint, or a member re-checking its meeting after a
+        /// spurious resume) is a harmless no-op.
+        ///
+        /// The tasks this call owns are counted into `runnable` with one
+        /// add and then queued in one batch per home worker: pushed
+        /// straight onto the caller's own run queue when the caller is
+        /// that worker, else through one injector lock and at most one
+        /// notify per remote worker. `tids` is reordered and overwritten.
+        pub(crate) fn wake_all(&self, tids: &mut [u32]) {
+            let mut owned = 0;
+            for i in 0..tids.len() {
+                if self.claim_wake(tids[i]) {
+                    tids[owned] = tids[i];
+                    owned += 1;
                 }
             }
-            self.runnable.fetch_add(1, Ordering::AcqRel);
-            let home = tid as usize / self.chunk;
-            // Same-worker fast path: a task waking a sibling on its home
-            // worker pushes straight onto that worker's own run queue —
-            // no lock, no condvar.
-            let pushed_local = WORKER.with(|w| {
+            if owned == 0 {
+                return;
+            }
+            let owned = &mut tids[..owned];
+            self.runnable.fetch_add(owned.len(), Ordering::AcqRel);
+            // Homes are `tid / chunk`, so tid order groups the batch by
+            // worker.
+            owned.sort_unstable();
+            let here = WORKER.with(|w| {
                 let ctl = w.get();
                 if ctl.is_null() {
-                    return false;
+                    return None;
                 }
                 // SAFETY: installed by this thread's worker loop.
                 let ctl = unsafe { &*ctl };
-                if ctl.sched_id != self.id {
-                    return false;
-                }
-                if ctl.index == home {
-                    self.runqs[ctl.index].push(tid);
-                    return true;
-                }
-                false
+                (ctl.sched_id == self.id).then_some(ctl.index)
             });
-            if pushed_local {
-                self.metrics.wakes_local.inc();
-                return;
+            for batch in owned.chunk_by(|&a, &b| a as usize / self.chunk == b as usize / self.chunk)
+            {
+                let home = batch[0] as usize / self.chunk;
+                if here == Some(home) {
+                    // Same-worker fast path: no lock, no condvar.
+                    for &tid in batch {
+                        self.runqs[home].push(tid);
+                    }
+                    self.metrics.wakes_local.add(batch.len() as u64);
+                    continue;
+                }
+                self.metrics.wakes_remote.add(batch.len() as u64);
+                let ws = &self.workers[home];
+                let mut inj = ws.injector.lock();
+                inj.extend_from_slice(batch);
+                let sleeping = ws.sleeping.get();
+                drop(inj);
+                if sleeping {
+                    ws.cv.notify_one();
+                }
             }
-            self.metrics.wakes_remote.inc();
-            let ws = &self.workers[home];
-            let mut inj = ws.injector.lock();
-            inj.push(tid);
-            let sleeping = ws.sleeping.get();
-            drop(inj);
-            if sleeping {
-                ws.cv.notify_one();
+        }
+
+        /// The wake CAS of one task: true when the caller now owns its
+        /// enqueue (it was `BLOCKED`). A task caught at `BLOCKING` is
+        /// marked `WOKEN`, and the worker completing its switch queues
+        /// it; `READY` or `WOKEN` means another party owns the wake, and
+        /// `DONE` has nothing to wake.
+        fn claim_wake(&self, tid: u32) -> bool {
+            let t = &self.tasks[tid as usize];
+            let mut state = t.state.load(Ordering::Relaxed);
+            loop {
+                let (from, to) = match state {
+                    BLOCKED => (BLOCKED, READY),
+                    // Mid-switch: the context save may be incomplete.
+                    // Hand the wake debt to the switching worker.
+                    BLOCKING => (BLOCKING, WOKEN),
+                    _ => return false,
+                };
+                match t
+                    .state
+                    .compare_exchange_weak(from, to, Ordering::AcqRel, Ordering::Relaxed)
+                {
+                    Ok(_) => return from == BLOCKED,
+                    Err(s) => state = s,
+                }
             }
         }
 
@@ -1137,6 +1157,8 @@ mod stub {
         }
 
         pub(crate) fn wake(&self, _tid: u32) {}
+
+        pub(crate) fn wake_all(&self, _tids: &mut [u32]) {}
 
         pub(crate) fn run(self: &Arc<Self>, _on_worker_exit: impl Fn() + Send + Sync + 'static) {}
     }

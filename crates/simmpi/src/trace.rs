@@ -70,9 +70,15 @@ impl TraceRecorder {
     /// Record one message. Called by the runtime on every send: into
     /// the log when there is one, into its cell otherwise.
     pub(crate) fn record(&self, ev: MessageEvent) {
+        self.record_from(ev.src, [ev]);
+    }
+
+    /// Record messages of sender `src`, in order, under one lock (a
+    /// collective's whole schedule from one member).
+    pub(crate) fn record_from(&self, src: u32, evs: impl IntoIterator<Item = MessageEvent>) {
         match &self.events {
-            Some(logs) => logs[ev.src as usize].lock().push(ev),
-            None => fold(&mut self.rows[ev.src as usize].lock(), [ev]),
+            Some(logs) => logs[src as usize].lock().extend(evs),
+            None => fold(&mut self.rows[src as usize].lock(), evs),
         }
     }
 
