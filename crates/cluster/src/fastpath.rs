@@ -1,18 +1,19 @@
 //! Counting fast path for the Monte-Carlo campaign's two per-event
 //! questions: *is this node-loss event catastrophic?* and *how many ranks
-//! restart?* The first is the workspace's one catastrophe judge,
-//! [`EventJudge`] on the scheme's L2 [`ClusteringDigest`]. For the second,
-//! [`SchemeIndex`] precomputes the distinct L1 clusters each node hosts,
-//! so an event is answered without `HybridProtocol::restart_set`'s sorted
-//! `Vec<Rank>`: O(j · entries per node) counter bumps against
-//! epoch-stamped scratch, no clearing, no allocation.
+//! restart?* Each is asked of the workspace's one rule for it:
+//! [`EventJudge`] on the scheme's L2 [`ClusteringDigest`], and
+//! [`Containment`] on its L1 clustering. [`SchemeIndex`] pairs the two
+//! for one (scheme, placement), so an event costs O(j · entries per
+//! node) counter bumps against epoch-stamped scratch: no clearing, no
+//! allocation.
 //!
-//! `fastpath_agrees_with_reference` proptests both answers against a
-//! member scan and the restart set, on flat and two-level schemes.
+//! `fastpath_agrees_with_reference` proptests both answers against
+//! member scans on flat and two-level schemes.
 
+use hcft_msglog::{Containment, ContainmentScratch};
 use hcft_reliability::model::fti_tolerance;
 use hcft_reliability::{ClusteringDigest, EventJudge, JudgeScratch};
-use hcft_topology::{NodeId, Placement};
+use hcft_topology::Placement;
 
 use crate::strategies::ClusteringScheme;
 
@@ -22,68 +23,42 @@ use crate::strategies::ClusteringScheme;
 /// pair with a per-thread [`SchemeScratch`] for the mutable counters.
 #[derive(Clone, Debug)]
 pub struct SchemeIndex {
+    /// The L1 half: the restart rule of the L1 clustering.
+    l1: Containment,
     /// The L2 half: the catastrophe judge of the L2 digest.
     l2: EventJudge,
-    /// CSR over nodes: distinct L1 clusters hosted by node n.
-    l1_off: Vec<u32>,
-    l1_clusters: Vec<u32>,
-    /// Member count per L1 cluster.
-    l1_size: Vec<u32>,
 }
 
 /// Epoch-stamped counters for one thread of [`SchemeIndex`] queries.
 #[derive(Clone, Debug)]
 pub struct SchemeScratch {
+    l1: ContainmentScratch,
     l2: JudgeScratch,
-    l1_epoch: u32,
-    l1_stamp: Vec<u32>,
 }
 
 impl SchemeIndex {
     /// Index `scheme` against `placement`.
     pub fn new(scheme: &ClusteringScheme, placement: &Placement) -> Self {
-        let l2 = EventJudge::new(&ClusteringDigest::new(
-            &scheme.l2,
-            placement,
-            &fti_tolerance,
-        ));
-        let l1_size: Vec<u32> = scheme
-            .l1
-            .iter()
-            .map(|(_, members)| members.len() as u32)
-            .collect();
-        let mut l1_off = Vec::with_capacity(placement.nodes() + 1);
-        let mut l1_clusters = Vec::new();
-        l1_off.push(0u32);
-        for n in 0..placement.nodes() {
-            let start = l1_clusters.len();
-            for &r in placement.ranks_on(NodeId::from(n)) {
-                let c = scheme.l1.cluster_of(r) as u32;
-                if !l1_clusters[start..].contains(&c) {
-                    l1_clusters.push(c);
-                }
-            }
-            l1_off.push(l1_clusters.len() as u32);
-        }
         SchemeIndex {
-            l2,
-            l1_off,
-            l1_clusters,
-            l1_size,
+            l1: Containment::new(&scheme.l1, placement),
+            l2: EventJudge::new(&ClusteringDigest::new(
+                &scheme.l2,
+                placement,
+                &fti_tolerance,
+            )),
         }
     }
 
     /// Number of placed nodes the index covers.
     pub fn nodes(&self) -> usize {
-        self.l1_off.len() - 1
+        self.l1.nodes()
     }
 
     /// A scratch sized for this index.
     pub fn scratch(&self) -> SchemeScratch {
         SchemeScratch {
+            l1: self.l1.scratch(),
             l2: self.l2.scratch(),
-            l1_epoch: 0,
-            l1_stamp: vec![0; self.l1_size.len()],
         }
     }
 
@@ -96,36 +71,10 @@ impl SchemeIndex {
     }
 
     /// Number of ranks forced to restart when the nodes in `failed` die:
-    /// the union of the L1 clusters hosting any of their ranks — exactly
-    /// `HybridProtocol::restart_set(failed_ranks).len()` without
-    /// materialising the set.
+    /// [`Containment::restart_ranks`] on the L1 clustering.
     #[inline]
     pub fn restart_ranks(&self, failed: &[u32], scratch: &mut SchemeScratch) -> u64 {
-        let epoch = scratch.next_l1_epoch();
-        let mut total = 0u64;
-        for &n in failed {
-            let (lo, hi) = (self.l1_off[n as usize], self.l1_off[n as usize + 1]);
-            for &c in &self.l1_clusters[lo as usize..hi as usize] {
-                let c = c as usize;
-                if scratch.l1_stamp[c] != epoch {
-                    scratch.l1_stamp[c] = epoch;
-                    total += self.l1_size[c] as u64;
-                }
-            }
-        }
-        total
-    }
-}
-
-impl SchemeScratch {
-    #[inline]
-    fn next_l1_epoch(&mut self) -> u32 {
-        self.l1_epoch = self.l1_epoch.wrapping_add(1);
-        if self.l1_epoch == 0 {
-            self.l1_stamp.fill(0);
-            self.l1_epoch = 1;
-        }
-        self.l1_epoch
+        self.l1.restart_ranks(failed, &mut scratch.l1)
     }
 }
 
@@ -134,8 +83,6 @@ mod tests {
     use super::*;
     use crate::strategies::{distributed, hierarchical, naive, striped, HierarchicalConfig};
     use hcft_graph::{CommMatrix, WeightedGraph};
-    use hcft_msglog::HybridProtocol;
-    use hcft_topology::Rank;
     use proptest::prelude::*;
 
     /// The scan oracle: does some L2 cluster lose more members to the
@@ -170,14 +117,20 @@ mod tests {
         hierarchical(p, &WeightedGraph::from_comm_matrix(&m), &cfg)
     }
 
+    /// The scan oracle for the restart count: the summed size of the L1
+    /// clusters with a member on a failed node, read off `cluster_of`
+    /// and the member lists.
     fn reference_restart(s: &ClusteringScheme, p: &Placement, failed: &[u32]) -> u64 {
-        let protocol = HybridProtocol::new(s.l1.clone());
-        let mut ranks: Vec<Rank> = failed
-            .iter()
-            .flat_map(|&n| p.ranks_on(NodeId(n)).to_vec())
-            .collect();
-        ranks.sort_unstable();
-        protocol.restart_set(&ranks).len() as u64
+        let mut hit = vec![false; s.l1.len()];
+        for r in (0..p.nprocs()).map(hcft_topology::Rank::from) {
+            if failed.contains(&p.node_of(r).0) {
+                hit[s.l1.cluster_of(r)] = true;
+            }
+        }
+        (0..s.l1.len())
+            .filter(|&c| hit[c])
+            .map(|c| s.l1.members(c).len() as u64)
+            .sum()
     }
 
     #[test]

@@ -35,9 +35,8 @@ pub use kernel::{CampaignKernel, TrialTotals};
 pub use stats::{simulate_campaign_stats, CampaignStats, CiTarget, StopRule, Welford};
 
 use hcft_cluster::{ClusteringScheme, SchemeIndex};
-use hcft_msglog::HybridProtocol;
 use hcft_reliability::{ClassSampler, EventDistribution, FailureArrivals};
-use hcft_topology::{NodeId, Placement, Rank};
+use hcft_topology::{NodeId, Placement};
 
 use crate::scenario::FaultScenario;
 use rand::rngs::StdRng;
@@ -129,7 +128,6 @@ fn simulate_campaign_reference(
     cfg: &CampaignConfig,
 ) -> CampaignOutcome {
     use rayon::prelude::*;
-    let protocol = HybridProtocol::new(scheme.l1.clone());
     let sampler = cfg.events.sampler();
     let duration_s = cfg.duration_h * 3600.0;
     let ckpt_fraction = cfg.checkpoint_cost_s / cfg.checkpoint_interval_s;
@@ -140,7 +138,7 @@ fn simulate_campaign_reference(
     // fixed by the fold, not by execution order).
     let partials: Vec<TrialTotals> = (0..cfg.trials)
         .into_par_iter()
-        .map(|trial| run_trial_reference(trial as u64, scheme, &protocol, placement, cfg, &sampler))
+        .map(|trial| run_trial_reference(trial as u64, scheme, placement, cfg, &sampler))
         .collect();
     let mut tot_failures = 0u64;
     let mut tot_catastrophic = 0u64;
@@ -169,12 +167,12 @@ fn simulate_campaign_reference(
 /// trial-for-trial: same RNG consumption order (arrival times, then one
 /// uniform per event class, then one `u64` per sampled node), same
 /// floating-point expressions for the waste ledger. It builds the
-/// scheme's [`SchemeIndex`] once per trial and judges every event
-/// through [`FaultScenario::is_catastrophic`].
+/// scheme's [`SchemeIndex`] once per trial, judges every event through
+/// [`FaultScenario::is_catastrophic`] and counts its restarted ranks
+/// with [`SchemeIndex::restart_ranks`].
 pub fn run_trial_reference(
     trial: u64,
     scheme: &ClusteringScheme,
-    protocol: &HybridProtocol,
     placement: &Placement,
     cfg: &CampaignConfig,
     sampler: &ClassSampler,
@@ -182,6 +180,7 @@ pub fn run_trial_reference(
     let nprocs = placement.nprocs() as f64;
     let nodes = placement.nodes();
     let index = SchemeIndex::new(scheme, placement);
+    let mut scratch = index.scratch();
     let mut acc = TrialTotals::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(trial));
     let times = cfg.arrivals.sample_times(cfg.duration_h, &mut rng);
@@ -214,10 +213,8 @@ pub fn run_trial_reference(
         }
         // Contained recovery: the affected L1 clusters redo the work
         // since their last checkpoint.
-        let failed_ranks: Vec<Rank> = event
-            .failed_ranks(placement, scheme, None)
-            .expect("sampled nodes are in range");
-        let restart = protocol.restart_set(&failed_ranks).len() as f64;
+        let failed: Vec<u32> = failed_nodes.iter().map(|n| n.0).collect();
+        let restart = index.restart_ranks(&failed, &mut scratch) as f64;
         let since_ckpt = (t_h * 3600.0) % cfg.checkpoint_interval_s;
         acc.waste_s += (restart / nprocs) * (since_ckpt + cfg.recovery_latency_s);
     }

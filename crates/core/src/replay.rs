@@ -47,7 +47,7 @@ use bytes::Bytes;
 use hcft_checkpoint::store::Artefact;
 use hcft_checkpoint::{CheckpointStore, Level, MultilevelCheckpointer};
 use hcft_cluster::ClusteringScheme;
-use hcft_msglog::{check_replay, HybridProtocol, MsgEvent, ReplayReport, SenderLog};
+use hcft_msglog::{check_replay, Containment, HybridProtocol, MsgEvent, ReplayReport, SenderLog};
 use hcft_simmpi::{Comm, Engine, ReplayFeed, ReplayPlan, World, WorldConfig};
 use hcft_telemetry::{EventKind, HcftError, Registry};
 use hcft_topology::{MachineSpec, NodeId, Placement, Rank};
@@ -493,6 +493,9 @@ pub struct ReplayEngine<W: ReplayWorkload> {
     workload: Arc<W>,
     placement: Placement,
     scheme: ClusteringScheme,
+    /// The L1 restart rule; `None` if the scheme does not cover the
+    /// placement, which `validate` reports before anything asks it.
+    containment: Option<Containment>,
     machine: Option<MachineSpec>,
     cfg: ReplayConfig,
     telemetry: Arc<Registry>,
@@ -527,10 +530,13 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
         cfg: ReplayConfig,
         telemetry: Arc<Registry>,
     ) -> Self {
+        let containment = (scheme.l1.nprocs() == placement.nprocs())
+            .then(|| Containment::new(&scheme.l1, &placement));
         ReplayEngine {
             workload: Arc::new(workload),
             placement,
             scheme,
+            containment,
             machine: None,
             cfg,
             telemetry,
@@ -547,6 +553,16 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
     /// The registry this engine reports into.
     pub fn telemetry(&self) -> &Arc<Registry> {
         &self.telemetry
+    }
+
+    /// The ranks that roll back when `nodes` (resolved by `validate`)
+    /// die: the L1 clusters they host.
+    fn restart_set(&self, nodes: &[NodeId]) -> Vec<Rank> {
+        let failed: Vec<u32> = nodes.iter().map(|n| n.0).collect();
+        self.containment
+            .as_ref()
+            .expect("resolved scenarios imply a covering scheme")
+            .restart_set(&failed)
     }
 
     fn world_config(&self, trace_events: bool) -> WorldConfig {
@@ -657,13 +673,17 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
         if scenarios.is_empty() {
             return cfg_err("a run needs at least one fault scenario".to_string());
         }
-        let protocol = HybridProtocol::new(self.scheme.l1.clone());
         let mut strikes = Vec::with_capacity(scenarios.len());
         let mut after = 0;
         for scenario in scenarios {
             let machine = self.machine.as_ref();
             let nodes = scenario.failed_nodes(&self.placement, &self.scheme, machine)?;
-            let ranks = scenario.failed_ranks(&self.placement, &self.scheme, machine)?;
+            let mut ranks: Vec<Rank> = nodes
+                .iter()
+                .flat_map(|&n| self.placement.ranks_on(n))
+                .copied()
+                .collect();
+            ranks.sort_unstable();
             let fp = scenario.at_phase();
             if fp <= after || fp >= total_steps {
                 return cfg_err(format!(
@@ -672,7 +692,7 @@ impl<W: ReplayWorkload> ReplayEngine<W> {
                 ));
             }
             after = fp;
-            let restart = protocol.restart_set(&ranks);
+            let restart = self.restart_set(&nodes);
             for inj in scenario.injections() {
                 match inj {
                     Injection::FailDuringEncoding => {
@@ -966,7 +986,7 @@ impl<'e, W: ReplayWorkload> LiveRun<'e, W> {
         };
         out.restart_set = loop {
             out.recovery_attempts += 1;
-            let restart = fab.protocol.restart_set(&out.failed_ranks);
+            let restart = eng.restart_set(&out.failed_nodes);
             let mut live = vec![false; n];
             for &r in &restart {
                 live[r.idx()] = true;
@@ -1059,15 +1079,14 @@ impl<'e, W: ReplayWorkload> LiveRun<'e, W> {
                 catchup_target,
                 Some(format!("node={cnode} (cascade during recovery)")),
             )?;
+            // A node's ranks are its own: a newly failed node adds new
+            // ranks, a repeated one none.
             if !out.failed_nodes.contains(&cnode) {
                 out.failed_nodes.push(cnode);
+                out.failed_ranks
+                    .extend_from_slice(eng.placement.ranks_on(cnode));
+                out.failed_ranks.sort_unstable();
             }
-            for &r in eng.placement.ranks_on(cnode) {
-                if !out.failed_ranks.contains(&r) {
-                    out.failed_ranks.push(r);
-                }
-            }
-            out.failed_ranks.sort_unstable_by_key(|r| r.idx());
             eng.telemetry.event(
                 EventKind::DeadRanks,
                 catchup_target,
@@ -1095,7 +1114,7 @@ impl<'e, W: ReplayWorkload> LiveRun<'e, W> {
             &eng.scheme.l1,
             &self.events,
             &vec![ckpt_phase; eng.scheme.l1.len()],
-            &out.failed_ranks,
+            &out.restart_set,
         );
         out.catchup_steps = (frontier - ckpt_phase) * out.restart_set.len() as u64;
 

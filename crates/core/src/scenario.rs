@@ -214,22 +214,6 @@ impl FaultScenario {
         Ok(nodes)
     }
 
-    /// Resolve to the ranks lost with the failed nodes (sorted).
-    pub(crate) fn failed_ranks(
-        &self,
-        placement: &Placement,
-        scheme: &ClusteringScheme,
-        machine: Option<&MachineSpec>,
-    ) -> Result<Vec<Rank>, HcftError> {
-        let mut ranks: Vec<Rank> = self
-            .failed_nodes(placement, scheme, machine)?
-            .into_iter()
-            .flat_map(|n| placement.ranks_on(n).to_vec())
-            .collect();
-        ranks.sort_unstable_by_key(|r| r.idx());
-        Ok(ranks)
-    }
-
     /// Would the primary loss defeat the scheme's L2 redundancy? Judged
     /// by `index`, the [`SchemeIndex`] of `scheme` on `placement`: build
     /// it once and judge every event of that scheme through it. An index
@@ -327,12 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn node_target_resolves_to_its_ranks() {
+    fn node_target_resolves_to_the_node() {
         let (p, s) = setup();
         let sc = FaultScenario::node_loss(NodeId(3), 5);
         assert_eq!(sc.failed_nodes(&p, &s, None).unwrap(), vec![NodeId(3)]);
-        let ranks = sc.failed_ranks(&p, &s, None).unwrap();
-        assert_eq!(ranks, (12..16u32).map(Rank).collect::<Vec<_>>());
     }
 
     #[test]

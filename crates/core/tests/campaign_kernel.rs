@@ -8,7 +8,6 @@ use hcft_cluster::{distributed, naive, striped, SchemeIndex};
 use hcft_core::campaign::{
     run_trial_reference, simulate_campaign_stats, CampaignConfig, CampaignKernel, StopRule,
 };
-use hcft_msglog::HybridProtocol;
 use hcft_reliability::{EventDistribution, FailureArrivals};
 use hcft_topology::Placement;
 use proptest::prelude::*;
@@ -19,13 +18,12 @@ fn assert_kernel_matches_reference(
     cfg: &CampaignConfig,
     trials: u64,
 ) {
-    let protocol = HybridProtocol::new(scheme.l1.clone());
     let sampler = cfg.events.sampler();
     let index = SchemeIndex::new(scheme, placement);
     let mut kernel = CampaignKernel::new(&index, &sampler, cfg, placement.nprocs());
     for trial in 0..trials {
         let fast = kernel.run_trial(trial);
-        let slow = run_trial_reference(trial, scheme, &protocol, placement, cfg, &sampler);
+        let slow = run_trial_reference(trial, scheme, placement, cfg, &sampler);
         assert_eq!(fast, slow, "trial {trial} diverged ({})", scheme.name);
     }
 }

@@ -10,14 +10,15 @@
 //! re-execution.
 //!
 //! * [`protocol`] — logging classification and accounting: which bytes
-//!   are logged under a clustering (Fig. 3a/4b's left axes), and the
-//!   restart-cost model (their right axes);
+//!   are logged under a clustering (Fig. 3a/4b's left axes), and
+//!   [`Containment`], the one restart rule: which ranks roll back when
+//!   a set of nodes dies, and the restart-cost model built on it (their
+//!   right axes);
 //! * [`senderlog`] — the sender-side payload log with memory accounting
 //!   (the "memory footprint" §II-B2 worries about);
-//! * [`recovery`] — rollback simulation over a traced event stream: the
-//!   restart set, the replay-feasibility check (every message needed
-//!   during replay is either logged or regenerated), and rolled-back
-//!   work.
+//! * [`recovery`] — rollback analysis over a traced event stream: given
+//!   the restart set, the replay-feasibility check (every message needed
+//!   during replay is either logged or regenerated).
 
 #![warn(unreachable_pub)]
 
@@ -28,7 +29,7 @@ pub mod senderlog;
 pub mod timeline;
 
 pub use determinism::{check_send_determinism, DeterminismReport};
-pub use protocol::{logged_fraction, HybridProtocol, LogStats};
+pub use protocol::{logged_fraction, Containment, ContainmentScratch, HybridProtocol, LogStats};
 pub use recovery::{check_replay, ReplayReport};
 pub use senderlog::SenderLog;
 pub use timeline::{log_memory_timeline, LogSample};

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use hcft_graph::{Clustering, CommMatrix};
-use hcft_topology::{Placement, Rank};
+use hcft_topology::{NodeId, Placement, Rank};
 
 /// Byte accounting for a clustering applied to a traffic trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -99,59 +99,144 @@ impl HybridProtocol {
             })
     }
 
-    /// The set of ranks forced to restart when `failed` ranks die: the
-    /// union of their clusters.
-    pub fn restart_set(&self, failed: &[Rank]) -> Vec<Rank> {
-        let mut clusters: Vec<usize> = failed
-            .iter()
-            .map(|&r| self.clustering.cluster_of(r))
-            .collect();
-        clusters.sort_unstable();
-        clusters.dedup();
-        let mut out: Vec<Rank> = clusters
+    /// Expected fraction of ranks restarted when one uniformly-random
+    /// node fails — the paper's "recovery cost"/"restart cost" axis
+    /// (Fig. 3a right axis, Fig. 4c):
+    /// [`Containment::expected_restart_fraction`] on `placement`.
+    pub fn expected_restart_fraction(&self, placement: &Placement) -> f64 {
+        Containment::new(&self.clustering, placement).expected_restart_fraction()
+    }
+}
+
+/// The protocol's one restart rule: losing a set of nodes rolls back
+/// exactly the (L1) clusters hosted on them. Every restart question is
+/// asked of it with distinct placed-node indices, the input
+/// `EventJudge::defeated_by` takes. Share it across threads; each thread
+/// brings its own [`ContainmentScratch`].
+#[derive(Clone, Debug)]
+pub struct Containment {
+    clustering: Arc<Clustering>,
+    /// CSR over nodes: `clusters[off[n]..off[n + 1]]` lists the distinct
+    /// clusters hosting node n's ranks, in first-appearance order.
+    off: Vec<u32>,
+    clusters: Vec<u32>,
+    /// Member count per cluster.
+    size: Vec<u32>,
+}
+
+/// Epoch-stamped "already counted" marks for one thread of
+/// [`Containment::restart_ranks`]: a stale stamp reads as not counted.
+#[derive(Clone, Debug)]
+pub struct ContainmentScratch {
+    epoch: u32,
+    stamp: Vec<u32>,
+}
+
+impl Containment {
+    /// Index `clustering` against `placement`, which must place exactly
+    /// the clustering's ranks.
+    pub fn new(clustering: &Arc<Clustering>, placement: &Placement) -> Self {
+        assert_eq!(
+            placement.nprocs(),
+            clustering.nprocs(),
+            "placement/clustering size"
+        );
+        let mut off = Vec::with_capacity(placement.nodes() + 1);
+        off.push(0);
+        let mut index = Containment {
+            clustering: Arc::clone(clustering),
+            off,
+            clusters: Vec::with_capacity(clustering.nprocs()),
+            size: clustering.iter().map(|(_, m)| m.len() as u32).collect(),
+        };
+        // stamp[c] == node + 1: cluster c is already listed for `node`.
+        let mut stamp = vec![0u32; index.size.len()];
+        for node in 0..placement.nodes() {
+            for &r in placement.ranks_on(NodeId::from(node)) {
+                let c = clustering.cluster_of(r);
+                if stamp[c] != node as u32 + 1 {
+                    stamp[c] = node as u32 + 1;
+                    index.clusters.push(c as u32);
+                }
+            }
+            index.off.push(index.clusters.len() as u32);
+        }
+        index
+    }
+
+    /// Number of placed nodes indexed.
+    pub fn nodes(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// A scratch sized for this index.
+    pub fn scratch(&self) -> ContainmentScratch {
+        ContainmentScratch {
+            epoch: 0,
+            stamp: vec![0; self.size.len()],
+        }
+    }
+
+    /// The distinct clusters hosted on node `n`.
+    #[inline]
+    fn row(&self, n: u32) -> &[u32] {
+        &self.clusters[self.off[n as usize] as usize..self.off[n as usize + 1] as usize]
+    }
+
+    /// Number of ranks forced to restart when the nodes in `failed`
+    /// (distinct placed-node indices) die: the summed size of the
+    /// distinct clusters they host, in O(Σ row lengths) with no
+    /// clearing and no allocation.
+    #[inline]
+    pub fn restart_ranks(&self, failed: &[u32], scratch: &mut ContainmentScratch) -> u64 {
+        scratch.epoch = scratch.epoch.wrapping_add(1);
+        if scratch.epoch == 0 {
+            scratch.stamp.fill(0);
+            scratch.epoch = 1;
+        }
+        let (epoch, mut total) = (scratch.epoch, 0);
+        for &n in failed {
+            for &c in self.row(n) {
+                if scratch.stamp[c as usize] != epoch {
+                    scratch.stamp[c as usize] = epoch;
+                    total += self.size[c as usize] as u64;
+                }
+            }
+        }
+        total
+    }
+
+    /// The ranks forced to restart when the nodes in `failed` die: the
+    /// members of the clusters they host, ascending.
+    pub fn restart_set(&self, failed: &[u32]) -> Vec<Rank> {
+        let mut touched: Vec<u32> = failed.iter().flat_map(|&n| self.row(n)).copied().collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let mut out: Vec<Rank> = touched
             .into_iter()
-            .flat_map(|c| self.clustering.members(c).iter().copied())
+            .flat_map(|c| self.clustering.members(c as usize).iter().copied())
             .collect();
         out.sort_unstable();
         out
     }
 
     /// Expected fraction of ranks restarted when one uniformly-random
-    /// node fails — the paper's "recovery cost"/"restart cost" axis
-    /// (Fig. 3a right axis, Fig. 4c).
-    ///
-    /// A node's restart set is the union of its ranks' clusters, and
-    /// clusters are disjoint, so its size is the summed size of the
-    /// distinct clusters the node hosts: one walk over the node's ranks,
-    /// marking clusters with an epoch stamp, with no rank set built.
-    /// The share is `restart_set(ranks on node).len() / nprocs`, summed in
-    /// node order (a node without ranks adds an exact `0.0`).
-    pub fn expected_restart_fraction(&self, placement: &Placement) -> f64 {
-        assert_eq!(placement.nprocs(), self.clustering.nprocs());
-        let nprocs = placement.nprocs() as f64;
-        let nodes = placement.nodes();
-        // stamp[c] == node + 1: cluster c is already counted for `node`.
-        let mut stamp = vec![0usize; self.clustering.len()];
-        let mut acc = 0.0;
-        for node in 0..nodes {
-            let mut count = 0usize;
-            for &r in placement.ranks_on(hcft_topology::NodeId::from(node)) {
-                let c = self.clustering.cluster_of(r);
-                if stamp[c] != node + 1 {
-                    stamp[c] = node + 1;
-                    count += self.clustering.members(c).len();
-                }
-            }
-            acc += count as f64 / nprocs;
-        }
-        acc / nodes as f64
+    /// placed node fails: each node's [`restart_ranks`](Self::restart_ranks)
+    /// over `nprocs`, summed in node order (a node without ranks adds an
+    /// exact `0.0`), over the node count.
+    pub fn expected_restart_fraction(&self) -> f64 {
+        let (nprocs, mut seen) = (self.clustering.nprocs() as f64, self.scratch());
+        let sum = (0..self.nodes() as u32).fold(0.0, |acc, n| {
+            acc + self.restart_ranks(&[n], &mut seen) as f64 / nprocs
+        });
+        sum / self.nodes() as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hcft_topology::{NodeId, PlacementStrategy};
+    use hcft_topology::PlacementStrategy;
     use proptest::prelude::*;
 
     fn matrix_ring(n: usize, bytes: u64) -> CommMatrix {
@@ -191,15 +276,20 @@ mod tests {
 
     #[test]
     fn restart_set_is_cluster_union() {
-        let p = HybridProtocol::new(Clustering::consecutive(12, 4));
-        let rs = p.restart_set(&[Rank(0), Rank(9)]);
+        // One rank a node, so node n is rank n.
+        let c = Containment::new(
+            &Arc::new(Clustering::consecutive(12, 4)),
+            &Placement::block(12, 1),
+        );
         let expect: Vec<Rank> = [0, 1, 2, 3, 8, 9, 10, 11]
             .iter()
             .map(|&r| Rank(r))
             .collect();
-        assert_eq!(rs, expect);
+        assert_eq!(c.restart_set(&[0, 9]), expect);
+        assert_eq!(c.restart_ranks(&[0, 9], &mut c.scratch()), 8);
         // Two failures in one cluster restart just that cluster.
-        assert_eq!(p.restart_set(&[Rank(1), Rank(2)]).len(), 4);
+        assert_eq!(c.restart_set(&[1, 2]).len(), 4);
+        assert_eq!(c.restart_ranks(&[1, 2], &mut c.scratch()), 4);
     }
 
     #[test]
@@ -222,29 +312,47 @@ mod tests {
         assert!((p.expected_restart_fraction(&placement) - 1.0).abs() < 1e-12);
     }
 
-    /// The restart share as computed before the node walk: one sorted
-    /// restart set per node.
-    fn restart_fraction_by_sets(p: &HybridProtocol, placement: &Placement) -> f64 {
-        let nprocs = placement.nprocs() as f64;
-        let nodes = placement.nodes();
-        let mut acc = 0.0;
-        for node in 0..nodes {
-            let failed = placement.ranks_on(NodeId::from(node));
-            if failed.is_empty() {
-                continue;
-            }
-            acc += p.restart_set(failed).len() as f64 / nprocs;
-        }
-        acc / nodes as f64
+    /// The member-scan oracle: the clusters with a member on a failed
+    /// node, read off the member lists with no index; their members,
+    /// ascending.
+    fn reference_restart_set(c: &Clustering, p: &Placement, failed: &[u32]) -> Vec<Rank> {
+        let mut out: Vec<Rank> = c
+            .iter()
+            .filter(|(_, members)| members.iter().any(|&r| failed.contains(&p.node_of(r).0)))
+            .flat_map(|(_, members)| members.iter().copied())
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn epoch_wrap_clears_the_stamps() {
+        // Four 2-rank clusters on 8 one-rank nodes.
+        let p = Placement::block(8, 1);
+        let c = Clustering::consecutive(8, 2);
+        let idx = Containment::new(&Arc::new(c.clone()), &p);
+        let mut scratch = idx.scratch();
+        // Stamp clusters 0 and 1 at epoch 1, then force the next event
+        // to wrap back to epoch 1: only a cleared stamp lets it count
+        // cluster 0 again.
+        assert_eq!(idx.restart_ranks(&[0, 2], &mut scratch), 4);
+        scratch.epoch = u32::MAX;
+        assert_eq!(
+            idx.restart_ranks(&[0], &mut scratch),
+            reference_restart_set(&c, &p, &[0]).len() as u64
+        );
+        assert_eq!(scratch.epoch, 1);
     }
 
     proptest! {
-        /// The node walk equals the restart-set computation bit for bit:
-        /// block, cyclic and random placements (ragged, some nodes
-        /// empty) under consecutive clusters that split nodes, striped
-        /// clusters spanning nodes and random clusters.
+        /// `Containment` equals the member-scan oracle: the restart count
+        /// (several events through one scratch), the restart set, and
+        /// the restart share bit for bit, over block, round-robin and
+        /// random placements (ragged, some nodes empty) × consecutive
+        /// clusters that split nodes, striped clusters spanning nodes
+        /// and random clusters.
         #[test]
-        fn walked_restart_share_equals_restart_sets(
+        fn containment_equals_member_scan(
             nodes in 1usize..12,
             ranks in 1usize..80,
             layout in 0u8..3,
@@ -252,6 +360,7 @@ mod tests {
             family in 0u8..3,
             size in 1usize..20,
             cluster_draw in proptest::collection::vec(0usize..20, 80),
+            events in proptest::collection::vec(proptest::collection::vec(0usize..12, 1..6), 1..5),
         ) {
             let per_node = ranks.div_ceil(nodes);
             let placement = match layout {
@@ -269,10 +378,26 @@ mod tests {
                     &cluster_draw[..ranks].iter().map(|&c| c % size).collect::<Vec<_>>(),
                 ),
             };
-            let p = HybridProtocol::new(clustering);
+            let idx = Containment::new(&Arc::new(clustering.clone()), &placement);
+            let mut scratch = idx.scratch();
+            for picks in events {
+                let mut failed: Vec<u32> = picks.iter().map(|&n| (n % nodes) as u32).collect();
+                failed.sort_unstable();
+                failed.dedup();
+                let want = reference_restart_set(&clustering, &placement, &failed);
+                prop_assert_eq!(idx.restart_ranks(&failed, &mut scratch), want.len() as u64);
+                prop_assert_eq!(idx.restart_set(&failed), want);
+            }
+            let mut share = 0.0;
+            for n in 0..nodes as u32 {
+                share += reference_restart_set(&clustering, &placement, &[n]).len() as f64
+                    / ranks as f64;
+            }
+            share /= nodes as f64;
+            prop_assert_eq!(idx.expected_restart_fraction().to_bits(), share.to_bits());
             prop_assert_eq!(
-                p.expected_restart_fraction(&placement).to_bits(),
-                restart_fraction_by_sets(&p, &placement).to_bits()
+                HybridProtocol::new(clustering).expected_restart_fraction(&placement).to_bits(),
+                share.to_bits()
             );
         }
 

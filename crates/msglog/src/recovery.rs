@@ -7,19 +7,17 @@
 //! same messages) or *served from a sender log* (sender survives, and
 //! because it survives it is outside the restarting cluster, so the
 //! message crossed a boundary and was logged). [`check_replay`] walks a
-//! trace and verifies this exhaustively.
+//! trace and verifies this exhaustively for a restart set that
+//! [`Containment`](crate::Containment) computed.
 
 use hcft_graph::Clustering;
 use hcft_topology::Rank;
 
-use crate::protocol::HybridProtocol;
 use crate::MsgEvent;
 
 /// Outcome of a replay-feasibility walk.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// Ranks that roll back.
-    pub restart_set: Vec<Rank>,
     /// Messages into the restart set served from sender logs.
     pub served_from_log: u64,
     /// Messages regenerated by restarted senders.
@@ -42,32 +40,24 @@ impl ReplayReport {
 }
 
 /// Walk `events` (per-sender streams) and classify every message relevant
-/// to recovering from the failure of `failed` ranks, given each cluster's
-/// last coordinated checkpoint phase `epoch_of_cluster`.
+/// to rolling back `restart_set` (whole clusters of `clustering`), given
+/// each cluster's last coordinated checkpoint phase `epoch_of_cluster`.
 pub fn check_replay(
     clustering: &Clustering,
     events: &[Vec<MsgEvent>],
     epoch_of_cluster: &[u64],
-    failed: &[Rank],
+    restart_set: &[Rank],
 ) -> ReplayReport {
     assert_eq!(
         epoch_of_cluster.len(),
         clustering.len(),
         "one checkpoint epoch per cluster"
     );
-    let protocol = HybridProtocol::new(clustering.clone());
-    let restart_set = protocol.restart_set(failed);
     let mut restarting = vec![false; clustering.nprocs()];
-    for &r in &restart_set {
+    for &r in restart_set {
         restarting[r.idx()] = true;
     }
-    let mut report = ReplayReport {
-        restart_set,
-        served_from_log: 0,
-        regenerated: 0,
-        missing: Vec::new(),
-        resent_duplicates: 0,
-    };
+    let mut report = ReplayReport::default();
     for stream in events {
         for &ev in stream {
             let src = Rank(ev.src);
@@ -83,7 +73,7 @@ pub fn check_replay(
                 }
                 if src_restarting {
                     report.regenerated += 1;
-                } else if protocol.must_log(src, dst) {
+                } else if !clustering.same_cluster(src, dst) {
                     report.served_from_log += 1;
                 } else {
                     report.missing.push(ev);
@@ -123,9 +113,8 @@ mod tests {
     fn replay_is_always_feasible_for_cluster_clustering() {
         let c = Clustering::consecutive(8, 4);
         let events = ring_events(10);
-        let report = check_replay(&c, &events, &[6, 6], &[Rank(1)]);
+        let report = check_replay(&c, &events, &[6, 6], c.members(0));
         assert!(report.feasible(), "missing: {:?}", report.missing);
-        assert_eq!(report.restart_set.len(), 4);
         // Cross-boundary edges into cluster 0: 7->0 at phases 6..10 → 4
         // messages served from log.
         assert_eq!(report.served_from_log, 4);
@@ -140,7 +129,7 @@ mod tests {
     fn pre_checkpoint_traffic_is_ignored() {
         let c = Clustering::consecutive(8, 4);
         let events = ring_events(10);
-        let report = check_replay(&c, &events, &[10, 10], &[Rank(0)]);
+        let report = check_replay(&c, &events, &[10, 10], c.members(0));
         assert!(report.feasible());
         assert_eq!(report.served_from_log, 0);
         assert_eq!(report.regenerated, 0);
@@ -162,7 +151,8 @@ mod tests {
         let c = Clustering::consecutive(8, 2);
         let events = ring_events(5);
         for f in 0..8u32 {
-            let report = check_replay(&c, &events, &[3, 3, 3, 3], &[Rank(f)]);
+            let lost = c.members(c.cluster_of(Rank(f)));
+            let report = check_replay(&c, &events, &[3, 3, 3, 3], lost);
             assert!(report.feasible(), "failure of {f} infeasible");
         }
     }

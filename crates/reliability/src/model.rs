@@ -776,6 +776,22 @@ mod tests {
     }
 
     #[test]
+    fn epoch_wrap_clears_the_loss_counters() {
+        // One 8-rank cluster striped over 8 one-rank nodes, tolerance 2.
+        let p = Placement::block(8, 1);
+        let c = Clustering::single(8);
+        let judge = EventJudge::new(&ClusteringDigest::new(&c, &p, &|_| 2));
+        let mut scratch = judge.scratch();
+        // A near-defeating event leaves 2 losses stamped at epoch 1; the
+        // next event wraps back to epoch 1, and only cleared counters
+        // keep one more lost node below the tolerance.
+        assert!(!judge.defeated_by(&[1, 2], &mut scratch));
+        scratch.epoch = u32::MAX;
+        assert!(!judge.defeated_by(&[0], &mut scratch));
+        assert_eq!(scratch.epoch, 1);
+    }
+
+    #[test]
     fn same_node_cluster_dies_on_any_node_failure() {
         // 8 nodes × 8 ppn, clusters of 8 consecutive = whole nodes.
         let p = Placement::block(8, 8);

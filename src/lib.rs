@@ -81,7 +81,7 @@ pub mod prelude {
     pub use hcft_core::scenario::{FaultScenario, FaultScenarioBuilder, FaultTarget, Injection};
     pub use hcft_erasure::{EncodingModel, ReedSolomon};
     pub use hcft_graph::{Clustering, CommMatrix, WeightedGraph};
-    pub use hcft_msglog::{check_replay, HybridProtocol, ReplayReport, SenderLog};
+    pub use hcft_msglog::{check_replay, Containment, HybridProtocol, ReplayReport, SenderLog};
     pub use hcft_partition::{MultilevelConfig, MultilevelPartitioner, SizeBounds};
     pub use hcft_reliability::{EventDistribution, FailureArrivals, ReliabilityModel};
     pub use hcft_service::{EvalRequest, EvalService, FamilySelect};

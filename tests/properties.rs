@@ -1,10 +1,11 @@
 //! Cross-crate property tests: invariants that must hold for *any*
 //! machine shape, clustering and traffic pattern.
 
-use hcft::msglog::HybridProtocol;
+use hcft::msglog::{Containment, HybridProtocol};
 use hcft::prelude::*;
 use hcft::reliability::model::fti_tolerance;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Random machine shape + random clustering over its ranks.
 fn arb_machine() -> impl Strategy<Value = (Placement, Clustering)> {
@@ -58,17 +59,22 @@ proptest! {
     fn restart_fraction_bounds(
         (placement, clustering) in arb_machine(),
     ) {
-        let p = HybridProtocol::new(clustering.clone());
-        let f = p.expected_restart_fraction(&placement);
+        let clustering = Arc::new(clustering);
+        let containment = Containment::new(&clustering, &placement);
+        let f = containment.expected_restart_fraction();
         // At least the failing node's own ranks restart, at most all.
         let min_frac = placement.ranks_on(NodeId(0)).len() as f64
             / placement.nprocs() as f64
             / placement.nodes() as f64; // very loose lower bound
         prop_assert!(f > 0.0 && f <= 1.0);
         prop_assert!(f >= min_frac);
-        // Restart sets are closed under clustering: per-node check.
+        // Restart sets hold the node's ranks and are closed under the
+        // clustering: per-node check.
         for node in 0..placement.nodes() {
-            let rs = p.restart_set(placement.ranks_on(NodeId::from(node)));
+            let rs = containment.restart_set(&[node as u32]);
+            for r in placement.ranks_on(NodeId::from(node)) {
+                prop_assert!(rs.contains(r));
+            }
             for &r in &rs {
                 let c = clustering.cluster_of(r);
                 for &member in clustering.members(c) {
