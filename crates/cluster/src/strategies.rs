@@ -48,22 +48,6 @@ impl ClusteringScheme {
             l2: c,
         }
     }
-
-    /// The distinct nodes hosting L1 cluster `cluster`'s members, in
-    /// first-appearance order. This is the blast radius of "kill that
-    /// whole cluster": failing exactly these nodes takes down every
-    /// member (plus any co-located ranks of other clusters, which the
-    /// restart-set computation then picks up).
-    pub fn nodes_of_l1(&self, placement: &Placement, cluster: usize) -> Vec<NodeId> {
-        let mut nodes = Vec::new();
-        for &r in self.l1.members(cluster) {
-            let n = placement.node_of(r);
-            if !nodes.contains(&n) {
-                nodes.push(n);
-            }
-        }
-        nodes
-    }
 }
 
 /// §III-A — naïve clustering: consecutive ranks in clusters of `size`
@@ -348,7 +332,7 @@ mod tests {
         let mut scratch = index.scratch();
         let ids = |nodes: Vec<NodeId>| nodes.into_iter().map(|n| n.0).collect::<Vec<u32>>();
         for c in 0..s.l1.len() {
-            let nodes = ids(s.nodes_of_l1(&placement, c));
+            let nodes = ids(placement.nodes_of(s.l1.members(c)));
             assert_eq!(nodes.len(), 4);
             assert!(
                 !index.defeated_by(&nodes, &mut scratch),
@@ -357,7 +341,9 @@ mod tests {
         }
         // But losing two whole L1 clusters (4 of 8 members per group)
         // crosses the tolerance boundary only at 5+, so check 3 clusters.
-        let nodes = ids((0..3).flat_map(|c| s.nodes_of_l1(&placement, c)).collect());
+        let nodes = ids((0..3)
+            .flat_map(|c| placement.nodes_of(s.l1.members(c)))
+            .collect());
         assert!(index.defeated_by(&nodes, &mut scratch));
     }
 

@@ -128,8 +128,9 @@ impl FaultScenario {
             .any(|i| matches!(i, Injection::FailDuringEncoding))
     }
 
-    /// Resolve the primary targets to concrete failed nodes, in
-    /// first-appearance order without duplicates.
+    /// Resolve the primary targets to concrete failed nodes, in target
+    /// order without duplicates; an L1 cluster's nodes come ascending
+    /// ([`Placement::nodes_of`]).
     ///
     /// `machine` is only consulted for [`FaultTarget::PsuGroupOf`];
     /// resolving a PSU target without one is a configuration error, and
@@ -178,7 +179,7 @@ impl FaultScenario {
                             scheme.l1.len()
                         )));
                     }
-                    for n in scheme.nodes_of_l1(placement, *c) {
+                    for n in placement.nodes_of(scheme.l1.members(*c)) {
                         push(n, &mut nodes)?;
                     }
                 }
@@ -191,7 +192,7 @@ impl FaultScenario {
                         )));
                     }
                     let c = scheme.l1.cluster_of(*r);
-                    for n in scheme.nodes_of_l1(placement, c) {
+                    for n in placement.nodes_of(scheme.l1.members(c)) {
                         push(n, &mut nodes)?;
                     }
                 }

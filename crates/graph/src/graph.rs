@@ -5,13 +5,21 @@
 //! carry weights (number of ranks on a node) so that partition balance
 //! constraints speak in "nodes", matching the paper's "minimum 4 nodes per
 //! L1 cluster".
+//!
+//! Every constructor keeps one row invariant: a vertex's row is sorted by
+//! neighbour id, holds each neighbour once and never the vertex itself,
+//! and an edge appears in both endpoint rows with the same weight. The
+//! partitioner relies on it: iteration order is canonical (its
+//! tie-breaks do not depend on how a graph was built) and
+//! [`WeightedGraph::edge_weight`] is a binary search.
 
 use crate::matrix::{merge_rows, CommMatrix};
 
-/// Undirected weighted graph with vertex weights, adjacency-list storage.
+/// Undirected weighted graph with vertex weights, one sorted adjacency
+/// row per vertex.
 #[derive(Clone, Debug)]
 pub struct WeightedGraph {
-    /// adj[u] = sorted list of (v, weight) with v != u.
+    /// adj[u] = (v, weight) sorted by v, no duplicates, v != u.
     adj: Vec<Vec<(u32, u64)>>,
     /// Vertex weights (≥1).
     vwgt: Vec<u64>,
@@ -32,8 +40,8 @@ impl WeightedGraph {
 
     /// Build from a communication matrix, symmetrising directed traffic.
     /// Diagonal entries become self-loop weights. Each adjacency row is
-    /// sorted by neighbour: `u`'s sent row merged with the column of
-    /// what `u` received, in O(non-zeros).
+    /// `u`'s sent row merged with the column of what `u` received, in
+    /// O(non-zeros).
     pub fn from_comm_matrix(m: &CommMatrix) -> Self {
         let n = m.n();
         // received[v] lists (u, bytes u → v); the row-major walk keeps it
@@ -55,18 +63,39 @@ impl WeightedGraph {
         g
     }
 
-    /// Build directly from per-vertex adjacency rows. Each undirected
-    /// edge must appear in both endpoint rows with equal weight; no
-    /// duplicates within a row. Bulk path for the CSR bridge — skips the
-    /// per-edge symmetry probing of [`WeightedGraph::add_edge`].
-    pub(crate) fn from_adjacency(
-        adj: Vec<Vec<(u32, u64)>>,
-        vwgt: Vec<u64>,
-        selfw: Vec<u64>,
-    ) -> Self {
-        debug_assert_eq!(adj.len(), vwgt.len());
-        debug_assert_eq!(adj.len(), selfw.len());
-        WeightedGraph { adj, vwgt, selfw }
+    /// Build from undirected edge triples `(u, v, w)`, `u != v`, with
+    /// vertex weights `vwgt` and no self-loop weight. Repeated pairs (in
+    /// either orientation) accumulate and zero weights are skipped: one
+    /// sort of both directions, then one fold of equal neighbours per
+    /// row. The bulk path of graph contraction.
+    pub fn from_edges(n: usize, vwgt: Vec<u64>, edges: &[(u32, u32, u64)]) -> Self {
+        assert_eq!(vwgt.len(), n, "vertex weight count");
+        let mut directed: Vec<(u32, u32, u64)> = Vec::with_capacity(2 * edges.len());
+        for &(u, v, w) in edges {
+            assert_ne!(u, v, "self-loops are not edges");
+            assert!((u as usize) < n && (v as usize) < n, "vertex out of range");
+            if w > 0 {
+                directed.push((u, v, w));
+                directed.push((v, u, w));
+            }
+        }
+        directed.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        let mut adj = vec![Vec::new(); n];
+        for run in directed.chunk_by(|a, b| a.0 == b.0) {
+            let mut row: Vec<(u32, u64)> = Vec::with_capacity(run.len());
+            for &(_, v, w) in run {
+                match row.last_mut() {
+                    Some((last, lw)) if *last == v => *lw += w,
+                    _ => row.push((v, w)),
+                }
+            }
+            adj[run[0].0 as usize] = row;
+        }
+        WeightedGraph {
+            adj,
+            vwgt,
+            selfw: vec![0; n],
+        }
     }
 
     /// Number of vertices.
@@ -92,29 +121,23 @@ impl WeightedGraph {
         self.vwgt.iter().sum()
     }
 
-    /// Add (or accumulate) an undirected edge.
+    /// Add (or accumulate) an undirected edge, at its sorted position in
+    /// both rows. Zero weights add nothing.
     pub fn add_edge(&mut self, u: usize, v: usize, w: u64) {
         assert_ne!(u, v, "use self-loop weight for diagonal entries");
         if w == 0 {
             return;
         }
-        match self.adj[u].iter_mut().find(|(x, _)| *x as usize == v) {
-            Some((_, ew)) => {
-                *ew += w;
-                let (_, ew2) = self.adj[v]
-                    .iter_mut()
-                    .find(|(x, _)| *x as usize == u)
-                    .expect("symmetric edge");
-                *ew2 += w;
-            }
-            None => {
-                self.adj[u].push((v as u32, w));
-                self.adj[v].push((u as u32, w));
+        for (a, b) in [(u, v), (v, u)] {
+            let row = &mut self.adj[a];
+            match row.binary_search_by_key(&(b as u32), |&(x, _)| x) {
+                Ok(i) => row[i].1 += w,
+                Err(i) => row.insert(i, (b as u32, w)),
             }
         }
     }
 
-    /// Neighbours of `u` as `(v, weight)`.
+    /// Neighbours of `u` as `(v, weight)`, sorted by `v`.
     #[inline]
     pub fn neighbors(&self, u: usize) -> &[(u32, u64)] {
         &self.adj[u]
@@ -150,13 +173,11 @@ impl WeightedGraph {
         self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
-    /// Weight of the edge `{u, v}` (0 if absent).
-    pub(crate) fn edge_weight(&self, u: usize, v: usize) -> u64 {
-        self.adj[u]
-            .iter()
-            .find(|&&(x, _)| x as usize == v)
-            .map(|&(_, w)| w)
-            .unwrap_or(0)
+    /// Weight of the edge `{u, v}` (0 if absent), by binary search.
+    pub fn edge_weight(&self, u: usize, v: usize) -> u64 {
+        let row = &self.adj[u];
+        row.binary_search_by_key(&(v as u32), |&(x, _)| x)
+            .map_or(0, |i| row[i].1)
     }
 
     /// Sum of edge weights crossing a vertex-set boundary, given a
@@ -180,12 +201,14 @@ impl WeightedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn triangle() -> WeightedGraph {
         let mut g = WeightedGraph::new(3);
+        // Inserted out of order: rows must come out sorted anyway.
+        g.add_edge(0, 2, 30);
         g.add_edge(0, 1, 10);
         g.add_edge(1, 2, 20);
-        g.add_edge(0, 2, 30);
         g
     }
 
@@ -200,6 +223,23 @@ mod tests {
         assert_eq!(g.edge_weight(1, 0), 12);
         assert_eq!(g.self_weight(2), 9);
         assert_eq!(g.edge_count(), 1);
+    }
+
+    #[test]
+    fn add_edge_keeps_rows_sorted() {
+        let g = triangle();
+        assert_eq!(g.neighbors(0), &[(1, 10), (2, 30)]);
+        assert_eq!(g.neighbors(2), &[(0, 30), (1, 20)]);
+        assert_eq!(g.total_edge_weight(), 60);
+    }
+
+    #[test]
+    fn edge_weight_binary_search() {
+        let g = triangle();
+        assert_eq!(g.edge_weight(1, 2), 20);
+        assert_eq!(g.edge_weight(2, 1), 20);
+        assert_eq!(g.edge_weight(0, 0), 0);
+        assert_eq!(g.degree(0), 40);
     }
 
     #[test]
@@ -221,6 +261,22 @@ mod tests {
     }
 
     #[test]
+    fn from_edges_aggregates_duplicates() {
+        let g = WeightedGraph::from_edges(4, vec![1; 4], &[(0, 1, 5), (1, 0, 7), (2, 3, 1)]);
+        assert_eq!(g.edge_weight(0, 1), 12);
+        assert_eq!(g.edge_weight(1, 0), 12);
+        assert_eq!(g.edge_weight(2, 3), 1);
+        assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    fn from_edges_handles_isolated_tail_vertices() {
+        let g = WeightedGraph::from_edges(5, vec![1; 5], &[(0, 1, 2)]);
+        assert!(g.neighbors(4).is_empty());
+        assert_eq!(g.n(), 5);
+    }
+
+    #[test]
     fn cut_weight_counts_crossing_edges_once() {
         let g = triangle();
         // parts {0,1} vs {2}: crossing edges 1-2 (20) and 0-2 (30).
@@ -234,5 +290,79 @@ mod tests {
         g.set_vertex_weight(0, 4);
         assert_eq!(g.vertex_weight(0), 4);
         assert_eq!(g.total_vertex_weight(), 5);
+    }
+
+    /// `g`'s rows, after checking the row invariant: strictly sorted, no
+    /// self-loop, no zero weight, and each edge mirrored with its weight.
+    fn checked_rows(g: &WeightedGraph) -> Result<Vec<Vec<(u32, u64)>>, String> {
+        for u in 0..g.n() {
+            let row = g.neighbors(u);
+            prop_assert!(row.windows(2).all(|p| p[0].0 < p[1].0), "row {u}: {row:?}");
+            for &(v, w) in row {
+                prop_assert!(v as usize != u && w > 0, "row {u}: {row:?}");
+                let back: Vec<u64> = g
+                    .neighbors(v as usize)
+                    .iter()
+                    .filter(|&&(x, _)| x as usize == u)
+                    .map(|&(_, bw)| bw)
+                    .collect();
+                prop_assert_eq!(back, vec![w]);
+            }
+        }
+        Ok((0..g.n()).map(|u| g.neighbors(u).to_vec()).collect())
+    }
+
+    proptest! {
+        /// The three constructors, fed the same random edge multiset
+        /// (repeats in both orientations, zero weights), build the same
+        /// sorted rows; `edge_weight` agrees with a scan of the edges.
+        #[test]
+        fn every_constructor_keeps_rows_sorted(
+            case in (1usize..12).prop_flat_map(|n| {
+                let pick = (0..n, 0..n, 0u64..5, any::<u64>());
+                (Just(n), proptest::collection::vec(pick, 0..40))
+            })
+        ) {
+            let (n, picks) = case;
+            let edges: Vec<(u32, u32, u64)> = picks
+                .iter()
+                .filter(|p| p.0 != p.1)
+                .map(|&(u, v, w, _)| (u as u32, v as u32, w))
+                .collect();
+            let mut shuffled: Vec<(u64, (u32, u32, u64))> = picks
+                .iter()
+                .filter(|p| p.0 != p.1)
+                .map(|&(u, v, w, key)| (key, (u as u32, v as u32, w)))
+                .collect();
+            shuffled.sort_unstable();
+            let mut added = WeightedGraph::new(n);
+            for &(_, (u, v, w)) in &shuffled {
+                added.add_edge(u as usize, v as usize, w);
+            }
+            let bulk = WeightedGraph::from_edges(n, vec![1; n], &edges);
+            let mut m = CommMatrix::new(n);
+            for &(u, v, w) in &edges {
+                m.add(u as usize, v as usize, w);
+            }
+            let traced = WeightedGraph::from_comm_matrix(&m);
+
+            let rows = checked_rows(&added)?;
+            prop_assert_eq!(&checked_rows(&bulk)?, &rows);
+            prop_assert_eq!(&checked_rows(&traced)?, &rows);
+            for u in 0..n {
+                for v in 0..n {
+                    let want: u64 = edges
+                        .iter()
+                        .filter(|&&(a, b, _)| {
+                            let (a, b) = (a as usize, b as usize);
+                            (a, b) == (u, v) || (a, b) == (v, u)
+                        })
+                        .map(|&(_, _, w)| w)
+                        .sum();
+                    prop_assert_eq!(added.edge_weight(u, v), want);
+                    prop_assert_eq!(bulk.edge_weight(u, v), want);
+                }
+            }
+        }
     }
 }

@@ -8,11 +8,9 @@
 //!   destination-sorted row per sender, with aggregation to a node-level matrix, projection onto rank subsets and
 //!   CSV/ASCII rendering;
 //! * [`WeightedGraph`] — the undirected weighted graph the partitioner
-//!   consumes;
-//! * [`CsrGraph`] — the same adjacency packed into sorted compressed
-//!   sparse rows: canonical iteration order, binary-search edge lookups
-//!   and bulk duplicate-aggregating construction for the partitioner's
-//!   inner loops;
+//!   consumes, with one neighbour-sorted row per vertex whichever way it
+//!   was built: canonical iteration order, binary-search edge lookups and
+//!   a bulk duplicate-folding constructor for graph contraction;
 //! * [`Clustering`] — a validated partition of ranks into clusters, the
 //!   common currency between the clustering strategies, the evaluator, the
 //!   message-logging protocol and the checkpointing system;
@@ -23,13 +21,11 @@
 #![warn(unreachable_pub)]
 
 pub mod clustering;
-pub mod csr;
 pub mod graph;
 pub mod matrix;
 pub mod metrics;
 pub mod patterns;
 
 pub use clustering::Clustering;
-pub use csr::CsrGraph;
 pub use graph::WeightedGraph;
 pub use matrix::CommMatrix;

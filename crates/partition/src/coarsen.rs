@@ -3,9 +3,11 @@
 //! Each coarsening level contracts a maximal matching that prefers heavy
 //! edges, halving (roughly) the vertex count while preserving the cut
 //! structure: a good partition of the coarse graph projects to a good
-//! partition of the fine graph.
+//! partition of the fine graph. Each contracted graph comes out of one
+//! `WeightedGraph::from_edges` call, with the sorted rows every graph
+//! has.
 
-use hcft_graph::{CsrGraph, WeightedGraph};
+use hcft_graph::WeightedGraph;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -45,7 +47,6 @@ pub(crate) fn coarsen_once(g: &WeightedGraph, seed: u64) -> Option<CoarseLevel> 
         .map(|u| {
             g.neighbors(u)
                 .iter()
-                .filter(|&&(v, _)| v as usize != u)
                 .max_by_key(|&&(v, w)| (w, std::cmp::Reverse(v)))
                 .map(|&(v, _)| v)
         })
@@ -66,7 +67,7 @@ pub(crate) fn coarsen_once(g: &WeightedGraph, seed: u64) -> Option<CoarseLevel> 
                 fallbacks += 1;
                 g.neighbors(u)
                     .iter()
-                    .filter(|&&(v, _)| mate[v as usize] == usize::MAX && v as usize != u)
+                    .filter(|&&(v, _)| mate[v as usize] == usize::MAX)
                     .max_by_key(|&&(v, w)| (w, std::cmp::Reverse(v)))
                     .map(|&(v, _)| v)
             }
@@ -97,8 +98,8 @@ pub(crate) fn coarsen_once(g: &WeightedGraph, seed: u64) -> Option<CoarseLevel> 
         next += 1;
     }
     // Build the coarse graph: collect the surviving edges as coarse-id
-    // triples and let the CSR constructor aggregate the duplicates in one
-    // sort, instead of probing the adjacency list per inserted edge.
+    // triples and let `from_edges` fold the duplicates in one sort,
+    // instead of probing an adjacency row per inserted edge.
     let mut cw = vec![0u64; next];
     for u in 0..n {
         cw[map[u]] += g.vertex_weight(u);
@@ -112,27 +113,23 @@ pub(crate) fn coarsen_once(g: &WeightedGraph, seed: u64) -> Option<CoarseLevel> 
             }
         }
     }
-    let coarse = CsrGraph::from_edges(next, cw, &edges).to_weighted_graph();
-    Some(CoarseLevel { graph: coarse, map })
+    let graph = WeightedGraph::from_edges(next, cw, &edges);
+    Some(CoarseLevel { graph, map })
 }
 
-/// Coarsen until at most `target_n` vertices remain or progress stalls.
-/// Returns the level stack, finest first.
+/// Coarsen until at most `target_n` vertices remain or no edge is left to
+/// match. Every level shrinks the graph (a matched pair contracts to one
+/// vertex). Returns the level stack, finest first.
 pub(crate) fn coarsen_to(g: &WeightedGraph, target_n: usize, seed: u64) -> Vec<CoarseLevel> {
-    let mut levels = Vec::new();
-    let mut current = g.clone();
+    let mut levels: Vec<CoarseLevel> = Vec::new();
     let mut round = 0u64;
-    while current.n() > target_n {
-        match coarsen_once(&current, seed.wrapping_add(round)) {
-            Some(level) => {
-                // Stop if contraction stalls (e.g. matching shrinks by <10%).
-                let shrank = level.graph.n() < current.n();
-                current = level.graph.clone();
-                levels.push(level);
-                if !shrank {
-                    break;
-                }
-            }
+    loop {
+        let current = levels.last().map_or(g, |l| &l.graph);
+        if current.n() <= target_n {
+            break;
+        }
+        match coarsen_once(current, seed.wrapping_add(round)) {
+            Some(level) => levels.push(level),
             None => break,
         }
         round += 1;

@@ -17,7 +17,7 @@
 //! produce identical partitions (property-tested).
 //!
 //! Community adjacency is kept as sorted `(community, weight)` rows
-//! seeded from the graph's [`CsrGraph`] form and merged by merge-join.
+//! seeded from the graph's own sorted rows and merged by merge-join.
 //! Besides dropping per-edge hashing, the sorted rows make ΔQ
 //! tie-breaking canonical (lowest community pair wins); the previous
 //! `HashMap` rows iterated in randomized order, so ties could resolve
@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeSet, BinaryHeap};
 
-use hcft_graph::{CsrGraph, WeightedGraph};
+use hcft_graph::WeightedGraph;
 
 use crate::SizeBounds;
 
@@ -53,23 +53,16 @@ impl CnmState {
     fn new(g: &WeightedGraph) -> Self {
         let n = g.n();
         assert!(n > 0);
-        let csr = CsrGraph::from_graph(g);
-        let two_w: f64 = 2.0 * csr.total_edge_weight() as f64;
+        let two_w: f64 = 2.0 * g.total_edge_weight() as f64;
         let links: Vec<LinkRow> = (0..n)
-            .map(|u| {
-                let (nbrs, wgts) = csr.neighbors(u);
-                nbrs.iter()
-                    .zip(wgts)
-                    .map(|(&v, &w)| (v, w as f64))
-                    .collect()
-            })
+            .map(|u| g.neighbors(u).iter().map(|&(v, w)| (v, w as f64)).collect())
             .collect();
         CnmState {
             n,
             two_w,
             comm: (0..n).collect(),
-            weight: (0..n).map(|u| csr.vertex_weight(u)).collect(),
-            deg: (0..n).map(|u| csr.degree(u) as f64).collect(),
+            weight: (0..n).map(|u| g.vertex_weight(u)).collect(),
+            deg: (0..n).map(|u| g.degree(u) as f64).collect(),
             links,
             alive: vec![true; n],
         }

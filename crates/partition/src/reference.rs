@@ -104,7 +104,7 @@ pub fn grow_initial_scan(g: &WeightedGraph, k: usize, seed: u64) -> Vec<usize> {
 pub(crate) mod refine {
     use std::collections::{BTreeMap, BTreeSet};
 
-    use hcft_graph::{CsrGraph, WeightedGraph};
+    use hcft_graph::WeightedGraph;
 
     use crate::SizeBounds;
 
@@ -177,7 +177,7 @@ pub(crate) mod refine {
     /// neighbour outside its own part. `scratch` avoids a per-call
     /// allocation; any contents are cleared.
     fn best_move(
-        csr: &CsrGraph,
+        g: &WeightedGraph,
         part_of: &[usize],
         u: usize,
         scratch: &mut Vec<(usize, u64)>,
@@ -185,8 +185,7 @@ pub(crate) mod refine {
         let home = part_of[u];
         let mut link_home = 0u64;
         scratch.clear();
-        let (nbrs, wgts) = csr.neighbors(u);
-        for (&v, &w) in nbrs.iter().zip(wgts) {
+        for &(v, w) in g.neighbors(u) {
             let p = part_of[v as usize];
             if p == home {
                 link_home += w;
@@ -210,16 +209,16 @@ pub(crate) mod refine {
     /// One gain-bucket move phase. Returns the total gain achieved
     /// (reduction of the cut weight).
     pub(crate) fn fm_move_phase(
-        csr: &CsrGraph,
+        g: &WeightedGraph,
         part_of: &mut [usize],
         part_weight: &mut [u64],
         bounds: SizeBounds,
     ) -> u64 {
-        let n = csr.n();
+        let n = g.n();
         let mut buckets = GainBuckets::new(n);
         let mut scratch: Vec<(usize, u64)> = Vec::new();
         for u in 0..n {
-            if let Some((_, gain)) = best_move(csr, part_of, u, &mut scratch) {
+            if let Some((_, gain)) = best_move(g, part_of, u, &mut scratch) {
                 if gain > 0 {
                     buckets.insert(u, gain);
                 }
@@ -228,7 +227,7 @@ pub(crate) mod refine {
         let mut parked: Vec<u32> = Vec::new();
         let mut total_gain = 0u64;
         while let Some((u, cached)) = buckets.pop_best() {
-            let Some((target, gain)) = best_move(csr, part_of, u, &mut scratch) else {
+            let Some((target, gain)) = best_move(g, part_of, u, &mut scratch) else {
                 continue;
             };
             if gain <= 0 {
@@ -239,7 +238,7 @@ pub(crate) mod refine {
                 buckets.insert(u, gain);
                 continue;
             }
-            let wu = csr.vertex_weight(u);
+            let wu = g.vertex_weight(u);
             let home = part_of[u];
             // Respect both bounds: the source must not fall below min, the
             // target must not exceed max.
@@ -255,24 +254,23 @@ pub(crate) mod refine {
             total_gain += gain as u64;
             // Gains changed only for u and its neighbours; requeue them.
             buckets.remove(u);
-            match best_move(csr, part_of, u, &mut scratch) {
-                Some((_, g)) if g > 0 => buckets.insert(u, g),
+            match best_move(g, part_of, u, &mut scratch) {
+                Some((_, gain)) if gain > 0 => buckets.insert(u, gain),
                 _ => {}
             }
-            let (nbrs, _) = csr.neighbors(u);
-            for &v in nbrs {
+            for &(v, _) in g.neighbors(u) {
                 let v = v as usize;
-                match best_move(csr, part_of, v, &mut scratch) {
-                    Some((_, g)) if g > 0 => buckets.insert(v, g),
+                match best_move(g, part_of, v, &mut scratch) {
+                    Some((_, gain)) if gain > 0 => buckets.insert(v, gain),
                     _ => buckets.remove(v),
                 }
             }
             // The move shifted two part weights; parked vertices may fit now.
             for v in std::mem::take(&mut parked) {
                 let v = v as usize;
-                if let Some((_, g)) = best_move(csr, part_of, v, &mut scratch) {
-                    if g > 0 {
-                        buckets.insert(v, g);
+                if let Some((_, gain)) = best_move(g, part_of, v, &mut scratch) {
+                    if gain > 0 {
+                        buckets.insert(v, gain);
                     }
                 }
             }
@@ -285,7 +283,7 @@ pub(crate) mod refine {
     /// (swaps must preserve part weights) and truncated to the top
     /// candidates per class, ranked by `D` descending then vertex id.
     fn swap_side(
-        csr: &CsrGraph,
+        g: &WeightedGraph,
         part_of: &[usize],
         list: &[u32],
         own: usize,
@@ -297,9 +295,8 @@ pub(crate) mod refine {
             if part_of[u] != own {
                 continue; // moved away by an earlier swap this sweep
             }
-            let (nbrs, wgts) = csr.neighbors(u);
             let (mut to_own, mut to_other) = (0u64, 0u64);
-            for (&v, &w) in nbrs.iter().zip(wgts) {
+            for &(v, w) in g.neighbors(u) {
                 let p = part_of[v as usize];
                 if p == own {
                     to_own += w;
@@ -308,7 +305,7 @@ pub(crate) mod refine {
                 }
             }
             classes
-                .entry(csr.vertex_weight(u))
+                .entry(g.vertex_weight(u))
                 .or_default()
                 .push((to_other as i128 - to_own as i128, u as u32));
         }
@@ -324,17 +321,17 @@ pub(crate) mod refine {
     /// combination of matching weight class; the first maximum in class /
     /// rank order wins ties (deterministic).
     fn best_swap(
-        csr: &CsrGraph,
+        g: &WeightedGraph,
         part_of: &[usize],
         p: usize,
         q: usize,
         boundary_of: &[Vec<u32>],
     ) -> Option<(usize, usize, u64)> {
-        let side_p = swap_side(csr, part_of, &boundary_of[p], p, q);
+        let side_p = swap_side(g, part_of, &boundary_of[p], p, q);
         if side_p.is_empty() {
             return None;
         }
-        let side_q = swap_side(csr, part_of, &boundary_of[q], q, p);
+        let side_q = swap_side(g, part_of, &boundary_of[q], q, p);
         let mut best: Option<(i128, usize, usize)> = None;
         for (w, cands_p) in &side_p {
             let Some(cands_q) = side_q.get(w) else {
@@ -342,7 +339,7 @@ pub(crate) mod refine {
             };
             for &(du, u) in cands_p {
                 for &(dv, v) in cands_q {
-                    let gain = du + dv - 2 * csr.edge_weight(u as usize, v as usize) as i128;
+                    let gain = du + dv - 2 * g.edge_weight(u as usize, v as usize) as i128;
                     if gain > 0 && best.is_none_or(|(bg, _, _)| gain > bg) {
                         best = Some((gain, u as usize, v as usize));
                     }
@@ -356,8 +353,8 @@ pub(crate) mod refine {
     /// positive equal-weight swap per pair, until a full sweep applies
     /// nothing. Part weights are unchanged by construction. Returns the
     /// total gain.
-    pub(crate) fn kl_swap_phase(csr: &CsrGraph, part_of: &mut [usize], k: usize) -> u64 {
-        let n = csr.n();
+    pub(crate) fn kl_swap_phase(g: &WeightedGraph, part_of: &mut [usize], k: usize) -> u64 {
+        let n = g.n();
         let mut total_gain = 0u64;
         loop {
             // Boundary vertices per part and the adjacent part pairs, from
@@ -366,9 +363,8 @@ pub(crate) mod refine {
             let mut boundary_of: Vec<Vec<u32>> = vec![Vec::new(); k];
             for u in 0..n {
                 let pu = part_of[u];
-                let (nbrs, _) = csr.neighbors(u);
                 let mut cross = false;
-                for &v in nbrs {
+                for &(v, _) in g.neighbors(u) {
                     let pv = part_of[v as usize];
                     if pv != pu {
                         cross = true;
@@ -381,7 +377,7 @@ pub(crate) mod refine {
             }
             let mut applied = false;
             for &(p, q) in &pairs {
-                if let Some((u, v, gain)) = best_swap(csr, part_of, p, q, &boundary_of) {
+                if let Some((u, v, gain)) = best_swap(g, part_of, p, q, &boundary_of) {
                     part_of[u] = q;
                     part_of[v] = p;
                     total_gain += gain;
@@ -395,27 +391,8 @@ pub(crate) mod refine {
         total_gain
     }
 
-    /// The pre-rewrite `refine_csr`: move phase then swap phase until a
+    /// The pre-rewrite `refine`: move phase then swap phase until a
     /// round gains nothing.
-    pub(crate) fn refine_csr(
-        csr: &CsrGraph,
-        part_of: &mut [usize],
-        part_weight: &mut [u64],
-        bounds: SizeBounds,
-        max_passes: usize,
-    ) {
-        let k = part_weight.len();
-        for _ in 0..max_passes {
-            let mut gain = fm_move_phase(csr, part_of, part_weight, bounds);
-            gain += kl_swap_phase(csr, part_of, k);
-            if gain == 0 {
-                break;
-            }
-        }
-    }
-
-    /// [`refine_csr`] over an adjacency-list graph, shaped like
-    /// [`crate::refine::refine`].
     pub(crate) fn refine(
         g: &WeightedGraph,
         part_of: &mut [usize],
@@ -423,12 +400,13 @@ pub(crate) mod refine {
         bounds: SizeBounds,
         max_passes: usize,
     ) {
-        refine_csr(
-            &CsrGraph::from_graph(g),
-            part_of,
-            part_weight,
-            bounds,
-            max_passes,
-        );
+        let k = part_weight.len();
+        for _ in 0..max_passes {
+            let mut gain = fm_move_phase(g, part_of, part_weight, bounds);
+            gain += kl_swap_phase(g, part_of, k);
+            if gain == 0 {
+                break;
+            }
+        }
     }
 }

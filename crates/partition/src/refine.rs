@@ -26,8 +26,12 @@
 //!   `refine_matches_the_rescanning_oracle` in this module and
 //!   `multilevel_matches_the_oracle_driver` hold the phases to the
 //!   pre-table code (`crate::reference::refine`) move for move.
+//!
+//! Both phases read the graph's own sorted rows: ties break in ascending
+//! neighbour order, and the swap gain's `w(u, v)` is
+//! [`WeightedGraph::edge_weight`]'s binary search.
 
-use hcft_graph::{CsrGraph, WeightedGraph};
+use hcft_graph::WeightedGraph;
 
 use crate::gain::GainBuckets;
 use crate::SizeBounds;
@@ -43,7 +47,7 @@ const SWAP_TOP_CANDIDATES: usize = 4;
 /// neighbour outside its own part. `scratch` avoids a per-call
 /// allocation; any contents are cleared.
 fn best_move(
-    csr: &CsrGraph,
+    g: &WeightedGraph,
     part_of: &[usize],
     u: usize,
     scratch: &mut Vec<(usize, u64)>,
@@ -51,8 +55,7 @@ fn best_move(
     let home = part_of[u];
     let mut link_home = 0u64;
     scratch.clear();
-    let (nbrs, wgts) = csr.neighbors(u);
-    for (&v, &w) in nbrs.iter().zip(wgts) {
+    for &(v, w) in g.neighbors(u) {
         let p = part_of[v as usize];
         if p == home {
             link_home += w;
@@ -77,10 +80,10 @@ fn best_move(
 /// below `min_weight`. When none can, no single move is legal now, and
 /// since weights change only by moves, none ever becomes legal in this
 /// phase: the tight `k · min = total` bounds of the hierarchical runs.
-fn any_part_can_give(csr: &CsrGraph, part_of: &[usize], part_weight: &[u64], min: u64) -> bool {
+fn any_part_can_give(g: &WeightedGraph, part_of: &[usize], part_weight: &[u64], min: u64) -> bool {
     let mut lightest = vec![u64::MAX; part_weight.len()];
     for (u, &p) in part_of.iter().enumerate() {
-        lightest[p] = lightest[p].min(csr.vertex_weight(u));
+        lightest[p] = lightest[p].min(g.vertex_weight(u));
     }
     part_weight
         .iter()
@@ -91,19 +94,19 @@ fn any_part_can_give(csr: &CsrGraph, part_of: &[usize], part_weight: &[u64], min
 /// One gain-bucket move phase. Returns the total gain achieved
 /// (reduction of the cut weight).
 pub(crate) fn fm_move_phase(
-    csr: &CsrGraph,
+    g: &WeightedGraph,
     part_of: &mut [usize],
     part_weight: &mut [u64],
     bounds: SizeBounds,
 ) -> u64 {
-    if !any_part_can_give(csr, part_of, part_weight, bounds.min_weight) {
+    if !any_part_can_give(g, part_of, part_weight, bounds.min_weight) {
         return 0;
     }
-    let n = csr.n();
+    let n = g.n();
     let mut buckets = GainBuckets::new(n);
     let mut scratch: Vec<(usize, u64)> = Vec::new();
     for u in 0..n {
-        if let Some((_, gain)) = best_move(csr, part_of, u, &mut scratch) {
+        if let Some((_, gain)) = best_move(g, part_of, u, &mut scratch) {
             if gain > 0 {
                 buckets.insert(u, gain);
             }
@@ -116,7 +119,7 @@ pub(crate) fn fm_move_phase(
     let mut total_gain = 0u64;
     let mut applied = 0u64;
     while let Some((u, cached)) = buckets.pop_best() {
-        let Some((target, gain)) = best_move(csr, part_of, u, &mut scratch) else {
+        let Some((target, gain)) = best_move(g, part_of, u, &mut scratch) else {
             continue;
         };
         if gain <= 0 {
@@ -127,7 +130,7 @@ pub(crate) fn fm_move_phase(
             buckets.insert(u, gain);
             continue;
         }
-        let wu = csr.vertex_weight(u);
+        let wu = g.vertex_weight(u);
         let home = part_of[u];
         // Respect both bounds: the source must not fall below min, the
         // target must not exceed max.
@@ -144,15 +147,14 @@ pub(crate) fn fm_move_phase(
         applied += 1;
         // Gains changed only for u and its neighbours; requeue them.
         buckets.remove(u);
-        match best_move(csr, part_of, u, &mut scratch) {
-            Some((_, g)) if g > 0 => buckets.insert(u, g),
+        match best_move(g, part_of, u, &mut scratch) {
+            Some((_, gain)) if gain > 0 => buckets.insert(u, gain),
             _ => {}
         }
-        let (nbrs, _) = csr.neighbors(u);
-        for &v in nbrs {
+        for &(v, _) in g.neighbors(u) {
             let v = v as usize;
-            match best_move(csr, part_of, v, &mut scratch) {
-                Some((_, g)) if g > 0 => buckets.insert(v, g),
+            match best_move(g, part_of, v, &mut scratch) {
+                Some((_, gain)) if gain > 0 => buckets.insert(v, gain),
                 _ => buckets.remove(v),
             }
         }
@@ -160,9 +162,9 @@ pub(crate) fn fm_move_phase(
         std::mem::swap(&mut parked, &mut retry);
         for v in retry.drain(..) {
             let v = v as usize;
-            if let Some((_, g)) = best_move(csr, part_of, v, &mut scratch) {
-                if g > 0 {
-                    buckets.insert(v, g);
+            if let Some((_, gain)) = best_move(g, part_of, v, &mut scratch) {
+                if gain > 0 {
+                    buckets.insert(v, gain);
                 }
             }
         }
@@ -174,10 +176,10 @@ pub(crate) fn fm_move_phase(
 }
 
 /// `link(u, p)`, the weight of `u`'s edges into part `p`, for every part
-/// `u` touches. Each vertex keeps its non-zero links unordered in its own
-/// CSR row range: edge weights are positive, so a vertex touches at most
-/// `deg(u)` parts. (A dense `n × k` table would be 32 MB for a 128 × 128
-/// torus in 256 parts.)
+/// `u` touches. Each vertex keeps its non-zero links unordered in a
+/// range as long as its adjacency row: edge weights are positive, so a
+/// vertex touches at most `deg(u)` parts. (A dense `n × k` table would be
+/// 32 MB for a 128 × 128 torus in 256 parts.)
 struct PartLinks {
     /// Row start per vertex, then the end of the last row.
     off: Vec<usize>,
@@ -188,12 +190,12 @@ struct PartLinks {
 }
 
 impl PartLinks {
-    fn new(csr: &CsrGraph, part_of: &[usize]) -> Self {
-        let n = csr.n();
+    fn new(g: &WeightedGraph, part_of: &[usize]) -> Self {
+        let n = g.n();
         let mut off = Vec::with_capacity(n + 1);
         off.push(0);
         for u in 0..n {
-            off.push(off[u] + csr.neighbors(u).0.len());
+            off.push(off[u] + g.neighbors(u).len());
         }
         let mut table = PartLinks {
             links: vec![(0, 0); off[n]],
@@ -201,8 +203,7 @@ impl PartLinks {
             off,
         };
         for u in 0..n {
-            let (nbrs, wgts) = csr.neighbors(u);
-            for (&v, &w) in nbrs.iter().zip(wgts) {
+            for &(v, w) in g.neighbors(u) {
                 table.add(u, part_of[v as usize], w);
             }
         }
@@ -261,9 +262,8 @@ impl PartLinks {
 
     /// `v` moved from part `from` to part `to`: shift its edge weights
     /// between the links of each neighbour.
-    fn move_vertex(&mut self, csr: &CsrGraph, v: usize, from: usize, to: usize) {
-        let (nbrs, wgts) = csr.neighbors(v);
-        for (&x, &w) in nbrs.iter().zip(wgts) {
+    fn move_vertex(&mut self, g: &WeightedGraph, v: usize, from: usize, to: usize) {
+        for &(x, w) in g.neighbors(v) {
             self.sub(x as usize, from, w);
             self.add(x as usize, to, w);
         }
@@ -275,7 +275,7 @@ impl PartLinks {
 /// away), as `(weight class, D, vertex)` in `list` order. Returns the
 /// largest `D`, `None` when there is no candidate.
 fn swap_side(
-    csr: &CsrGraph,
+    g: &WeightedGraph,
     part_of: &[usize],
     links: &PartLinks,
     list: &[u32],
@@ -290,7 +290,7 @@ fn swap_side(
         if part_of[ui] == own {
             let d = links.d_value(ui, own, other);
             top = top.max(Some(d));
-            out.push((csr.vertex_weight(ui), d, u));
+            out.push((g.vertex_weight(ui), d, u));
         }
     }
     top
@@ -323,7 +323,7 @@ fn rank_side(side: &mut Vec<(u64, i128, u32)>) {
 /// top-candidate combination of matching weight class; the first maximum
 /// in class / rank order wins ties (deterministic).
 fn best_swap(
-    csr: &CsrGraph,
+    g: &WeightedGraph,
     side_p: &[(u64, i128, u32)],
     side_q: &[(u64, i128, u32)],
 ) -> Option<(usize, usize, u64)> {
@@ -337,7 +337,7 @@ fn best_swap(
         let hi = lo + side_q[lo..].iter().take_while(|c| c.0 == w).count();
         for &(_, du, u) in class {
             for &(_, dv, v) in &side_q[lo..hi] {
-                let gain = du + dv - 2 * csr.edge_weight(u as usize, v as usize) as i128;
+                let gain = du + dv - 2 * g.edge_weight(u as usize, v as usize) as i128;
                 if gain > 0 && best.is_none_or(|(bg, _, _)| gain > bg) {
                     best = Some((gain, u as usize, v as usize));
                 }
@@ -356,8 +356,8 @@ fn best_swap(
 /// values are read from a [`PartLinks`] table that each applied swap
 /// updates for the neighbours of the two vertices, so no pair rescans a
 /// neighbourhood.
-pub(crate) fn kl_swap_phase(csr: &CsrGraph, part_of: &mut [usize], k: usize) -> u64 {
-    let mut links = PartLinks::new(csr, part_of);
+pub(crate) fn kl_swap_phase(g: &WeightedGraph, part_of: &mut [usize], k: usize) -> u64 {
+    let mut links = PartLinks::new(g, part_of);
     let mut boundary_of: Vec<Vec<u32>> = vec![Vec::new(); k];
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     // `listed[q] == p`: the pair (p, q) is already in `pairs`.
@@ -393,11 +393,11 @@ pub(crate) fn kl_swap_phase(csr: &CsrGraph, part_of: &mut [usize], k: usize) -> 
         }
         let mut applied = false;
         for &(p, q) in &pairs {
-            let Some(top_p) = swap_side(csr, part_of, &links, &boundary_of[p], p, q, &mut side_p)
+            let Some(top_p) = swap_side(g, part_of, &links, &boundary_of[p], p, q, &mut side_p)
             else {
                 continue;
             };
-            let Some(top_q) = swap_side(csr, part_of, &links, &boundary_of[q], q, p, &mut side_q)
+            let Some(top_q) = swap_side(g, part_of, &links, &boundary_of[q], q, p, &mut side_q)
             else {
                 continue;
             };
@@ -408,11 +408,11 @@ pub(crate) fn kl_swap_phase(csr: &CsrGraph, part_of: &mut [usize], k: usize) -> 
             }
             rank_side(&mut side_p);
             rank_side(&mut side_q);
-            if let Some((u, v, gain)) = best_swap(csr, &side_p, &side_q) {
+            if let Some((u, v, gain)) = best_swap(g, &side_p, &side_q) {
                 part_of[u] = q;
                 part_of[v] = p;
-                links.move_vertex(csr, u, p, q);
-                links.move_vertex(csr, v, q, p);
+                links.move_vertex(g, u, p, q);
+                links.move_vertex(g, v, q, p);
                 total_gain += gain;
                 swaps += 1;
                 applied = true;
@@ -436,23 +436,10 @@ pub fn refine(
     bounds: SizeBounds,
     max_passes: usize,
 ) {
-    let csr = CsrGraph::from_graph(g);
-    refine_csr(&csr, part_of, part_weight, bounds, max_passes);
-}
-
-/// [`refine`] over a pre-built CSR view (the multilevel driver reuses
-/// the one coarsening produced).
-pub(crate) fn refine_csr(
-    csr: &CsrGraph,
-    part_of: &mut [usize],
-    part_weight: &mut [u64],
-    bounds: SizeBounds,
-    max_passes: usize,
-) {
     let k = part_weight.len();
     for _ in 0..max_passes {
-        let mut gain = fm_move_phase(csr, part_of, part_weight, bounds);
-        gain += kl_swap_phase(csr, part_of, k);
+        let mut gain = fm_move_phase(g, part_of, part_weight, bounds);
+        gain += kl_swap_phase(g, part_of, k);
         if gain == 0 {
             break;
         }
@@ -629,12 +616,11 @@ mod tests {
         // Every part sits exactly at the minimum, so no move is legal even
         // though moving vertex 0 or 4 home would cut the cut weight.
         let g = squares();
-        let csr = CsrGraph::from_graph(&g);
         let mut part = vec![1, 0, 0, 0, 0, 1, 1, 1];
         let mut pw = vec![4u64, 4];
-        assert!(!any_part_can_give(&csr, &part, &pw, 4));
-        assert!(any_part_can_give(&csr, &part, &pw, 3));
-        let gain = fm_move_phase(&csr, &mut part, &mut pw, SizeBounds::new(4, 5));
+        assert!(!any_part_can_give(&g, &part, &pw, 4));
+        assert!(any_part_can_give(&g, &part, &pw, 3));
+        let gain = fm_move_phase(&g, &mut part, &mut pw, SizeBounds::new(4, 5));
         assert_eq!(gain, 0);
         assert_eq!(part, vec![1, 0, 0, 0, 0, 1, 1, 1]);
         assert_eq!(pw, vec![4, 4]);
@@ -643,10 +629,9 @@ mod tests {
     #[test]
     fn gain_is_reported() {
         let g = squares();
-        let csr = CsrGraph::from_graph(&g);
         let mut part = vec![1, 0, 0, 0, 0, 1, 1, 1];
         let mut pw = vec![4u64, 4];
-        let gain = fm_move_phase(&csr, &mut part, &mut pw, SizeBounds::new(3, 5));
+        let gain = fm_move_phase(&g, &mut part, &mut pw, SizeBounds::new(3, 5));
         assert!(gain > 0);
     }
 
@@ -702,23 +687,22 @@ mod tests {
         #[test]
         fn refine_matches_the_rescanning_oracle(case in arb_case(), mode in 0u8..3, passes in 1usize..7) {
             let (g, start, k) = case;
-            let csr = CsrGraph::from_graph(&g);
             let weights = part_weights_for(&g, &start, k);
             let bounds = bounds_for(&weights, mode);
 
             let (mut part, mut pw) = (start.clone(), weights.clone());
             let (mut want, mut want_pw) = (start.clone(), weights.clone());
             prop_assert_eq!(
-                fm_move_phase(&csr, &mut part, &mut pw, bounds),
-                oracle::fm_move_phase(&csr, &mut want, &mut want_pw, bounds)
+                fm_move_phase(&g, &mut part, &mut pw, bounds),
+                oracle::fm_move_phase(&g, &mut want, &mut want_pw, bounds)
             );
             prop_assert_eq!(&part, &want);
             prop_assert_eq!(&pw, &want_pw);
 
             let (mut part, mut want) = (start.clone(), start.clone());
             prop_assert_eq!(
-                kl_swap_phase(&csr, &mut part, k),
-                oracle::kl_swap_phase(&csr, &mut want, k)
+                kl_swap_phase(&g, &mut part, k),
+                oracle::kl_swap_phase(&g, &mut want, k)
             );
             prop_assert_eq!(&part, &want);
 
@@ -734,9 +718,8 @@ mod tests {
     #[test]
     fn swap_gain_is_reported() {
         let g = squares();
-        let csr = CsrGraph::from_graph(&g);
         let mut part = vec![1, 0, 0, 0, 0, 1, 1, 1];
-        let gain = kl_swap_phase(&csr, &mut part, 2);
+        let gain = kl_swap_phase(&g, &mut part, 2);
         assert!(gain > 0);
         assert_eq!(g.cut_weight(&part), 1);
     }
