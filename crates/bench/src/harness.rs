@@ -44,7 +44,7 @@ impl Scale {
                 encoder_group_nodes: 4,
                 record_events: false,
                 workers: 0,
-                engine: hcft_simmpi::Engine::Auto,
+                engine: hcft_simmpi::Engine::Tasks,
             },
         }
     }

@@ -70,14 +70,14 @@ pub struct TracedJobConfig {
     /// log-memory timeline and determinism analyses; costs memory per
     /// message).
     pub record_events: bool,
-    /// Worker threads for the simmpi task engine (0 = runtime default:
-    /// `HCFT_SIMMPI_WORKERS`, else the core count). The determinism
-    /// suite pins this to exercise multi-worker interleavings.
+    /// Worker threads for the simmpi task engine (0 = the core count).
+    /// The determinism suite pins this to exercise multi-worker
+    /// interleavings.
     pub workers: usize,
-    /// Execution engine for the rank bodies. [`Engine::Auto`] (the
-    /// default) picks the task scheduler where supported; the
-    /// determinism suite pins [`Engine::Threads`] to prove both engines
-    /// trace identical bytes.
+    /// Execution engine for the rank bodies. [`Engine::Tasks`] (the
+    /// default) is the task scheduler, thread-per-rank where that is not
+    /// supported; the determinism suite pins [`Engine::Threads`] to
+    /// prove both engines trace identical bytes.
     pub engine: Engine,
 }
 
@@ -277,7 +277,7 @@ impl TracedJobConfigBuilder {
                 encoder_group_nodes: 4.min(nodes.max(1)),
                 record_events: false,
                 workers: 0,
-                engine: Engine::Auto,
+                engine: Engine::Tasks,
             },
             explicit_grid: false,
         }
@@ -342,7 +342,7 @@ impl TracedJobConfigBuilder {
         self
     }
 
-    /// Pin the execution engine (default [`Engine::Auto`]).
+    /// Pin the execution engine (default [`Engine::Tasks`]).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.cfg.engine = engine;
         self
@@ -728,7 +728,7 @@ mod tests {
             encoder_group_nodes: 4,
             record_events: false,
             workers: 0,
-            engine: Engine::Auto,
+            engine: Engine::Tasks,
         });
         let hier_cfg = hcft_cluster::HierarchicalConfig {
             min_nodes_per_l1: 4,

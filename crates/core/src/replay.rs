@@ -408,7 +408,7 @@ pub struct ReplayConfig {
     /// Checkpoint store root. Use a fresh directory per engine run: the
     /// store is stateful across epochs.
     pub store_root: PathBuf,
-    /// Worker threads for task-engine worlds (0 = auto).
+    /// Worker threads for task-engine worlds (0 = the core count).
     pub workers: usize,
     /// `simmpi` execution engine.
     pub engine: Engine,
@@ -417,7 +417,7 @@ pub struct ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// Defaults: a checkpoint every 5 iterations, auto engine.
+    /// Defaults: a checkpoint every 5 iterations, task engine.
     pub fn new(store_root: impl Into<PathBuf>) -> Self {
         let wc = WorldConfig::default();
         ReplayConfig {

@@ -738,7 +738,7 @@ mod rendezvous_tests {
             live: vec![true, false, true],
             feed: ReplayFeed::new(3),
         };
-        World::run_replay(3, short_timeout(Engine::Auto), plan, |c| c.barrier());
+        World::run_replay(3, short_timeout(Engine::Tasks), plan, |c| c.barrier());
     }
 }
 

@@ -2,13 +2,13 @@
 //!
 //! Two execution engines share one mailbox fabric:
 //!
-//! * **Tasks** (default on x86_64 Linux): rank bodies run as stackful
-//!   coroutines multiplexed M:N onto a fixed worker pool
-//!   (`HCFT_SIMMPI_WORKERS`, default = cores) by the `sched` module. A
+//! * **Tasks** (the default; x86_64 Linux only): rank bodies run as
+//!   stackful coroutines multiplexed M:N onto a fixed worker pool
+//!   (`WorldConfig::workers`, default = cores) by the `sched` module. A
 //!   blocking receive context-switches to the next runnable rank in tens
 //!   of nanoseconds, so six-figure rank counts fit on one box — far past
 //!   the kernel's thread limits — and a sender wakes its receiver by
-//!   pushing a task id, not a futex syscall.
+//!   queueing a task id, not a futex syscall.
 //! * **Threads**: one OS thread per rank, receivers parked on shard
 //!   condvars after a yield-spin budget. 1088 ranks (the paper's largest
 //!   job) is comfortably within this engine; it is the only engine on
@@ -23,8 +23,8 @@
 //! FIFO per channel is preserved by construction.
 //!
 //! Runtime settings come from one place: [`WorldConfig::resolve`] takes
-//! an explicit field first, then the process-wide snapshot of the two
-//! `HCFT_SIMMPI_*` variables, then the built-in default.
+//! an explicit field first, then (for the stack size) the process-wide
+//! snapshot of `HCFT_SIMMPI_STACK_KB`, then the built-in default.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -59,65 +59,44 @@ const DEFAULT_STACK_SIZE: usize = 512 * 1024;
 /// confusion before the slab allocator tries to honour it times the rank
 /// count.
 const STACK_SIZES: RangeInclusive<usize> = 64 * 1024..=1 << 30;
-/// Accepted `HCFT_SIMMPI_WORKERS` values. The ceiling catches typos; the
-/// pool is capped at the rank count anyway.
-const ENV_WORKERS: RangeInclusive<usize> = 1..=1 << 16;
 
 /// Yield slices a thread-engine receiver burns before parking on the
 /// shard condvar.
 const YIELD_SPINS: u32 = 4;
 
-/// The runtime's environment overrides, parsed together.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct EnvConfig {
-    /// `HCFT_SIMMPI_WORKERS`: task-engine worker threads.
-    workers: Option<usize>,
-    /// `HCFT_SIMMPI_STACK_KB`, in bytes.
-    stack_size: Option<usize>,
+/// Parse `HCFT_SIMMPI_STACK_KB` (`None` = unset) into bytes. A set but
+/// malformed value — not an integer, or outside 64 KiB..=1 GiB — is an
+/// error naming the variable.
+fn parse_stack_kb(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let kb = STACK_SIZES.start() / 1024..=STACK_SIZES.end() / 1024;
+    raw.map(|raw| {
+        raw.trim()
+            .parse::<usize>()
+            .ok()
+            .filter(|v| kb.contains(v))
+            .map(|v| v * 1024)
+            .ok_or_else(|| {
+                format!(
+                    "HCFT_SIMMPI_STACK_KB must be an integer in {}..={}, got {raw:?}",
+                    kb.start(),
+                    kb.end()
+                )
+            })
+    })
+    .transpose()
 }
 
-impl EnvConfig {
-    /// Read both variables through `lookup` (`None` = unset). A set but
-    /// malformed value — not an integer, or outside its range — is an
-    /// error naming the variable.
-    fn parse(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
-        let read = |name: &str, range: RangeInclusive<usize>| {
-            lookup(name)
-                .map(|raw| {
-                    raw.trim()
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|v| range.contains(v))
-                        .ok_or_else(|| {
-                            format!(
-                                "{name} must be an integer in {}..={}, got {raw:?}",
-                                range.start(),
-                                range.end()
-                            )
-                        })
-                })
-                .transpose()
-        };
-        let stack_kb = STACK_SIZES.start() / 1024..=STACK_SIZES.end() / 1024;
-        Ok(EnvConfig {
-            workers: read("HCFT_SIMMPI_WORKERS", ENV_WORKERS)?,
-            stack_size: read("HCFT_SIMMPI_STACK_KB", stack_kb)?.map(|kb| kb * 1024),
-        })
-    }
-
-    /// The process-wide snapshot, taken at the first world (or
-    /// [`WorldConfig::resolve`]) and never re-read: a long-running
-    /// service sees one environment for its whole lifetime.
-    fn snapshot() -> Result<&'static Self, HcftError> {
-        static ENV: OnceLock<Result<EnvConfig, String>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            EnvConfig::parse(|name| {
-                std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
-            })
-        })
-        .as_ref()
-        .map_err(|msg| HcftError::Config(msg.clone()))
-    }
+/// The process-wide `HCFT_SIMMPI_STACK_KB` snapshot, taken at the first
+/// world (or [`WorldConfig::resolve`]) and never re-read: a long-running
+/// service sees one environment for its whole lifetime.
+fn env_stack_size() -> Result<Option<usize>, HcftError> {
+    static ENV: OnceLock<Result<Option<usize>, String>> = OnceLock::new();
+    ENV.get_or_init(|| {
+        let raw = std::env::var_os("HCFT_SIMMPI_STACK_KB");
+        parse_stack_kb(raw.map(|v| v.to_string_lossy().into_owned()).as_deref())
+    })
+    .clone()
+    .map_err(HcftError::Config)
 }
 
 /// FNV-1a over the key words. The default SipHash hasher is a measurable
@@ -580,12 +559,10 @@ impl Shared {
 /// Which execution engine carries the rank bodies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// [`Engine::Tasks`] where supported (x86_64 Linux), else
-    /// [`Engine::Threads`].
-    Auto,
     /// One OS thread per rank (portable baseline).
     Threads,
-    /// M:N stackful coroutines on a fixed worker pool.
+    /// M:N stackful coroutines on a fixed worker pool: the default. It
+    /// runs as [`Engine::Threads`] on targets other than x86_64 Linux.
     Tasks,
 }
 
@@ -601,8 +578,7 @@ pub struct WorldConfig {
     /// Also keep the ordered per-sender event log (needed by the
     /// message-logging analyses; costs memory per message).
     pub trace_events: bool,
-    /// Worker threads for the task engine; 0 = auto
-    /// (`HCFT_SIMMPI_WORKERS` env override, else the core count), always
+    /// Worker threads for the task engine; 0 = the core count. Always
     /// capped at the rank count.
     pub workers: usize,
     /// Execution engine selection.
@@ -616,7 +592,7 @@ impl Default for WorldConfig {
             recv_timeout: Duration::from_secs(60),
             trace_events: false,
             workers: 0,
-            engine: Engine::Auto,
+            engine: Engine::Tasks,
         }
     }
 }
@@ -625,11 +601,11 @@ impl Default for WorldConfig {
 /// Every setting follows one precedence:
 ///
 /// 1. an explicit [`WorldConfig`] value always wins;
-/// 2. otherwise the `HCFT_SIMMPI_*` environment override applies —
+/// 2. otherwise, for the stack size, `HCFT_SIMMPI_STACK_KB` applies —
 ///    **snapshotted once per process** at first use, so a long-running
 ///    service sees one consistent environment for its whole lifetime
 ///    rather than whatever the variable mutates to later;
-/// 3. otherwise the built-in default.
+/// 3. otherwise the built-in default (for workers, the core count).
 ///
 /// Long-running processes that need per-request settings must therefore
 /// pass them explicitly (as [`WorldConfig`] / `TracedJobConfig` fields)
@@ -640,8 +616,8 @@ pub struct ResolvedWorldConfig {
     pub stack_size: usize,
     /// Task-engine worker-pool size (capped at the rank count).
     pub workers: usize,
-    /// The engine that will actually carry the rank bodies ([`Engine::Auto`]
-    /// and unsupported-target requests are resolved away).
+    /// The engine that will actually carry the rank bodies (a task
+    /// request on an unsupported target resolves to threads).
     pub engine: Engine,
 }
 
@@ -652,7 +628,7 @@ impl WorldConfig {
     /// so callers — and the env-precedence regression tests — can
     /// observe the outcome without running a world.
     pub fn resolve(&self, n: usize) -> Result<ResolvedWorldConfig, HcftError> {
-        let env = EnvConfig::snapshot()?;
+        let env_stack_size = env_stack_size()?;
         let explicit = |v: usize| (v > 0).then_some(v);
         let stack_size = match explicit(self.stack_size) {
             Some(bytes) if !STACK_SIZES.contains(&bytes) => {
@@ -662,10 +638,9 @@ impl WorldConfig {
                     STACK_SIZES.end()
                 )))
             }
-            bytes => bytes.or(env.stack_size).unwrap_or(DEFAULT_STACK_SIZE),
+            bytes => bytes.or(env_stack_size).unwrap_or(DEFAULT_STACK_SIZE),
         };
         let workers = explicit(self.workers)
-            .or(env.workers)
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|p| p.get())
@@ -675,7 +650,7 @@ impl WorldConfig {
         // A task request on an unsupported target degrades to threads
         // (same semantics, just slower at scale) rather than failing.
         let engine = match self.engine {
-            Engine::Tasks | Engine::Auto if sched::SUPPORTED => Engine::Tasks,
+            Engine::Tasks if sched::SUPPORTED => Engine::Tasks,
             _ => Engine::Threads,
         };
         Ok(ResolvedWorldConfig {
@@ -933,26 +908,14 @@ mod tests {
         assert_eq!(r.outputs, vec![1]);
     }
 
-    /// Parse a fake environment; never touches the process's own.
-    fn parse_env(vars: &[(&str, &str)]) -> Result<EnvConfig, String> {
-        EnvConfig::parse(|name| {
-            vars.iter()
-                .find(|(k, _)| *k == name)
-                .map(|(_, v)| v.to_string())
-        })
-    }
-
     #[test]
-    fn env_values_share_one_parse_rule() {
-        assert_eq!(parse_env(&[]), Ok(EnvConfig::default()));
-        for name in ["HCFT_SIMMPI_WORKERS", "HCFT_SIMMPI_STACK_KB"] {
-            for bad in ["", "abc", "0", "-2", "12.5"] {
-                let err = parse_env(&[(name, bad)]).expect_err(bad);
-                assert!(err.contains(name), "{err}");
-            }
+    fn stack_kb_parse_rule() {
+        assert_eq!(parse_stack_kb(None), Ok(None));
+        for bad in ["", "abc", "0", "-2", "12.5"] {
+            let err = parse_stack_kb(Some(bad)).expect_err(bad);
+            assert!(err.contains("HCFT_SIMMPI_STACK_KB"), "{err}");
         }
-        let env = parse_env(&[("HCFT_SIMMPI_WORKERS", " 3 ")]).unwrap();
-        assert_eq!(env.workers, Some(3));
+        assert_eq!(parse_stack_kb(Some(" 256 ")), Ok(Some(256 * 1024)));
         // Stack bounds: 64 KiB and 1 GiB inclusive, returned in bytes.
         for (kb, ok) in [
             ("63", false),
@@ -960,10 +923,10 @@ mod tests {
             ("1048576", true),
             ("1048577", false),
         ] {
-            let env = parse_env(&[("HCFT_SIMMPI_STACK_KB", kb)]);
-            assert_eq!(env.is_ok(), ok, "STACK_KB={kb}");
-            if let Ok(env) = env {
-                assert_eq!(env.stack_size, Some(kb.parse::<usize>().unwrap() * 1024));
+            let bytes = parse_stack_kb(Some(kb));
+            assert_eq!(bytes.is_ok(), ok, "STACK_KB={kb}");
+            if let Ok(bytes) = bytes {
+                assert_eq!(bytes, Some(kb.parse::<usize>().unwrap() * 1024));
             }
         }
     }

@@ -15,13 +15,14 @@
 //!
 //! Design invariants, in order of importance:
 //!
-//! * **Single-owner hand-off.** Exactly one thread "holds" a task at any
-//!   instant: the worker currently running it, the worker completing its
-//!   context save, or (while queued) nobody — the next holder is whoever
-//!   pops it from a run queue. Every hand-off goes through a
-//!   release/acquire edge (a state CAS or a queue push/pop), so the saved
-//!   stack pointer and the task-private cells are always visible to the
-//!   next holder.
+//! * **Home-thread tasks.** Only a task's home worker thread runs it,
+//!   saves its context, resumes it or expires its deadline, so the saved
+//!   stack pointer and the task-private cells never cross threads. Each
+//!   worker's run queue is a plain `VecDeque` in its thread-local
+//!   `WorkerCtl`, pushed and popped on that thread only, FIFO: a woken
+//!   task goes behind its siblings, and the ranks sharing a worker run
+//!   round-robin in wake order. Another thread's wake reaches the worker
+//!   through its injector mutex.
 //! * **Two-phase block.** A task cannot be woken between "announced it
 //!   will block" and "finished saving its context": `prepare_block`
 //!   stores `BLOCKING` under the lock its waker reads it under (a
@@ -33,7 +34,7 @@
 //!   placement the home worker both saves and resumes, so a remote wake
 //!   cannot be acted on before the save completes and the protocol is
 //!   stricter than this scheduler needs. It stays because it costs one
-//!   CAS per block and keeps the hand-off correct whoever resumes the
+//!   CAS per block and keeps the block correct whoever resumes the
 //!   task; a simpler protocol should wait for an exhaustive-interleaving
 //!   model test of this one to check it against.
 //! * **Wake ownership by CAS.** A blocked task is woken by exactly one
@@ -94,13 +95,14 @@ pub(crate) use imp::*;
 pub(crate) use stub::*;
 
 /// Whether the task engine exists on this target. Off-target builds fall
-/// back to thread-per-rank (see `runtime::resolve_engine`).
+/// back to thread-per-rank (see `WorldConfig::resolve`).
 pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", target_os = "linux"));
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod imp {
-    use std::cell::{Cell, UnsafeCell};
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+    use std::cell::{Cell, RefCell, UnsafeCell};
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -161,7 +163,7 @@ mod imp {
 
     // ----- task state ----------------------------------------------------
 
-    /// Runnable: queued on a run queue or currently executing.
+    /// Runnable: queued (run queue or injector) or currently executing.
     const READY: u8 = 0;
     /// Parked on a message channel; saved context is published.
     const BLOCKED: u8 = 1;
@@ -185,21 +187,21 @@ mod imp {
         Done,
     }
 
-    /// One rank task. The non-atomic fields are only touched by the
-    /// thread currently holding the task (see module docs: single-owner
-    /// hand-off); `state` and `deadline_ns` carry the cross-thread
-    /// handshakes.
+    /// One rank task. The non-atomic fields are only touched by its home
+    /// worker thread (see module docs: home-thread tasks); `state` and
+    /// `deadline_ns` carry the cross-thread handshakes.
     struct Task {
         state: AtomicU8,
-        /// Saved stack pointer while suspended. Written by the holder
-        /// during the context switch; published to the next holder by the
-        /// state CAS or run-queue push that follows the save.
+        /// Saved stack pointer while suspended. Written and read by the
+        /// home worker, in the context switch.
         sp: Cell<*mut u8>,
         /// Lowest address of this task's stack (canary location).
         stack_lo: *mut u8,
         /// Receive deadline while blocked, as nanoseconds relative to the
-        /// scheduler epoch; 0 = none. Atomic because the watchdog reads
-        /// it from outside the hand-off chain.
+        /// scheduler epoch; 0 = none. Only the home worker touches it
+        /// (the task in `block`, the watchdog in `expire_deadlines`); it
+        /// stays atomic until a model test of the block protocol can
+        /// check a plain cell against it.
         deadline_ns: AtomicU64,
         /// Set by the watchdog before a timeout wake.
         timed_out: Cell<bool>,
@@ -207,11 +209,10 @@ mod imp {
         body: UnsafeCell<Option<Box<dyn FnOnce() + Send>>>,
     }
 
-    // SAFETY: `sp`/`timed_out`/`body` are only accessed by
-    // the thread currently holding the task, and every hand-off between
-    // holders goes through a release/acquire edge (state CAS, run-queue
-    // push/pop, or injector mutex). `state` and `deadline_ns` are
-    // atomic; `stack_lo` is immutable.
+    // SAFETY: `sp`/`timed_out`/`body` are only accessed by the task's
+    // home worker thread, or before the workers spawn and after they are
+    // joined. `state` and `deadline_ns` are atomic; `stack_lo` is
+    // immutable.
     unsafe impl Send for Task {}
     unsafe impl Sync for Task {}
 
@@ -329,97 +330,24 @@ mod imp {
         }
     }
 
-    // ----- run queues ----------------------------------------------------
-
-    /// Fixed-capacity FIFO run queue: single producer (the owning
-    /// worker); the pop side is safe for any number of consumers, though
-    /// only the owner pops. FIFO at the *head* — unlike a classic
-    /// Chase–Lev deque, the owner does not LIFO-pop its own tail, so a
-    /// woken task goes behind its siblings and the ranks sharing a worker
-    /// run round-robin in wake order.
-    ///
-    /// Capacity is a power of two strictly greater than the task count,
-    /// so `tail - head <= mask` always holds and a push can never lap an
-    /// unconsumed slot.
-    struct RunQueue {
-        head: AtomicU64,
-        tail: AtomicU64,
-        mask: u64,
-        slots: Box<[AtomicU32]>,
-    }
-
-    impl RunQueue {
-        fn new(min_capacity: usize) -> Self {
-            let cap = min_capacity.next_power_of_two().max(2);
-            RunQueue {
-                head: AtomicU64::new(0),
-                tail: AtomicU64::new(0),
-                mask: cap as u64 - 1,
-                slots: (0..cap).map(|_| AtomicU32::new(0)).collect(),
-            }
-        }
-
-        /// Owner-only push at the tail. Every push site in this module
-        /// runs on the queue's own worker thread, which is what makes the
-        /// plain tail load sound. The `Release` store publishes both the
-        /// slot value and everything the pusher did before (the task's
-        /// saved context) to whoever pops it.
-        fn push(&self, tid: u32) {
-            let t = self.tail.load(Ordering::Relaxed);
-            debug_assert!(
-                t.wrapping_sub(self.head.load(Ordering::Relaxed)) <= self.mask,
-                "run queue lapped: capacity must exceed the task count"
-            );
-            self.slots[(t & self.mask) as usize].store(tid, Ordering::Relaxed);
-            self.tail.store(t.wrapping_add(1), Ordering::Release);
-        }
-
-        /// Pop at the head. The head CAS both claims the slot and acquires
-        /// the pusher's release edge. A slot cannot be overwritten between
-        /// the value read and a *successful* CAS: overwriting slot
-        /// `h & mask` requires `tail - head == capacity`, which the
-        /// capacity invariant rules out.
-        fn pop(&self) -> Option<u32> {
-            let mut h = self.head.load(Ordering::Acquire);
-            loop {
-                let t = self.tail.load(Ordering::Acquire);
-                if h == t {
-                    return None;
-                }
-                let v = self.slots[(h & self.mask) as usize].load(Ordering::Relaxed);
-                match self.head.compare_exchange_weak(
-                    h,
-                    h.wrapping_add(1),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => return Some(v),
-                    Err(nh) => h = nh,
-                }
-            }
-        }
-
-        /// Approximate occupancy (telemetry only).
-        fn len(&self) -> u64 {
-            let t = self.tail.load(Ordering::Relaxed);
-            let h = self.head.load(Ordering::Relaxed);
-            t.wrapping_sub(h).min(self.mask + 1)
-        }
-    }
+    // ----- wake injectors ------------------------------------------------
 
     /// Cross-thread face of one worker: the wake injector.
     struct WorkerShared {
-        injector: Mutex<Vec<u32>>,
+        injector: Mutex<Injector>,
         cv: Condvar,
-        /// True while the worker is (about to be) parked in `cv`. Written
-        /// under `injector`, so a waker holding the lock sees the truth
-        /// and can skip the futex syscall when the worker is busy.
-        sleeping: Cell<bool>,
     }
 
-    // SAFETY: `sleeping` is only accessed with `injector` held.
-    unsafe impl Send for WorkerShared {}
-    unsafe impl Sync for WorkerShared {}
+    /// What other threads hand a worker, under its injector lock.
+    #[derive(Default)]
+    struct Injector {
+        /// Tasks woken by other threads, in wake order.
+        woken: Vec<u32>,
+        /// True while the worker is (about to be) parked in `cv`, so a
+        /// waker holding the lock can skip the futex syscall when the
+        /// worker is busy.
+        sleeping: bool,
+    }
 
     /// Scheduler telemetry, resolved once per world.
     struct SchedMetrics {
@@ -440,8 +368,6 @@ mod imp {
         epoch: Instant,
         tasks: Vec<Task>,
         workers: Vec<WorkerShared>,
-        /// One run queue per worker; worker `w` owns (pushes) `runqs[w]`.
-        runqs: Vec<RunQueue>,
         /// Ranks per worker: rank r's *home* worker, where it always
         /// runs, is r / chunk.
         chunk: usize,
@@ -487,12 +413,18 @@ mod imp {
     struct WorkerCtl {
         sched_id: u64,
         index: usize,
+        /// The ranks this worker runs: its home range.
+        home: std::ops::Range<usize>,
         /// Copy of the scheduler epoch (deadline encoding).
         epoch: Instant,
         /// The worker loop's saved context while a task runs.
         sched_sp: Cell<*mut u8>,
         /// Why the last task switch returned to the worker.
         reason: Cell<Reason>,
+        /// This worker's runnable home tasks, FIFO. A task is queued at
+        /// most once, so the capacity of the home range is never
+        /// exceeded.
+        runq: RefCell<VecDeque<u32>>,
     }
 
     thread_local! {
@@ -664,14 +596,10 @@ mod imp {
                 tasks,
                 workers: (0..workers)
                     .map(|_| WorkerShared {
-                        injector: Mutex::new(Vec::new()),
+                        injector: Mutex::new(Injector::default()),
                         cv: Condvar::new(),
-                        sleeping: Cell::new(false),
                     })
                     .collect(),
-                // Capacity must strictly exceed n: in the worst case every
-                // task lands on one queue (see RunQueue docs).
-                runqs: (0..workers).map(|_| RunQueue::new(n + 1)).collect(),
                 chunk,
                 watchdog_period,
                 live: AtomicUsize::new(n),
@@ -723,31 +651,25 @@ mod imp {
             // Homes are `tid / chunk`, so tid order groups the batch by
             // worker.
             owned.sort_unstable();
-            let here = WORKER.with(|w| {
-                let ctl = w.get();
-                if ctl.is_null() {
-                    return None;
-                }
-                // SAFETY: installed by this thread's worker loop.
-                let ctl = unsafe { &*ctl };
-                (ctl.sched_id == self.id).then_some(ctl.index)
-            });
+            // SAFETY: a non-null pointer was installed by this thread's
+            // worker loop, which outlives every task it runs.
+            let here = WORKER
+                .with(|w| unsafe { w.get().as_ref() })
+                .filter(|ctl| ctl.sched_id == self.id);
             for batch in owned.chunk_by(|&a, &b| a as usize / self.chunk == b as usize / self.chunk)
             {
                 let home = batch[0] as usize / self.chunk;
-                if here == Some(home) {
+                if let Some(ctl) = here.filter(|ctl| ctl.index == home) {
                     // Same-worker fast path: no lock, no condvar.
-                    for &tid in batch {
-                        self.runqs[home].push(tid);
-                    }
+                    ctl.runq.borrow_mut().extend(batch);
                     self.metrics.wakes_local.add(batch.len() as u64);
                     continue;
                 }
                 self.metrics.wakes_remote.add(batch.len() as u64);
                 let ws = &self.workers[home];
                 let mut inj = ws.injector.lock();
-                inj.extend_from_slice(batch);
-                let sleeping = ws.sleeping.get();
+                inj.woken.extend_from_slice(batch);
+                let sleeping = inj.sleeping;
                 drop(inj);
                 if sleeping {
                     ws.cv.notify_one();
@@ -841,21 +763,20 @@ mod imp {
             let ctl = WorkerCtl {
                 sched_id: self.id,
                 index,
+                home: lo..hi,
                 epoch: self.epoch,
                 sched_sp: Cell::new(std::ptr::null_mut()),
                 reason: Cell::new(Reason::Blocked),
+                runq: RefCell::new((lo as u32..hi as u32).collect()),
             };
             WORKER.with(|w| w.set(&ctl as *const WorkerCtl));
-            let runq = &self.runqs[index];
-            for tid in lo..hi {
-                runq.push(tid as u32);
-            }
             let started = Instant::now();
             let mut idle = Duration::ZERO;
             while self.live.load(Ordering::Acquire) > 0 && !self.poisoned.load(Ordering::Acquire) {
-                match runq.pop().or_else(|| self.drain_injector(index)) {
+                let next = ctl.runq.borrow_mut().pop_front();
+                match next.or_else(|| self.drain_injector(&ctl)) {
                     Some(tid) => self.run_one(&ctl, tid),
-                    None => idle += self.idle_wait(index, lo, hi),
+                    None => idle += self.idle_wait(&ctl),
                 }
             }
             WORKER.with(|w| w.set(std::ptr::null()));
@@ -876,9 +797,8 @@ mod imp {
             self.metrics.resumes.inc();
             CURRENT.with(|c| c.set(t as *const Task));
             // SAFETY: t.sp holds a context previously saved on (or
-            // planted in) this task's stack. Popping the task from a run
-            // queue (or injector) made this worker its unique holder, and
-            // the pop's acquire edge makes the save visible.
+            // planted in) this task's stack, by this thread: only the
+            // home worker runs a task, and a queued task is not running.
             unsafe { hcft_simmpi_ctx_switch(ctl.sched_sp.as_ptr(), t.sp.get()) };
             CURRENT.with(|c| c.set(std::ptr::null()));
             let reason = ctl.reason.get();
@@ -915,7 +835,7 @@ mod imp {
                         // The save is complete, so pay the wake debt here:
                         // the task never counted out of `runnable`.
                         t.state.store(READY, Ordering::Release);
-                        self.runqs[ctl.index].push(tid);
+                        ctl.runq.borrow_mut().push_back(tid);
                     }
                 }
             }
@@ -931,33 +851,29 @@ mod imp {
             }
         }
 
-        /// Move injected wakes onto this worker's run queue; returns the
-        /// first, if any.
-        fn drain_injector(&self, index: usize) -> Option<u32> {
-            let ws = &self.workers[index];
-            let mut inj = ws.injector.lock();
-            if inj.is_empty() {
+        /// Move injected wakes onto this worker's (empty) run queue;
+        /// returns the first, if any.
+        fn drain_injector(&self, ctl: &WorkerCtl) -> Option<u32> {
+            let mut inj = self.workers[ctl.index].injector.lock();
+            if inj.woken.is_empty() {
                 return None;
             }
-            let runq = &self.runqs[index];
-            let mut drained = inj.drain(..);
-            let first = drained.next();
-            for tid in drained {
-                runq.push(tid);
-            }
+            let mut runq = ctl.runq.borrow_mut();
+            runq.extend(inj.woken.drain(..));
             drop(inj);
-            self.metrics.runq_depth.observe(runq.len());
+            let first = runq.pop_front();
+            self.metrics.runq_depth.observe(runq.len() as u64);
             first
         }
 
         /// Nothing runnable here: scan for expired deadlines, then park
         /// on the injector condvar for up to one watchdog period. Returns
         /// the time spent (idle-nanos accounting).
-        fn idle_wait(&self, index: usize, lo: usize, hi: usize) -> Duration {
+        fn idle_wait(&self, ctl: &WorkerCtl) -> Duration {
             let start = Instant::now();
             self.metrics.runq_depth.observe(0);
-            let ws = &self.workers[index];
-            if self.expire_deadlines(index, lo, hi, Instant::now()) > 0 {
+            let ws = &self.workers[ctl.index];
+            if self.expire_deadlines(ctl, Instant::now()) > 0 {
                 return start.elapsed();
             }
             let mut inj = ws.injector.lock();
@@ -965,15 +881,15 @@ mod imp {
             // poisoning) worker updates `live` (or `poisoned`) *before*
             // taking this lock to notify, so a read here that still says
             // "run on" guarantees its notify is still to come.
-            if inj.is_empty()
+            if inj.woken.is_empty()
                 && self.live.load(Ordering::Acquire) > 0
                 && !self.poisoned.load(Ordering::Acquire)
             {
-                ws.sleeping.set(true);
+                inj.sleeping = true;
                 let _ = ws
                     .cv
                     .wait_until(&mut inj, Instant::now() + self.watchdog_period);
-                ws.sleeping.set(false);
+                inj.sleeping = false;
             }
             start.elapsed()
         }
@@ -989,17 +905,21 @@ mod imp {
         /// deadlock. Each worker scans only its home range; in a
         /// quiescent world every worker is idle, so all ranges get
         /// scanned.
-        fn expire_deadlines(&self, index: usize, lo: usize, hi: usize, now: Instant) -> usize {
+        fn expire_deadlines(&self, ctl: &WorkerCtl, now: Instant) -> usize {
             if self.runnable.load(Ordering::Acquire) > 0 {
                 return 0;
             }
             let now_ns = now.saturating_duration_since(self.epoch).as_nanos() as u64;
             let mut woken = 0;
-            for tid in lo..hi {
+            for tid in ctl.home.clone() {
                 let t = &self.tasks[tid];
                 if t.state.load(Ordering::Acquire) != BLOCKED {
                     continue;
                 }
+                // One read suffices: only the task writes its deadline,
+                // and it runs on this thread, so the deadline cannot
+                // change before the CAS. A failed CAS means a sender's
+                // wake got there first.
                 let d = t.deadline_ns.load(Ordering::Acquire);
                 if d == 0 || now_ns < d {
                     continue;
@@ -1011,16 +931,9 @@ mod imp {
                     continue;
                 }
                 self.runnable.fetch_add(1, Ordering::AcqRel);
-                // Re-read now that the CAS made us the task's holder:
-                // between the first read and the CAS the task may have
-                // been woken, run elsewhere and re-blocked with a fresh
-                // deadline — that is a spurious wake, not a timeout.
-                let d = t.deadline_ns.load(Ordering::Acquire);
-                if d != 0 && now_ns >= d {
-                    t.timed_out.set(true);
-                    self.metrics.timeouts.inc();
-                }
-                self.runqs[index].push(tid as u32);
+                t.timed_out.set(true);
+                self.metrics.timeouts.inc();
+                ctl.runq.borrow_mut().push_back(tid as u32);
                 woken += 1;
             }
             woken
@@ -1067,6 +980,33 @@ mod imp {
                     }
                 }
             }
+        }
+
+        /// On one worker, tasks woken in a known order resume in that
+        /// order: a woken task goes behind the ones woken before it.
+        #[test]
+        fn woken_tasks_resume_in_wake_order() {
+            // Ranks 0..4 start in rank order and block on a receive from
+            // rank 4, which then wakes them in this order and returns.
+            const WAKE_ORDER: [usize; 4] = [2, 0, 3, 1];
+            let resumed = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&resumed);
+            let cfg = WorldConfig {
+                workers: 1,
+                engine: Engine::Tasks,
+                ..WorldConfig::default()
+            };
+            World::run_with(5, cfg, move |c| {
+                if c.rank() == 4 {
+                    for dst in WAKE_ORDER {
+                        c.send_bytes(dst, 0, &[1]);
+                    }
+                } else {
+                    c.recv_bytes(4, 0);
+                    log.lock().push(c.rank());
+                }
+            });
+            assert_eq!(*resumed.lock(), WAKE_ORDER);
         }
 
         /// Run a 4-rank world whose rank `victim` (if any) clobbers its own

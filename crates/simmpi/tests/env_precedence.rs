@@ -1,12 +1,14 @@
 //! Env-override precedence for long-running processes.
 //!
-//! `HCFT_SIMMPI_WORKERS` and `HCFT_SIMMPI_STACK_KB` are parsed once, into
-//! one process-wide snapshot, at the first resolution. For a one-shot CLI
+//! `HCFT_SIMMPI_STACK_KB` is the runtime's one environment variable. It
+//! is parsed once, into one process-wide snapshot, at the first
+//! resolution. For a one-shot CLI
 //! that is invisible; for an always-on service it means the environment
 //! seen at the *first* request pins every later one. The contract is
 //! therefore: explicit `WorldConfig` / `TracedJobConfig` values always
-//! win over the snapshot, and only the env *defaults* are pinned. This
-//! test locks in both halves.
+//! win over the snapshot, and only the env *default* is pinned. The
+//! worker count has no env override: it is the explicit value, else the
+//! core count. This test locks in all three.
 //!
 //! Everything lives in ONE `#[test]` so the env mutations cannot race
 //! another test thread in this process (integration tests get their own
@@ -19,19 +21,23 @@ use hcft_simmpi::{Engine, WorldConfig};
 fn explicit_config_beats_cached_env_lookups() {
     // Phase 1: set the environment BEFORE any resolution has happened in
     // this process, then resolve a default config — the env must apply.
-    std::env::set_var("HCFT_SIMMPI_WORKERS", "3");
     std::env::set_var("HCFT_SIMMPI_STACK_KB", "256");
 
     let defaults = WorldConfig::default()
         .resolve(1024)
         .expect("default config resolves");
-    assert_eq!(defaults.workers, 3, "env workers apply to default config");
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    assert_eq!(defaults.workers, cores.min(1024), "default workers = cores");
+    assert_eq!(
+        WorldConfig::default().engine,
+        Engine::Tasks,
+        "default engine"
+    );
     assert_eq!(defaults.stack_size, 256 * 1024, "env stack size applies");
 
     // Phase 2: mutate the environment after the first resolution, even
     // to values that would not parse. The snapshot must hold — a
     // long-running process sees ONE environment, not a time-varying one.
-    std::env::set_var("HCFT_SIMMPI_WORKERS", "11");
     std::env::set_var("HCFT_SIMMPI_STACK_KB", "abc");
 
     let pinned = WorldConfig::default()
@@ -56,7 +62,7 @@ fn explicit_config_beats_cached_env_lookups() {
     assert_eq!(resolved.engine, Engine::Threads, "explicit engine wins");
     assert_eq!(resolved.stack_size, 128 * 1024, "explicit stack wins");
 
-    // The workers cap still applies, to explicit and env values alike.
+    // The workers cap still applies, to explicit and default values alike.
     assert_eq!(explicit.resolve(1).unwrap().workers, 1);
     assert_eq!(WorldConfig::default().resolve(2).unwrap().workers, 2);
 
