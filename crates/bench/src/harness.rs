@@ -4,8 +4,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use hcft_core::experiment::{TraceResult, TracedJobConfig};
-use hcft_core::trace_cache::TraceCache;
+use hcft_core::experiment::TracedJobConfig;
+use hcft_core::trace_cache::{CachedTrace, TraceCache};
 
 /// Experiment scale: the paper's full §V configuration or a laptop-quick
 /// reduction with identical structure.
@@ -62,7 +62,7 @@ impl Scale {
 /// The traced run at `scale`, shared by every figure that needs it
 /// within one `repro` invocation (and with anything else in the process
 /// that traces the same job, by content key).
-pub fn traced(scale: Scale) -> Arc<TraceResult> {
+pub fn traced(scale: Scale) -> Arc<CachedTrace> {
     static TRACES: OnceLock<TraceCache> = OnceLock::new();
     // One entry per scale.
     TRACES

@@ -1,8 +1,10 @@
 //! The four-dimensional evaluator (Table II machinery).
 
+use std::sync::Arc;
+
 use hcft_erasure::EncodingModel;
 use hcft_graph::CommMatrix;
-use hcft_msglog::{logged_fraction, HybridProtocol};
+use hcft_msglog::{logged_fraction, Containment, HybridProtocol};
 use hcft_reliability::model::fti_tolerance;
 use hcft_reliability::{ClusteringDigest, EventDistribution, ReliabilityModel};
 use hcft_topology::Placement;
@@ -27,19 +29,18 @@ pub struct FourDScore {
 
 /// Evaluator bound to one traced application run and machine model.
 ///
-/// Work that depends only on the run is done once and shared by every
-/// scheme scored: each scheme's logging stats walk the sparse matrix's
-/// non-zero cells, its restart share is read off the node rows of its L1
-/// [`Containment`](hcft_msglog::Containment) (no restart sets are
-/// built), and `evaluate_all` computes
-/// P(catastrophic) once per distinct L2 placement digest, however many
-/// schemes share it. On the served 64 × 16 trace the logged-bytes walk
-/// is the largest scoring term left (≈ 40 µs a scheme; 2 vCPU).
+/// Scoring runs in two halves. The placement fixes three of the four
+/// dimensions: a scheme's restart share (read off the node rows of its
+/// L1 [`Containment`]), its encode time and its P(catastrophic), which
+/// `evaluate_all` computes once per distinct L2 placement digest. Only
+/// the logging share reads the trace: one walk over the sparse matrix's
+/// non-zero cells per scheme. On the served 64 × 16 trace that walk
+/// and its telemetry cost ≈ 20–30 µs a scheme (2 vCPU), and they are
+/// all a request whose scoring stages are warm still computes
+/// (`crate::stages`).
 pub struct Evaluator {
     matrix: CommMatrix,
-    placement: Placement,
-    encoding: EncodingModel,
-    reliability: ReliabilityModel,
+    model: LayoutModel,
 }
 
 impl Evaluator {
@@ -48,12 +49,9 @@ impl Evaluator {
     /// paper-calibrated encoding model and FTI event distribution.
     pub fn new(matrix: CommMatrix, placement: Placement) -> Self {
         assert_eq!(matrix.n(), placement.nprocs(), "matrix/placement size");
-        let nodes = placement.nodes();
         Evaluator {
             matrix,
-            placement,
-            encoding: EncodingModel::tsubame2(),
-            reliability: ReliabilityModel::new(nodes, EventDistribution::fti_calibrated()),
+            model: LayoutModel::new(placement),
         }
     }
 
@@ -64,7 +62,7 @@ impl Evaluator {
 
     /// The placement under evaluation.
     pub(crate) fn placement(&self) -> &Placement {
-        &self.placement
+        self.model.placement()
     }
 
     /// Score a scheme on all four dimensions: the one-scheme case of
@@ -80,35 +78,104 @@ impl Evaluator {
     }
 
     /// Score every scheme, in order, as [`evaluate`](Self::evaluate)
-    /// would one at a time, with P(catastrophic) computed once per
-    /// distinct L2 digest ([`ReliabilityModel::p_catastrophic_sweep`]).
-    /// Scoring runs on the calling thread: at paper scale a whole sweep
-    /// is a few milliseconds, less than a thread fan-out costs.
+    /// would one at a time: the layout half of every scheme, then the
+    /// logged-bytes walk of each. Scoring runs on the calling thread: at
+    /// paper scale a whole sweep is a few milliseconds, less than a
+    /// thread fan-out costs.
     pub(crate) fn evaluate_all(&self, schemes: &[ClusteringScheme]) -> Vec<FourDScore> {
+        self.model
+            .stage(schemes.to_vec())
+            .iter()
+            .map(|row| row.score(&self.matrix))
+            .collect()
+    }
+}
+
+/// The placement and the two models every score on it reads: the half
+/// of an [`Evaluator`] that no trace changes.
+pub(crate) struct LayoutModel {
+    placement: Placement,
+    encoding: EncodingModel,
+    reliability: ReliabilityModel,
+}
+
+impl LayoutModel {
+    pub(crate) fn new(placement: Placement) -> Self {
+        let nodes = placement.nodes();
+        LayoutModel {
+            placement,
+            encoding: EncodingModel::tsubame2(),
+            reliability: ReliabilityModel::new(nodes, EventDistribution::fti_calibrated()),
+        }
+    }
+
+    pub(crate) fn placement(&self) -> &Placement {
+        &self.placement
+    }
+
+    /// The layout half of every scheme, in order, with P(catastrophic)
+    /// computed once per distinct L2 digest
+    /// ([`ReliabilityModel::p_catastrophic_sweep`]).
+    pub(crate) fn stage(&self, schemes: Vec<ClusteringScheme>) -> Vec<StagedRow> {
         let digests: Vec<ClusteringDigest> = schemes
             .iter()
             .map(|scheme| ClusteringDigest::new(&scheme.l2, &self.placement, &fti_tolerance))
             .collect();
         let p_cat = self.reliability.p_catastrophic_sweep(&digests);
         schemes
-            .iter()
+            .into_iter()
             .zip(p_cat)
-            .map(|(scheme, p_cat)| {
-                let protocol = HybridProtocol::new(scheme.l1.clone());
-                let (total, logged) = protocol.logged_bytes(&self.matrix);
-                let score = FourDScore {
-                    name: scheme.name.clone(),
-                    logging_fraction: logged_fraction((total, logged)),
-                    restart_fraction: protocol.expected_restart_fraction(&self.placement),
-                    // The largest L2 cluster gates the checkpoint: all
-                    // clusters encode in parallel.
-                    encode_s_per_gb: self.encoding.seconds_per_gb(scheme.l2.max_size()),
-                    p_catastrophic: p_cat,
-                };
-                publish_score(&score, logged, total);
-                score
+            .map(|(scheme, p_catastrophic)| StagedRow {
+                restart_fraction: Containment::new(&scheme.l1, &self.placement)
+                    .expected_restart_fraction(),
+                // The largest L2 cluster gates the checkpoint: all
+                // clusters encode in parallel.
+                encode_s_per_gb: self.encoding.seconds_per_gb(scheme.l2.max_size()),
+                p_catastrophic,
+                scheme,
             })
             .collect()
+    }
+}
+
+/// A scheme with the three scores its layout alone fixes. Only the
+/// logging share is left, and [`score`](Self::score) walks the trace
+/// for it.
+#[derive(Debug)]
+pub(crate) struct StagedRow {
+    pub(crate) scheme: ClusteringScheme,
+    restart_fraction: f64,
+    encode_s_per_gb: f64,
+    p_catastrophic: f64,
+}
+
+impl StagedRow {
+    /// The request stage of one row: the logged-bytes walk over
+    /// `matrix`, then the four dimensions, published as
+    /// [`Evaluator::evaluate`] describes.
+    pub(crate) fn score(&self, matrix: &CommMatrix) -> FourDScore {
+        let (total, logged) = HybridProtocol::new(Arc::clone(&self.scheme.l1)).logged_bytes(matrix);
+        let score = FourDScore {
+            name: self.scheme.name.clone(),
+            logging_fraction: logged_fraction((total, logged)),
+            restart_fraction: self.restart_fraction,
+            encode_s_per_gb: self.encode_s_per_gb,
+            p_catastrophic: self.p_catastrophic,
+        };
+        publish_score(&score, logged, total);
+        score
+    }
+
+    /// Heap bytes the row holds: its name and its clusterings, a level
+    /// shared by L1 and L2 counted once.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        let ClusteringScheme { name, l1, l2 } = &self.scheme;
+        let l2_bytes = if Arc::ptr_eq(l1, l2) {
+            0
+        } else {
+            l2.heap_bytes()
+        };
+        (std::mem::size_of::<Self>() + name.capacity()) as u64 + l1.heap_bytes() + l2_bytes
     }
 }
 
@@ -150,7 +217,6 @@ mod tests {
     use super::*;
     use crate::strategies::{distributed, hierarchical, naive, size_guided, HierarchicalConfig};
     use hcft_graph::WeightedGraph;
-    use hcft_msglog::Containment;
 
     /// Ring traffic over 16 ranks on 4 nodes.
     fn setup() -> Evaluator {

@@ -16,7 +16,8 @@
 //! * the [`ClusteringStrategy`] trait giving each family one feasibility
 //!   rule, and [`SchemeFamilySpec`], the one ordered list of sized
 //!   strategies (Table II, the `/evaluate` grids, the autotuner's sweep)
-//!   with the one path that builds and scores it;
+//!   with the one path that builds and scores it, in [`stages`] that a
+//!   long-lived caller keeps between requests;
 //! * the [`FourDScore`] evaluator wiring the message-logging accounting,
 //!   restart model, encoding model and catastrophic-failure model
 //!   together (Table II);
@@ -28,6 +29,7 @@ pub mod autotune;
 pub mod baseline;
 pub mod evaluator;
 pub mod fastpath;
+pub mod stages;
 pub mod strategies;
 pub mod strategy;
 
@@ -36,6 +38,7 @@ pub use baseline::BaselineRequirements;
 pub use evaluator::{Evaluator, FourDScore};
 pub use fastpath::{SchemeIndex, SchemeScratch};
 pub use hcft_telemetry::HcftError;
+pub use stages::{LayoutStage, TraceStage, LAYOUT_STAGE_ROWS};
 pub use strategies::{
     distributed, hierarchical, naive, size_guided, striped, ClusteringScheme, HierarchicalConfig,
     PartitionEngine,

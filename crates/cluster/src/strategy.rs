@@ -9,15 +9,16 @@
 //! A [`SchemeFamilySpec`] is the one way to name a set of sized
 //! strategies: the Table II comparison, the `/evaluate` family grid, the
 //! paper's four schemes at chosen sizes and the autotuner's sweep are all
-//! presets of it, and [`SchemeFamilySpec::score`] is the one path that
-//! builds and scores such a set.
+//! presets of it, and [`SchemeFamilySpec::score_staged`] is the one path
+//! that builds and scores such a set (`crate::stages`).
 
-use hcft_graph::WeightedGraph;
+use hcft_graph::{CommMatrix, WeightedGraph};
 use hcft_telemetry::HcftError;
 use hcft_topology::{NodeId, Placement};
 
 use crate::evaluator::{Evaluator, FourDScore};
-use crate::strategies::{self, ClusteringScheme, HierarchicalConfig, PartitionEngine};
+use crate::stages::{LayoutStage, TraceStage};
+use crate::strategies::{self, ClusteringScheme, HierarchicalConfig};
 
 /// Everything a strategy may consult when building a scheme: the
 /// rank→node placement and the node-level communication graph (vertex
@@ -46,7 +47,7 @@ pub trait ClusteringStrategy {
 }
 
 /// §III-A naïve clustering: consecutive ranks in clusters of `size`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Naive {
     /// Ranks per cluster (paper: 32).
     pub size: usize,
@@ -54,14 +55,14 @@ pub struct Naive {
 
 /// §III-B size-guided clustering: consecutive ranks, size chosen to
 /// balance encoding time (paper: 8).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct SizeGuided {
     /// Ranks per cluster (paper: 8).
     pub size: usize,
 }
 
 /// §III-C distributed clustering: diagonal stripes of one rank per node.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Distributed {
     /// Nodes per stripe group (paper: 16).
     pub size: usize,
@@ -69,7 +70,7 @@ pub struct Distributed {
 
 /// §IV-B hierarchical clustering: node-graph L1 partition with nested
 /// distributed L2 encoding groups.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Hierarchical {
     /// L1/L2 sizing and engine choice.
     pub cfg: HierarchicalConfig,
@@ -181,57 +182,33 @@ impl ClusteringStrategy for Hierarchical {
     }
 
     fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        self.build_sharing(ctx, &mut Vec::new())
-    }
-}
-
-/// L1 node partitions already computed within one
-/// [`SchemeFamilySpec::score`] call, by `(min, max)` nodes per L1 cluster
-/// and engine.
-type L1Partitions = Vec<((usize, usize, PartitionEngine), Vec<usize>)>;
-
-impl Hierarchical {
-    /// [`ClusteringStrategy::build`], taking the L1 node partition from
-    /// `l1` when an earlier entry had the same bounds and engine, and
-    /// adding it there otherwise: entries that differ only in
-    /// `l2_group_nodes` partition the node graph once.
-    fn build_sharing(
-        &self,
-        ctx: &StrategyContext<'_>,
-        l1: &mut L1Partitions,
-    ) -> Result<ClusteringScheme, HcftError> {
-        let nodes = ctx.placement.nodes();
-        if ctx.node_graph.n() != nodes {
-            return Err(HcftError::Config(format!(
-                "node graph has {} vertices for {nodes} nodes",
-                ctx.node_graph.n()
-            )));
-        }
+        check_node_graph(ctx.node_graph, ctx.placement)?;
         self.validate(ctx.placement)?;
-        let key = (
-            self.cfg.min_nodes_per_l1,
-            self.cfg.max_nodes_per_l1,
-            self.cfg.engine,
-        );
-        let i = match l1.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                let part = strategies::l1_node_partition(ctx.node_graph, &self.cfg);
-                l1.push((key, part));
-                l1.len() - 1
-            }
-        };
+        let l1 = strategies::l1_node_partition(ctx.node_graph, &self.cfg);
         Ok(strategies::hierarchical_from_l1(
             ctx.placement,
-            &l1[i].1,
+            &l1,
             &self.cfg,
         ))
     }
 }
 
+/// A hierarchical build partitions a node graph with a vertex per
+/// placed node.
+fn check_node_graph(node_graph: &WeightedGraph, placement: &Placement) -> Result<(), HcftError> {
+    let nodes = placement.nodes();
+    if node_graph.n() != nodes {
+        return Err(HcftError::Config(format!(
+            "node graph has {} vertices for {nodes} nodes",
+            node_graph.n()
+        )));
+    }
+    Ok(())
+}
+
 /// The PR 7 striped clustering: L1 = consecutive node blocks, L2 groups
 /// striding across L1 clusters so a whole-L1 loss stays survivable.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Striped {
     /// Nodes per L1 cluster (must divide the node count).
     pub l1_nodes: usize,
@@ -273,7 +250,8 @@ impl ClusteringStrategy for Striped {
 }
 
 /// One entry of a [`SchemeFamilySpec`]: a sized strategy of one family.
-enum Entry {
+#[derive(Clone, PartialEq, Eq)]
+pub(crate) enum Entry {
     Naive(Naive),
     SizeGuided(SizeGuided),
     Distributed(Distributed),
@@ -282,13 +260,25 @@ enum Entry {
 }
 
 impl Entry {
-    fn strategy(&self) -> &(dyn ClusteringStrategy + Send + Sync) {
+    pub(crate) fn strategy(&self) -> &(dyn ClusteringStrategy + Send + Sync) {
         match self {
             Entry::Naive(s) => s,
             Entry::SizeGuided(s) => s,
             Entry::Distributed(s) => s,
             Entry::Striped(s) => s,
             Entry::Hierarchical(s) => s,
+        }
+    }
+
+    /// The scheme of a flat entry on a placement its `validate` accepted:
+    /// the same constructor its `build` calls, without a node graph.
+    pub(crate) fn flat_scheme(&self, placement: &Placement) -> ClusteringScheme {
+        match self {
+            Entry::Naive(s) => strategies::naive(placement.nprocs(), s.size),
+            Entry::SizeGuided(s) => strategies::size_guided(placement.nprocs(), s.size),
+            Entry::Distributed(s) => strategies::distributed(placement, s.size),
+            Entry::Striped(s) => strategies::striped(placement, s.l1_nodes, s.l2_size),
+            Entry::Hierarchical(_) => unreachable!("hierarchical rows live in the trace stage"),
         }
     }
 }
@@ -455,14 +445,71 @@ impl SchemeFamilySpec {
         self.entries.is_empty()
     }
 
+    /// Score the spec on a trace whose trace stage is `trace`, keeping
+    /// layout rows in `layouts`, in spec order: the layout rows from
+    /// `layouts`, the hierarchical rows from `trace`, each built there
+    /// on first use, then the request stage, one logged-bytes walk of
+    /// `app` (the trace's application matrix) per row (`crate::stages`).
+    ///
+    /// An empty spec is a `Config` error. An entry the placement cannot
+    /// host fails the whole call with its strategy's validation error,
+    /// checked in spec order before anything is built or walked; so does
+    /// a given node graph that does not cover the placement.
+    pub fn score_staged(
+        &self,
+        app: &CommMatrix,
+        layouts: &LayoutStage,
+        trace: &TraceStage,
+    ) -> Result<Vec<FamilyScore>, HcftError> {
+        let placement = trace.placement();
+        if self.is_empty() {
+            return Err(HcftError::Config(format!(
+                "no strategy family fits a {}x{} layout",
+                placement.nodes(),
+                placement.nprocs() / placement.nodes().max(1)
+            )));
+        }
+        let (mut flat, mut hierarchical) = (Vec::new(), Vec::new());
+        for entry in &self.entries {
+            if let Entry::Hierarchical(h) = entry {
+                if let Some(graph) = trace.built_node_graph() {
+                    check_node_graph(graph, placement)?;
+                }
+                h.validate(placement)?;
+                hierarchical.push(&h.cfg);
+            } else {
+                entry.strategy().validate(placement)?;
+                flat.push(entry);
+            }
+        }
+        let mut flat = layouts.rows(trace.model(), &flat).into_iter();
+        let mut hierarchical = trace.hierarchical_rows(app, &hierarchical).into_iter();
+        Ok(self
+            .entries
+            .iter()
+            .map(|entry| {
+                let row = match entry {
+                    Entry::Hierarchical(_) => hierarchical.next(),
+                    _ => flat.next(),
+                }
+                .expect("one row per entry");
+                FamilyScore {
+                    family: entry.strategy().name(),
+                    scheme: row.scheme.clone(),
+                    score: row.score(app),
+                }
+            })
+            .collect())
+    }
+
     /// Build every strategy on the evaluator's placement and `node_graph`
-    /// and score it, in spec order. Building is sequential, and
-    /// hierarchical entries with the same L1 bounds and engine share one
-    /// L1 partition, computed once in this call and dropped with it (the
-    /// `full` preset's `(4, 8)` entries with L2 groups of 4 and 2 nodes).
-    /// Scoring is `Evaluator::evaluate_all`, which runs on the calling
-    /// thread and computes P(catastrophic) once per distinct L2 digest,
-    /// so the rows are byte-identical at any thread count.
+    /// and score it, in spec order: [`score_staged`](Self::score_staged)
+    /// on fresh stages. Hierarchical entries with the same L1 bounds and
+    /// engine share one L1 partition (the `full` preset's `(4, 8)`
+    /// entries with L2 groups of 4 and 2 nodes). Scoring runs on the
+    /// calling thread and computes P(catastrophic) once per distinct L2
+    /// digest of a stage's batch, so the rows are byte-identical at any
+    /// thread count.
     ///
     /// An empty spec is a `Config` error. An entry the machine cannot
     /// host fails the whole call with its strategy's validation error;
@@ -473,43 +520,8 @@ impl SchemeFamilySpec {
         evaluator: &Evaluator,
         node_graph: &WeightedGraph,
     ) -> Result<Vec<FamilyScore>, HcftError> {
-        let placement = evaluator.placement();
-        if self.is_empty() {
-            return Err(HcftError::Config(format!(
-                "no strategy family fits a {}x{} layout",
-                placement.nodes(),
-                placement.nprocs() / placement.nodes().max(1)
-            )));
-        }
-        let ctx = StrategyContext {
-            placement,
-            node_graph,
-        };
-        let mut l1 = L1Partitions::new();
-        let (families, schemes): (Vec<&'static str>, Vec<ClusteringScheme>) = self
-            .entries
-            .iter()
-            .map(|entry| {
-                let scheme = match entry {
-                    Entry::Hierarchical(h) => h.build_sharing(&ctx, &mut l1)?,
-                    other => other.strategy().build(&ctx)?,
-                };
-                Ok((entry.strategy().name(), scheme))
-            })
-            .collect::<Result<Vec<_>, HcftError>>()?
-            .into_iter()
-            .unzip();
-        let scores = evaluator.evaluate_all(&schemes);
-        Ok(families
-            .into_iter()
-            .zip(schemes)
-            .zip(scores)
-            .map(|((family, scheme), score)| FamilyScore {
-                family,
-                scheme,
-                score,
-            })
-            .collect())
+        let trace = TraceStage::with_node_graph(evaluator.placement().clone(), node_graph.clone());
+        self.score_staged(evaluator.matrix(), &LayoutStage::new(), &trace)
     }
 }
 

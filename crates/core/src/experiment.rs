@@ -31,8 +31,8 @@ mod compose;
 
 use std::sync::Arc;
 
-use hcft_cluster::{Evaluator, FamilyScore, SchemeFamilySpec};
-use hcft_graph::{CommMatrix, WeightedGraph};
+use hcft_cluster::{FamilyScore, LayoutStage, SchemeFamilySpec, TraceStage};
+use hcft_graph::CommMatrix;
 use hcft_simmpi::{Engine, MessageEvent, TraceRecorder, World, WorldConfig};
 use hcft_telemetry::{HcftError, Registry};
 use hcft_topology::{JobLayout, Role};
@@ -657,19 +657,19 @@ fn run_encoder_rank(
 }
 
 /// Score every strategy of `spec` on one trace: the trace-shaped entry
-/// point of [`SchemeFamilySpec::score`], which builds on the trace's
-/// application placement and node graph and keeps the spec's order at
-/// any thread count. An entry the layout cannot host fails the whole
-/// sweep with the strategy's validation error — the generated presets
+/// point of [`SchemeFamilySpec::score_staged`] on fresh stages, which
+/// builds on the trace's application placement and node graph, walks
+/// `trace.app` in place and keeps the spec's order at any thread count.
+/// An entry the layout cannot host fails the whole sweep with the
+/// strategy's validation error — the generated presets
 /// ([`SchemeFamilySpec::table2`], [`SchemeFamilySpec::for_layout`]) hold
 /// only entries that fit.
 pub fn evaluate_family_sweep(
     trace: &TraceResult,
     spec: &SchemeFamilySpec,
 ) -> Result<Vec<FamilyScore>, HcftError> {
-    let placement = trace.layout.app_placement();
-    let node_graph = WeightedGraph::from_comm_matrix(&trace.app.aggregate_by_node(&placement));
-    spec.score(&Evaluator::new(trace.app.clone(), placement), &node_graph)
+    let stage = TraceStage::new(trace.layout.app_placement());
+    spec.score_staged(&trace.app, &LayoutStage::new(), &stage)
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub use experiment::{
     evaluate_family_sweep, run_traced_job, TraceKey, TraceResult, TracedJobConfig,
     TracedJobConfigBuilder,
 };
-pub use hcft_cluster::{FamilyScore, SchemeFamilySpec};
+pub use hcft_cluster::{FamilyScore, LayoutStage, SchemeFamilySpec, TraceStage};
 pub use hcft_telemetry::{Event, EventKind, HcftError, Registry, Snapshot};
 pub use replay::{
     Heat3dWorkload, ReplayConfig, ReplayEngine, ReplayOutcome, ReplayWorkload, TsunamiWorkload,

@@ -1,14 +1,18 @@
 //! The traced-matrix cache behind the always-on evaluation service.
 //!
-//! Tracing the communication matrix is an expensive input to a scheme
-//! comparison (≈ 40 % of a cold paper-machine evaluate on the ledger
-//! even though [`run_traced_job`] composes it from a two-step prefix
-//! world; the family sweep is the rest), and it is a pure
-//! function of the trace-affecting [`TracedJobConfig`] fields — the
-//! scheduler-determinism suite proves the bytes identical across
-//! engines and worker counts. So the service
-//! caches [`TraceResult`]s behind `Arc`, keyed by the stable
-//! [`TracedJobConfig::content_hash`]:
+//! Tracing the communication matrix is the expensive input to a scheme
+//! comparison (≈ 8–9 ms of a cold served paper-machine evaluate in
+//! process, against a ≈ 2 ms family sweep on cold stages, even though
+//! [`run_traced_job`] composes it from a two-step prefix world; 2 vCPU),
+//! and it is a pure function of the trace-affecting [`TracedJobConfig`]
+//! fields — the scheduler-determinism suite proves the bytes identical
+//! across engines and worker counts. So the service caches
+//! [`CachedTrace`]s behind `Arc`, keyed by the stable
+//! [`TracedJobConfig::content_hash`]. Each entry is the
+//! [`TraceResult`] plus its [`TraceStage`]: the node graph, L1
+//! partitions and hierarchical rows scored on that trace, which grow as
+//! requests ask for them and are evicted with the trace.
+//!
 //!
 //! * a **hit** returns the shared `Arc` without running
 //!   [`run_traced_job`] at all;
@@ -24,17 +28,53 @@
 //!   `service.cache.bytes` gauge and a `service.cache.entries` gauge
 //!   track behavior through the process-global telemetry registry.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use hcft_cluster::TraceStage;
 use hcft_telemetry::{Counter, Registry};
 use parking_lot::{Condvar, Mutex};
 
 use crate::experiment::{run_traced_job, TraceKey, TraceResult, TracedJobConfig};
 
+/// A cached trace: the [`TraceResult`] (what it derefs to) and the
+/// scoring work done on it so far.
+pub struct CachedTrace {
+    trace: TraceResult,
+    stage: TraceStage,
+}
+
+impl CachedTrace {
+    /// Wrap `trace` with an empty trace stage on its application
+    /// placement.
+    pub fn new(trace: TraceResult) -> Self {
+        let stage = TraceStage::new(trace.layout.app_placement());
+        CachedTrace { trace, stage }
+    }
+
+    /// The trace stage: what scoring has kept of this trace.
+    pub fn stage(&self) -> &TraceStage {
+        &self.stage
+    }
+
+    /// Resident bytes: the trace and its stage.
+    fn approx_bytes(&self) -> u64 {
+        self.trace.approx_bytes() + self.stage.resident_bytes()
+    }
+}
+
+impl Deref for CachedTrace {
+    type Target = TraceResult;
+
+    fn deref(&self) -> &TraceResult {
+        &self.trace
+    }
+}
+
 enum FlightState {
     Pending,
-    Done(Arc<TraceResult>),
+    Done(Arc<CachedTrace>),
     /// The builder unwound without a result; joiners must retry.
     Abandoned,
 }
@@ -61,7 +101,7 @@ impl Flight {
 
     /// The builder's result, or `None` if the builder abandoned the
     /// flight.
-    fn wait(&self) -> Option<Arc<TraceResult>> {
+    fn wait(&self) -> Option<Arc<CachedTrace>> {
         let mut state = self.state.lock();
         loop {
             match &*state {
@@ -97,7 +137,7 @@ impl Drop for BuildGuard<'_> {
 
 enum Slot {
     /// Trace computed and resident.
-    Ready(Arc<TraceResult>),
+    Ready(Arc<CachedTrace>),
     /// Trace being computed by the first caller; join it, don't re-run.
     Building(Arc<Flight>),
 }
@@ -188,8 +228,9 @@ impl TraceCache {
         self.len() == 0
     }
 
-    /// Resident bytes across completed entries (what the
-    /// `service.cache.bytes` gauge reports).
+    /// Resident bytes across completed entries, each trace with its
+    /// stage (what the `service.cache.bytes` gauge reports as of the
+    /// last insertion; stages grow after it).
     pub fn resident_bytes(&self) -> u64 {
         self.inner
             .lock()
@@ -206,7 +247,7 @@ impl TraceCache {
     /// an in-flight computation when one exists, computed (exactly once)
     /// otherwise. A hit — shared or resident — never calls
     /// [`run_traced_job`].
-    pub fn get_or_trace(&self, cfg: &TracedJobConfig) -> Arc<TraceResult> {
+    pub fn get_or_trace(&self, cfg: &TracedJobConfig) -> Arc<CachedTrace> {
         let key = cfg.content_hash();
         let flight = loop {
             let mut inner = self.inner.lock();
@@ -246,7 +287,7 @@ impl TraceCache {
             key,
             flight: &flight,
         };
-        let result = Arc::new(run_traced_job(cfg));
+        let result = Arc::new(CachedTrace::new(run_traced_job(cfg)));
         std::mem::forget(guard);
         {
             let mut inner = self.inner.lock();
@@ -333,6 +374,32 @@ mod tests {
         assert_eq!(h1 - h0, 1, "one hit");
         assert_eq!(cache.len(), 1);
         assert!(cache.resident_bytes() > 0);
+    }
+
+    #[test]
+    fn resident_bytes_count_the_stage_and_leave_with_its_trace() {
+        use hcft_cluster::{LayoutStage, SchemeFamilySpec};
+        let cache = TraceCache::new(1);
+        let t1 = cache.get_or_trace(&TracedJobConfig::small(8, 2));
+        let bare = cache.resident_bytes();
+        assert_eq!(bare, t1.approx_bytes());
+        SchemeFamilySpec::for_layout(8, 2)
+            .score_staged(&t1.app, &LayoutStage::new(), t1.stage())
+            .expect("the preset fits");
+        let staged = cache.resident_bytes();
+        assert!(
+            staged > bare,
+            "the node graph, partitions and hierarchical rows count"
+        );
+        assert_eq!(staged, t1.approx_bytes());
+        // A second trace evicts the first, stage and all.
+        let c2 = TracedJobConfig::builder(8, 2)
+            .iterations(7)
+            .build()
+            .expect("valid");
+        let t2 = cache.get_or_trace(&c2);
+        assert_eq!(cache.resident_bytes(), t2.approx_bytes());
+        assert!(t2.stage().resident_bytes() < t1.stage().resident_bytes());
     }
 
     #[test]

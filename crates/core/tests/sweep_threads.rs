@@ -1,7 +1,10 @@
 //! `evaluate_family_sweep` returns the same bytes at one and two rayon
-//! threads. It scores every scheme, and P(catastrophic) once per
-//! distinct L2 digest, on the calling thread; this keeps a thread pool
-//! from ever reaching the scores, should the scoring fan out again.
+//! threads, and so does the staged path a long-lived service takes: a
+//! cached trace's stage and one layout stage, scored `table2`, `full`,
+//! then `table2` again so the last pass is wholly stage-warm. Both score
+//! every scheme, and P(catastrophic) once per distinct L2 digest, on the
+//! calling thread; this keeps a thread pool from ever reaching the
+//! scores, should the scoring fan out again.
 //!
 //! The compat rayon pool latches `RAYON_NUM_THREADS` once per process, so
 //! the test runs this test binary twice more, pinned to each count, on
@@ -11,32 +14,54 @@
 use std::fmt::Write;
 use std::process::Command;
 
-use hcft_core::experiment::{run_traced_job, TracedJobConfig};
-use hcft_core::{evaluate_family_sweep, SchemeFamilySpec};
+use hcft_core::experiment::TracedJobConfig;
+use hcft_core::trace_cache::TraceCache;
+use hcft_core::{evaluate_family_sweep, FamilyScore, LayoutStage, SchemeFamilySpec};
 
-/// Both presets' rows on three machine shapes, each float as its bits.
+fn write_rows(out: &mut String, shape: &str, path: &str, rows: &[FamilyScore]) {
+    for row in rows {
+        let s = &row.score;
+        writeln!(
+            out,
+            "{shape} {path} {} {:?} {:016x} {:016x} {:016x} {:016x}",
+            row.family,
+            s.name,
+            s.logging_fraction.to_bits(),
+            s.restart_fraction.to_bits(),
+            s.encode_s_per_gb.to_bits(),
+            s.p_catastrophic.to_bits()
+        )
+        .expect("write to a String");
+    }
+}
+
+/// Both presets' rows on three machine shapes, fresh and staged, each
+/// float as its bits.
 fn sweep_bytes() -> String {
     let mut out = String::new();
+    let layouts = LayoutStage::new();
     for (nodes, ppn) in [(16, 8), (9, 2), (8, 4)] {
-        let trace = run_traced_job(&TracedJobConfig::small(nodes, ppn));
-        for spec in [
-            SchemeFamilySpec::table2(nodes, ppn),
-            SchemeFamilySpec::for_layout(nodes, ppn),
-        ] {
-            for row in evaluate_family_sweep(&trace, &spec).expect("presets fit") {
-                let s = &row.score;
-                writeln!(
-                    out,
-                    "{nodes}x{ppn} {} {:?} {:016x} {:016x} {:016x} {:016x}",
-                    row.family,
-                    s.name,
-                    s.logging_fraction.to_bits(),
-                    s.restart_fraction.to_bits(),
-                    s.encode_s_per_gb.to_bits(),
-                    s.p_catastrophic.to_bits()
-                )
-                .expect("write to a String");
-            }
+        let shape = format!("{nodes}x{ppn}");
+        let cache = TraceCache::new(1);
+        let trace = cache.get_or_trace(&TracedJobConfig::small(nodes, ppn));
+        let presets = || {
+            [
+                SchemeFamilySpec::table2(nodes, ppn),
+                SchemeFamilySpec::for_layout(nodes, ppn),
+            ]
+        };
+        for spec in presets() {
+            let rows = evaluate_family_sweep(&trace, &spec).expect("presets fit");
+            write_rows(&mut out, &shape, "fresh", &rows);
+        }
+        for spec in presets()
+            .into_iter()
+            .chain([SchemeFamilySpec::table2(nodes, ppn)])
+        {
+            let rows = spec
+                .score_staged(&trace.app, &layouts, trace.stage())
+                .expect("presets fit");
+            write_rows(&mut out, &shape, "staged", &rows);
         }
     }
     out

@@ -188,7 +188,7 @@ fn concurrent_identical_requests_trace_once() {
     let cfg = TracedJobConfig::small(2, 2);
     let n = 8;
     let barrier = Arc::new(std::sync::Barrier::new(n));
-    let results: Vec<Arc<hcft_core::TraceResult>> = thread::scope(|s| {
+    let results: Vec<Arc<hcft_core::trace_cache::CachedTrace>> = thread::scope(|s| {
         let handles: Vec<_> = (0..n)
             .map(|_| {
                 let cache = Arc::clone(&cache);

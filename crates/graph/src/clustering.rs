@@ -101,6 +101,18 @@ impl Clustering {
         self.cluster_of.len()
     }
 
+    /// Heap bytes held: the per-rank cluster ids, the member-list
+    /// headers and every member list's allocation. What a scoring stage
+    /// counts as resident.
+    pub fn heap_bytes(&self) -> u64 {
+        let header = std::mem::size_of::<Vec<Rank>>();
+        let rank = std::mem::size_of::<Rank>();
+        let members: usize = self.members.iter().map(|m| m.capacity() * rank).sum();
+        (self.cluster_of.capacity() * std::mem::size_of::<u32>()
+            + self.members.capacity() * header
+            + members) as u64
+    }
+
     /// Number of clusters.
     #[inline]
     pub fn len(&self) -> usize {

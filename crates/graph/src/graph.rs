@@ -38,6 +38,17 @@ impl WeightedGraph {
         }
     }
 
+    /// Heap bytes held: the adjacency row headers, every row's allocated
+    /// cells and the two per-vertex weight vectors. What a scoring stage
+    /// counts as resident.
+    pub fn heap_bytes(&self) -> u64 {
+        let header = std::mem::size_of::<Vec<(u32, u64)>>();
+        let cell = std::mem::size_of::<(u32, u64)>();
+        let cells: usize = self.adj.iter().map(|r| r.capacity() * cell).sum();
+        let weights = (self.vwgt.capacity() + self.selfw.capacity()) * std::mem::size_of::<u64>();
+        (self.adj.capacity() * header + cells + weights) as u64
+    }
+
     /// Build from a communication matrix, symmetrising directed traffic.
     /// Diagonal entries become self-loop weights. Each adjacency row is
     /// `u`'s sent row merged with the column of what `u` received, in

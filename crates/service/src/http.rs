@@ -15,7 +15,8 @@
 //!   `MAX_ITERATIONS` = 10⁶
 //!   iterations, so one request can neither exhaust memory nor hold a
 //!   worker for weeks);
-//! * `GET /cache` — trace-cache + response-memo counters as JSON;
+//! * `GET /cache` — trace-cache, response-memo and layout-stage counters
+//!   as JSON;
 //! * `GET /metrics` — the full process-global telemetry snapshot.
 //!
 //! `threads` acceptor workers share the listener (`try_clone`), so slow
@@ -211,10 +212,13 @@ fn cache_stats(svc: &EvalService) -> String {
     format!(
         "{{\"trace\": {{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}, \
          \"entries\": {}, \"capacity\": {}, \"bytes\": {}}}, \
-         \"memo\": {{\"hits\": {memo_hits}, \"misses\": {memo_misses}}}}}\n",
+         \"memo\": {{\"hits\": {memo_hits}, \"misses\": {memo_misses}}}, \
+         \"layouts\": {{\"entries\": {}, \"bytes\": {}}}}}\n",
         svc.trace_cache().len(),
         svc.trace_cache().capacity(),
-        svc.trace_cache().resident_bytes()
+        svc.trace_cache().resident_bytes(),
+        svc.layout_stage().len(),
+        svc.layout_stage().resident_bytes()
     )
 }
 
@@ -270,6 +274,7 @@ mod tests {
         let (head, cache) = get(addr, "/cache");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(cache.contains("\"trace\""), "{cache}");
+        assert!(cache.contains("\"layouts\": {\"entries\": "), "{cache}");
 
         let (head, metrics) = get(addr, "/metrics");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");

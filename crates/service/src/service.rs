@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hcft_core::trace_cache::TraceCache;
-use hcft_core::{evaluate_family_sweep, FamilyScore};
+use hcft_core::{FamilyScore, LayoutStage};
 use hcft_telemetry::{Counter, HcftError, Registry};
 use parking_lot::Mutex;
 
@@ -23,20 +23,26 @@ struct MemoInner {
 }
 
 /// The service state shared by every HTTP worker: the traced-matrix
-/// cache plus an LRU memo of fully rendered responses.
+/// cache, the layout stage beside it, and an LRU memo of fully rendered
+/// responses.
 ///
-/// Two tiers because they save different work: a trace-cache hit skips
-/// the traced job (most of a cold paper-machine request, composed from
-/// a two-step prefix world of shape-only ranks) but still recomputes
-/// the strategy sweep (building and scoring the schemes: ≈ 3.5 ms for
-/// `families=full` and ≈ 1.4 ms for `table2` at 64×16, of which the
-/// exact P(catastrophic) count is ≈ 0.3 and ≈ 0.13 ms); a memo hit
-/// returns the stored bytes outright. Both tiers are deterministic, so a
-/// response is byte-identical whether it came cold, trace-warm or
+/// The tiers save different work. A trace-cache hit skips the traced
+/// job (most of a cold paper-machine request, composed from a two-step
+/// prefix world of shape-only ranks), and its entry's trace stage keeps
+/// the node graph, the L1 partitions and the hierarchical rows. The
+/// layout stage keeps the rows of the naïve, size-guided, distributed
+/// and striped schemes per placement. A request whose stages are warm
+/// computes only the logged-bytes walk of each row over the trace: ≈
+/// 0.48 ms for `families=full` and ≈ 0.16 ms for `table2` at 64 × 16,
+/// against ≈ 1.7–2.6 and ≈ 0.7–1.0 ms on cold stages (in process, 2
+/// vCPU). A memo hit
+/// returns the stored bytes outright. Every tier is deterministic, so a
+/// response is byte-identical whether it came cold, stage-warm or
 /// memo-warm — the sweep itself scores in spec order on the calling
 /// thread, identical at any thread count.
 pub struct EvalService {
     traces: TraceCache,
+    layouts: LayoutStage,
     memo: Mutex<MemoInner>,
     memo_cap: usize,
     memo_hits: AtomicU64,
@@ -54,6 +60,7 @@ impl EvalService {
         let reg = Registry::global();
         EvalService {
             traces: TraceCache::new(trace_cap),
+            layouts: LayoutStage::new(),
             memo: Mutex::new(MemoInner {
                 entries: Vec::new(),
                 tick: 0,
@@ -72,6 +79,11 @@ impl EvalService {
         &self.traces
     }
 
+    /// The layout stage (exposed for the `/cache` route).
+    pub fn layout_stage(&self) -> &LayoutStage {
+        &self.layouts
+    }
+
     /// Response-memo counter snapshot `(hits, misses)` for this
     /// instance.
     pub(crate) fn memo_stats(&self) -> (u64, u64) {
@@ -84,9 +96,10 @@ impl EvalService {
     /// Answer `req`: the ranked scheme comparison as deterministic JSON.
     ///
     /// Memo-warm requests return the stored bytes; otherwise the trace
-    /// comes from the cache (computed at most once per key) and the
-    /// family sweep is recomputed and re-memoized. All three paths
-    /// produce identical bytes for identical requests.
+    /// comes from the cache (computed at most once per key), the family
+    /// sweep scores on the trace's stage and the layout stage, and the
+    /// body is re-memoized. Every path produces identical bytes for
+    /// identical requests.
     pub fn evaluate(&self, req: &EvalRequest) -> Result<Arc<String>, HcftError> {
         let memo_key = req.memo_key()?;
         {
@@ -105,7 +118,9 @@ impl EvalService {
 
         let cfg = req.job_config()?;
         let trace = self.traces.get_or_trace(&cfg);
-        let scores = evaluate_family_sweep(&trace, &req.family_spec())?;
+        let scores = req
+            .family_spec()
+            .score_staged(&trace.app, &self.layouts, trace.stage())?;
         let body = Arc::new(render_response(
             req,
             &cfg.content_hash().to_string(),
