@@ -268,7 +268,11 @@ mod tests {
     #[test]
     fn evaluate_publishes_table2_metrics_globally() {
         let ev = setup();
-        let s = ev.evaluate(&naive(16, 4));
+        // The registry is process-global and other tests of this binary
+        // score rows beside this one (autotune's sweeps score `naive (16
+        // pr.)`, the stage test size-guided sizes 1, 2, 4, 6, 12 and 24),
+        // so read back a slug that no other test here publishes.
+        let s = ev.evaluate(&size_guided(16, 7));
         let reg = hcft_telemetry::Registry::global();
         let slug = slugify(&s.name);
         let logged = reg.counter(&format!("table2.{slug}.logged_bytes")).get();

@@ -13,11 +13,12 @@
 //!   partition (≥ 4 nodes each, every node wholly inside one cluster)
 //!   for containment, and distributed L2 clusters of one-rank-per-node
 //!   inside each L1 cluster for encoding (§IV-B, Fig. 6);
-//! * the [`ClusteringStrategy`] trait giving each family one feasibility
-//!   rule, and [`SchemeFamilySpec`], the one ordered list of sized
-//!   strategies (Table II, the `/evaluate` grids, the autotuner's sweep)
-//!   with the one path that builds and scores it, in [`stages`] that a
-//!   long-lived caller keeps between requests;
+//! * [`ClusteringStrategy`], one enum variant per family, each with one
+//!   feasibility rule and one build arm, and [`SchemeFamilySpec`], the
+//!   one ordered list of sized strategies (Table II, the `/evaluate`
+//!   grids, the autotuner's sweep) with the one path that builds and
+//!   scores it, in [`stages`] that a long-lived caller keeps between
+//!   requests;
 //! * the [`FourDScore`] evaluator wiring the message-logging accounting,
 //!   restart model, encoding model and catastrophic-failure model
 //!   together (Table II);
@@ -43,7 +44,4 @@ pub use strategies::{
     distributed, hierarchical, naive, size_guided, striped, ClusteringScheme, HierarchicalConfig,
     PartitionEngine,
 };
-pub use strategy::{
-    ClusteringStrategy, Distributed, FamilyScore, Hierarchical, Naive, SchemeFamilySpec,
-    StrategyContext, Striped,
-};
+pub use strategy::{ClusteringStrategy, FamilyScore, SchemeFamilySpec, StrategyContext};

@@ -39,7 +39,7 @@ use parking_lot::Mutex;
 
 use crate::evaluator::{LayoutModel, StagedRow};
 use crate::strategies::{self, HierarchicalConfig, PartitionEngine};
-use crate::strategy::Entry;
+use crate::strategy::ClusteringStrategy;
 
 /// Layout rows a [`LayoutStage`] keeps: two `families=full` grids of
 /// thirteen layout rows each, and change.
@@ -90,7 +90,7 @@ fn take_or_build<K: PartialEq + Clone, V>(
 /// The layout rows of one placement.
 struct LayoutGroup {
     placement: Placement,
-    rows: Kept<Entry, StagedRow>,
+    rows: Kept<ClusteringStrategy, StagedRow>,
 }
 
 #[derive(Default)]
@@ -146,7 +146,11 @@ impl LayoutStage {
 
     /// The rows of `entries` (validated, none hierarchical) on the
     /// model's placement, in order, each built on first use.
-    pub(crate) fn rows(&self, model: &LayoutModel, entries: &[&Entry]) -> Vec<Arc<StagedRow>> {
+    pub(crate) fn rows(
+        &self,
+        model: &LayoutModel,
+        entries: &[&ClusteringStrategy],
+    ) -> Vec<Arc<StagedRow>> {
         let placement = model.placement();
         let group = {
             let mut inner = self.inner.lock();
@@ -175,7 +179,7 @@ impl LayoutStage {
             Registry::global()
                 .counter("cluster.stage.layout_rows")
                 .add(missing.len() as u64);
-            model.stage(missing.iter().map(|e| e.flat_scheme(placement)).collect())
+            model.stage(missing.iter().map(|e| e.scheme(placement, None)).collect())
         });
         let mut inner = self.inner.lock();
         while Self::rows_in(&inner) > LAYOUT_STAGE_ROWS {

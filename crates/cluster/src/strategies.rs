@@ -2,7 +2,7 @@
 //!
 //! These free functions build a [`ClusteringScheme`] and panic on input
 //! their family cannot cluster; the feasibility rules themselves live in
-//! the [`crate::strategy::ClusteringStrategy`] impls, whose `build`
+//! [`ClusteringStrategy::validate`], and [`ClusteringStrategy::build`]
 //! returns the same refusal as an [`HcftError`] instead.
 
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use hcft_partition::{modularity_clusters, MultilevelConfig, MultilevelPartitione
 use hcft_telemetry::{HcftError, Registry};
 use hcft_topology::{NodeId, Placement, Rank};
 
-use crate::strategy::{ClusteringStrategy, Distributed, Hierarchical, Striped};
+use crate::strategy::ClusteringStrategy;
 
 /// Panic with the refusal of a strategy's feasibility rule.
 fn must(rule: Result<(), HcftError>) {
@@ -78,10 +78,11 @@ pub fn size_guided(nprocs: usize, size: usize) -> ClusteringScheme {
 /// the paper measures ~100 % of messages logged under this scheme.
 ///
 /// # Panics
-/// Panics where [`Distributed::validate`] refuses `placement` (a size
+/// Panics where [`ClusteringStrategy::Distributed`]'s
+/// [`validate`](ClusteringStrategy::validate) refuses `placement` (a size
 /// outside `2..=nodes`, or nodes hosting different rank counts).
 pub fn distributed(placement: &Placement, size: usize) -> ClusteringScheme {
-    must(Distributed { size }.validate(placement));
+    must(ClusteringStrategy::Distributed { size }.validate(placement));
     let nodes = placement.nodes();
     let ppn = placement.ranks_on(NodeId(0)).len();
     let mut clusters: Vec<Vec<Rank>> = Vec::new();
@@ -116,9 +117,10 @@ pub fn distributed(placement: &Placement, size: usize) -> ClusteringScheme {
 /// assume.
 ///
 /// # Panics
-/// Panics where [`Striped::validate`] refuses `placement`.
+/// Panics where [`ClusteringStrategy::Striped`]'s
+/// [`validate`](ClusteringStrategy::validate) refuses `placement`.
 pub fn striped(placement: &Placement, l1_nodes: usize, l2_size: usize) -> ClusteringScheme {
-    must(Striped { l1_nodes, l2_size }.validate(placement));
+    must(ClusteringStrategy::Striped { l1_nodes, l2_size }.validate(placement));
     let nprocs = placement.nprocs();
     let groups = nprocs / l2_size;
     let l1_assign: Vec<usize> = (0..nprocs)
@@ -205,7 +207,8 @@ impl HierarchicalConfig {
 ///
 /// # Panics
 /// Panics if the node graph and placement disagree, or where
-/// [`Hierarchical::validate`] refuses `placement`.
+/// [`ClusteringStrategy::Hierarchical`]'s
+/// [`validate`](ClusteringStrategy::validate) refuses `placement`.
 pub fn hierarchical(
     placement: &Placement,
     node_graph: &WeightedGraph,
@@ -213,7 +216,7 @@ pub fn hierarchical(
 ) -> ClusteringScheme {
     let nodes = placement.nodes();
     assert_eq!(node_graph.n(), nodes, "node graph must cover the placement");
-    must(Hierarchical { cfg: cfg.clone() }.validate(placement));
+    must(ClusteringStrategy::Hierarchical(cfg.clone()).validate(placement));
     hierarchical_from_l1(placement, &l1_node_partition(node_graph, cfg), cfg)
 }
 

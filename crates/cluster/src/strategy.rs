@@ -1,6 +1,6 @@
 //! The unified strategy API.
 //!
-//! Every §III–§IV strategy (and the striped extension) implements
+//! Every §III–§IV strategy (and the striped extension) is one variant of
 //! [`ClusteringStrategy`]: a family name, the family's one feasibility
 //! rule ([`ClusteringStrategy::validate`]), and a `build` that checks that
 //! rule before constructing, so misconfiguration surfaces as
@@ -31,49 +31,27 @@ pub struct StrategyContext<'a> {
     pub node_graph: &'a WeightedGraph,
 }
 
-/// A named, validated producer of [`ClusteringScheme`]s.
-pub trait ClusteringStrategy {
-    /// Stable strategy family name (Table II row family, without the
-    /// size).
-    fn name(&self) -> &'static str;
-
-    /// The family's feasibility rule: can this strategy, at its sizes,
-    /// cluster `placement`? `Config` for sizes that are wrong on any
-    /// machine, `Partition` for sizes this machine cannot host.
-    fn validate(&self, placement: &Placement) -> Result<(), HcftError>;
-
-    /// Build the scheme for `ctx`, validating applicability first.
-    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError>;
-}
-
-/// §III-A naïve clustering: consecutive ranks in clusters of `size`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Naive {
-    /// Ranks per cluster (paper: 32).
-    pub size: usize,
-}
-
-/// §III-B size-guided clustering: consecutive ranks, size chosen to
-/// balance encoding time (paper: 8).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct SizeGuided {
-    /// Ranks per cluster (paper: 8).
-    pub size: usize,
-}
-
-/// §III-C distributed clustering: diagonal stripes of one rank per node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Distributed {
-    /// Nodes per stripe group (paper: 16).
-    pub size: usize,
-}
-
-/// §IV-B hierarchical clustering: node-graph L1 partition with nested
-/// distributed L2 encoding groups.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Hierarchical {
-    /// L1/L2 sizing and engine choice.
-    pub cfg: HierarchicalConfig,
+/// One clustering family at one size: a named, validated producer of
+/// [`ClusteringScheme`]s.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ClusteringStrategy {
+    /// §III-A naïve clustering: consecutive ranks in clusters of `size`
+    /// ranks (paper: 32).
+    Naive { size: usize },
+    /// §III-B size-guided clustering: consecutive ranks in clusters of
+    /// `size` ranks, chosen to balance encoding time (paper: 8).
+    SizeGuided { size: usize },
+    /// §III-C distributed clustering: diagonal stripes of one rank per
+    /// node over groups of `size` nodes (paper: 16).
+    Distributed { size: usize },
+    /// Striped clustering, this crate's extension: L1 = consecutive
+    /// blocks of `l1_nodes` nodes (dividing the node count), L2 groups of
+    /// `l2_size` ranks (dividing the rank count) striding across L1
+    /// clusters so a whole-L1 loss stays survivable.
+    Striped { l1_nodes: usize, l2_size: usize },
+    /// §IV-B hierarchical clustering: node-graph L1 partition with nested
+    /// distributed L2 encoding groups.
+    Hierarchical(HierarchicalConfig),
 }
 
 fn check_flat_size(size: usize, nprocs: usize) -> Result<(), HcftError> {
@@ -101,98 +79,6 @@ fn check_uniform(placement: &Placement, family: &str) -> Result<(), HcftError> {
     }
 }
 
-impl ClusteringStrategy for Naive {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
-        check_flat_size(self.size, placement.nprocs())
-    }
-
-    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        self.validate(ctx.placement)?;
-        Ok(strategies::naive(ctx.placement.nprocs(), self.size))
-    }
-}
-
-impl ClusteringStrategy for SizeGuided {
-    fn name(&self) -> &'static str {
-        "size-guided"
-    }
-
-    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
-        check_flat_size(self.size, placement.nprocs())
-    }
-
-    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        self.validate(ctx.placement)?;
-        Ok(strategies::size_guided(ctx.placement.nprocs(), self.size))
-    }
-}
-
-impl ClusteringStrategy for Distributed {
-    fn name(&self) -> &'static str {
-        "distributed"
-    }
-
-    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
-        let nodes = placement.nodes();
-        if self.size < 2 || self.size > nodes {
-            return Err(HcftError::Partition(format!(
-                "distributed stripe size {} needs 2..={nodes} nodes",
-                self.size
-            )));
-        }
-        check_uniform(placement, "distributed")
-    }
-
-    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        self.validate(ctx.placement)?;
-        Ok(strategies::distributed(ctx.placement, self.size))
-    }
-}
-
-impl ClusteringStrategy for Hierarchical {
-    fn name(&self) -> &'static str {
-        "hierarchical"
-    }
-
-    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
-        let nodes = placement.nodes();
-        if self.cfg.l2_group_nodes == 0 || self.cfg.min_nodes_per_l1 < self.cfg.l2_group_nodes {
-            return Err(HcftError::Config(format!(
-                "min_nodes_per_l1 ({}) must be >= l2_group_nodes ({}) >= 1",
-                self.cfg.min_nodes_per_l1, self.cfg.l2_group_nodes
-            )));
-        }
-        if self.cfg.max_nodes_per_l1 < self.cfg.min_nodes_per_l1 {
-            return Err(HcftError::Config(format!(
-                "max_nodes_per_l1 ({}) < min_nodes_per_l1 ({})",
-                self.cfg.max_nodes_per_l1, self.cfg.min_nodes_per_l1
-            )));
-        }
-        if self.cfg.l1_parts(nodes).is_none() {
-            return Err(HcftError::Partition(format!(
-                "{nodes} nodes do not split into L1 clusters of {}..={} nodes",
-                self.cfg.min_nodes_per_l1, self.cfg.max_nodes_per_l1
-            )));
-        }
-        Ok(())
-    }
-
-    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
-        check_node_graph(ctx.node_graph, ctx.placement)?;
-        self.validate(ctx.placement)?;
-        let l1 = strategies::l1_node_partition(ctx.node_graph, &self.cfg);
-        Ok(strategies::hierarchical_from_l1(
-            ctx.placement,
-            &l1,
-            &self.cfg,
-        ))
-    }
-}
-
 /// A hierarchical build partitions a node graph with a vertex per
 /// placed node.
 fn check_node_graph(node_graph: &WeightedGraph, placement: &Placement) -> Result<(), HcftError> {
@@ -206,79 +92,103 @@ fn check_node_graph(node_graph: &WeightedGraph, placement: &Placement) -> Result
     Ok(())
 }
 
-/// The PR 7 striped clustering: L1 = consecutive node blocks, L2 groups
-/// striding across L1 clusters so a whole-L1 loss stays survivable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Striped {
-    /// Nodes per L1 cluster (must divide the node count).
-    pub l1_nodes: usize,
-    /// Ranks per L2 encoding group (must divide the rank count).
-    pub l2_size: usize,
-}
-
-impl ClusteringStrategy for Striped {
-    fn name(&self) -> &'static str {
-        "striped"
+impl ClusteringStrategy {
+    /// Stable strategy family name (Table II row family, without the
+    /// size).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Naive { .. } => "naive",
+            Self::SizeGuided { .. } => "size-guided",
+            Self::Distributed { .. } => "distributed",
+            Self::Striped { .. } => "striped",
+            Self::Hierarchical(_) => "hierarchical",
+        }
     }
 
-    fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
-        let nodes = placement.nodes();
-        let nprocs = placement.nprocs();
-        if self.l1_nodes == 0 || self.l1_nodes > nodes || !nodes.is_multiple_of(self.l1_nodes) {
-            return Err(HcftError::Partition(format!(
-                "striped L1 block of {} nodes must divide {nodes} nodes",
-                self.l1_nodes
-            )));
+    /// The family's feasibility rule: can this strategy, at its sizes,
+    /// cluster `placement`? `Config` for sizes that are wrong on any
+    /// machine, `Partition` for sizes this machine cannot host.
+    pub fn validate(&self, placement: &Placement) -> Result<(), HcftError> {
+        let (nodes, nprocs) = (placement.nodes(), placement.nprocs());
+        match self {
+            Self::Naive { size } | Self::SizeGuided { size } => check_flat_size(*size, nprocs),
+            Self::Distributed { size } => {
+                if *size < 2 || *size > nodes {
+                    return Err(HcftError::Partition(format!(
+                        "distributed stripe size {size} needs 2..={nodes} nodes"
+                    )));
+                }
+                check_uniform(placement, "distributed")
+            }
+            Self::Striped { l1_nodes, l2_size } => {
+                if *l1_nodes == 0 || *l1_nodes > nodes || !nodes.is_multiple_of(*l1_nodes) {
+                    return Err(HcftError::Partition(format!(
+                        "striped L1 block of {l1_nodes} nodes must divide {nodes} nodes"
+                    )));
+                }
+                if *l2_size < 2 || !nprocs.is_multiple_of(*l2_size) {
+                    return Err(HcftError::Partition(format!(
+                        "striped L2 group of {l2_size} ranks needs at least 2 ranks \
+                         and must divide {nprocs} ranks"
+                    )));
+                }
+                check_uniform(placement, "striped")
+            }
+            Self::Hierarchical(cfg) => {
+                if cfg.l2_group_nodes == 0 || cfg.min_nodes_per_l1 < cfg.l2_group_nodes {
+                    return Err(HcftError::Config(format!(
+                        "min_nodes_per_l1 ({}) must be >= l2_group_nodes ({}) >= 1",
+                        cfg.min_nodes_per_l1, cfg.l2_group_nodes
+                    )));
+                }
+                if cfg.max_nodes_per_l1 < cfg.min_nodes_per_l1 {
+                    return Err(HcftError::Config(format!(
+                        "max_nodes_per_l1 ({}) < min_nodes_per_l1 ({})",
+                        cfg.max_nodes_per_l1, cfg.min_nodes_per_l1
+                    )));
+                }
+                if cfg.l1_parts(nodes).is_none() {
+                    return Err(HcftError::Partition(format!(
+                        "{nodes} nodes do not split into L1 clusters of {}..={} nodes",
+                        cfg.min_nodes_per_l1, cfg.max_nodes_per_l1
+                    )));
+                }
+                Ok(())
+            }
         }
-        if self.l2_size < 2 || !nprocs.is_multiple_of(self.l2_size) {
-            return Err(HcftError::Partition(format!(
-                "striped L2 group of {} ranks needs 2..= and must divide {nprocs} ranks",
-                self.l2_size
-            )));
-        }
-        check_uniform(placement, "striped")
     }
 
-    fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
+    /// Build the scheme for `ctx`, validating applicability first (and,
+    /// for a hierarchical strategy, that the node graph covers the
+    /// placement).
+    pub fn build(&self, ctx: &StrategyContext<'_>) -> Result<ClusteringScheme, HcftError> {
+        if let Self::Hierarchical(_) = self {
+            check_node_graph(ctx.node_graph, ctx.placement)?;
+        }
         self.validate(ctx.placement)?;
-        Ok(strategies::striped(
-            ctx.placement,
-            self.l1_nodes,
-            self.l2_size,
-        ))
-    }
-}
-
-/// One entry of a [`SchemeFamilySpec`]: a sized strategy of one family.
-#[derive(Clone, PartialEq, Eq)]
-pub(crate) enum Entry {
-    Naive(Naive),
-    SizeGuided(SizeGuided),
-    Distributed(Distributed),
-    Striped(Striped),
-    Hierarchical(Hierarchical),
-}
-
-impl Entry {
-    pub(crate) fn strategy(&self) -> &(dyn ClusteringStrategy + Send + Sync) {
-        match self {
-            Entry::Naive(s) => s,
-            Entry::SizeGuided(s) => s,
-            Entry::Distributed(s) => s,
-            Entry::Striped(s) => s,
-            Entry::Hierarchical(s) => s,
-        }
+        Ok(self.scheme(ctx.placement, Some(ctx.node_graph)))
     }
 
-    /// The scheme of a flat entry on a placement its `validate` accepted:
-    /// the same constructor its `build` calls, without a node graph.
-    pub(crate) fn flat_scheme(&self, placement: &Placement) -> ClusteringScheme {
+    /// The scheme on a placement `validate` accepted: the one build arm
+    /// of each family. Only a hierarchical strategy reads `node_graph`,
+    /// which must cover the placement.
+    pub(crate) fn scheme(
+        &self,
+        placement: &Placement,
+        node_graph: Option<&WeightedGraph>,
+    ) -> ClusteringScheme {
         match self {
-            Entry::Naive(s) => strategies::naive(placement.nprocs(), s.size),
-            Entry::SizeGuided(s) => strategies::size_guided(placement.nprocs(), s.size),
-            Entry::Distributed(s) => strategies::distributed(placement, s.size),
-            Entry::Striped(s) => strategies::striped(placement, s.l1_nodes, s.l2_size),
-            Entry::Hierarchical(_) => unreachable!("hierarchical rows live in the trace stage"),
+            Self::Naive { size } => strategies::naive(placement.nprocs(), *size),
+            Self::SizeGuided { size } => strategies::size_guided(placement.nprocs(), *size),
+            Self::Distributed { size } => strategies::distributed(placement, *size),
+            Self::Striped { l1_nodes, l2_size } => {
+                strategies::striped(placement, *l1_nodes, *l2_size)
+            }
+            Self::Hierarchical(cfg) => {
+                let node_graph = node_graph.expect("a hierarchical build has a node graph");
+                let l1 = strategies::l1_node_partition(node_graph, cfg);
+                strategies::hierarchical_from_l1(placement, &l1, cfg)
+            }
         }
     }
 }
@@ -295,7 +205,7 @@ impl Entry {
 /// infeasible one fails the build with the strategy's error.
 #[derive(Default)]
 pub struct SchemeFamilySpec {
-    entries: Vec<Entry>,
+    entries: Vec<ClusteringStrategy>,
 }
 
 impl SchemeFamilySpec {
@@ -309,10 +219,10 @@ impl SchemeFamilySpec {
     ) -> Self {
         SchemeFamilySpec {
             entries: vec![
-                Entry::Naive(Naive { size: naive }),
-                Entry::SizeGuided(SizeGuided { size: size_guided }),
-                Entry::Distributed(Distributed { size: distributed }),
-                Entry::Hierarchical(Hierarchical { cfg: hierarchical }),
+                ClusteringStrategy::Naive { size: naive },
+                ClusteringStrategy::SizeGuided { size: size_guided },
+                ClusteringStrategy::Distributed { size: distributed },
+                ClusteringStrategy::Hierarchical(hierarchical),
             ],
         }
     }
@@ -331,23 +241,23 @@ impl SchemeFamilySpec {
             l2_group_nodes: 4.min(min_l1),
             ..HierarchicalConfig::default()
         };
-        let entries: Vec<Entry> = vec![
-            Entry::Naive(Naive {
+        let entries = vec![
+            ClusteringStrategy::Naive {
                 size: 32.min(nprocs),
-            }),
-            Entry::SizeGuided(SizeGuided {
+            },
+            ClusteringStrategy::SizeGuided {
                 size: 8.min(nprocs),
-            }),
-            Entry::Distributed(Distributed {
+            },
+            ClusteringStrategy::Distributed {
                 size: 16.min(nodes),
-            }),
-            Entry::Striped(Striped {
+            },
+            ClusteringStrategy::Striped {
                 l1_nodes: 4,
                 l2_size: ppn,
-            }),
-            Entry::Hierarchical(Hierarchical { cfg: hier }),
+            },
+            ClusteringStrategy::Hierarchical(hier),
         ];
-        SchemeFamilySpec { entries }.feasible_on_block(nodes, ppn)
+        Self::feasible(entries, block(nodes, ppn).as_ref())
     }
 
     /// The full family grid for a `nodes × ppn` machine: cluster-size
@@ -355,34 +265,32 @@ impl SchemeFamilySpec {
     /// hierarchical L1-bound / L2-group grids — every combination valid
     /// for the layout, in a fixed deterministic order.
     pub fn for_layout(nodes: usize, ppn: usize) -> Self {
-        let mut entries: Vec<Entry> = Vec::new();
+        let mut entries = Vec::new();
         for size in [ppn, 2 * ppn, 4 * ppn] {
-            entries.push(Entry::Naive(Naive { size }));
+            entries.push(ClusteringStrategy::Naive { size });
         }
         let mut size_guided = vec![ppn.div_ceil(2), ppn, 2 * ppn];
         size_guided.dedup();
         for size in size_guided {
-            entries.push(Entry::SizeGuided(SizeGuided { size }));
+            entries.push(ClusteringStrategy::SizeGuided { size });
         }
         for size in [4, 8, 16] {
-            entries.push(Entry::Distributed(Distributed { size }));
+            entries.push(ClusteringStrategy::Distributed { size });
         }
         for l1_nodes in [2, 4] {
             for l2_size in [ppn, 2 * ppn] {
-                entries.push(Entry::Striped(Striped { l1_nodes, l2_size }));
+                entries.push(ClusteringStrategy::Striped { l1_nodes, l2_size });
             }
         }
         for (min, max, l2g) in [(4, 8, 4), (4, 8, 2), (4, 4, 4), (8, 16, 4)] {
-            entries.push(Entry::Hierarchical(Hierarchical {
-                cfg: HierarchicalConfig {
-                    min_nodes_per_l1: min,
-                    max_nodes_per_l1: max,
-                    l2_group_nodes: l2g,
-                    ..HierarchicalConfig::default()
-                },
+            entries.push(ClusteringStrategy::Hierarchical(HierarchicalConfig {
+                min_nodes_per_l1: min,
+                max_nodes_per_l1: max,
+                l2_group_nodes: l2g,
+                ..HierarchicalConfig::default()
             }));
         }
-        SchemeFamilySpec { entries }.feasible_on_block(nodes, ppn)
+        Self::feasible(entries, block(nodes, ppn).as_ref())
     }
 
     /// The autotuner's sweep over `placement`: naïve cluster sizes
@@ -395,49 +303,39 @@ impl SchemeFamilySpec {
         let powers_of_two = |max: usize| {
             std::iter::successors(Some(2usize), |s| s.checked_mul(2)).take_while(move |&s| s <= max)
         };
-        let mut entries: Vec<Entry> = Vec::new();
+        let mut entries = Vec::new();
         for size in powers_of_two(placement.nprocs() / 2) {
-            entries.push(Entry::Naive(Naive { size }));
+            entries.push(ClusteringStrategy::Naive { size });
         }
         for size in powers_of_two(nodes) {
-            entries.push(Entry::Distributed(Distributed { size }));
+            entries.push(ClusteringStrategy::Distributed { size });
         }
         for l1 in [4, 8] {
             if nodes >= 2 * l1 {
-                entries.push(Entry::Hierarchical(Hierarchical {
-                    cfg: HierarchicalConfig {
-                        min_nodes_per_l1: l1,
-                        max_nodes_per_l1: l1,
-                        l2_group_nodes: 4,
-                        ..HierarchicalConfig::default()
-                    },
+                entries.push(ClusteringStrategy::Hierarchical(HierarchicalConfig {
+                    min_nodes_per_l1: l1,
+                    max_nodes_per_l1: l1,
+                    l2_group_nodes: 4,
+                    ..HierarchicalConfig::default()
                 }));
             }
         }
-        entries.retain(|s| s.strategy().validate(placement).is_ok());
+        Self::feasible(entries, Some(placement))
+    }
+
+    /// The generated presets' one filter: the entries `placement` can
+    /// host, or none on an empty machine (`None`).
+    fn feasible(mut entries: Vec<ClusteringStrategy>, placement: Option<&Placement>) -> Self {
+        match placement {
+            Some(placement) => entries.retain(|s| s.validate(placement).is_ok()),
+            None => entries.clear(),
+        }
         SchemeFamilySpec { entries }
     }
 
-    /// Keep the entries a `nodes × ppn` block placement can host; an
-    /// empty machine hosts none (and has no block placement).
-    fn feasible_on_block(mut self, nodes: usize, ppn: usize) -> Self {
-        if nodes == 0 || ppn == 0 {
-            self.entries.clear();
-        } else {
-            let placement = Placement::block(nodes, ppn);
-            self.entries
-                .retain(|s| s.strategy().validate(&placement).is_ok());
-        }
-        self
-    }
-
     /// The `(family, strategy)` pairs in spec order.
-    pub fn strategies(
-        &self,
-    ) -> impl Iterator<Item = (&'static str, &(dyn ClusteringStrategy + Send + Sync))> {
-        self.entries
-            .iter()
-            .map(|s| (s.strategy().name(), s.strategy()))
+    pub fn strategies(&self) -> impl Iterator<Item = (&'static str, &ClusteringStrategy)> {
+        self.entries.iter().map(|s| (s.name(), s))
     }
 
     /// Is the spec empty?
@@ -471,14 +369,14 @@ impl SchemeFamilySpec {
         }
         let (mut flat, mut hierarchical) = (Vec::new(), Vec::new());
         for entry in &self.entries {
-            if let Entry::Hierarchical(h) = entry {
+            if let ClusteringStrategy::Hierarchical(cfg) = entry {
                 if let Some(graph) = trace.built_node_graph() {
                     check_node_graph(graph, placement)?;
                 }
-                h.validate(placement)?;
-                hierarchical.push(&h.cfg);
+                entry.validate(placement)?;
+                hierarchical.push(cfg);
             } else {
-                entry.strategy().validate(placement)?;
+                entry.validate(placement)?;
                 flat.push(entry);
             }
         }
@@ -489,12 +387,12 @@ impl SchemeFamilySpec {
             .iter()
             .map(|entry| {
                 let row = match entry {
-                    Entry::Hierarchical(_) => hierarchical.next(),
+                    ClusteringStrategy::Hierarchical(_) => hierarchical.next(),
                     _ => flat.next(),
                 }
                 .expect("one row per entry");
                 FamilyScore {
-                    family: entry.strategy().name(),
+                    family: entry.name(),
                     scheme: row.scheme.clone(),
                     score: row.score(app),
                 }
@@ -525,6 +423,12 @@ impl SchemeFamilySpec {
     }
 }
 
+/// The block placement of a `nodes × ppn` machine; an empty machine has
+/// none.
+fn block(nodes: usize, ppn: usize) -> Option<Placement> {
+    (nodes > 0 && ppn > 0).then(|| Placement::block(nodes, ppn))
+}
+
 /// One scored row of a [`SchemeFamilySpec`].
 #[derive(Clone, Debug)]
 pub struct FamilyScore {
@@ -538,6 +442,7 @@ pub struct FamilyScore {
 
 #[cfg(test)]
 mod tests {
+    use super::ClusteringStrategy::{Distributed, Hierarchical, Naive, SizeGuided, Striped};
     use super::*;
     use hcft_graph::CommMatrix;
 
@@ -568,7 +473,7 @@ mod tests {
             .strategies()
             .map(|(_, s)| s.build(&ctx).expect("paper layout is valid"))
             .collect();
-        // Trait output matches the free functions it wraps.
+        // `build` matches the free functions of its families.
         assert_eq!(
             schemes[0].l1,
             strategies::naive(1024, 32).l1,
@@ -631,53 +536,46 @@ mod tests {
         assert!(err.to_string().contains("fits a 4x2 layout"), "{err}");
     }
 
+    /// Build `s` on `placement` with a chain node graph.
+    fn build_on(
+        s: &ClusteringStrategy,
+        placement: &Placement,
+    ) -> Result<ClusteringScheme, HcftError> {
+        let node_graph = chain_graph(placement.nodes());
+        s.build(&StrategyContext {
+            placement,
+            node_graph: &node_graph,
+        })
+    }
+
     #[test]
     fn oversized_flat_cluster_is_a_partition_error() {
-        let placement = Placement::block(2, 2);
-        let graph = chain_graph(2);
-        let ctx = StrategyContext {
-            placement: &placement,
-            node_graph: &graph,
-        };
-        let err = Naive { size: 100 }.build(&ctx).unwrap_err();
+        let err = build_on(&Naive { size: 100 }, &Placement::block(2, 2)).unwrap_err();
         assert!(matches!(err, HcftError::Partition(_)), "{err}");
     }
 
     #[test]
     fn zero_size_is_a_config_error() {
-        let placement = Placement::block(2, 2);
-        let graph = chain_graph(2);
-        let ctx = StrategyContext {
-            placement: &placement,
-            node_graph: &graph,
-        };
-        assert!(matches!(
-            SizeGuided { size: 0 }.build(&ctx),
-            Err(HcftError::Config(_))
-        ));
+        let built = build_on(&SizeGuided { size: 0 }, &Placement::block(2, 2));
+        assert!(matches!(built, Err(HcftError::Config(_))));
     }
 
     #[test]
     fn ragged_layout_is_a_partition_error_not_a_panic() {
         let assign: Vec<NodeId> = [0, 0, 0, 1].iter().map(|&n| NodeId(n)).collect();
         let placement = Placement::from_assignment(assign, 2);
-        let graph = chain_graph(2);
-        let ctx = StrategyContext {
-            placement: &placement,
-            node_graph: &graph,
-        };
-        assert!(matches!(
-            Distributed { size: 2 }.build(&ctx),
-            Err(HcftError::Partition(_))
-        ));
-        assert!(matches!(
+        for s in [
+            Distributed { size: 2 },
             Striped {
                 l1_nodes: 1,
-                l2_size: 2
-            }
-            .build(&ctx),
-            Err(HcftError::Partition(_))
-        ));
+                l2_size: 2,
+            },
+        ] {
+            assert!(matches!(
+                build_on(&s, &placement),
+                Err(HcftError::Partition(_))
+            ));
+        }
     }
 
     #[test]
@@ -689,46 +587,115 @@ mod tests {
             node_graph: &graph,
         };
         assert!(matches!(
-            Hierarchical::default().build(&ctx),
+            Hierarchical(HierarchicalConfig::default()).build(&ctx),
             Err(HcftError::Config(_))
         ));
     }
 
     #[test]
     fn too_few_nodes_for_hierarchical_is_a_partition_error() {
-        let placement = Placement::block(2, 4);
-        let graph = chain_graph(2);
-        let ctx = StrategyContext {
-            placement: &placement,
-            node_graph: &graph,
-        };
-        assert!(matches!(
-            Hierarchical::default().build(&ctx),
-            Err(HcftError::Partition(_))
-        ));
+        let built = build_on(
+            &Hierarchical(HierarchicalConfig::default()),
+            &Placement::block(2, 4),
+        );
+        assert!(matches!(built, Err(HcftError::Partition(_))));
     }
 
     #[test]
     fn bounds_no_part_count_fits_are_a_partition_error() {
         // 5 nodes: one cluster of 4 leaves one over, two need 8.
         let placement = Placement::block(5, 2);
-        let graph = chain_graph(5);
-        let ctx = StrategyContext {
-            placement: &placement,
-            node_graph: &graph,
-        };
-        let exactly_four = Hierarchical {
-            cfg: HierarchicalConfig {
-                min_nodes_per_l1: 4,
-                max_nodes_per_l1: 4,
-                ..HierarchicalConfig::default()
-            },
-        };
-        assert!(matches!(
-            exactly_four.build(&ctx),
-            Err(HcftError::Partition(_))
-        ));
+        let exactly_four = Hierarchical(HierarchicalConfig {
+            min_nodes_per_l1: 4,
+            max_nodes_per_l1: 4,
+            ..HierarchicalConfig::default()
+        });
+        let built = build_on(&exactly_four, &placement);
+        assert!(matches!(built, Err(HcftError::Partition(_))));
         // The default 4..=8 bounds take all five nodes as one cluster.
-        assert!(Hierarchical::default().build(&ctx).is_ok());
+        assert!(build_on(&Hierarchical(HierarchicalConfig::default()), &placement).is_ok());
+    }
+
+    /// A family has one feasibility rule: over every family, at sizes
+    /// from 0 to one past the machine, `build` fails exactly where
+    /// `validate` refuses, with the same error, and otherwise builds
+    /// the free constructor's scheme.
+    #[test]
+    fn build_succeeds_exactly_where_validate_accepts() {
+        use strategies::PartitionEngine::{Modularity, Multilevel};
+        let ragged = |nodes: &[u32], count| {
+            Placement::from_assignment(nodes.iter().map(|&n| NodeId(n)).collect(), count)
+        };
+        let mut placements: Vec<Placement> = (1..=17)
+            .flat_map(|nodes| (1..=3).map(move |ppn| Placement::block(nodes, ppn)))
+            .collect();
+        placements.push(ragged(&[0, 0, 0, 1], 2));
+        placements.push(ragged(&[0, 0, 1, 1, 1, 2, 3, 3, 4, 5, 5, 5], 6));
+        for placement in &placements {
+            let (nodes, nprocs) = (placement.nodes(), placement.nprocs());
+            let graph = chain_graph(nodes);
+            let check = |s: &ClusteringStrategy, free: &dyn Fn() -> ClusteringScheme| {
+                let shape = format!("{nodes} nodes, {nprocs} ranks");
+                match (s.validate(placement), build_on(s, placement)) {
+                    (Ok(()), Ok(built)) => {
+                        let want = free();
+                        assert_eq!(built.name, want.name, "{shape}");
+                        assert_eq!(built.l1, want.l1, "{shape}: {}", want.name);
+                        assert_eq!(built.l2, want.l2, "{shape}: {}", want.name);
+                    }
+                    (Err(rule), Err(built)) => {
+                        assert_eq!(
+                            std::mem::discriminant(&rule),
+                            std::mem::discriminant(&built),
+                            "{shape}: {rule} / {built}"
+                        );
+                        assert_eq!(rule.to_string(), built.to_string(), "{shape}");
+                    }
+                    (rule, built) => panic!(
+                        "{shape} {}: validate {:?}, build {:?}",
+                        s.name(),
+                        rule.err(),
+                        built.map(|b| b.name)
+                    ),
+                }
+            };
+            for size in 0..=nprocs + 1 {
+                check(&Naive { size }, &|| strategies::naive(nprocs, size));
+                check(&SizeGuided { size }, &|| {
+                    strategies::size_guided(nprocs, size)
+                });
+            }
+            for size in 0..=nodes + 1 {
+                check(&Distributed { size }, &|| {
+                    strategies::distributed(placement, size)
+                });
+                for l2_size in 0..=nprocs + 1 {
+                    check(
+                        &Striped {
+                            l1_nodes: size,
+                            l2_size,
+                        },
+                        &|| strategies::striped(placement, size, l2_size),
+                    );
+                }
+            }
+            for engine in [Multilevel, Modularity] {
+                for min in 0..=6 {
+                    for max in 0..=9 {
+                        for l2g in 0..=min {
+                            let cfg = HierarchicalConfig {
+                                min_nodes_per_l1: min,
+                                max_nodes_per_l1: max,
+                                l2_group_nodes: l2g,
+                                engine,
+                            };
+                            check(&Hierarchical(cfg.clone()), &|| {
+                                strategies::hierarchical(placement, &graph, &cfg)
+                            });
+                        }
+                    }
+                }
+            }
+        }
     }
 }

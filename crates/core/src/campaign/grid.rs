@@ -9,9 +9,7 @@
 //! cells statistically independent yet reproducible when the grid's axes
 //! are extended.
 
-use hcft_cluster::{
-    ClusteringScheme, ClusteringStrategy, Distributed, Naive, StrategyContext, Striped,
-};
+use hcft_cluster::{ClusteringScheme, ClusteringStrategy, StrategyContext};
 use hcft_graph::WeightedGraph;
 use hcft_telemetry::HcftError;
 use hcft_topology::Placement;
@@ -55,10 +53,10 @@ impl GridStrategy {
         placement: &Placement,
         cluster_size: usize,
     ) -> Result<ClusteringScheme, HcftError> {
-        let strategy: &dyn ClusteringStrategy = match self {
-            GridStrategy::Naive => &Naive { size: cluster_size },
-            GridStrategy::Distributed => &Distributed { size: cluster_size },
-            GridStrategy::Striped => &Striped {
+        let strategy = match self {
+            GridStrategy::Naive => ClusteringStrategy::Naive { size: cluster_size },
+            GridStrategy::Distributed => ClusteringStrategy::Distributed { size: cluster_size },
+            GridStrategy::Striped => ClusteringStrategy::Striped {
                 l1_nodes: STRIPED_L1_NODES,
                 l2_size: cluster_size,
             },
