@@ -3,12 +3,14 @@
 use std::sync::Arc;
 
 use hcft_erasure::EncodingModel;
-use hcft_graph::CommMatrix;
+use hcft_graph::{Clustering, CommMatrix};
 use hcft_msglog::{logged_fraction, Containment, HybridProtocol};
 use hcft_reliability::model::fti_tolerance;
 use hcft_reliability::{ClusteringDigest, EventDistribution, ReliabilityModel};
+use hcft_telemetry::{Counter, Gauge, Registry};
 use hcft_topology::Placement;
 
+use crate::stages::{self, TraceStage};
 use crate::strategies::ClusteringScheme;
 
 /// One row of Table II: the four dimensions of §III.
@@ -33,14 +35,17 @@ pub struct FourDScore {
 /// dimensions: a scheme's restart share (read off the node rows of its
 /// L1 [`Containment`]), its encode time and its P(catastrophic), which
 /// `evaluate_all` computes once per distinct L2 placement digest. Only
-/// the logging share reads the trace: one walk over the sparse matrix's
-/// non-zero cells per scheme. On the served 64 × 16 trace that walk
-/// and its telemetry cost ≈ 20–30 µs a scheme (2 vCPU), and they are
-/// all a request whose scoring stages are warm still computes
+/// the logging share reads the trace: one walk over the non-zero cells
+/// of a sparse matrix per scheme, at the grain its L1 is defined on. A
+/// scheme whose L1 keeps every node whole walks the node-aggregated
+/// matrix, built on the first such walk; any other walks the rank
+/// matrix. On the served 64 × 16 trace a node walk costs ≈ 1–1.5 µs
+/// (894 cells) and a rank walk ≈ 10–20 µs (12 606 cells) (2 vCPU), and
+/// the walks are all a request whose scoring stages are warm still computes
 /// (`crate::stages`).
 pub struct Evaluator {
     matrix: CommMatrix,
-    model: LayoutModel,
+    stage: TraceStage,
 }
 
 impl Evaluator {
@@ -51,7 +56,7 @@ impl Evaluator {
         assert_eq!(matrix.n(), placement.nprocs(), "matrix/placement size");
         Evaluator {
             matrix,
-            model: LayoutModel::new(placement),
+            stage: TraceStage::new(placement),
         }
     }
 
@@ -62,7 +67,7 @@ impl Evaluator {
 
     /// The placement under evaluation.
     pub(crate) fn placement(&self) -> &Placement {
-        self.model.placement()
+        self.stage.placement()
     }
 
     /// Score a scheme on all four dimensions: the one-scheme case of
@@ -83,10 +88,11 @@ impl Evaluator {
     /// paper scale a whole sweep is a few milliseconds, less than a
     /// thread fan-out costs.
     pub(crate) fn evaluate_all(&self, schemes: &[ClusteringScheme]) -> Vec<FourDScore> {
-        self.model
+        self.stage
+            .model()
             .stage(schemes.to_vec())
             .iter()
-            .map(|row| row.score(&self.matrix))
+            .map(|row| row.score(&self.matrix, &self.stage))
             .collect()
     }
 }
@@ -115,7 +121,9 @@ impl LayoutModel {
 
     /// The layout half of every scheme, in order, with P(catastrophic)
     /// computed once per distinct L2 digest
-    /// ([`ReliabilityModel::p_catastrophic_sweep`]).
+    /// ([`ReliabilityModel::p_catastrophic_sweep`]). The one index of
+    /// each L1 on the placement gives both its restart share and, when
+    /// it keeps every node whole, its node-level clustering.
     pub(crate) fn stage(&self, schemes: Vec<ClusteringScheme>) -> Vec<StagedRow> {
         let digests: Vec<ClusteringDigest> = schemes
             .iter()
@@ -125,14 +133,18 @@ impl LayoutModel {
         schemes
             .into_iter()
             .zip(p_cat)
-            .map(|(scheme, p_catastrophic)| StagedRow {
-                restart_fraction: Containment::new(&scheme.l1, &self.placement)
-                    .expected_restart_fraction(),
-                // The largest L2 cluster gates the checkpoint: all
-                // clusters encode in parallel.
-                encode_s_per_gb: self.encoding.seconds_per_gb(scheme.l2.max_size()),
-                p_catastrophic,
-                scheme,
+            .map(|(scheme, p_catastrophic)| {
+                let l1 = Containment::new(&scheme.l1, &self.placement);
+                StagedRow {
+                    node_l1: l1.node_clustering().map(Arc::new),
+                    restart_fraction: l1.expected_restart_fraction(),
+                    // The largest L2 cluster gates the checkpoint: all
+                    // clusters encode in parallel.
+                    encode_s_per_gb: self.encoding.seconds_per_gb(scheme.l2.max_size()),
+                    p_catastrophic,
+                    metrics: Table2Metrics::new(&scheme.name),
+                    scheme,
+                }
             })
             .collect()
     }
@@ -144,17 +156,30 @@ impl LayoutModel {
 #[derive(Debug)]
 pub(crate) struct StagedRow {
     pub(crate) scheme: ClusteringScheme,
+    /// The L1 clustering of the nodes, when the scheme's L1 keeps every
+    /// node's ranks in one cluster.
+    node_l1: Option<Arc<Clustering>>,
     restart_fraction: f64,
     encode_s_per_gb: f64,
     p_catastrophic: f64,
+    metrics: Table2Metrics,
 }
 
 impl StagedRow {
-    /// The request stage of one row: the logged-bytes walk over
-    /// `matrix`, then the four dimensions, published as
-    /// [`Evaluator::evaluate`] describes.
-    pub(crate) fn score(&self, matrix: &CommMatrix) -> FourDScore {
-        let (total, logged) = HybridProtocol::new(Arc::clone(&self.scheme.l1)).logged_bytes(matrix);
+    /// The request stage of one row: the logged-bytes walk of the
+    /// trace's application matrix `app`, whose trace stage is `trace`,
+    /// then the four dimensions, published as [`Evaluator::evaluate`]
+    /// describes. A row with a node-level L1 walks the trace's node
+    /// matrix, which gives the rank walk's `(total, logged)` exactly
+    /// ([`Containment::node_clustering`]); any other walks `app`.
+    pub(crate) fn score(&self, app: &CommMatrix, trace: &TraceStage) -> FourDScore {
+        let counters = stages::counters();
+        let (l1, matrix, walks) = match &self.node_l1 {
+            Some(l1) => (l1, trace.node_matrix(app), &counters.node_walks),
+            None => (&self.scheme.l1, app, &counters.rank_walks),
+        };
+        walks.inc();
+        let (total, logged) = HybridProtocol::new(Arc::clone(l1)).logged_bytes(matrix);
         let score = FourDScore {
             name: self.scheme.name.clone(),
             logging_fraction: logged_fraction((total, logged)),
@@ -162,12 +187,12 @@ impl StagedRow {
             encode_s_per_gb: self.encode_s_per_gb,
             p_catastrophic: self.p_catastrophic,
         };
-        publish_score(&score, logged, total);
+        self.metrics.publish(&score, logged, total);
         score
     }
 
     /// Heap bytes the row holds: its name and its clusterings, a level
-    /// shared by L1 and L2 counted once.
+    /// shared by L1 and L2 counted once, and its node-level L1.
     pub(crate) fn heap_bytes(&self) -> u64 {
         let ClusteringScheme { name, l1, l2 } = &self.scheme;
         let l2_bytes = if Arc::ptr_eq(l1, l2) {
@@ -175,7 +200,11 @@ impl StagedRow {
         } else {
             l2.heap_bytes()
         };
-        (std::mem::size_of::<Self>() + name.capacity()) as u64 + l1.heap_bytes() + l2_bytes
+        let node_l1 = self.node_l1.as_ref().map_or(0, |c| c.heap_bytes());
+        (std::mem::size_of::<Self>() + name.capacity()) as u64
+            + l1.heap_bytes()
+            + l2_bytes
+            + node_l1
     }
 }
 
@@ -192,24 +221,43 @@ fn slugify(name: &str) -> String {
     slug.trim_end_matches('_').to_string()
 }
 
-/// Publish one Table II row into the process-global registry. Counters
-/// use `store` (not `add`) so re-evaluating a scheme overwrites rather
-/// than accumulates.
-fn publish_score(score: &FourDScore, logged_bytes: u64, total_bytes: u64) {
-    let reg = hcft_telemetry::Registry::global();
-    let slug = slugify(&score.name);
-    reg.counter(&format!("table2.{slug}.logged_bytes"))
-        .store(logged_bytes);
-    reg.counter(&format!("table2.{slug}.total_bytes"))
-        .store(total_bytes);
-    reg.gauge(&format!("table2.{slug}.logging_fraction"))
-        .set(score.logging_fraction);
-    reg.gauge(&format!("table2.{slug}.restart_fraction"))
-        .set(score.restart_fraction);
-    reg.gauge(&format!("table2.{slug}.encode_s_per_gb"))
-        .set(score.encode_s_per_gb);
-    reg.gauge(&format!("table2.{slug}.p_catastrophic"))
-        .set(score.p_catastrophic);
+/// A row's `table2.<scheme-slug>.*` handles in the process-global
+/// registry, resolved once when the row is staged.
+#[derive(Debug)]
+struct Table2Metrics {
+    logged_bytes: Arc<Counter>,
+    total_bytes: Arc<Counter>,
+    logging_fraction: Arc<Gauge>,
+    restart_fraction: Arc<Gauge>,
+    encode_s_per_gb: Arc<Gauge>,
+    p_catastrophic: Arc<Gauge>,
+}
+
+impl Table2Metrics {
+    fn new(scheme_name: &str) -> Self {
+        let (reg, slug) = (Registry::global(), slugify(scheme_name));
+        let counter = |field: &str| reg.counter(&format!("table2.{slug}.{field}"));
+        let gauge = |field: &str| reg.gauge(&format!("table2.{slug}.{field}"));
+        Table2Metrics {
+            logged_bytes: counter("logged_bytes"),
+            total_bytes: counter("total_bytes"),
+            logging_fraction: gauge("logging_fraction"),
+            restart_fraction: gauge("restart_fraction"),
+            encode_s_per_gb: gauge("encode_s_per_gb"),
+            p_catastrophic: gauge("p_catastrophic"),
+        }
+    }
+
+    /// Publish one Table II row. Counters use `store` (not `add`) so
+    /// re-evaluating a scheme overwrites rather than accumulates.
+    fn publish(&self, score: &FourDScore, logged_bytes: u64, total_bytes: u64) {
+        self.logged_bytes.store(logged_bytes);
+        self.total_bytes.store(total_bytes);
+        self.logging_fraction.set(score.logging_fraction);
+        self.restart_fraction.set(score.restart_fraction);
+        self.encode_s_per_gb.set(score.encode_s_per_gb);
+        self.p_catastrophic.set(score.p_catastrophic);
+    }
 }
 
 #[cfg(test)]

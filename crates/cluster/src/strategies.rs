@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use hcft_graph::{Clustering, WeightedGraph};
 use hcft_partition::{modularity_clusters, MultilevelConfig, MultilevelPartitioner, SizeBounds};
-use hcft_telemetry::{HcftError, Registry};
+use hcft_telemetry::HcftError;
 use hcft_topology::{NodeId, Placement, Rank};
 
 use crate::strategy::ClusteringStrategy;
@@ -230,9 +230,7 @@ pub(crate) fn l1_node_partition(
     // except the paper's constraint is in *nodes*, so weight each vertex
     // 1 and bound by node counts.
     let bounds = SizeBounds::new(cfg.min_nodes_per_l1 as u64, cfg.max_nodes_per_l1 as u64);
-    Registry::global()
-        .counter("cluster.stage.l1_partitions")
-        .inc();
+    crate::stages::counters().l1_partitions.inc();
     match cfg.engine {
         PartitionEngine::Multilevel => {
             let k = cfg.l1_parts(node_graph.n()).expect("validated bounds fit");

@@ -346,8 +346,10 @@ impl SchemeFamilySpec {
     /// Score the spec on a trace whose trace stage is `trace`, keeping
     /// layout rows in `layouts`, in spec order: the layout rows from
     /// `layouts`, the hierarchical rows from `trace`, each built there
-    /// on first use, then the request stage, one logged-bytes walk of
-    /// `app` (the trace's application matrix) per row (`crate::stages`).
+    /// on first use, then the request stage, one logged-bytes walk per
+    /// row: of `trace`'s node matrix where the row's L1 keeps every node
+    /// whole, of `app` (the trace's application matrix) otherwise
+    /// (`crate::stages`).
     ///
     /// An empty spec is a `Config` error. An entry the placement cannot
     /// host fails the whole call with its strategy's validation error,
@@ -394,7 +396,7 @@ impl SchemeFamilySpec {
                 FamilyScore {
                     family: entry.name(),
                     scheme: row.scheme.clone(),
-                    score: row.score(app),
+                    score: row.score(app, trace),
                 }
             })
             .collect())

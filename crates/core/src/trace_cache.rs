@@ -9,9 +9,9 @@
 //! across engines and worker counts. So the service caches
 //! [`CachedTrace`]s behind `Arc`, keyed by the stable
 //! [`TracedJobConfig::content_hash`]. Each entry is the
-//! [`TraceResult`] plus its [`TraceStage`]: the node graph, L1
-//! partitions and hierarchical rows scored on that trace, which grow as
-//! requests ask for them and are evicted with the trace.
+//! [`TraceResult`] plus its [`TraceStage`]: the node matrix, the node
+//! graph, L1 partitions and hierarchical rows scored on that trace,
+//! which grow as requests ask for them and are evicted with the trace.
 //!
 //!
 //! * a **hit** returns the shared `Arc` without running
@@ -387,19 +387,26 @@ mod tests {
             .score_staged(&t1.app, &LayoutStage::new(), t1.stage())
             .expect("the preset fits");
         let staged = cache.resident_bytes();
+        // What the node-aligned rows' walks built and the stage keeps.
+        let node_matrix = t1
+            .app
+            .aggregate_by_node(&t1.layout.app_placement())
+            .heap_bytes();
         assert!(
-            staged > bare,
-            "the node graph, partitions and hierarchical rows count"
+            staged > bare + node_matrix,
+            "the node matrix, node graph, partitions and hierarchical rows count"
         );
         assert_eq!(staged, t1.approx_bytes());
-        // A second trace evicts the first, stage and all.
+        // A second trace evicts the first, stage and all: its node
+        // matrix leaves the count with it.
         let c2 = TracedJobConfig::builder(8, 2)
             .iterations(7)
             .build()
             .expect("valid");
         let t2 = cache.get_or_trace(&c2);
         assert_eq!(cache.resident_bytes(), t2.approx_bytes());
-        assert!(t2.stage().resident_bytes() < t1.stage().resident_bytes());
+        assert!(cache.resident_bytes() + node_matrix <= staged);
+        assert!(t2.stage().resident_bytes() + node_matrix < t1.stage().resident_bytes());
     }
 
     #[test]

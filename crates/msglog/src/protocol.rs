@@ -220,6 +220,23 @@ impl Containment {
         out
     }
 
+    /// The clustering of the placed nodes, when every node's ranks share
+    /// one cluster (a node without ranks joins cluster 0); `None` when
+    /// some node hosts two clusters. Under it a rank cell (i, j) crosses
+    /// clusters exactly when the node cell (node(i), node(j)) does, so
+    /// [`HybridProtocol::logged_bytes`] of the node-aggregated matrix
+    /// equals that of the rank matrix.
+    pub fn node_clustering(&self) -> Option<Clustering> {
+        let assignment = (0..self.nodes() as u32)
+            .map(|n| match self.row(n) {
+                [] => Some(0),
+                [c] => Some(*c as usize),
+                _ => None,
+            })
+            .collect::<Option<Vec<usize>>>()?;
+        Some(Clustering::from_assignment(&assignment))
+    }
+
     /// Expected fraction of ranks restarted when one uniformly-random
     /// placed node fails: each node's [`restart_ranks`](Self::restart_ranks)
     /// over `nprocs`, summed in node order (a node without ranks adds an

@@ -20,15 +20,17 @@
 //!   results are cached behind `Arc` keyed by the stable
 //!   [`TracedJobConfig::content_hash`](hcft_core::TracedJobConfig::content_hash),
 //!   with single-flight coalescing and deterministic LRU eviction. Each
-//!   entry carries its trace's scoring stage (node graph, L1 partitions,
-//!   hierarchical rows);
+//!   entry carries its trace's scoring stage (node matrix, node graph,
+//!   L1 partitions, hierarchical rows);
 //! * the **layout stage** ([`hcft_core::LayoutStage`]): the rows of the
 //!   schemes that depend on the placement alone, in a small LRU;
 //! * the **family sweep**
 //!   ([`SchemeFamilySpec::score_staged`](hcft_core::SchemeFamilySpec::score_staged)):
 //!   each request walks the trace once per scheme for its logged bytes,
-//!   on its own thread and in spec order, so the response bytes are
-//!   identical at any thread count;
+//!   at the grain the scheme's L1 is defined on (the node matrix when
+//!   it keeps every node whole, the rank matrix otherwise), on its own
+//!   thread and in spec order, so the response bytes are identical at
+//!   any thread count;
 //! * the **response memo** ([`EvalService`]): a fully-warm request
 //!   (same shape, same family selection) returns the memoized rendered
 //!   response without recomputing the sweep.

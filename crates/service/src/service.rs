@@ -29,13 +29,16 @@ struct MemoInner {
 /// The tiers save different work. A trace-cache hit skips the traced
 /// job (most of a cold paper-machine request, composed from a two-step
 /// prefix world of shape-only ranks), and its entry's trace stage keeps
-/// the node graph, the L1 partitions and the hierarchical rows. The
-/// layout stage keeps the rows of the naïve, size-guided, distributed
-/// and striped schemes per placement. A request whose stages are warm
-/// computes only the logged-bytes walk of each row over the trace: ≈
-/// 0.48 ms for `families=full` and ≈ 0.16 ms for `table2` at 64 × 16,
-/// against ≈ 1.7–2.6 and ≈ 0.7–1.0 ms on cold stages (in process, 2
-/// vCPU). A memo hit
+/// the node matrix, the node graph, the L1 partitions and the
+/// hierarchical rows. The layout stage keeps the rows of the naïve,
+/// size-guided, distributed and striped schemes per placement. A
+/// request whose stages are warm computes only the logged-bytes walk of
+/// each row: over the node matrix (894 cells at 64 × 16) for the rows
+/// whose L1 keeps every node whole, over the rank matrix (12 606 cells)
+/// for the rest. In process on 2 vCPU a trace-warm `full` + `table2`
+/// pair at 64 × 16 takes ≈ 0.21–0.24 ms (`full` ≈ 0.15, `table2` ≈
+/// 0.075 ms); on cold stages `full` takes ≈ 1.7–2.6 ms and `table2` ≈
+/// 0.7–1.0 ms. A memo hit
 /// returns the stored bytes outright. Every tier is deterministic, so a
 /// response is byte-identical whether it came cold, stage-warm or
 /// memo-warm — the sweep itself scores in spec order on the calling
