@@ -642,9 +642,8 @@ pub fn alltoall(scale: Scale) -> Artifact {
     let n = nodes * ppn;
     let placement = Placement::block(nodes, ppn);
     let matrix = hcft_graph::patterns::all_to_all(n, 1_000);
-    let node_graph = WeightedGraph::from_comm_matrix(&matrix.aggregate_by_node(&placement));
     let alltoall_scores = paper_spec(scale, PartitionEngine::Multilevel)
-        .score(&Evaluator::new(matrix, placement), &node_graph)
+        .score(&Evaluator::new(matrix, placement))
         .expect("the paper schemes fit the machine");
     let mut rows = Vec::new();
     let mut report = String::from(
@@ -994,9 +993,8 @@ pub fn heat3d(scale: Scale) -> Artifact {
     });
     let matrix = result.trace.byte_matrix();
     let placement = Placement::block(nodes, ppn);
-    let node_graph = WeightedGraph::from_comm_matrix(&matrix.aggregate_by_node(&placement));
     let scored = paper_spec(scale, PartitionEngine::Multilevel)
-        .score(&Evaluator::new(matrix, placement), &node_graph)
+        .score(&Evaluator::new(matrix, placement))
         .expect("the paper schemes fit the machine");
     let baseline = BaselineRequirements::default();
     let mut rows = Vec::new();

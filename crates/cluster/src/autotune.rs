@@ -6,9 +6,11 @@
 //! baseline, and rank the survivors by a scalarised cost (normalised
 //! worst-axis by default — minimise the largest baseline ratio, i.e. the
 //! Chebyshev objective that matches Fig. 5c's "stay inside the polygon").
-//! The sweep itself is the `SchemeFamilySpec::autotune` preset.
+//! The sweep itself is the `SchemeFamilySpec::autotune` preset, scored
+//! by [`SchemeFamilySpec::score`] on the evaluator's own trace stage, so
+//! the node graph its hierarchical candidates partition is derived from
+//! the trace.
 
-use hcft_graph::WeightedGraph;
 use hcft_telemetry::HcftError;
 
 use crate::baseline::BaselineRequirements;
@@ -29,14 +31,12 @@ pub struct Candidate {
 
 /// Score the `SchemeFamilySpec::autotune` sweep for a traced workload,
 /// in sweep order. Fails with `Config` when no candidate fits the
-/// machine, or when a hierarchical candidate's `node_graph` does not
-/// cover its nodes.
+/// machine.
 pub fn candidates(
     evaluator: &Evaluator,
-    node_graph: &WeightedGraph,
     baseline: &BaselineRequirements,
 ) -> Result<Vec<Candidate>, HcftError> {
-    let rows = SchemeFamilySpec::autotune(evaluator.placement()).score(evaluator, node_graph)?;
+    let rows = SchemeFamilySpec::autotune(evaluator.placement()).score(evaluator)?;
     Ok(rows
         .into_iter()
         .map(|row| Candidate {
@@ -55,10 +55,9 @@ pub fn candidates(
 /// admissible.
 pub fn autotune(
     evaluator: &Evaluator,
-    node_graph: &WeightedGraph,
     baseline: &BaselineRequirements,
 ) -> Result<Candidate, HcftError> {
-    Ok(candidates(evaluator, node_graph, baseline)?
+    Ok(candidates(evaluator, baseline)?
         .into_iter()
         .min_by(|a, b| a.chebyshev.partial_cmp(&b.chebyshev).expect("finite"))
         .expect("scoring refuses an empty sweep"))
@@ -71,19 +70,17 @@ mod tests {
     use hcft_topology::Placement;
 
     /// Anisotropic stencil over 32 nodes × 8 ranks — paper-shaped.
-    fn setup() -> (Evaluator, WeightedGraph) {
+    fn setup() -> Evaluator {
         let placement = Placement::block(32, 8);
         let m = patterns::stencil_2d(128, 2, 2048, 16);
-        let node_matrix = m.aggregate_by_node(&placement);
-        let node_graph = WeightedGraph::from_comm_matrix(&node_matrix);
-        (Evaluator::new(m, placement), node_graph)
+        Evaluator::new(m, placement)
     }
 
     #[test]
     fn autotune_selects_a_hierarchical_scheme() {
-        let (evaluator, node_graph) = setup();
+        let evaluator = setup();
         let baseline = BaselineRequirements::default();
-        let best = autotune(&evaluator, &node_graph, &baseline).unwrap();
+        let best = autotune(&evaluator, &baseline).unwrap();
         // Pinned: the sweep's answer on this machine must not drift.
         assert_eq!(best.scheme.name, "hierarchical (32-4 pr.)");
         assert_eq!(best.chebyshev, 0.625);
@@ -97,13 +94,12 @@ mod tests {
             for ppn in [1, 2, 4] {
                 let placement = Placement::block(nodes, ppn);
                 let m = patterns::stencil_2d(nodes * ppn, 1, 2048, 16);
-                let node_graph = WeightedGraph::from_comm_matrix(&m.aggregate_by_node(&placement));
                 let evaluator = Evaluator::new(m, placement);
                 let shape = format!("{nodes}x{ppn}");
                 // Nothing fits one node of fewer than four ranks: no
                 // naive size reaches half the ranks, no stripe two nodes.
                 if nodes == 1 && ppn < 4 {
-                    let err = autotune(&evaluator, &node_graph, &baseline).unwrap_err();
+                    let err = autotune(&evaluator, &baseline).unwrap_err();
                     assert!(matches!(err, HcftError::Config(_)), "{shape}: {err}");
                     let words = format!("no strategy family fits a {shape} layout");
                     assert!(err.to_string().contains(&words), "{shape}: {err}");
@@ -111,16 +107,15 @@ mod tests {
                 }
                 // Scoring builds every candidate of the sweep first, so
                 // an answer means each one built.
-                autotune(&evaluator, &node_graph, &baseline)
-                    .unwrap_or_else(|e| panic!("{shape}: {e}"));
+                autotune(&evaluator, &baseline).unwrap_or_else(|e| panic!("{shape}: {e}"));
             }
         }
     }
 
     #[test]
     fn candidate_sweep_covers_all_families() {
-        let (evaluator, node_graph) = setup();
-        let cands = candidates(&evaluator, &node_graph, &BaselineRequirements::default()).unwrap();
+        let evaluator = setup();
+        let cands = candidates(&evaluator, &BaselineRequirements::default()).unwrap();
         let names: Vec<&str> = cands.iter().map(|c| c.score.name.as_str()).collect();
         assert!(names.iter().any(|n| n.starts_with("naive")));
         assert!(names.iter().any(|n| n.starts_with("distributed")));
@@ -131,8 +126,8 @@ mod tests {
 
     #[test]
     fn chebyshev_flags_inadmissible_candidates() {
-        let (evaluator, node_graph) = setup();
-        let cands = candidates(&evaluator, &node_graph, &BaselineRequirements::default()).unwrap();
+        let evaluator = setup();
+        let cands = candidates(&evaluator, &BaselineRequirements::default()).unwrap();
         for c in &cands {
             let meets = BaselineRequirements::default().meets_all(&c.score);
             assert_eq!(meets, c.chebyshev <= 1.0, "{}", c.score.name);
@@ -141,7 +136,7 @@ mod tests {
 
     #[test]
     fn degenerate_baseline_still_returns_least_bad() {
-        let (evaluator, node_graph) = setup();
+        let evaluator = setup();
         // Impossible thresholds: nothing admissible, but autotune still
         // ranks.
         let impossible = BaselineRequirements {
@@ -150,7 +145,7 @@ mod tests {
             max_encode_s_per_gb: 1e-9,
             max_p_catastrophic: 1e-30,
         };
-        let best = autotune(&evaluator, &node_graph, &impossible).unwrap();
+        let best = autotune(&evaluator, &impossible).unwrap();
         assert!(best.chebyshev > 1.0);
     }
 
@@ -159,10 +154,9 @@ mod tests {
         // The §V caveat: on all-to-all nothing meets the logging budget.
         let placement = Placement::block(16, 4);
         let m = patterns::all_to_all(64, 1000);
-        let node_graph = WeightedGraph::from_comm_matrix(&m.aggregate_by_node(&placement));
         let evaluator = Evaluator::new(m, placement);
         let baseline = BaselineRequirements::default();
-        let best = autotune(&evaluator, &node_graph, &baseline).unwrap();
+        let best = autotune(&evaluator, &baseline).unwrap();
         assert!(!baseline.meets(&best.score)[0], "logging must fail");
     }
 }

@@ -31,10 +31,15 @@ pub struct FourDScore {
 
 /// Evaluator bound to one traced application run and machine model.
 ///
+/// It keeps the trace's [`TraceStage`]: the node matrix, the node graph
+/// derived from it, the L1 partitions and the hierarchical rows that
+/// [`SchemeFamilySpec::score`](crate::SchemeFamilySpec::score) builds on
+/// first use and every later score reuses.
+///
 /// Scoring runs in two halves. The placement fixes three of the four
 /// dimensions: a scheme's restart share (read off the node rows of its
-/// L1 [`Containment`]), its encode time and its P(catastrophic), which
-/// `evaluate_all` computes once per distinct L2 placement digest. Only
+/// L1 [`Containment`]), its encode time and its P(catastrophic),
+/// computed once per distinct L2 placement digest of a batch. Only
 /// the logging share reads the trace: one walk over the non-zero cells
 /// of a sparse matrix per scheme, at the grain its L1 is defined on. A
 /// scheme whose L1 keeps every node whole walks the node-aggregated
@@ -70,30 +75,22 @@ impl Evaluator {
         self.stage.placement()
     }
 
-    /// Score a scheme on all four dimensions: the one-scheme case of
-    /// `evaluate_all`.
+    /// The trace stage of the matrix under evaluation.
+    pub(crate) fn stage(&self) -> &TraceStage {
+        &self.stage
+    }
+
+    /// Score a scheme on all four dimensions: its layout half, then its
+    /// logged-bytes walk, on the calling thread.
     ///
     /// Besides returning the [`FourDScore`], the raw byte counts and the
     /// four dimensions are published under `table2.<scheme-slug>.*` in
     /// the process-global telemetry registry, so a `--telemetry` export
     /// carries the same numbers as the rendered table.
     pub fn evaluate(&self, scheme: &ClusteringScheme) -> FourDScore {
-        let mut scores = self.evaluate_all(std::slice::from_ref(scheme));
-        scores.pop().expect("one score per scheme")
-    }
-
-    /// Score every scheme, in order, as [`evaluate`](Self::evaluate)
-    /// would one at a time: the layout half of every scheme, then the
-    /// logged-bytes walk of each. Scoring runs on the calling thread: at
-    /// paper scale a whole sweep is a few milliseconds, less than a
-    /// thread fan-out costs.
-    pub(crate) fn evaluate_all(&self, schemes: &[ClusteringScheme]) -> Vec<FourDScore> {
-        self.stage
-            .model()
-            .stage(schemes.to_vec())
-            .iter()
-            .map(|row| row.score(&self.matrix, &self.stage))
-            .collect()
+        let mut rows = self.stage.model().stage(vec![scheme.clone()]);
+        let row = rows.pop().expect("one row per scheme");
+        row.score(&self.matrix, &self.stage)
     }
 }
 

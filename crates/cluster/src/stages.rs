@@ -23,11 +23,15 @@
 //!   12 606 on the served 64 × 16 trace). Every other row walks the
 //!   rank matrix.
 //!
-//! Every scoring entry point runs the request stage; the one-shot ones
-//! build fresh stages for the call. A stage never holds a lock while it
-//! builds: two callers racing to build one row both build it, and the
-//! first to finish is kept. Builds are deterministic, so both built the
-//! same row.
+//! Every scoring entry point runs the request stage. The service keeps
+//! one layout stage and, in each cached trace, that trace's stage; an
+//! [`Evaluator`](crate::Evaluator) keeps the trace stage of its matrix,
+//! so every score on it derives the node graph it partitions from the
+//! trace, once, and only the layout stage is fresh per call;
+//! `evaluate_family_sweep` builds both fresh. A stage never holds a
+//! lock while it builds: two callers racing to build one row both build
+//! it, and the first to finish is kept. Builds are deterministic, so
+//! both built the same row.
 //!
 //! Seven process-global counters, resolved once per process, count the
 //! work the stages do and save: `cluster.stage.node_matrices` and
@@ -269,14 +273,6 @@ impl TraceStage {
         }
     }
 
-    /// An empty stage whose node graph is given, not built. Its node
-    /// matrix is still built from the trace, on the first node walk.
-    pub(crate) fn with_node_graph(placement: Placement, node_graph: WeightedGraph) -> Self {
-        let stage = TraceStage::new(placement);
-        stage.node_graph.get_or_init(|| node_graph);
-        stage
-    }
-
     /// The application placement the stage scores on.
     pub fn placement(&self) -> &Placement {
         self.model.placement()
@@ -284,11 +280,6 @@ impl TraceStage {
 
     pub(crate) fn model(&self) -> &LayoutModel {
         &self.model
-    }
-
-    /// The node graph, if it is built or was given.
-    pub(crate) fn built_node_graph(&self) -> Option<&WeightedGraph> {
-        self.node_graph.get()
     }
 
     /// The node-aggregated matrix of `app` (the trace's application

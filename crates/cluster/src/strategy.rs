@@ -353,8 +353,7 @@ impl SchemeFamilySpec {
     ///
     /// An empty spec is a `Config` error. An entry the placement cannot
     /// host fails the whole call with its strategy's validation error,
-    /// checked in spec order before anything is built or walked; so does
-    /// a given node graph that does not cover the placement.
+    /// checked in spec order before anything is built or walked.
     pub fn score_staged(
         &self,
         app: &CommMatrix,
@@ -371,15 +370,10 @@ impl SchemeFamilySpec {
         }
         let (mut flat, mut hierarchical) = (Vec::new(), Vec::new());
         for entry in &self.entries {
-            if let ClusteringStrategy::Hierarchical(cfg) = entry {
-                if let Some(graph) = trace.built_node_graph() {
-                    check_node_graph(graph, placement)?;
-                }
-                entry.validate(placement)?;
-                hierarchical.push(cfg);
-            } else {
-                entry.validate(placement)?;
-                flat.push(entry);
+            entry.validate(placement)?;
+            match entry {
+                ClusteringStrategy::Hierarchical(cfg) => hierarchical.push(cfg),
+                _ => flat.push(entry),
             }
         }
         let mut flat = layouts.rows(trace.model(), &flat).into_iter();
@@ -402,26 +396,24 @@ impl SchemeFamilySpec {
             .collect())
     }
 
-    /// Build every strategy on the evaluator's placement and `node_graph`
-    /// and score it, in spec order: [`score_staged`](Self::score_staged)
-    /// on fresh stages. Hierarchical entries with the same L1 bounds and
-    /// engine share one L1 partition (the `full` preset's `(4, 8)`
-    /// entries with L2 groups of 4 and 2 nodes). Scoring runs on the
-    /// calling thread and computes P(catastrophic) once per distinct L2
-    /// digest of a stage's batch, so the rows are byte-identical at any
-    /// thread count.
+    /// Build every strategy on the evaluator's placement and score it
+    /// on the evaluator's matrix, in spec order:
+    /// [`score_staged`](Self::score_staged) on the evaluator's own trace
+    /// stage and a fresh layout stage. The node graph the hierarchical
+    /// entries partition is derived from the trace on first use, and a
+    /// later score on the same evaluator reuses it, its L1 partitions and
+    /// its hierarchical rows; entries with the same L1 bounds and engine
+    /// share one L1 partition (the `full` preset's `(4, 8)` entries with
+    /// L2 groups of 4 and 2 nodes). Scoring runs on the calling thread
+    /// and computes P(catastrophic) once per distinct L2 digest of a
+    /// stage's batch, so the rows are byte-identical at any thread count.
     ///
     /// An empty spec is a `Config` error. An entry the machine cannot
     /// host fails the whole call with its strategy's validation error;
     /// the generated presets drop those, so only [`paper`](Self::paper)
-    /// sizes (or a node graph that does not cover the machine) can fail.
-    pub fn score(
-        &self,
-        evaluator: &Evaluator,
-        node_graph: &WeightedGraph,
-    ) -> Result<Vec<FamilyScore>, HcftError> {
-        let trace = TraceStage::with_node_graph(evaluator.placement().clone(), node_graph.clone());
-        self.score_staged(evaluator.matrix(), &LayoutStage::new(), &trace)
+    /// sizes can fail.
+    pub fn score(&self, evaluator: &Evaluator) -> Result<Vec<FamilyScore>, HcftError> {
+        self.score_staged(evaluator.matrix(), &LayoutStage::new(), evaluator.stage())
     }
 }
 
@@ -447,6 +439,7 @@ mod tests {
     use super::ClusteringStrategy::{Distributed, Hierarchical, Naive, SizeGuided, Striped};
     use super::*;
     use hcft_graph::CommMatrix;
+    use std::sync::Arc;
 
     fn chain_graph(nodes: usize) -> WeightedGraph {
         let mut m = CommMatrix::new(nodes);
@@ -529,13 +522,95 @@ mod tests {
         let placement = Placement::block(4, 2);
         let evaluator = Evaluator::new(CommMatrix::new(8), placement);
         let spec = SchemeFamilySpec::paper(4, 2, 16, HierarchicalConfig::default());
-        let err = spec.score(&evaluator, &chain_graph(4)).unwrap_err();
+        let err = spec.score(&evaluator).unwrap_err();
         assert!(matches!(err, HcftError::Partition(_)), "{err}");
-        let err = SchemeFamilySpec::default()
-            .score(&evaluator, &chain_graph(4))
-            .unwrap_err();
+        let err = SchemeFamilySpec::default().score(&evaluator).unwrap_err();
         assert!(matches!(err, HcftError::Config(_)), "{err}");
         assert!(err.to_string().contains("fits a 4x2 layout"), "{err}");
+    }
+
+    /// `score` derives the node graph it partitions from the
+    /// evaluator's trace. On every block machine of 1..=17 nodes ×
+    /// 1..=3 ranks with a stencil trace, each preset's rows equal the
+    /// one-scheme path (`build` on a node graph built by hand from the
+    /// node-aggregated matrix, then `evaluate`), or `score` fails with
+    /// the one-scheme path's error; and a second `score` on the same
+    /// evaluator hands back the first's hierarchical L1s.
+    #[test]
+    fn score_equals_the_one_scheme_path_on_the_derived_node_graph() {
+        let mut reused = 0;
+        for nodes in 1..=17 {
+            for ppn in 1..=3 {
+                let placement = Placement::block(nodes, ppn);
+                let m = hcft_graph::patterns::stencil_2d(nodes * ppn, 1, 2048, 16);
+                let node_graph = WeightedGraph::from_comm_matrix(&m.aggregate_by_node(&placement));
+                let ctx = StrategyContext {
+                    placement: &placement,
+                    node_graph: &node_graph,
+                };
+                let oracle = Evaluator::new(m.clone(), placement.clone());
+                let evaluator = Evaluator::new(m, placement.clone());
+                for spec in [
+                    SchemeFamilySpec::table2(nodes, ppn),
+                    SchemeFamilySpec::for_layout(nodes, ppn),
+                    SchemeFamilySpec::autotune(&placement),
+                    SchemeFamilySpec::paper(32, 8, 16, HierarchicalConfig::default()),
+                ] {
+                    let shape = format!("{nodes}x{ppn}");
+                    let one_by_one: Result<Vec<_>, HcftError> = spec
+                        .strategies()
+                        .map(|(family, s)| {
+                            let scheme = s.build(&ctx)?;
+                            Ok((family, oracle.evaluate(&scheme), scheme))
+                        })
+                        .collect();
+                    let rows = match (spec.score(&evaluator), one_by_one) {
+                        (Ok(rows), Ok(want)) => {
+                            assert_eq!(rows.len(), want.len(), "{shape}");
+                            for (row, (family, score, scheme)) in rows.iter().zip(want) {
+                                assert_eq!(row.family, family, "{shape}");
+                                assert_eq!(row.score, score, "{shape}");
+                                assert_eq!(row.scheme.name, scheme.name, "{shape}");
+                                assert_eq!(row.scheme.l1, scheme.l1, "{shape}: {}", scheme.name);
+                                assert_eq!(row.scheme.l2, scheme.l2, "{shape}: {}", scheme.name);
+                            }
+                            rows
+                        }
+                        (Err(got), Err(want)) => {
+                            assert_eq!(
+                                std::mem::discriminant(&got),
+                                std::mem::discriminant(&want),
+                                "{shape}: {got} / {want}"
+                            );
+                            assert_eq!(got.to_string(), want.to_string(), "{shape}");
+                            continue;
+                        }
+                        // An empty spec has no row to build.
+                        (Err(got), Ok(want)) if want.is_empty() => {
+                            assert!(matches!(got, HcftError::Config(_)), "{shape}: {got}");
+                            continue;
+                        }
+                        (got, want) => panic!(
+                            "{shape}: score {:?}, one scheme at a time {:?}",
+                            got.map(|rows| rows.len()),
+                            want.map(|rows| rows.len())
+                        ),
+                    };
+                    let again = spec.score(&evaluator).expect("it scored once");
+                    for (first, second) in rows.iter().zip(&again) {
+                        if first.family == "hierarchical" {
+                            assert!(
+                                Arc::ptr_eq(&first.scheme.l1, &second.scheme.l1),
+                                "{shape}: {}",
+                                first.scheme.name
+                            );
+                            reused += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(reused > 0, "no hierarchical row was scored twice");
     }
 
     /// Build `s` on `placement` with a chain node graph.

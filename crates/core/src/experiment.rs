@@ -166,57 +166,6 @@ impl TracedJobConfig {
         )
     }
 
-    /// Parse a [`Self::to_canonical`] string back into a validated
-    /// configuration (runtime knobs at their defaults). Round-trips:
-    /// `from_canonical(cfg.to_canonical())` equals `cfg` on every
-    /// trace-affecting field.
-    pub fn from_canonical(s: &str) -> Result<Self, HcftError> {
-        let mut parts = s.split(';');
-        if parts.next() != Some("hcft-trace-v1") {
-            return Err(HcftError::Config(format!(
-                "canonical trace config must start with hcft-trace-v1: {s:?}"
-            )));
-        }
-        let mut get = |want: &str| -> Result<u64, HcftError> {
-            let field = parts.next().ok_or_else(|| {
-                HcftError::Config(format!(
-                    "canonical trace config missing field {want}: {s:?}"
-                ))
-            })?;
-            let (k, v) = field.split_once('=').ok_or_else(|| {
-                HcftError::Config(format!("malformed canonical field {field:?} in {s:?}"))
-            })?;
-            if k != want {
-                return Err(HcftError::Config(format!(
-                    "canonical field order: expected {want}, got {k} in {s:?}"
-                )));
-            }
-            v.trim().parse().map_err(|_| {
-                HcftError::Config(format!("canonical field {want}={v:?} is not an integer"))
-            })
-        };
-        let nodes = get("nodes")? as usize;
-        let ppn = get("ppn")? as usize;
-        let enc = get("enc")? != 0;
-        let it = get("it")?;
-        let ck = get("ck")?;
-        let gx = get("gx")? as usize;
-        let gy = get("gy")? as usize;
-        let px = get("px")? as usize;
-        let py = get("py")? as usize;
-        let eg = get("eg")? as usize;
-        let ev = get("ev")? != 0;
-        TracedJobConfig::builder(nodes, ppn)
-            .with_encoders(enc)
-            .iterations(it)
-            .checkpoint_every(ck)
-            .grid(gx, gy)
-            .process_grid(px, py)
-            .encoder_group_nodes(eg)
-            .record_events(ev)
-            .build()
-    }
-
     /// Stable 128-bit content hash of the trace-affecting configuration:
     /// FNV-1a over [`Self::to_canonical`] with two independent bases.
     /// This is the trace-cache key; it is pinned by a test, so it must

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use hcft_core::trace_cache::TraceCache;
 use hcft_core::{FamilyScore, LayoutStage};
-use hcft_telemetry::{Counter, HcftError, Registry};
+use hcft_telemetry::{json_string, Counter, HcftError, Registry};
 use parking_lot::Mutex;
 
 use crate::request::EvalRequest;
@@ -223,24 +223,6 @@ fn render_response(req: &EvalRequest, trace_key: &str, scores: &[FamilyScore]) -
         json_string(&ranked[0].score.name)
     ));
     out.push_str("}\n");
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

@@ -47,4 +47,4 @@ pub mod registry;
 pub use error::HcftError;
 pub use journal::{Event, EventJournal, EventKind};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use registry::{Registry, Snapshot};
+pub use registry::{json_string, Registry, Snapshot};

@@ -249,8 +249,9 @@ impl Snapshot {
     }
 }
 
-/// Escape a string for JSON output.
-fn json_string(s: &str) -> String {
+/// A string as a quoted JSON string: `"` and `\` escaped, control
+/// characters as `\n`, `\r`, `\t` or `\u00XX`, everything else as is.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

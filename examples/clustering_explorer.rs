@@ -21,14 +21,13 @@ fn main() -> Result<(), HcftError> {
     );
     let trace = run_traced_job(&cfg);
     let placement = trace.layout.app_placement();
-    let node_graph = WeightedGraph::from_comm_matrix(&trace.app.aggregate_by_node(&placement));
     let evaluator = Evaluator::new(trace.app.clone(), placement);
     let baseline = BaselineRequirements::default();
 
     // The §III sweet-spot search, automated: every candidate that fits
     // this machine, scored, then the one with the smallest worst ratio.
     println!("scheme                     logging   restart  enc(1GB)     P(cat) worst ratio");
-    for c in candidates(&evaluator, &node_graph, &baseline)? {
+    for c in candidates(&evaluator, &baseline)? {
         let s = &c.score;
         println!(
             "{:<24} {:>8.1}%  {:>7.2}%  {:>6.0} s  {:>9.1e}  {:>10.3}",
@@ -40,7 +39,7 @@ fn main() -> Result<(), HcftError> {
             c.chebyshev
         );
     }
-    let best = autotune(&evaluator, &node_graph, &baseline)?;
+    let best = autotune(&evaluator, &baseline)?;
     println!(
         "\nautotune winner: {} (worst baseline ratio {:.3}, {})",
         best.scheme.name,

@@ -13,10 +13,9 @@ fn main() {
     // Machine + traced workload (32 nodes × 8 ranks, anisotropic stencil).
     let trace = run_traced_job(&TracedJobConfig::small(32, 8));
     let placement = trace.layout.app_placement();
-    let node_graph = WeightedGraph::from_comm_matrix(&trace.app.aggregate_by_node(&placement));
     let evaluator = Evaluator::new(trace.app.clone(), placement.clone());
     let rows = SchemeFamilySpec::paper(32, 8, 16, HierarchicalConfig::default())
-        .score(&evaluator, &node_graph)
+        .score(&evaluator)
         .expect("the paper schemes fit 32 nodes x 8 ranks");
 
     println!("30-day campaign, checkpoints every 10 minutes, 100 trials\n");

@@ -27,10 +27,9 @@ fn main() {
     // 2. Build the four §III/§IV clustering strategies at the paper's
     //    sizes and score every scheme on the four dimensions.
     let placement = trace.layout.app_placement();
-    let node_graph = WeightedGraph::from_comm_matrix(&trace.app.aggregate_by_node(&placement));
     let evaluator = Evaluator::new(trace.app.clone(), placement.clone());
     let rows = SchemeFamilySpec::paper(32, 8, 16, HierarchicalConfig::default())
-        .score(&evaluator, &node_graph)
+        .score(&evaluator)
         .expect("the paper schemes fit 32 nodes x 8 ranks");
 
     // 3. Compare them against the §III baseline.
