@@ -804,4 +804,29 @@ mod event_tests {
         let t = run_traced_job(&TracedJobConfig::small(4, 2));
         assert!(t.app_events.is_empty());
     }
+
+    /// `compose` and `project` build every row once at its final length:
+    /// on the served paper shape each row's capacity is its length, so
+    /// the resident size the trace cache charges is exactly the stored
+    /// cells plus the row headers. (Every capacity is at least its
+    /// length, so equal sums mean equal rows.)
+    #[test]
+    fn composed_served_trace_rows_are_built_at_their_final_length() {
+        let cfg = TracedJobConfig::builder(64, 16)
+            .iterations(100)
+            .checkpoint_every(21)
+            .build()
+            .expect("served shape");
+        let t = run_traced_job(&cfg);
+        let header = std::mem::size_of::<Vec<(u32, u64)>>();
+        let cell = std::mem::size_of::<(u32, u64)>();
+        for (name, m) in [("full", &t.full), ("app", &t.app)] {
+            assert!(m.edge_count() > m.n(), "{name}: a traced matrix");
+            assert_eq!(
+                m.heap_bytes(),
+                (m.n() * header + m.edge_count() * cell) as u64,
+                "{name}: a row holds spare capacity"
+            );
+        }
+    }
 }

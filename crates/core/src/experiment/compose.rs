@@ -72,7 +72,7 @@ pub(super) fn compose(
     let mut steps: [Vec<(u32, u64)>; 2] = Default::default();
     let mut round = Vec::new();
     // One sender's scaled cells, summed per destination once its stream
-    // is read and then appended to its row in ascending order.
+    // is read and installed as its row, allocated at its final length.
     let mut cells: Vec<(u32, u64)> = Vec::new();
     for (src, stream) in events.iter().enumerate() {
         steps.iter_mut().for_each(Vec::clear);
@@ -107,13 +107,18 @@ pub(super) fn compose(
             cells.push(scaled(cell, rounds)?);
         }
         cells.sort_unstable_by_key(|&(dst, _)| dst);
-        for run in cells.chunk_by(|a, b| a.0 == b.0) {
+        let runs = || cells.chunk_by(|a, b| a.0 == b.0);
+        let mut row = Vec::with_capacity(runs().filter(|run| run.iter().any(|c| c.1 > 0)).count());
+        for run in runs() {
             let bytes = run
                 .iter()
                 .try_fold(0u64, |sum, &(_, b)| sum.checked_add(b))
                 .ok_or(NotPeriodic::Overflow)?;
-            full.add(src, run[0].0 as usize, bytes);
+            if bytes > 0 {
+                row.push((run[0].0, bytes));
+            }
         }
+        full.set_row(src, row);
     }
     Ok(full)
 }

@@ -77,6 +77,29 @@ impl CommMatrix {
         &self.rows[src]
     }
 
+    /// Install sender `src`'s whole row, replacing what it held: the
+    /// way to build a row at its final length, where `add` grows it
+    /// cell by cell. The row keeps the allocation it is given.
+    ///
+    /// # Panics
+    /// Unless the destinations are strictly ascending and in range and
+    /// every byte count is non-zero — the form every stored row has.
+    pub fn set_row(&mut self, src: usize, row: Vec<(u32, u64)>) {
+        assert!(
+            row.windows(2).all(|w| w[0].0 < w[1].0),
+            "row {src}: destinations not strictly ascending"
+        );
+        assert!(
+            row.last().is_none_or(|&(d, _)| (d as usize) < self.n()),
+            "row {src}: destination out of range"
+        );
+        assert!(
+            row.iter().all(|&(_, b)| b > 0),
+            "row {src}: a zero-byte cell"
+        );
+        self.rows[src] = row;
+    }
+
     /// Total bytes communicated (sum of all cells).
     pub fn total_bytes(&self) -> u64 {
         self.entries().map(|(_, _, b)| b).sum()
@@ -122,17 +145,28 @@ impl CommMatrix {
     /// Project onto a subset of ranks, renumbered densely in the order
     /// given. Traffic to/from ranks outside the subset is dropped. Used to
     /// extract the application-only matrix from a full job trace.
+    ///
+    /// Each kept row is built once at its exact length: its kept cells
+    /// counted, then filtered, renumbered and sorted (already sorted when
+    /// the subset ascends, as `application_ranks` does).
+    ///
+    /// # Panics
+    /// When the subset names a rank twice.
     pub fn project(&self, subset: &[Rank]) -> CommMatrix {
-        let mut index = vec![usize::MAX; self.n()];
+        const DROPPED: u32 = u32::MAX;
+        let mut index = vec![DROPPED; self.n()];
         for (new, r) in subset.iter().enumerate() {
-            index[r.idx()] = new;
+            assert_eq!(index[r.idx()], DROPPED, "subset repeats rank {}", r.idx());
+            index[r.idx()] = new as u32;
         }
         let mut out = CommMatrix::new(subset.len());
-        for (s, d, b) in self.entries() {
-            let (ns, nd) = (index[s], index[d]);
-            if ns != usize::MAX && nd != usize::MAX {
-                out.add(ns, nd, b);
-            }
+        for (new, r) in subset.iter().enumerate() {
+            let old = &self.rows[r.idx()];
+            let kept = old.iter().filter(|&&(d, _)| index[d as usize] != DROPPED);
+            let mut row = Vec::with_capacity(kept.clone().count());
+            row.extend(kept.map(|&(d, b)| (index[d as usize], b)));
+            row.sort_unstable_by_key(|&(d, _)| d);
+            out.set_row(new, row);
         }
         out
     }
@@ -262,6 +296,36 @@ mod tests {
         let sub2 = m.project(&[Rank(0), Rank(1)]);
         assert_eq!(sub2.get(0, 1), 100);
         assert_eq!(sub2.get(1, 0), 50);
+    }
+
+    #[test]
+    fn set_row_refuses_rows_no_stored_row_could_be() {
+        let bad: [Vec<(u32, u64)>; 4] = [
+            vec![(2, 1), (1, 1)],
+            vec![(1, 1), (1, 2)],
+            vec![(0, 1), (4, 1)],
+            vec![(0, 1), (3, 0)],
+        ];
+        for row in bad {
+            let mut m = sample();
+            let shown = format!("{row:?}");
+            let set = std::panic::catch_unwind(move || m.set_row(0, row));
+            assert!(set.is_err(), "installed {shown}");
+        }
+        let mut m = sample();
+        m.set_row(0, Vec::new());
+        m.set_row(3, vec![(0, 7), (3, 9)]);
+        assert_eq!(m.row(0), []);
+        assert_eq!(
+            m.entries().collect::<Vec<_>>(),
+            [(1, 0, 50), (2, 3, 10), (3, 0, 7), (3, 3, 9)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "subset repeats rank 1")]
+    fn project_refuses_a_repeated_rank() {
+        sample().project(&[Rank(1), Rank(0), Rank(1)]);
     }
 
     #[test]
@@ -422,6 +486,29 @@ mod proptests {
         (m, d)
     }
 
+    /// `project` as it was: every kept cell `add`ed into an empty
+    /// matrix, row-major.
+    fn project_by_add(m: &CommMatrix, subset: &[Rank]) -> CommMatrix {
+        let mut index = vec![usize::MAX; m.n()];
+        for (new, r) in subset.iter().enumerate() {
+            index[r.idx()] = new;
+        }
+        let mut out = CommMatrix::new(subset.len());
+        for (s, d, b) in m.entries() {
+            if index[s] != usize::MAX && index[d] != usize::MAX {
+                out.add(index[s], index[d], b);
+            }
+        }
+        out
+    }
+
+    /// The heap bytes of `m` when every row's capacity is its length.
+    fn exact_heap_bytes(m: &CommMatrix) -> u64 {
+        let header = std::mem::size_of::<Vec<(u32, u64)>>();
+        let cell = std::mem::size_of::<(u32, u64)>();
+        (m.n() * header + m.edge_count() * cell) as u64
+    }
+
     fn arb_matrix() -> impl Strategy<Value = CommMatrix> {
         arb_ops().prop_map(|(n, ops, _)| build(n, &ops).0)
     }
@@ -492,6 +579,60 @@ mod proptests {
                 }
             }
             assert_same(&m.project(&subset), &d.project(&subset))?;
+        }
+
+        #[test]
+        fn rows_installed_at_final_length_equal_the_added_ones(case in arb_ops()) {
+            let (n, first, ops) = case;
+            let want = build(n, &ops).0;
+            // Install over a matrix that already holds other rows.
+            let mut m = build(n, &first).0;
+            for src in 0..n {
+                let mut cells: Vec<(u32, u64)> = ops
+                    .iter()
+                    .filter(|op| op.0 == src)
+                    .map(|&(_, d, b)| (d as u32, b))
+                    .collect();
+                cells.sort_unstable_by_key(|&(d, _)| d);
+                let mut row = Vec::new();
+                for run in cells.chunk_by(|a, b| a.0 == b.0) {
+                    let bytes: u64 = run.iter().map(|&(_, b)| b).sum();
+                    if bytes > 0 {
+                        row.push((run[0].0, bytes));
+                    }
+                }
+                row.shrink_to_fit();
+                m.set_row(src, row);
+            }
+            prop_assert_eq!(&m, &want);
+            prop_assert_eq!(m.heap_bytes(), exact_heap_bytes(&m));
+        }
+
+        #[test]
+        fn project_equals_the_added_projection_at_exact_capacity(
+            case in arb_ops(),
+            picks in proptest::collection::vec(any::<usize>(), 0..12),
+        ) {
+            let (n, ops, _) = case;
+            let m = build(n, &ops).0;
+            let mut shuffled: Vec<Rank> = Vec::new();
+            for p in picks {
+                let r = Rank::from(p % n);
+                if !shuffled.contains(&r) {
+                    shuffled.push(r);
+                }
+            }
+            let mut ascending = shuffled.clone();
+            ascending.sort_unstable();
+            for subset in [shuffled, ascending] {
+                if subset.is_empty() {
+                    continue;
+                }
+                let p = m.project(&subset);
+                prop_assert_eq!(&p, &project_by_add(&m, &subset));
+                prop_assert!(p.rows.iter().all(|r| r.capacity() == r.len()));
+                prop_assert_eq!(p.heap_bytes(), exact_heap_bytes(&p));
+            }
         }
 
         #[test]

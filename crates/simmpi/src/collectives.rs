@@ -33,47 +33,34 @@
 //! others. A reduction is an `allgather` followed by a local fold in
 //! rank order, which fixes its combining order on every schedule.
 
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-use hcft_telemetry::{Counter, Registry};
 
 use crate::comm::Comm;
 use crate::datatype::{decode, encode, Datum};
 use crate::rendezvous::{Arrival, Deposit, Outcome};
 use crate::sched;
+use crate::tally::{self, Count};
 use crate::trace::MessageEvent;
 
-/// The collectives counted in telemetry, indexing [`OP_NAMES`].
+/// The collectives counted in telemetry.
 #[derive(Clone, Copy)]
 enum Op {
     Barrier,
     Allgather,
 }
 
-const OP_NAMES: [&str; 2] = ["barrier", "allgather"];
-
-/// Tally one collective invocation in the global telemetry registry:
-/// `simmpi.<op>.calls` and `simmpi.<op>.bytes` (the caller's contributed
-/// payload, not the algorithm's internal traffic — the trace matrices
-/// already capture wire bytes). The counters are looked up once per
-/// process; a call is two relaxed atomic adds.
+/// Tally one collective invocation: `simmpi.<op>.calls` and
+/// `simmpi.<op>.bytes` (the caller's contributed payload, not the
+/// algorithm's internal traffic — the trace matrices already capture
+/// wire bytes). Counted on the calling thread and published when it
+/// retires from its world (`crate::tally`).
 fn tally(op: Op, bytes: u64) {
-    static COUNTERS: OnceLock<Vec<[Arc<Counter>; 2]>> = OnceLock::new();
-    let [calls, total] = &COUNTERS.get_or_init(|| {
-        let reg = Registry::global();
-        OP_NAMES
-            .iter()
-            .map(|op| {
-                [
-                    reg.counter(&format!("simmpi.{op}.calls")),
-                    reg.counter(&format!("simmpi.{op}.bytes")),
-                ]
-            })
-            .collect()
-    })[op as usize];
-    calls.inc();
-    total.add(bytes);
+    let (calls, total) = match op {
+        Op::Barrier => (Count::BarrierCalls, Count::BarrierBytes),
+        Op::Allgather => (Count::AllgatherCalls, Count::AllgatherBytes),
+    };
+    tally::add(calls, 1);
+    tally::add(total, bytes);
 }
 
 /// Contributed payload size of a typed slice.

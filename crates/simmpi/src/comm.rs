@@ -7,12 +7,11 @@
 //! application-only one at init — §V — and the paper's heat map still
 //! shows world ranks).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::datatype::{decode, encode_into, Datum};
 use crate::runtime::Shared;
@@ -22,15 +21,18 @@ use crate::trace::MessageEvent;
 /// collective-internal traffic.
 pub const MAX_USER_TAG: u32 = 0x0FFF_FFFF;
 
-/// The process-wide zero block behind [`Comm::send_zeros`]. A longer
-/// request swaps in a larger block; views of the old one keep it alive
-/// until they are dropped.
-static ZEROS: Mutex<Option<Bytes>> = Mutex::new(None);
+thread_local! {
+    /// This thread's zero block behind [`Comm::send_zeros`]: one per
+    /// task-engine worker or rank thread, so a zero send takes no lock
+    /// and bumps no reference count that another sending thread bumps
+    /// too. A longer request swaps in a larger block; views of the old
+    /// one keep it alive until they are dropped.
+    static ZEROS: RefCell<Option<Bytes>> = const { RefCell::new(None) };
+}
 
-/// A view of `len` zero bytes on the shared zero block.
+/// A view of `len` zero bytes on this thread's zero block.
 fn zeros(len: usize) -> Bytes {
-    let mut block = ZEROS.lock();
-    match &*block {
+    ZEROS.with_borrow_mut(|block| match &*block {
         Some(b) if b.len() >= len => b.slice(0..len),
         _ => {
             let b = Bytes::from(vec![0u8; len.next_power_of_two().max(4096)]);
@@ -38,7 +40,7 @@ fn zeros(len: usize) -> Bytes {
             *block = Some(b);
             view
         }
-    }
+    })
 }
 
 /// Rank membership of a communicator.
@@ -173,7 +175,7 @@ impl Comm {
     }
 
     /// Send `len` zero bytes without writing, copying or pooling any: the
-    /// payload is a view of one process-wide zero block. For traffic
+    /// payload is a view of the sending thread's zero block. For traffic
     /// whose content no receiver reads — a trace needs only who sent how
     /// many bytes to whom.
     pub fn send_zeros(&self, dst: usize, tag: u32, len: usize) {

@@ -35,6 +35,7 @@ mod rendezvous;
 pub mod replay;
 pub mod runtime;
 mod sched;
+mod tally;
 pub mod trace;
 
 pub use comm::Comm;

@@ -1,4 +1,4 @@
-//! World construction: simulated ranks over sharded shared mailboxes.
+//! World construction: simulated ranks over shared mailboxes.
 //!
 //! Two execution engines share one mailbox fabric:
 //!
@@ -9,18 +9,24 @@
 //!   of nanoseconds, so six-figure rank counts fit on one box — far past
 //!   the kernel's thread limits — and a sender wakes its receiver by
 //!   queueing a task id, not a futex syscall.
-//! * **Threads**: one OS thread per rank, receivers parked on shard
-//!   condvars after a yield-spin budget. 1088 ranks (the paper's largest
+//! * **Threads**: one OS thread per rank, receivers parked on their
+//!   mailbox's condvar after a yield-spin budget. 1088 ranks (the paper's largest
 //!   job) is comfortably within this engine; it is the only engine on
 //!   other targets, and x86_64 tests reach it through
 //!   [`WorldConfig::engine`].
 //!
-//! Each rank's mailbox is split into `MAILBOX_SHARDS` (8) shards indexed by
-//! *sender* world rank, so concurrent senders to the same destination
-//! (the all-to-one patterns of gather/reduce, and the encoder ranks
-//! absorbing checkpoint pushes) do not serialize on one mutex. A
-//! message's channel (ctx, src, tag) always maps to exactly one shard, so
-//! FIFO per channel is preserved by construction.
+//! Each rank's mailbox is one lock over its channel queues plus one
+//! condvar. A message's channel (ctx, src, tag) lives under that one
+//! lock, so FIFO per channel holds by construction. On the task engine
+//! a mailbox never has more concurrent senders than there are workers,
+//! so one lock is all it needs.
+//!
+//! The per-operation counters (mailbox traffic, scheduler resumes and
+//! wakes, pool checkouts, collective calls) are counted by the thread
+//! doing the work and published to the global registry when that thread
+//! retires from its world: a worker in the scheduler's exit hook, a rank
+//! thread at its exit (`crate::tally`). Every total is exact once
+//! `World::run*` returns.
 //!
 //! Runtime settings come from one place: [`WorldConfig::resolve`] takes
 //! an explicit field first, then (for the stack size) the process-wide
@@ -42,13 +48,11 @@ use crate::comm::Comm;
 use crate::rendezvous::Meetings;
 use crate::replay::{ReplayPlan, ReplayState, ReplayWorldResult};
 use crate::sched::{self, TaskSched};
+use crate::tally::{self, Count};
 use crate::trace::TraceRecorder;
 
 /// Message-queue key: (communicator context, sender comm-rank, tag).
 pub(crate) type MsgKey = (u64, u32, u32);
-
-/// Shards per mailbox, capped at the world size.
-const MAILBOX_SHARDS: usize = 8;
 
 /// Per-rank stack size when neither `WorldConfig` nor
 /// `HCFT_SIMMPI_STACK_KB` says otherwise.
@@ -60,8 +64,8 @@ const DEFAULT_STACK_SIZE: usize = 512 * 1024;
 /// count.
 const STACK_SIZES: RangeInclusive<usize> = 64 * 1024..=1 << 30;
 
-/// Yield slices a thread-engine receiver burns before parking on the
-/// shard condvar.
+/// Yield slices a thread-engine receiver burns before parking on its
+/// mailbox's condvar.
 const YIELD_SPINS: u32 = 4;
 
 /// Parse `HCFT_SIMMPI_STACK_KB` (`None` = unset) into bytes. A set but
@@ -155,7 +159,7 @@ const NO_WAITER: u32 = u32::MAX;
 struct Channel {
     q: VecDeque<Bytes>,
     /// World rank of the task blocked on this channel (task engine), or
-    /// [`NO_WAITER`]. Written under the shard lock; a sender that takes
+    /// [`NO_WAITER`]. Written under the mailbox lock; a sender that takes
     /// it owns the wake.
     waiter: u32,
 }
@@ -169,12 +173,12 @@ impl Default for Channel {
     }
 }
 
-/// One lock domain of a mailbox: FIFO queues per (ctx, src, tag) for the
-/// subset of senders hashing here, plus the condvar receivers park on.
-/// Queues stay resident once created — a drained channel keeps its
-/// (empty) `VecDeque`, so steady-state traffic never reallocates queue
-/// storage or rehashes the map.
-struct Shard {
+/// One rank's mailbox: FIFO queues per (ctx, src, tag) under one lock,
+/// plus the condvar a thread-engine receiver parks on. Queues stay
+/// resident once created — a drained channel keeps its (empty)
+/// `VecDeque`, so steady-state traffic never reallocates queue storage
+/// or rehashes the map.
+pub(crate) struct Mailbox {
     queues: Mutex<FnvMap<MsgKey, Channel>>,
     cv: Condvar,
     /// Receivers currently parked (or about to park) on `cv`. Senders
@@ -185,63 +189,12 @@ struct Shard {
     waiters: AtomicU32,
 }
 
-impl Shard {
+impl Mailbox {
     fn new() -> Self {
-        Shard {
+        Mailbox {
             queues: Mutex::new(FnvMap::default()),
             cv: Condvar::new(),
             waiters: AtomicU32::new(0),
-        }
-    }
-}
-
-/// Per-rank mailbox, sharded by sender comm-rank.
-pub(crate) struct Mailbox {
-    shards: Vec<Shard>,
-}
-
-impl Mailbox {
-    /// A mailbox in a world of `n` ranks: [`MAILBOX_SHARDS`] shards, or
-    /// one per rank in smaller worlds.
-    fn new(n: usize) -> Self {
-        Mailbox {
-            shards: (0..MAILBOX_SHARDS.min(n)).map(|_| Shard::new()).collect(),
-        }
-    }
-
-    /// The shard owning a channel. Sharding on the sender keeps every
-    /// (ctx, src, tag) channel on a single lock, which is what makes
-    /// per-channel FIFO survive the split.
-    #[inline]
-    fn shard(&self, key: &MsgKey) -> &Shard {
-        &self.shards[key.1 as usize % self.shards.len()]
-    }
-}
-
-/// Mailbox telemetry, resolved once per world so the per-message path
-/// touches relaxed atomics only (no registry name lookups).
-pub(crate) struct MailboxMetrics {
-    /// Messages deposited into any mailbox.
-    pub(crate) messages: Arc<Counter>,
-    /// Payload bytes moved through mailboxes.
-    pub(crate) bytes: Arc<Counter>,
-    /// Times a receiver actually parked on a condvar (message not ready).
-    pub(crate) waits: Arc<Counter>,
-    /// Time slices a receiver yielded back to the scheduler before
-    /// resorting to a park (the oversubscription fast path).
-    pub(crate) yields: Arc<Counter>,
-    /// Sends that found the shard lock held and had to block for it.
-    pub(crate) contended: Arc<Counter>,
-}
-
-impl MailboxMetrics {
-    fn from_registry(reg: &Registry) -> Self {
-        MailboxMetrics {
-            messages: reg.counter("simmpi.mailbox.messages"),
-            bytes: reg.counter("simmpi.mailbox.bytes"),
-            waits: reg.counter("simmpi.mailbox.wait_events"),
-            yields: reg.counter("simmpi.mailbox.yield_events"),
-            contended: reg.counter("simmpi.mailbox.send_contended"),
         }
     }
 }
@@ -282,14 +235,18 @@ thread_local! {
 /// checks out a buffer, fills it, freezes it into [`Bytes`]; the final
 /// consumer (typed receive, collective, sender-log eviction) recycles it.
 /// Two tiers: a lock-free thread-local magazine, then a shared mutex
-/// vector. `runtime.alloc.msg_buffers` counts *actual* allocator hits —
-/// fresh buffers and capacity growth of reused ones — across every world
-/// of the process; `allocated` counts this pool's alone, which is what
-/// the steady-state zero-allocation test asserts on.
+/// vector.
+///
+/// Checkout outcomes (`runtime.pool.{hits,misses}`) are tallied by the
+/// checking-out thread and published when it retires (`crate::tally`).
+/// Allocations are the pool's slow path and are counted at once:
+/// `runtime.alloc.msg_buffers` counts *actual* allocator hits — fresh
+/// buffers and capacity growth of reused ones — across every world of
+/// the process, and `allocated` counts this pool's alone. The
+/// steady-state zero-allocation tests read them mid-world, between
+/// barriers, where a count published only at exit would read zero.
 pub(crate) struct BufferPool {
     slots: Mutex<Vec<Arc<Vec<u8>>>>,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
     allocs: Arc<Counter>,
     allocated: AtomicU64,
 }
@@ -307,8 +264,6 @@ impl BufferPool {
     fn new(reg: &Registry) -> Self {
         BufferPool {
             slots: Mutex::new(Vec::new()),
-            hits: reg.counter("runtime.pool.hits"),
-            misses: reg.counter("runtime.pool.misses"),
             allocs: reg.counter("runtime.alloc.msg_buffers"),
             allocated: AtomicU64::new(0),
         }
@@ -332,7 +287,7 @@ impl BufferPool {
             .or_else(|| self.slots.lock().pop());
         match reused {
             Some(mut arc) => {
-                self.hits.inc();
+                tally::add(Count::PoolHits, 1);
                 let v = Arc::get_mut(&mut arc).expect("pooled buffer is uniquely held");
                 v.clear();
                 if v.capacity() < capacity {
@@ -344,7 +299,7 @@ impl BufferPool {
                 PooledBuf { arc }
             }
             None => {
-                self.misses.inc();
+                tally::add(Count::PoolMisses, 1);
                 self.count_alloc();
                 PooledBuf {
                     arc: Arc::new(Vec::with_capacity(capacity)),
@@ -416,7 +371,6 @@ pub(crate) struct Shared {
     pub(crate) trace: Arc<TraceRecorder>,
     pub(crate) phases: Vec<AtomicU64>,
     pub(crate) recv_timeout: Duration,
-    pub(crate) metrics: MailboxMetrics,
     pub(crate) pool: BufferPool,
     /// The task scheduler, when this world runs on the task engine. Set
     /// before any rank body starts.
@@ -456,11 +410,11 @@ impl Shared {
         // the run queue*, not blocked: yielding the time slice a few
         // times lets it run and deliver, avoiding a futex park + wake
         // round trip per halo message. Only after the yield budget is
-        // spent do we register as a waiter and park on the shard condvar.
-        let shard = self.mailboxes[rank].shard(&key);
+        // spent do we register as a waiter and park on the condvar.
+        let mailbox = &self.mailboxes[rank];
         let deadline = Instant::now() + self.recv_timeout;
         let mut yields = 0u32;
-        let mut queues = shard.queues.lock();
+        let mut queues = mailbox.queues.lock();
         loop {
             // Drained queues are intentionally left in the map: removing
             // them frees the VecDeque, so every steady-state message on
@@ -471,16 +425,16 @@ impl Shared {
             }
             if yields < YIELD_SPINS {
                 yields += 1;
-                self.metrics.yields.inc();
+                tally::add(Count::Yields, 1);
                 drop(queues);
                 std::thread::yield_now();
-                queues = shard.queues.lock();
+                queues = mailbox.queues.lock();
                 continue;
             }
-            self.metrics.waits.inc();
-            shard.waiters.fetch_add(1, Ordering::Relaxed);
-            let timed_out = shard.cv.wait_until(&mut queues, deadline).timed_out();
-            shard.waiters.fetch_sub(1, Ordering::Relaxed);
+            tally::add(Count::Waits, 1);
+            mailbox.waiters.fetch_add(1, Ordering::Relaxed);
+            let timed_out = mailbox.cv.wait_until(&mut queues, deadline).timed_out();
+            mailbox.waiters.fetch_sub(1, Ordering::Relaxed);
             if timed_out {
                 return None;
             }
@@ -488,16 +442,16 @@ impl Shared {
     }
 
     /// Task-engine receive: register this task as the channel's waiter
-    /// (under the shard lock, so a sender that sees the hint is ordered
+    /// (under the mailbox lock, so a sender that sees the hint is ordered
     /// after our blocked-state store) and switch away. The home worker's
     /// watchdog resumes us with the timeout flag if the deadline passes;
     /// one final queue check closes the race where the message and the
     /// timeout arrive together.
     fn task_recv(&self, rank: usize, key: MsgKey, cur: sched::CurrentTask) -> Option<Bytes> {
-        let shard = self.mailboxes[rank].shard(&key);
+        let mailbox = &self.mailboxes[rank];
         let deadline = Instant::now() + self.recv_timeout;
         loop {
-            let mut queues = shard.queues.lock();
+            let mut queues = mailbox.queues.lock();
             let ch = queues.entry(key).or_default();
             if let Some(msg) = ch.q.pop_front() {
                 return Some(msg);
@@ -505,10 +459,10 @@ impl Shared {
             ch.waiter = rank as u32;
             cur.prepare_block();
             drop(queues);
-            self.metrics.waits.inc();
+            tally::add(Count::Waits, 1);
             cur.block(deadline);
             if cur.take_timed_out() {
-                let mut queues = shard.queues.lock();
+                let mut queues = mailbox.queues.lock();
                 let ch = queues.entry(key).or_default();
                 // Clear the stale hint so a later sender on this channel
                 // does not try to wake us while we block elsewhere.
@@ -523,14 +477,14 @@ impl Shared {
     /// Deposit a message into `dst`'s mailbox. The payload is refcounted,
     /// so this moves a pointer, not the bytes.
     pub(crate) fn deliver(&self, dst: usize, key: MsgKey, payload: Bytes) {
-        self.metrics.messages.inc();
-        self.metrics.bytes.add(payload.len() as u64);
-        let shard = self.mailboxes[dst].shard(&key);
-        let mut queues = match shard.queues.try_lock() {
+        tally::add(Count::Messages, 1);
+        tally::add(Count::Bytes, payload.len() as u64);
+        let mailbox = &self.mailboxes[dst];
+        let mut queues = match mailbox.queues.try_lock() {
             Some(guard) => guard,
             None => {
-                self.metrics.contended.inc();
-                shard.queues.lock()
+                tally::add(Count::Contended, 1);
+                mailbox.queues.lock()
             }
         };
         let ch = queues.entry(key).or_default();
@@ -543,7 +497,7 @@ impl Shared {
         // receiver either registered itself under this lock (count
         // visible here) or will acquire it after us and see the message
         // in the queue.
-        let has_thread_waiter = shard.waiters.load(Ordering::Relaxed) > 0;
+        let has_thread_waiter = mailbox.waiters.load(Ordering::Relaxed) > 0;
         drop(queues);
         if task_waiter != NO_WAITER {
             if let Some(sched) = self.sched.get() {
@@ -551,7 +505,7 @@ impl Shared {
             }
         }
         if has_thread_waiter {
-            shard.cv.notify_all();
+            mailbox.cv.notify_all();
         }
     }
 }
@@ -765,11 +719,10 @@ impl World {
         let trace = Arc::new(TraceRecorder::new(n, cfg.trace_events));
         let shared = Arc::new(Shared {
             n,
-            mailboxes: (0..n).map(|_| Mailbox::new(n)).collect(),
+            mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
             trace: Arc::clone(&trace),
             phases: (0..n).map(|_| AtomicU64::new(0)).collect(),
             recv_timeout: cfg.recv_timeout,
-            metrics: MailboxMetrics::from_registry(reg),
             pool: BufferPool::new(reg),
             sched: OnceLock::new(),
             replay,
@@ -830,6 +783,7 @@ impl World {
                     // back so the still-running ranks keep hitting the
                     // pool instead of the allocator.
                     shared.pool.flush_magazine();
+                    tally::publish();
                     out
                 })
                 .expect("spawn rank thread");
@@ -883,7 +837,10 @@ impl World {
         }
         let flush = {
             let shared = Arc::clone(shared);
-            move || shared.pool.flush_magazine()
+            move || {
+                shared.pool.flush_magazine();
+                tally::publish();
+            }
         };
         sched.run(flush);
         slots

@@ -26,7 +26,7 @@
 //! * **Two-phase block.** A task cannot be woken between "announced it
 //!   will block" and "finished saving its context": `prepare_block`
 //!   stores `BLOCKING` under the lock its waker reads it under (a
-//!   mailbox shard's, or the collective meetings table's), and only
+//!   mailbox's, or the collective meetings table's), and only
 //!   after the switch back does the worker CAS `BLOCKING → BLOCKED`,
 //!   publishing the saved context. A sender that races in between CASes
 //!   `BLOCKING → WOKEN` instead; the switching worker sees its CAS fail
@@ -106,8 +106,10 @@ mod imp {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    use hcft_telemetry::{Counter, Histogram, Registry};
+    use hcft_telemetry::{Counter, Registry};
     use parking_lot::{Condvar, Mutex};
+
+    use crate::tally::{self, Count};
 
     // ----- context switch ------------------------------------------------
 
@@ -349,15 +351,14 @@ mod imp {
         sleeping: bool,
     }
 
-    /// Scheduler telemetry, resolved once per world.
+    /// Scheduler telemetry, resolved once per world: the counters a
+    /// worker adds to once per world (busy and idle time) or only on the
+    /// deadlock path. Resumes, wakes and run-queue depths are counted
+    /// per thread (`crate::tally`).
     struct SchedMetrics {
-        resumes: Arc<Counter>,
-        wakes_local: Arc<Counter>,
-        wakes_remote: Arc<Counter>,
         timeouts: Arc<Counter>,
         busy_nanos: Arc<Counter>,
         idle_nanos: Arc<Counter>,
-        runq_depth: Arc<Histogram>,
     }
 
     /// The per-world scheduler: tasks, workers, stacks.
@@ -457,7 +458,7 @@ mod imp {
 
         /// Announce that the task is about to block (phase one of the
         /// two-phase block). Must be called while holding the lock under
-        /// which its waker will find it — the mailbox shard on which the
+        /// which its waker will find it — the mailbox on which the
         /// wake-hint was registered, or the meetings table of the
         /// collective it waits for: the lock orders this store against the
         /// waker's read, so a waker always finds `BLOCKING` or `BLOCKED`.
@@ -606,13 +607,9 @@ mod imp {
                 runnable: AtomicUsize::new(n),
                 poisoned: AtomicBool::new(false),
                 metrics: SchedMetrics {
-                    resumes: reg.counter("simmpi.sched.resumes"),
-                    wakes_local: reg.counter("simmpi.sched.wakes_local"),
-                    wakes_remote: reg.counter("simmpi.sched.wakes_remote"),
                     timeouts: reg.counter("simmpi.sched.timeouts"),
                     busy_nanos: reg.counter("simmpi.sched.busy_nanos"),
                     idle_nanos: reg.counter("simmpi.sched.idle_nanos"),
-                    runq_depth: reg.histogram("simmpi.sched.runq_depth"),
                 },
                 slabs,
             })
@@ -662,10 +659,10 @@ mod imp {
                 if let Some(ctl) = here.filter(|ctl| ctl.index == home) {
                     // Same-worker fast path: no lock, no condvar.
                     ctl.runq.borrow_mut().extend(batch);
-                    self.metrics.wakes_local.add(batch.len() as u64);
+                    tally::add(Count::WakesLocal, batch.len() as u64);
                     continue;
                 }
-                self.metrics.wakes_remote.add(batch.len() as u64);
+                tally::add(Count::WakesRemote, batch.len() as u64);
                 let ws = &self.workers[home];
                 let mut inj = ws.injector.lock();
                 inj.woken.extend_from_slice(batch);
@@ -705,7 +702,8 @@ mod imp {
 
         /// Spawn the worker pool, run every task to completion, join.
         /// `on_worker_exit` runs once per worker thread after its last
-        /// task finishes (the buffer-magazine flush hook).
+        /// task finishes: the hook that flushes its buffer magazine and
+        /// publishes its tallies.
         ///
         /// A worker that panics (a clobbered canary) poisons the world:
         /// the others leave their loops, every worker is joined, the
@@ -794,7 +792,7 @@ mod imp {
         /// Resume one task and settle its post-switch state.
         fn run_one(&self, ctl: &WorkerCtl, tid: u32) {
             let t = &self.tasks[tid as usize];
-            self.metrics.resumes.inc();
+            tally::add(Count::Resumes, 1);
             CURRENT.with(|c| c.set(t as *const Task));
             // SAFETY: t.sp holds a context previously saved on (or
             // planted in) this task's stack, by this thread: only the
@@ -862,7 +860,7 @@ mod imp {
             runq.extend(inj.woken.drain(..));
             drop(inj);
             let first = runq.pop_front();
-            self.metrics.runq_depth.observe(runq.len() as u64);
+            tally::observe_runq_depth(runq.len() as u64);
             first
         }
 
@@ -871,7 +869,7 @@ mod imp {
         /// the time spent (idle-nanos accounting).
         fn idle_wait(&self, ctl: &WorkerCtl) -> Duration {
             let start = Instant::now();
-            self.metrics.runq_depth.observe(0);
+            tally::observe_runq_depth(0);
             let ws = &self.workers[ctl.index];
             if self.expire_deadlines(ctl, Instant::now()) > 0 {
                 return start.elapsed();

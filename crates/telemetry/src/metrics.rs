@@ -85,6 +85,16 @@ impl Gauge {
 /// range spans 1 ns .. ~585 years when observations are nanoseconds.
 const BUCKETS: usize = 64;
 
+/// The bucket of an observation (see [`BUCKETS`]).
+#[inline]
+fn bucket(v: u64) -> usize {
+    if v == 0 {
+        0
+    } else {
+        63 - v.leading_zeros() as usize
+    }
+}
+
 /// A power-of-two-bucketed histogram for durations (nanoseconds) or
 /// sizes (bytes). All updates are relaxed atomics; a snapshot is a
 /// consistent-enough view for reporting, not a linearisable one.
@@ -121,12 +131,26 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-        let idx = if v == 0 {
-            0
-        } else {
-            63 - v.leading_zeros() as usize
-        };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket(v)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Add the observations a thread kept in a local
+    /// [`HistogramSnapshot`] (see [`HistogramSnapshot::record`]): one
+    /// atomic update per field and per non-empty bucket, however many
+    /// observations it holds.
+    pub fn merge(&self, local: &HistogramSnapshot) {
+        if local.count == 0 {
+            return;
+        }
+        self.count.fetch_add(local.count, Ordering::Relaxed);
+        self.sum.fetch_add(local.sum, Ordering::Relaxed);
+        self.min.fetch_min(local.min, Ordering::Relaxed);
+        self.max.fetch_max(local.max, Ordering::Relaxed);
+        for (bucket, &n) in self.buckets.iter().zip(&local.buckets) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Record a monotonic duration measurement.
@@ -165,6 +189,26 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// A histogram with no observations, as a thread's local
+    /// accumulator.
+    pub const EMPTY: HistogramSnapshot = HistogramSnapshot {
+        count: 0,
+        sum: 0,
+        min: 0,
+        max: 0,
+        buckets: [0; BUCKETS],
+    };
+
+    /// Record one observation locally, with the semantics of
+    /// [`Histogram::observe`]; [`Histogram::merge`] publishes the lot.
+    pub fn record(&mut self, v: u64) {
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.max = self.max.max(v);
+        self.count += 1;
+        self.sum += v;
+        self.buckets[bucket(v)] += 1;
+    }
+
     /// Arithmetic mean of the observations, 0.0 when empty.
     pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -214,6 +258,26 @@ mod tests {
         assert_eq!(s.buckets[1], 1); // 3
         assert_eq!(s.buckets[10], 1); // 1024
         assert!((s.mean() - 205.8).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merging_local_records_equals_observing() {
+        let values = [7u64, 0, 1, 3, 1024, 5];
+        let shared = Histogram::new();
+        for v in values {
+            shared.observe(v);
+        }
+        let merged = Histogram::new();
+        merged.merge(&HistogramSnapshot::EMPTY);
+        merged.observe(7);
+        for part in [&values[1..3], &values[3..]] {
+            let mut local = HistogramSnapshot::EMPTY;
+            for &v in part {
+                local.record(v);
+            }
+            merged.merge(&local);
+        }
+        assert_eq!(merged.snapshot(), shared.snapshot());
     }
 
     #[test]
