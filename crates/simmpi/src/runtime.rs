@@ -10,9 +10,9 @@
 //!   the kernel's thread limits — and a sender wakes its receiver by
 //!   queueing a task id, not a futex syscall.
 //! * **Threads**: one OS thread per rank, receivers parked on their
-//!   mailbox's condvar after a yield-spin budget. 1088 ranks (the paper's largest
-//!   job) is comfortably within this engine; it is the only engine on
-//!   other targets, and x86_64 tests reach it through
+//!   mailbox's condvar after a yield-spin budget. 1088 ranks (the
+//!   paper's largest job) is comfortably within this engine; it is the
+//!   only engine on other targets, and x86_64 tests reach it through
 //!   [`WorldConfig::engine`].
 //!
 //! Each rank's mailbox is one lock over its channel queues plus one
